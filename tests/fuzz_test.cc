@@ -7,7 +7,6 @@
 //    reject garbage with errors, never crash or accept nonsense.
 #include <gtest/gtest.h>
 
-#include <sstream>
 #include <string>
 
 #include "common/rng.h"
@@ -20,77 +19,12 @@
 #include "microc/parser.h"
 #include "microc/serialize.h"
 #include "microc/verify.h"
+#include "random_program.h"
 
 namespace lnic::microc {
 namespace {
 
 // ------------------------------------------------- random source programs
-
-// Emits a random arithmetic expression over the in-scope variables.
-std::string random_expr(Rng& rng, const std::vector<std::string>& vars,
-                        int depth) {
-  if (depth <= 0 || rng.next_below(3) == 0) {
-    if (!vars.empty() && rng.next_bool(0.6)) {
-      return vars[rng.next_below(vars.size())];
-    }
-    return std::to_string(rng.next_below(100) + 1);
-  }
-  static const char* ops[] = {"+", "-", "*", "&", "|", "^"};
-  return "(" + random_expr(rng, vars, depth - 1) + " " +
-         ops[rng.next_below(6)] + " " + random_expr(rng, vars, depth - 1) +
-         ")";
-}
-
-// Generates a well-formed random function with nested control flow and
-// bounded loops (loop counters always terminate).
-std::string random_program(Rng& rng) {
-  std::ostringstream out;
-  out << "global u8 mem[256];\n";
-  out << "int f() {\n";
-  std::vector<std::string> vars;
-  const int nvars = 2 + static_cast<int>(rng.next_below(3));
-  for (int i = 0; i < nvars; ++i) {
-    const std::string name = "v" + std::to_string(i);
-    out << "  var " << name << " = " << random_expr(rng, vars, 2) << ";\n";
-    vars.push_back(name);
-  }
-  const int stmts = 3 + static_cast<int>(rng.next_below(6));
-  for (int s = 0; s < stmts; ++s) {
-    switch (rng.next_below(5)) {
-      case 0:
-        out << "  " << vars[rng.next_below(vars.size())] << " = "
-            << random_expr(rng, vars, 2) << ";\n";
-        break;
-      case 1:
-        out << "  if (" << random_expr(rng, vars, 1) << " % 2 == 0) { "
-            << vars[rng.next_below(vars.size())] << " += "
-            << random_expr(rng, vars, 1) << "; } else { "
-            << vars[rng.next_below(vars.size())] << " ^= 7; }\n";
-        break;
-      case 2: {
-        const std::string loop_var = "i" + std::to_string(s);
-        out << "  for (var " << loop_var << " = 0; " << loop_var << " < "
-            << (1 + rng.next_below(8)) << "; " << loop_var << " += 1) { "
-            << vars[rng.next_below(vars.size())] << " += " << loop_var
-            << "; }\n";
-        break;
-      }
-      case 3:
-        out << "  store8(mem, (" << random_expr(rng, vars, 1)
-            << ") % 31 * 8, " << vars[rng.next_below(vars.size())] << ");\n";
-        break;
-      default:
-        out << "  " << vars[rng.next_below(vars.size())]
-            << " = load8(mem, (" << random_expr(rng, vars, 1)
-            << ") % 31 * 8);\n";
-        break;
-    }
-  }
-  out << "  var acc = 0;\n";
-  for (const auto& v : vars) out << "  acc ^= " << v << ";\n";
-  out << "  resp_word(acc);\n  return acc;\n}\n";
-  return out.str();
-}
 
 Outcome run_program(const Program& p) {
   ObjectStore store(p);
@@ -103,8 +37,7 @@ Outcome run_program(const Program& p) {
 class RandomSourceTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(RandomSourceTest, CompilesRunsDeterministicallyAndOptimizesSafely) {
-  Rng rng(static_cast<std::uint64_t>(GetParam()) * 104729 + 7);
-  const std::string source = random_program(rng);
+  const std::string source = test_programs::random_program_for_seed(GetParam());
   auto program = compile_microc(source);
   ASSERT_TRUE(program.ok()) << program.error().message << "\n" << source;
 
