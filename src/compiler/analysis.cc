@@ -112,6 +112,7 @@ std::vector<bool> reachable_blocks(const microc::Function& fn) {
 }
 
 void estimate_object_accesses(microc::Program& program) {
+  program.decoded.clear();  // edits the program in place
   for (auto& obj : program.objects) obj.access_estimate = 0;
   for (const auto& fn : program.functions) {
     for (const auto& block : fn.blocks) {

@@ -24,6 +24,7 @@ bool same_body(const Function& a, const Function& b) {
 }  // namespace
 
 std::size_t coalesce_lambdas(Program& program) {
+  program.decoded.clear();  // edits the program in place
   const std::size_t n = program.functions.size();
   // canonical[i] = index of the representative of i's equivalence class.
   std::vector<std::uint32_t> canonical(n);

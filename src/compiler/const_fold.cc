@@ -48,6 +48,7 @@ std::optional<std::uint64_t> eval(Opcode op, std::uint64_t a,
 }  // namespace
 
 std::size_t fold_constants(microc::Program& program) {
+  program.decoded.clear();  // edits the program in place
   std::size_t rewritten = 0;
   for (auto& fn : program.functions) {
     for (auto& block : fn.blocks) {

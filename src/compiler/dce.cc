@@ -102,6 +102,7 @@ std::size_t sweep_dead_instructions(Function& fn) {
 }  // namespace
 
 std::size_t eliminate_dead_code(microc::Program& program) {
+  program.decoded.clear();  // edits the program in place
   std::size_t removed = 0;
   for (auto& fn : program.functions) {
     removed += remove_unreachable_blocks(fn);

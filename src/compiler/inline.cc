@@ -35,6 +35,7 @@ bool inlinable(const Function& fn, std::size_t max_instrs) {
 }  // namespace
 
 std::size_t inline_functions(Program& program, const InlineOptions& options) {
+  program.decoded.clear();  // edits the program in place
   std::size_t inlined = 0;
   for (auto& caller : program.functions) {
     for (auto& block : caller.blocks) {
@@ -88,6 +89,7 @@ std::size_t inline_functions(Program& program, const InlineOptions& options) {
 }
 
 std::size_t prune_unreachable_functions(Program& program) {
+  program.decoded.clear();  // edits the program in place
   if (program.functions.empty()) return 0;
   // Roots: dispatch + lambda entries. Programs not yet assembled have
   // dispatch 0 by default, which may be a lambda; treat every function

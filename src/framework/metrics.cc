@@ -48,19 +48,28 @@ Sampler& MetricsRegistry::sampler(const std::string& name,
   return samplers_[series_key(name, labels)];
 }
 
+// Both histogram() forms look the series up first, so a Histogram and
+// its bucket vector are only built for a new series.
 Histogram& MetricsRegistry::histogram(const std::string& name,
                                       const Labels& labels) {
-  return histograms_
-      .try_emplace(series_key(name, labels), Histogram())
-      .first->second;
+  std::string key = series_key(name, labels);
+  auto it = histograms_.find(key);
+  if (it == histograms_.end()) {
+    it = histograms_.emplace(std::move(key), Histogram()).first;
+  }
+  return it->second;
 }
 
 Histogram& MetricsRegistry::histogram(const std::string& name,
                                       const Labels& labels,
                                       std::vector<double> bounds) {
-  return histograms_
-      .try_emplace(series_key(name, labels), Histogram(std::move(bounds)))
-      .first->second;
+  std::string key = series_key(name, labels);
+  auto it = histograms_.find(key);
+  if (it == histograms_.end()) {
+    it = histograms_.emplace(std::move(key), Histogram(std::move(bounds)))
+             .first;
+  }
+  return it->second;
 }
 
 bool MetricsRegistry::has(const std::string& name) const {

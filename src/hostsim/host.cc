@@ -17,6 +17,7 @@ struct HostServer::Job {
   net::LambdaHeader lambda;
   NodeId reply_to = kInvalidNode;
   microc::Invocation invocation;
+  std::shared_ptr<microc::Deployment> image;  // the program it runs on
   std::unique_ptr<microc::Machine> machine;
   std::uint64_t cycles_reported = 0;
   SimTime enqueued = 0;
@@ -46,8 +47,9 @@ HostServer::HostServer(sim::Simulator& sim, net::Network& network,
 }
 
 void HostServer::deploy(microc::Program program) {
-  program_ = std::move(program);
-  globals_.reset(*program_);
+  // Jobs parked on a KV call keep the instance they started on.
+  image_ = std::make_shared<microc::Deployment>(std::move(program),
+                                                config_.cost);
 }
 
 SimDuration HostServer::jittered(SimDuration base) {
@@ -93,7 +95,7 @@ void HostServer::handle_packet(const Packet& packet) {
 }
 
 void HostServer::handle_request(const Packet& packet, net::BufferView body) {
-  if (!program_) {
+  if (!image_) {
     ++stats_.requests_dropped;
     return;
   }
@@ -241,9 +243,8 @@ void HostServer::run_gil(std::unique_ptr<Job> job) {
     }
     Outcome outcome;
     if (!job->machine) {
-      job->machine = std::make_unique<microc::Machine>(*program_,
-                                                       config_.cost,
-                                                       &globals_);
+      job->image = image_;
+      job->machine = image_->acquire();
       outcome = job->machine->run(job->invocation);
     } else {
       outcome = job->machine->resume(job->pending_reply);
@@ -343,6 +344,7 @@ void HostServer::handle_kv_response(const Packet& packet) {
 void HostServer::finish_job(std::unique_ptr<Job> job) {
   assert(active_jobs_ > 0);
   --active_jobs_;
+  if (job->image) job->image->release(std::move(job->machine));
   if (job->outcome.state == RunState::kTrap) {
     ++stats_.requests_dropped;
     LNIC_WARN() << "host lambda trap: " << job->outcome.trap_message;

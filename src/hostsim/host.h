@@ -30,7 +30,6 @@
 #include <deque>
 #include <map>
 #include <memory>
-#include <optional>
 #include <vector>
 
 #include "common/result.h"
@@ -143,8 +142,7 @@ class HostServer {
   NodeId kv_server_ = kInvalidNode;
   Rng rng_;
 
-  std::optional<microc::Program> program_;
-  microc::ObjectStore globals_;
+  std::shared_ptr<microc::Deployment> image_;  // null until deployed
 
   Stage kernel_;   // per-packet work
   Stage runtime_;  // per-request dispatch

@@ -49,6 +49,10 @@ LoadGenerator::LoadGenerator(sim::Simulator& sim, LoadGenConfig config,
 
 void LoadGenerator::set_metrics(framework::MetricsRegistry* registry) {
   metrics_ = registry;
+  // Handles into the previous registry are dropped; the next write binds.
+  inflight_gauge_ = nullptr;
+  offered_gauge_ = nullptr;
+  for (auto& [fn, offered] : offered_by_fn_) offered.rps_gauge = nullptr;
 }
 
 void LoadGenerator::start() {
@@ -104,7 +108,7 @@ void LoadGenerator::arm_next() {
 
 void LoadGenerator::on_arrival(Request request) {
   request.id = offered_++;
-  ++offered_by_fn_[request.function];
+  ++offered_by_fn_[request.function].count;
   slo_.on_offered(request.function);
   update_gauges();
 
@@ -144,15 +148,22 @@ void LoadGenerator::dispatch(Request request) {
 
 void LoadGenerator::update_gauges() {
   if (metrics_ == nullptr) return;
-  metrics_->gauge("loadgen_inflight") = static_cast<double>(inflight_);
-  metrics_->gauge("loadgen_offered_requests") =
-      static_cast<double>(offered_);
+  // Handles are bound on first write, so each series appears when it did
+  // with string lookups; registry map nodes never move.
+  if (inflight_gauge_ == nullptr) {
+    inflight_gauge_ = &metrics_->gauge("loadgen_inflight");
+    offered_gauge_ = &metrics_->gauge("loadgen_offered_requests");
+  }
+  *inflight_gauge_ = static_cast<double>(inflight_);
+  *offered_gauge_ = static_cast<double>(offered_);
   const SimDuration elapsed = sim_.now() - started_at_;
   if (elapsed <= 0) return;
   const double window_sec = to_sec(elapsed);
-  for (const auto& [fn, count] : offered_by_fn_) {
-    metrics_->gauge("loadgen_offered_rps", {{"fn", fn}}) =
-        static_cast<double>(count) / window_sec;
+  for (auto& [fn, offered] : offered_by_fn_) {
+    if (offered.rps_gauge == nullptr) {
+      offered.rps_gauge = &metrics_->gauge("loadgen_offered_rps", {{"fn", fn}});
+    }
+    *offered.rps_gauge = static_cast<double>(offered.count) / window_sec;
   }
 }
 

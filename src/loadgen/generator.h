@@ -142,7 +142,14 @@ class LoadGenerator {
   std::uint32_t inflight_ = 0;
   std::deque<Request> deferred_;
   sim::EventId pending_ = sim::kInvalidEvent;
-  std::map<std::string, std::uint64_t> offered_by_fn_;
+  // Offered count per function and its loadgen_offered_rps gauge.
+  struct Offered {
+    std::uint64_t count = 0;
+    double* rps_gauge = nullptr;
+  };
+  std::map<std::string, Offered> offered_by_fn_;
+  double* inflight_gauge_ = nullptr;  // loadgen_inflight
+  double* offered_gauge_ = nullptr;   // loadgen_offered_requests
 };
 
 using EncodeFn = std::function<std::vector<std::uint8_t>(const Request&)>;

@@ -1,5 +1,6 @@
 #include "microc/interp.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cstring>
 
@@ -17,6 +18,249 @@ std::uint64_t fnv1a(const std::uint8_t* data, std::size_t len) {
   }
   return h;
 }
+}  // namespace
+
+// Decoded opcodes: the IR's, in the same order, then two pseudo-ops.
+enum class Op : std::uint8_t {
+  kConst, kMov, kAdd, kSub, kMul, kDivU, kRemU, kAnd, kOr, kXor, kShl, kShr,
+  kAddImm, kMulImm, kFxMul, kCmpEq, kCmpNe, kCmpLtU, kCmpLeU, kCmpEqImm,
+  kSelect, kLoadHdr, kLoadBody, kBodyLen, kLoadMatch, kLoad, kStore,
+  kRespByte, kRespWord, kRespMem, kMemCpy, kGrayscale, kHash, kBodyCopy,
+  kExtCall, kBr, kBrIf, kCall, kRet,
+  kFellOff,  // a block ends without a terminator (imm = function): trap
+  kFuelOut,  // fuel runs out here; only in a Machine's fuel tail
+};
+static_assert(static_cast<int>(Op::kLoad) == static_cast<int>(Opcode::kLoad));
+static_assert(static_cast<int>(Op::kRet) == static_cast<int>(Opcode::kRet));
+
+/// One decoded instruction. A segment is a straight-line run of steps
+/// ending at a terminator, kCall, kExtCall or kFellOff. The rest_* fields
+/// give what is left of the segment from this step on: entering a segment
+/// charges its first step's rest once, and a trap hands its own back.
+struct Step {
+  Op op = Op::kFellOff;
+  std::uint8_t width = 8;
+  std::uint16_t dst = 0;
+  std::uint16_t a = 0;
+  std::uint16_t b = 0;
+  std::uint16_t obj = 0;  // object indices; out-of-range ones name the
+  std::uint16_t obj2 = 0;  // missing slot after the last object
+  std::uint32_t rest_instrs = 0;  // IR instructions, this one included
+  std::int64_t imm = 0;  // kBr/kBrIf: taken step; kCall/kFellOff: function
+  std::uint64_t rest_cycles = 0;  // static scalar cycles, this one included
+  std::uint32_t alt = 0;          // kBrIf: not-taken step
+};
+
+/// A Program decoded for one cost model: every function's blocks laid out
+/// in one step array with branch targets resolved to step indices and
+/// static costs folded into segment totals, plus what execution needs of
+/// the functions and objects, so Machines never read the Program again.
+struct DecodedProgram {
+  struct Function {
+    std::uint32_t entry = 0;
+    std::uint16_t num_regs = 0;
+    std::string name;
+  };
+  struct Object {
+    std::string name;
+    MemScope scope = MemScope::kGlobal;
+    Bytes size = 0;
+    std::vector<std::uint8_t> initial_data;  // local objects only
+    std::uint32_t read = 0;  // cycles per access in the object's region
+    std::uint32_t write = 0;
+  };
+
+  CostModel cost;  // the scalar costs folded in
+  std::uint64_t fingerprint = 0;
+  std::uint64_t parse_cycles = 0;
+  std::uint32_t dispatch_function = 0;
+  std::vector<Function> functions;
+  std::vector<Object> objects;  // then the missing slot
+  std::vector<Step> steps;
+};
+
+namespace {
+
+bool ends_segment(Op op) {
+  switch (op) {
+    case Op::kExtCall:
+    case Op::kBr:
+    case Op::kBrIf:
+    case Op::kCall:
+    case Op::kRet:
+    case Op::kFellOff:
+      return true;
+    default:
+      return false;
+  }
+}
+
+// Static scalar cycles of one instruction. The bulk intrinsics' inner
+// loops depend on run-time lengths and are charged when they run.
+std::uint64_t scalar_cycles(const Instr& in, const CostModel& c,
+                            const DecodedProgram::Object& obj) {
+  switch (in.op) {
+    case Opcode::kDivU:
+    case Opcode::kRemU:
+      return c.alu_cycles * 8;  // iterative divide on NPUs
+    case Opcode::kFxMul:
+    case Opcode::kSelect:
+      return c.alu_cycles * 2;
+    case Opcode::kLoadHdr:
+    case Opcode::kLoadMatch:
+      return c.hdr_cycles;
+    case Opcode::kLoadBody:
+    case Opcode::kRespByte:
+    case Opcode::kRespWord:
+      return c.body_cycles;
+    case Opcode::kLoad:
+      return c.alu_cycles + obj.read;
+    case Opcode::kStore:
+      return c.alu_cycles + obj.write;
+    case Opcode::kExtCall:
+      return c.ext_call_cycles;
+    case Opcode::kBr:
+    case Opcode::kBrIf:
+    case Opcode::kRet:
+      return c.branch_cycles;
+    case Opcode::kCall:
+      return c.call_cycles;
+    default:
+      return c.alu_cycles;  // ALU ops, and the intrinsics' issue cost
+  }
+}
+
+bool same_scalar_costs(const CostModel& a, const CostModel& b) {
+  return a.alu_cycles == b.alu_cycles && a.branch_cycles == b.branch_cycles &&
+         a.call_cycles == b.call_cycles && a.hdr_cycles == b.hdr_cycles &&
+         a.body_cycles == b.body_cycles &&
+         a.ext_call_cycles == b.ext_call_cycles &&
+         a.region_read == b.region_read && a.region_write == b.region_write;
+}
+
+// Everything decode() reads of a Program, hashed: asserts-on builds
+// compare it on every cache hit to catch a Program edited in place.
+std::uint64_t fingerprint(const Program& program) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  auto mix = [&h](std::uint64_t v) { h = (h ^ v) * 0x100000001b3ull; };
+  mix(program.dispatch_function);
+  mix(program.parsed_fields.size());
+  for (const MemObject& obj : program.objects) {
+    mix(obj.size);
+    mix(static_cast<std::uint64_t>(obj.scope));
+    mix(static_cast<std::uint64_t>(obj.region));
+    mix(fnv1a(obj.initial_data.data(), obj.initial_data.size()));
+  }
+  for (const Function& fn : program.functions) {
+    mix(fn.num_regs);
+    mix(fn.blocks.size());
+    for (const BasicBlock& block : fn.blocks) {
+      mix(block.instrs.size());
+      for (const Instr& in : block.instrs) {
+        mix(static_cast<std::uint64_t>(in.op) | std::uint64_t{in.dst} << 8 |
+            std::uint64_t{in.a} << 24 | std::uint64_t{in.b} << 40 |
+            std::uint64_t{in.width} << 56);
+        mix(static_cast<std::uint64_t>(in.imm));
+        mix(in.obj | std::uint64_t{in.obj2} << 16);
+      }
+    }
+  }
+  return h;
+}
+
+std::shared_ptr<const DecodedProgram> decode(const Program& program,
+                                             const CostModel& cost) {
+  auto code = std::make_shared<DecodedProgram>();
+  code->cost = cost;
+  code->fingerprint = fingerprint(program);
+  code->parse_cycles = cost.hdr_cycles * program.parsed_fields.size();
+  code->dispatch_function = program.dispatch_function;
+  for (const MemObject& obj : program.objects) {
+    DecodedProgram::Object& o = code->objects.emplace_back();
+    o.name = obj.name;
+    o.scope = obj.scope;
+    o.size = obj.size;
+    if (obj.scope == MemScope::kLocal) o.initial_data = obj.initial_data;
+    o.read = cost.region_read[static_cast<int>(obj.region)];
+    o.write = cost.region_write[static_cast<int>(obj.region)];
+  }
+  const auto missing = static_cast<std::uint16_t>(program.objects.size());
+  code->objects.push_back({"?", MemScope::kGlobal, 0, {}, 0, 0});
+  const auto object = [&](std::uint16_t index) {
+    return index < missing ? index : missing;
+  };
+
+  std::vector<Step>& steps = code->steps;
+  std::vector<std::uint64_t> own;  // each step's own scalar cycles
+  for (std::size_t f = 0; f < program.functions.size(); ++f) {
+    const Function& fn = program.functions[f];
+    const auto first = static_cast<std::uint32_t>(steps.size());
+    code->functions.push_back({first, fn.num_regs, fn.name});
+    Step fell_off;
+    fell_off.imm = static_cast<std::int64_t>(f);
+    std::vector<std::uint32_t> block_start(fn.blocks.size());
+    for (std::size_t bi = 0; bi < fn.blocks.size(); ++bi) {
+      block_start[bi] = static_cast<std::uint32_t>(steps.size());
+      const std::vector<Instr>& instrs = fn.blocks[bi].instrs;
+      for (const Instr& in : instrs) {
+        Step& s = steps.emplace_back();
+        s.op = static_cast<Op>(in.op);
+        s.width = in.width;
+        s.dst = in.dst;
+        s.a = in.a;
+        s.b = in.b;
+        s.obj = object(in.obj);
+        s.obj2 = object(in.obj2);
+        s.imm = in.imm;
+        own.push_back(scalar_cycles(in, cost, code->objects[s.obj]));
+      }
+      if (instrs.empty() || !is_terminator(instrs.back().op)) {
+        steps.push_back(fell_off);
+        own.push_back(0);
+      }
+    }
+    // A function without blocks enters here, and branches to blocks that
+    // do not exist land here.
+    const auto bad = static_cast<std::uint32_t>(steps.size());
+    steps.push_back(fell_off);
+    own.push_back(0);
+    const auto target = [&](std::int64_t block) -> std::uint32_t {
+      return block >= 0 && static_cast<std::size_t>(block) < block_start.size()
+                 ? block_start[static_cast<std::size_t>(block)]
+                 : bad;
+    };
+    for (std::uint32_t i = first; i < bad; ++i) {
+      Step& s = steps[i];
+      if (s.op == Op::kBr) {
+        s.imm = target(s.imm);
+      } else if (s.op == Op::kBrIf) {
+        s.alt = target(s.b);
+        s.imm = target(s.imm);
+      }
+    }
+  }
+  for (std::size_t i = steps.size(); i-- > 0;) {
+    Step& s = steps[i];
+    s.rest_cycles = own[i];
+    s.rest_instrs = s.op == Op::kFellOff ? 0 : 1;
+    if (!ends_segment(s.op)) {
+      s.rest_cycles += steps[i + 1].rest_cycles;
+      s.rest_instrs += steps[i + 1].rest_instrs;
+    }
+  }
+  return code;
+}
+
+std::shared_ptr<const DecodedProgram> decoded(const Program& program,
+                                              const CostModel& cost) {
+  auto code = program.decoded.find_or_add(
+      [&](const DecodedProgram& d) { return same_scalar_costs(d.cost, cost); },
+      [&] { return decode(program, cost); });
+  assert(code->fingerprint == fingerprint(program) &&
+         "Program edited in place after decoding: call decoded.clear()");
+  return code;
+}
+
 }  // namespace
 
 CostModel CostModel::npu() {
@@ -73,100 +317,64 @@ Bytes ObjectStore::total_bytes() const {
 
 Machine::Machine(const Program& program, const CostModel& cost,
                  ObjectStore* globals)
-    : program_(program), cost_(cost), globals_(globals) {}
-
-std::uint32_t Machine::read_cost(std::size_t obj) const {
-  return cost_.region_read[static_cast<int>(program_.objects[obj].region)];
-}
-std::uint32_t Machine::write_cost(std::size_t obj) const {
-  return cost_.region_write[static_cast<int>(program_.objects[obj].region)];
+    : code_(decoded(program, cost)), cost_(cost), globals_(globals) {
+  stack_.reserve(kMaxCallDepth);
 }
 
-std::vector<std::uint8_t>* Machine::object_bytes(std::size_t index) {
-  if (index >= program_.objects.size()) return nullptr;
-  if (program_.objects[index].scope == MemScope::kGlobal) {
-    if (globals_ == nullptr) return nullptr;
-    return &globals_->data(index);
-  }
-  return &locals_[index];
-}
-
-bool Machine::load_bytes(std::size_t obj, std::uint64_t offset,
-                         std::uint8_t width, std::uint64_t& out) {
-  auto* bytes = object_bytes(obj);
-  if (bytes == nullptr || offset + width > bytes->size()) {
-    trap_ = "out-of-bounds load from object '" + program_.objects[obj].name +
-            "' at offset " + std::to_string(offset);
-    return false;
-  }
-  out = 0;
-  std::memcpy(&out, bytes->data() + offset, width);
-  return true;
-}
-
-bool Machine::store_bytes(std::size_t obj, std::uint64_t offset,
-                          std::uint8_t width, std::uint64_t value) {
-  auto* bytes = object_bytes(obj);
-  if (bytes == nullptr || offset + width > bytes->size()) {
-    trap_ = "out-of-bounds store to object '" + program_.objects[obj].name +
-            "' at offset " + std::to_string(offset);
-    return false;
-  }
-  std::memcpy(bytes->data() + offset, &value, width);
-  return true;
-}
+Machine::~Machine() = default;
 
 Outcome Machine::run(const Invocation& invocation) {
-  // Parser stage: one extraction per parsed field (§4.1).
-  Outcome out = run_function(program_.dispatch_function, invocation);
-  return out;
+  return run_function(code_->dispatch_function, invocation);
 }
 
 Outcome Machine::run_function(std::size_t function_index,
                               const Invocation& invocation) {
-  assert(function_index < program_.functions.size());
+  const DecodedProgram& code = *code_;
+  assert(function_index < code.functions.size());
   invocation_ = &invocation;
   suspended_ = false;
-  trap_.clear();
   response_.clear();
-  cycles_ = 0;
+  // Charge the generated parser (header identification + extraction).
+  cycles_ = code.parse_cycles;
   bulk_cycles_ = 0;
   instructions_ = 0;
 
-  // Charge the generated parser (header identification + extraction).
-  cycles_ += cost_.hdr_cycles * program_.parsed_fields.size();
-
-  locals_.assign(program_.objects.size(), {});
-  for (std::size_t i = 0; i < program_.objects.size(); ++i) {
-    const MemObject& obj = program_.objects[i];
+  // Local objects get fresh backing; globals live in the ObjectStore.
+  const std::size_t n = code.objects.size() - 1;
+  locals_.resize(n);
+  objects_.assign(n + 1, ObjectView{});
+  for (std::size_t i = 0; i < n; ++i) {
+    const DecodedProgram::Object& obj = code.objects[i];
+    std::vector<std::uint8_t>* bytes = &locals_[i];
     if (obj.scope == MemScope::kLocal) {
-      locals_[i].assign(obj.size, 0);
-      const auto n = std::min<std::size_t>(obj.initial_data.size(), obj.size);
-      if (n > 0) std::memcpy(locals_[i].data(), obj.initial_data.data(), n);
+      bytes->assign(obj.size, 0);
+      const auto len = std::min<std::size_t>(obj.initial_data.size(), obj.size);
+      if (len > 0) std::memcpy(bytes->data(), obj.initial_data.data(), len);
+    } else if (globals_ != nullptr) {
+      bytes = &globals_->data(i);
+    } else {
+      continue;
     }
+    objects_[i] = ObjectView{bytes->data(), bytes->size(), true};
   }
 
+  const DecodedProgram::Function& fn = code.functions[function_index];
+  if (regs_.size() < fn.num_regs) regs_.resize(fn.num_regs);
+  std::fill_n(regs_.begin(), fn.num_regs, 0);
   stack_.clear();
-  Frame frame;
-  frame.fn = static_cast<std::uint32_t>(function_index);
-  frame.regs.assign(program_.functions[function_index].num_regs, 0);
-  stack_.push_back(std::move(frame));
-  return execute();
+  stack_.push_back(Frame{0, fn.num_regs, 0, 0});
+  return execute(code.steps.data() + fn.entry);
 }
 
 Outcome Machine::resume(std::uint64_t reply) {
   assert(suspended_);
   suspended_ = false;
-  // The kExtCall instruction was left pending; deliver the reply into its
-  // dst register and step past it.
-  Frame& frame = stack_.back();
-  const Instr& in = program_.functions[frame.fn]
-                        .blocks[frame.block]
-                        .instrs[frame.instr];
-  assert(in.op == Opcode::kExtCall);
-  frame.regs[in.dst] = reply;
-  ++frame.instr;
-  return execute();
+  // The kExtCall is still pending: deliver the reply into its dst
+  // register and continue after it.
+  const Step* ext = code_->steps.data() + pc_;
+  assert(ext->op == Op::kExtCall);
+  regs_[stack_.back().base + ext->dst] = reply;
+  return execute(ext + 1);
 }
 
 void Machine::abort() {
@@ -175,10 +383,19 @@ void Machine::abort() {
   invocation_ = nullptr;
 }
 
-Outcome Machine::trap(const std::string& message) {
+Outcome Machine::trap_at(const Step& in, std::string message) {
+  // The whole segment was charged on entry. Give back this instruction's
+  // cycles and everything after it; the instruction itself still counts,
+  // as it did when every instruction was counted before it ran.
+  cycles_ -= in.rest_cycles;
+  instructions_ -= in.rest_instrs - 1;
+  return trap(std::move(message));
+}
+
+Outcome Machine::trap(std::string message) {
   Outcome out;
   out.state = RunState::kTrap;
-  out.trap_message = message;
+  out.trap_message = std::move(message);
   out.cycles = scaled_cycles();
   out.instructions = instructions_;
   stack_.clear();
@@ -198,277 +415,336 @@ Outcome Machine::finish(std::uint64_t return_value) {
   return out;
 }
 
-Outcome Machine::execute() {
-  const Invocation& inv = *invocation_;
-  while (true) {
-    if (cycles_ > fuel_) return trap("fuel exhausted (compute limit)");
-    Frame& frame = stack_.back();
-    const Function& fn = program_.functions[frame.fn];
-    const BasicBlock& block = fn.blocks[frame.block];
-    if (frame.instr >= block.instrs.size()) {
-      return trap("fell off the end of a block in '" + fn.name + "'");
+// Slow segment entry, taken when charging the whole segment could pass
+// the fuel limit. Fuel is checked before each instruction (cycles so far
+// > fuel traps), so find the first instruction whose check fails. If none
+// does, charge the segment as usual and run it in place. Otherwise run the
+// instructions before it from fuel_tail_, which ends in kFuelOut, so they
+// take effect and the trap reports exact counts. Returns where to run
+// from, or nullptr when the very first check fails.
+const Step* Machine::enter_exhausting(const Step* ip) {
+  const Step* cut = ip;
+  while (cycles_ + (ip->rest_cycles - cut->rest_cycles) <= fuel_) {
+    if (ends_segment(cut->op)) {
+      cycles_ += ip->rest_cycles;
+      instructions_ += ip->rest_instrs;
+      return ip;
     }
-    const Instr& in = block.instrs[frame.instr];
-    auto& regs = frame.regs;
-    ++instructions_;
-
-    switch (in.op) {
-      case Opcode::kConst:
-        regs[in.dst] = static_cast<std::uint64_t>(in.imm);
-        charge(cost_.alu_cycles);
-        break;
-      case Opcode::kMov:
-        regs[in.dst] = regs[in.a];
-        charge(cost_.alu_cycles);
-        break;
-      case Opcode::kAdd: regs[in.dst] = regs[in.a] + regs[in.b]; charge(cost_.alu_cycles); break;
-      case Opcode::kSub: regs[in.dst] = regs[in.a] - regs[in.b]; charge(cost_.alu_cycles); break;
-      case Opcode::kMul: regs[in.dst] = regs[in.a] * regs[in.b]; charge(cost_.alu_cycles); break;
-      case Opcode::kDivU:
-        if (regs[in.b] == 0) return trap("division by zero");
-        regs[in.dst] = regs[in.a] / regs[in.b];
-        charge(cost_.alu_cycles * 8);  // iterative divide on NPUs
-        break;
-      case Opcode::kRemU:
-        if (regs[in.b] == 0) return trap("remainder by zero");
-        regs[in.dst] = regs[in.a] % regs[in.b];
-        charge(cost_.alu_cycles * 8);
-        break;
-      case Opcode::kAnd: regs[in.dst] = regs[in.a] & regs[in.b]; charge(cost_.alu_cycles); break;
-      case Opcode::kOr: regs[in.dst] = regs[in.a] | regs[in.b]; charge(cost_.alu_cycles); break;
-      case Opcode::kXor: regs[in.dst] = regs[in.a] ^ regs[in.b]; charge(cost_.alu_cycles); break;
-      case Opcode::kShl: regs[in.dst] = regs[in.a] << (regs[in.b] & 63); charge(cost_.alu_cycles); break;
-      case Opcode::kShr: regs[in.dst] = regs[in.a] >> (regs[in.b] & 63); charge(cost_.alu_cycles); break;
-      case Opcode::kAddImm:
-        regs[in.dst] = regs[in.a] + static_cast<std::uint64_t>(in.imm);
-        charge(cost_.alu_cycles);
-        break;
-      case Opcode::kMulImm:
-        regs[in.dst] = regs[in.a] * static_cast<std::uint64_t>(in.imm);
-        charge(cost_.alu_cycles);
-        break;
-      case Opcode::kFxMul: {
-        // Q16.16 multiply (fixed-point substitute for float, §3.1b).
-        const std::int64_t a = static_cast<std::int32_t>(regs[in.a]);
-        const std::int64_t b = static_cast<std::int32_t>(regs[in.b]);
-        regs[in.dst] = static_cast<std::uint64_t>(
-            static_cast<std::uint32_t>((a * b) >> 16));
-        charge(cost_.alu_cycles * 2);
-        break;
-      }
-      case Opcode::kCmpEq: regs[in.dst] = regs[in.a] == regs[in.b]; charge(cost_.alu_cycles); break;
-      case Opcode::kCmpNe: regs[in.dst] = regs[in.a] != regs[in.b]; charge(cost_.alu_cycles); break;
-      case Opcode::kCmpLtU: regs[in.dst] = regs[in.a] < regs[in.b]; charge(cost_.alu_cycles); break;
-      case Opcode::kCmpLeU: regs[in.dst] = regs[in.a] <= regs[in.b]; charge(cost_.alu_cycles); break;
-      case Opcode::kCmpEqImm:
-        regs[in.dst] = regs[in.a] == static_cast<std::uint64_t>(in.imm);
-        charge(cost_.alu_cycles);
-        break;
-      case Opcode::kSelect:
-        regs[in.dst] = regs[in.a] ? regs[in.b]
-                                  : regs[static_cast<std::uint16_t>(in.imm)];
-        charge(cost_.alu_cycles * 2);
-        break;
-
-      case Opcode::kLoadHdr:
-        regs[in.dst] = inv.headers.fields[static_cast<std::size_t>(in.imm)];
-        charge(cost_.hdr_cycles);
-        break;
-      case Opcode::kLoadBody: {
-        const std::uint64_t off =
-            regs[in.a] + static_cast<std::uint64_t>(in.imm);
-        if (off >= inv.body.size()) return trap("request body read past end");
-        regs[in.dst] = inv.body[off];
-        charge(cost_.body_cycles);
-        break;
-      }
-      case Opcode::kBodyLen:
-        regs[in.dst] = inv.body.size();
-        charge(cost_.alu_cycles);
-        break;
-      case Opcode::kLoadMatch: {
-        const auto idx = static_cast<std::size_t>(in.imm);
-        if (idx >= inv.match_data.size()) return trap("match_data out of range");
-        regs[in.dst] = inv.match_data[idx];
-        charge(cost_.hdr_cycles);
-        break;
-      }
-
-      case Opcode::kLoad: {
-        std::uint64_t v = 0;
-        if (!load_bytes(in.obj, regs[in.a] + static_cast<std::uint64_t>(in.imm),
-                        in.width, v)) {
-          return trap(trap_);
-        }
-        regs[in.dst] = v;
-        charge(cost_.alu_cycles + read_cost(in.obj));
-        break;
-      }
-      case Opcode::kStore:
-        if (!store_bytes(in.obj, regs[in.a] + static_cast<std::uint64_t>(in.imm),
-                         in.width, regs[in.b])) {
-          return trap(trap_);
-        }
-        charge(cost_.alu_cycles + write_cost(in.obj));
-        break;
-
-      case Opcode::kRespByte:
-        if (response_.size() >= kMaxResponse) return trap("response too large");
-        response_.push_back(static_cast<std::uint8_t>(regs[in.a]));
-        charge(cost_.body_cycles);
-        break;
-      case Opcode::kRespWord: {
-        if (response_.size() + 8 > kMaxResponse) return trap("response too large");
-        std::uint64_t v = regs[in.a];
-        for (int i = 0; i < 8; ++i) {
-          response_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-        }
-        charge(cost_.body_cycles);
-        break;
-      }
-      case Opcode::kRespMem: {
-        auto* bytes = object_bytes(in.obj);
-        const std::uint64_t off = regs[in.a];
-        const std::uint64_t len = regs[in.b];
-        if (bytes == nullptr || off + len > bytes->size()) {
-          return trap("response copy out of bounds");
-        }
-        if (response_.size() + len > kMaxResponse) return trap("response too large");
-        response_.insert(response_.end(), bytes->begin() + static_cast<std::ptrdiff_t>(off),
-                         bytes->begin() + static_cast<std::ptrdiff_t>(off + len));
-        const std::uint64_t words = (len + 7) / 8;
-        charge(cost_.alu_cycles);
-        charge_bulk(words * read_cost(in.obj) / cost_.bulk_divisor + words);
-        break;
-      }
-
-      case Opcode::kMemCpy: {
-        auto* dst = object_bytes(in.obj);
-        auto* src = object_bytes(in.obj2);
-        const std::uint64_t doff = regs[in.dst];
-        const std::uint64_t soff = regs[in.a];
-        const std::uint64_t len = regs[in.b];
-        if (dst == nullptr || src == nullptr || doff + len > dst->size() ||
-            soff + len > src->size()) {
-          return trap("memcpy out of bounds");
-        }
-        std::memmove(dst->data() + doff, src->data() + soff, len);
-        const std::uint64_t words = (len + 7) / 8;
-        charge(cost_.alu_cycles);
-        charge_bulk(words * (read_cost(in.obj2) + write_cost(in.obj)) /
-                        cost_.bulk_divisor +
-                    words);
-        break;
-      }
-      case Opcode::kGrayscale: {
-        // RGBA8888 -> 8-bit luma with integer weights (no FPU, §3.1b):
-        // y = (77 R + 150 G + 29 B) >> 8.
-        auto* dst = object_bytes(in.obj);
-        auto* src = object_bytes(in.obj2);
-        const std::uint64_t doff = regs[in.dst];
-        const std::uint64_t soff = regs[in.a];
-        const std::uint64_t pixels = regs[in.b];
-        if (dst == nullptr || src == nullptr || soff + pixels * 4 > src->size() ||
-            doff + pixels > dst->size()) {
-          return trap("grayscale out of bounds");
-        }
-        for (std::uint64_t i = 0; i < pixels; ++i) {
-          const std::uint8_t* p = src->data() + soff + i * 4;
-          (*dst)[doff + i] = static_cast<std::uint8_t>(
-              (77u * p[0] + 150u * p[1] + 29u * p[2]) >> 8);
-        }
-        charge(cost_.alu_cycles);
-        charge_bulk(pixels * (read_cost(in.obj2) + write_cost(in.obj)) /
-                        cost_.bulk_divisor +
-                    pixels * 6 * cost_.alu_cycles);
-        break;
-      }
-      case Opcode::kHash: {
-        auto* bytes = object_bytes(in.obj);
-        const std::uint64_t off = regs[in.a];
-        const std::uint64_t len = regs[in.b];
-        if (bytes == nullptr || off + len > bytes->size()) {
-          return trap("hash out of bounds");
-        }
-        regs[in.dst] = fnv1a(bytes->data() + off, len);
-        const std::uint64_t words = (len + 7) / 8;
-        charge(cost_.alu_cycles);
-        charge_bulk(words * (read_cost(in.obj) + 2 * cost_.alu_cycles));
-        break;
-      }
-      case Opcode::kBodyCopy: {
-        auto* dst = object_bytes(in.obj);
-        const std::uint64_t doff = regs[in.dst];
-        const std::uint64_t boff = regs[in.a];
-        const std::uint64_t len = regs[in.b];
-        if (dst == nullptr || boff + len > inv.body.size() ||
-            doff + len > dst->size()) {
-          return trap("body copy out of bounds");
-        }
-        std::memcpy(dst->data() + doff, inv.body.data() + boff, len);
-        const std::uint64_t words = (len + 7) / 8;
-        charge(cost_.alu_cycles);
-        charge_bulk(words * (cost_.body_cycles / 4 + write_cost(in.obj)) /
-                        cost_.bulk_divisor +
-                    words);
-        break;
-      }
-
-      case Opcode::kExtCall: {
-        Outcome out;
-        out.state = RunState::kYield;
-        out.ext.kind = in.imm;
-        out.ext.key = regs[in.a];
-        out.ext.value = regs[in.b];
-        charge(cost_.ext_call_cycles);
-        out.cycles = scaled_cycles();
-        out.instructions = instructions_;
-        suspended_ = true;
-        // Leave frame.instr pointing at the kExtCall; resume() steps past.
-        return out;
-      }
-
-      case Opcode::kBr:
-        frame.block = static_cast<std::uint32_t>(in.imm);
-        frame.instr = 0;
-        charge(cost_.branch_cycles);
-        continue;
-      case Opcode::kBrIf:
-        frame.block = regs[in.a] != 0 ? static_cast<std::uint32_t>(in.imm)
-                                      : in.b;
-        frame.instr = 0;
-        charge(cost_.branch_cycles);
-        continue;
-      case Opcode::kCall: {
-        if (stack_.size() >= kMaxCallDepth) {
-          return trap("call depth limit (recursion unsupported on NPUs)");
-        }
-        const auto callee_index = static_cast<std::uint32_t>(in.imm);
-        const Function& callee = program_.functions[callee_index];
-        Frame next;
-        next.fn = callee_index;
-        next.ret_dst = in.dst;
-        next.regs.assign(callee.num_regs, 0);
-        for (std::uint16_t i = 0; i < in.b; ++i) {
-          next.regs[i] = regs[in.a + i];
-        }
-        charge(cost_.call_cycles);
-        ++frame.instr;  // return lands after the call
-        stack_.push_back(std::move(next));
-        continue;
-      }
-      case Opcode::kRet: {
-        const std::uint64_t value = regs[in.a];
-        const std::uint16_t ret_dst = frame.ret_dst;
-        charge(cost_.branch_cycles);
-        stack_.pop_back();
-        if (stack_.empty()) return finish(value);
-        stack_.back().regs[ret_dst] = value;
-        continue;
-      }
-    }
-    ++frame.instr;
+    ++cut;
   }
+  if (cut == ip) return nullptr;
+  fuel_tail_.assign(ip, cut);
+  for (Step& s : fuel_tail_) {
+    s.rest_cycles -= cut->rest_cycles;
+    s.rest_instrs -= cut->rest_instrs;
+  }
+  Step out;
+  out.op = Op::kFuelOut;
+  fuel_tail_.push_back(out);
+  cycles_ += ip->rest_cycles - cut->rest_cycles;
+  instructions_ += ip->rest_instrs - cut->rest_instrs;
+  return fuel_tail_.data();
+}
+
+Outcome Machine::execute(const Step* ip) {
+  const DecodedProgram& code = *code_;
+  const Step* const steps = code.steps.data();
+  const Invocation& inv = *invocation_;
+  const std::uint8_t* const body = inv.body.data();
+  const std::uint64_t body_len = inv.body.size();
+  const ObjectView* const objects = objects_.data();
+  std::uint64_t* r = regs_.data() + stack_.back().base;
+
+  while (true) {
+    // Enter the segment at ip: charge all of it up front.
+    if (cycles_ + ip->rest_cycles > fuel_) {
+      ip = enter_exhausting(ip);
+      if (ip == nullptr) return trap("fuel exhausted (compute limit)");
+    } else {
+      cycles_ += ip->rest_cycles;
+      instructions_ += ip->rest_instrs;
+    }
+
+    // Straight-line steps `continue` to the next one; control steps set
+    // ip to the next segment and `break` out of the switch.
+    for (;; ++ip) {
+      const Step& in = *ip;
+      switch (in.op) {
+        case Op::kConst:
+          r[in.dst] = static_cast<std::uint64_t>(in.imm);
+          continue;
+        case Op::kMov: r[in.dst] = r[in.a]; continue;
+        case Op::kAdd: r[in.dst] = r[in.a] + r[in.b]; continue;
+        case Op::kSub: r[in.dst] = r[in.a] - r[in.b]; continue;
+        case Op::kMul: r[in.dst] = r[in.a] * r[in.b]; continue;
+        case Op::kDivU:
+          if (r[in.b] == 0) return trap_at(in, "division by zero");
+          r[in.dst] = r[in.a] / r[in.b];
+          continue;
+        case Op::kRemU:
+          if (r[in.b] == 0) return trap_at(in, "remainder by zero");
+          r[in.dst] = r[in.a] % r[in.b];
+          continue;
+        case Op::kAnd: r[in.dst] = r[in.a] & r[in.b]; continue;
+        case Op::kOr: r[in.dst] = r[in.a] | r[in.b]; continue;
+        case Op::kXor: r[in.dst] = r[in.a] ^ r[in.b]; continue;
+        case Op::kShl: r[in.dst] = r[in.a] << (r[in.b] & 63); continue;
+        case Op::kShr: r[in.dst] = r[in.a] >> (r[in.b] & 63); continue;
+        case Op::kAddImm:
+          r[in.dst] = r[in.a] + static_cast<std::uint64_t>(in.imm);
+          continue;
+        case Op::kMulImm:
+          r[in.dst] = r[in.a] * static_cast<std::uint64_t>(in.imm);
+          continue;
+        case Op::kFxMul: {
+          // Q16.16 multiply (fixed-point substitute for float, §3.1b).
+          const std::int64_t a = static_cast<std::int32_t>(r[in.a]);
+          const std::int64_t b = static_cast<std::int32_t>(r[in.b]);
+          r[in.dst] = static_cast<std::uint64_t>(
+              static_cast<std::uint32_t>((a * b) >> 16));
+          continue;
+        }
+        case Op::kCmpEq: r[in.dst] = r[in.a] == r[in.b]; continue;
+        case Op::kCmpNe: r[in.dst] = r[in.a] != r[in.b]; continue;
+        case Op::kCmpLtU: r[in.dst] = r[in.a] < r[in.b]; continue;
+        case Op::kCmpLeU: r[in.dst] = r[in.a] <= r[in.b]; continue;
+        case Op::kCmpEqImm:
+          r[in.dst] = r[in.a] == static_cast<std::uint64_t>(in.imm);
+          continue;
+        case Op::kSelect:
+          r[in.dst] = r[in.a] ? r[in.b] : r[static_cast<std::uint16_t>(in.imm)];
+          continue;
+
+        case Op::kLoadHdr:
+          r[in.dst] = inv.headers.fields[static_cast<std::size_t>(in.imm)];
+          continue;
+        case Op::kLoadBody: {
+          const std::uint64_t off = r[in.a] + static_cast<std::uint64_t>(in.imm);
+          if (off >= body_len) return trap_at(in, "request body read past end");
+          r[in.dst] = body[off];
+          continue;
+        }
+        case Op::kBodyLen: r[in.dst] = body_len; continue;
+        case Op::kLoadMatch: {
+          const auto idx = static_cast<std::size_t>(in.imm);
+          if (idx >= inv.match_data.size()) {
+            return trap_at(in, "match_data out of range");
+          }
+          r[in.dst] = inv.match_data[idx];
+          continue;
+        }
+
+        case Op::kLoad: {
+          const ObjectView& o = objects[in.obj];
+          const std::uint64_t off = r[in.a] + static_cast<std::uint64_t>(in.imm);
+          if (!o.present || off + in.width > o.size) {
+            return trap_at(in, "out-of-bounds load from object '" +
+                                   code.objects[in.obj].name + "' at offset " +
+                                   std::to_string(off));
+          }
+          std::uint64_t v = 0;
+          std::memcpy(&v, o.data + off, in.width);
+          r[in.dst] = v;
+          continue;
+        }
+        case Op::kStore: {
+          const ObjectView& o = objects[in.obj];
+          const std::uint64_t off = r[in.a] + static_cast<std::uint64_t>(in.imm);
+          if (!o.present || off + in.width > o.size) {
+            return trap_at(in, "out-of-bounds store to object '" +
+                                   code.objects[in.obj].name + "' at offset " +
+                                   std::to_string(off));
+          }
+          std::memcpy(o.data + off, &r[in.b], in.width);
+          continue;
+        }
+
+        case Op::kRespByte:
+          if (response_.size() >= kMaxResponse) {
+            return trap_at(in, "response too large");
+          }
+          response_.push_back(static_cast<std::uint8_t>(r[in.a]));
+          continue;
+        case Op::kRespWord: {
+          if (response_.size() + 8 > kMaxResponse) {
+            return trap_at(in, "response too large");
+          }
+          const std::uint64_t v = r[in.a];
+          for (int i = 0; i < 8; ++i) {
+            response_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+          }
+          continue;
+        }
+        case Op::kRespMem: {
+          const ObjectView& o = objects[in.obj];
+          const std::uint64_t off = r[in.a];
+          const std::uint64_t len = r[in.b];
+          if (!o.present || off + len > o.size) {
+            return trap_at(in, "response copy out of bounds");
+          }
+          if (response_.size() + len > kMaxResponse) {
+            return trap_at(in, "response too large");
+          }
+          response_.insert(response_.end(), o.data + off, o.data + off + len);
+          const std::uint64_t words = (len + 7) / 8;
+          bulk_cycles_ += words * code.objects[in.obj].read /
+                              cost_.bulk_divisor + words;
+          continue;
+        }
+
+        case Op::kMemCpy: {
+          const ObjectView& dst = objects[in.obj];
+          const ObjectView& src = objects[in.obj2];
+          const std::uint64_t doff = r[in.dst];
+          const std::uint64_t soff = r[in.a];
+          const std::uint64_t len = r[in.b];
+          if (!dst.present || !src.present || doff + len > dst.size ||
+              soff + len > src.size) {
+            return trap_at(in, "memcpy out of bounds");
+          }
+          std::memmove(dst.data + doff, src.data + soff, len);
+          const std::uint64_t words = (len + 7) / 8;
+          bulk_cycles_ += words *
+                              (code.objects[in.obj2].read +
+                               code.objects[in.obj].write) /
+                              cost_.bulk_divisor +
+                          words;
+          continue;
+        }
+        case Op::kGrayscale: {
+          // RGBA8888 -> 8-bit luma with integer weights (no FPU, §3.1b):
+          // y = (77 R + 150 G + 29 B) >> 8.
+          const ObjectView& dst = objects[in.obj];
+          const ObjectView& src = objects[in.obj2];
+          const std::uint64_t doff = r[in.dst];
+          const std::uint64_t soff = r[in.a];
+          const std::uint64_t pixels = r[in.b];
+          if (!dst.present || !src.present || soff + pixels * 4 > src.size ||
+              doff + pixels > dst.size) {
+            return trap_at(in, "grayscale out of bounds");
+          }
+          for (std::uint64_t i = 0; i < pixels; ++i) {
+            const std::uint8_t* p = src.data + soff + i * 4;
+            dst.data[doff + i] = static_cast<std::uint8_t>(
+                (77u * p[0] + 150u * p[1] + 29u * p[2]) >> 8);
+          }
+          bulk_cycles_ += pixels *
+                              (code.objects[in.obj2].read +
+                               code.objects[in.obj].write) /
+                              cost_.bulk_divisor +
+                          pixels * 6 * cost_.alu_cycles;
+          continue;
+        }
+        case Op::kHash: {
+          const ObjectView& o = objects[in.obj];
+          const std::uint64_t off = r[in.a];
+          const std::uint64_t len = r[in.b];
+          if (!o.present || off + len > o.size) {
+            return trap_at(in, "hash out of bounds");
+          }
+          r[in.dst] = fnv1a(o.data + off, len);
+          const std::uint64_t words = (len + 7) / 8;
+          bulk_cycles_ +=
+              words * (code.objects[in.obj].read + 2 * cost_.alu_cycles);
+          continue;
+        }
+        case Op::kBodyCopy: {
+          const ObjectView& dst = objects[in.obj];
+          const std::uint64_t doff = r[in.dst];
+          const std::uint64_t boff = r[in.a];
+          const std::uint64_t len = r[in.b];
+          if (!dst.present || boff + len > body_len || doff + len > dst.size) {
+            return trap_at(in, "body copy out of bounds");
+          }
+          std::memcpy(dst.data + doff, body + boff, len);
+          const std::uint64_t words = (len + 7) / 8;
+          bulk_cycles_ += words *
+                              (cost_.body_cycles / 4 +
+                               code.objects[in.obj].write) /
+                              cost_.bulk_divisor +
+                          words;
+          continue;
+        }
+
+        case Op::kExtCall: {
+          Outcome out;
+          out.state = RunState::kYield;
+          out.ext.kind = in.imm;
+          out.ext.key = r[in.a];
+          out.ext.value = r[in.b];
+          out.cycles = scaled_cycles();
+          out.instructions = instructions_;
+          suspended_ = true;
+          pc_ = static_cast<std::uint32_t>(ip - steps);  // resume() steps past
+          return out;
+        }
+
+        case Op::kBr:
+          ip = steps + in.imm;
+          break;
+        case Op::kBrIf:
+          ip = steps + (r[in.a] != 0 ? static_cast<std::uint32_t>(in.imm)
+                                     : in.alt);
+          break;
+        case Op::kCall: {
+          if (stack_.size() >= kMaxCallDepth) {
+            return trap_at(in,
+                           "call depth limit (recursion unsupported on NPUs)");
+          }
+          const DecodedProgram::Function& callee =
+              code.functions[static_cast<std::size_t>(in.imm)];
+          const std::uint32_t base = stack_.back().top;
+          const std::uint32_t top = base + callee.num_regs;
+          if (regs_.size() < top) regs_.resize(top);
+          r = regs_.data() + stack_.back().base;  // the arena may have moved
+          std::uint64_t* next = regs_.data() + base;
+          std::fill_n(next, callee.num_regs, 0);
+          const std::uint16_t args = std::min(in.b, callee.num_regs);
+          for (std::uint16_t i = 0; i < args; ++i) next[i] = r[in.a + i];
+          stack_.push_back(Frame{
+              base, top, static_cast<std::uint32_t>(ip - steps) + 1, in.dst});
+          r = next;
+          ip = steps + callee.entry;
+          break;
+        }
+        case Op::kRet: {
+          const std::uint64_t value = r[in.a];
+          const Frame done = stack_.back();
+          stack_.pop_back();
+          if (stack_.empty()) return finish(value);
+          r = regs_.data() + stack_.back().base;
+          r[done.ret_dst] = value;
+          ip = steps + done.ret_pc;
+          break;
+        }
+        case Op::kFellOff:
+          return trap("fell off the end of a block in '" +
+                      code.functions[static_cast<std::size_t>(in.imm)].name +
+                      "'");
+        case Op::kFuelOut:
+          return trap("fuel exhausted (compute limit)");
+      }
+      break;
+    }
+  }
+}
+
+Deployment::Deployment(Program program, const CostModel& cost)
+    : program_(std::move(program)), cost_(cost), globals_(program_) {
+  idle_.push_back(std::make_unique<Machine>(program_, cost_, &globals_));
+}
+
+std::unique_ptr<Machine> Deployment::acquire() {
+  if (idle_.empty()) {
+    return std::make_unique<Machine>(program_, cost_, &globals_);
+  }
+  std::unique_ptr<Machine> machine = std::move(idle_.back());
+  idle_.pop_back();
+  return machine;
+}
+
+void Deployment::release(std::unique_ptr<Machine> machine) {
+  if (machine) idle_.push_back(std::move(machine));
 }
 
 }  // namespace lnic::microc

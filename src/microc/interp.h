@@ -16,6 +16,7 @@
 
 #include <array>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -118,10 +119,16 @@ class ObjectStore {
   std::vector<std::vector<std::uint8_t>> data_;
 };
 
+struct Step;  // one decoded instruction (interp.cc)
+
 class Machine {
  public:
   /// `globals` may be null when the program declares no global objects.
+  /// The Machine keeps no reference to `program`: it shares the program's
+  /// decoded form for `cost`, decoded by the first Machine that needs it
+  /// and cached on the Program (Program::decoded).
   Machine(const Program& program, const CostModel& cost, ObjectStore* globals);
+  ~Machine();
 
   /// Starts an invocation at the program's dispatch (match-stage)
   /// function. Charges the parser cost for program.parsed_fields.
@@ -147,48 +154,75 @@ class Machine {
 
  private:
   struct Frame {
-    std::uint32_t fn = 0;
-    std::uint32_t block = 0;
-    std::uint32_t instr = 0;
+    std::uint32_t base = 0;    // first register of this frame in regs_
+    std::uint32_t top = 0;     // one past its last register
+    std::uint32_t ret_pc = 0;  // caller step a kRet continues at
     std::uint16_t ret_dst = 0;  // caller register receiving the return value
-    std::vector<std::uint64_t> regs;
+  };
+  /// An object's bytes for the current invocation; `present` is false
+  /// for a global object run without an ObjectStore.
+  struct ObjectView {
+    std::uint8_t* data = nullptr;
+    std::uint64_t size = 0;
+    bool present = false;
   };
 
-  Outcome execute();
-  Outcome trap(const std::string& message);
+  Outcome execute(const Step* ip);
+  const Step* enter_exhausting(const Step* ip);
+  Outcome trap_at(const Step& in, std::string message);
+  Outcome trap(std::string message);
   Outcome finish(std::uint64_t return_value);
-
-  // Memory access helpers; return false (and set trap_) on bounds errors.
-  std::vector<std::uint8_t>* object_bytes(std::size_t index);
-  bool load_bytes(std::size_t obj, std::uint64_t offset, std::uint8_t width,
-                  std::uint64_t& out);
-  bool store_bytes(std::size_t obj, std::uint64_t offset, std::uint8_t width,
-                   std::uint64_t value);
-  void charge(std::uint64_t cycles) { cycles_ += cycles; }
-  void charge_bulk(std::uint64_t cycles) { bulk_cycles_ += cycles; }
   std::uint64_t scaled_cycles() const {
     return static_cast<std::uint64_t>(
         static_cast<double>(cycles_) * cost_.runtime_factor +
         static_cast<double>(bulk_cycles_) * cost_.bulk_factor);
   }
-  std::uint32_t read_cost(std::size_t obj) const;
-  std::uint32_t write_cost(std::size_t obj) const;
 
-  const Program& program_;
+  std::shared_ptr<const DecodedProgram> code_;
   CostModel cost_;
   ObjectStore* globals_;
 
   // Invocation state.
   const Invocation* invocation_ = nullptr;
   std::vector<std::vector<std::uint8_t>> locals_;  // per local-scope object
+  std::vector<ObjectView> objects_;  // every object, then a missing slot
+  std::vector<std::uint64_t> regs_;  // register arena; frames stack upward
   std::vector<Frame> stack_;
+  std::vector<Step> fuel_tail_;  // steps run before fuel runs out
   std::vector<std::uint8_t> response_;
+  std::uint32_t pc_ = 0;           // the pending kExtCall while suspended
   std::uint64_t cycles_ = 0;       // scalar instruction cycles
   std::uint64_t bulk_cycles_ = 0;  // intrinsic inner-loop cycles
   std::uint64_t instructions_ = 0;
   std::uint64_t fuel_ = 1ull << 40;
   bool suspended_ = false;
-  std::string trap_;
+};
+
+/// One deployed program instance: the program, its global objects, and
+/// the Machines bound to both that are idle. A backend takes a Machine per
+/// request and gives it back when the request finishes, so register files
+/// and local-object buffers are allocated per concurrent request, not per
+/// request, and the program is decoded once, at deploy. Requests hold the
+/// Deployment they started on by shared_ptr: one parked on kExtCall when
+/// new firmware is deployed finishes on the code and globals it started
+/// with, and its global writes are dropped with that instance.
+class Deployment {
+ public:
+  Deployment(Program program, const CostModel& cost);
+
+  const Program& program() const { return program_; }
+  const ObjectStore& globals() const { return globals_; }
+
+  /// An idle Machine, or a new one when every Machine is busy.
+  std::unique_ptr<Machine> acquire();
+  /// Returns a Machine from acquire() once its invocation has finished.
+  void release(std::unique_ptr<Machine> machine);
+
+ private:
+  Program program_;
+  CostModel cost_;
+  ObjectStore globals_;
+  std::vector<std::unique_ptr<Machine>> idle_;
 };
 
 }  // namespace lnic::microc

@@ -17,6 +17,8 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -166,6 +168,44 @@ enum HeaderField : std::uint16_t {
 
 const char* to_string(HeaderField field);
 
+struct DecodedProgram;  // interp.cc: a Program decoded for one cost model
+
+/// The interpreter's decoded forms of one Program, one per cost model,
+/// shared by every Machine built from it. A copied or moved Program
+/// starts with an empty cache, and the compiler passes clear it when they
+/// edit a Program in place; other code that edits a Program after running
+/// it calls clear(). Asserts-on builds check this on every lookup.
+class DecodeCache {
+ public:
+  DecodeCache() = default;
+  DecodeCache(const DecodeCache&) {}
+  DecodeCache& operator=(const DecodeCache&) {
+    clear();
+    return *this;
+  }
+
+  void clear() {
+    std::lock_guard<std::mutex> lock(mu_);
+    entries_.clear();
+  }
+
+  /// The cached entry `match` accepts, after adding make()'s if none does.
+  template <class Match, class Make>
+  std::shared_ptr<const DecodedProgram> find_or_add(Match match,
+                                                    Make make) const {
+    std::lock_guard<std::mutex> lock(mu_);
+    for (const auto& entry : entries_) {
+      if (match(*entry)) return entry;
+    }
+    entries_.push_back(make());
+    return entries_.back();
+  }
+
+ private:
+  mutable std::mutex mu_;
+  mutable std::vector<std::shared_ptr<const DecodedProgram>> entries_;
+};
+
 /// A complete Match+Lambda program: parser spec + dispatch (match stage)
 /// + lambda functions + shared helpers + memory objects.
 struct Program {
@@ -186,6 +226,8 @@ struct Program {
 
   std::size_t function_index(const std::string& fn_name) const;
   static constexpr std::size_t kNoFunction = static_cast<std::size_t>(-1);
+
+  DecodeCache decoded;
 };
 
 /// Per-instruction lowered size in target instruction-store words.

@@ -22,6 +22,7 @@ struct SmartNic::Flight {
   std::uint32_t sched_class = 0;  // DRR class (tenant or workload id)
   NodeId reply_to = kInvalidNode;
   microc::Invocation invocation;
+  std::shared_ptr<microc::Deployment> image;  // the firmware it runs on
   std::unique_ptr<microc::Machine> machine;
   SimTime arrived = 0;
   SimTime dispatched = 0;
@@ -204,22 +205,24 @@ Status SmartNic::deploy(compiler::CompileOutput firmware) {
   }
   tenant_usage_ = std::move(usage);
   instr_words_used_ = firmware.final_words();
-  program_ = std::move(firmware.program);
-  globals_.reset(*program_);
+  // Flights parked on a KV call keep the image they started on.
+  image_ = std::make_shared<microc::Deployment>(std::move(firmware.program),
+                                                microc::CostModel::npu());
+  const microc::Program& program = image_->program();
   // Static parse+match cycle estimate for the pipelined mode (§5
   // footnote 4): the parser's field extractions plus the dispatch
   // function's instruction and memory costs.
   {
     const microc::CostModel npu = microc::CostModel::npu();
     std::uint64_t cycles =
-        npu.hdr_cycles * program_->parsed_fields.size();
-    const auto& dispatch = program_->functions[program_->dispatch_function];
+        npu.hdr_cycles * program.parsed_fields.size();
+    const auto& dispatch = program.functions[program.dispatch_function];
     for (const auto& block : dispatch.blocks) {
       for (const auto& in : block.instrs) {
         cycles += npu.alu_cycles;
         if (microc::is_memory_op(in.op)) {
           cycles += npu.region_read[static_cast<int>(
-              program_->objects[in.obj].region)];
+              program.objects[in.obj].region)];
         }
       }
     }
@@ -229,7 +232,7 @@ Status SmartNic::deploy(compiler::CompileOutput firmware) {
   // Firmware artifact: lowered words (NFP instruction words are 8 B) plus
   // data-section bytes for initialized objects.
   firmware_bytes_ = firmware.stages.back().code_words * 8;
-  for (const auto& obj : program_->objects) {
+  for (const auto& obj : program.objects) {
     firmware_bytes_ += obj.initial_data.size();
   }
   if (!config_.allow_hot_swap) {
@@ -240,12 +243,13 @@ Status SmartNic::deploy(compiler::CompileOutput firmware) {
 }
 
 Bytes SmartNic::memory_in_use() const {
-  return firmware_bytes_ + globals_.total_bytes() + inflight_bytes_;
+  const Bytes globals = image_ ? image_->globals().total_bytes() : 0;
+  return firmware_bytes_ + globals + inflight_bytes_;
 }
 
 Bytes SmartNic::region_bytes_used(microc::MemRegion region) const {
   Bytes bytes = 0;
-  if (program_) bytes += microc::region_bytes(*program_, region);
+  if (image_) bytes += microc::region_bytes(image_->program(), region);
   if (region == microc::MemRegion::kEmem) bytes += inflight_bytes_;
   return bytes;
 }
@@ -271,7 +275,7 @@ void SmartNic::handle_packet(const Packet& packet) {
 }
 
 void SmartNic::handle_request(const Packet& packet, net::BufferView body) {
-  if (!program_ || down()) {
+  if (!image_ || down()) {
     ++stats_.requests_dropped_down;
     return;
   }
@@ -335,7 +339,7 @@ void SmartNic::release_parse_thread() {
 }
 
 void SmartNic::handle_rdma_fragment(const Packet& packet) {
-  if (!program_ || down()) {
+  if (!image_ || down()) {
     ++stats_.requests_dropped_down;
     return;
   }
@@ -494,8 +498,8 @@ void SmartNic::start_execution(std::unique_ptr<Flight> flight) {
       tracer_->annotate(flight->exec_span, "tenant", std::to_string(tenant));
     }
   }
-  flight->machine = std::make_unique<microc::Machine>(
-      *program_, microc::CostModel::npu(), &globals_);
+  flight->image = image_;
+  flight->machine = image_->acquire();
   Outcome outcome = flight->machine->run(flight->invocation);
   continue_flight(std::move(flight), std::move(outcome));
 }
@@ -577,6 +581,7 @@ void SmartNic::handle_kv_response(const Packet& packet) {
 
 void SmartNic::finish_flight(std::unique_ptr<Flight> flight,
                              Outcome outcome) {
+  flight->image->release(std::move(flight->machine));
   inflight_bytes_ -= flight->staged_bytes;
   stats_.service_cycles.add(static_cast<double>(outcome.cycles));
   if (flight->exec_span != trace::kInvalidSpan) {

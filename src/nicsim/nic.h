@@ -25,7 +25,6 @@
 #include <deque>
 #include <map>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -140,11 +139,12 @@ class SmartNic {
   /// instruction store or any assigned tenant's quota; a rejected deploy
   /// (including a rejected hot swap) leaves the previously running
   /// firmware untouched and serving. Unless hot swap is enabled the NIC
-  /// is down for config.firmware_load_time, and global lambda state
-  /// resets.
+  /// is down for config.firmware_load_time. Global lambda state resets;
+  /// with hot swap, a request parked on a KV call finishes on the
+  /// firmware image and global state it started with.
   Status deploy(compiler::CompileOutput firmware);
 
-  bool deployed() const { return program_.has_value(); }
+  bool deployed() const { return image_ != nullptr; }
   bool down() const;
 
   /// Node to which kExtCall KV traffic is sent (the memcached server).
@@ -244,8 +244,7 @@ class SmartNic {
   NodeId kv_server_ = kInvalidNode;
   Rng rng_;
 
-  std::optional<microc::Program> program_;
-  microc::ObjectStore globals_;
+  std::shared_ptr<microc::Deployment> image_;  // null until deployed
   Bytes firmware_bytes_ = 0;
   std::uint64_t instr_words_used_ = 0;
   SimTime down_until_ = 0;

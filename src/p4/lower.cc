@@ -245,6 +245,7 @@ std::vector<HeaderField> infer_used_fields(const Program& program) {
 }
 
 void strip_generated(Program& program) {
+  program.decoded.clear();  // edits the program in place
   // Build function index remap (removed -> npos).
   constexpr std::uint32_t kRemoved = 0xFFFFFFFFu;
   std::vector<std::uint32_t> fn_remap(program.functions.size());

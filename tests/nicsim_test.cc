@@ -175,6 +175,44 @@ TEST(SmartNic, HotSwapAvoidsDowntime) {
   EXPECT_FALSE(nic.down());
 }
 
+TEST(SmartNic, HotSwapLetsParkedKvCallFinishOnItsFirmware) {
+  // A KV GET is parked on its external call when different firmware is
+  // hot-swapped in. The flight must finish on the code and globals it
+  // started with, not continue at the same step of the new image.
+  NicConfig config;
+  config.allow_hot_swap = true;
+  Rig rig(config);
+  rig.cache->put(5, 5555);
+  rig.send(workloads::kKvGetId, encode_kv_request(5), 1);
+  while (rig.cache->stats().gets == 0 && rig.sim.step()) {
+  }
+  ASSERT_EQ(rig.cache->stats().gets, 1u);  // reply in flight, lambda parked
+  auto store = workloads::make_nic_kv_store(8);
+  auto swapped = compiler::compile(store.spec, std::move(store.lambdas));
+  ASSERT_TRUE(swapped.ok());
+  ASSERT_TRUE(rig.nic->deploy(std::move(swapped).value()).ok());
+  rig.sim.run();
+
+  auto first_word = [](const net::BufferView& payload) {
+    std::uint64_t value = 0;
+    for (std::size_t i = 0; i < 8 && i < payload.size(); ++i) {
+      value |= static_cast<std::uint64_t>(payload[i]) << (8 * i);
+    }
+    return value;
+  };
+  ASSERT_EQ(rig.responses.size(), 1u);
+  EXPECT_EQ(first_word(rig.responses[0].payload), 5555u);
+  EXPECT_EQ(rig.nic->stats().requests_completed, 1u);
+  EXPECT_EQ(rig.nic->stats().traps, 0u);
+
+  // New requests run the new firmware.
+  rig.send(workloads::kNicKvStoreId,
+           workloads::encode_kv_store_request(1, 9, 99), 2);
+  rig.sim.run();
+  ASSERT_EQ(rig.responses.size(), 2u);
+  EXPECT_EQ(first_word(rig.responses[1].payload), 99u);
+}
+
 TEST(SmartNic, RejectsOversizedFirmware) {
   NicConfig config;
   config.instr_store_words = 100;
