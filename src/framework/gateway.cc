@@ -1,6 +1,7 @@
 #include "framework/gateway.h"
 
 #include <algorithm>
+#include <cassert>
 #include <charconv>
 #include <optional>
 #include <sstream>
@@ -52,11 +53,35 @@ const char* backend_kind_label(std::uint8_t kind) {
     default: return "unknown";
   }
 }
+
+/// Index of a backend kind's label in FunctionState::rpc_latency: the
+/// three known kinds, then one slot for every kind labelled "unknown".
+std::size_t backend_slot(std::uint8_t kind) { return kind < 3 ? kind : 3; }
 }  // namespace
 
 Gateway::Gateway(sim::Simulator& sim, net::Network& network,
                  GatewayConfig config)
     : sim_(sim), config_(config), rpc_(sim, network, config.rpc) {}
+
+const Gateway::FunctionState* Gateway::find_function(
+    const std::string& name) const {
+  const auto it = functions_.find(name);
+  return it == functions_.end() ? nullptr : &it->second;
+}
+
+Gateway::FunctionState& Gateway::intern(const std::string& name) {
+  const auto [it, fresh] = functions_.try_emplace(name);
+  if (fresh) it->second.name = name;
+  return it->second;
+}
+
+void Gateway::set_route(const std::string& name, Route route) {
+  FunctionState& fn = intern(name);
+  if (!fn.route || fn.route->tenant != route.tenant) {
+    fn.unbind_tenant_series();
+  }
+  fn.route = std::move(route);
+}
 
 void Gateway::register_function(const std::string& name, WorkloadId workload,
                                 std::vector<NodeId> workers) {
@@ -64,8 +89,8 @@ void Gateway::register_function(const std::string& name, WorkloadId workload,
   replicas.reserve(workers.size());
   for (NodeId node : workers) replicas.push_back(Replica{node, 1,
                                                          kUnknownBackendKind});
-  routes_[name] = Route{workload, kDefaultTenant, std::move(workers),
-                        std::move(replicas)};
+  set_route(name, Route{workload, kDefaultTenant, std::move(workers),
+                        std::move(replicas)});
 }
 
 void Gateway::register_replicas(const std::string& name, WorkloadId workload,
@@ -74,8 +99,8 @@ void Gateway::register_replicas(const std::string& name, WorkloadId workload,
   std::vector<NodeId> workers;
   workers.reserve(replicas.size());
   for (const auto& replica : replicas) workers.push_back(replica.node);
-  routes_[name] = Route{workload, tenant, std::move(workers),
-                        std::move(replicas)};
+  set_route(name, Route{workload, tenant, std::move(workers),
+                        std::move(replicas)});
 }
 
 TenantId Gateway::register_tenant(const std::string& name) {
@@ -84,6 +109,11 @@ TenantId Gateway::register_tenant(const std::string& name) {
   const TenantId id = next_tenant_++;
   tenant_ids_[name] = id;
   tenant_names_[id] = name;
+  // Routes already in this namespace were labelled "tenant-<id>" so far.
+  for (auto& [fn_name, fn] : functions_) {
+    (void)fn_name;
+    if (fn.route && fn.route->tenant == id) fn.unbind_tenant_series();
+  }
   return id;
 }
 
@@ -94,25 +124,33 @@ std::string Gateway::tenant_label(TenantId tenant) const {
 }
 
 Labels Gateway::metric_labels(const std::string& name) const {
-  const Route* r = route(name);
-  if (r == nullptr || r->tenant == kDefaultTenant) return {{"fn", name}};
-  return {{"fn", name}, {"tenant", tenant_label(r->tenant)}};
+  const FunctionState* fn = find_function(name);
+  return fn != nullptr ? labels_of(*fn) : Labels{{"fn", name}};
+}
+
+Labels Gateway::labels_of(const FunctionState& fn) const {
+  if (!fn.route || fn.route->tenant == kDefaultTenant) {
+    return {{"fn", fn.name}};
+  }
+  return {{"fn", fn.name}, {"tenant", tenant_label(fn.route->tenant)}};
+}
+
+Labels Gateway::rpc_labels(const FunctionState& fn, std::uint8_t kind) const {
+  Labels labels = labels_of(fn);
+  labels.emplace_back("backend", backend_kind_label(kind));
+  return labels;
 }
 
 void Gateway::set_rate_limit(const std::string& name, RateLimit limit) {
-  Bucket bucket;
+  Bucket& bucket = intern(name).bucket;
   bucket.limit = limit;
   bucket.tokens = limit.burst;
   bucket.refilled_at = sim_.now();
-  buckets_[name] = bucket;
 }
 
-bool Gateway::admit(const std::string& name) {
-  const auto it = buckets_.find(name);
-  if (it == buckets_.end() || it->second.limit.requests_per_second <= 0.0) {
-    return true;
-  }
-  Bucket& b = it->second;
+bool Gateway::admit(FunctionState& fn) {
+  Bucket& b = fn.bucket;
+  if (b.limit.requests_per_second <= 0.0) return true;
   const double elapsed = to_sec(sim_.now() - b.refilled_at);
   b.tokens = std::min(b.limit.burst,
                       b.tokens + elapsed * b.limit.requests_per_second);
@@ -123,13 +161,15 @@ bool Gateway::admit(const std::string& name) {
 }
 
 void Gateway::add_worker(const std::string& name, NodeId worker) {
-  routes_[name].workers.push_back(worker);
-  routes_[name].replicas.push_back(Replica{worker, 1, kUnknownBackendKind});
+  FunctionState& fn = intern(name);
+  if (!fn.route) fn.route.emplace();
+  fn.route->workers.push_back(worker);
+  fn.route->replicas.push_back(Replica{worker, 1, kUnknownBackendKind});
 }
 
 const Route* Gateway::route(const std::string& name) const {
-  const auto it = routes_.find(name);
-  return it == routes_.end() ? nullptr : &it->second;
+  const FunctionState* fn = find_function(name);
+  return fn != nullptr && fn->route ? &*fn->route : nullptr;
 }
 
 void Gateway::set_tracer(trace::TraceRecorder* tracer, double sample_rate) {
@@ -153,19 +193,28 @@ bool Gateway::sample_trace() {
 
 void Gateway::invoke(const std::string& name, net::BufferView payload,
                      InvokeCallback callback) {
-  if (!has_function(name) || routes_[name].workers.empty()) {
+  const auto it = functions_.find(name);
+  if (it == functions_.end() || !it->second.route ||
+      it->second.route->workers.empty()) {
     metrics_.counter("gateway_unroutable_total").increment();
     if (callback) callback(make_error("gateway: no route for '" + name + "'"));
     return;
   }
-  if (!admit(name)) {
+  FunctionState& fn = it->second;
+  if (!admit(fn)) {
     metrics_.counter("gateway_throttled_total", {{"fn", name}}).increment();
     if (callback) {
       callback(make_error("gateway: '" + name + "' throttled by rate limit"));
     }
     return;
   }
-  metrics_.counter("gateway_requests_total", metric_labels(name)).increment();
+  if (fn.requests == nullptr) {
+    fn.requests = &metrics_.counter("gateway_requests_total", labels_of(fn));
+  }
+  // A bound handle must still name the series today's labels address.
+  assert(fn.requests ==
+         &metrics_.counter("gateway_requests_total", labels_of(fn)));
+  fn.requests->increment();
 
   trace::SpanContext ctx;
   if (sample_trace()) {
@@ -173,9 +222,8 @@ void Gateway::invoke(const std::string& name, net::BufferView payload,
     const trace::SpanId root = tracer_->start_span(
         ctx.trace, trace::kInvalidSpan, "request", sim_.now());
     tracer_->annotate(root, "fn", name);
-    if (const Route* r = route(name); r != nullptr &&
-                                      r->tenant != kDefaultTenant) {
-      tracer_->annotate(root, "tenant", tenant_label(r->tenant));
+    if (fn.route->tenant != kDefaultTenant) {
+      tracer_->annotate(root, "tenant", tenant_label(fn.route->tenant));
     }
     ctx.parent = root;
     // The root span closes when the caller's callback fires, whatever
@@ -192,41 +240,33 @@ void Gateway::invoke(const std::string& name, net::BufferView payload,
   }
 
   if (config_.max_inflight_per_function == 0) {
-    dispatch(name, std::move(payload), std::move(callback),
+    dispatch(fn, std::move(payload), std::move(callback),
              config_.failover_attempts, ctx);
     return;
   }
-  submit(name, std::move(payload), std::move(callback), ctx);
+  submit(fn, std::move(payload), std::move(callback), ctx);
 }
 
-void Gateway::shed(const std::string& name, InvokeCallback& callback,
+void Gateway::shed(const FunctionState& fn, InvokeCallback& callback,
                    const char* reason) {
-  metrics_.counter("gateway_shed_total", {{"fn", name}}).increment();
+  metrics_.counter("gateway_shed_total", {{"fn", fn.name}}).increment();
   flightrec::FlightRecorder::global().record(
       sim_.now(), flightrec::Kind::kGatewayShed,
-      "'" + name + "' " + reason);
+      "'" + fn.name + "' " + reason);
   if (callback) {
-    callback(make_error("gateway: '" + name + "' overloaded (" +
+    callback(make_error("gateway: '" + fn.name + "' overloaded (" +
                         std::string(reason) + ")"));
   }
 }
 
-void Gateway::submit(const std::string& name, net::BufferView payload,
+void Gateway::submit(FunctionState& fn, net::BufferView payload,
                      InvokeCallback callback, trace::SpanContext ctx) {
-  FnLoad& load = load_[name];
-  if (load.inflight < config_.max_inflight_per_function) {
-    ++load.inflight;
-    InvokeCallback done = [this, name, callback = std::move(callback)](
-                              Result<proto::RpcResponse> result) mutable {
-      on_complete(name);
-      if (callback) callback(std::move(result));
-    };
-    dispatch(name, std::move(payload), std::move(done),
-             config_.failover_attempts, ctx);
+  if (fn.inflight < config_.max_inflight_per_function) {
+    start_limited(fn, std::move(payload), std::move(callback), ctx);
     return;
   }
-  if (load.queue.size() >= config_.max_queue_depth) {
-    shed(name, callback, "queue full");
+  if (fn.queue.size() >= config_.max_queue_depth) {
+    shed(fn, callback, "queue full");
     return;
   }
   Queued queued;
@@ -240,19 +280,32 @@ void Gateway::submit(const std::string& name, net::BufferView payload,
                                             "gateway.queue", sim_.now());
   }
   const std::uint64_t qid = queued.id;
-  load.queue.push_back(std::move(queued));
-  metrics_.sampler("gateway_queue_depth", {{"fn", name}})
-      .add(static_cast<double>(load.queue.size()));
+  fn.queue.push_back(std::move(queued));
+  if (fn.queue_depth == nullptr) {
+    fn.queue_depth =
+        &metrics_.sampler("gateway_queue_depth", {{"fn", fn.name}});
+  }
+  fn.queue_depth->add(static_cast<double>(fn.queue.size()));
   // Deadline-based shedding: a queued request that cannot start in time
   // fails fast instead of waiting for capacity that may never free up.
   sim_.schedule(config_.queue_deadline,
-                [this, name, qid] { expire_queued(name, qid); });
+                [this, fn = &fn, qid] { expire_queued(*fn, qid); });
 }
 
-void Gateway::expire_queued(const std::string& name, std::uint64_t queued_id) {
-  const auto it = load_.find(name);
-  if (it == load_.end()) return;
-  auto& queue = it->second.queue;
+void Gateway::start_limited(FunctionState& fn, net::BufferView payload,
+                            InvokeCallback callback, trace::SpanContext ctx) {
+  ++fn.inflight;
+  InvokeCallback done = [this, fn = &fn, callback = std::move(callback)](
+                            Result<proto::RpcResponse> result) mutable {
+    on_complete(*fn);
+    if (callback) callback(std::move(result));
+  };
+  dispatch(fn, std::move(payload), std::move(done), config_.failover_attempts,
+           ctx);
+}
+
+void Gateway::expire_queued(FunctionState& fn, std::uint64_t queued_id) {
+  auto& queue = fn.queue;
   const auto pos = std::find_if(queue.begin(), queue.end(),
                                 [queued_id](const Queued& q) {
                                   return q.id == queued_id;
@@ -264,41 +317,36 @@ void Gateway::expire_queued(const std::string& name, std::uint64_t queued_id) {
     tracer_->end_span(pos->queue_span, sim_.now());
   }
   queue.erase(pos);
-  shed(name, callback, "deadline exceeded");
+  shed(fn, callback, "deadline exceeded");
 }
 
-void Gateway::on_complete(const std::string& name) {
-  FnLoad& load = load_[name];
-  if (load.inflight > 0) --load.inflight;
-  while (load.inflight < config_.max_inflight_per_function &&
-         !load.queue.empty()) {
-    Queued next = std::move(load.queue.front());
-    load.queue.pop_front();
+void Gateway::on_complete(FunctionState& fn) {
+  if (fn.inflight > 0) --fn.inflight;
+  while (fn.inflight < config_.max_inflight_per_function &&
+         !fn.queue.empty()) {
+    Queued next = std::move(fn.queue.front());
+    fn.queue.pop_front();
     if (sim_.now() - next.enqueued_at > config_.queue_deadline) {
       if (next.queue_span != trace::kInvalidSpan) {
         tracer_->annotate(next.queue_span, "shed", "deadline exceeded");
         tracer_->end_span(next.queue_span, sim_.now());
       }
-      shed(name, next.callback, "deadline exceeded");
+      shed(fn, next.callback, "deadline exceeded");
       continue;
     }
     if (next.queue_span != trace::kInvalidSpan) {
       tracer_->end_span(next.queue_span, sim_.now());
     }
-    ++load.inflight;
-    InvokeCallback done = [this, name, callback = std::move(next.callback)](
-                              Result<proto::RpcResponse> result) mutable {
-      on_complete(name);
-      if (callback) callback(std::move(result));
-    };
-    dispatch(name, std::move(next.payload), std::move(done),
-             config_.failover_attempts, next.ctx);
+    start_limited(fn, std::move(next.payload), std::move(next.callback),
+                  next.ctx);
   }
 }
 
 void Gateway::remove_worker(NodeId worker) {
-  for (auto& [name, route] : routes_) {
+  for (auto& [name, fn] : functions_) {
     (void)name;
+    if (!fn.route) continue;
+    Route& route = *fn.route;
     route.workers.erase(
         std::remove(route.workers.begin(), route.workers.end(), worker),
         route.workers.end());
@@ -372,8 +420,9 @@ bool uniform_weights(const Route& route) {
 }
 }  // namespace
 
-NodeId Gateway::pick_worker(const std::string& name, const Route& route) {
-  const std::size_t cursor = rr_cursor_[name]++;
+NodeId Gateway::pick_worker(FunctionState& fn) {
+  const Route& route = *fn.route;
+  const std::size_t cursor = fn.cursor++;
   std::uint64_t healthy_weight = 0;
   for (const auto& replica : route.replicas) {
     if (!is_quarantined(replica.node)) healthy_weight += replica.weight;
@@ -419,7 +468,7 @@ NodeId Gateway::pick_worker(const std::string& name, const Route& route) {
   return route.replicas.back().node;
 }
 
-void Gateway::dispatch(const std::string& name, net::BufferView payload,
+void Gateway::dispatch(FunctionState& fn, net::BufferView payload,
                        InvokeCallback callback, std::uint32_t attempts_left,
                        trace::SpanContext ctx) {
   const SimTime started = sim_.now();
@@ -431,37 +480,38 @@ void Gateway::dispatch(const std::string& name, net::BufferView payload,
   // Proxy/NAT lookup happens before the request leaves the gateway; the
   // route is re-resolved *after* the lookup so an etcd update landing
   // during proxy_overhead is honored instead of sending to a stale copy.
-  sim_.schedule(config_.proxy_overhead,
-                [this, name, started, attempts_left, ctx, proxy_span,
-                 payload = std::move(payload),
-                 callback = std::move(callback)]() mutable {
-                  if (proxy_span != trace::kInvalidSpan) {
-                    tracer_->end_span(proxy_span, sim_.now());
-                  }
-                  send_to_worker(name, std::move(payload),
-                                 std::move(callback), attempts_left, started,
-                                 ctx);
-                });
+  auto proxied = [this, fn = &fn, started, attempts_left, ctx, proxy_span,
+                  payload = std::move(payload),
+                  callback = std::move(callback)]() mutable {
+    if (proxy_span != trace::kInvalidSpan) {
+      tracer_->end_span(proxy_span, sim_.now());
+    }
+    send_to_worker(*fn, std::move(payload), std::move(callback),
+                   attempts_left, started, ctx);
+  };
+  // One event per request: keep it inside sim::EventFn's 128-byte
+  // inline buffer rather than a heap cell.
+  static_assert(sizeof(proxied) <= 128);
+  sim_.schedule(config_.proxy_overhead, std::move(proxied));
 }
 
-void Gateway::send_to_worker(const std::string& name,
-                             net::BufferView payload,
+void Gateway::send_to_worker(FunctionState& fn, net::BufferView payload,
                              InvokeCallback callback,
                              std::uint32_t attempts_left, SimTime started,
                              trace::SpanContext ctx) {
-  const auto it = routes_.find(name);
-  if (it == routes_.end() || it->second.workers.empty()) {
-    // The route vanished while the request was in the proxy stage.
+  if (fn.route->workers.empty()) {
+    // Every worker left the route while the request was in the proxy
+    // stage.
     metrics_.counter("gateway_unroutable_total").increment();
     if (callback) {
-      callback(make_error("gateway: no workers for '" + name + "'"));
+      callback(make_error("gateway: no workers for '" + fn.name + "'"));
     }
     return;
   }
-  const Route& route = it->second;
-  const NodeId worker = pick_worker(name, route);
-  metrics_.sampler("rpc_rto_ns").add(
-      static_cast<double>(rpc_.current_rto(worker)));
+  const Route& route = *fn.route;
+  const NodeId worker = pick_worker(fn);
+  if (rpc_rto_ == nullptr) rpc_rto_ = &metrics_.sampler("rpc_rto_ns");
+  rpc_rto_->add(static_cast<double>(rpc_.current_rto(worker)));
   std::uint8_t kind = kUnknownBackendKind;
   for (const auto& replica : route.replicas) {
     if (replica.node == worker) {
@@ -473,33 +523,40 @@ void Gateway::send_to_worker(const std::string& name,
   // Retained for failover to a replica: a view, not a byte copy.
   net::BufferView retry_copy = payload;
   rpc_.call(worker, route.workload, std::move(payload),
-            [this, name, worker, kind, started, attempts_left, ctx,
+            [this, fn = &fn, worker, kind, started, attempts_left, ctx,
              retry_copy = std::move(retry_copy),
              callback = std::move(callback)](
                 Result<proto::RpcResponse> result) mutable {
               if (result.ok()) {
-                const auto elapsed =
-                    static_cast<double>(sim_.now() - started);
-                metrics_.sampler("gateway_latency_ns", {{"fn", name}})
-                    .add(elapsed);
-                Labels rpc_labels = metric_labels(name);
-                rpc_labels.emplace_back("backend",
-                                        backend_kind_label(kind));
-                metrics_.histogram("rpc_latency_ns", rpc_labels)
-                    .observe(static_cast<double>(result.value().latency));
+                if (fn->latency == nullptr) {
+                  fn->latency = &metrics_.sampler("gateway_latency_ns",
+                                                  {{"fn", fn->name}});
+                }
+                fn->latency->add(static_cast<double>(sim_.now() - started));
+                Histogram*& rpc_latency = fn->rpc_latency[backend_slot(kind)];
+                if (rpc_latency == nullptr) {
+                  rpc_latency = &metrics_.histogram("rpc_latency_ns",
+                                                    rpc_labels(*fn, kind));
+                }
+                assert(rpc_latency ==
+                       &metrics_.histogram("rpc_latency_ns",
+                                           rpc_labels(*fn, kind)));
+                rpc_latency->observe(
+                    static_cast<double>(result.value().latency));
                 if (callback) callback(std::move(result));
                 return;
               }
-              metrics_.counter("gateway_failures_total", {{"fn", name}})
+              metrics_.counter("gateway_failures_total", {{"fn", fn->name}})
                   .increment();
               // The worker looks dead: sideline it for the cooldown and
               // fail over to the next replica (a health probe or the
               // cooldown lapse brings it back).
               if (attempts_left > 0) {
                 quarantine_worker(worker);
-                metrics_.counter("gateway_failovers_total", {{"fn", name}})
+                metrics_.counter("gateway_failovers_total",
+                                 {{"fn", fn->name}})
                     .increment();
-                dispatch(name, std::move(retry_copy), std::move(callback),
+                dispatch(*fn, std::move(retry_copy), std::move(callback),
                          attempts_left - 1, ctx);
                 return;
               }
@@ -596,9 +653,7 @@ void Gateway::apply_route_key(const std::string& key,
   if (key.rfind(kPrefix, 0) != 0) return;
   const std::string name = key.substr(6);
   auto decoded = decode_route(value);
-  if (decoded.ok()) {
-    routes_[name] = std::move(decoded).value();
-  }
+  if (decoded.ok()) set_route(name, std::move(decoded).value());
 }
 
 void Gateway::sync_with(kvstore::EtcdStore& etcd) {

@@ -16,10 +16,12 @@
 //    recovery (or when the cooldown lapses).
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <deque>
 #include <functional>
 #include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -143,7 +145,7 @@ class Gateway {
   void set_rate_limit(const std::string& name, RateLimit limit);
   void add_worker(const std::string& name, NodeId worker);
   bool has_function(const std::string& name) const {
-    return routes_.count(name) > 0;
+    return route(name) != nullptr;
   }
   const Route* route(const std::string& name) const;
 
@@ -215,33 +217,66 @@ class Gateway {
     trace::SpanId queue_span = trace::kInvalidSpan;
   };
 
-  /// Per-function limiter state (only populated when the limiter is on).
-  struct FnLoad {
+  /// Everything the gateway keeps about one function name. Entries are
+  /// created by the first registration or rate limit and never erased,
+  /// and map nodes never move, so in-flight closures hold a pointer.
+  ///
+  /// The metric handles point at registry series (map nodes that never
+  /// move either). Each is bound on first use, so a series appears in
+  /// render() exactly when it is first written; the two whose labels
+  /// carry the tenant are unbound whenever that label changes.
+  struct FunctionState {
+    std::string name;
+    std::optional<Route> route;  // unset: only a rate limit is known
+    std::size_t cursor = 0;      // round-robin position
+    Bucket bucket;
+    // Concurrency limiter (used when max_inflight_per_function > 0).
     std::uint32_t inflight = 0;
     std::deque<Queued> queue;
+    Counter* requests = nullptr;      // gateway_requests_total{fn[,tenant]}
+    Sampler* latency = nullptr;       // gateway_latency_ns{fn}
+    Sampler* queue_depth = nullptr;   // gateway_queue_depth{fn}
+    /// rpc_latency_ns{backend,fn[,tenant]}, one per backend label.
+    std::array<Histogram*, 4> rpc_latency{};
+
+    void unbind_tenant_series() {
+      requests = nullptr;
+      rpc_latency.fill(nullptr);
+    }
   };
 
+  const FunctionState* find_function(const std::string& name) const;
+  /// The entry for `name`, created on first use.
+  FunctionState& intern(const std::string& name);
+  /// Installs a route, unbinding tenant-labelled handles if the tenant
+  /// changes.
+  void set_route(const std::string& name, Route route);
+  Labels labels_of(const FunctionState& fn) const;
+  /// labels_of plus the backend label of an rpc_latency_ns series.
+  Labels rpc_labels(const FunctionState& fn, std::uint8_t kind) const;
   void apply_route_key(const std::string& key, const std::string& value);
-  bool admit(const std::string& name);  // token-bucket check
+  bool admit(FunctionState& fn);  // token-bucket check
   /// Deterministic sampling decision for one request (no RNG draw).
   bool sample_trace();
-  void dispatch(const std::string& name, net::BufferView payload,
+  void dispatch(FunctionState& fn, net::BufferView payload,
                 InvokeCallback callback, std::uint32_t attempts_left,
                 trace::SpanContext ctx);
   /// Route resolution + replica pick + rpc send; runs after the proxy
   /// delay so route updates landing mid-flight take effect.
-  void send_to_worker(const std::string& name,
-                      net::BufferView payload,
+  void send_to_worker(FunctionState& fn, net::BufferView payload,
                       InvokeCallback callback, std::uint32_t attempts_left,
                       SimTime started, trace::SpanContext ctx);
-  NodeId pick_worker(const std::string& name, const Route& route);
+  NodeId pick_worker(FunctionState& fn);
   /// Limiter entry: dispatch now or queue/shed.
-  void submit(const std::string& name, net::BufferView payload,
+  void submit(FunctionState& fn, net::BufferView payload,
               InvokeCallback callback, trace::SpanContext ctx);
-  void on_complete(const std::string& name);
-  void shed(const std::string& name, InvokeCallback& callback,
+  /// Takes a limiter slot and dispatches; the slot frees on completion.
+  void start_limited(FunctionState& fn, net::BufferView payload,
+                     InvokeCallback callback, trace::SpanContext ctx);
+  void on_complete(FunctionState& fn);
+  void shed(const FunctionState& fn, InvokeCallback& callback,
             const char* reason);
-  void expire_queued(const std::string& name, std::uint64_t queued_id);
+  void expire_queued(FunctionState& fn, std::uint64_t queued_id);
 
   sim::Simulator& sim_;
   GatewayConfig config_;
@@ -253,16 +288,14 @@ class Gateway {
   trace::TraceRecorder* tracer_ = nullptr;
   double sample_rate_ = 1.0;
   double sample_accum_ = 0.0;
-  std::map<std::string, Route> routes_;
-  std::map<std::string, std::size_t> rr_cursor_;
-  std::map<std::string, Bucket> buckets_;
-  std::map<std::string, FnLoad> load_;
+  std::map<std::string, FunctionState> functions_;
   std::map<NodeId, SimTime> quarantined_until_;
   std::map<std::string, TenantId> tenant_ids_;
   std::map<TenantId, std::string> tenant_names_;
   TenantId next_tenant_ = 1;
   std::uint64_t next_queued_id_ = 1;
   MetricsRegistry metrics_;
+  Sampler* rpc_rto_ = nullptr;  // rpc_rto_ns, bound on first use
 };
 
 }  // namespace lnic::framework

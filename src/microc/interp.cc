@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cstdint>
 #include <cstring>
 
 namespace lnic::microc {
@@ -17,6 +18,21 @@ std::uint64_t fnv1a(const std::uint8_t* data, std::size_t len) {
     h *= 0x100000001b3ull;
   }
   return h;
+}
+
+/// RGBA8888 -> 8-bit luma with integer weights (no FPU, §3.1b):
+/// y = (77 R + 150 G + 29 B) >> 8.
+std::uint8_t luma(const std::uint8_t* rgba) {
+  return static_cast<std::uint8_t>(
+      (77u * rgba[0] + 150u * rgba[1] + 29u * rgba[2]) >> 8);
+}
+
+/// Grayscale over ranges that do not overlap: `__restrict` tells the
+/// compiler the stores cannot feed later loads, so it may vectorize.
+void grayscale_disjoint(std::uint8_t* __restrict out,
+                        const std::uint8_t* __restrict rgba,
+                        std::uint64_t pixels) {
+  for (std::uint64_t i = 0; i < pixels; ++i) out[i] = luma(rgba + i * 4);
 }
 }  // namespace
 
@@ -612,8 +628,6 @@ Outcome Machine::execute(const Step* ip) {
           continue;
         }
         case Op::kGrayscale: {
-          // RGBA8888 -> 8-bit luma with integer weights (no FPU, §3.1b):
-          // y = (77 R + 150 G + 29 B) >> 8.
           const ObjectView& dst = objects[in.obj];
           const ObjectView& src = objects[in.obj2];
           const std::uint64_t doff = r[in.dst];
@@ -623,10 +637,18 @@ Outcome Machine::execute(const Step* ip) {
               doff + pixels > dst.size) {
             return trap_at(in, "grayscale out of bounds");
           }
-          for (std::uint64_t i = 0; i < pixels; ++i) {
-            const std::uint8_t* p = src.data + soff + i * 4;
-            dst.data[doff + i] = static_cast<std::uint8_t>(
-                (77u * p[0] + 150u * p[1] + 29u * p[2]) >> 8);
+          std::uint8_t* out = dst.data + doff;
+          const std::uint8_t* rgba = src.data + soff;
+          const auto out_at = reinterpret_cast<std::uintptr_t>(out);
+          const auto rgba_at = reinterpret_cast<std::uintptr_t>(rgba);
+          if (out_at + pixels <= rgba_at || rgba_at + pixels * 4 <= out_at) {
+            grayscale_disjoint(out, rgba, pixels);
+          } else {
+            // Overlapping ranges of one object: forward order, so later
+            // pixels read the bytes earlier ones wrote.
+            for (std::uint64_t i = 0; i < pixels; ++i) {
+              out[i] = luma(rgba + i * 4);
+            }
           }
           bulk_cycles_ += pixels *
                               (code.objects[in.obj2].read +

@@ -9,14 +9,6 @@ using net::PacketKind;
 
 namespace {
 
-std::uint64_t read_u64(const net::BufferView& body, std::size_t at) {
-  std::uint64_t v = 0;
-  for (std::size_t i = 0; i < 8 && at + i < body.size(); ++i) {
-    v |= static_cast<std::uint64_t>(body[at + i]) << (8 * i);
-  }
-  return v;
-}
-
 std::uint32_t read_u32(const net::BufferView& body, std::size_t at) {
   std::uint32_t v = 0;
   for (std::size_t i = 0; i < 4 && at + i < body.size(); ++i) {

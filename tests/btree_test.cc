@@ -130,7 +130,10 @@ TEST(BTreeTest, DirtyAndFreedPagesAreReported) {
   // Fill until a split happens: the dirty set must then cover >1 page.
   const std::size_t before = tree.node_count();
   Key next = 2;
-  while (tree.node_count() == before) tree.put(next++, next);
+  while (tree.node_count() == before) {
+    tree.put(next, next);
+    ++next;
+  }
   EXPECT_GE(tree.last_dirty().size(), 2u);
   // Drain everything again: merges must report freed pages.
   bool saw_freed = false;

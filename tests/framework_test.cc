@@ -1174,5 +1174,118 @@ TEST(HealthChecker, QuarantineProbeReinstateRoundTrip) {
   EXPECT_GT(workers.hits[0], before);
 }
 
+// ------------------------------------------------- bound metric handles
+
+/// Number of exposition lines in `text` that read exactly `line`.
+int count_lines(const std::string& text, const std::string& line) {
+  int n = 0;
+  for (std::size_t at = text.find(line); at != std::string::npos;
+       at = text.find(line, at + 1)) {
+    if ((at == 0 || text[at - 1] == '\n') && at + line.size() < text.size() &&
+        text[at + line.size()] == '\n') {
+      ++n;
+    }
+  }
+  return n;
+}
+
+TEST(Gateway, HotPathSeriesAppearOnFirstSuccessfulInvoke) {
+  sim::Simulator sim;
+  net::Network network(sim);
+  EchoPair workers(sim, network);
+  Gateway gateway(sim, network);
+  gateway.register_function("f", 1, {workers.node[0]});
+  gateway.register_function("g", 1, {workers.node[1]});
+  gateway.set_rate_limit("g", RateLimit{/*rps=*/1.0, /*burst=*/0.0});
+
+  std::string text = gateway.metrics().render();
+  EXPECT_EQ(text.find("fn=\"f\""), std::string::npos) << text;
+
+  int ok = 0, throttled = 0;
+  gateway.invoke("f", {}, [&](Result<proto::RpcResponse> r) {
+    if (r.ok()) ++ok;
+  });
+  for (int i = 0; i < 3; ++i) {
+    gateway.invoke("g", {}, [&](Result<proto::RpcResponse> r) {
+      if (!r.ok()) ++throttled;
+    });
+  }
+  sim.run();
+  ASSERT_EQ(ok, 1);
+  ASSERT_EQ(throttled, 3);
+  text = gateway.metrics().render();
+  EXPECT_EQ(count_lines(text, "gateway_requests_total{fn=\"f\"} 1"), 1) << text;
+  EXPECT_EQ(count_lines(text, "gateway_latency_ns_count{fn=\"f\"} 1"), 1);
+  EXPECT_EQ(
+      count_lines(text, "rpc_latency_ns_count{backend=\"unknown\",fn=\"f\"} 1"),
+      1);
+  EXPECT_EQ(count_lines(text, "rpc_rto_ns_count 1"), 1);
+  // Only ever throttled: the throttle counter is g's one series, so no
+  // request, latency or rpc_latency_ns series exists for it.
+  EXPECT_EQ(count_lines(text, "gateway_throttled_total{fn=\"g\"} 3"), 1);
+  EXPECT_EQ(text.find("fn=\"g\""), text.rfind("fn=\"g\"")) << text;
+
+  // Replicas on two backend kinds: one rpc_latency_ns series per kind.
+  gateway.register_replicas("h", 1,
+                            {Replica{workers.node[0], 1, /*nic=*/0},
+                             Replica{workers.node[1], 1, /*container=*/2}});
+  for (int i = 0; i < 2; ++i) {
+    gateway.invoke("h", {}, [&](Result<proto::RpcResponse> r) {
+      if (r.ok()) ++ok;
+    });
+  }
+  sim.run();
+  ASSERT_EQ(ok, 3);
+  text = gateway.metrics().render();
+  EXPECT_EQ(count_lines(text, "rpc_latency_ns_count{backend=\"nic\",fn=\"h\"} 1"),
+            1);
+  EXPECT_EQ(count_lines(
+                text, "rpc_latency_ns_count{backend=\"container\",fn=\"h\"} 1"),
+            1);
+}
+
+TEST(Gateway, TenantChangeRebindsRequestAndRpcSeries) {
+  sim::Simulator sim;
+  net::Network network(sim);
+  EchoPair workers(sim, network);
+  Gateway gateway(sim, network);
+  const auto invoke_once = [&] {
+    bool ok = false;
+    gateway.invoke("f", {}, [&](Result<proto::RpcResponse> r) { ok = r.ok(); });
+    sim.run();
+    return ok;
+  };
+  const Replica replica{workers.node[0], 1, kUnknownBackendKind};
+
+  // First request in the default tenant, second after the route moved
+  // into a tenant namespace.
+  gateway.register_function("f", 1, {workers.node[0]});
+  ASSERT_TRUE(invoke_once());
+  gateway.register_replicas("f", 1, {replica}, gateway.register_tenant("acme"));
+  ASSERT_TRUE(invoke_once());
+  // A route mirrored into a namespace nobody has named yet is labelled
+  // "tenant-<id>" until the name is registered.
+  gateway.register_replicas("f", 1, {replica}, 2);
+  ASSERT_TRUE(invoke_once());
+  EXPECT_EQ(gateway.register_tenant("globex"), 2u);
+  ASSERT_TRUE(invoke_once());
+
+  const std::string text = gateway.metrics().render();
+  for (const char* labels :
+       {"fn=\"f\"", "fn=\"f\",tenant=\"acme\"", "fn=\"f\",tenant=\"tenant-2\"",
+        "fn=\"f\",tenant=\"globex\""}) {
+    EXPECT_EQ(count_lines(text, std::string("gateway_requests_total{") +
+                                    labels + "} 1"),
+              1)
+        << labels << "\n" << text;
+    EXPECT_EQ(count_lines(text, std::string("rpc_latency_ns_count{") +
+                                    "backend=\"unknown\"," + labels + "} 1"),
+              1)
+        << labels;
+  }
+  // The latency sampler is labelled by name only and never rebinds.
+  EXPECT_EQ(count_lines(text, "gateway_latency_ns_count{fn=\"f\"} 4"), 1);
+}
+
 }  // namespace
 }  // namespace lnic::framework

@@ -295,6 +295,47 @@ TEST(Interp, GrayscaleConvertsPixels) {
   EXPECT_EQ((out.return_value >> 8) & 0xFF, (77u * 255) >> 8);
 }
 
+TEST(Interp, GrayscaleWithinOneObjectMatchesForwardLoop) {
+  // Converting an object onto a range of itself: overlapping ranges must
+  // keep the forward byte order (later pixels read what earlier ones
+  // wrote), disjoint ones the same bytes.
+  constexpr std::uint64_t kSize = 64;
+  constexpr std::uint64_t kPixels = 12;
+  struct Case {
+    std::uint64_t doff, soff;
+  };
+  for (const Case c : {Case{4, 0}, Case{1, 2}, Case{0, 8}, Case{9, 16},
+                       Case{48, 0}}) {
+    ProgramBuilder pb("t");
+    const auto buf = pb.object("buf", kSize, MemScope::kGlobal);
+    auto fb = pb.function("g", 0);
+    auto zero = fb.const_u64(0);
+    auto size = fb.const_u64(kSize);
+    fb.body_copy(buf, zero, zero, size);
+    fb.grayscale(buf, fb.const_u64(c.doff), buf, fb.const_u64(c.soff),
+                 fb.const_u64(kPixels));
+    fb.resp_mem(buf, zero, size);
+    fb.ret_imm(0);
+    const auto idx = fb.finish();
+
+    std::vector<std::uint8_t> expected(kSize);
+    for (std::uint64_t i = 0; i < kSize; ++i) {
+      expected[i] = static_cast<std::uint8_t>(i * 37 + 11);
+    }
+    Invocation inv;
+    inv.body = BufferView(expected);
+    for (std::uint64_t i = 0; i < kPixels; ++i) {
+      const std::uint8_t* p = &expected[c.soff + i * 4];
+      expected[c.doff + i] = static_cast<std::uint8_t>(
+          (77u * p[0] + 150u * p[1] + 29u * p[2]) >> 8);
+    }
+    const Outcome out = run_simple(pb.take(), idx, inv);
+    ASSERT_EQ(out.state, RunState::kDone) << out.trap_message;
+    EXPECT_EQ(out.response, expected) << "doff=" << c.doff
+                                      << " soff=" << c.soff;
+  }
+}
+
 TEST(Interp, ExtCallSuspendsAndResumes) {
   ProgramBuilder pb("t");
   auto fb = pb.function("kv", 0);
