@@ -19,13 +19,6 @@ unsigned shards_from_args(int argc, char** argv, unsigned fallback) {
   return fallback;
 }
 
-bool adaptive_from_args(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--adaptive") == 0) return true;
-  }
-  return false;
-}
-
 std::vector<WorkloadCase> standard_cases(std::uint64_t web_requests,
                                          std::uint64_t kv_requests,
                                          std::uint64_t image_requests,
@@ -54,8 +47,7 @@ std::vector<WorkloadCase> standard_cases(std::uint64_t web_requests,
 }
 
 BackendRig::BackendRig(backends::BackendKind kind,
-                       std::uint32_t worker_threads, unsigned shards,
-                       bool adaptive)
+                       std::uint32_t worker_threads, unsigned shards)
     : sharded_(shards), network_(sharded_) {
   // The worker island — backend plus its kv cache, so GET/SET traffic
   // stays on-island — lives on shard 1 when sharded; the client (the
@@ -72,14 +64,6 @@ BackendRig::BackendRig(backends::BackendKind kind,
   rpc.retransmit_timeout = seconds(60);  // lossless fabric: no retransmits
   client_ = std::make_unique<proto::RpcClient>(sharded_.shard(0), network_,
                                                rpc);
-  if (adaptive) {
-    // The cache only ever answers its co-sharded backend, so it never
-    // sends off-shard; declaring that lets the island's EOT report
-    // ignore cache timers. Client and backend genuinely talk across the
-    // boundary and stay remote-capable.
-    network_.set_local_only(cache_->node(), true);
-    network_.enable_adaptive_sync();
-  }
   // Warm the cache so GET-heavy runs measure hits, as the paper does
   // with pre-loaded (warm) lambdas.
   for (std::uint64_t k = 0; k < 1024; ++k) cache_->put(k, k * 31 + 7);

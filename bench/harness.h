@@ -55,21 +55,14 @@ constexpr SimDuration kGatewayProxyTime = microseconds(17);
 /// BENCH_*.json so check_perf.py compares like-for-like.
 unsigned shards_from_args(int argc, char** argv, unsigned fallback = 1);
 
-/// Parses `--adaptive` from a bench's argv: EOT-based adaptive window
-/// extension for sharded runs (sim/sharded.h). Off by default so every
-/// existing invocation replays byte-for-byte.
-bool adaptive_from_args(int argc, char** argv);
-
 class BackendRig {
  public:
   /// With shards > 1 the client keeps shard 0 and the backend + its
   /// cache form an island on shard 1, so every request crosses the
   /// conservative-sync boundary both ways. shards = 1 is byte-identical
-  /// to the classic single-engine rig. `adaptive` turns on EOT window
-  /// extension (the cache is declared local-only; the client and
-  /// backend talk across the boundary and stay remote-capable).
+  /// to the classic single-engine rig.
   BackendRig(backends::BackendKind kind, std::uint32_t worker_threads = 56,
-             unsigned shards = 1, bool adaptive = false);
+             unsigned shards = 1);
 
   /// Closed-loop measurement: `concurrency` independent senders, each
   /// issuing the next request when its previous one completes, until

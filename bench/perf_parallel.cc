@@ -1,26 +1,27 @@
 // Wall-clock throughput of the sharded engine: aggregate events/sec vs
-// shard count on the cluster mix, across sync modes and placements.
+// shard count on the cluster mix, with and without locality.
 //
 // The workload is K self-contained λ-NIC islands (SmartNIC worker + kv
 // cache + closed-loop RPC client, all pinned to one shard) with ~1/8 of
-// requests aimed at a peer island's NIC. Four configurations per shard
-// count:
+// requests aimed at a peer island's NIC. "Locality" means block
+// placement plus the local-only declarations it makes true; without it
+// no node is declared, so every window is one lookahead long. Four
+// configurations per shard count (the names are the JSON cell names):
 //
-//   ring          peer = next island, round-robin placement, static
-//                 sync — the PR 8 baseline, byte-identical results.
-//   ring+adaptive peer = next island, locality (block) placement so
-//                 most islands are co-sharded with their peer, EOT
-//                 adaptive sync with per-node local-only declarations.
+//   ring          peer = next island, round-robin placement, no
+//                 declarations: the baseline.
+//   ring/adaptive peer = next island, locality: most islands are
+//                 co-sharded with their peer.
 //   idle          peer = buddy island (i XOR 1), round-robin placement,
-//                 static sync: every pair straddles a shard boundary,
-//                 so windows stay one lookahead long.
-//   idle+adaptive same pair topology, block placement co-shards every
-//                 pair: zero cross-shard traffic, every island is
-//                 local-only, all EOT reports are +inf — the engine
-//                 collapses the whole run into a handful of windows.
+//                 no declarations: every pair straddles a shard
+//                 boundary, so windows stay one lookahead long.
+//   idle/adaptive same pair topology, locality co-shards every pair:
+//                 zero cross-shard traffic, every island is local-only,
+//                 all EOT reports are +inf — the engine collapses the
+//                 whole run into a handful of windows.
 //
-// The idle pair shows the optimization's headline: identical simulated
-// workload, identical completions, but the adaptive run stops paying a
+// The idle pair shows EOT extension's headline: identical simulated
+// workload, identical completions, but the locality run stops paying a
 // barrier every 25 us of simulated time. The ring pair shows locality
 // placement cutting cross-shard posts on a topology where extension
 // alone cannot help (every shard's frontier stays hot).
@@ -65,20 +66,19 @@ struct Island {
   std::function<void()> issue;
 };
 
-/// One (topology, placement, sync-mode) configuration of the sweep.
+/// One (topology, locality) configuration of the sweep.
 struct RunConfig {
   const char* family;   // JSON cell prefix ("shardsN" + suffix)
   const char* label;    // table row label
   bool pair_topology;   // peer = i ^ 1 instead of (i + 1) % K
-  bool locality;        // block placement instead of round-robin
-  bool adaptive;        // EOT window extension + local-only declarations
+  bool locality;        // block placement + local-only declarations
 };
 
 constexpr RunConfig kConfigs[] = {
-    {"", "ring/static", false, false, false},
-    {"_adaptive", "ring/adaptive", false, true, true},
-    {"_idle_static", "idle/static", true, false, false},
-    {"_idle_adaptive", "idle/adaptive", true, true, true},
+    {"", "ring/static", false, false},
+    {"_adaptive", "ring/adaptive", false, true},
+    {"_idle_static", "idle/static", true, false},
+    {"_idle_adaptive", "idle/adaptive", true, true},
 };
 
 struct SweepPoint {
@@ -98,8 +98,8 @@ std::size_t peer_of(const RunConfig& config, std::size_t i) {
 unsigned shard_of_island(const RunConfig& config, std::size_t i,
                          unsigned shards) {
   // Block placement keeps neighbors together (islands {0,1} share a
-  // shard at 4 shards, {0..3} at 2); round-robin scatters them — the
-  // exact PR 8 placement, kept so static cells replay byte-for-byte.
+  // shard at 4 shards, {0..3} at 2); round-robin scatters them, the
+  // original placement, so those cells replay byte-for-byte.
   if (config.locality) {
     return static_cast<unsigned>(i * shards / kIslands);
   }
@@ -140,7 +140,7 @@ SweepPoint run_point(const RunConfig& config, unsigned shards,
     islands[i].peer = islands[peer_of(config, i)].nic->node();
   }
 
-  if (config.adaptive) {
+  if (config.locality) {
     // Locality declarations, derived from the placement: an island's
     // cache answers only its own NIC; its client sends off-shard only
     // when its peer NIC lives elsewhere; its NIC replies off-shard only
@@ -164,7 +164,6 @@ SweepPoint run_point(const RunConfig& config, unsigned shards,
         network.set_local_only(islands[i].nic->node(), true);
       }
     }
-    network.enable_adaptive_sync();
   }
 
   sharded.run_until(seconds(20));  // firmware flash
@@ -316,7 +315,7 @@ int run(std::uint64_t requests_per_island, std::uint32_t concurrency,
   }
   if (idle_static_at_4 > 0 && idle_adaptive_at_4 > 0) {
     const double speedup = idle_adaptive_at_4 / idle_static_at_4;
-    std::printf("  adaptive+locality speedup at 4 shards (idle frontier): "
+    std::printf("  locality speedup at 4 shards (idle frontier): "
                 "%.2fx%s\n",
                 speedup,
                 hw < 4 ? " (machine has <4 hw threads; not meaningful)"

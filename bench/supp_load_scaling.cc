@@ -9,13 +9,12 @@
 // workers — 100x the paper's 4-worker testbed — behind one gateway,
 // driven open-loop by loadgen:: Poisson arrivals, with the workers
 // spread across event shards (sim/sharded.h). Usage:
-//   supp_load_scaling [--smoke] [--shards N] [--adaptive]
+//   supp_load_scaling [--smoke] [--shards N]
 //
-// --adaptive turns on EOT window extension (sim/sharded.h). The rack's
-// frontier is hot in steady state — every shard hosts workers that reply
-// to the shard-0 gateway — so most windows stay at the static floor; the
-// extensions show up around the drain tail, and the window counters land
-// in the JSON either way.
+// Every node in the rack is remote-capable (workers answer the shard-0
+// gateway; the shard-0 cache answers workers), so no shard declares a
+// local-only frontier and every window is one lookahead long
+// (sim/sharded.h); the window counters land in the JSON.
 #include <cstdio>
 #include <cstring>
 #include <memory>
@@ -34,7 +33,7 @@ namespace {
 /// 1..N-1 (gateway, cache and the generator on shard 0), Poisson
 /// open-loop arrivals at `rate_rps` for `window`.
 void run_scale_section(BenchSummary& summary, unsigned shards,
-                       bool adaptive, std::size_t workers, double rate_rps,
+                       std::size_t workers, double rate_rps,
                        SimDuration window) {
   sim::ShardedSimulator sharded(shards);
   sim::Simulator& sim0 = sharded.shard(0);
@@ -60,12 +59,6 @@ void run_scale_section(BenchSummary& summary, unsigned shards,
     nodes.push_back(pool.back()->node());
   }
   network.set_attach_shard(0);
-  if (adaptive) {
-    // Every node here is remote-capable (workers answer the shard-0
-    // gateway; the shard-0 cache answers workers), so no local-only
-    // declarations: each shard's EOT is simply its next event time.
-    network.enable_adaptive_sync();
-  }
   sharded.run_until(seconds(40));  // firmware flash across the rack
 
   framework::GatewayConfig config;
@@ -127,7 +120,6 @@ int main(int argc, char** argv) {
     if (std::strcmp(argv[i], "--smoke") == 0) smoke = true;
   }
   const unsigned shards = shards_from_args(argc, argv);
-  const bool adaptive = adaptive_from_args(argc, argv);
 
   print_header("Supplementary: load scaling, web server");
   BenchSummary summary("supp_load_scaling", /*seed=*/1, shards);
@@ -141,7 +133,7 @@ int main(int argc, char** argv) {
     std::printf("\n-- %s --\n", backends::to_string(kind));
     std::printf("  %10s %14s %14s\n", "senders", "req/s", "p99 (ms)");
     for (const auto c : concurrencies) {
-      BackendRig rig(kind, /*worker_threads=*/56, shards, adaptive);
+      BackendRig rig(kind, /*worker_threads=*/56, shards);
       WorkloadCase test{
           "web", workloads::kWebServerId,
           [](std::uint64_t i) { return workloads::encode_web_request(i & 3); },
@@ -165,7 +157,7 @@ int main(int argc, char** argv) {
               "  senders and queueing inflates their tails linearly.\n");
 
   // 100x today's 4-worker cluster (40x under --smoke, for CI).
-  run_scale_section(summary, shards, adaptive,
+  run_scale_section(summary, shards,
                     /*workers=*/smoke ? 40 : 400,
                     /*rate_rps=*/smoke ? 50'000.0 : 200'000.0,
                     /*window=*/smoke ? milliseconds(20) : milliseconds(50));

@@ -99,7 +99,6 @@ Cluster::Cluster(ClusterConfig config)
   }
   network_.set_attach_shard(0);
   if (config.shard_affinity_routing) gateway_->enable_shard_affinity(network_);
-  if (config.adaptive_sync) network_.enable_adaptive_sync();
   if (etcd_) gateway_->sync_with(*etcd_);
 }
 

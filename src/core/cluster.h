@@ -64,9 +64,6 @@ struct ClusterConfig {
   // each worker as its own island, which reproduces the legacy
   // round-robin byte-for-byte. Size must equal the worker count.
   std::vector<unsigned> worker_islands;
-  // EOT-based adaptive window extension (see sim/sharded.h). Off by
-  // default: static windows are byte-identical to earlier releases.
-  bool adaptive_sync = false;
   // Shard-affinity replica selection at the gateway: prefer co-sharded
   // replicas when route weights are uniform (framework/gateway.h). Off
   // by default.

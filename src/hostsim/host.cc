@@ -62,30 +62,11 @@ SimDuration HostServer::jittered(SimDuration base) {
 void HostServer::handle_packet(const Packet& packet) {
   switch (packet.kind) {
     case PacketKind::kRequest:
-    case PacketKind::kRdmaWrite: {
-      if (packet.lambda.frag_count > 1) {
-        const auto key = std::make_pair(packet.src, packet.lambda.request_id);
-        Reassembly& re = reassembly_[key];
-        if (re.frags.empty()) {
-          re.frags.resize(packet.lambda.frag_count);
-          re.first = packet;
-        }
-        if (packet.lambda.frag_index >= re.frags.size()) return;
-        if (re.frags[packet.lambda.frag_index].empty()) {
-          re.frags[packet.lambda.frag_index] = packet.payload;
-          ++re.received;
-        }
-        if (re.received < re.frags.size()) return;
-        // Contiguous slices of the sender's buffer: no copy.
-        net::BufferView body = coalesce(re.frags);
-        Packet first = re.first;
-        reassembly_.erase(key);
-        handle_request(first, std::move(body));
-      } else {
-        handle_request(packet, packet.payload);
+    case PacketKind::kRdmaWrite:
+      if (auto message = reassembly_.add(packet)) {
+        handle_request(message->header, std::move(message->body));
       }
       break;
-    }
     case PacketKind::kKvResponse:
       handle_kv_response(packet);
       break;

@@ -30,7 +30,6 @@
 #include <deque>
 #include <map>
 #include <memory>
-#include <vector>
 
 #include "common/result.h"
 #include "common/rng.h"
@@ -153,12 +152,7 @@ class HostServer {
   std::uint32_t active_jobs_ = 0;  // jobs holding a service thread
   std::deque<std::unique_ptr<Job>> admission_;
 
-  struct Reassembly {
-    std::vector<net::BufferView> frags;
-    std::uint32_t received = 0;
-    net::Packet first;
-  };
-  std::map<std::pair<NodeId, RequestId>, Reassembly> reassembly_;
+  net::Reassembler reassembly_;
 
   std::map<RequestId, std::unique_ptr<Job>> waiting_kv_;
   RequestId next_token_ = 1;

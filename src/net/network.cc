@@ -31,12 +31,31 @@ Network::Network(sim::ShardedSimulator& sharded, LinkConfig link,
   for (unsigned s = 0; s < sharded.shards(); ++s) {
     shard_rngs_.emplace_back(shard_seed(seed, s));
   }
-  remote_ports_.assign(sharded.shards(), 0);
+  shard_ports_.resize(sharded.shards());
   // The fabric's minimum cross-shard latency: a packet leaving one shard
   // spends at least propagation + switch forwarding in flight before any
   // state on the destination shard is touched. This is the lookahead
   // contract; zero-delay links are rejected by validate_lookahead().
   sharded.constrain_lookahead(link_.propagation + link_.switch_latency);
+  for (unsigned s = 0; s < sharded.shards(); ++s) {
+    // Pure function of simulated state: the port census is fixed after
+    // setup and next_event_time() is the shard's own queue. A shard whose
+    // nodes are all local-only can never send off-shard; an empty shard
+    // reports its queue like any other, so only declarations extend.
+    sharded.set_eot_source(s, [this, s]() -> SimTime {
+      const ShardPorts& ports = shard_ports_[s];
+      return ports.attached > 0 && ports.remote == 0
+                 ? kSimTimeMax
+                 : sharded_->shard(s).next_event_time();
+    });
+  }
+}
+
+Network::~Network() {
+  if (sharded_ == nullptr) return;
+  for (unsigned s = 0; s < sharded_->shards(); ++s) {
+    sharded_->set_eot_source(s, nullptr);
+  }
 }
 
 void Network::set_attach_shard(unsigned shard) {
@@ -58,7 +77,10 @@ NodeId Network::attach(PacketHandler handler, const sim::Simulator* owner) {
   port.handler = std::move(handler);
   port.shard = sharded_ != nullptr ? attach_shard_ : 0;
   ports_.push_back(std::move(port));
-  if (sharded_ != nullptr) ++remote_ports_[attach_shard_];
+  if (sharded_ != nullptr) {
+    ++shard_ports_[attach_shard_].attached;
+    ++shard_ports_[attach_shard_].remote;
+  }
   return static_cast<NodeId>(ports_.size() - 1);
 }
 
@@ -69,25 +91,10 @@ void Network::set_local_only(NodeId node, bool local_only) {
   port.local_only = local_only;
   if (sharded_ == nullptr) return;
   if (local_only) {
-    --remote_ports_[port.shard];
+    --shard_ports_[port.shard].remote;
   } else {
-    ++remote_ports_[port.shard];
+    ++shard_ports_[port.shard].remote;
   }
-}
-
-void Network::enable_adaptive_sync() {
-  if (sharded_ == nullptr) return;
-  for (unsigned s = 0; s < sharded_->shards(); ++s) {
-    // Pure function of simulated state: the remote-capable census is
-    // fixed after setup and next_event_time() is the shard's own queue.
-    // A shard with no remote-capable nodes can never send off-shard, so
-    // its outbound frontier is idle by construction.
-    sharded_->set_eot_source(s, [this, s]() -> SimTime {
-      return remote_ports_[s] == 0 ? kSimTimeMax
-                                   : sharded_->shard(s).next_event_time();
-    });
-  }
-  sharded_->set_adaptive_sync(true);
 }
 
 void Network::set_handler(NodeId node, PacketHandler handler) {
@@ -173,8 +180,8 @@ void Network::send_local(Packet packet, sim::Simulator& sim, Rng& rng) {
 void Network::send_cross(Packet packet, unsigned src_shard,
                          unsigned dst_shard) {
   if (ports_[packet.src].local_only) {
-    // The locality promise feeds adaptive EOT reports; breaking it could
-    // deliver into another shard's past, so fail loudly in every mode.
+    // The locality promise feeds the EOT reports; breaking it could
+    // deliver into another shard's past, so fail loudly.
     std::fprintf(stderr,
                  "Network::send_cross: node %llu was declared local-only "
                  "(set_local_only) but sent from shard %u to shard %u — fix "

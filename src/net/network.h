@@ -22,10 +22,11 @@
 // delay the conservative-sync contract. With one shard the classic
 // synchronous path runs unchanged, byte-for-byte.
 //
-// Adaptive sync: set_local_only() lets topology-aware callers declare
-// nodes that never send off-shard; enable_adaptive_sync() turns those
-// declarations into per-shard EOT sources so idle-frontier shards stop
-// capping the engine's window length (see sim/sharded.h).
+// Locality: set_local_only() lets topology-aware callers declare nodes
+// that never send off-shard. The sharded constructor registers one EOT
+// source per shard that turns those declarations into an idle outbound
+// frontier, so such shards stop capping the engine's window length (see
+// sim/sharded.h). Without declarations every window is one lookahead.
 #pragma once
 
 #include <atomic>
@@ -64,9 +65,15 @@ class Network {
 
   /// Sharded fabric: nodes attach to the shard selected by
   /// set_attach_shard() and sends route to the destination's shard.
-  /// Registers propagation + switch latency as the simulator's lookahead.
+  /// Registers propagation + switch latency as the simulator's lookahead
+  /// and one EOT source per shard (see set_local_only). The simulator
+  /// must outlive the network.
   Network(sim::ShardedSimulator& sharded, LinkConfig link = {},
           FaultConfig faults = {}, std::uint64_t seed = 1);
+  /// Unregisters the EOT sources: they capture this network.
+  ~Network();
+  Network(const Network&) = delete;
+  Network& operator=(const Network&) = delete;
 
   /// Selects the shard that subsequently attached nodes live on (sharded
   /// mode only; ignored otherwise). A node's handler runs on its shard's
@@ -88,22 +95,15 @@ class Network {
   /// Declares that `node` never sends to a node on another shard (e.g. a
   /// cache that only its co-sharded worker talks to, or a client whose
   /// one peer is co-sharded). Default false — every node is assumed
-  /// remote-capable, which is always sound. A shard whose attached nodes
-  /// are all local-only has an idle outbound frontier, so its adaptive
-  /// EOT report is +inf and it never caps a window. The declaration is a
-  /// hard promise: a local-only node sending cross-shard aborts, in
-  /// every mode, so a misdeclaration can never silently corrupt an
-  /// adaptive replay. Call during setup (before runs).
+  /// remote-capable, which is always sound. A shard's EOT report is +inf
+  /// (an idle outbound frontier: it never caps a window) only when it has
+  /// at least one node and every one is local-only; otherwise it is the
+  /// shard's next_event_time(), the earliest it could send. The
+  /// declaration is a hard promise: a local-only node sending cross-shard
+  /// aborts, so a misdeclaration can never silently corrupt a replay.
+  /// Call during setup (before runs).
   void set_local_only(NodeId node, bool local_only);
   bool local_only(NodeId node) const { return ports_[node].local_only; }
-
-  /// Turns on EOT-based adaptive window extension (sharded mode only;
-  /// no-op otherwise): registers one EOT source per shard — +inf when
-  /// the shard has zero remote-capable nodes attached, else the shard's
-  /// next_event_time() (the earliest anything can run there, hence the
-  /// earliest it could send). Then enables adaptive sync on the engine.
-  /// Call after attaching nodes and declaring locality.
-  void enable_adaptive_sync();
 
   /// Queues `packet` for delivery. src/dst must be attached nodes.
   void send(Packet packet);
@@ -167,10 +167,15 @@ class Network {
   };
   std::vector<Port> ports_;
 
-  // Remote-capable (not local-only) attached nodes per shard; a zero
-  // entry makes that shard's EOT source report an idle frontier. Written
-  // during setup, read by the coordinator between windows.
-  std::vector<std::size_t> remote_ports_;
+  // Attached and remote-capable (not local-only) nodes per shard; the
+  // EOT source reports an idle frontier when the first is nonzero and
+  // the second zero. Written during setup, read by the coordinator
+  // between windows.
+  struct ShardPorts {
+    std::size_t attached = 0;
+    std::size_t remote = 0;
+  };
+  std::vector<ShardPorts> shard_ports_;
 
   std::atomic<std::uint64_t> sent_{0};
   std::atomic<std::uint64_t> dropped_{0};

@@ -51,4 +51,64 @@ std::vector<Packet> fragment(NodeId src, NodeId dst, PacketKind kind,
   return out;
 }
 
+namespace {
+
+/// `packet`'s addressing and lambda header, without its payload.
+Packet header_of(const Packet& packet) {
+  Packet header;
+  header.src = packet.src;
+  header.dst = packet.dst;
+  header.kind = packet.kind;
+  header.lambda = packet.lambda;
+  return header;
+}
+
+}  // namespace
+
+std::optional<Reassembler::Message> Reassembler::add(const Packet& packet,
+                                                     Added* added) {
+  Added ignored = Added::kDropped;
+  if (added == nullptr) added = &ignored;
+  *added = Added::kDropped;
+  const std::uint32_t count = packet.lambda.frag_count;
+  const std::uint32_t index = packet.lambda.frag_index;
+  if (index >= count) return std::nullopt;  // also rejects frag_count 0
+  const auto key = std::make_pair(packet.src, packet.lambda.request_id);
+  // Only a partial message under the same key can make a fragment
+  // inconsistent, so with none open there is nothing to look up.
+  auto it = partial_.empty() ? partial_.end() : partial_.find(key);
+  if (it == partial_.end()) {
+    *added = Added::kFirst;
+    if (count == 1) {
+      // A whole message in one packet: shared the way coalesce() shares
+      // a lone fragment, without touching the map.
+      return Message{header_of(packet),
+                     packet.payload.slice(0, packet.payload.size())};
+    }
+    it = partial_
+             .emplace(key, Partial{header_of(packet),
+                                   std::vector<BufferView>(count),
+                                   std::vector<bool>(count), count})
+             .first;
+  } else {
+    const Partial& open = it->second;
+    if (count != open.frags.size() || open.received[index]) {
+      return std::nullopt;
+    }
+    *added = Added::kLater;
+  }
+  Partial& open = it->second;
+  open.received[index] = true;
+  open.frags[index] = packet.payload;
+  if (--open.missing > 0) return std::nullopt;
+  // Contiguous slices of the sender's buffer coalesce without a copy.
+  Message message{std::move(open.header), coalesce(open.frags)};
+  partial_.erase(it);
+  return message;
+}
+
+void Reassembler::discard(NodeId src, RequestId request_id) {
+  partial_.erase(std::make_pair(src, request_id));
+}
+
 }  // namespace lnic::net

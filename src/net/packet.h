@@ -3,8 +3,8 @@
 // Requests carry the λ-NIC lambda header (paper §4.1): the gateway inserts
 // the workload ID of the destination lambda; the NIC match stage
 // dispatches on it. Multi-packet payloads are fragmented and carry
-// (frag_index, frag_count) so the NIC-side reorder buffer can reassemble
-// out-of-order arrivals (paper §4.2.1 D3).
+// (frag_index, frag_count) so the receiver's reorder buffer (Reassembler)
+// can reassemble out-of-order arrivals (paper §4.2.1 D3).
 //
 // Payloads are zero-copy: a Packet carries a BufferView into a
 // refcounted immutable Buffer (common/buffer.h). fragment() slices the
@@ -13,7 +13,10 @@
 #pragma once
 
 #include <cstdint>
+#include <map>
+#include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/buffer.h"
@@ -86,5 +89,51 @@ std::string payload_to_string(const BufferView& payload);
 std::vector<Packet> fragment(NodeId src, NodeId dst, PacketKind kind,
                              const LambdaHeader& header,
                              const BufferView& payload);
+
+/// The receiver side of fragment(): a reorder buffer keyed by (source
+/// node, request id). Every receiver of multi-packet messages — the NIC's
+/// RDMA staging, the host server, the host-memory RDMA target, the RDMA
+/// queue pair and the RPC client — reassembles through one of these.
+///
+/// Receipt is tracked per fragment index, so a duplicate, even an empty
+/// one, never counts twice. A fragment is dropped when its frag_count is
+/// 0, its frag_index is not below frag_count, or its frag_count differs
+/// from the first fragment of its message. A one-fragment message is
+/// never stored: it completes at once. Partial messages stay until they
+/// complete or are discarded.
+class Reassembler {
+ public:
+  /// A message whose fragments have all arrived.
+  struct Message {
+    Packet header;    // the first fragment to arrive, payload cleared
+    BufferView body;  // the fragments in order, shared like coalesce()
+  };
+
+  /// What add() did with one fragment.
+  enum class Added : std::uint8_t {
+    kDropped,  // malformed, inconsistent with its message, or a duplicate
+    kFirst,    // the first fragment of its message to arrive
+    kLater,    // a new fragment of a message already open
+  };
+
+  /// Takes one fragment and returns its message once it is complete.
+  /// `added`, when given, reports what happened to the fragment itself.
+  std::optional<Message> add(const Packet& packet, Added* added = nullptr);
+
+  /// Forgets the partial message from `src` with `request_id`, if any.
+  void discard(NodeId src, RequestId request_id);
+
+  /// Messages with some, but not all, fragments received.
+  std::size_t partial() const { return partial_.size(); }
+
+ private:
+  struct Partial {
+    Packet header;
+    std::vector<BufferView> frags;
+    std::vector<bool> received;  // bitmap over frag_index
+    std::uint32_t missing = 0;
+  };
+  std::map<std::pair<NodeId, RequestId>, Partial> partial_;
+};
 
 }  // namespace lnic::net

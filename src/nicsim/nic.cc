@@ -343,41 +343,32 @@ void SmartNic::handle_rdma_fragment(const Packet& packet) {
     ++stats_.requests_dropped_down;
     return;
   }
-  const auto key = std::make_pair(packet.src, packet.lambda.request_id);
-  Reassembly& re = reassembly_[key];
-  if (re.frags.empty()) {
-    re.frags.resize(packet.lambda.frag_count);
-    re.first = packet;
-    if (tracer_ != nullptr &&
-        packet.lambda.trace_id != trace::kInvalidTrace) {
-      re.span = tracer_->start_span(packet.lambda.trace_id,
-                                    packet.lambda.parent_span,
-                                    "nic.reassemble", sim_.now());
-      tracer_->annotate(re.span, "fragments",
+  auto added = net::Reassembler::Added::kDropped;
+  auto message = reassembly_.add(packet, &added);
+  if (added == net::Reassembler::Added::kDropped) return;
+  // The RDMA write lands this fragment directly in EMEM (D3).
+  inflight_bytes_ += packet.payload.size();
+  stats_.peak_inflight_bytes =
+      std::max(stats_.peak_inflight_bytes, inflight_bytes_);
+  if (tracer_ != nullptr && packet.lambda.trace_id != trace::kInvalidTrace) {
+    const auto key = std::make_pair(packet.src, packet.lambda.request_id);
+    if (added == net::Reassembler::Added::kFirst) {
+      const trace::SpanId span = tracer_->start_span(
+          packet.lambda.trace_id, packet.lambda.parent_span,
+          "nic.reassemble", sim_.now());
+      tracer_->annotate(span, "fragments",
                         std::to_string(packet.lambda.frag_count));
+      reassemble_spans_[key] = span;
+    }
+    if (message) {
+      auto open = reassemble_spans_.extract(key);
+      if (!open.empty()) tracer_->end_span(open.mapped(), sim_.now());
     }
   }
-  if (packet.lambda.frag_index >= re.frags.size()) return;  // corrupt
-  if (re.frags[packet.lambda.frag_index].empty()) {
-    // The RDMA write lands this fragment directly in EMEM (D3).
-    inflight_bytes_ += packet.payload.size();
-    stats_.peak_inflight_bytes =
-        std::max(stats_.peak_inflight_bytes, inflight_bytes_);
-    re.frags[packet.lambda.frag_index] = packet.payload;
-    ++re.received;
-  }
-  if (re.received < re.frags.size()) return;
-
+  if (!message) return;
   // Last fragment landed: reorder/assemble in EMEM and fire the event
-  // RPC that triggers the lambda (D3). The fragments are contiguous
-  // slices of the sender's buffer, so this coalesces without copying.
-  net::BufferView body = coalesce(re.frags);
-  Packet trigger = re.first;
-  if (re.span != trace::kInvalidSpan) {
-    tracer_->end_span(re.span, sim_.now());
-  }
-  reassembly_.erase(key);
-  handle_request(trigger, std::move(body));
+  // RPC that triggers the lambda (D3).
+  handle_request(message->header, std::move(message->body));
 }
 
 void SmartNic::enqueue(std::unique_ptr<Flight> flight) {

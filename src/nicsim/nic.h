@@ -268,16 +268,11 @@ class SmartNic {
   std::map<TenantId, TenantQuota> tenant_quotas_;
   std::map<TenantId, TenantUsage> tenant_usage_;
 
-  // RDMA reassembly: (src, request id) -> fragment views received. The
-  // fragments land "in EMEM" by reference; reassembly coalesces them
-  // into a spanning view without copying.
-  struct Reassembly {
-    std::vector<net::BufferView> frags;
-    std::uint32_t received = 0;
-    net::Packet first;  // header template
-    trace::SpanId span = trace::kInvalidSpan;  // nic.reassemble
-  };
-  std::map<std::pair<NodeId, RequestId>, Reassembly> reassembly_;
+  // RDMA reassembly: fragments land "in EMEM" by reference and coalesce
+  // into a spanning view without copying. A traced message's open
+  // nic.reassemble span waits here for its last fragment.
+  net::Reassembler reassembly_;
+  std::map<std::pair<NodeId, RequestId>, trace::SpanId> reassemble_spans_;
   Bytes inflight_bytes_ = 0;
 
   // Suspended flights waiting for a KV reply, keyed by ext-call token.

@@ -30,25 +30,8 @@ HostMemoryNode::HostMemoryNode(sim::Simulator& sim, net::Network& network,
 
 void HostMemoryNode::handle_packet(const Packet& packet) {
   if (packet.kind != PacketKind::kRdmaWrite) return;
-  if (packet.lambda.frag_count > 1) {
-    const auto key = std::make_pair(packet.src, packet.lambda.request_id);
-    Reassembly& re = reassembly_[key];
-    if (re.frags.empty()) {
-      re.frags.resize(packet.lambda.frag_count);
-      re.first = packet;
-    }
-    if (packet.lambda.frag_index >= re.frags.size()) return;
-    if (re.frags[packet.lambda.frag_index].empty()) {
-      re.frags[packet.lambda.frag_index] = packet.payload;
-      ++re.received;
-    }
-    if (re.received < re.frags.size()) return;
-    net::BufferView body = coalesce(re.frags);
-    Packet first = re.first;
-    reassembly_.erase(key);
-    serve(first, std::move(body));
-  } else {
-    serve(packet, packet.payload);
+  if (auto message = reassembly_.add(packet)) {
+    serve(message->header, std::move(message->body));
   }
 }
 
@@ -109,11 +92,7 @@ void RdmaQp::read(NodeId host, std::uint64_t addr, Bytes len,
   const RequestId id = next_id_++;
   ++stats_.reads;
   stats_.bytes_fetched += len;
-  Pending& p = pending_[id];
-  p.done = std::move(done);
-  // A read completion spans ceil(len / kMaxPayload) fragments.
-  p.frags_expected = static_cast<std::uint32_t>(
-      len == 0 ? 1 : (len + net::kMaxPayload - 1) / net::kMaxPayload);
+  pending_[id] = std::move(done);
 
   std::vector<std::uint8_t> body(12);
   for (int i = 0; i < 8; ++i) {
@@ -138,9 +117,7 @@ void RdmaQp::write(NodeId host, std::uint64_t addr, Bytes len,
   const RequestId id = next_id_++;
   ++stats_.writes;
   stats_.bytes_pushed += len;
-  Pending& p = pending_[id];
-  p.done = std::move(done);
-  p.frags_expected = 1;  // write completions are a single ack packet
+  pending_[id] = std::move(done);
 
   net::LambdaHeader header;
   header.workload_id = kRdmaOpWrite;
@@ -155,9 +132,8 @@ void RdmaQp::handle_packet(const Packet& packet) {
   if (packet.kind != PacketKind::kRdmaEvent) return;
   auto it = pending_.find(packet.lambda.request_id);
   if (it == pending_.end()) return;
-  Pending& p = it->second;
-  if (++p.frags_received < p.frags_expected) return;
-  auto done = std::move(p.done);
+  if (!completions_.add(packet)) return;
+  auto done = std::move(it->second);
   pending_.erase(it);
   if (done) done();
 }

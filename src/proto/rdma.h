@@ -27,7 +27,6 @@
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <vector>
 
 #include "common/buffer.h"
 #include "common/types.h"
@@ -77,13 +76,7 @@ class HostMemoryNode {
   NodeId node_;
   Buffer::Ptr zeros_;
   HostMemoryStats stats_;
-
-  struct Reassembly {
-    std::vector<net::BufferView> frags;
-    std::uint32_t received = 0;
-    net::Packet first;
-  };
-  std::map<std::pair<NodeId, RequestId>, Reassembly> reassembly_;
+  net::Reassembler reassembly_;
 };
 
 struct RdmaQpStats {
@@ -123,12 +116,8 @@ class RdmaQp {
   RequestId next_id_ = 1;
   Buffer::Ptr zeros_;
 
-  struct Pending {
-    std::function<void()> done;
-    std::uint32_t frags_expected = 1;
-    std::uint32_t frags_received = 0;
-  };
-  std::map<RequestId, Pending> pending_;
+  std::map<RequestId, std::function<void()>> pending_;  // id -> done
+  net::Reassembler completions_;
   RdmaQpStats stats_;
 };
 

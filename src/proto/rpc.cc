@@ -139,6 +139,9 @@ void RpcClient::on_timeout(RequestId id) {
   if (it == pending_.end()) return;
   Pending& p = it->second;
   p.timer = sim::kInvalidEvent;
+  // Whether it retransmits or gives up, the request drops any partial
+  // response: a retransmission is answered whole.
+  responses_.discard(p.dst, id);
   if (p.attempt_span != trace::kInvalidSpan) {
     tracer_->annotate(p.attempt_span, "timeout", "true");
     tracer_->end_span(p.attempt_span, sim_.now());
@@ -163,9 +166,6 @@ void RpcClient::on_timeout(RequestId id) {
   ++retransmissions_;
   // Weakly-consistent delivery: resend the whole message; receivers
   // treat duplicate (src, request id) pairs idempotently.
-  p.frags.clear();
-  p.got.clear();
-  p.received = 0;
   transmit(id);
   arm_timer(id);
 }
@@ -174,22 +174,9 @@ void RpcClient::on_packet(const Packet& packet) {
   if (packet.kind != PacketKind::kResponse) return;
   auto it = pending_.find(packet.lambda.request_id);
   if (it == pending_.end()) return;  // late duplicate after completion
+  auto message = responses_.add(packet);
+  if (!message) return;
   Pending& p = it->second;
-  const std::uint32_t count = packet.lambda.frag_count;
-  if (count == 0) return;  // malformed header
-  if (p.frags.empty()) {
-    p.frags.resize(count);
-    p.got.assign(count, false);
-  } else if (count != p.frags.size()) {
-    return;  // inconsistent frag_count across fragments: drop
-  }
-  const std::uint32_t index = packet.lambda.frag_index;
-  if (index >= p.frags.size()) return;
-  if (p.got[index]) return;  // duplicate fragment (possibly empty)
-  p.got[index] = true;
-  p.frags[index] = packet.payload;
-  ++p.received;
-  if (p.received < p.frags.size()) return;
 
   // Karn's rule: a response to a retransmitted request is ambiguous (it
   // may answer any of the transmissions), so it contributes no sample.
@@ -200,7 +187,7 @@ void RpcClient::on_packet(const Packet& packet) {
   RpcResponse response;
   // Zero-copy on the fast path: response fragments are contiguous
   // slices of the responder's buffer, so this is a spanning view.
-  response.payload = coalesce(p.frags);
+  response.payload = std::move(message->body);
   response.latency = sim_.now() - p.sent_at;
   response.retries = p.retries;
   if (p.attempt_span != trace::kInvalidSpan) {

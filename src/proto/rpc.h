@@ -21,7 +21,6 @@
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <vector>
 
 #include "common/result.h"
 #include "common/stats.h"
@@ -123,11 +122,6 @@ class RpcClient {
     trace::SpanContext ctx;
     trace::SpanId call_span = trace::kInvalidSpan;
     trace::SpanId attempt_span = trace::kInvalidSpan;
-    // Response reassembly: `got` tracks receipt explicitly so duplicate
-    // or zero-length fragments can never double-count.
-    std::vector<net::BufferView> frags;
-    std::vector<bool> got;
-    std::uint32_t received = 0;
   };
 
   void transmit(RequestId id);
@@ -143,6 +137,7 @@ class RpcClient {
   NodeId node_;
   RequestId next_id_ = 1;
   std::map<RequestId, Pending> pending_;
+  net::Reassembler responses_;
   std::map<NodeId, RttEstimator> estimators_;
   std::uint64_t retransmissions_ = 0;
   std::uint64_t failures_ = 0;

@@ -36,13 +36,14 @@ std::uint64_t run_shard(Simulator& sim, SimTime end) {
   std::abort();
 }
 
-[[noreturn]] void die_eot(SimTime at, unsigned src, unsigned dst,
-                          SimTime window_end) {
+[[noreturn]] void die_in_window(SimTime at, unsigned src, unsigned dst,
+                                SimTime window_end) {
   std::fprintf(stderr,
-               "ShardedSimulator: EOT contract violation: shard %u posted a "
-               "cross-shard event to shard %u at t=%" PRId64
-               " ns inside the adaptive window ending t=%" PRId64
-               " ns; an EOT source promised no sends this early (check "
+               "ShardedSimulator: shard %u posted a cross-shard event to "
+               "shard %u at t=%" PRId64
+               " ns inside the active window ending t=%" PRId64
+               " ns; either the post undercut the lookahead or an EOT "
+               "source promised no sends this early (check "
                "net::Network::set_local_only declarations)\n",
                src, dst, at, window_end);
   std::abort();
@@ -117,13 +118,13 @@ void ShardedSimulator::post(unsigned src, unsigned dst, SimTime at,
   }
   Shard& shard = shards_[src];
   if (at < shard.sim->now()) die_lookahead(at, src, shard.sim->now());
-  // A cross-shard arrival inside the current window means another shard
-  // may already be past `at` — the static lookahead makes this impossible
-  // (at >= t + L > end), so in adaptive mode it can only mean an EOT
-  // source under-promised. Catch it here, deterministically, instead of
+  // A cross-shard arrival inside the active window means the destination
+  // may already be past `at`. Honest posts (at >= t + L, t no earlier
+  // than the shard's EOT) always land after the window, so this is a
+  // broken contract: catch it here, deterministically, instead of
   // letting a sometimes-late delivery corrupt replays.
-  if (adaptive_ && window_active_ && at <= window_end_) {
-    die_eot(at, src, dst, window_end_);
+  if (window_active_ && at <= window_end_) {
+    die_in_window(at, src, dst, window_end_);
   }
   const std::uint64_t gseq =
       (static_cast<std::uint64_t>(src) << 48) | shard.next_post_seq++;
@@ -251,23 +252,17 @@ std::uint64_t ShardedSimulator::run_windows(SimTime deadline, bool drain,
     bool eot_extended = false;
     if (lookahead_ != kSimTimeMax && deadline - t0 > len - 1) {
       end = t0 + len - 1;
-      if (adaptive_) {
-        // Same safety argument anchored at the earliest possible send
-        // instead of the window start: a send at t >= eot lands at
-        // t + L > eot + L - 1. The static floor above means adaptive
-        // never shortens a window; the deadline still caps it.
-        const SimTime eot = min_eot();
-        SimTime eot_end;
-        if (eot >= kSimTimeMax - len) {
-          eot_end = kSimTimeMax;  // idle frontier: run to the horizon
-        } else {
-          eot_end = eot + len - 1;
-        }
-        eot_end = std::min(eot_end, deadline);
-        if (eot_end > end) {
-          end = eot_end;
-          eot_extended = true;
-        }
+      // Same safety argument anchored at the earliest possible send
+      // instead of the window start: a send at t >= eot lands at
+      // t + L > eot + L - 1. The floor above means a window is never
+      // shorter than one lookahead; the deadline still caps it.
+      const SimTime eot = min_eot();
+      const SimTime eot_end =
+          std::min(eot >= kSimTimeMax - len ? kSimTimeMax : eot + len - 1,
+                   deadline);
+      if (eot_end > end) {
+        end = eot_end;
+        eot_extended = true;
       }
     }
     total += run_window(t0, end, eot_extended);

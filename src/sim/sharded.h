@@ -6,7 +6,7 @@
 // them in lockstep time windows:
 //
 //   T0   = min over shards of next_event_time()
-//   end  = T0 + lookahead - 1
+//   end  = max(T0, min over shards of EOT) + lookahead - 1
 //   every shard runs run_until(end) concurrently, then all block on a
 //   barrier; cross-shard events buffered during the window are merged and
 //   scheduled; repeat.
@@ -15,29 +15,25 @@
 // least `lookahead` simulated time (for the network fabric this is link
 // propagation + switch forwarding latency — the minimum time a packet is
 // "in flight" and owned by neither endpoint). An event posted at local
-// time t therefore lands at t + lookahead > end, strictly after the
-// current window, so no shard can ever receive an event in its past.
-// Windows need no null messages: the barrier itself is the sync point.
+// time t >= T0 therefore lands at t + lookahead > T0 + lookahead - 1,
+// strictly after a window that long, so no shard can ever receive an
+// event in its past. Windows need no null messages: the barrier itself
+// is the sync point.
 //
-// Adaptive sync (opt-in, EOT-style): the static window span assumes every
-// shard might send cross-shard immediately, which makes windows exactly
-// one lookahead long even when most shards' outbound frontiers are idle.
-// With set_adaptive_sync(true), the coordinator asks each shard for its
-// earliest possible cross-shard send time (EOT) before opening a window
-// and sets
-//
-//   end = max(T0 + lookahead - 1, min_over_shards(EOT) + lookahead - 1)
-//
-// A send at t >= min EOT arrives at t + lookahead > end, so the extended
-// window is exactly as safe as the static one; the static term keeps the
-// floor so adaptive never produces a *shorter* window. EOT sources are
-// registered per shard (the network fabric derives them from per-node
-// locality declarations — see net::Network::set_local_only); a shard
-// without a source defaults to next_event_time(), which is always sound
-// and yields no extension. When every shard reports +inf the window
-// extends to the run horizon. EOTs are pure functions of simulated state,
-// so adaptive runs stay bit-reproducible for a fixed shard count + seed;
-// a stale or lying EOT source is caught at post time and aborts.
+// EOT (earliest output time): the T0 term alone assumes every shard
+// might send cross-shard at T0. Before opening a window the coordinator
+// also asks each shard for the earliest time it could send cross-shard;
+// a send at t >= min EOT lands after min EOT + lookahead - 1, so a
+// window reaching that far is exactly as safe, and the T0 term keeps
+// every window at least one lookahead long. EOT sources are registered
+// per shard (the network fabric derives them from per-node locality
+// declarations — see net::Network::set_local_only); a shard without
+// one reports next_event_time(), the earliest it could send. With no
+// declarations min EOT == T0, so every window is one lookahead long;
+// when every shard reports +inf the window runs to the horizon. EOTs
+// are pure functions of simulated state, so runs stay bit-reproducible
+// for a fixed shard count + seed. A cross-shard post landing inside the
+// active window (an undercut lookahead or a broken EOT promise) aborts.
 //
 // Determinism: cross-shard posts are stamped (time, global-seq) where
 // global-seq packs {source shard : 16, per-source count : 48}. The merge
@@ -51,8 +47,7 @@
 // Single-shard mode bypasses all of this: every call delegates straight
 // to the one underlying Simulator on the calling thread, so shards=1
 // dispatches in the exact (time, seq) order of the classic engine and
-// every deterministic bench replays byte-for-byte — adaptive mode
-// included, since windows never exist.
+// every deterministic bench replays byte-for-byte; windows never exist.
 #pragma once
 
 #include <condition_variable>
@@ -97,10 +92,9 @@ class ShardedSimulator {
   /// cross-shard coupling (the network fabric) with its minimum
   /// interaction latency; the effective lookahead is the min over all
   /// callers. Must be positive — validate_lookahead() reports violations.
-  /// Safe to call after set_adaptive_sync(): both the static floor and
-  /// the EOT extension are recomputed from the current lookahead at every
-  /// window, so a late, tighter constraint re-tightens adaptive windows
-  /// too.
+  /// Both the window floor and the EOT extension are recomputed from the
+  /// current lookahead at every window, so a late, tighter constraint
+  /// takes effect at the next window.
   void constrain_lookahead(SimDuration min_delay);
   SimDuration lookahead() const { return lookahead_; }
 
@@ -110,24 +104,18 @@ class ShardedSimulator {
   /// another shard's past).
   Status validate_lookahead() const;
 
-  /// Enables EOT-based adaptive window extension (see file header). Call
-  /// from the coordinating thread between runs, never mid-run. Off by
-  /// default: static mode is byte-for-byte the PR 6 engine.
-  void set_adaptive_sync(bool on) { adaptive_ = on; }
-  bool adaptive_sync() const { return adaptive_; }
-
-  /// Registers shard `s`'s EOT source. Unset shards report
-  /// next_event_time(), which is sound but never extends a window.
+  /// Registers shard `s`'s EOT source; an empty `fn` unregisters it.
+  /// Unset shards report next_event_time(), which is sound but never
+  /// extends a window. Call between runs, never mid-run.
   void set_eot_source(unsigned s, EotFn fn);
 
   /// Enqueues `fn` on shard `dst` at absolute time `at`, stamped with the
   /// next (time, global-seq) key from shard `src`. Must be called from
   /// code running on shard `src` (or from the coordinating thread between
   /// windows). Cross-shard posts inside a window must satisfy
-  /// `at >= shard(src).now() + lookahead()`; violations abort. In
-  /// adaptive mode, a post landing inside the current window additionally
-  /// aborts as an EOT-contract violation (some shard promised a later
-  /// send than actually happened).
+  /// `at >= shard(src).now() + lookahead()`. A post landing at or before
+  /// the active window's end aborts: either it undercut the lookahead or
+  /// an EOT source promised a later send than actually happened.
   void post(unsigned src, unsigned dst, SimTime at, EventFn fn);
 
   /// Runs until every shard drains (cross-shard mail included). Returns
@@ -142,7 +130,7 @@ class ShardedSimulator {
   /// returns early (shards aligned at the last window's end) once it
   /// turns true. Lets callers wait for a completion flag in workloads
   /// whose event queues never drain (heartbeats, periodic timers). Note
-  /// that adaptive mode coarsens barrier granularity, so runs may
+  /// that EOT-extended windows coarsen barrier granularity, so runs may
   /// overshoot the stop condition by up to one extended window span.
   std::uint64_t run_until(SimTime deadline, const std::function<bool()>& stop);
 
@@ -161,7 +149,8 @@ class ShardedSimulator {
   /// Synchronization windows executed by multi-shard runs.
   std::uint64_t windows_executed() const { return windows_; }
 
-  /// Windows whose end was pushed past the static floor by an EOT report.
+  /// Windows whose end was pushed past the lookahead floor by an EOT
+  /// report.
   std::uint64_t windows_extended() const { return windows_extended_; }
 
   /// Barriers whose cross-shard merge was skipped outright because zero
@@ -220,15 +209,14 @@ class ShardedSimulator {
   std::uint64_t run_windows(SimTime deadline, bool drain,
                             const std::function<bool()>* stop);
 
-  /// min over shards of their EOT report (adaptive mode; coordinator
-  /// thread, between windows).
+  /// min over shards of their EOT report (coordinator thread, between
+  /// windows).
   SimTime min_eot() const;
 
   void worker_loop(unsigned s);
 
   std::vector<Shard> shards_;
   SimDuration lookahead_ = kSimTimeMax;
-  bool adaptive_ = false;
   std::vector<EotFn> eot_sources_;
   std::uint64_t windows_ = 0;
   std::uint64_t windows_extended_ = 0;

@@ -1,4 +1,4 @@
-// Unit and property tests for src/common: Result, Rng, Sampler, Fixed.
+// Unit and property tests for src/common: Result, Rng, Sampler.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "common/buffer.h"
-#include "common/fixed_point.h"
 #include "common/result.h"
 #include "common/rng.h"
 #include "common/stats.h"
@@ -147,24 +146,6 @@ TEST_P(PercentileMonotoneTest, MonotoneInP) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, PercentileMonotoneTest,
                          ::testing::Range(1, 21));
-
-TEST(Fixed, RoundTripAndArithmetic) {
-  const Fixed a = Fixed::from_double(1.5);
-  const Fixed b = Fixed::from_double(2.25);
-  EXPECT_DOUBLE_EQ((a + b).to_double(), 3.75);
-  EXPECT_DOUBLE_EQ((b - a).to_double(), 0.75);
-  EXPECT_NEAR((a * b).to_double(), 3.375, 1e-4);
-  EXPECT_NEAR((b / a).to_double(), 1.5, 1e-4);
-  EXPECT_EQ(Fixed::from_int(7).to_int(), 7);
-}
-
-TEST(Fixed, GrayscaleWeightsSumToNearOne) {
-  // The image transformer's luma weights in Q16.16 must sum to ~1.0.
-  const Fixed r = Fixed::from_double(77.0 / 256.0);
-  const Fixed g = Fixed::from_double(150.0 / 256.0);
-  const Fixed b = Fixed::from_double(29.0 / 256.0);
-  EXPECT_NEAR((r + g + b).to_double(), 1.0, 0.01);
-}
 
 TEST(Utilization, FractionOfWindow) {
   UtilizationTracker u;

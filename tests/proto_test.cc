@@ -407,6 +407,45 @@ TEST(RpcClient, InconsistentFragCountIgnored) {
   EXPECT_EQ(got->payload, (std::vector<std::uint8_t>{1, 2}));
 }
 
+TEST(RpcClient, RetransmissionDiscardsPartialResponse) {
+  sim::Simulator sim;
+  net::Network network(sim);
+  net::Network* net_ptr = &network;
+  // The first attempt's response loses fragment 1; the retransmission
+  // is answered whole, with different bytes. A kept fragment 0 from the
+  // first attempt would splice the two answers together.
+  int attempts = 0;
+  NodeId server = network.attach(nullptr);
+  network.set_handler(server, [&, server](const net::Packet& p) {
+    if (p.kind != PacketKind::kRequest) return;
+    const std::uint8_t tag = static_cast<std::uint8_t>(++attempts);
+    net::Packet frag;
+    frag.src = server;
+    frag.dst = p.src;
+    frag.kind = PacketKind::kResponse;
+    frag.lambda = p.lambda;
+    frag.lambda.frag_count = 2;
+    frag.lambda.frag_index = 0;
+    frag.payload = {tag};
+    net_ptr->send(frag);
+    if (tag == 1) return;  // the first answer loses fragment 1
+    frag.lambda.frag_index = 1;
+    net_ptr->send(frag);
+  });
+  RpcConfig config;
+  config.retransmit_timeout = milliseconds(1);
+  RpcClient client(sim, network, config);
+  std::optional<RpcResponse> got;
+  client.call(server, 1, {1}, [&](Result<RpcResponse> r) {
+    ASSERT_TRUE(r.ok());
+    got = std::move(r).value();
+  });
+  sim.run();
+  ASSERT_TRUE(got.has_value());
+  EXPECT_EQ(got->retries, 1u);
+  EXPECT_EQ(got->payload, (std::vector<std::uint8_t>{2, 2}));
+}
+
 // Property: the adaptive transport keeps the completion guarantee under
 // loss and reordering, while converging its RTO to the path RTT.
 class AdaptiveLossSweepTest : public ::testing::TestWithParam<double> {};

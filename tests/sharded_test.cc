@@ -1,7 +1,8 @@
 // Tests for the sharded parallel simulation engine (sim/sharded.h) and
 // its integration with the network fabric and the cluster: conservative
-// windows, (time, global-seq) merge order, the lookahead contract, and
-// shard-count invariance of simulated results.
+// windows, EOT extension from locality declarations, (time, global-seq)
+// merge order, the lookahead contract, and shard-count invariance of
+// simulated results.
 #include <cstdint>
 #include <string>
 #include <thread>
@@ -93,12 +94,12 @@ TEST(ShardedSimulator, AdaptiveEotOnWindowBoundaryDoesNotExtend) {
   // not longer).
   sim::ShardedSimulator sharded(2);
   sharded.constrain_lookahead(microseconds(10));
-  sharded.set_adaptive_sync(true);
-  int fired = 0;
-  sharded.shard(0).schedule_at(microseconds(5), [&fired] { ++fired; });
-  sharded.shard(1).schedule_at(microseconds(5), [&fired] { ++fired; });
+  // One counter per shard: both events run in one window, concurrently.
+  int fired[2] = {0, 0};
+  sharded.shard(0).schedule_at(microseconds(5), [&fired] { ++fired[0]; });
+  sharded.shard(1).schedule_at(microseconds(5), [&fired] { ++fired[1]; });
   EXPECT_EQ(sharded.run(), 2u);
-  EXPECT_EQ(fired, 2);
+  EXPECT_EQ(fired[0] + fired[1], 2);
   EXPECT_EQ(sharded.windows_executed(), 1u);
   EXPECT_EQ(sharded.windows_extended(), 0u);
 }
@@ -107,21 +108,22 @@ TEST(ShardedSimulator, AdaptiveIdleFrontierCollapsesDrainToOneWindow) {
   // When every shard reports an idle outbound frontier (EOT == +inf),
   // the drain collapses into a single horizon-length window; the static
   // engine pays one barrier per lookahead instead.
+  // One counter per shard (fired[s]): shards run concurrently.
   const auto load = [](sim::ShardedSimulator& sharded, int* fired) {
     for (unsigned s = 0; s < 2; ++s) {
       for (int i = 0; i < 100; ++i) {
         sharded.shard(s).schedule_at(microseconds(i),
-                                     [fired] { ++*fired; });
+                                     [fired, s] { ++fired[s]; });
       }
     }
   };
 
   sim::ShardedSimulator fixed(2);
   fixed.constrain_lookahead(microseconds(1));
-  int fired_fixed = 0;
-  load(fixed, &fired_fixed);
+  int fired_fixed[2] = {0, 0};
+  load(fixed, fired_fixed);
   fixed.run();
-  EXPECT_EQ(fired_fixed, 200);
+  EXPECT_EQ(fired_fixed[0] + fired_fixed[1], 200);
   EXPECT_GE(fixed.windows_executed(), 50u);
 
   sim::ShardedSimulator adaptive(2);
@@ -129,21 +131,19 @@ TEST(ShardedSimulator, AdaptiveIdleFrontierCollapsesDrainToOneWindow) {
   for (unsigned s = 0; s < 2; ++s) {
     adaptive.set_eot_source(s, [] { return kSimTimeMax; });
   }
-  adaptive.set_adaptive_sync(true);
-  int fired_adaptive = 0;
-  load(adaptive, &fired_adaptive);
+  int fired_adaptive[2] = {0, 0};
+  load(adaptive, fired_adaptive);
   adaptive.run();
-  EXPECT_EQ(fired_adaptive, 200);
+  EXPECT_EQ(fired_adaptive[0] + fired_adaptive[1], 200);
   EXPECT_EQ(adaptive.windows_executed(), 1u);
   EXPECT_EQ(adaptive.windows_extended(), 1u);
 }
 
 TEST(ShardedSimulator, LateConstrainLookaheadTightensAdaptiveFloor) {
-  // constrain_lookahead() arriving after adaptive sync is enabled (a
-  // link attached late) must still tighten the static window floor.
+  // constrain_lookahead() arriving after a run (a link attached late)
+  // must still tighten the window floor.
   sim::ShardedSimulator sharded(2);
   sharded.constrain_lookahead(microseconds(100));
-  sharded.set_adaptive_sync(true);
   for (unsigned s = 0; s < 2; ++s) {
     for (int i = 0; i < 10; ++i) {
       sharded.shard(s).schedule_at(microseconds(10 * i), [] {});
@@ -165,6 +165,66 @@ TEST(ShardedSimulator, LateConstrainLookaheadTightensAdaptiveFloor) {
   // window to the tightened floor: one per event time.
   EXPECT_EQ(sharded.windows_executed(), 11u);
   EXPECT_EQ(sharded.windows_extended(), 0u);
+}
+
+TEST(ShardedSimulatorDeathTest, CrossShardPostAtWindowEndAborts) {
+  // Window [5 us, 14.999 us] with a 10 us lookahead: a post for the
+  // window's last tick undercuts the lookahead and would land after the
+  // destination ran past it, so it must abort whether or not any EOT
+  // source is registered.
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_DEATH(
+      {
+        sim::ShardedSimulator sharded(2);
+        sharded.constrain_lookahead(microseconds(10));
+        sharded.shard(0).schedule_at(microseconds(5), [&sharded] {
+          sharded.post(0, 1, microseconds(15) - 1, sim::EventFn([] {}));
+        });
+        sharded.run();
+      },
+      "inside the active window ending t=14999");
+}
+
+TEST(ShardedNetwork, IdleFrontierNeedsNodesAllLocalOnly) {
+  sim::ShardedSimulator sharded(2);
+  net::Network network(sharded);
+  network.set_attach_shard(1);
+  const NodeId far = network.attach(nullptr);
+  network.set_local_only(far, true);
+  // Shard 0 has no node but a busy queue: it reports its next event, not
+  // +inf, so its events keep every window one lookahead long.
+  for (int i = 0; i < 100; ++i) {
+    sharded.shard(0).schedule_at(microseconds(i), [] {});
+  }
+  sharded.run();
+  EXPECT_GE(sharded.windows_executed(), 50u);
+  EXPECT_EQ(sharded.windows_extended(), 0u);
+
+  // Every shard's nodes local-only: both frontiers idle, so the whole
+  // drain is one extended window.
+  network.set_attach_shard(0);
+  network.set_local_only(network.attach(nullptr), true);
+  const auto load = [&sharded] {
+    const SimTime base = sharded.now();
+    for (unsigned s = 0; s < 2; ++s) {
+      for (int i = 0; i < 100; ++i) {
+        sharded.shard(s).schedule_at(base + microseconds(i), [] {});
+      }
+    }
+  };
+  load();
+  std::uint64_t before = sharded.windows_executed();
+  sharded.run();
+  EXPECT_EQ(sharded.windows_executed() - before, 1u);
+  EXPECT_EQ(sharded.windows_extended(), 1u);
+
+  // One remote-capable node pins its shard to its next event again.
+  network.set_local_only(far, false);
+  load();
+  before = sharded.windows_executed();
+  sharded.run();
+  EXPECT_GE(sharded.windows_executed() - before, 50u);
+  EXPECT_EQ(sharded.windows_extended(), 1u);
 }
 
 TEST(ShardedSimulator, ValidateLookaheadRejectsZeroDelayCoupling) {
@@ -204,15 +264,19 @@ TEST(ShardedCluster, ZeroDelayLinkRejectedAtDeploy) {
       << deployed.error().message;
 }
 
+struct WindowCounts {
+  std::uint64_t executed = 0;
+  std::uint64_t extended = 0;
+};
+
 std::vector<SimDuration> run_cluster_web(unsigned shards, int requests,
                                          std::uint64_t* cross_posts,
-                                         bool adaptive = false,
-                                         std::uint64_t* windows = nullptr) {
+                                         bool affinity = false,
+                                         WindowCounts* windows = nullptr) {
   core::ClusterConfig config;
   config.workers = 4;
   config.shards = shards;
-  config.adaptive_sync = adaptive;
-  config.shard_affinity_routing = adaptive;
+  config.shard_affinity_routing = affinity;
   core::Cluster cluster(config);
   auto deployed = cluster.deploy(workloads::make_standard_workloads());
   EXPECT_TRUE(deployed.ok());
@@ -226,7 +290,10 @@ std::vector<SimDuration> run_cluster_web(unsigned shards, int requests,
     latencies.push_back(response.ok() ? response.value().latency : -1);
   }
   if (cross_posts != nullptr) *cross_posts = cluster.sharded().cross_shard_posts();
-  if (windows != nullptr) *windows = cluster.sharded().windows_executed();
+  if (windows != nullptr) {
+    windows->executed = cluster.sharded().windows_executed();
+    windows->extended = cluster.sharded().windows_extended();
+  }
   return latencies;
 }
 
@@ -254,30 +321,33 @@ TEST(ShardedCluster, FixedShardCountIsDeterministic) {
   EXPECT_EQ(posts_a, posts_b);
 }
 
-TEST(ShardedCluster, AdaptiveSyncRunIsBitReproducible) {
-  // Adaptive window extension moves *barriers*, never simulated truth:
-  // two identical adaptive runs must agree event-for-event, including
-  // the window count and cross-shard traffic.
+TEST(ShardedCluster, AffinityRoutingRunIsBitReproducible) {
+  // Shard-affinity routing picks co-sharded replicas, which changes the
+  // cross-shard traffic but never its determinism: two identical runs
+  // must agree event-for-event, including window and post counts.
   std::uint64_t posts_a = 0;
   std::uint64_t posts_b = 0;
-  std::uint64_t windows_a = 0;
-  std::uint64_t windows_b = 0;
+  WindowCounts windows_a;
+  WindowCounts windows_b;
   const auto a =
-      run_cluster_web(4, 15, &posts_a, /*adaptive=*/true, &windows_a);
+      run_cluster_web(4, 15, &posts_a, /*affinity=*/true, &windows_a);
   const auto b =
-      run_cluster_web(4, 15, &posts_b, /*adaptive=*/true, &windows_b);
+      run_cluster_web(4, 15, &posts_b, /*affinity=*/true, &windows_b);
   EXPECT_EQ(a, b);
   EXPECT_EQ(posts_a, posts_b);
-  EXPECT_EQ(windows_a, windows_b);
-  EXPECT_GT(windows_a, 0u);
+  EXPECT_EQ(windows_a.executed, windows_b.executed);
+  EXPECT_GT(windows_a.executed, 0u);
+  // A cluster declares no local-only node, so every shard's EOT is its
+  // next event and no window ever extends.
+  EXPECT_EQ(windows_a.extended, 0u);
 }
 
-TEST(ShardedCluster, AdaptiveSingleShardMatchesClassicEngine) {
-  // shards == 1 bypasses the window machinery entirely, so the adaptive
-  // flag must be a no-op there: same latencies as the classic engine.
-  const auto classic = run_cluster_web(1, 15, nullptr, /*adaptive=*/false);
-  const auto adaptive = run_cluster_web(1, 15, nullptr, /*adaptive=*/true);
-  EXPECT_EQ(classic, adaptive);
+TEST(ShardedCluster, AffinityRoutingSingleShardMatchesClassicEngine) {
+  // With one shard every replica is co-sharded, so affinity routing must
+  // be a no-op there: same latencies as the classic engine.
+  const auto classic = run_cluster_web(1, 15, nullptr, /*affinity=*/false);
+  const auto affinity = run_cluster_web(1, 15, nullptr, /*affinity=*/true);
+  EXPECT_EQ(classic, affinity);
 }
 
 TEST(ShardedCluster, WorkerIslandsCoShardDeclaredIslands) {

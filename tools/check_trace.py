@@ -12,8 +12,8 @@ With --timeline the file is a merged Perfetto export (lnicctl
 timeline) and two more track families are required:
   - shard tracks: "shard.window" spans on the synthetic shard pid,
     each carrying busy_ns/barrier_ns/wall_ns args plus an extension
-    source tag ("floor" for static-lookahead windows, "eot" for
-    adaptively extended ones);
+    source tag ("floor" for one-lookahead windows, "eot" for
+    EOT-extended ones);
   - NPU tracks: at least one "nic:" process with thread metadata and
     busy spans;
 and every nic.execute span must carry a tenant arg when any does

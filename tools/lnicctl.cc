@@ -31,8 +31,8 @@
 //       dump the flight recorder's anomaly ring (sheds, quarantines,
 //       RTO backoffs) — the "what went wrong just before" view.
 //
-//   lnicctl timeline [--requests N] [--shards N] [--adaptive]
-//                    [--tenant <name>] [--out timeline.json]
+//   lnicctl timeline [--requests N] [--shards N] [--tenant <name>]
+//                    [--out timeline.json]
 //       Run traced requests and write the unified Perfetto timeline:
 //       request spans, per-NPU busy tracks, and shard window tracks in
 //       one JSON, all on the simulated-time axis. With --tenant the
@@ -113,7 +113,7 @@ int usage() {
                "[--backend nic|baremetal|container] [--shards N] "
                "[--filter <prefix>]\n"
                "  lnicctl flightrec [--requests N]\n"
-               "  lnicctl timeline [--requests N] [--shards N] [--adaptive] "
+               "  lnicctl timeline [--requests N] [--shards N] "
                "[--tenant <name>] [--out timeline.json]\n"
                "  lnicctl loadgen poisson [--rate R] [--duration-ms D] "
                "[--functions N] [--zipf S]\n"
@@ -163,8 +163,7 @@ std::map<std::string, std::string> parse_flags(int argc, char** argv,
     std::string arg = argv[i];
     if (arg.rfind("--", 0) == 0 || arg == "-o") {
       const std::string key = arg == "-o" ? "--out" : arg;
-      if (key == "--no-opt" || key == "--retransmit" || key == "--metrics" ||
-          key == "--adaptive") {
+      if (key == "--no-opt" || key == "--retransmit" || key == "--metrics") {
         flags[key] = "1";
       } else if (i + 1 < argc) {
         flags[key] = argv[++i];
@@ -572,12 +571,6 @@ int cmd_timeline(int argc, char** argv) {
   config.workers = 2;
   // Default to 2 shards so the timeline includes shard window tracks.
   config.shards = flags.count("--shards") ? flag_shards(flags) : 2;
-  // --adaptive: EOT window extension + shard-affinity routing, so the
-  // exported shard.window spans can carry extension="eot".
-  if (flags.count("--adaptive")) {
-    config.adaptive_sync = true;
-    config.shard_affinity_routing = true;
-  }
   if (!parse_backend(flags, &config.backend)) return usage();
   core::Cluster cluster(config);
 
