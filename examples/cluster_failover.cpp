@@ -56,7 +56,8 @@ int main() {
 
   // Route updates still commit on the surviving majority.
   const Status put = cluster.etcd()->put(
-      "route/canary", framework::Gateway::encode_route(99, {1}));
+      "route/canary",
+      framework::Gateway::encode_replicas(99, {framework::Replica{1}}));
   cluster.sim().run_until(cluster.sim().now() + seconds(2));
   std::printf("  route update after failover: %s\n",
               put.ok() ? "committed" : put.error().message.c_str());

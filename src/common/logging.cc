@@ -3,27 +3,10 @@
 #include <cstdio>
 
 namespace lnic {
-namespace {
-LogLevel g_level = LogLevel::kWarn;
-
-const char* level_name(LogLevel level) {
-  switch (level) {
-    case LogLevel::kDebug: return "DEBUG";
-    case LogLevel::kInfo: return "INFO";
-    case LogLevel::kWarn: return "WARN";
-    case LogLevel::kError: return "ERROR";
-    case LogLevel::kOff: return "OFF";
-  }
-  return "?";
-}
-}  // namespace
-
-void set_log_level(LogLevel level) { g_level = level; }
-LogLevel log_level() { return g_level; }
 
 void log_line(LogLevel level, const std::string& message) {
-  if (level < g_level) return;
-  std::fprintf(stderr, "[%s] %s\n", level_name(level), message.c_str());
+  const char* name = level == LogLevel::kWarn ? "WARN" : "ERROR";
+  std::fprintf(stderr, "[%s] %s\n", name, message.c_str());
 }
 
 }  // namespace lnic

@@ -1,5 +1,5 @@
-// Tiny leveled logger. Off by default above kWarn so simulations stay
-// quiet; benches/examples raise the level explicitly when narrating.
+// Tiny logger for warnings and errors, written to stderr. There are no
+// lower levels, so simulations stay quiet unless something went wrong.
 #pragma once
 
 #include <sstream>
@@ -7,13 +7,9 @@
 
 namespace lnic {
 
-enum class LogLevel { kDebug = 0, kInfo = 1, kWarn = 2, kError = 3, kOff = 4 };
+enum class LogLevel { kWarn, kError };
 
-/// Sets the global minimum level that is emitted.
-void set_log_level(LogLevel level);
-LogLevel log_level();
-
-/// Emits one line to stderr if `level` >= the global level.
+/// Emits one line to stderr.
 void log_line(LogLevel level, const std::string& message);
 
 namespace detail {
@@ -36,7 +32,5 @@ class LogMessage {
 }  // namespace lnic
 
 #define LNIC_LOG(level) ::lnic::detail::LogMessage(::lnic::LogLevel::level)
-#define LNIC_DEBUG() LNIC_LOG(kDebug)
-#define LNIC_INFO() LNIC_LOG(kInfo)
 #define LNIC_WARN() LNIC_LOG(kWarn)
 #define LNIC_ERROR() LNIC_LOG(kError)

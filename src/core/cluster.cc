@@ -1,61 +1,8 @@
 #include "core/cluster.h"
 
 #include <algorithm>
-#include <cstdio>
-#include <cstdlib>
-#include <map>
 
 namespace lnic::core {
-
-namespace {
-
-/// Maps each worker to a shard in 1..worker_shards, keeping islands
-/// whole: islands are placed in order of first appearance onto the
-/// least-loaded shard (lowest index wins ties). With every worker its
-/// own island — the empty-config default — this degenerates to exactly
-/// the legacy `1 + i % worker_shards` round-robin, so existing sharded
-/// runs replay byte-for-byte.
-std::vector<unsigned> assign_worker_shards(
-    const std::vector<unsigned>& worker_islands, std::size_t workers,
-    unsigned worker_shards) {
-  std::vector<unsigned> island_of(workers);
-  if (worker_islands.empty()) {
-    for (std::size_t i = 0; i < workers; ++i) {
-      island_of[i] = static_cast<unsigned>(i);
-    }
-  } else {
-    if (worker_islands.size() != workers) {
-      std::fprintf(stderr,
-                   "ClusterConfig: worker_islands has %zu entries for %zu "
-                   "workers — one island id per worker is required\n",
-                   worker_islands.size(), workers);
-      std::abort();
-    }
-    island_of = worker_islands;
-  }
-  // Island sizes, in order of first appearance (placement order).
-  std::vector<unsigned> order;
-  std::map<unsigned, std::size_t> size;
-  for (const unsigned island : island_of) {
-    if (size.count(island) == 0) order.push_back(island);
-    ++size[island];
-  }
-  std::map<unsigned, unsigned> shard_of_island;
-  std::vector<std::size_t> load(worker_shards, 0);
-  for (const unsigned island : order) {
-    const auto least = std::min_element(load.begin(), load.end());
-    const auto s = static_cast<unsigned>(least - load.begin());
-    shard_of_island[island] = 1 + s;
-    *least += size[island];
-  }
-  std::vector<unsigned> shard(workers);
-  for (std::size_t i = 0; i < workers; ++i) {
-    shard[i] = shard_of_island[island_of[i]];
-  }
-  return shard;
-}
-
-}  // namespace
 
 std::vector<backends::BackendKind> ClusterConfig::effective_worker_kinds()
     const {
@@ -80,17 +27,16 @@ Cluster::Cluster(ClusterConfig config)
   }
   manager_ = std::make_unique<framework::WorkloadManager>(sim0, storage_,
                                                           etcd_.get());
-  // Workers spread across shards 1..N-1 (island-aware, see
-  // assign_worker_shards): each island's NIC/host state lives (and its
-  // events run) wholly on its shard; only packets cross shard
-  // boundaries. The master keeps shard 0 to itself.
+  // Workers spread round robin across shards 1..N-1: each worker's
+  // NIC/host state lives (and its events run) wholly on its shard; only
+  // packets cross shard boundaries. The master keeps shard 0 to itself.
+  // Workers only talk to shard 0 (gateway and cache), never to each
+  // other, so no grouping of workers keeps more traffic on one shard.
   const auto kinds = config.effective_worker_kinds();
-  const unsigned worker_shards =
-      sharded_.shards() > 1 ? sharded_.shards() - 1 : 1;
-  const auto worker_shard = assign_worker_shards(config.worker_islands,
-                                                 kinds.size(), worker_shards);
+  const unsigned shards = sharded_.shards();
   for (std::size_t i = 0; i < kinds.size(); ++i) {
-    const unsigned shard = sharded_.shards() > 1 ? worker_shard[i] : 0;
+    const unsigned shard =
+        shards > 1 ? 1 + static_cast<unsigned>(i % (shards - 1)) : 0;
     network_.set_attach_shard(shard);
     workers_.push_back(backends::make_backend(kinds[i],
                                               sharded_.shard(shard), network_,
@@ -98,13 +44,7 @@ Cluster::Cluster(ClusterConfig config)
     workers_.back()->set_kv_server(cache_->node());
   }
   network_.set_attach_shard(0);
-  if (config.shard_affinity_routing) gateway_->enable_shard_affinity(network_);
   if (etcd_) gateway_->sync_with(*etcd_);
-}
-
-Result<framework::DeploymentRecord> Cluster::deploy(
-    workloads::WorkloadBundle bundle) {
-  return deploy(std::move(bundle), std::string());
 }
 
 Result<framework::DeploymentRecord> Cluster::deploy(

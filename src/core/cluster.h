@@ -53,21 +53,9 @@ struct ClusterConfig {
   // Event shards the cluster runs on. 1 (the default) is the classic
   // single-threaded engine, byte-identical to every earlier release.
   // With N > 1 the master stack (gateway, cache, etcd, manager) gets
-  // shard 0 to itself and workers spread across shards 1..N-1,
+  // shard 0 to itself and worker i lives on shard 1 + i % (N - 1),
   // synchronized conservatively on the link delay (see sim/sharded.h).
   unsigned shards = 1;
-  // Locality-aware worker placement: worker_islands[i] names the island
-  // (rack/topology group) worker i belongs to. Workers of one island are
-  // always co-sharded — islands are greedily assigned to the
-  // least-loaded worker shard (lowest index wins ties), so island-local
-  // traffic never crosses a shard boundary. Empty (the default) treats
-  // each worker as its own island, which reproduces the legacy
-  // round-robin byte-for-byte. Size must equal the worker count.
-  std::vector<unsigned> worker_islands;
-  // Shard-affinity replica selection at the gateway: prefer co-sharded
-  // replicas when route weights are uniform (framework/gateway.h). Off
-  // by default.
-  bool shard_affinity_routing = false;
 
   /// The effective per-worker kinds after applying the homogeneous
   /// convenience expansion.
@@ -93,14 +81,12 @@ class Cluster {
 
   /// Deploys the bundle across the worker pool using the configured
   /// placement policy and registers weighted routes. The cluster is
-  /// serving after wait_until_ready().
-  Result<framework::DeploymentRecord> deploy(workloads::WorkloadBundle bundle);
-
-  /// Tenant-namespaced deployment: routes register as
-  /// "<tenant>/<function>" and the tenant id rides every request header,
-  /// so the NIC's DRR scheduler and quota admission see the namespace.
+  /// serving after wait_until_ready(). A non-empty `tenant` namespaces
+  /// the deployment: routes register as "<tenant>/<function>" and the
+  /// tenant id rides every request header, so the NIC's DRR scheduler
+  /// and quota admission see the namespace.
   Result<framework::DeploymentRecord> deploy(workloads::WorkloadBundle bundle,
-                                             const std::string& tenant);
+                                             const std::string& tenant = {});
 
   /// Records `tenant`'s NIC resource quota for subsequent deploys.
   void set_tenant_quota(const std::string& tenant, nicsim::TenantQuota quota) {

@@ -160,13 +160,6 @@ bool Gateway::admit(FunctionState& fn) {
   return true;
 }
 
-void Gateway::add_worker(const std::string& name, NodeId worker) {
-  FunctionState& fn = intern(name);
-  if (!fn.route) fn.route.emplace();
-  fn.route->workers.push_back(worker);
-  fn.route->replicas.push_back(Replica{worker, 1, kUnknownBackendKind});
-}
-
 const Route* Gateway::route(const std::string& name) const {
   const FunctionState* fn = find_function(name);
   return fn != nullptr && fn->route ? &*fn->route : nullptr;
@@ -402,59 +395,12 @@ std::size_t Gateway::quarantined_count() const {
   return n;
 }
 
-void Gateway::enable_shard_affinity(const net::Network& network) {
-  affinity_net_ = &network;
-  affinity_shard_ = network.shard_of(rpc_.node());
-}
-
-namespace {
-/// Affinity only applies when the operator expressed no preference: any
-/// weight difference means the weighted cycle must be honored exactly.
-bool uniform_weights(const Route& route) {
-  if (route.replicas.empty()) return false;
-  const std::uint32_t w = route.replicas.front().weight;
-  for (const auto& replica : route.replicas) {
-    if (replica.weight != w) return false;
-  }
-  return true;
-}
-}  // namespace
-
 NodeId Gateway::pick_worker(FunctionState& fn) {
   const Route& route = *fn.route;
   const std::size_t cursor = fn.cursor++;
   std::uint64_t healthy_weight = 0;
   for (const auto& replica : route.replicas) {
     if (!is_quarantined(replica.node)) healthy_weight += replica.weight;
-  }
-  // Shard-affinity fast path: at equal weight, a co-sharded replica
-  // serves the request without a cross-shard fabric hop. Quarantine
-  // still wins (a sick local replica never shadows a healthy remote
-  // one), and an empty co-sharded subset falls through to the normal
-  // weighted rotation over all healthy replicas.
-  if (affinity_net_ != nullptr && healthy_weight > 0 &&
-      uniform_weights(route)) {
-    std::size_t co_sharded = 0;
-    for (const auto& replica : route.replicas) {
-      if (is_quarantined(replica.node)) continue;
-      if (affinity_net_->shard_of(replica.node) == affinity_shard_) {
-        ++co_sharded;
-      }
-    }
-    if (co_sharded > 0) {
-      std::size_t slot = cursor % co_sharded;
-      for (const auto& replica : route.replicas) {
-        if (is_quarantined(replica.node)) continue;
-        if (affinity_net_->shard_of(replica.node) != affinity_shard_) {
-          continue;
-        }
-        if (slot == 0) {
-          metrics_.counter("gateway_affinity_co_shard_total").increment();
-          return replica.node;
-        }
-        --slot;
-      }
-    }
   }
   // Everything quarantined: fall back to the full set so traffic keeps
   // probing the replicas rather than failing unroutable.
@@ -563,15 +509,6 @@ void Gateway::send_to_worker(FunctionState& fn, net::BufferView payload,
               if (callback) callback(std::move(result));
             },
             ctx, route.tenant);
-}
-
-std::string Gateway::encode_route(WorkloadId workload,
-                                  const std::vector<NodeId>& workers) {
-  std::vector<Replica> replicas;
-  replicas.reserve(workers.size());
-  for (NodeId node : workers) replicas.push_back(Replica{node, 1,
-                                                         kUnknownBackendKind});
-  return encode_replicas(workload, replicas);
 }
 
 std::string Gateway::encode_replicas(WorkloadId workload,

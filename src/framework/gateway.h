@@ -80,8 +80,8 @@ struct Route {
   /// single-tenant legacy routes). Stamped into every request's lambda
   /// header and added as a `tenant=` metric label.
   TenantId tenant = kDefaultTenant;
-  /// Flat node list, one entry per replica (kept in sync with `replicas`;
-  /// retained because most callers only care about where requests go).
+  /// Flat node list, one entry per replica (kept in sync with `replicas`
+  /// for callers that only care about where requests go).
   std::vector<NodeId> workers;
   /// The weighted set the dispatcher actually consults.
   std::vector<Replica> replicas;
@@ -130,20 +130,9 @@ class Gateway {
   /// series the gateway writes through this helper.
   Labels metric_labels(const std::string& name) const;
 
-  /// Shard-affinity replica selection: prefer replicas living on the
-  /// gateway's own shard when every replica in a route carries the same
-  /// weight (round robin over the co-sharded healthy subset, counted in
-  /// `gateway_affinity_co_shard_total`). Routes with differing weights
-  /// keep the exact weighted semantics — operator-chosen bias beats
-  /// locality. `network` must be the fabric this gateway's node is
-  /// attached to and must outlive the gateway. Off by default; with it
-  /// off the dispatcher is byte-for-byte the legacy weighted pick.
-  void enable_shard_affinity(const net::Network& network);
-
   /// Installs a per-function token-bucket limit; excess requests fail
   /// fast with a throttle error (and count in the metrics).
   void set_rate_limit(const std::string& name, RateLimit limit);
-  void add_worker(const std::string& name, NodeId worker);
   bool has_function(const std::string& name) const {
     return route(name) != nullptr;
   }
@@ -176,11 +165,9 @@ class Gateway {
 
   /// Serialization helpers for the etcd route encoding. A replica token
   /// is "<node>", optionally extended with "*<weight>" and/or "@<kind>"
-  /// — plain weight-1 routes encode exactly as before ("7|1,2,3").
+  /// — plain weight-1 routes encode as bare node lists ("7|1,2,3").
   /// Tenant routes extend the workload field with "~<tenant>"
-  /// ("7~2|1,2,3"); tenant-less routes keep the legacy encoding.
-  static std::string encode_route(WorkloadId workload,
-                                  const std::vector<NodeId>& workers);
+  /// ("7~2|1,2,3").
   static std::string encode_replicas(WorkloadId workload,
                                      const std::vector<Replica>& replicas,
                                      TenantId tenant = kDefaultTenant);
@@ -281,10 +268,6 @@ class Gateway {
   sim::Simulator& sim_;
   GatewayConfig config_;
   proto::RpcClient rpc_;
-  // Shard-affinity routing (enable_shard_affinity): the fabric consulted
-  // for replica shards, and the shard this gateway's node lives on.
-  const net::Network* affinity_net_ = nullptr;
-  unsigned affinity_shard_ = 0;
   trace::TraceRecorder* tracer_ = nullptr;
   double sample_rate_ = 1.0;
   double sample_accum_ = 0.0;

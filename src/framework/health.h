@@ -48,8 +48,6 @@ class HealthChecker {
   std::uint64_t quarantines() const { return quarantines_; }
   /// Times a quarantined worker recovered and was reinstated.
   std::uint64_t recoveries() const { return recoveries_; }
-  /// Legacy name from the remove-on-death era; now counts quarantines.
-  std::uint64_t removals() const { return quarantines_; }
 
   /// Called when a worker is quarantined / reinstated.
   void set_on_dead(std::function<void(NodeId)> fn) { on_dead_ = std::move(fn); }

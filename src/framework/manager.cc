@@ -6,61 +6,6 @@
 
 namespace lnic::framework {
 
-Result<DeploymentRecord> WorkloadManager::deploy(
-    workloads::WorkloadBundle bundle, backends::Backend& backend,
-    Gateway* gateway) {
-  DeploymentRecord record;
-  // Function list from the match spec (action names + workload IDs).
-  for (const auto& table : bundle.spec.tables) {
-    if (table.is_route_table) continue;
-    for (const auto& entry : table.entries) {
-      record.functions.emplace_back(
-          entry.action_function,
-          static_cast<WorkloadId>(entry.key_values.at(0)));
-    }
-  }
-
-  const auto profile = backend.startup_profile();
-  record.artifact_name = std::string(backends::to_string(backend.kind())) +
-                         "/" + bundle.lambdas.name;
-  record.artifact_bytes = profile.artifact_bytes;
-  record.startup_time = profile.startup_time;
-  record.ready_at = sim_.now() + profile.startup_time;
-  storage_.put(record.artifact_name, record.artifact_bytes);
-
-  if (Status st = backend.deploy(std::move(bundle)); !st.ok()) return st.error();
-
-  for (const auto& [name, wid] : record.functions) {
-    if (gateway != nullptr) {
-      if (gateway->has_function(name)) {
-        gateway->add_worker(name, backend.node());
-      } else {
-        gateway->register_function(name, wid,
-                                   std::vector<NodeId>{backend.node()});
-      }
-    }
-    if (etcd_ != nullptr) {
-      std::vector<NodeId> workers;
-      if (gateway != nullptr && gateway->route(name) != nullptr) {
-        workers = gateway->route(name)->workers;
-      } else {
-        workers = {backend.node()};
-      }
-      // Best effort: requires an elected leader; callers running before
-      // the election simply skip the etcd mirror.
-      (void)etcd_->put("route/" + name, Gateway::encode_route(wid, workers));
-    }
-  }
-  deployments_.push_back(record);
-  return record;
-}
-
-Result<DeploymentRecord> WorkloadManager::deploy(
-    workloads::WorkloadBundle bundle, std::span<backends::Backend* const> pool,
-    const PlacementPolicy& policy, Gateway* gateway) {
-  return deploy(std::move(bundle), pool, policy, gateway, std::string());
-}
-
 TenantId WorkloadManager::resolve_tenant(const std::string& tenant,
                                          Gateway* gateway) {
   if (tenant.empty()) return kDefaultTenant;
@@ -156,8 +101,8 @@ Result<DeploymentRecord> WorkloadManager::deploy(
                                  tenant_id);
     }
     if (etcd_ != nullptr) {
-      // Best effort, as in the single-backend path: requires an elected
-      // leader; earlier callers simply skip the etcd mirror.
+      // Best effort: requires an elected leader; callers running before
+      // the election simply skip the etcd mirror.
       (void)etcd_->put(
           "route/" + route_name(fp.name),
           Gateway::encode_replicas(fp.workload, replicas, tenant_id));

@@ -34,20 +34,19 @@ struct FunctionPlacement {
   std::vector<PlacedReplica> replicas;
 };
 
-/// Result of one deployment: what was installed where, and how long the
-/// backend took to become ready (download + boot, Table 4's axes). Pool
-/// deployments additionally record the per-function placement and the
-/// policy that produced it.
+/// Result of one deployment: what was installed where, how long the
+/// slowest backend took to become ready (download + boot, Table 4's
+/// axes), the per-function placement and the policy that produced it.
 struct DeploymentRecord {
   std::string artifact_name;
   Bytes artifact_bytes = 0;
   SimDuration startup_time = 0;
   SimTime ready_at = 0;
   std::vector<std::pair<std::string, WorkloadId>> functions;
-  std::string policy;  // placement policy name; empty for legacy deploys
+  std::string policy;  // placement policy name
   std::vector<FunctionPlacement> placements;
-  /// Tenant namespace the bundle was deployed under (empty for legacy
-  /// single-tenant deploys). Gateway routes are registered as
+  /// Tenant namespace the bundle was deployed under (empty for
+  /// tenant-less deploys). Gateway routes are registered as
   /// "<tenant>/<function>".
   std::string tenant;
   TenantId tenant_id = kDefaultTenant;
@@ -59,35 +58,24 @@ class WorkloadManager {
                   kvstore::EtcdStore* etcd = nullptr)
       : sim_(sim), storage_(storage), etcd_(etcd) {}
 
-  /// Compiles + deploys `bundle` on `backend`, uploads the artifact,
-  /// registers each (name, workload id) with `gateway` (if given) and in
-  /// etcd (if configured). Function names come from the bundle's match
-  /// spec action names.
-  Result<DeploymentRecord> deploy(workloads::WorkloadBundle bundle,
-                                  backends::Backend& backend,
-                                  Gateway* gateway);
-
   /// Capacity-aware deployment across a heterogeneous pool (§5, Fig. 2):
   /// measures per-lambda footprints, asks `policy` for a PlacementPlan,
-  /// splits the bundle per backend, deploys each sub-bundle, and
-  /// registers every function as a weighted replica set (with backend
-  /// kinds) in `gateway` and etcd. The record carries the full placement.
-  Result<DeploymentRecord> deploy(workloads::WorkloadBundle bundle,
-                                  std::span<backends::Backend* const> pool,
-                                  const PlacementPolicy& policy,
-                                  Gateway* gateway);
-
-  /// Tenant-namespaced pool deployment: every function of the bundle
-  /// belongs to `tenant`. Workload → tenant assignments and the tenant's
-  /// quota (if one was recorded) are installed on each backend *before*
-  /// its deploy, so NIC quota admission sees them; routes register under
-  /// "<tenant>/<function>" with the tenant id carried in gateway routes,
-  /// request headers, and the etcd mirror.
+  /// splits the bundle per backend, deploys each sub-bundle, uploads the
+  /// artifacts, and registers every function as a weighted replica set
+  /// (with backend kinds) in `gateway` (if given) and etcd (if
+  /// configured). The record carries the full placement.
+  ///
+  /// A non-empty `tenant` namespaces the deployment: every function of
+  /// the bundle belongs to it. Workload → tenant assignments and the
+  /// tenant's quota (if one was recorded) are installed on each backend
+  /// *before* its deploy, so NIC quota admission sees them; routes
+  /// register under "<tenant>/<function>" with the tenant id carried in
+  /// gateway routes, request headers, and the etcd mirror.
   Result<DeploymentRecord> deploy(workloads::WorkloadBundle bundle,
                                   std::span<backends::Backend* const> pool,
                                   const PlacementPolicy& policy,
                                   Gateway* gateway,
-                                  const std::string& tenant);
+                                  const std::string& tenant = {});
 
   /// Records a tenant's NIC resource quota, applied to every backend on
   /// that tenant's subsequent deploys.

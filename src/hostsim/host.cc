@@ -149,10 +149,12 @@ void HostServer::enter_stage(Stage& stage, std::unique_ptr<Job> job,
     ++stage.busy;
     ++busy_units_;
     stats_.busy_time += service;
-    Job* raw = job.release();
-    sim_.schedule(service, [this, &stage, raw, next]() {
-      stage_done(stage, std::unique_ptr<Job>(raw), next);
-    });
+    // The pending event owns the job, so tearing down the simulator with
+    // the job in service frees it.
+    sim_.schedule(service,
+                  [this, &stage, job = std::move(job), next]() mutable {
+                    stage_done(stage, std::move(job), next);
+                  });
   } else {
     // The kernel stage serves both ingress (kRuntime / kGil for resumes)
     // and egress (kDone); remember where this job goes next.
@@ -173,9 +175,9 @@ void HostServer::stage_done(Stage& stage, std::unique_ptr<Job> job,
     stage.queue.pop_front();
     const Next queued_next = static_cast<Next>(queued->next_tag);
     stats_.busy_time += service;
-    Job* raw = queued.release();
-    sim_.schedule(service, [this, &stage, raw, queued_next]() {
-      stage_done(stage, std::unique_ptr<Job>(raw), queued_next);
+    sim_.schedule(service, [this, &stage, job = std::move(queued),
+                            queued_next]() mutable {
+      stage_done(stage, std::move(job), queued_next);
     });
   } else {
     --stage.busy;
@@ -189,9 +191,6 @@ void HostServer::stage_done(Stage& stage, std::unique_ptr<Job> job,
       break;
     case Next::kGil:
       run_gil(std::move(job));
-      break;
-    case Next::kTx:
-      // unused marker; egress scheduled directly with kDone
       break;
     case Next::kDone:
       finish_job(std::move(job));
@@ -242,9 +241,7 @@ void HostServer::run_gil(std::unique_ptr<Job> job) {
     service += exec;
     stats_.busy_time += service;
     job->outcome = std::move(outcome);
-    Job* raw = job.release();
-    sim_.schedule(service, [this, raw]() {
-      auto owned = std::unique_ptr<Job>(raw);
+    sim_.schedule(service, [this, owned = std::move(job)]() mutable {
       if (owned->exec_span != trace::kInvalidSpan) {
         tracer_->end_span(owned->exec_span, sim_.now());
         owned->exec_span = trace::kInvalidSpan;

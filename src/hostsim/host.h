@@ -125,7 +125,7 @@ class HostServer {
   const char* stage_span_name(const Stage& stage) const;
 
   // Stage plumbing: occupy `stage` for `service`, then continue.
-  enum class Next : std::uint8_t { kRuntime, kGil, kTx, kDone };
+  enum class Next : std::uint8_t { kRuntime, kGil, kDone };
   void enter_stage(Stage& stage, std::unique_ptr<Job> job,
                    SimDuration service, Next next);
   void stage_done(Stage& stage, std::unique_ptr<Job> job, Next next);

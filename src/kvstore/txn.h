@@ -192,7 +192,6 @@ class TxnStore {
   const TxnStoreStats& stats() const { return stats_; }
   const NodeCacheStats& cache_stats() const { return cache_.stats(); }
   const proto::HostMemoryStats& host_stats() const { return host_.stats(); }
-  const proto::RdmaQpStats& qp_stats() const { return qp_.stats(); }
   const BPlusTree& tree() const { return tree_; }
   LockProtocol protocol() const { return config_.protocol; }
   std::size_t inflight() const { return txns_.size(); }

@@ -171,20 +171,6 @@ SloReport LoadGenerator::report() const {
   return slo_.report(sim_.now() - started_at_);
 }
 
-EncodeFn raw_bytes_encoder() {
-  return [](const Request& request) {
-    // Deterministic fill so payload bytes never depend on an RNG the
-    // sink does not own.
-    std::vector<std::uint8_t> payload(
-        request.payload_bytes > 0 ? request.payload_bytes : 1);
-    for (std::size_t i = 0; i < payload.size(); ++i) {
-      payload[i] =
-          static_cast<std::uint8_t>((request.id + i) & 0xFF);
-    }
-    return payload;
-  };
-}
-
 Sink gateway_sink(framework::Gateway& gateway, EncodeFn encode) {
   return [&gateway, encode = std::move(encode)](const Request& request,
                                                 CompletionFn done) {

@@ -109,7 +109,6 @@ class LoadGenerator {
   std::uint64_t completed() const { return completed_; }
   std::uint64_t failed() const { return failed_; }
   std::uint32_t inflight() const { return inflight_; }
-  SimTime started_at() const { return started_at_; }
 
   SloTracker& slo() { return slo_; }
   const SloTracker& slo() const { return slo_; }
@@ -153,10 +152,6 @@ class LoadGenerator {
 };
 
 using EncodeFn = std::function<std::vector<std::uint8_t>(const Request&)>;
-
-/// Default encoding: a payload_bytes-sized buffer with a deterministic
-/// fill — suitable for echo-style workers.
-EncodeFn raw_bytes_encoder();
 
 /// Sink adapter for a framework::Gateway: invokes `request.function`
 /// with `encode(request)` and reports result.ok(). Declared here so

@@ -150,8 +150,6 @@ class Machine {
   /// serverless workloads have strict compute limits, §2.1).
   void set_fuel(std::uint64_t cycles) { fuel_ = cycles; }
 
-  const CostModel& cost_model() const { return cost_; }
-
  private:
   struct Frame {
     std::uint32_t base = 0;    // first register of this frame in regs_

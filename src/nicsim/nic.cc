@@ -24,6 +24,7 @@ struct SmartNic::Flight {
   microc::Invocation invocation;
   std::shared_ptr<microc::Deployment> image;  // the firmware it runs on
   std::unique_ptr<microc::Machine> machine;
+  Outcome outcome;  // the final run's, set when the reply is scheduled
   SimTime arrived = 0;
   SimTime dispatched = 0;
   std::uint64_t cycles_reported = 0;  // cycles accounted so far
@@ -319,12 +320,13 @@ void SmartNic::enter_parse_stage(std::unique_ptr<Flight> flight) {
   }
   const SimDuration service =
       microc::CostModel::npu().cycles_to_duration(parse_match_cycles_);
-  Flight* raw = flight.release();
-  sim_.schedule(service, [this, raw]() {
-    if (raw->parse_span != trace::kInvalidSpan) {
-      tracer_->end_span(raw->parse_span, sim_.now());
+  // The pending event owns the flight, so tearing down the simulator
+  // with the request in the parse stage frees it.
+  sim_.schedule(service, [this, flight = std::move(flight)]() mutable {
+    if (flight->parse_span != trace::kInvalidSpan) {
+      tracer_->end_span(flight->parse_span, sim_.now());
     }
-    enqueue(std::unique_ptr<Flight>(raw));
+    enqueue(std::move(flight));
     release_parse_thread();
   });
 }
@@ -547,10 +549,15 @@ void SmartNic::continue_flight(std::unique_ptr<Flight> flight,
   }
 
   // Done or trapped: hold the thread for the compute burst, then reply.
-  auto* raw = flight.release();
-  sim_.schedule(service, [this, raw, outcome = std::move(outcome)]() mutable {
-    finish_flight(std::unique_ptr<Flight>(raw), std::move(outcome));
-  });
+  // The outcome rides in the flight, which the event owns.
+  flight->outcome = std::move(outcome);
+  auto reply = [this, flight = std::move(flight)]() mutable {
+    finish_flight(std::move(flight));
+  };
+  // One event per request: keep it inside sim::EventFn's 128-byte
+  // inline buffer rather than a heap cell.
+  static_assert(sizeof(reply) <= 128);
+  sim_.schedule(service, std::move(reply));
 }
 
 void SmartNic::handle_kv_response(const Packet& packet) {
@@ -570,8 +577,8 @@ void SmartNic::handle_kv_response(const Packet& packet) {
   continue_flight(std::move(flight), std::move(outcome));
 }
 
-void SmartNic::finish_flight(std::unique_ptr<Flight> flight,
-                             Outcome outcome) {
+void SmartNic::finish_flight(std::unique_ptr<Flight> flight) {
+  Outcome& outcome = flight->outcome;
   flight->image->release(std::move(flight->machine));
   inflight_bytes_ -= flight->staged_bytes;
   stats_.service_cycles.add(static_cast<double>(outcome.cycles));

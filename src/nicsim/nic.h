@@ -234,7 +234,7 @@ class SmartNic {
   void start_execution(std::unique_ptr<Flight> flight);
   void continue_flight(std::unique_ptr<Flight> flight,
                        microc::Outcome outcome);
-  void finish_flight(std::unique_ptr<Flight> flight, microc::Outcome outcome);
+  void finish_flight(std::unique_ptr<Flight> flight);
   void release_thread();
 
   sim::Simulator& sim_;

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cassert>
 
-#include "common/logging.h"
-
 namespace lnic::raft {
 
 const char* to_string(Role role) {
@@ -122,7 +120,6 @@ void RaftNode::become_candidate() {
 
 void RaftNode::become_leader() {
   role_ = Role::kLeader;
-  LNIC_DEBUG() << "raft: node " << index_ << " leads term " << current_term_;
   for (NodeIndex peer = 0; peer < cluster_size_; ++peer) {
     if (peer == index_) continue;
     next_index_[peer] = last_log_index() + 1;

@@ -89,7 +89,6 @@ class SimTransport : public Transport {
 
   /// Cuts both directions between two nodes (network partition).
   void set_link(NodeIndex a, NodeIndex b, bool up);
-  void set_drop_probability(double p) { drop_ = p; }
   std::uint64_t messages_sent() const { return sent_; }
 
  private:

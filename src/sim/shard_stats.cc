@@ -64,11 +64,11 @@ void ShardStatsCollector::record_window(
     ++span_windows_;
   }
   ShardStats::Window record{t0, end, wall_ns, eot_extended, busy_ns};
-  if (recent_.size() < recent_capacity_) {
+  if (recent_.size() < kRecentCapacity) {
     recent_.push_back(std::move(record));
-  } else if (recent_capacity_ > 0) {
+  } else {
     recent_[recent_head_] = std::move(record);
-    recent_head_ = (recent_head_ + 1) % recent_capacity_;
+    recent_head_ = (recent_head_ + 1) % kRecentCapacity;
   }
 }
 

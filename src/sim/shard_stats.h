@@ -126,8 +126,6 @@ class ShardStatsCollector {
   /// Single-shard delegated run: counts as pure busy on shard 0.
   void add_delegated_run(std::uint64_t wall_ns, std::uint64_t events);
 
-  void set_recent_capacity(std::size_t n) { recent_capacity_ = n; }
-
   /// Barrier-outlier sensitivity: a window is flight-recorded when its
   /// wall exceeds `multiple` times the running mean (after burn-in).
   /// Benches tighten this to catch smaller stalls; must be > 1.
@@ -157,7 +155,7 @@ class ShardStatsCollector {
   std::uint64_t span_windows_ = 0;
   std::vector<ShardStats::Window> recent_;
   std::size_t recent_head_ = 0;  // ring insertion point once full
-  std::size_t recent_capacity_ = 1024;
+  static constexpr std::size_t kRecentCapacity = 1024;
 };
 
 }  // namespace lnic::sim

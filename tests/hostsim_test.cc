@@ -46,7 +46,7 @@ struct Rig {
     host->deploy(std::move(compiled).value().program);
   }
 
-  void send(WorkloadId wid, std::vector<std::uint8_t> body, RequestId id) {
+  void send(WorkloadId wid, net::BufferView body, RequestId id) {
     net::LambdaHeader hdr;
     hdr.workload_id = wid;
     hdr.request_id = id;
@@ -64,6 +64,34 @@ TEST(HostServer, ServesWebRequestCorrectly) {
   const auto& body = rig.responses[0].payload;
   const std::string page(body.begin() + 8, body.end());
   EXPECT_EQ(page, workloads::expected_web_page(rig.bundle, 2));
+}
+
+TEST(HostServer, TeardownFreesRequestsInService) {
+  // A request in service is owned by the pending event that ends its
+  // stage. Destroying the rig with that event still queued must free
+  // the request and its body, whether it sits in the kernel stage (just
+  // delivered) or on the GIL (executing).
+  for (const bool on_gil : {false, true}) {
+    SCOPED_TRACE(on_gil ? "on the GIL" : "in the kernel stage");
+    auto rig = std::make_unique<Rig>();
+    const net::BufferView body(encode_web_request(1));
+    rig->send(workloads::kWebServerId, body, 1);
+    const std::uint64_t delivered = rig->network.packets_delivered();
+    const auto in_stage = [&] {
+      return on_gil ? rig->host->stats().context_switches > 0
+                    : rig->network.packets_delivered() > delivered;
+    };
+    while (!in_stage() && rig->sim.step()) {
+    }
+    ASSERT_TRUE(in_stage());
+    // One core busy, not yet answered, and held by the job besides this
+    // test.
+    ASSERT_EQ(rig->host->busy_cores(), 1u);
+    ASSERT_EQ(rig->host->stats().requests_completed, 0u);
+    ASSERT_EQ(body.buffer().use_count(), 2);
+    rig.reset();
+    EXPECT_EQ(body.buffer().use_count(), 1);
+  }
 }
 
 TEST(HostServer, LatencyIncludesRuntimeOverheads) {

@@ -271,12 +271,10 @@ struct WindowCounts {
 
 std::vector<SimDuration> run_cluster_web(unsigned shards, int requests,
                                          std::uint64_t* cross_posts,
-                                         bool affinity = false,
                                          WindowCounts* windows = nullptr) {
   core::ClusterConfig config;
   config.workers = 4;
   config.shards = shards;
-  config.shard_affinity_routing = affinity;
   core::Cluster cluster(config);
   auto deployed = cluster.deploy(workloads::make_standard_workloads());
   EXPECT_TRUE(deployed.ok());
@@ -321,18 +319,15 @@ TEST(ShardedCluster, FixedShardCountIsDeterministic) {
   EXPECT_EQ(posts_a, posts_b);
 }
 
-TEST(ShardedCluster, AffinityRoutingRunIsBitReproducible) {
-  // Shard-affinity routing picks co-sharded replicas, which changes the
-  // cross-shard traffic but never its determinism: two identical runs
-  // must agree event-for-event, including window and post counts.
+TEST(ShardedCluster, WindowedRunIsBitReproducible) {
+  // Two identical runs must agree event-for-event, including window and
+  // post counts.
   std::uint64_t posts_a = 0;
   std::uint64_t posts_b = 0;
   WindowCounts windows_a;
   WindowCounts windows_b;
-  const auto a =
-      run_cluster_web(4, 15, &posts_a, /*affinity=*/true, &windows_a);
-  const auto b =
-      run_cluster_web(4, 15, &posts_b, /*affinity=*/true, &windows_b);
+  const auto a = run_cluster_web(4, 15, &posts_a, &windows_a);
+  const auto b = run_cluster_web(4, 15, &posts_b, &windows_b);
   EXPECT_EQ(a, b);
   EXPECT_EQ(posts_a, posts_b);
   EXPECT_EQ(windows_a.executed, windows_b.executed);
@@ -342,44 +337,15 @@ TEST(ShardedCluster, AffinityRoutingRunIsBitReproducible) {
   EXPECT_EQ(windows_a.extended, 0u);
 }
 
-TEST(ShardedCluster, AffinityRoutingSingleShardMatchesClassicEngine) {
-  // With one shard every replica is co-sharded, so affinity routing must
-  // be a no-op there: same latencies as the classic engine.
-  const auto classic = run_cluster_web(1, 15, nullptr, /*affinity=*/false);
-  const auto affinity = run_cluster_web(1, 15, nullptr, /*affinity=*/true);
-  EXPECT_EQ(classic, affinity);
-}
-
-TEST(ShardedCluster, WorkerIslandsCoShardDeclaredIslands) {
-  // Two declared islands over four workers and two worker shards: each
-  // island lands whole on one shard, master keeps shard 0 to itself.
-  core::ClusterConfig config;
-  config.workers = 4;
-  config.shards = 3;
-  config.worker_islands = {7, 7, 9, 9};
-  core::Cluster cluster(config);
-  ASSERT_TRUE(cluster.deploy(workloads::make_standard_workloads()).ok());
-  const net::Network& network = cluster.network();
-  EXPECT_EQ(network.shard_of(cluster.gateway().node()), 0u);
-  EXPECT_EQ(network.shard_of(cluster.worker(0).node()),
-            network.shard_of(cluster.worker(1).node()));
-  EXPECT_EQ(network.shard_of(cluster.worker(2).node()),
-            network.shard_of(cluster.worker(3).node()));
-  EXPECT_NE(network.shard_of(cluster.worker(0).node()),
-            network.shard_of(cluster.worker(2).node()));
-  EXPECT_NE(network.shard_of(cluster.worker(0).node()), 0u);
-  EXPECT_NE(network.shard_of(cluster.worker(2).node()), 0u);
-}
-
-TEST(ShardedCluster, EmptyWorkerIslandsMatchesLegacyRoundRobin) {
-  // With no island declarations every worker is its own island, and the
-  // greedy packer must reproduce the historical 1 + i % (shards - 1)
-  // spread exactly — same shards, same simulated results.
+TEST(ShardedCluster, WorkersRoundRobinOverWorkerShards) {
+  // The master stack keeps shard 0 to itself and worker i lives on
+  // shard 1 + i % (shards - 1).
   core::ClusterConfig config;
   config.workers = 4;
   config.shards = 3;
   core::Cluster cluster(config);
   ASSERT_TRUE(cluster.deploy(workloads::make_standard_workloads()).ok());
+  EXPECT_EQ(cluster.network().shard_of(cluster.gateway().node()), 0u);
   for (std::size_t i = 0; i < 4; ++i) {
     EXPECT_EQ(cluster.network().shard_of(cluster.worker(i).node()),
               1u + static_cast<unsigned>(i % 2))

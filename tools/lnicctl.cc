@@ -588,10 +588,7 @@ int cmd_timeline(int argc, char** argv) {
 
   const std::string tenant =
       flags.count("--tenant") ? flags["--tenant"] : "";
-  auto deployed =
-      tenant.empty()
-          ? cluster.deploy(workloads::make_standard_workloads())
-          : cluster.deploy(workloads::make_standard_workloads(), tenant);
+  auto deployed = cluster.deploy(workloads::make_standard_workloads(), tenant);
   if (!deployed.ok()) {
     std::fprintf(stderr, "error: %s\n", deployed.error().message.c_str());
     return 2;
