@@ -13,10 +13,9 @@
 using namespace lnic;
 using namespace lnic::bench;
 
-int main(int argc, char** argv) {
-  const unsigned shards = shards_from_args(argc, argv);
+int main() {
   print_header("Figure 6: latency ECDF, single lambda in isolation");
-  BenchSummary summary("fig6_isolation_latency", /*seed=*/1, shards);
+  BenchSummary summary("fig6_isolation_latency", /*seed=*/1);
 
   const auto cases = standard_cases(/*web=*/3000, /*kv=*/3000, /*image=*/120);
   const backends::BackendKind kinds[] = {
@@ -27,7 +26,7 @@ int main(int argc, char** argv) {
     std::printf("\n-- %s --\n", test.name.c_str());
     Sampler per_backend[3];
     for (int k = 0; k < 3; ++k) {
-      BackendRig rig(kinds[k], /*worker_threads=*/56, shards);
+      BackendRig rig(kinds[k]);
       per_backend[k] = rig.run_closed_loop(test, /*concurrency=*/1);
       print_latency_row(backends::to_string(kinds[k]), per_backend[k]);
       const std::string cell =

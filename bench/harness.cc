@@ -1,23 +1,8 @@
 #include "bench/harness.h"
 
 #include <cmath>
-#include <cstdlib>
-#include <cstring>
 
 namespace lnic::bench {
-
-unsigned shards_from_args(int argc, char** argv, unsigned fallback) {
-  for (int i = 1; i < argc; ++i) {
-    const char* arg = argv[i];
-    if (std::strncmp(arg, "--shards=", 9) == 0) {
-      return static_cast<unsigned>(std::strtoul(arg + 9, nullptr, 10));
-    }
-    if (std::strcmp(arg, "--shards") == 0 && i + 1 < argc) {
-      return static_cast<unsigned>(std::strtoul(argv[i + 1], nullptr, 10));
-    }
-  }
-  return fallback;
-}
 
 std::vector<WorkloadCase> standard_cases(std::uint64_t web_requests,
                                          std::uint64_t kv_requests,
@@ -47,23 +32,14 @@ std::vector<WorkloadCase> standard_cases(std::uint64_t web_requests,
 }
 
 BackendRig::BackendRig(backends::BackendKind kind,
-                       std::uint32_t worker_threads, unsigned shards)
-    : sharded_(shards), network_(sharded_) {
-  // The worker island — backend plus its kv cache, so GET/SET traffic
-  // stays on-island — lives on shard 1 when sharded; the client (the
-  // gateway side of the paper's Fig. 2) keeps shard 0.
-  const unsigned island = sharded_.shards() > 1 ? 1 : 0;
-  network_.set_attach_shard(island);
-  backend_ = backends::make_backend(kind, sharded_.shard(island), network_,
-                                    worker_threads);
-  cache_ = std::make_unique<kvstore::CacheServer>(sharded_.shard(island),
-                                                  network_);
+                       std::uint32_t worker_threads)
+    : network_(sim_) {
+  backend_ = backends::make_backend(kind, sim_, network_, worker_threads);
+  cache_ = std::make_unique<kvstore::CacheServer>(sim_, network_);
   backend_->set_kv_server(cache_->node());
-  network_.set_attach_shard(0);
   proto::RpcConfig rpc;
   rpc.retransmit_timeout = seconds(60);  // lossless fabric: no retransmits
-  client_ = std::make_unique<proto::RpcClient>(sharded_.shard(0), network_,
-                                               rpc);
+  client_ = std::make_unique<proto::RpcClient>(sim_, network_, rpc);
   // Warm the cache so GET-heavy runs measure hits, as the paper does
   // with pre-loaded (warm) lambdas.
   for (std::uint64_t k = 0; k < 1024; ++k) cache_->put(k, k * 31 + 7);
@@ -72,7 +48,7 @@ BackendRig::BackendRig(backends::BackendKind kind,
     std::fprintf(stderr, "deploy failed: %s\n", deployed.error().message.c_str());
   }
   // Pass firmware-load downtime.
-  sharded_.run_until(sharded_.now() + seconds(20));
+  sim_.run_until(sim_.now() + seconds(20));
 }
 
 void BackendRig::redeploy(workloads::WorkloadBundle bundle) {
@@ -81,7 +57,7 @@ void BackendRig::redeploy(workloads::WorkloadBundle bundle) {
     std::fprintf(stderr, "redeploy failed: %s\n",
                  deployed.error().message.c_str());
   }
-  sharded_.run_until(sharded_.now() + seconds(20));
+  sim_.run_until(sim_.now() + seconds(20));
 }
 
 Sampler BackendRig::run_closed_loop(const WorkloadCase& test,
@@ -89,21 +65,19 @@ Sampler BackendRig::run_closed_loop(const WorkloadCase& test,
   Sampler latencies;
   std::uint64_t issued = 0;
   std::uint64_t completed = 0;
-  sim::Simulator& sim0 = sharded_.shard(0);
-  const SimTime start = sim0.now();
+  const SimTime start = sim_.now();
 
   // Each sender issues its next request as soon as the previous returns
   // (the paper's closed-loop and parallel testing modes, §6.3.1). Every
   // request first clears the gateway's proxy stage — a single Go process
   // with NAT (§6.1.1) — before the latency clock starts at send time.
-  // The whole loop lives on shard 0 with the client.
   std::function<void()> issue = [&]() {
     if (issued >= test.requests) return;
     const std::uint64_t i = issued++;
     const SimTime send_at =
-        std::max(sim0.now(), gateway_free_at_) + kGatewayProxyTime;
+        std::max(sim_.now(), gateway_free_at_) + kGatewayProxyTime;
     gateway_free_at_ = send_at;
-    sim0.schedule_at(send_at, [this, &test, &latencies, &issue, &completed,
+    sim_.schedule_at(send_at, [this, &test, &latencies, &issue, &completed,
                                i]() {
       client_->call(backend_->node(), test.workload, test.payload(i),
                     [&](Result<proto::RpcResponse> result) {
@@ -119,8 +93,8 @@ Sampler BackendRig::run_closed_loop(const WorkloadCase& test,
   for (std::uint32_t c = 0; c < concurrency && c < test.requests; ++c) {
     issue();
   }
-  sharded_.run();
-  const SimDuration window = sim0.now() - start;
+  sim_.run();
+  const SimDuration window = sim_.now() - start;
   last_throughput_ =
       window > 0 ? static_cast<double>(completed) / to_sec(window) : 0.0;
   return latencies;
@@ -133,8 +107,7 @@ Sampler BackendRig::run_round_robin(const std::vector<WorkloadId>& workloads,
   Sampler latencies;
   std::uint64_t issued = 0;
   std::uint64_t completed = 0;
-  sim::Simulator& sim0 = sharded_.shard(0);
-  const SimTime start = sim0.now();
+  const SimTime start = sim_.now();
   // Unlike the isolation experiments, contention latency is measured
   // from the moment the request enters the gateway (client-observed),
   // so gateway queueing under 56-way load counts for every backend.
@@ -142,18 +115,18 @@ Sampler BackendRig::run_round_robin(const std::vector<WorkloadId>& workloads,
     if (issued >= total_requests) return;
     const std::uint64_t i = issued++;
     const WorkloadId wid = workloads[i % workloads.size()];
-    const SimTime entered = sim0.now();
+    const SimTime entered = sim_.now();
     const SimTime send_at =
-        std::max(sim0.now(), gateway_free_at_) + kGatewayProxyTime;
+        std::max(sim_.now(), gateway_free_at_) + kGatewayProxyTime;
     gateway_free_at_ = send_at;
-    sim0.schedule_at(send_at, [this, &sim0, &payload, &latencies, &issue,
+    sim_.schedule_at(send_at, [this, &payload, &latencies, &issue,
                                &completed, wid, i, entered]() {
       client_->call(backend_->node(), wid, payload(i),
                     [&, entered](Result<proto::RpcResponse> result) {
                       ++completed;
                       if (result.ok()) {
                         latencies.add(
-                            static_cast<double>(sim0.now() - entered));
+                            static_cast<double>(sim_.now() - entered));
                       }
                       issue();
                     });
@@ -162,8 +135,8 @@ Sampler BackendRig::run_round_robin(const std::vector<WorkloadId>& workloads,
   for (std::uint32_t c = 0; c < concurrency && c < total_requests; ++c) {
     issue();
   }
-  sharded_.run();
-  const SimDuration window = sim0.now() - start;
+  sim_.run();
+  const SimDuration window = sim_.now() - start;
   last_throughput_ =
       window > 0 ? static_cast<double>(completed) / to_sec(window) : 0.0;
   return latencies;
@@ -200,9 +173,8 @@ std::string json_escape(const std::string& raw) {
 
 }  // namespace
 
-BenchSummary::BenchSummary(std::string bench, std::uint64_t seed,
-                           unsigned shards)
-    : bench_(std::move(bench)), seed_(seed), shards_(shards) {}
+BenchSummary::BenchSummary(std::string bench, std::uint64_t seed)
+    : bench_(std::move(bench)), seed_(seed) {}
 
 BenchSummary::~BenchSummary() { write(); }
 
@@ -222,9 +194,9 @@ void BenchSummary::write() {
     return;
   }
   std::fprintf(f, "{\n  \"bench\": \"%s\",\n  \"seed\": %llu,\n"
-               "  \"shards\": %u,\n  \"metrics\": [\n",
+               "  \"metrics\": [\n",
                json_escape(bench_).c_str(),
-               static_cast<unsigned long long>(seed_), shards_);
+               static_cast<unsigned long long>(seed_));
   for (std::size_t i = 0; i < entries_.size(); ++i) {
     const Entry& e = entries_[i];
     if (std::isfinite(e.value)) {

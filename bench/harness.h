@@ -20,7 +20,6 @@
 #include "kvstore/cache_server.h"
 #include "net/network.h"
 #include "proto/rpc.h"
-#include "sim/sharded.h"
 #include "sim/simulator.h"
 #include "workloads/image.h"
 #include "workloads/lambdas.h"
@@ -50,19 +49,10 @@ std::vector<WorkloadCase> standard_cases(std::uint64_t web_requests,
 /// from gateway send to response, §6.3.1).
 constexpr SimDuration kGatewayProxyTime = microseconds(17);
 
-/// Parses `--shards N` (or `--shards=N`) from a bench's argv; returns
-/// `fallback` when absent. Every bench records the value in its
-/// BENCH_*.json so check_perf.py compares like-for-like.
-unsigned shards_from_args(int argc, char** argv, unsigned fallback = 1);
-
 class BackendRig {
  public:
-  /// With shards > 1 the client keeps shard 0 and the backend + its
-  /// cache form an island on shard 1, so every request crosses the
-  /// conservative-sync boundary both ways. shards = 1 is byte-identical
-  /// to the classic single-engine rig.
-  BackendRig(backends::BackendKind kind, std::uint32_t worker_threads = 56,
-             unsigned shards = 1);
+  explicit BackendRig(backends::BackendKind kind,
+                      std::uint32_t worker_threads = 56);
 
   /// Closed-loop measurement: `concurrency` independent senders, each
   /// issuing the next request when its previous one completes, until
@@ -75,8 +65,7 @@ class BackendRig {
 
   backends::Backend& backend() { return *backend_; }
   kvstore::CacheServer& cache() { return *cache_; }
-  sim::Simulator& sim() { return sharded_.shard(0); }
-  sim::ShardedSimulator& sharded() { return sharded_; }
+  sim::Simulator& sim() { return sim_; }
 
   /// Deploys a custom bundle instead of the standard four lambdas.
   void redeploy(workloads::WorkloadBundle bundle);
@@ -88,7 +77,7 @@ class BackendRig {
                           std::uint64_t total_requests);
 
  private:
-  sim::ShardedSimulator sharded_;
+  sim::Simulator sim_;
   net::Network network_;
   std::unique_ptr<backends::Backend> backend_;
   std::unique_ptr<kvstore::CacheServer> cache_;
@@ -125,8 +114,7 @@ void print_latency_row(const std::string& label, const Sampler& latencies);
 /// on destruction (or an explicit write()).
 class BenchSummary {
  public:
-  explicit BenchSummary(std::string bench, std::uint64_t seed = 1,
-                        unsigned shards = 1);
+  explicit BenchSummary(std::string bench, std::uint64_t seed = 1);
   ~BenchSummary();
 
   void add(const std::string& metric, double value, const std::string& unit);
@@ -143,7 +131,6 @@ class BenchSummary {
   };
   std::string bench_;
   std::uint64_t seed_;
-  unsigned shards_;
   std::vector<Entry> entries_;
   bool written_ = false;
 };

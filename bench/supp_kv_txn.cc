@@ -15,12 +15,10 @@
 //     warehouses concentrate district RMWs, so contention (and WAIT_DIE
 //     waiting) rises as warehouses shrink.
 //
-// Load is open-loop Poisson (loadgen::ArrivalSpec) from a client on
-// shard 0; the store island lives on shard 1 when sharded, so every
-// request and every page writeback crosses the conservative-sync
-// boundary. Results are bit-reproducible for a fixed (seed, shards)
-// pair and land in BENCH_supp_kv_txn.json for tools/check_perf.py.
-// Usage: supp_kv_txn [--smoke] [--shards N]
+// Load is open-loop Poisson (loadgen::ArrivalSpec) from one client node.
+// Results are bit-reproducible for a fixed seed and land in
+// BENCH_supp_kv_txn.json for tools/check_perf.py.
+// Usage: supp_kv_txn [--smoke]
 #include <cstdio>
 #include <cstring>
 #include <functional>
@@ -47,26 +45,17 @@ struct Params {
   std::size_t records = 1 << 14;
   std::size_t cache_nodes = 256;
   std::uint64_t seed = 29;
-  unsigned shards = 1;
 };
 
-/// One store cell: client on shard 0, the TxnStore island (store node,
-/// host memory, RDMA QP) on shard 1 when sharded — the same split the
-/// other benches use, so requests and page traffic cross the
-/// conservative-sync boundary both ways.
+/// One store cell: the TxnStore (store node, host memory, RDMA QP) and
+/// a client node on one fabric.
 struct KvRig {
-  sim::ShardedSimulator sharded;
-  net::Network network;
-  std::unique_ptr<kvstore::TxnStore> store;
+  sim::Simulator sim;
+  net::Network network{sim};
+  kvstore::TxnStore store;
 
-  KvRig(const Params& params, const kvstore::TxnStoreConfig& config)
-      : sharded(params.shards), network(sharded) {
-    const unsigned island = sharded.shards() > 1 ? 1 : 0;
-    network.set_attach_shard(island);
-    store = std::make_unique<kvstore::TxnStore>(sharded.shard(island),
-                                                network, config);
-    network.set_attach_shard(0);
-  }
+  explicit KvRig(const kvstore::TxnStoreConfig& config)
+      : store(sim, network, config) {}
 };
 
 struct CellResult {
@@ -88,10 +77,9 @@ CellResult run_cell(const Params& params,
                     const std::function<void(kvstore::TxnStore*)>& populate,
                     const std::function<kvstore::TxnRequest()>& next,
                     std::uint64_t n_txns, double rate_rps) {
-  KvRig rig(params, config);
-  populate(rig.store.get());
+  KvRig rig(config);
+  populate(&rig.store);
 
-  sim::Simulator& client_sim = rig.sharded.shard(0);
   std::map<RequestId, SimTime> sent_at;
   Sampler commit_latency;
   CellResult out;
@@ -102,7 +90,7 @@ CellResult run_cell(const Params& params,
         auto it = sent_at.find(p.lambda.request_id);
         if (it == sent_at.end()) return;
         const double latency_ns =
-            static_cast<double>(client_sim.now() - it->second);
+            static_cast<double>(rig.sim.now() - it->second);
         sent_at.erase(it);
         if (!p.payload.empty() &&
             p.payload[0] ==
@@ -112,8 +100,7 @@ CellResult run_cell(const Params& params,
         } else {
           ++out.aborted_final;
         }
-      },
-      &client_sim);
+      });
 
   auto arrivals = loadgen::make_arrivals(
       loadgen::ArrivalSpec::poisson(rate_rps), params.seed);
@@ -122,19 +109,19 @@ CellResult run_cell(const Params& params,
     if (issued >= n_txns) return;
     net::Packet p;
     p.src = client;
-    p.dst = rig.store->node();
+    p.dst = rig.store.node();
     p.kind = net::PacketKind::kKvRequest;
     p.lambda.workload_id = kvstore::TxnStore::kOpTxn;
     p.lambda.request_id = ++issued;
     p.payload = kvstore::TxnStore::encode_txn(next());
-    sent_at[p.lambda.request_id] = client_sim.now();
+    sent_at[p.lambda.request_id] = rig.sim.now();
     rig.network.send(std::move(p));
-    client_sim.schedule(arrivals->next_gap(), send_next);
+    rig.sim.schedule(arrivals->next_gap(), send_next);
   };
-  client_sim.schedule(arrivals->next_gap(), send_next);
-  rig.sharded.run();
+  rig.sim.schedule(arrivals->next_gap(), send_next);
+  rig.sim.run();
 
-  const auto& stats = rig.store->stats();
+  const auto& stats = rig.store.stats();
   out.abort_attempts = stats.aborts;
   const std::uint64_t attempts = stats.commits + stats.aborts;
   out.abort_rate = attempts == 0
@@ -144,8 +131,8 @@ CellResult run_cell(const Params& params,
   out.p50_ms = commit_latency.empty() ? 0.0
                                       : commit_latency.median() / 1e6;
   out.p99_ms = commit_latency.empty() ? 0.0 : commit_latency.p99() / 1e6;
-  out.hit_ratio = rig.store->cache_stats().hit_ratio();
-  out.host_reads = rig.store->host_stats().reads;
+  out.hit_ratio = rig.store.cache_stats().hit_ratio();
+  out.host_reads = rig.store.host_stats().reads;
   out.lock_waits = stats.lock_waits;
   return out;
 }
@@ -182,9 +169,8 @@ int main(int argc, char** argv) {
       params.tpcc_txns = 250;
     }
   }
-  params.shards = shards_from_args(argc, argv);
 
-  BenchSummary summary("supp_kv_txn", params.seed, params.shards);
+  BenchSummary summary("supp_kv_txn", params.seed);
   const kvstore::LockProtocol protocols[] = {kvstore::LockProtocol::kNoWait,
                                              kvstore::LockProtocol::kWaitDie};
 

@@ -7,14 +7,8 @@
 //
 // A second section scales out instead of up: a rack of 400 λ-NIC
 // workers — 100x the paper's 4-worker testbed — behind one gateway,
-// driven open-loop by loadgen:: Poisson arrivals, with the workers
-// spread across event shards (sim/sharded.h). Usage:
-//   supp_load_scaling [--smoke] [--shards N]
-//
-// Every node in the rack is remote-capable (workers answer the shard-0
-// gateway; the shard-0 cache answers workers), so no shard declares a
-// local-only frontier and every window is one lookahead long
-// (sim/sharded.h); the window counters land in the JSON.
+// driven open-loop by loadgen:: Poisson arrivals. Usage:
+//   supp_load_scaling [--smoke]
 #include <cstdio>
 #include <cstring>
 #include <memory>
@@ -29,28 +23,19 @@ using namespace lnic::bench;
 
 namespace {
 
-/// 100x-scale rack: `workers` λ-NIC nodes round-robined across shards
-/// 1..N-1 (gateway, cache and the generator on shard 0), Poisson
-/// open-loop arrivals at `rate_rps` for `window`.
-void run_scale_section(BenchSummary& summary, unsigned shards,
-                       std::size_t workers, double rate_rps,
-                       SimDuration window) {
-  sim::ShardedSimulator sharded(shards);
-  sim::Simulator& sim0 = sharded.shard(0);
-  net::Network network(sharded);
-  kvstore::CacheServer cache(sim0, network);
+/// 100x-scale rack: `workers` λ-NIC nodes behind one gateway and cache,
+/// Poisson open-loop arrivals at `rate_rps` for `window`.
+void run_scale_section(BenchSummary& summary, std::size_t workers,
+                       double rate_rps, SimDuration window) {
+  sim::Simulator sim;
+  net::Network network(sim);
+  kvstore::CacheServer cache(sim, network);
 
   std::vector<std::unique_ptr<backends::Backend>> pool;
   std::vector<NodeId> nodes;
-  const unsigned worker_shards =
-      sharded.shards() > 1 ? sharded.shards() - 1 : 1;
   for (std::size_t i = 0; i < workers; ++i) {
-    const unsigned shard =
-        sharded.shards() > 1 ? 1 + static_cast<unsigned>(i % worker_shards)
-                             : 0;
-    network.set_attach_shard(shard);
     pool.push_back(backends::make_backend(backends::BackendKind::kLambdaNic,
-                                          sharded.shard(shard), network));
+                                          sim, network));
     pool.back()->set_kv_server(cache.node());
     if (!pool.back()->deploy(workloads::make_standard_workloads()).ok()) {
       std::fprintf(stderr, "scale section: deploy failed\n");
@@ -58,12 +43,11 @@ void run_scale_section(BenchSummary& summary, unsigned shards,
     }
     nodes.push_back(pool.back()->node());
   }
-  network.set_attach_shard(0);
-  sharded.run_until(seconds(40));  // firmware flash across the rack
+  sim.run_until(seconds(40));  // firmware flash across the rack
 
   framework::GatewayConfig config;
   config.rpc.retransmit_timeout = seconds(600);  // queueing, not loss
-  framework::Gateway gateway(sim0, network, config);
+  framework::Gateway gateway(sim, network, config);
   gateway.register_function(loadgen::function_name(0),
                             workloads::kWebServerId, nodes);
 
@@ -73,43 +57,32 @@ void run_scale_section(BenchSummary& summary, unsigned shards,
   lg.seed = 17;
   lg.slo.deadline = milliseconds(2);
   loadgen::LoadGenerator generator(
-      sim0, lg, loadgen::uniform_functions(1),
+      sim, lg, loadgen::uniform_functions(1),
       loadgen::gateway_sink(gateway, [](const loadgen::Request& request) {
         return workloads::encode_web_request(request.id & 3);
       }));
 
-  const SimTime start = sim0.now();
+  const SimTime start = sim.now();
   generator.start();
-  sharded.run_until(start + window);
+  sim.run_until(start + window);
   generator.stop();
-  sharded.run();  // drain so every offered request is accounted
+  sim.run();  // drain so every offered request is accounted
 
   const loadgen::SloReport report = generator.slo().report(window);
-  std::printf("\n-- rack scale: %zu x nic workers, %u shard(s) --\n",
-              workers, sharded.shards());
+  std::printf("\n-- rack scale: %zu x nic workers --\n", workers);
   std::printf("  offered %8llu (%8.0f rps)  goodput %8.0f rps\n"
               "  p50 %8.3f ms  p99 %8.3f ms  deadline misses %.2f%%\n"
-              "  events %llu  cross-shard posts %llu  windows %llu\n",
+              "  events %llu\n",
               static_cast<unsigned long long>(report.offered),
               report.offered_rps, report.goodput_rps, report.p50_ms,
               report.p99_ms, report.violation_fraction * 100.0,
-              static_cast<unsigned long long>(sharded.events_dispatched()),
-              static_cast<unsigned long long>(sharded.cross_shard_posts()),
-              static_cast<unsigned long long>(sharded.windows_executed()));
+              static_cast<unsigned long long>(sim.events_dispatched()));
   summary.add("scale/workers", static_cast<double>(workers), "count");
   summary.add("scale/offered", static_cast<double>(report.offered), "count");
   summary.add("scale/goodput", report.goodput_rps, "rps");
   summary.add("scale/p50", report.p50_ms, "ms");
   summary.add("scale/p99", report.p99_ms, "ms");
   summary.add("scale/violation_frac", report.violation_fraction, "fraction");
-  summary.add("scale/cross_shard_posts",
-              static_cast<double>(sharded.cross_shard_posts()), "count");
-  summary.add("scale/windows",
-              static_cast<double>(sharded.windows_executed()), "windows");
-  summary.add("scale/windows_extended",
-              static_cast<double>(sharded.windows_extended()), "windows");
-  summary.add("scale/window_span_ns",
-              sharded.shard_stats().mean_window_span_ns, "ns");
 }
 
 }  // namespace
@@ -119,10 +92,9 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--smoke") == 0) smoke = true;
   }
-  const unsigned shards = shards_from_args(argc, argv);
 
   print_header("Supplementary: load scaling, web server");
-  BenchSummary summary("supp_load_scaling", /*seed=*/1, shards);
+  BenchSummary summary("supp_load_scaling", /*seed=*/1);
 
   const backends::BackendKind kinds[] = {
       backends::BackendKind::kLambdaNic, backends::BackendKind::kBareMetal,
@@ -133,7 +105,7 @@ int main(int argc, char** argv) {
     std::printf("\n-- %s --\n", backends::to_string(kind));
     std::printf("  %10s %14s %14s\n", "senders", "req/s", "p99 (ms)");
     for (const auto c : concurrencies) {
-      BackendRig rig(kind, /*worker_threads=*/56, shards);
+      BackendRig rig(kind);
       WorkloadCase test{
           "web", workloads::kWebServerId,
           [](std::uint64_t i) { return workloads::encode_web_request(i & 3); },
@@ -157,8 +129,7 @@ int main(int argc, char** argv) {
               "  senders and queueing inflates their tails linearly.\n");
 
   // 100x today's 4-worker cluster (40x under --smoke, for CI).
-  run_scale_section(summary, shards,
-                    /*workers=*/smoke ? 40 : 400,
+  run_scale_section(summary, /*workers=*/smoke ? 40 : 400,
                     /*rate_rps=*/smoke ? 50'000.0 : 200'000.0,
                     /*window=*/smoke ? milliseconds(20) : milliseconds(50));
   return 0;

@@ -17,8 +17,8 @@
 //     collapses to warm latency.
 //
 // Every scenario emits per-tenant SLO rows into BENCH_supp_multitenant
-// .json; results are bit-reproducible for a fixed (seed, shards) pair.
-// Usage: supp_multitenant [--smoke] [--shards N]
+// .json; results are bit-reproducible for a fixed seed.
+// Usage: supp_multitenant [--smoke]
 #include <cstdio>
 #include <cstring>
 #include <memory>
@@ -43,7 +43,6 @@ struct Params {
   double burst_peak_rps = 30000.0;
   SimDuration deadline = milliseconds(2);
   std::uint64_t seed = 23;
-  unsigned shards = 1;
 };
 
 /// Small WFQ card: eight lambda threads, deep queues — easy for one
@@ -62,26 +61,20 @@ nicsim::NicConfig small_wfq_card() {
 }
 
 /// One shared SmartNIC serving a web farm, each workload owned by a
-/// tenant with its own weighted route. Master stack on shard 0, the
-/// card on shard 1 when sharded (same split core::Cluster uses).
+/// tenant with its own weighted route.
 struct SharedCardRig {
-  sim::ShardedSimulator sharded;
-  net::Network network;
+  sim::Simulator sim;
+  net::Network network{sim};
   std::unique_ptr<kvstore::CacheServer> cache;
   std::unique_ptr<backends::LambdaNicBackend> backend;
   std::unique_ptr<framework::Gateway> gateway;
   std::vector<TenantId> tenants;  // by farm index
 
-  SharedCardRig(const Params& params, const std::vector<std::string>& names,
-                const std::vector<std::uint32_t>& weights)
-      : sharded(params.shards), network(sharded) {
-    sim::Simulator& sim = sharded.shard(0);
+  SharedCardRig(const std::vector<std::string>& names,
+                const std::vector<std::uint32_t>& weights) {
     cache = std::make_unique<kvstore::CacheServer>(sim, network);
-    const unsigned worker_shard = sharded.shards() > 1 ? 1 : 0;
-    network.set_attach_shard(worker_shard);
-    backend = std::make_unique<backends::LambdaNicBackend>(
-        sharded.shard(worker_shard), network, small_wfq_card());
-    network.set_attach_shard(0);
+    backend = std::make_unique<backends::LambdaNicBackend>(sim, network,
+                                                           small_wfq_card());
     backend->set_kv_server(cache->node());
 
     framework::GatewayConfig config;
@@ -111,10 +104,8 @@ struct SharedCardRig {
              .ok()) {
       std::fprintf(stderr, "supp_multitenant: deploy failed\n");
     }
-    sharded.run_until(seconds(40));  // firmware flash window
+    sim.run_until(seconds(40));  // firmware flash window
   }
-
-  sim::Simulator& sim() { return sharded.shard(0); }
 };
 
 loadgen::LoadGenConfig tenant_load(const Params& params,
@@ -134,7 +125,7 @@ std::unique_ptr<loadgen::LoadGenerator> make_tenant_generator(
   std::vector<loadgen::FunctionProfile> profiles = {
       loadgen::FunctionProfile{function, loadgen::PayloadDist::fixed_size(8)}};
   return std::make_unique<loadgen::LoadGenerator>(
-      rig.sim(), tenant_load(params, arrivals, seed_offset),
+      rig.sim, tenant_load(params, arrivals, seed_offset),
       std::move(profiles),
       loadgen::gateway_sink(*rig.gateway,
                             [](const loadgen::Request& request) {
@@ -166,39 +157,39 @@ void run_noisy_neighbor(const Params& params, BenchSummary& summary) {
   // Isolated baseline: the victim alone on an identical card.
   double isolated_p99 = 0.0;
   {
-    SharedCardRig rig(params, {"victim", "aggressor"}, {10, 1});
+    SharedCardRig rig({"victim", "aggressor"}, {10, 1});
     auto victim = make_tenant_generator(
         rig, params, "victim/web",
         loadgen::ArrivalSpec::poisson(params.victim_rps), 1);
-    const SimTime start = rig.sim().now();
+    const SimTime start = rig.sim.now();
     victim->start();
-    rig.sharded.run_until(start + params.window);
+    rig.sim.run_until(start + params.window);
     victim->stop();
-    rig.sharded.run();
+    rig.sim.run();
     const auto report = victim->slo().report(params.window);
     isolated_p99 = report.p99_ms;
     add_tenant_row(summary, "noisy/victim_isolated", report, "victim/web");
   }
 
   // Shared run: the aggressor floods open-loop far beyond its share.
-  SharedCardRig rig(params, {"victim", "aggressor"}, {10, 1});
+  SharedCardRig rig({"victim", "aggressor"}, {10, 1});
   auto victim = make_tenant_generator(
       rig, params, "victim/web",
       loadgen::ArrivalSpec::poisson(params.victim_rps), 1);
   auto aggressor = make_tenant_generator(
       rig, params, "aggressor/web",
       loadgen::ArrivalSpec::poisson(params.aggressor_rps), 2);
-  const SimTime start = rig.sim().now();
+  const SimTime start = rig.sim.now();
   victim->start();
   aggressor->start();
-  rig.sharded.run_until(start + params.window);
+  rig.sim.run_until(start + params.window);
   victim->stop();
   aggressor->stop();
   // Card service rate while the aggressor kept it saturated.
   const double capacity_rps =
       static_cast<double>(rig.backend->nic().stats().requests_completed) /
       to_sec(params.window);
-  rig.sharded.run_until(start + params.window + seconds(5));  // drain victim
+  rig.sim.run_until(start + params.window + seconds(5));  // drain victim
 
   const auto victim_report = victim->slo().report(params.window);
   const auto aggr_report = aggressor->slo().report(params.window);
@@ -229,7 +220,7 @@ void run_tenant_burst(const Params& params, BenchSummary& summary) {
   std::printf("\n-- tenant burst (gold 4 : silver 2 : bronze 1, Zipf + "
               "on-off)\n");
   const std::vector<std::string> names = {"gold", "silver", "bronze"};
-  SharedCardRig rig(params, names, {4, 2, 1});
+  SharedCardRig rig(names, {4, 2, 1});
 
   // One Zipf-skewed arrival process spread across the three tenants
   // (gold hottest), bursting well past the card's capacity.
@@ -246,17 +237,17 @@ void run_tenant_burst(const Params& params, BenchSummary& summary) {
       3);
   lg.zipf_s = 0.9;
   loadgen::LoadGenerator generator(
-      rig.sim(), lg, std::move(profiles),
+      rig.sim, lg, std::move(profiles),
       loadgen::gateway_sink(*rig.gateway,
                             [](const loadgen::Request& request) {
                               return workloads::encode_web_request(request.id &
                                                                    3);
                             }));
-  const SimTime start = rig.sim().now();
+  const SimTime start = rig.sim.now();
   generator.start();
-  rig.sharded.run_until(start + params.window);
+  rig.sim.run_until(start + params.window);
   generator.stop();
-  rig.sharded.run_until(start + params.window + seconds(5));
+  rig.sim.run_until(start + params.window + seconds(5));
 
   const auto report = generator.slo().report(params.window);
   for (const auto& name : names) {
@@ -283,8 +274,8 @@ void run_tenant_burst(const Params& params, BenchSummary& summary) {
 
 void run_scale_to_zero(const Params& params, BenchSummary& summary) {
   std::printf("\n-- scale-to-zero cold start (autoscaler, SLO signal)\n");
-  SharedCardRig rig(params, {"idlecorp"}, {1});
-  sim::Simulator& sim = rig.sim();
+  SharedCardRig rig({"idlecorp"}, {1});
+  sim::Simulator& sim = rig.sim;
   framework::Gateway& gateway = *rig.gateway;
   const std::string fn = "idlecorp/web";
   const TenantId tid = rig.tenants[0];
@@ -332,15 +323,15 @@ void run_scale_to_zero(const Params& params, BenchSummary& summary) {
   scaler.start();
 
   // Idle head, then the burst arrives at a scaled-to-zero tenant.
-  rig.sharded.run_until(sim.now() + milliseconds(100));
+  sim.run_until(sim.now() + milliseconds(100));
   const SimTime burst_at = sim.now();
   generator->start();
-  rig.sharded.run_until(burst_at + params.window);
+  sim.run_until(burst_at + params.window);
   generator->stop();
   // Quiet tail: hysteresis + cooldown release the replicas again.
-  rig.sharded.run_until(burst_at + params.window + seconds(1));
+  sim.run_until(burst_at + params.window + seconds(1));
   scaler.stop();
-  rig.sharded.run();
+  sim.run();
 
   const auto report = generator->slo().report(params.window);
   const double cold_ms =
@@ -373,15 +364,14 @@ int main(int argc, char** argv) {
       params.burst_peak_rps = 15000.0;
     }
   }
-  params.shards = shards_from_args(argc, argv);
 
   print_header("Supplementary: multi-tenant NPU grid (DRR + quotas + SLO "
                "autoscaling)");
-  std::printf("  window %.0f ms, deadline %.1f ms, seed %llu, shards %u\n",
+  std::printf("  window %.0f ms, deadline %.1f ms, seed %llu\n",
               to_ms(params.window), to_ms(params.deadline),
-              static_cast<unsigned long long>(params.seed), params.shards);
+              static_cast<unsigned long long>(params.seed));
 
-  BenchSummary summary("supp_multitenant", params.seed, params.shards);
+  BenchSummary summary("supp_multitenant", params.seed);
   run_noisy_neighbor(params, summary);
   run_tenant_burst(params, summary);
   run_scale_to_zero(params, summary);

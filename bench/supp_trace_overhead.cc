@@ -9,13 +9,10 @@
 //
 // Four rows: tracing off, sampled (1/16 of requests), full (every
 // request), and full plus the NPU-grid profiler. All four must agree on
-// every simulated statistic. Two more sections cover the rest of the
-// observability plane: the flight recorder's per-record wall cost, and
-// a 2-shard rerun asserting that shard stall accounting neither
-// perturbs the simulation nor breaks its busy+barrier+sync == wall
-// identity.
+// every simulated statistic. A last section covers the flight
+// recorder's per-record wall cost and checks that its ring stays
+// bounded.
 #include <chrono>
-#include <cmath>
 #include <cstdio>
 
 #include "bench/harness.h"
@@ -139,50 +136,6 @@ FlightrecCost measure_flightrec(std::uint64_t records) {
   return cost;
 }
 
-/// One 2-shard closed-loop run with stall accounting live the whole
-/// time. Returns the simulated stats (for the rerun-identity check) and
-/// the collector snapshot (for the sum-to-wall identity).
-struct ShardRun {
-  RunResult result;
-  sim::ShardStats stats;
-};
-
-ShardRun run_sharded(std::uint64_t total) {
-  BackendRig rig(backends::BackendKind::kLambdaNic, /*worker_threads=*/56,
-                 /*shards=*/2);
-  WorkloadCase test;
-  test.name = "web";
-  test.workload = workloads::kWebServerId;
-  test.payload = [](std::uint64_t i) {
-    return workloads::encode_web_request(i & 3);
-  };
-  test.requests = total;
-  const Sampler latency = rig.run_closed_loop(test, /*concurrency=*/8);
-  ShardRun run;
-  run.result.count = latency.count();
-  run.result.mean_ns = latency.mean();
-  run.result.p50_ns = latency.median();
-  run.result.p99_ns = latency.p99();
-  run.result.completed = rig.backend().completed();
-  run.stats = rig.sharded().shard_stats();
-  return run;
-}
-
-/// Worst per-shard |busy + barrier + sync - wall| / wall, in percent.
-double stall_sum_error_pct(const sim::ShardStats& stats) {
-  if (stats.total_wall_ns == 0) return 0.0;
-  double worst = 0.0;
-  for (unsigned s = 0; s < stats.shards; ++s) {
-    const double sum = static_cast<double>(
-        stats.busy_ns[s] + stats.barrier_ns[s] + stats.sync_wall_ns());
-    const double err =
-        std::abs(sum - static_cast<double>(stats.total_wall_ns)) /
-        static_cast<double>(stats.total_wall_ns) * 100.0;
-    if (err > worst) worst = err;
-  }
-  return worst;
-}
-
 }  // namespace
 
 int main() {
@@ -244,35 +197,11 @@ int main() {
   summary.add("flightrec_ns_per_record", fr.ns_per_record, "ns");
   summary.add("flightrec_bounded", fr.bounded ? 1.0 : 0.0, "bool");
 
-  // -- shard stall accounting: no perturbation, sums to wall -----------
-  constexpr std::uint64_t kShardTotal = 1000;
-  const ShardRun shard_a = run_sharded(kShardTotal);
-  const ShardRun shard_b = run_sharded(kShardTotal);
-  const bool shard_identical = identical(shard_a.result, shard_b.result);
-  const double shard_sum_err =
-      std::max(stall_sum_error_pct(shard_a.stats),
-               stall_sum_error_pct(shard_b.stats));
-  std::printf("  2-shard rerun identical with stall accounting on: %s\n",
-              shard_identical ? "yes" : "NO (determinism regression!)");
-  std::printf("  stall breakdown sum error: %.3f%% of wall "
-              "(%llu windows)\n",
-              shard_sum_err,
-              static_cast<unsigned long long>(shard_a.stats.windows));
-  summary.add("shard_identical", shard_identical ? 1.0 : 0.0, "bool");
-  summary.add("shard_stall_sum_err_pct", shard_sum_err, "%");
-
   if (!sim_identical) {
     return bench_fail("simulated stats differ across tracing rows");
   }
-  if (!shard_identical) {
-    return bench_fail("2-shard rerun differs with stall accounting on");
-  }
   if (!fr.bounded) {
     return bench_fail("flight recorder ring exceeded its bound");
-  }
-  if (shard_sum_err > 1.0) {
-    return bench_fail("shard stall breakdown does not sum to wall (" +
-                      std::to_string(shard_sum_err) + "% off)");
   }
   return 0;
 }

@@ -43,7 +43,6 @@ struct MixParams {
   double zipf_s = 0.9;
   SimDuration deadline = milliseconds(2);
   std::uint64_t seed = 11;
-  unsigned shards = 1;
 };
 
 struct CellResult {
@@ -56,32 +55,21 @@ struct CellResult {
 /// aliased onto the web-server lambda.
 CellResult run_cell(const std::vector<backends::BackendKind>& kinds,
                     const MixParams& params) {
-  // Gateway, cache and the load generator share shard 0; workers
-  // round-robin across the remaining shards (all on 0 when unsharded).
-  sim::ShardedSimulator sharded(params.shards);
-  sim::Simulator& sim = sharded.shard(0);
-  net::Network network(sharded);
+  sim::Simulator sim;
+  net::Network network(sim);
   kvstore::CacheServer cache(sim, network);
 
   std::vector<std::unique_ptr<backends::Backend>> workers;
   std::vector<NodeId> nodes;
-  const unsigned worker_shards =
-      sharded.shards() > 1 ? sharded.shards() - 1 : 1;
-  for (std::size_t i = 0; i < kinds.size(); ++i) {
-    const unsigned shard =
-        sharded.shards() > 1 ? 1 + static_cast<unsigned>(i % worker_shards)
-                             : 0;
-    network.set_attach_shard(shard);
-    workers.push_back(
-        backends::make_backend(kinds[i], sharded.shard(shard), network));
+  for (const backends::BackendKind kind : kinds) {
+    workers.push_back(backends::make_backend(kind, sim, network));
     workers.back()->set_kv_server(cache.node());
     if (!workers.back()->deploy(workloads::make_standard_workloads()).ok()) {
       return {};
     }
     nodes.push_back(workers.back()->node());
   }
-  network.set_attach_shard(0);
-  sharded.run_until(seconds(40));  // firmware flash / container pull
+  sim.run_until(seconds(40));  // firmware flash / container pull
 
   framework::GatewayConfig config;
   config.rpc.retransmit_timeout = seconds(600);  // queueing, not loss
@@ -108,9 +96,9 @@ CellResult run_cell(const std::vector<backends::BackendKind>& kinds,
 
   const SimTime start = sim.now();
   generator.start();
-  sharded.run_until(start + params.window);
+  sim.run_until(start + params.window);
   generator.stop();
-  sharded.run();  // drain queued work so every offered request is accounted
+  sim.run();  // drain queued work so every offered request is accounted
 
   CellResult cell;
   cell.report = generator.slo().report(params.window);
@@ -163,7 +151,6 @@ int main(int argc, char** argv) {
       params.window = milliseconds(120);
     }
   }
-  params.shards = shards_from_args(argc, argv);
 
   print_header("Supplementary: traffic mix (Zipf + burst, open loop)");
   std::printf("  %zu functions, Zipf %.1f, base %.0f rps with bursts to "
@@ -172,7 +159,7 @@ int main(int argc, char** argv) {
               params.burst_rps, to_ms(params.deadline),
               to_ms(params.window));
 
-  BenchSummary summary("supp_traffic_mix", params.seed, params.shards);
+  BenchSummary summary("supp_traffic_mix", params.seed);
 
   const CellResult nic = run_cell(
       {backends::BackendKind::kLambdaNic, backends::BackendKind::kLambdaNic},

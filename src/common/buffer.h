@@ -35,8 +35,9 @@
 namespace lnic {
 
 /// Global accounting of payload bytes moved through the buffer API.
-/// Internally accumulated with relaxed atomics so shards sharing payload
-/// views never race; reset between bench scenarios (single-threaded).
+/// Process-wide, so accumulated with relaxed atomics: simulations on
+/// different threads would share it without racing. Reset between bench
+/// scenarios.
 struct CopyStats {
   std::uint64_t bytes_copied = 0;  // bytes physically memcpy'd
   std::uint64_t copies = 0;        // copy operations

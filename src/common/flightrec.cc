@@ -12,7 +12,6 @@ const char* to_string(Kind kind) {
     case Kind::kUndeployDrop: return "undeploy-drop";
     case Kind::kQuotaReject: return "quota-reject";
     case Kind::kRtoBackoff: return "rto-backoff";
-    case Kind::kBarrierOutlier: return "barrier-outlier";
     case Kind::kTxnRetryExhausted: return "txn-retry-exhausted";
     case Kind::kOther: return "other";
   }

@@ -1,15 +1,17 @@
 // Flight recorder: an always-on bounded ring of the last N anomaly
 // events (sheds, quarantines, DRR drops, quota rejections, RTO backoffs,
-// barrier outliers). The point is post-hoc debuggability: when a bench
-// fails or a run behaves oddly, the recorder answers "what went wrong
-// *just before*?" without anyone having turned tracing on in advance.
+// exhausted transaction retries). The point is post-hoc debuggability:
+// when a bench fails or a run behaves oddly, the recorder answers "what
+// went wrong *just before*?" without anyone having turned tracing on in
+// advance.
 //
 // Recording is pure wall-clock bookkeeping — no simulated events are
 // scheduled, no simulated clocks are read beyond the caller-supplied
 // timestamp — so an instrumented run replays byte-for-byte identical to
-// an uninstrumented one. The ring is mutex-guarded (anomalies can fire
-// on any shard thread) and bounded, so steady-state cost is one lock and
-// one slot overwrite per anomaly, and anomalies are rare by definition.
+// an uninstrumented one. The ring is process-wide, so it is
+// mutex-guarded (simulations on different threads would share it) and
+// bounded; steady-state cost is one lock and one slot overwrite per
+// anomaly, and anomalies are rare by definition.
 #pragma once
 
 #include <cstdint>
@@ -29,7 +31,6 @@ enum class Kind : std::uint8_t {
   kUndeployDrop,       // queued requests dropped by tenant undeploy
   kQuotaReject,        // deploy rejected by per-tenant quota admission
   kRtoBackoff,         // RPC attempt exhausted retransmits / backed off
-  kBarrierOutlier,     // shard window wall time far above running mean
   kTxnRetryExhausted,  // transaction aborted past its retry budget
   kOther,
 };

@@ -11,12 +11,6 @@ void Sampler::add(double v) {
   sorted_valid_ = false;
 }
 
-void Sampler::merge_from(const Sampler& other) {
-  samples_.insert(samples_.end(), other.samples_.begin(),
-                  other.samples_.end());
-  sorted_valid_ = false;
-}
-
 void Sampler::ensure_sorted() const {
   if (sorted_valid_) return;
   sorted_ = samples_;
@@ -72,16 +66,6 @@ void Histogram::observe(double v) {
   ++buckets_[static_cast<std::size_t>(it - bounds_.begin())];
   ++count_;
   sum_ += v;
-}
-
-bool Histogram::merge_from(const Histogram& other) {
-  if (bounds_ != other.bounds_) return false;
-  for (std::size_t b = 0; b < buckets_.size(); ++b) {
-    buckets_[b] += other.buckets_[b];
-  }
-  count_ += other.count_;
-  sum_ += other.sum_;
-  return true;
 }
 
 std::uint64_t Histogram::cumulative(std::size_t i) const {

@@ -5,7 +5,6 @@
 // reported, matching how the paper plots Figures 6 and 8.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -36,10 +35,6 @@ class Sampler {
 
   const std::vector<double>& samples() const { return samples_; }
 
-  /// Appends all of `other`'s samples — merging shard-local samplers on
-  /// scrape. Percentiles over the merged set are exact (raw samples).
-  void merge_from(const Sampler& other);
-
  private:
   void ensure_sorted() const;
   std::vector<double> samples_;
@@ -48,30 +43,16 @@ class Sampler {
 };
 
 /// Simple monotonically increasing counter with a name (Prometheus-style).
-/// Increments are relaxed atomics so shards may bump a shared counter
-/// without racing; copy/move take a snapshot (containers rearranging
-/// counters are single-threaded operations).
 class Counter {
  public:
   explicit Counter(std::string name = {}) : name_(std::move(name)) {}
-  Counter(const Counter& other)
-      : name_(other.name_), value_(other.value()) {}
-  Counter& operator=(const Counter& other) {
-    name_ = other.name_;
-    value_.store(other.value(), std::memory_order_relaxed);
-    return *this;
-  }
-  void increment(std::uint64_t by = 1) {
-    value_.fetch_add(by, std::memory_order_relaxed);
-  }
-  std::uint64_t value() const {
-    return value_.load(std::memory_order_relaxed);
-  }
+  void increment(std::uint64_t by = 1) { value_ += by; }
+  std::uint64_t value() const { return value_; }
   const std::string& name() const { return name_; }
 
  private:
   std::string name_;
-  std::atomic<std::uint64_t> value_{0};
+  std::uint64_t value_ = 0;
 };
 
 /// Prometheus-style bucketed histogram: cumulative counts per upper
@@ -98,10 +79,6 @@ class Histogram {
 
   /// Exponential nanosecond-latency buckets, 1 us .. ~8.6 s.
   static std::vector<double> default_latency_bounds();
-
-  /// Adds `other`'s observations bucket-by-bucket. Returns false (and
-  /// changes nothing) when the bucket bounds differ.
-  bool merge_from(const Histogram& other);
 
  private:
   std::vector<double> bounds_;

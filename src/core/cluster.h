@@ -27,7 +27,6 @@
 #include "kvstore/etcd.h"
 #include "net/network.h"
 #include "proto/rpc.h"
-#include "sim/sharded.h"
 #include "sim/simulator.h"
 #include "workloads/lambdas.h"
 
@@ -50,12 +49,6 @@ struct ClusterConfig {
   net::FaultConfig faults;
   framework::GatewayConfig gateway;
   std::uint64_t seed = 7;
-  // Event shards the cluster runs on. 1 (the default) is the classic
-  // single-threaded engine, byte-identical to every earlier release.
-  // With N > 1 the master stack (gateway, cache, etcd, manager) gets
-  // shard 0 to itself and worker i lives on shard 1 + i % (N - 1),
-  // synchronized conservatively on the link delay (see sim/sharded.h).
-  unsigned shards = 1;
 
   /// The effective per-worker kinds after applying the homogeneous
   /// convenience expansion.
@@ -66,10 +59,11 @@ class Cluster {
  public:
   explicit Cluster(ClusterConfig config = {});
 
-  /// Shard 0's engine — the master stack's home and, between runs, the
-  /// authoritative clock. Single-shard clusters run entirely on it.
-  sim::Simulator& sim() { return sharded_.shard(0); }
-  sim::ShardedSimulator& sharded() { return sharded_; }
+  /// The one event engine every node of the cluster runs on.
+  sim::Simulator& sim() { return sim_; }
+  /// Same engine as sim(); stays until a benchmark change moves
+  /// perfbench onto sim().
+  sim::Simulator& sharded() { return sim_; }
   net::Network& network() { return network_; }
   framework::Gateway& gateway() { return *gateway_; }
   framework::WorkloadManager& manager() { return *manager_; }
@@ -108,7 +102,7 @@ class Cluster {
 
  private:
   ClusterConfig config_;
-  sim::ShardedSimulator sharded_;
+  sim::Simulator sim_;
   net::Network network_;
   framework::BlobStorage storage_;
   std::unique_ptr<framework::Gateway> gateway_;

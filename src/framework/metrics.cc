@@ -77,26 +77,6 @@ bool MetricsRegistry::has(const std::string& name) const {
          samplers_.count(name) > 0 || histograms_.count(name) > 0;
 }
 
-void MetricsRegistry::merge_from(const MetricsRegistry& other) {
-  for (const auto& [key, c] : other.counters_) {
-    counter(key).increment(c.value());
-  }
-  for (const auto& [key, value] : other.gauges_) {
-    gauges_[key] += value;
-  }
-  for (const auto& [key, s] : other.samplers_) {
-    samplers_[key].merge_from(s);
-  }
-  for (const auto& [key, h] : other.histograms_) {
-    auto it = histograms_.find(key);
-    if (it == histograms_.end()) {
-      histograms_.emplace(key, h);
-    } else {
-      it->second.merge_from(h);
-    }
-  }
-}
-
 namespace {
 
 /// Splits a canonical series key into name and label text ("" if none).

@@ -52,12 +52,6 @@ class MetricsRegistry {
     return histograms_;
   }
 
-  /// Folds another registry into this one: counters and gauges add,
-  /// samplers append their raw samples, histograms add bucket-wise
-  /// (series whose bounds differ are skipped). Lets shard-local
-  /// registries merge into one scrape-time view.
-  void merge_from(const MetricsRegistry& other);
-
   /// Text exposition, globally name-sorted (series of every kind
   /// interleave in one deterministic lexicographic order). Counters and
   /// gauges render one `name{labels} value` line; samplers expand to

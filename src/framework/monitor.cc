@@ -146,51 +146,6 @@ void Monitor::scrape() {
                           static_cast<double>(s.gets);
   }
 
-  // Sharded-engine stall accounting: where the parallel run's wall time
-  // went (busy vs barrier vs serial sync) and who talks to whom.
-  if (sharded_ != nullptr) {
-    const sim::ShardStats stats = sharded_->shard_stats();
-    metrics_.gauge("sim_shard_windows_total") =
-        static_cast<double>(stats.windows);
-    metrics_.gauge("sim_shard_wall_ns_total") =
-        static_cast<double>(stats.total_wall_ns);
-    metrics_.gauge("sim_shard_sync_ns_total") =
-        static_cast<double>(stats.sync_wall_ns());
-    metrics_.gauge("sim_shard_lookahead_utilization") =
-        stats.lookahead_utilization;
-    metrics_.gauge("sim_shard_windows_extended_total") =
-        static_cast<double>(stats.windows_extended);
-    metrics_.gauge("sim_shard_mean_window_span_ns") =
-        stats.mean_window_span_ns;
-    metrics_.gauge("sim_shard_barrier_outliers_total") =
-        static_cast<double>(stats.barrier_outliers);
-    metrics_.gauge("sim_shard_barrier_outlier_threshold") =
-        stats.outlier_threshold;
-    for (unsigned s = 0; s < stats.shards; ++s) {
-      const std::string sid = std::to_string(s);
-      metrics_.gauge("sim_shard_busy_ns_total", {{"shard", sid}}) =
-          static_cast<double>(stats.busy_ns[s]);
-      metrics_.gauge("sim_shard_barrier_ns_total", {{"shard", sid}}) =
-          static_cast<double>(stats.barrier_ns[s]);
-      metrics_.gauge("sim_shard_events_total", {{"shard", sid}}) =
-          static_cast<double>(stats.events[s]);
-      metrics_.gauge("sim_shard_cross_posts_total", {{"shard", sid}}) =
-          static_cast<double>(stats.cross_posts[s]);
-    }
-    // NxN matrix, nonzero cells only (bounds series cardinality to the
-    // couplings that actually exist).
-    for (unsigned src = 0; src < stats.shards; ++src) {
-      for (unsigned dst = 0; dst < stats.shards; ++dst) {
-        const std::uint64_t n = stats.cross(src, dst);
-        if (n == 0) continue;
-        metrics_.gauge("sim_shard_cross_events_total",
-                       {{"dst", std::to_string(dst)},
-                        {"src", std::to_string(src)}}) =
-            static_cast<double>(n);
-      }
-    }
-  }
-
   metrics_.gauge("monitor_scrapes") = static_cast<double>(scrapes_);
 }
 

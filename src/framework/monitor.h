@@ -13,7 +13,6 @@
 #include "kvstore/cache_server.h"
 #include "kvstore/txn.h"
 #include "net/trace.h"
-#include "sim/sharded.h"
 #include "sim/simulator.h"
 
 namespace lnic::framework {
@@ -28,13 +27,6 @@ class Monitor {
     backends_.emplace_back(name, backend);
   }
   void watch_gateway(Gateway* gateway) { gateway_ = gateway; }
-  /// Exports the sharded engine's stall accounting as sim_shard_*
-  /// gauges on every scrape. The Monitor's timer runs on shard 0 — the
-  /// coordinating thread — which is exactly the thread the stall
-  /// collector's single-threaded contract requires.
-  void watch_sharded(const sim::ShardedSimulator* sharded) {
-    sharded_ = sharded;
-  }
   /// Exports the packet-trace ring's eviction count as
   /// packet_trace_evicted_total (previously only visible in dump()).
   void watch_packet_tracer(const net::PacketTracer* tracer) {
@@ -67,7 +59,6 @@ class Monitor {
   sim::PeriodicTimer timer_;
   std::vector<std::pair<std::string, backends::Backend*>> backends_;
   Gateway* gateway_ = nullptr;
-  const sim::ShardedSimulator* sharded_ = nullptr;
   const net::PacketTracer* packet_tracer_ = nullptr;
   std::vector<std::pair<std::string, const kvstore::TxnStore*>> kv_stores_;
   std::vector<std::pair<std::string, const kvstore::CacheServer*>>

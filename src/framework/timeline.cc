@@ -58,10 +58,10 @@ std::string export_timeline(const TimelineInputs& inputs) {
       append_meta(out, first, nic_pid, t, "thread_name",
                   "npu " + std::to_string(t));
       for (const auto& iv : profiler->timeline(t)) {
-        append_span_open(out, first,
-                         ("w" + std::to_string(iv.workload)).c_str(),
-                         to_us(iv.start), to_us(iv.end - iv.start), nic_pid,
-                         t);
+        std::string span = "w";
+        span += std::to_string(iv.workload);
+        append_span_open(out, first, span.c_str(), to_us(iv.start),
+                         to_us(iv.end - iv.start), nic_pid, t);
         out << "\"workload\":\"" << iv.workload << "\"";
         const TenantId tenant = nic->tenant_of(iv.workload);
         if (tenant != kDefaultTenant) {
@@ -71,35 +71,6 @@ std::string export_timeline(const TimelineInputs& inputs) {
       }
     }
     ++nic_pid;
-  }
-
-  // Shard window tracks: each synchronization window becomes one span
-  // per shard over its simulated interval, carrying the wall-clock
-  // busy/barrier split so a stalled shard is visible at a glance.
-  if (inputs.sharded != nullptr && inputs.sharded->shards() > 1) {
-    const sim::ShardStats stats = inputs.sharded->shard_stats();
-    append_meta(out, first, kTimelineShardPid, 0, "process_name",
-                "sim shards");
-    for (unsigned s = 0; s < stats.shards; ++s) {
-      append_meta(out, first, kTimelineShardPid, s, "thread_name",
-                  "shard " + std::to_string(s));
-    }
-    for (const auto& window : stats.recent) {
-      const double ts = to_us(window.t0);
-      const double dur = to_us(window.end - window.t0 + 1);
-      for (unsigned s = 0; s < stats.shards; ++s) {
-        const std::uint64_t busy = window.busy_ns[s];
-        const std::uint64_t barrier =
-            window.wall_ns > busy ? window.wall_ns - busy : 0;
-        append_span_open(out, first, "shard.window", ts, dur,
-                         kTimelineShardPid, s);
-        // "extension" names what set the window's end: the static
-        // lookahead floor, or an EOT report that stretched it.
-        out << "\"busy_ns\":\"" << busy << "\",\"barrier_ns\":\"" << barrier
-            << "\",\"wall_ns\":\"" << window.wall_ns << "\",\"extension\":\""
-            << (window.eot_extended ? "eot" : "floor") << "\"}}";
-      }
-    }
   }
 
   out << "]}";

@@ -1,19 +1,16 @@
-// Unified Perfetto timeline: one trace_event JSON merging three event
+// Unified Perfetto timeline: one trace_event JSON merging two event
 // sources that previously exported separately (or not at all):
 //
 //   - TraceRecorder request spans — one Perfetto process per trace id,
 //     component tracks (gateway/rpc/nic/host), tenant ids in args;
 //   - NPU-grid busy intervals from each NIC's NpuProfiler — one process
 //     per NIC, one track per NPU thread, spans named w<workload> and
-//     annotated with the owning tenant;
-//   - shard windows from the sharded engine's stall accounting — one
-//     "sim shards" process, one track per shard, each window a span
-//     over its simulated interval carrying busy/barrier wall args.
+//     annotated with the owning tenant.
 //
 // Everything shares the simulated-time x-axis (ts/dur in microseconds,
 // matching TraceRecorder::to_chrome_json), so "what was the grid doing
-// while this request queued, and was the engine stalled in a barrier?"
-// is one screen in the Perfetto UI instead of three exports.
+// while this request queued?" is one screen in the Perfetto UI instead
+// of two exports.
 #pragma once
 
 #include <string>
@@ -21,14 +18,12 @@
 
 #include "common/trace.h"
 #include "nicsim/nic.h"
-#include "sim/sharded.h"
 
 namespace lnic::framework {
 
-/// Synthetic Perfetto pids for the non-trace processes. Trace spans use
-/// pid = trace id (small counters); these sit far above any trace id a
-/// run can allocate.
-constexpr std::uint64_t kTimelineShardPid = 1ull << 40;
+/// Synthetic Perfetto pid of the first NIC process. Trace spans use
+/// pid = trace id (small counters); NIC pids sit far above any trace id
+/// a run can allocate.
 constexpr std::uint64_t kTimelineNicPidBase = (1ull << 40) + 1;
 
 struct TimelineInputs {
@@ -37,8 +32,6 @@ struct TimelineInputs {
   /// Named NICs whose profilers contribute NPU busy tracks; NICs with a
   /// disabled profiler are skipped.
   std::vector<std::pair<std::string, const nicsim::SmartNic*>> nics;
-  /// Shard window/stall tracks (may be nullptr).
-  const sim::ShardedSimulator* sharded = nullptr;
 };
 
 /// Renders the merged timeline as Chrome/Perfetto trace_event JSON.

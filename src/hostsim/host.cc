@@ -39,8 +39,7 @@ HostServer::~HostServer() = default;
 HostServer::HostServer(sim::Simulator& sim, net::Network& network,
                        HostConfig config)
     : sim_(sim), network_(network), config_(config), rng_(config.seed) {
-  node_ = network_.attach([this](const Packet& p) { handle_packet(p); },
-                          &sim_);
+  node_ = network_.attach([this](const Packet& p) { handle_packet(p); });
   kernel_.capacity = config_.cores;
   runtime_.capacity = config_.serialize_runtime ? 1 : config_.cores;
   gil_.capacity = std::min(config_.gil_limit, config_.cores);

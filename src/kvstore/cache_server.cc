@@ -8,8 +8,7 @@ using net::PacketKind;
 CacheServer::CacheServer(sim::Simulator& sim, net::Network& network,
                          CacheConfig config)
     : sim_(sim), network_(network), config_(config) {
-  node_ = network_.attach([this](const Packet& p) { handle_packet(p); },
-                          &sim_);
+  node_ = network_.attach([this](const Packet& p) { handle_packet(p); });
 }
 
 void CacheServer::put(std::uint64_t key, std::uint64_t value) {

@@ -192,8 +192,7 @@ TxnStore::TxnStore(sim::Simulator& sim, net::Network& network,
       cache_(config.nic_cache_nodes),
       host_(sim, network, config.host),
       qp_(sim, network) {
-  node_ = network_.attach([this](const Packet& p) { handle_packet(p); },
-                          &sim_);
+  node_ = network_.attach([this](const Packet& p) { handle_packet(p); });
 }
 
 std::vector<std::uint8_t> TxnStore::encode_txn(const TxnRequest& request) {

@@ -5,7 +5,11 @@
 namespace lnic::microc {
 
 namespace {
-std::string reg(std::uint16_t r) { return "r" + std::to_string(r); }
+std::string reg(std::uint16_t r) {
+  std::string name = "r";
+  name += std::to_string(r);
+  return name;
+}
 
 std::string obj_name(const Program& program, std::uint16_t index) {
   if (index < program.objects.size()) return program.objects[index].name;

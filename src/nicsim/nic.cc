@@ -43,8 +43,7 @@ SmartNic::~SmartNic() = default;
 SmartNic::SmartNic(sim::Simulator& sim, net::Network& network,
                    NicConfig config)
     : sim_(sim), network_(network), config_(config), rng_(config.seed) {
-  node_ = network_.attach([this](const Packet& p) { handle_packet(p); },
-                          &sim_);
+  node_ = network_.attach([this](const Packet& p) { handle_packet(p); });
 }
 
 bool SmartNic::down() const { return sim_.now() < down_until_; }

@@ -24,8 +24,7 @@ std::uint32_t read_u32(const net::BufferView& body, std::size_t at) {
 HostMemoryNode::HostMemoryNode(sim::Simulator& sim, net::Network& network,
                                HostMemoryConfig config)
     : sim_(sim), network_(network), config_(config) {
-  node_ = network_.attach([this](const Packet& p) { handle_packet(p); },
-                          &sim_);
+  node_ = network_.attach([this](const Packet& p) { handle_packet(p); });
 }
 
 void HostMemoryNode::handle_packet(const Packet& packet) {
@@ -75,8 +74,7 @@ void HostMemoryNode::serve(const Packet& request, net::BufferView body) {
 
 RdmaQp::RdmaQp(sim::Simulator& sim, net::Network& network)
     : sim_(sim), network_(network) {
-  node_ = network_.attach([this](const Packet& p) { handle_packet(p); },
-                          &sim_);
+  node_ = network_.attach([this](const Packet& p) { handle_packet(p); });
 }
 
 net::BufferView RdmaQp::synthetic(Bytes len) {

@@ -47,7 +47,7 @@ SimDuration RttEstimator::rto(SimDuration min_rto, SimDuration max_rto) const {
 RpcClient::RpcClient(sim::Simulator& sim, net::Network& network,
                      RpcConfig config)
     : sim_(sim), network_(network), config_(config) {
-  node_ = network_.attach([this](const Packet& p) { on_packet(p); }, &sim_);
+  node_ = network_.attach([this](const Packet& p) { on_packet(p); });
 }
 
 void RpcClient::call(NodeId dst, WorkloadId workload, net::BufferView payload,

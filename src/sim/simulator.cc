@@ -216,6 +216,24 @@ std::uint64_t Simulator::run() {
 std::uint64_t Simulator::run_until(SimTime deadline) {
   std::uint64_t n = 0;
   while (pop_and_dispatch(deadline)) ++n;
+  settle_at(deadline);
+  return n;
+}
+
+std::uint64_t Simulator::run_until(SimTime deadline,
+                                   const std::function<bool()>& stop) {
+  std::uint64_t n = 0;
+  while (!stop()) {
+    if (!pop_and_dispatch(deadline)) {
+      settle_at(deadline);
+      break;
+    }
+    ++n;
+  }
+  return n;
+}
+
+void Simulator::settle_at(SimTime deadline) {
   if (now_ < deadline) now_ = deadline;
   // Catch the wheel up to the clock so post-deadline schedules land in
   // buckets instead of detouring through the overflow heap. Safe: every
@@ -224,7 +242,6 @@ std::uint64_t Simulator::run_until(SimTime deadline) {
   // tick_ already equals its tick and no move is needed.)
   const std::uint64_t tick = tick_of(deadline);
   if (!draining_ && tick > tick_) advance_to(tick);
-  return n;
 }
 
 bool Simulator::step() { return pop_and_dispatch(kSimTimeMax); }

@@ -30,6 +30,7 @@
 
 #include <array>
 #include <cstdint>
+#include <functional>
 #include <queue>
 #include <vector>
 
@@ -84,21 +85,18 @@ class Simulator {
   /// advances the clock to `deadline`. Returns events dispatched.
   std::uint64_t run_until(SimTime deadline);
 
+  /// As run_until(deadline), but checks `stop` before each event and
+  /// returns as soon as it holds, leaving the clock at the event that
+  /// made it true. Lets callers wait for a completion flag in workloads
+  /// whose queues never drain (heartbeats, periodic timers). When the
+  /// run ends without `stop` holding, the clock advances to `deadline`.
+  std::uint64_t run_until(SimTime deadline, const std::function<bool()>& stop);
+
   /// Dispatches exactly one event if any is pending. Returns true if one ran.
   bool step();
 
   /// Number of live (non-cancelled) pending events.
   std::size_t pending() const { return live_; }
-
-  /// Earliest pending entry's time, or kSimTimeMax when the queue is
-  /// empty. Conservative: a cancelled-but-unpopped entry may report an
-  /// earlier time than the first live event — safe for computing a
-  /// parallel window start, since run_until() discards stale entries and
-  /// so always makes progress past them.
-  SimTime next_event_time() const {
-    const Candidate c = peek();
-    return c.found ? c.time : kSimTimeMax;
-  }
 
   std::uint64_t events_dispatched() const { return dispatched_; }
 
@@ -178,6 +176,9 @@ class Simulator {
 
   /// Invalidates and recycles a slot whose event was consumed.
   void retire(std::uint32_t slot);
+
+  /// Ends a deadline run: moves the clock (and the wheel) to `deadline`.
+  void settle_at(SimTime deadline);
 
   // Pops one event with time <= limit and runs it. Returns false when no
   // such event exists.

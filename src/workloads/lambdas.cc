@@ -1,5 +1,6 @@
 #include "workloads/lambdas.h"
 
+#include <algorithm>
 #include <cassert>
 
 #include "microc/builder.h"
@@ -65,9 +66,9 @@ std::string make_page(std::uint32_t index) {
   return page;
 }
 
+/// Writes `v` little-endian at `at`; the caller sizes `out` beforehand.
 void put_word(std::vector<std::uint8_t>& out, std::size_t at,
               std::uint64_t v) {
-  if (out.size() < at + 8) out.resize(at + 8, 0);
   for (int i = 0; i < 8; ++i) {
     out[at + i] = static_cast<std::uint8_t>(v >> (8 * i));
   }
@@ -451,14 +452,14 @@ const std::string& expected_web_page(const WorkloadBundle& bundle,
 }
 
 std::vector<std::uint8_t> encode_web_request(std::uint64_t op) {
-  std::vector<std::uint8_t> body;
+  std::vector<std::uint8_t> body(8);
   put_word(body, 0, op);
   return body;
 }
 
 std::vector<std::uint8_t> encode_kv_request(std::uint64_t key,
                                             std::uint64_t value) {
-  std::vector<std::uint8_t> body;
+  std::vector<std::uint8_t> body(24);
   put_word(body, 0, 0);
   put_word(body, 8, key);
   put_word(body, 16, value);
@@ -468,7 +469,7 @@ std::vector<std::uint8_t> encode_kv_request(std::uint64_t key,
 std::vector<std::uint8_t> encode_kv_store_request(std::uint64_t op,
                                                   std::uint64_t key,
                                                   std::uint64_t value) {
-  std::vector<std::uint8_t> body;
+  std::vector<std::uint8_t> body(24);
   put_word(body, 0, op);
   put_word(body, 8, key);
   put_word(body, 16, value);
@@ -478,10 +479,10 @@ std::vector<std::uint8_t> encode_kv_store_request(std::uint64_t op,
 std::vector<std::uint8_t> encode_image_request(
     std::uint32_t width, std::uint32_t height,
     const std::vector<std::uint8_t>& rgba) {
-  std::vector<std::uint8_t> body;
+  std::vector<std::uint8_t> body(8 + rgba.size());
   put_word(body, 0, static_cast<std::uint64_t>(width) |
                         (static_cast<std::uint64_t>(height) << 16));
-  body.insert(body.end(), rgba.begin(), rgba.end());
+  std::copy(rgba.begin(), rgba.end(), body.begin() + 8);
   return body;
 }
 

@@ -15,7 +15,6 @@
 #include "framework/storage.h"
 #include "kvstore/cache_server.h"
 #include "net/network.h"
-#include "sim/sharded.h"
 #include "sim/simulator.h"
 #include "workloads/lambdas.h"
 
@@ -146,48 +145,6 @@ TEST(Gateway, WeightedReplicasSplitTrafficProportionally) {
   EXPECT_EQ(done, 40);
   EXPECT_EQ(hits[0], 30);  // weight 3 of 4
   EXPECT_EQ(hits[1], 10);  // weight 1 of 4
-}
-
-TEST(Gateway, WeightedSplitOnShardedFabric) {
-  // The weighted pick holds when replicas sit on different shards: one
-  // remote (shard 1) and one co-sharded with the gateway (shard 0).
-  // Same proportions as WeightedReplicasSplitTrafficProportionally; the
-  // CI thread-sanitizer job runs this sharded gateway.
-  sim::ShardedSimulator sharded(2);
-  net::Network network(sharded);
-  int hits[2] = {0, 0};
-  NodeId w[2];
-  network.set_attach_shard(1);
-  w[0] = network.attach(nullptr);
-  network.set_attach_shard(0);
-  w[1] = network.attach(nullptr);
-  for (int i = 0; i < 2; ++i) {
-    network.set_handler(w[i], [&network, &w, &hits, i](const net::Packet& p) {
-      if (p.kind != net::PacketKind::kRequest) return;
-      ++hits[i];
-      net::Packet reply;
-      reply.src = w[i];
-      reply.dst = p.src;
-      reply.kind = net::PacketKind::kResponse;
-      reply.lambda = p.lambda;
-      network.send(reply);
-    });
-  }
-  Gateway gateway(sharded.shard(0), network);
-  gateway.register_replicas("f", 1,
-                            {Replica{w[0], 3, kUnknownBackendKind},
-                             Replica{w[1], 1, kUnknownBackendKind}});
-  int done = 0;
-  for (int i = 0; i < 40; ++i) {
-    gateway.invoke("f", {}, [&done](Result<proto::RpcResponse> r) {
-      EXPECT_TRUE(r.ok());
-      ++done;
-    });
-  }
-  sharded.run();
-  EXPECT_EQ(done, 40);
-  EXPECT_EQ(hits[0], 30);  // remote, weight 3 of 4
-  EXPECT_EQ(hits[1], 10);  // co-sharded, weight 1 of 4
 }
 
 struct GatewayRig {

@@ -20,7 +20,6 @@
 #include "net/network.h"
 #include "net/trace.h"
 #include "nicsim/profiler.h"
-#include "sim/shard_stats.h"
 #include "workloads/lambdas.h"
 
 namespace lnic {
@@ -466,134 +465,6 @@ TEST(FlightRecorder, GatewayShedSiteRecordsAnomalies) {
 }
 
 // ---------------------------------------------------------------------------
-// Shard stall accounting
-
-TEST(ShardStats, CollectorAccountingIdentity) {
-  sim::ShardStatsCollector collector(2);
-  // Two windows; shard 1's second busy reading exceeds the window wall
-  // (clock jitter) and must clamp so barrier never underflows.
-  collector.record_window(/*t0=*/0, /*end=*/99, /*lookahead=*/100,
-                          /*eot_extended=*/false,
-                          /*wall_ns=*/1000, {600, 300}, {10, 20});
-  collector.record_window(100, 199, 100, false, 2000, {1500, 2500}, {5, 5});
-  collector.add_run_wall(3500);  // 3000 ns of windows + 500 ns sync/merge
-
-  const sim::ShardStats stats = collector.snapshot();
-  EXPECT_EQ(stats.shards, 2u);
-  EXPECT_EQ(stats.windows, 2u);
-  EXPECT_EQ(stats.total_wall_ns, 3500u);
-  EXPECT_EQ(stats.window_wall_ns, 3000u);
-  EXPECT_EQ(stats.sync_wall_ns(), 500u);
-  EXPECT_EQ(stats.busy_ns[0], 2100u);
-  EXPECT_EQ(stats.busy_ns[1], 2300u);  // 300 + clamp(2500 -> 2000)
-  EXPECT_EQ(stats.events[0], 15u);
-  EXPECT_EQ(stats.events[1], 25u);
-  // The identity the bench gates on: per shard, busy + barrier equals
-  // the window wall exactly, so adding sync reconstructs the total.
-  for (unsigned s = 0; s < stats.shards; ++s) {
-    EXPECT_EQ(stats.busy_ns[s] + stats.barrier_ns[s], stats.window_wall_ns);
-    EXPECT_EQ(stats.busy_ns[s] + stats.barrier_ns[s] + stats.sync_wall_ns(),
-              stats.total_wall_ns);
-  }
-  // Windows span their full lookahead horizon here.
-  EXPECT_DOUBLE_EQ(stats.lookahead_utilization, 1.0);
-  ASSERT_EQ(stats.recent.size(), 2u);
-  EXPECT_EQ(stats.recent[0].t0, 0);
-  EXPECT_EQ(stats.recent[1].wall_ns, 2000u);
-
-  collector.set_cross_row(0, {0, 7});
-  collector.set_cross_row(1, {3, 0});
-  const sim::ShardStats with_cross = collector.snapshot();
-  EXPECT_EQ(with_cross.cross(0, 1), 7u);
-  EXPECT_EQ(with_cross.cross(1, 0), 3u);
-  EXPECT_EQ(with_cross.cross_posts[0], 7u);
-  EXPECT_EQ(with_cross.cross_posts[1], 3u);
-}
-
-TEST(ShardStats, ConfigurableBarrierOutlierThreshold) {
-  // The outlier pager compares each window's wall against the running
-  // mean; benches tighten the default 8x multiplier to hear about
-  // smaller stalls. Detection starts after a 32-window burn-in so the
-  // first noisy samples don't page.
-  sim::ShardStatsCollector collector(1);
-  collector.set_outlier_threshold(3.0);
-  for (int i = 0; i < 40; ++i) {
-    const std::uint64_t wall = (i == 36) ? 10'000 : 1'000;
-    collector.record_window(i * 100, i * 100 + 99, 100, false, wall,
-                            {wall}, {1});
-  }
-  const sim::ShardStats stats = collector.snapshot();
-  EXPECT_DOUBLE_EQ(stats.outlier_threshold, 3.0);
-  EXPECT_EQ(stats.barrier_outliers, 1u);
-
-  // The default 8x multiplier stays quiet on the same shape of run with
-  // a 7x-mean spike.
-  sim::ShardStatsCollector lax(1);
-  for (int i = 0; i < 40; ++i) {
-    const std::uint64_t wall = (i == 36) ? 7'000 : 1'000;
-    lax.record_window(i * 100, i * 100 + 99, 100, false, wall, {wall}, {1});
-  }
-  EXPECT_DOUBLE_EQ(lax.snapshot().outlier_threshold, 8.0);
-  EXPECT_EQ(lax.snapshot().barrier_outliers, 0u);
-}
-
-TEST(ShardStats, DelegatedSingleShardRunCountsAsBusy) {
-  // shards == 1 bypasses the window machinery; the whole run is shard
-  // 0 busy time and the identity still holds (sync == 0).
-  sim::ShardStatsCollector collector(1);
-  collector.add_delegated_run(/*wall_ns=*/5000, /*events=*/42);
-  const sim::ShardStats stats = collector.snapshot();
-  EXPECT_EQ(stats.windows, 0u);
-  EXPECT_EQ(stats.total_wall_ns, 5000u);
-  EXPECT_EQ(stats.busy_ns[0], 5000u);
-  EXPECT_EQ(stats.barrier_ns[0], 0u);
-  EXPECT_EQ(stats.sync_wall_ns(), 0u);
-  EXPECT_EQ(stats.events[0], 42u);
-}
-
-TEST(ShardStats, ClusterRunExportsShardMetrics) {
-  core::ClusterConfig config;
-  config.workers = 2;
-  config.shards = 2;
-  core::Cluster cluster(config);
-  ASSERT_TRUE(cluster.deploy(workloads::make_standard_workloads()).ok());
-  cluster.wait_until_ready();
-  for (int i = 0; i < 5; ++i) {
-    auto response = cluster.invoke_and_wait(
-        "web_server", workloads::encode_web_request(i & 3));
-    ASSERT_TRUE(response.ok()) << response.error().message;
-  }
-
-  const sim::ShardStats stats = cluster.sharded().shard_stats();
-  EXPECT_EQ(stats.shards, 2u);
-  EXPECT_GT(stats.windows, 0u);
-  EXPECT_GT(stats.total_wall_ns, 0u);
-  for (unsigned s = 0; s < stats.shards; ++s) {
-    EXPECT_EQ(stats.busy_ns[s] + stats.barrier_ns[s], stats.window_wall_ns);
-  }
-  // Matrix row sums equal the engine's cross-post counter.
-  std::uint64_t matrix_total = 0;
-  for (unsigned s = 0; s < stats.shards; ++s) {
-    matrix_total += stats.cross_posts[s];
-  }
-  EXPECT_EQ(matrix_total, cluster.sharded().cross_shard_posts());
-  EXPECT_GT(stats.lookahead_utilization, 0.0);
-  EXPECT_LE(stats.lookahead_utilization, 1.0);
-  EXPECT_NE(stats.to_string().find("stall breakdown"), std::string::npos);
-
-  framework::Monitor monitor(cluster.sim());
-  monitor.watch_sharded(&cluster.sharded());
-  monitor.scrape();
-  const std::string rendered = monitor.metrics().render();
-  EXPECT_NE(rendered.find("sim_shard_windows_total"), std::string::npos);
-  EXPECT_NE(rendered.find("sim_shard_busy_ns_total{shard=\"0\"}"),
-            std::string::npos);
-  EXPECT_NE(rendered.find("sim_shard_barrier_ns_total{shard=\"1\"}"),
-            std::string::npos);
-  EXPECT_NE(rendered.find("sim_shard_cross_events_total"), std::string::npos);
-}
-
-// ---------------------------------------------------------------------------
 // SLO burn-rate monitor
 
 TEST(SloMonitor, MultiWindowBurnEdgeTriggeredAlerts) {
@@ -724,10 +595,9 @@ TEST(Autoscaler, SloAlertScalesUpImmediately) {
 // ---------------------------------------------------------------------------
 // Unified timeline
 
-TEST(Timeline, MergedExportHasRequestNicAndShardTracks) {
+TEST(Timeline, MergedExportHasRequestAndNicTracks) {
   core::ClusterConfig config;
   config.workers = 2;
-  config.shards = 2;
   core::Cluster cluster(config);
 
   TraceRecorder recorder;
@@ -753,17 +623,13 @@ TEST(Timeline, MergedExportHasRequestNicAndShardTracks) {
   }
 
   inputs.tracer = &recorder;
-  inputs.sharded = &cluster.sharded();
   const std::string json = framework::export_timeline(inputs);
 
-  // All three sources in one JSON document.
+  // Both sources in one JSON document.
   EXPECT_NE(json.find("\"displayTimeUnit\":\"ns\""), std::string::npos);
   EXPECT_NE(json.find("gateway.proxy"), std::string::npos);  // request spans
   EXPECT_NE(json.find("nic:worker0"), std::string::npos);    // NPU process
   EXPECT_NE(json.find("\"npu 0\""), std::string::npos);      // NPU track
-  EXPECT_NE(json.find("sim shards"), std::string::npos);     // shard process
-  EXPECT_NE(json.find("shard.window"), std::string::npos);   // shard spans
-  EXPECT_NE(json.find("\"barrier_ns\""), std::string::npos);
   // Tenant ids ride both the trace spans and the profiler tracks.
   EXPECT_NE(json.find("\"tenant\""), std::string::npos);
 }

@@ -15,6 +15,14 @@ Command put(const std::string& k, const std::string& v) {
   return Command{Command::Op::kPut, k, v};
 }
 
+// "k<i>", built by append: GCC 12 at -O3 flags `"k" + std::to_string(i)`
+// with a false-positive -Wrestrict.
+std::string key(int i) {
+  std::string k = "k";
+  k += std::to_string(i);
+  return k;
+}
+
 // Counts live leaders per term across the cluster.
 std::map<std::uint64_t, int> leaders_by_term(Cluster& cluster) {
   std::map<std::uint64_t, int> counts;
@@ -60,7 +68,7 @@ TEST(Raft, ReplicatesAndCommitsEntries) {
   RaftNode* leader = cluster.leader();
   ASSERT_NE(leader, nullptr);
   for (int i = 0; i < 10; ++i) {
-    ASSERT_TRUE(leader->propose(put("k" + std::to_string(i), "v")).ok());
+    ASSERT_TRUE(leader->propose(put(key(i), "v")).ok());
   }
   sim.run_until(seconds(4));
   for (NodeIndex i = 0; i < cluster.size(); ++i) {
@@ -165,7 +173,7 @@ TEST(Raft, RestartedNodeCatchesUp) {
   NodeIndex victim = (leader->index() + 1) % 3;
   cluster.node(victim).stop();
   for (int i = 0; i < 6; ++i) {
-    ASSERT_TRUE(leader->propose(put("k" + std::to_string(i), "v")).ok());
+    ASSERT_TRUE(leader->propose(put(key(i), "v")).ok());
   }
   sim.run_until(seconds(4));
   cluster.node(victim).restart();
@@ -286,7 +294,7 @@ TEST_P(RaftLossyTest, SafetyUnderMessageLoss) {
   for (int round = 0; round < 40; ++round) {
     sim.run_until(sim.now() + milliseconds(200));
     if (RaftNode* leader = cluster.leader()) {
-      if (leader->propose(put("k" + std::to_string(round), "v")).ok()) {
+      if (leader->propose(put(key(round), "v")).ok()) {
         ++proposed;
       }
     }

@@ -35,7 +35,8 @@ inline std::string random_program(Rng& rng) {
   std::vector<std::string> vars;
   const int nvars = 2 + static_cast<int>(rng.next_below(3));
   for (int i = 0; i < nvars; ++i) {
-    const std::string name = "v" + std::to_string(i);
+    std::string name = "v";
+    name += std::to_string(i);
     out << "  var " << name << " = " << random_expr(rng, vars, 2) << ";\n";
     vars.push_back(name);
   }
@@ -53,7 +54,8 @@ inline std::string random_program(Rng& rng) {
             << vars[rng.next_below(vars.size())] << " ^= 7; }\n";
         break;
       case 2: {
-        const std::string loop_var = "i" + std::to_string(s);
+        std::string loop_var = "i";
+        loop_var += std::to_string(s);
         out << "  for (var " << loop_var << " = 0; " << loop_var << " < "
             << (1 + rng.next_below(8)) << "; " << loop_var << " += 1) { "
             << vars[rng.next_below(vars.size())] << " += " << loop_var

@@ -247,6 +247,45 @@ TEST(Simulator, RunUntilIncludesEventAtExactDeadline) {
   EXPECT_EQ(sim.now(), 100);
 }
 
+TEST(Simulator, RunUntilWithStopLeavesEventPastDeadlinePending) {
+  Simulator sim;
+  int count = 0;
+  sim.schedule(10, [&] { ++count; });
+  sim.schedule(100, [&] { ++count; });
+  EXPECT_EQ(sim.run_until(50, [] { return false; }), 1u);
+  EXPECT_EQ(count, 1);
+  EXPECT_EQ(sim.now(), 50);
+  EXPECT_EQ(sim.pending(), 1u);
+}
+
+TEST(Simulator, RunUntilWithStopHaltsAtEventThatSatisfiesIt) {
+  Simulator sim;
+  int count = 0;
+  sim.schedule(10, [&] { ++count; });
+  sim.schedule(20, [&] { ++count; });
+  sim.schedule(30, [&] { ++count; });
+  const auto two_ran = [&] { return count == 2; };
+  EXPECT_EQ(sim.run_until(100, two_ran), 2u);
+  EXPECT_EQ(sim.now(), 20);  // the clock stays at the stopping event
+  EXPECT_EQ(sim.pending(), 1u);
+  // Already satisfied: nothing runs and the clock does not move.
+  EXPECT_EQ(sim.run_until(100, two_ran), 0u);
+  EXPECT_EQ(sim.now(), 20);
+}
+
+TEST(Simulator, RunUntilWithStopAdvancesClockWhenQueueDrainsEarly) {
+  Simulator sim;
+  int count = 0;
+  sim.schedule(10, [&] { ++count; });
+  EXPECT_EQ(sim.run_until(50, [] { return false; }), 1u);
+  EXPECT_EQ(count, 1);
+  EXPECT_EQ(sim.now(), 50);
+  sim.schedule(5, [&] { ++count; });
+  sim.run();
+  EXPECT_EQ(count, 2);
+  EXPECT_EQ(sim.now(), 55);
+}
+
 TEST(Simulator, FarFutureEventsCrossWheelHorizon) {
   // Events beyond the wheel horizon (~8.4 ms) park in the overflow heap
   // and must still fire in exact (time, seq) order as time advances.

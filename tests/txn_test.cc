@@ -346,11 +346,9 @@ TEST(TxnStoreTest, NetworkedGetSetAndTxnWirePath) {
   rig.store.load(40, 4000);
 
   std::vector<Packet> replies;
-  const NodeId client = rig.network.attach(
-      [&](const Packet& p) {
-        if (p.kind == PacketKind::kKvResponse) replies.push_back(p);
-      },
-      &rig.sim);
+  const NodeId client = rig.network.attach([&](const Packet& p) {
+    if (p.kind == PacketKind::kKvResponse) replies.push_back(p);
+  });
 
   auto send = [&](WorkloadId op, std::vector<std::uint8_t> body,
                   RequestId token) {

@@ -2,11 +2,10 @@
 """Validate a BENCH_perf_*.json file from the wall-clock perf suite.
 
 Usage: check_perf.py <BENCH_perf_engine.json | BENCH_perf_datapath.json
-                      | BENCH_perf_parallel.json
                       | BENCH_supp_multitenant.json
                       | BENCH_supp_kv_txn.json>
 
-Checks the JSON schema (bench name, seed, shard count, metric list with
+Checks the JSON schema (bench name, seed, metric list with
 name/value/unit) and bench-specific invariants:
 
 - perf_engine: all four mixes present; deterministic dispatch counters
@@ -16,19 +15,6 @@ name/value/unit) and bench-specific invariants:
 - perf_datapath: the fragmented-RPC scenario must copy ZERO payload
   bytes (the whole point of the buffer layer) and share a nonzero
   number; the cluster scenario likewise copies nothing.
-- perf_parallel: all four configuration families (ring/static,
-  ring/adaptive, idle/static, idle/adaptive — the sync-mode x placement
-  matrix) ran at every swept shard count and completed the identical
-  closed-loop request count; cross-shard posts flowed in the scattered
-  placements; on the idle-frontier topology with co-shardable pairs the
-  adaptive run produced zero cross posts and strictly fewer
-  (EOT-extended) windows than static sync. The 4-shard aggregate
-  events/sec must be >= 2x the 1-shard rate and the idle-frontier
-  adaptive run >= 1.3x its static twin — both floors enforced only when
-  the recorded hw_threads >= 4, since the parallelism physically cannot
-  show on a 1-2 core box. Each cell also carries its stall breakdown
-  (busy/barrier/sync wall components + lookahead utilization), and
-  busy + barrier + sync must reconstruct the total wall time within 1%.
 - supp_multitenant: per-tenant SLO rows present for every scenario; the
   noisy-neighbor victim's shared-card p99 within 1.25x its isolated
   baseline while the aggressor oversubscribes its DRR weight share by
@@ -67,11 +53,9 @@ def load(path):
             doc = json.load(f)
     except (OSError, json.JSONDecodeError) as err:
         fail(f"cannot parse {path}: {err}")
-    for key in ("bench", "seed", "shards", "metrics"):
+    for key in ("bench", "seed", "metrics"):
         if key not in doc:
             fail(f"missing top-level key '{key}'")
-    if not isinstance(doc["shards"], int) or doc["shards"] < 1:
-        fail(f"'shards' must be a positive integer, got {doc['shards']!r}")
     if not isinstance(doc["metrics"], list) or not doc["metrics"]:
         fail("'metrics' must be a non-empty list")
     for m in doc["metrics"]:
@@ -128,137 +112,6 @@ def check_datapath(doc):
     print("check_perf: OK perf_datapath "
           f"rpc shared {got['rpc_bytes_shared']:.0f} B copied 0, "
           f"cluster shared {got['cluster_bytes_shared']:.0f} B copied 0")
-
-
-# Every (shard count, configuration) cell of perf_parallel carries the
-# same column set; the four families are the sync/placement matrix the
-# bench sweeps (see bench/perf_parallel.cc).
-PARALLEL_FAMILIES = ("", "_adaptive", "_idle_static", "_idle_adaptive")
-PARALLEL_SUFFIXES = (
-    "_events_per_sec", "_dispatched", "_completed", "_cross_posts",
-    "_windows", "_windows_extended", "_window_span_ns",
-    "_busy_ns", "_barrier_ns", "_sync_ns", "_wall_ns",
-    "_stall_sum_err_pct", "_lookahead_util",
-)
-
-
-def check_parallel(doc):
-    got = metrics_by_name(doc)
-    for key in ("hw_threads", "islands"):
-        if key not in got:
-            fail(f"perf_parallel missing metric '{key}'")
-    # Swept shard counts come from the legacy family's cells
-    # ("shards<N>_events_per_sec" with a purely numeric <N>); the other
-    # families must then cover the same counts.
-    swept = sorted(
-        int(name[len("shards"):-len("_events_per_sec")])
-        for name in got
-        if name.startswith("shards") and name.endswith("_events_per_sec")
-        and name[len("shards"):-len("_events_per_sec")].isdigit()
-    )
-    if 1 not in swept or 4 not in swept:
-        fail(f"perf_parallel must sweep shard counts 1 and 4, got {swept}")
-    islands = got["islands"]
-    completed = None
-    for s in swept:
-        for family in PARALLEL_FAMILIES:
-            cell = f"shards{s}{family}"
-            for suffix in PARALLEL_SUFFIXES:
-                if cell + suffix not in got:
-                    fail(f"perf_parallel missing metric '{cell + suffix}'")
-            if got[f"{cell}_events_per_sec"] <= 0:
-                fail(f"{cell}_events_per_sec is zero — cell did not run")
-            if got[f"{cell}_dispatched"] <= 0:
-                fail(f"{cell}_dispatched is zero — cell did not run")
-            # Closed-loop: every cell completes the same request count —
-            # neither shard count, placement, nor sync mode may change
-            # the simulated outcome.
-            if completed is None:
-                completed = got[f"{cell}_completed"]
-            elif got[f"{cell}_completed"] != completed:
-                fail(
-                    f"{cell}_completed = {got[cell + '_completed']:.0f} != "
-                    f"{completed:.0f}; configuration changed the simulated "
-                    "result"
-                )
-            if s > 1 and family in ("", "_idle_static"):
-                if got[f"{cell}_cross_posts"] <= 0:
-                    fail(f"{cell}_cross_posts is zero — no cross-shard "
-                         "traffic in a scattered placement")
-                if got[f"{cell}_windows"] <= 0:
-                    fail(f"{cell}_windows is zero — static sync ran no "
-                         "windows")
-            # Stall breakdown: the busy/barrier/sync components must be
-            # present and reconstruct the measured wall time within 1%.
-            if got[f"{cell}_wall_ns"] <= 0:
-                fail(f"{cell}_wall_ns is zero — stall accounting did not "
-                     "run")
-            if got[f"{cell}_busy_ns"] <= 0:
-                fail(f"{cell}_busy_ns is zero — no shard busy time "
-                     "recorded")
-            if got[f"{cell}_stall_sum_err_pct"] > 1.0:
-                fail(
-                    f"{cell}_stall_sum_err_pct = "
-                    f"{got[cell + '_stall_sum_err_pct']:.3f}%; busy + "
-                    "barrier + sync must reconstruct wall time within 1%"
-                )
-            util = got[f"{cell}_lookahead_util"]
-            if not 0.0 < util <= 1.0:
-                fail(f"{cell}_lookahead_util = {util:.3f} outside (0, 1]")
-        # Adaptive sync on the idle-frontier topology: block placement
-        # co-shards every client/NIC pair whenever a shard holds >= 2
-        # islands, so the run must be cross-traffic-free and collapse to
-        # strictly fewer (EOT-extended) windows than static sync pays.
-        if 1 < s <= islands / 2:
-            idle_a = f"shards{s}_idle_adaptive"
-            idle_s = f"shards{s}_idle_static"
-            if got[f"{idle_a}_cross_posts"] != 0:
-                fail(
-                    f"{idle_a}_cross_posts = "
-                    f"{got[idle_a + '_cross_posts']:.0f}; co-sharded pairs "
-                    "must produce zero cross-shard traffic"
-                )
-            if got[f"{idle_a}_windows"] >= got[f"{idle_s}_windows"]:
-                fail(
-                    f"{idle_a}_windows = {got[idle_a + '_windows']:.0f} not "
-                    f"below static's {got[idle_s + '_windows']:.0f}; EOT "
-                    "extension did not collapse the idle frontier"
-                )
-            if got[f"{idle_a}_windows_extended"] <= 0:
-                fail(f"{idle_a}_windows_extended is zero — no window was "
-                     "EOT-extended")
-    if completed is None or completed <= 0:
-        fail("perf_parallel completed zero requests")
-    for key in ("speedup_4x", "idle_speedup_4x"):
-        if key not in got:
-            fail(f"perf_parallel missing metric '{key}'")
-    hw = got["hw_threads"]
-    if hw >= 4:
-        if got["speedup_4x"] < 2.0:
-            fail(
-                f"speedup_4x = {got['speedup_4x']:.2f} on a {hw:.0f}-thread "
-                "machine; 4 shards must be >= 2x the 1-shard rate"
-            )
-        if got["idle_speedup_4x"] < 1.3:
-            fail(
-                f"idle_speedup_4x = {got['idle_speedup_4x']:.2f} on a "
-                f"{hw:.0f}-thread machine; adaptive + locality must beat "
-                "static sync by >= 1.3x on the idle-frontier topology"
-            )
-        verdict = (
-            f"speedup_4x={got['speedup_4x']:.2f} "
-            f"idle_speedup_4x={got['idle_speedup_4x']:.2f} "
-            "(floors 2.0/1.3 enforced)"
-        )
-    else:
-        verdict = (
-            f"speedup_4x={got['speedup_4x']:.2f} "
-            f"idle_speedup_4x={got['idle_speedup_4x']:.2f} "
-            f"(floors skipped: {hw:.0f} hw thread(s))"
-        )
-    print(f"check_perf: OK perf_parallel shards={swept} "
-          f"families={len(PARALLEL_FAMILIES)} "
-          f"completed={completed:.0f}/cell " + verdict)
 
 
 def check_multitenant(doc):
@@ -396,8 +249,6 @@ def main():
         check_engine(doc)
     elif doc["bench"] == "perf_datapath":
         check_datapath(doc)
-    elif doc["bench"] == "perf_parallel":
-        check_parallel(doc)
     elif doc["bench"] == "supp_multitenant":
         check_multitenant(doc)
     elif doc["bench"] == "supp_kv_txn":

@@ -9,15 +9,9 @@ tree rooted at a gateway request span, reaching both the transport
 (rpc.*) and an execution span (nic.* / host.*). Exit code 0 on success.
 
 With --timeline the file is a merged Perfetto export (lnicctl
-timeline) and two more track families are required:
-  - shard tracks: "shard.window" spans on the synthetic shard pid,
-    each carrying busy_ns/barrier_ns/wall_ns args plus an extension
-    source tag ("floor" for one-lookahead windows, "eot" for
-    EOT-extended ones);
-  - NPU tracks: at least one "nic:" process with thread metadata and
-    busy spans;
-and every nic.execute span must carry a tenant arg when any does
-(tenant-annotated runs annotate uniformly).
+timeline) and must also hold NPU tracks: at least one "nic:" process
+carrying busy spans. Every nic.execute span must carry a tenant arg
+when any does (tenant-annotated runs annotate uniformly).
 """
 import json
 import sys
@@ -30,44 +24,16 @@ def fail(message):
 
 
 def check_timeline(events):
-    """Validates the shard and NPU track families of a merged export."""
-    shard_threads = set()
-    shard_windows = 0
-    eot_windows = 0
+    """Validates the NPU track family of a merged export."""
     nic_processes = set()
-    nic_spans = 0
     for event in events:
-        name = event.get("name", "")
         args = event.get("args", {})
-        if event.get("ph") == "M":
-            if name == "thread_name" and str(args.get("name", "")).startswith(
-                    "shard "):
-                shard_threads.add((event.get("pid"), event.get("tid")))
-            if name == "process_name" and str(args.get("name", "")).startswith(
-                    "nic:"):
-                nic_processes.add(event.get("pid"))
-            continue
-        if event.get("ph") != "X":
-            continue
-        if name == "shard.window":
-            for key in ("busy_ns", "barrier_ns", "wall_ns", "extension"):
-                if key not in args:
-                    fail(f"shard.window span missing args.{key}")
-            if args["extension"] not in ("floor", "eot"):
-                fail(f"shard.window extension must be 'floor' or 'eot', "
-                     f"got {args['extension']!r}")
-            if event.get("ts") is None or event.get("dur") is None:
-                fail("shard.window span missing ts/dur")
-            shard_windows += 1
-            if args["extension"] == "eot":
-                eot_windows += 1
-    for event in events:
-        if event.get("ph") == "X" and event.get("pid") in nic_processes:
-            nic_spans += 1
-    if not shard_threads:
-        fail("timeline has no shard thread tracks")
-    if shard_windows < 1:
-        fail("timeline has no shard.window spans")
+        if (event.get("ph") == "M" and event.get("name") == "process_name"
+                and str(args.get("name", "")).startswith("nic:")):
+            nic_processes.add(event.get("pid"))
+    nic_spans = sum(1 for event in events
+                    if event.get("ph") == "X"
+                    and event.get("pid") in nic_processes)
     if not nic_processes:
         fail("timeline has no nic:<name> processes")
     if nic_spans < 1:
@@ -81,9 +47,7 @@ def check_timeline(events):
     if tenanted and len(tenanted) != len(executes):
         fail(f"only {len(tenanted)}/{len(executes)} nic.execute spans "
              f"carry a tenant arg")
-    print(f"check_trace: timeline OK ({len(shard_threads)} shard track(s), "
-          f"{shard_windows} windows ({eot_windows} EOT-extended), "
-          f"{len(nic_processes)} nic process(es), "
+    print(f"check_trace: timeline OK ({len(nic_processes)} nic process(es), "
           f"{nic_spans} npu spans, {len(tenanted)} tenant-annotated "
           f"executions)")
 

@@ -22,22 +22,22 @@
 //   lnicctl metrics [--requests N] [--backend nic|baremetal|container]
 //                   [--filter <prefix>]
 //       Run a short workload and print the Prometheus exposition of the
-//       gateway and monitoring-engine registries (incl. NPU-grid and
-//       sim_shard_* gauges). --filter keeps only series whose name
-//       starts with the prefix.
+//       gateway and monitoring-engine registries (incl. NPU-grid
+//       gauges). --filter keeps only series whose name starts with the
+//       prefix.
 //
 //   lnicctl flightrec [--requests N]
 //       Run a short workload through an overloaded, lossy cluster and
 //       dump the flight recorder's anomaly ring (sheds, quarantines,
 //       RTO backoffs) — the "what went wrong just before" view.
 //
-//   lnicctl timeline [--requests N] [--shards N] [--tenant <name>]
+//   lnicctl timeline [--requests N] [--tenant <name>]
 //                    [--out timeline.json]
 //       Run traced requests and write the unified Perfetto timeline:
-//       request spans, per-NPU busy tracks, and shard window tracks in
-//       one JSON, all on the simulated-time axis. With --tenant the
-//       bundle deploys tenant-namespaced, so nic.*/host.* spans carry
-//       tenant annotations.
+//       request spans and per-NPU busy tracks in one JSON, both on the
+//       simulated-time axis. With --tenant the bundle deploys
+//       tenant-namespaced, so nic.*/host.* spans carry tenant
+//       annotations.
 //
 //   lnicctl loadgen poisson [--rate R] [--duration-ms D] [--functions N]
 //                   [--zipf S] [--deadline-us U] [--backend ...]
@@ -56,8 +56,7 @@
 //       Synthesize a deterministic trace file in the lnic-trace format.
 //
 //   lnicctl kv [--mix A..F|tpcc] [--proto no_wait|wait_die] [--txns N]
-//              [--zipf S] [--cache N] [--rate R] [--seed X] [--shards N]
-//              [--metrics]
+//              [--zipf S] [--cache N] [--rate R] [--seed X] [--metrics]
 //       Drive one transactional-store cell (YCSB mix or TPC-C-lite
 //       new-order) through the NIC-resident TxnStore's networked path
 //       and print commit/abort/latency/cache rows; with --metrics, also
@@ -107,28 +106,24 @@ int usage() {
                "  lnicctl run <firmware.lnfw> --wid N [--op X] [--key K] "
                "[--value V] [--cost npu|host|python]\n"
                "  lnicctl trace <web|kv|image> [--requests N] [--retransmit] "
-               "[--backend nic|baremetal|container] [--shards N] "
-               "[--out trace.json]\n"
+               "[--backend nic|baremetal|container] [--out trace.json]\n"
                "  lnicctl metrics [--requests N] "
-               "[--backend nic|baremetal|container] [--shards N] "
-               "[--filter <prefix>]\n"
+               "[--backend nic|baremetal|container] [--filter <prefix>]\n"
                "  lnicctl flightrec [--requests N]\n"
-               "  lnicctl timeline [--requests N] [--shards N] "
+               "  lnicctl timeline [--requests N] "
                "[--tenant <name>] [--out timeline.json]\n"
                "  lnicctl loadgen poisson [--rate R] [--duration-ms D] "
                "[--functions N] [--zipf S]\n"
-               "                  [--deadline-us U] [--backend ...] "
-               "[--shards N]\n"
+               "                  [--deadline-us U] [--backend ...]\n"
                "  lnicctl loadgen trace <file> [--deadline-us U] "
-               "[--expect N] [--backend ...] [--shards N]\n"
+               "[--expect N] [--backend ...]\n"
                "  lnicctl loadgen synth [--out <file>] "
                "[--pattern constant|diurnal|burst]\n"
                "                  [--duration-ms D] [--rate R] [--peak P] "
                "[--functions N] [--zipf S] [--seed X]\n"
                "  lnicctl kv [--mix A..F|tpcc] [--proto no_wait|wait_die] "
                "[--txns N] [--zipf S]\n"
-               "             [--cache N] [--rate R] [--seed X] [--shards N] "
-               "[--metrics]\n");
+               "             [--cache N] [--rate R] [--seed X] [--metrics]\n");
   return 1;
 }
 
@@ -164,7 +159,9 @@ std::map<std::string, std::string> parse_flags(int argc, char** argv,
     if (arg.rfind("--", 0) == 0 || arg == "-o") {
       const std::string key = arg == "-o" ? "--out" : arg;
       if (key == "--no-opt" || key == "--retransmit" || key == "--metrics") {
-        flags[key] = "1";
+        // Not `flags[key] = "1"`: GCC 12 at -O3 flags that assignment
+        // with a false-positive -Wrestrict.
+        flags.insert_or_assign(key, "1");
       } else if (i + 1 < argc) {
         flags[key] = argv[++i];
       } else {
@@ -173,14 +170,6 @@ std::map<std::string, std::string> parse_flags(int argc, char** argv,
     }
   }
   return flags;
-}
-
-// Cluster commands accept `--shards N`: event shards for the simulated
-// cluster (1 = the exact single-threaded legacy schedule).
-unsigned flag_shards(const std::map<std::string, std::string>& flags) {
-  const auto it = flags.find("--shards");
-  if (it == flags.end() || it->second.empty()) return 1;
-  return static_cast<unsigned>(std::stoul(it->second));
 }
 
 int cmd_compile(int argc, char** argv) {
@@ -375,7 +364,6 @@ int cmd_trace(int argc, char** argv) {
 
   core::ClusterConfig config;
   config.workers = 2;
-  config.shards = flag_shards(flags);
   if (!parse_backend(flags, &config.backend)) return usage();
   core::Cluster cluster(config);
 
@@ -442,7 +430,6 @@ int cmd_metrics(int argc, char** argv) {
 
   core::ClusterConfig config;
   config.workers = 2;
-  config.shards = flag_shards(flags);
   if (!parse_backend(flags, &config.backend)) return usage();
   core::Cluster cluster(config);
 
@@ -458,7 +445,6 @@ int cmd_metrics(int argc, char** argv) {
     monitor.watch_backend("worker" + std::to_string(i), backend);
   }
   monitor.watch_gateway(&cluster.gateway());
-  monitor.watch_sharded(&cluster.sharded());
   monitor.watch_packet_tracer(&packet_tracer);
 
   auto deployed = cluster.deploy(workloads::make_standard_workloads());
@@ -485,8 +471,7 @@ int cmd_metrics(int argc, char** argv) {
   monitor.scrape();
 
   // --filter keeps only series whose *name* starts with the prefix
-  // (labels and values ride along), e.g. --filter sim_shard_ or
-  // --filter nic_tenant_.
+  // (labels and values ride along), e.g. --filter nic_tenant_.
   const std::string filter =
       flags.count("--filter") ? flags["--filter"] : "";
   const auto print_registry = [&](const char* title,
@@ -569,8 +554,6 @@ int cmd_timeline(int argc, char** argv) {
 
   core::ClusterConfig config;
   config.workers = 2;
-  // Default to 2 shards so the timeline includes shard window tracks.
-  config.shards = flags.count("--shards") ? flag_shards(flags) : 2;
   if (!parse_backend(flags, &config.backend)) return usage();
   core::Cluster cluster(config);
 
@@ -613,7 +596,6 @@ int cmd_timeline(int argc, char** argv) {
   framework::TimelineInputs inputs;
   inputs.tracer = &recorder;
   inputs.nics = std::move(nics);
-  inputs.sharded = &cluster.sharded();
   const std::string json = framework::export_timeline(inputs);
   std::ofstream out(out_path);
   if (!out) {
@@ -621,12 +603,9 @@ int cmd_timeline(int argc, char** argv) {
     return 2;
   }
   out << json;
-  std::printf("wrote %s (%zu bytes: %zu request spans, %zu nic(s), "
-              "%llu shard windows)\n",
+  std::printf("wrote %s (%zu bytes: %zu request spans, %zu nic(s))\n",
               out_path.c_str(), json.size(), recorder.size(),
-              inputs.nics.size(),
-              static_cast<unsigned long long>(
-                  cluster.sharded().windows_executed()));
+              inputs.nics.size());
   return 0;
 }
 
@@ -691,7 +670,6 @@ int run_loadgen(const std::map<std::string, std::string>& flags,
                 SimDuration run_for, std::uint64_t expect) {
   core::ClusterConfig config;
   config.workers = 2;
-  config.shards = flag_shards(flags);
   if (!parse_backend(flags, &config.backend)) return usage();
   core::Cluster cluster(config);
 
@@ -827,9 +805,8 @@ int cmd_loadgen(int argc, char** argv) {
 // --------------------------------------------------------------------- kv
 
 /// One transactional-store cell, the lnicctl-sized twin of
-/// bench/supp_kv_txn.cc: open-loop Poisson transactions from a client on
-/// shard 0 into a TxnStore island (store + host memory + RDMA QP) on
-/// shard 1 when sharded.
+/// bench/supp_kv_txn.cc: open-loop Poisson transactions from a client
+/// into a TxnStore (store + host memory + RDMA QP).
 int cmd_kv(int argc, char** argv) {
   auto flags = parse_flags(argc, argv, 2);
   const std::string mix_name = flags.count("--mix") ? flags["--mix"] : "A";
@@ -838,7 +815,6 @@ int cmd_kv(int argc, char** argv) {
   const std::uint64_t txns = flag_u64(flags, "--txns", 1000);
   const double rate = flag_double(flags, "--rate", 150000.0);
   const std::uint64_t seed = flag_u64(flags, "--seed", 1);
-  const unsigned shards = flag_shards(flags);
 
   kvstore::TxnStoreConfig config;
   config.nic_cache_nodes =
@@ -851,12 +827,9 @@ int cmd_kv(int argc, char** argv) {
     return usage();
   }
 
-  sim::ShardedSimulator sharded(shards);
-  net::Network network(sharded);
-  const unsigned island = sharded.shards() > 1 ? 1 : 0;
-  network.set_attach_shard(island);
-  kvstore::TxnStore store(sharded.shard(island), network, config);
-  network.set_attach_shard(0);
+  sim::Simulator sim;
+  net::Network network(sim);
+  kvstore::TxnStore store(sim, network, config);
 
   // Build the request factory: one YCSB mix or the TPC-C-lite new-order.
   std::function<kvstore::TxnRequest()> next;
@@ -881,7 +854,6 @@ int cmd_kv(int argc, char** argv) {
     return usage();
   }
 
-  sim::Simulator& client_sim = sharded.shard(0);
   std::map<RequestId, SimTime> sent_at;
   Sampler commit_latency;
   std::uint64_t committed = 0;
@@ -892,7 +864,7 @@ int cmd_kv(int argc, char** argv) {
         auto it = sent_at.find(p.lambda.request_id);
         if (it == sent_at.end()) return;
         const double latency_ns =
-            static_cast<double>(client_sim.now() - it->second);
+            static_cast<double>(sim.now() - it->second);
         sent_at.erase(it);
         if (!p.payload.empty() &&
             p.payload[0] ==
@@ -902,8 +874,7 @@ int cmd_kv(int argc, char** argv) {
         } else {
           ++aborted_final;
         }
-      },
-      &client_sim);
+      });
 
   auto arrivals =
       loadgen::make_arrivals(loadgen::ArrivalSpec::poisson(rate), seed);
@@ -917,20 +888,19 @@ int cmd_kv(int argc, char** argv) {
     p.lambda.workload_id = kvstore::TxnStore::kOpTxn;
     p.lambda.request_id = ++issued;
     p.payload = kvstore::TxnStore::encode_txn(next());
-    sent_at[p.lambda.request_id] = client_sim.now();
+    sent_at[p.lambda.request_id] = sim.now();
     network.send(std::move(p));
-    client_sim.schedule(arrivals->next_gap(), send_next);
+    sim.schedule(arrivals->next_gap(), send_next);
   };
-  client_sim.schedule(arrivals->next_gap(), send_next);
-  sharded.run();
+  sim.schedule(arrivals->next_gap(), send_next);
+  sim.run();
 
   const auto& stats = store.stats();
   const std::uint64_t attempts = stats.commits + stats.aborts;
-  std::printf("mix %s, proto %s, %llu txns at %.0f/s, cache %zu nodes, "
-              "%u shard(s)\n",
+  std::printf("mix %s, proto %s, %llu txns at %.0f/s, cache %zu nodes\n",
               mix_name.c_str(), kvstore::to_string(store.protocol()),
               static_cast<unsigned long long>(txns), rate,
-              config.nic_cache_nodes, shards);
+              config.nic_cache_nodes);
   std::printf("  committed %llu, final aborts %llu, aborted attempts %llu "
               "(rate %.3f), lock waits %llu\n",
               static_cast<unsigned long long>(committed),
@@ -957,7 +927,7 @@ int cmd_kv(int argc, char** argv) {
               static_cast<unsigned long long>(store.host_stats().writes));
 
   if (flags.count("--metrics")) {
-    framework::Monitor monitor(client_sim);
+    framework::Monitor monitor(sim);
     monitor.watch_kv("store0", &store);
     monitor.scrape();
     std::printf("\n# kv_* series (monitor registry)\n");
