@@ -18,7 +18,7 @@ using namespace lnic;
 namespace {
 
 void print_placements(const framework::DeploymentRecord& record) {
-  std::printf("  placement (policy: %s)\n", record.policy.c_str());
+  std::printf("  placement\n");
   for (const auto& placement : record.placements) {
     std::printf("    %-20s ->", placement.function.c_str());
     for (const auto& replica : placement.replicas) {
@@ -39,7 +39,6 @@ int main() {
   config.worker_kinds = {
       backends::BackendKind::kLambdaNic, backends::BackendKind::kLambdaNic,
       backends::BackendKind::kBareMetal, backends::BackendKind::kContainer};
-  config.placement = framework::PlacementPolicyKind::kNicFirst;
 
   // --- Standard bundle: everything fits the NICs. ---
   {

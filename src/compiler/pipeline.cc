@@ -1,9 +1,7 @@
 #include "compiler/pipeline.h"
 
 #include "compiler/coalesce.h"
-#include "compiler/const_fold.h"
 #include "compiler/dce.h"
-#include "compiler/inline.h"
 #include "compiler/isolation.h"
 #include "compiler/match_reduce.h"
 #include "microc/verify.h"
@@ -45,23 +43,10 @@ Result<CompileOutput> compile(const p4::MatchSpec& spec,
                           microc::code_size(out.program)});
   }
 
-  if (options.run_const_folding) {
-    fold_constants(out.program);
-    eliminate_dead_code(out.program);
-    out.stages.push_back({"constant-folding", microc::code_size(out.program)});
-  }
-  if (options.run_inlining) {
-    inline_functions(out.program);
-    prune_unreachable_functions(out.program);
-    eliminate_dead_code(out.program);
-    out.stages.push_back({"inlining", microc::code_size(out.program)});
-  }
-
   if (Status st = microc::verify(out.program); !st.ok()) return st.error();
 
-  if (options.run_isolation_check) {
-    auto report = check_isolation(out.program);
-    if (!report.ok()) return report.error();
+  if (auto report = check_isolation(out.program); !report.ok()) {
+    return report.error();
   }
 
   if (out.final_words() > options.instruction_store_words) {

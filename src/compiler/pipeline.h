@@ -4,10 +4,11 @@
 //     -> lambda coalescing (DCE + duplicate-helper merging)
 //     -> match reduction (table merge + if-else conversion)
 //     -> memory stratification (object placement)
+//     -> static isolation check (D2; always runs)
 //
-// Each stage is individually switchable (ablation benches, Fig. 9) and
-// the pipeline records code size after every stage, which is exactly the
-// series Figure 9 plots.
+// Each of the three optimization stages is individually switchable
+// (ablation benches, Fig. 9) and the pipeline records code size after
+// every stage, which is exactly the series Figure 9 plots.
 #pragma once
 
 #include <string>
@@ -24,12 +25,6 @@ struct Options {
   bool run_coalescing = true;
   bool run_match_reduction = true;
   bool run_stratification = true;
-  /// Extra optimizations beyond the paper's three named stages (off by
-  /// default so Figure 9 reproduces the published series exactly).
-  bool run_const_folding = false;
-  bool run_inlining = false;
-  /// Static isolation assertions (D2); failing programs are rejected.
-  bool run_isolation_check = true;
   TargetMemorySpec memory;
   /// Per-core instruction store limit (16 K instructions, §6.1.2).
   std::uint64_t instruction_store_words = 16384;
@@ -58,7 +53,8 @@ struct CompileOutput {
 
 /// Compiles lambdas + a P4 match spec into a deployable program.
 /// `lambdas` must contain every action function the spec references;
-/// verification runs before and after the pipeline. Fails if the final
+/// verification runs before and after the pipeline. Fails if the static
+/// isolation check finds a provable out-of-bounds access or the final
 /// binary exceeds the instruction store.
 Result<CompileOutput> compile(const p4::MatchSpec& spec,
                               microc::Program lambdas,

@@ -39,9 +39,8 @@ Result<framework::DeploymentRecord> Cluster::deploy(
   std::vector<backends::Backend*> pool;
   pool.reserve(workers_.size());
   for (auto& worker : workers_) pool.push_back(worker.get());
-  auto record = manager_->deploy(
-      std::move(bundle), pool,
-      framework::placement_policy(config_.placement), gateway_.get(), tenant);
+  auto record =
+      manager_->deploy(std::move(bundle), pool, gateway_.get(), tenant);
   if (!record.ok()) return record.error();
   ready_at_ = std::max(ready_at_, record.value().ready_at);
   return record;

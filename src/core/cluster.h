@@ -40,8 +40,6 @@ struct ClusterConfig {
   // overrides `workers`/`backend`; when empty the cluster is homogeneous
   // (`workers` copies of `backend`), as before.
   std::vector<backends::BackendKind> worker_kinds;
-  framework::PlacementPolicyKind placement =
-      framework::PlacementPolicyKind::kNicFirst;
   std::uint32_t worker_threads = 56;
   bool with_etcd = true;
   std::uint32_t etcd_nodes = 3;
@@ -73,8 +71,8 @@ class Cluster {
   backends::Backend& worker(std::size_t i) { return *workers_.at(i); }
   std::size_t worker_count() const { return workers_.size(); }
 
-  /// Deploys the bundle across the worker pool using the configured
-  /// placement policy and registers weighted routes. The cluster is
+  /// Deploys the bundle across the worker pool, NIC-first with host
+  /// spillover, and registers weighted routes. The cluster is
   /// serving after wait_until_ready(). A non-empty `tenant` namespaces
   /// the deployment: routes register as "<tenant>/<function>" and the
   /// tenant id rides every request header, so the NIC's DRR scheduler

@@ -25,17 +25,6 @@ void Autoscaler::track(const std::string& function_name) {
 
 void Autoscaler::start() { timer_.start(); }
 
-void Autoscaler::on_slo_alert(const std::string& name, bool page) {
-  const auto it = functions_.find(name);
-  if (it == functions_.end()) return;
-  FnState& state = it->second;
-  state.low_evals = 0;
-  if (!page) return;
-  const std::uint32_t desired =
-      std::min(state.replicas + 1, config_.max_replicas);
-  if (desired > state.replicas) scale_to(name, state, desired);
-}
-
 void Autoscaler::scale_to(const std::string& name, FnState& state,
                           std::uint32_t desired) {
   state.replicas = desired;

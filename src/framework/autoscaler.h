@@ -73,13 +73,6 @@ class Autoscaler {
   /// Attaches (nullptr detaches) the per-function SLO signal source.
   void set_signal(SloSignalFn signal) { signal_ = std::move(signal); }
 
-  /// Early-warning entry point for the burn-rate monitor (SloMonitor's
-  /// alert handler): a page-severity alert scales the function up one
-  /// replica immediately, without waiting for the next evaluation tick
-  /// or a p99 recomputation; warn-severity alerts only reset the
-  /// scale-down streak (don't shrink a function that is burning
-  /// budget). Unknown functions are ignored.
-  void on_slo_alert(const std::string& name, bool page);
   void start();
   void stop() { timer_.stop(); }
 

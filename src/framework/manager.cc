@@ -20,18 +20,16 @@ TenantId WorkloadManager::resolve_tenant(const std::string& tenant,
 
 Result<DeploymentRecord> WorkloadManager::deploy(
     workloads::WorkloadBundle bundle, std::span<backends::Backend* const> pool,
-    const PlacementPolicy& policy, Gateway* gateway,
-    const std::string& tenant) {
+    Gateway* gateway, const std::string& tenant) {
   if (pool.empty()) return make_error("manager: empty backend pool");
   const TenantId tenant_id = resolve_tenant(tenant, gateway);
 
   auto footprints = compute_footprints(bundle);
   if (!footprints.ok()) return footprints.error();
-  auto plan = policy.place(snapshot_pool(pool), footprints.value());
+  auto plan = place_nic_first(snapshot_pool(pool), footprints.value());
   if (!plan.ok()) return plan.error();
 
   DeploymentRecord record;
-  record.policy = policy.name();
   record.artifact_name = bundle.lambdas.name;
   record.tenant = tenant;
   record.tenant_id = tenant_id;

@@ -36,14 +36,13 @@ struct FunctionPlacement {
 
 /// Result of one deployment: what was installed where, how long the
 /// slowest backend took to become ready (download + boot, Table 4's
-/// axes), the per-function placement and the policy that produced it.
+/// axes) and the per-function placement.
 struct DeploymentRecord {
   std::string artifact_name;
   Bytes artifact_bytes = 0;
   SimDuration startup_time = 0;
   SimTime ready_at = 0;
   std::vector<std::pair<std::string, WorkloadId>> functions;
-  std::string policy;  // placement policy name
   std::vector<FunctionPlacement> placements;
   /// Tenant namespace the bundle was deployed under (empty for
   /// tenant-less deploys). Gateway routes are registered as
@@ -59,7 +58,7 @@ class WorkloadManager {
       : sim_(sim), storage_(storage), etcd_(etcd) {}
 
   /// Capacity-aware deployment across a heterogeneous pool (§5, Fig. 2):
-  /// measures per-lambda footprints, asks `policy` for a PlacementPlan,
+  /// measures per-lambda footprints, places them with place_nic_first,
   /// splits the bundle per backend, deploys each sub-bundle, uploads the
   /// artifacts, and registers every function as a weighted replica set
   /// (with backend kinds) in `gateway` (if given) and etcd (if
@@ -73,7 +72,6 @@ class WorkloadManager {
   /// gateway routes, request headers, and the etcd mirror.
   Result<DeploymentRecord> deploy(workloads::WorkloadBundle bundle,
                                   std::span<backends::Backend* const> pool,
-                                  const PlacementPolicy& policy,
                                   Gateway* gateway,
                                   const std::string& tenant = {});
 

@@ -45,13 +45,6 @@ class MetricsRegistry {
 
   bool has(const std::string& name) const;
 
-  /// Read-only view of every histogram series keyed by canonical series
-  /// key — lets the SLO monitor derive burn rates from latency
-  /// histograms without copying them.
-  const std::map<std::string, Histogram>& histogram_series() const {
-    return histograms_;
-  }
-
   /// Text exposition, globally name-sorted (series of every kind
   /// interleave in one deterministic lexicographic order). Counters and
   /// gauges render one `name{labels} value` line; samplers expand to

@@ -1,7 +1,6 @@
 #include "framework/placement.h"
 
 #include <algorithm>
-#include <numeric>
 
 #include "compiler/pipeline.h"
 #include "workloads/split.h"
@@ -56,11 +55,9 @@ Error nowhere_to_place(const FunctionFootprint& fn) {
 
 }  // namespace
 
-// --------------------------------------------------------------- NicFirst
-
-Result<PlacementPlan> NicFirstPolicy::place(
+Result<PlacementPlan> place_nic_first(
     const std::vector<BackendSlot>& pool,
-    const std::vector<FunctionFootprint>& functions) const {
+    const std::vector<FunctionFootprint>& functions) {
   const auto nics = nic_indices(pool);
   const auto hosts = host_indices(pool);
 
@@ -96,115 +93,12 @@ Result<PlacementPlan> NicFirstPolicy::place(
   return plan;
 }
 
-// ----------------------------------------------------------------- Packed
-
-Result<PlacementPlan> PackedPolicy::place(
-    const std::vector<BackendSlot>& pool,
-    const std::vector<FunctionFootprint>& functions) const {
-  const auto nics = nic_indices(pool);
-  const auto hosts = host_indices(pool);
-
-  struct Bin {
-    std::size_t index;
-    std::uint64_t store_left;
-    Bytes mem_left;
-  };
-  std::vector<Bin> bins;
-  for (std::size_t idx : nics) {
-    bins.push_back(Bin{idx, pool[idx].capacity.instr_store_words,
-                       pool[idx].capacity.memory_bytes});
-  }
-
-  // First-fit decreasing by code size; ties keep bundle order so the
-  // plan is deterministic.
-  std::vector<std::size_t> order(functions.size());
-  std::iota(order.begin(), order.end(), 0);
-  std::stable_sort(order.begin(), order.end(),
-                   [&functions](std::size_t a, std::size_t b) {
-                     return functions[a].code_words > functions[b].code_words;
-                   });
-
-  PlacementPlan plan;
-  for (std::size_t i : order) {
-    const auto& fn = functions[i];
-    Bin* chosen = nullptr;
-    for (auto& bin : bins) {
-      if (fn.code_words <= bin.store_left && fn.memory_bytes <= bin.mem_left) {
-        chosen = &bin;
-        break;
-      }
-    }
-    if (chosen != nullptr) {
-      chosen->store_left -= fn.code_words;
-      chosen->mem_left -= fn.memory_bytes;
-      plan.functions[fn.name].push_back(
-          PlacementAssignment{chosen->index, 1});
-      continue;
-    }
-    if (hosts.empty()) return nowhere_to_place(fn);
-    for (std::size_t idx : hosts) {
-      plan.functions[fn.name].push_back(PlacementAssignment{idx, 1});
-    }
-  }
-  return plan;
-}
-
-// ----------------------------------------------------------------- Spread
-
-Result<PlacementPlan> SpreadPolicy::place(
-    const std::vector<BackendSlot>& pool,
-    const std::vector<FunctionFootprint>& functions) const {
-  struct Slot {
-    std::size_t index;
-    std::uint64_t store_left;
-    Bytes mem_left;
-  };
-  std::vector<Slot> slots;
-  for (const auto& member : pool) {
-    slots.push_back(Slot{member.index, member.capacity.instr_store_words,
-                         member.capacity.memory_bytes});
-  }
-
-  PlacementPlan plan;
-  std::size_t cursor = 0;
-  for (const auto& fn : functions) {
-    bool placed = false;
-    for (std::size_t step = 0; step < slots.size() && !placed; ++step) {
-      Slot& slot = slots[(cursor + step) % slots.size()];
-      if (fn.code_words <= slot.store_left && fn.memory_bytes <= slot.mem_left) {
-        slot.store_left -= fn.code_words;
-        slot.mem_left -= fn.memory_bytes;
-        plan.functions[fn.name].push_back(PlacementAssignment{slot.index, 1});
-        cursor = (slot.index + 1) % slots.size();
-        placed = true;
-      }
-    }
-    if (!placed) return nowhere_to_place(fn);
-  }
-  return plan;
-}
-
-// ---------------------------------------------------------------- helpers
-
-const PlacementPolicy& placement_policy(PlacementPolicyKind kind) {
-  static const NicFirstPolicy nic_first;
-  static const PackedPolicy packed;
-  static const SpreadPolicy spread;
-  switch (kind) {
-    case PlacementPolicyKind::kPacked: return packed;
-    case PlacementPolicyKind::kSpread: return spread;
-    case PlacementPolicyKind::kNicFirst: break;
-  }
-  return nic_first;
-}
-
 std::vector<BackendSlot> snapshot_pool(
     std::span<backends::Backend* const> pool) {
   std::vector<BackendSlot> slots;
   slots.reserve(pool.size());
   for (std::size_t i = 0; i < pool.size(); ++i) {
-    slots.push_back(BackendSlot{i, pool[i]->kind(), pool[i]->node(),
-                                pool[i]->capacity()});
+    slots.push_back(BackendSlot{i, pool[i]->capacity()});
   }
   return slots;
 }

@@ -2,10 +2,10 @@
 // *where* each lambda runs. The paper's manager "verifies if the lambdas
 // can fit and execute on the NICs" — firmware must fit the per-core
 // 16 K-instruction store and the NIC memory hierarchy — and falls back
-// to host backends when it cannot. This module makes that decision a
-// first-class, pluggable policy over per-backend capacity reports
-// (backends::Capacity) and compiled per-lambda footprints, producing a
-// PlacementPlan the manager deploys and the gateway routes by.
+// to host backends when it cannot. This module makes that decision over
+// per-backend capacity reports (backends::Capacity) and compiled
+// per-lambda footprints, producing a PlacementPlan the manager deploys
+// and the gateway routes by.
 #pragma once
 
 #include <cstdint>
@@ -21,20 +21,18 @@
 
 namespace lnic::framework {
 
-/// Capacity snapshot of one pool member, as the policies see it.
+/// Capacity snapshot of one pool member, as placement sees it.
 struct BackendSlot {
   std::size_t index = 0;  // position in the deployment pool
-  backends::BackendKind kind = backends::BackendKind::kLambdaNic;
-  NodeId node = kInvalidNode;
   backends::Capacity capacity;
 };
 
 /// Footprint of one lambda: its single-action sub-bundle compiled alone
 /// through the NIC pipeline with no store limit. Sums of these slightly
 /// over-estimate co-resident firmware (each carries its own dispatch
-/// stage and helpers that coalescing would merge), so policies that pack
-/// by summed footprints are conservative: a plan that fits by footprint
-/// always compiles within the store.
+/// stage and helpers that coalescing would merge), so packing by summed
+/// footprints is conservative: a plan that fits by footprint always
+/// compiles within the store.
 struct FunctionFootprint {
   std::string name;
   WorkloadId workload = kInvalidWorkload;
@@ -51,7 +49,7 @@ struct PlacementAssignment {
                          const PlacementAssignment&) = default;
 };
 
-/// Output of a policy: every function mapped to a weighted replica set.
+/// Output of placement: every function mapped to a weighted replica set.
 struct PlacementPlan {
   std::map<std::string, std::vector<PlacementAssignment>> functions;
 
@@ -63,56 +61,15 @@ struct PlacementPlan {
   bool assigns(const std::string& function, std::size_t backend_index) const;
 };
 
-class PlacementPolicy {
- public:
-  virtual ~PlacementPolicy() = default;
-
-  virtual const char* name() const = 0;
-
-  /// Maps every function to at least one backend, or fails when some
-  /// function fits nowhere (e.g. an oversize lambda in an all-NIC pool).
-  virtual Result<PlacementPlan> place(
-      const std::vector<BackendSlot>& pool,
-      const std::vector<FunctionFootprint>& functions) const = 0;
-};
-
-/// Paper semantics: a lambda runs on every NIC worker when the NIC-
-/// resident set still fits the instruction store and EMEM; otherwise it
-/// spills to every host worker. A homogeneous pool therefore reproduces
-/// the replicate-everywhere behaviour exactly.
-class NicFirstPolicy : public PlacementPolicy {
- public:
-  const char* name() const override { return "nic-first"; }
-  Result<PlacementPlan> place(
-      const std::vector<BackendSlot>& pool,
-      const std::vector<FunctionFootprint>& functions) const override;
-};
-
-/// Bin-packs lambdas onto as few NIC workers as possible (first-fit
-/// decreasing by code size), maximizing co-residency — and thereby what
-/// lambda coalescing can merge. Overflow goes to host workers.
-class PackedPolicy : public PlacementPolicy {
- public:
-  const char* name() const override { return "packed"; }
-  Result<PlacementPlan> place(
-      const std::vector<BackendSlot>& pool,
-      const std::vector<FunctionFootprint>& functions) const override;
-};
-
-/// Spreads lambdas one-per-worker round robin across the whole pool
-/// (skipping workers a lambda cannot fit), minimizing co-residency.
-class SpreadPolicy : public PlacementPolicy {
- public:
-  const char* name() const override { return "spread"; }
-  Result<PlacementPlan> place(
-      const std::vector<BackendSlot>& pool,
-      const std::vector<FunctionFootprint>& functions) const override;
-};
-
-enum class PlacementPolicyKind : std::uint8_t { kNicFirst, kPacked, kSpread };
-
-/// Shared immutable policy instances for configuration by enum.
-const PlacementPolicy& placement_policy(PlacementPolicyKind kind);
+/// The manager's one placement rule (paper semantics): a lambda runs on
+/// every NIC worker when the NIC-resident set still fits the instruction
+/// store and EMEM; otherwise it spills to every host worker. A
+/// homogeneous pool therefore reproduces the replicate-everywhere
+/// behaviour exactly. Fails when some function fits nowhere (e.g. an
+/// oversize lambda in an all-NIC pool).
+Result<PlacementPlan> place_nic_first(
+    const std::vector<BackendSlot>& pool,
+    const std::vector<FunctionFootprint>& functions);
 
 /// Capacity snapshots for a deployment pool, in pool order.
 std::vector<BackendSlot> snapshot_pool(

@@ -1,13 +1,17 @@
 #include "loadgen/arrival.h"
 
 #include <algorithm>
+#include <cmath>
 
 namespace lnic::loadgen {
 namespace {
 
 constexpr double kNsPerSec = 1e9;
 
+/// A gap that reaches the end of simulated time is "never"
+/// (kSimTimeMax); the comparison also keeps the cast in range.
 SimDuration clamp_gap(double gap_ns) {
+  if (!(gap_ns < static_cast<double>(kSimTimeMax))) return kSimTimeMax;
   return std::max<SimDuration>(1, static_cast<SimDuration>(gap_ns));
 }
 
@@ -17,7 +21,7 @@ SimDuration clamp_gap(double gap_ns) {
 class FixedRateArrivals final : public ArrivalProcess {
  public:
   explicit FixedRateArrivals(double rps)
-      : gap_(clamp_gap(kNsPerSec / rps)) {}
+      : gap_(offers_load(rps) ? clamp_gap(kNsPerSec / rps) : kSimTimeMax) {}
   SimDuration next_gap() override { return gap_; }
 
  private:
@@ -27,19 +31,24 @@ class FixedRateArrivals final : public ArrivalProcess {
 class PoissonArrivals final : public ArrivalProcess {
  public:
   PoissonArrivals(double rps, std::uint64_t seed)
-      : mean_gap_ns_(kNsPerSec / rps), rng_(seed) {}
+      : offers_(offers_load(rps)),
+        mean_gap_ns_(kNsPerSec / rps),
+        rng_(seed) {}
   SimDuration next_gap() override {
+    if (!offers_) return kSimTimeMax;
     return clamp_gap(rng_.next_exponential(mean_gap_ns_));
   }
 
  private:
+  bool offers_;
   double mean_gap_ns_;
   Rng rng_;
 };
 
 /// Markov-modulated Poisson: exponential dwell in each state, Poisson
 /// arrivals at the state's rate while dwelling there. A state with rate
-/// 0 contributes silence for its whole dwell.
+/// 0 contributes silence for its whole dwell; with both states silent
+/// the stream offers nothing.
 class OnOffArrivals final : public ArrivalProcess {
  public:
   OnOffArrivals(const ArrivalSpec& spec, std::uint64_t seed)
@@ -49,10 +58,13 @@ class OnOffArrivals final : public ArrivalProcess {
   }
 
   SimDuration next_gap() override {
+    if (!offers_load(spec_.rate_rps) && !offers_load(spec_.off_rate_rps)) {
+      return kSimTimeMax;
+    }
     double gap_ns = 0.0;
     for (;;) {
       const double rate = on_ ? spec_.rate_rps : spec_.off_rate_rps;
-      if (rate > 0.0) {
+      if (offers_load(rate)) {
         const double candidate = rng_.next_exponential(kNsPerSec / rate);
         if (candidate <= remaining_ns_) {
           remaining_ns_ -= candidate;
@@ -76,6 +88,8 @@ class OnOffArrivals final : public ArrivalProcess {
 };
 
 }  // namespace
+
+bool offers_load(double rps) { return rps > 0.0 && std::isfinite(rps); }
 
 double ArrivalSpec::mean_rate_rps() const {
   if (kind != ArrivalKind::kOnOff) return rate_rps;

@@ -50,8 +50,14 @@ class ArrivalProcess {
   virtual ~ArrivalProcess() = default;
   /// Gap from the previous arrival (or from the stream start) to the
   /// next arrival; always >= 1 ns so arrivals strictly advance time.
+  /// kSimTimeMax means no further arrival: a stream without a positive
+  /// finite rate offers nothing.
   virtual SimDuration next_gap() = 0;
 };
+
+/// True for a rate that offers load: positive and finite. A stream at
+/// any other rate is silent.
+bool offers_load(double rps);
 
 /// Builds the process described by `spec`, seeded deterministically.
 std::unique_ptr<ArrivalProcess> make_arrivals(const ArrivalSpec& spec,

@@ -80,7 +80,12 @@ void LoadGenerator::arm_next() {
   SimTime next = 0;
   Request request;
   if (arrivals_) {
-    next = sim_.now() + arrivals_->next_gap();
+    const SimDuration gap = arrivals_->next_gap();
+    if (gap >= kSimTimeMax - sim_.now()) {  // no arrival before time ends
+      offering_ = false;
+      return;
+    }
+    next = sim_.now() + gap;
     const FunctionProfile& profile = profiles_[zipf_->sample()];
     request.function = profile.name;
     request.payload_bytes = profile.payload.sample(payload_rng_);

@@ -20,21 +20,6 @@ const Sampler* SloTracker::function_latency(
   return it == functions_.end() ? nullptr : &it->second.latency;
 }
 
-std::uint64_t SloTracker::function_violations(
-    const std::string& function) const {
-  const auto it = functions_.find(function);
-  return it == functions_.end() ? 0 : it->second.failed + it->second.late;
-}
-
-framework::BurnSourceFn burn_source(const SloTracker& tracker) {
-  return [&tracker](const std::string& key) {
-    framework::BurnSample sample;
-    sample.offered = tracker.function_offered(key);
-    sample.bad = tracker.function_violations(key);
-    return sample;
-  };
-}
-
 framework::SloSignalFn slo_signal_source(const SloTracker& tracker) {
   // Per-function high-water mark into the sampler's raw sample vector;
   // shared_ptr so the callable stays copyable (std::function requirement).

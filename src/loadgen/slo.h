@@ -17,7 +17,6 @@
 #include "common/types.h"
 #include "framework/autoscaler.h"
 #include "framework/metrics.h"
-#include "framework/slo_monitor.h"
 
 namespace lnic::loadgen {
 
@@ -72,8 +71,6 @@ class SloTracker {
   std::uint64_t offered() const { return offered_; }
   /// Cumulative offered count of one function (0 if never offered).
   std::uint64_t function_offered(const std::string& function) const;
-  /// Cumulative SLO violations (failed + late) of one function.
-  std::uint64_t function_violations(const std::string& function) const;
   /// One function's intended-arrival latency sampler (nullptr if the
   /// function has no completions yet).
   const Sampler* function_latency(const std::string& function) const;
@@ -110,12 +107,5 @@ class SloTracker {
 /// (a windowed view over the tracker's raw samples; no samples copied
 /// out of the tracker). The tracker must outlive the returned callable.
 framework::SloSignalFn slo_signal_source(const SloTracker& tracker);
-
-/// Adapts a tracker into the SLO monitor's cumulative burn-sample
-/// source: offered = cumulative offered, bad = failed + late. Each
-/// reading is two map lookups — the cheap early-warning path, compared
-/// to the p99 signal's per-tick sort of the latency window. The tracker
-/// must outlive the returned callable.
-framework::BurnSourceFn burn_source(const SloTracker& tracker);
 
 }  // namespace lnic::loadgen

@@ -258,7 +258,6 @@ TEST(Manager, DeployRegistersRoutesAndArtifacts) {
   WorkloadManager manager(rig.sim, storage, nullptr);
   std::vector<backends::Backend*> pool = {rig.backend.get()};
   auto record = manager.deploy(workloads::make_standard_workloads(), pool,
-                               placement_policy(PlacementPolicyKind::kNicFirst),
                                &rig.gateway);
   ASSERT_TRUE(record.ok()) << record.error().message;
   EXPECT_EQ(record.value().functions.size(), 4u);
@@ -281,7 +280,6 @@ TEST(Manager, TenantDeployNamespacesRoutesAndInstallsQuota) {
 
   std::vector<backends::Backend*> pool = {rig.backend.get()};
   auto record = manager.deploy(workloads::make_standard_workloads(), pool,
-                               placement_policy(PlacementPolicyKind::kNicFirst),
                                &rig.gateway, "acme");
   ASSERT_TRUE(record.ok()) << record.error().message;
   EXPECT_EQ(record.value().tenant, "acme");
@@ -301,10 +299,8 @@ TEST(Manager, TenantDeployNamespacesRoutesAndInstallsQuota) {
   EXPECT_GT(usage->instr_words, 0u);
   // An impossible quota rejects a re-deploy outright.
   manager.set_tenant_quota("tiny", nicsim::TenantQuota{.instr_store_words = 1});
-  auto rejected =
-      manager.deploy(workloads::make_standard_workloads(), pool,
-                     placement_policy(PlacementPolicyKind::kNicFirst),
-                     &rig.gateway, "tiny");
+  auto rejected = manager.deploy(workloads::make_standard_workloads(), pool,
+                                 &rig.gateway, "tiny");
   EXPECT_FALSE(rejected.ok());
 }
 

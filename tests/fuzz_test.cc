@@ -1,7 +1,8 @@
 // Randomized robustness suites:
 //  - random Micro-C *source* programs (loops, branches, memory) compiled
 //    and executed: the frontend+verifier must accept them, execution must
-//    be deterministic, and every optimization combination must preserve
+//    be deterministic, and the whole-program passes compile() runs (DCE
+//    and memory stratification, alone and in sequence) must preserve
 //    results;
 //  - random byte strings fed to the lexer/parser/deserializer: they must
 //    reject garbage with errors, never crash or accept nonsense.
@@ -10,9 +11,8 @@
 #include <string>
 
 #include "common/rng.h"
-#include "compiler/const_fold.h"
 #include "compiler/dce.h"
-#include "compiler/inline.h"
+#include "compiler/stratify.h"
 #include "microc/frontend.h"
 #include "microc/interp.h"
 #include "microc/lexer.h"
@@ -47,17 +47,12 @@ TEST_P(RandomSourceTest, CompilesRunsDeterministicallyAndOptimizesSafely) {
   EXPECT_EQ(first.return_value, second.return_value);  // deterministic
   EXPECT_EQ(first.cycles, second.cycles);
 
-  // Every optimization combination preserves the result.
+  // Every pass combination preserves the result; cycles may differ
+  // under stratification, which moves memory objects.
   for (int mask = 1; mask < 4; ++mask) {
     Program optimized = program.value();
-    if (mask & 1) {
-      compiler::fold_constants(optimized);
-      compiler::eliminate_dead_code(optimized);
-    }
-    if (mask & 2) {
-      compiler::inline_functions(optimized);
-      compiler::eliminate_dead_code(optimized);
-    }
+    if (mask & 1) compiler::eliminate_dead_code(optimized);
+    if (mask & 2) compiler::stratify_memory(optimized);
     ASSERT_TRUE(verify(optimized).ok()) << "mask=" << mask << "\n" << source;
     const Outcome out = run_program(optimized);
     ASSERT_EQ(out.state, RunState::kDone);

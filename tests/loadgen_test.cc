@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <vector>
 
 #include "loadgen/arrival.h"
@@ -94,6 +95,25 @@ TEST(Arrivals, OnOffIsBurstierThanPoisson) {
       3, seconds(5));
   EXPECT_NEAR(cv2(poisson), 1.0, 0.2);
   EXPECT_GT(cv2(bursty), 2.0);
+}
+
+TEST(Arrivals, NonPositiveOrNonFiniteRateOffersNothing) {
+  // No 1 ns flood: a stream without a positive finite rate never arrives.
+  for (const ArrivalSpec& spec :
+       {ArrivalSpec::fixed(0.0), ArrivalSpec::poisson(0.0),
+        ArrivalSpec::poisson(-5.0),
+        ArrivalSpec::fixed(std::numeric_limits<double>::infinity()),
+        ArrivalSpec::poisson(std::numeric_limits<double>::quiet_NaN())}) {
+    EXPECT_EQ(make_arrivals(spec, 1)->next_gap(), kSimTimeMax)
+        << spec.rate_rps;
+  }
+}
+
+TEST(Arrivals, OnOffWithBothStatesSilentOffersNothing) {
+  // Kept apart from the test above: this draw used to loop forever.
+  auto process = make_arrivals(
+      ArrivalSpec::on_off(0.0, 0.0, milliseconds(10), milliseconds(10)), 1);
+  EXPECT_EQ(process->next_gap(), kSimTimeMax);
 }
 
 // ----------------------------------------------------------- popularity
@@ -319,6 +339,19 @@ TEST(Generator, MaxRequestsAndStopBoundOffering) {
   generator.start();
   sim.run();
   EXPECT_EQ(generator.offered(), 25u);
+  EXPECT_TRUE(generator.drained());
+}
+
+TEST(Generator, ZeroRateDrainsWithoutOffering) {
+  sim::Simulator sim;
+  EchoService echo{sim, microseconds(1)};
+  LoadGenConfig config;
+  config.arrivals = ArrivalSpec::poisson(0.0);
+  config.max_requests = 100;  // bounds the run if arrivals ever flood
+  LoadGenerator generator(sim, config, uniform_functions(1), echo.sink());
+  generator.start();
+  sim.run();
+  EXPECT_EQ(generator.offered(), 0u);
   EXPECT_TRUE(generator.drained());
 }
 

@@ -12,10 +12,8 @@
 #include "common/stats.h"
 #include "common/trace.h"
 #include "core/cluster.h"
-#include "framework/autoscaler.h"
 #include "framework/metrics.h"
 #include "framework/monitor.h"
-#include "framework/slo_monitor.h"
 #include "framework/timeline.h"
 #include "net/network.h"
 #include "net/trace.h"
@@ -462,134 +460,6 @@ TEST(FlightRecorder, GatewayShedSiteRecordsAnomalies) {
   EXPECT_TRUE(saw_shed);
   EXPECT_NE(ring.dump().find("gateway-shed"), std::string::npos);
   ring.clear();
-}
-
-// ---------------------------------------------------------------------------
-// SLO burn-rate monitor
-
-TEST(SloMonitor, MultiWindowBurnEdgeTriggeredAlerts) {
-  sim::Simulator sim;
-  MetricsRegistry registry;
-  framework::BurnRateConfig config;
-  config.objective = 0.9;  // 10% error budget
-  config.fast_window = seconds(5);
-  config.slow_window = seconds(20);
-  config.warn_burn = 2.0;
-  config.page_burn = 5.0;
-
-  std::uint64_t offered = 0;
-  std::uint64_t bad = 0;
-  framework::SloMonitor monitor(
-      sim, registry, config,
-      [&](const std::string&) {
-        return framework::BurnSample{offered, bad};
-      });
-  monitor.track("acme/web");
-
-  std::vector<framework::AlertSeverity> alerts;
-  monitor.set_alert_handler([&](const std::string& key,
-                                framework::AlertSeverity severity, double,
-                                double) {
-    EXPECT_EQ(key, "acme/web");
-    alerts.push_back(severity);
-  });
-
-  // One evaluation per simulated second, counters bumped beforehand.
-  const auto tick = [&](std::uint64_t add_offered, std::uint64_t add_bad) {
-    offered += add_offered;
-    bad += add_bad;
-    sim.run_until(sim.now() + seconds(1));
-    monitor.evaluate();
-  };
-
-  // 10 healthy seconds: no burn, no alerts.
-  for (int s = 0; s < 10; ++s) tick(100, 0);
-  EXPECT_EQ(monitor.severity("acme/web"), framework::AlertSeverity::kNone);
-  EXPECT_DOUBLE_EQ(monitor.fast_burn("acme/web"), 0.0);
-
-  // 25 seconds at 50% violations: the fast window saturates at burn
-  // 5.0 quickly, but the slow window still averages in the healthy
-  // prefix — so the monitor escalates to warn first and pages only
-  // once the healthy data ages out of the slow window. Each severity
-  // fires exactly once (edge-triggered).
-  for (int s = 0; s < 25; ++s) tick(100, 50);
-  EXPECT_DOUBLE_EQ(monitor.fast_burn("acme/web"), 5.0);
-  EXPECT_DOUBLE_EQ(monitor.slow_burn("acme/web"), 5.0);
-  EXPECT_EQ(monitor.severity("acme/web"), framework::AlertSeverity::kPage);
-  ASSERT_EQ(alerts.size(), 2u);
-  EXPECT_EQ(alerts[0], framework::AlertSeverity::kWarn);
-  EXPECT_EQ(alerts[1], framework::AlertSeverity::kPage);
-
-  // Recovery: severity decays without firing new alerts.
-  for (int s = 0; s < 25; ++s) tick(100, 0);
-  EXPECT_EQ(monitor.severity("acme/web"), framework::AlertSeverity::kNone);
-  EXPECT_EQ(alerts.size(), 2u);
-
-  // Tenant label derives from the key's prefix; counters recorded the
-  // two escalations.
-  const std::string rendered = registry.render();
-  EXPECT_NE(rendered.find("slo_burn_rate{fn=\"acme/web\",tenant=\"acme\"}"),
-            std::string::npos);
-  EXPECT_NE(
-      rendered.find("slo_alerts_total{severity=\"warn\",tenant=\"acme\"} 1"),
-      std::string::npos);
-  EXPECT_NE(
-      rendered.find("slo_alerts_total{severity=\"page\",tenant=\"acme\"} 1"),
-      std::string::npos);
-  EXPECT_GT(monitor.evaluations(), 0u);
-}
-
-TEST(SloMonitor, HistogramBurnSourceCountsTailObservations) {
-  MetricsRegistry registry;
-  auto& h = registry.histogram("rpc_latency_ns", {{"fn", "web"}},
-                               {1000.0, 10000.0});
-  h.observe(500.0);
-  h.observe(5000.0);
-  h.observe(50000.0);
-  // A different fn label must not leak into "web" (delimiter-checked
-  // label matching, not substring).
-  registry.histogram("rpc_latency_ns", {{"fn", "webx"}}, {1000.0, 10000.0})
-      .observe(99999.0);
-
-  const auto source = framework::histogram_burn_source(
-      registry, "rpc_latency_ns", /*bound_ns=*/10000.0);
-  const auto sample = source("web");
-  EXPECT_EQ(sample.offered, 3u);
-  EXPECT_EQ(sample.bad, 1u);  // only the 50 us observation is late
-  const auto other = source("absent");
-  EXPECT_EQ(other.offered, 0u);
-  EXPECT_EQ(other.bad, 0u);
-}
-
-TEST(Autoscaler, SloAlertScalesUpImmediately) {
-  sim::Simulator sim;
-  net::Network network(sim);
-  framework::Gateway gateway(sim, network);
-  framework::AutoscalerConfig config;
-  config.max_replicas = 2;
-  std::map<std::string, std::uint32_t> provisioned;
-  framework::Autoscaler scaler(
-      sim, gateway, config,
-      [&](const std::string& name, std::uint32_t replicas) {
-        provisioned[name] = replicas;
-      });
-  scaler.track("web");
-  EXPECT_EQ(scaler.replicas("web"), 1u);
-
-  // Warn resets the scale-down streak but never grows the set.
-  scaler.on_slo_alert("web", /*page=*/false);
-  EXPECT_EQ(scaler.replicas("web"), 1u);
-
-  // Page adds a replica immediately, clamped at max_replicas.
-  scaler.on_slo_alert("web", /*page=*/true);
-  EXPECT_EQ(scaler.replicas("web"), 2u);
-  EXPECT_EQ(provisioned["web"], 2u);
-  scaler.on_slo_alert("web", /*page=*/true);
-  EXPECT_EQ(scaler.replicas("web"), 2u);
-
-  // Unknown functions are ignored, not created.
-  scaler.on_slo_alert("ghost", /*page=*/true);
-  EXPECT_EQ(scaler.replicas("ghost"), 0u);
 }
 
 // ---------------------------------------------------------------------------

@@ -1,15 +1,14 @@
-// Tests for the additional compiler passes (constant folding, inlining,
-// pruning, isolation checking) plus a randomized differential suite:
-// random straight-line programs must behave identically before and after
-// every optimization combination.
+// Tests for the static isolation check plus a randomized differential
+// suite: random straight-line programs must behave identically before
+// and after every combination of the whole-program passes compile()
+// runs.
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
-#include "compiler/const_fold.h"
 #include "compiler/dce.h"
-#include "compiler/inline.h"
 #include "compiler/isolation.h"
 #include "compiler/pipeline.h"
+#include "compiler/stratify.h"
 #include "microc/builder.h"
 #include "microc/frontend.h"
 #include "microc/interp.h"
@@ -22,7 +21,6 @@ namespace {
 using microc::Invocation;
 using microc::Machine;
 using microc::ObjectStore;
-using microc::Opcode;
 using microc::Outcome;
 using microc::Program;
 using microc::ProgramBuilder;
@@ -33,161 +31,6 @@ Outcome run_fn(const Program& p, std::size_t fn) {
   Machine m(p, microc::CostModel::npu(), &store);
   Invocation inv;
   return m.run_function(fn, inv);
-}
-
-// --------------------------------------------------------- const folding
-
-TEST(ConstFold, FoldsArithmeticChains) {
-  auto program = microc::compile_microc(
-      "int f() { return (2 + 3) * 4 - 6 / 2; }");
-  ASSERT_TRUE(program.ok());
-  Program p = std::move(program).value();
-  const auto before = run_fn(p, 0);
-  const std::size_t folded = fold_constants(p);
-  EXPECT_GT(folded, 0u);
-  eliminate_dead_code(p);
-  ASSERT_TRUE(microc::verify(p).ok());
-  const auto after = run_fn(p, 0);
-  EXPECT_EQ(after.return_value, before.return_value);
-  EXPECT_EQ(after.return_value, 17u);
-  // The function should now be a handful of instructions.
-  EXPECT_LE(p.functions[0].instr_count(), 3u);
-}
-
-TEST(ConstFold, NeverFoldsDivisionByZero) {
-  auto program = microc::compile_microc("int f() { return 1 / 0; }");
-  ASSERT_TRUE(program.ok());
-  Program p = std::move(program).value();
-  fold_constants(p);
-  const auto out = run_fn(p, 0);
-  EXPECT_EQ(out.state, RunState::kTrap);  // runtime trap preserved
-}
-
-TEST(ConstFold, StopsAtUnknownValues) {
-  auto program = microc::compile_microc(
-      "int f() { return hdr(key) + (2 * 8); }");
-  ASSERT_TRUE(program.ok());
-  Program p = std::move(program).value();
-  const auto folded = fold_constants(p);
-  EXPECT_GE(folded, 1u);  // 2*8 folds; hdr()+16 does not
-  Invocation inv;
-  inv.headers.fields[microc::kHdrKey] = 5;
-  ObjectStore store(p);
-  Machine m(p, microc::CostModel::npu(), &store);
-  EXPECT_EQ(m.run_function(0, inv).return_value, 21u);
-}
-
-TEST(ConstFold, FoldsFixedPointMultiply) {
-  ProgramBuilder pb("t");
-  auto fb = pb.function("f", 0);
-  auto a = fb.const_u64(3 << 16);  // 3.0 in Q16.16
-  auto b = fb.const_u64(1 << 15);  // 0.5
-  fb.ret(fb.fxmul(a, b));
-  fb.finish();
-  Program p = pb.take();
-  EXPECT_GT(fold_constants(p), 0u);
-  EXPECT_EQ(run_fn(p, 0).return_value, static_cast<std::uint64_t>(3) << 15);
-}
-
-// --------------------------------------------------------------- inlining
-
-TEST(Inline, InlinesSmallLeafAndPreservesBehaviour) {
-  auto program = microc::compile_microc(R"(
-    int tiny(x) { return x * 3 + 1; }
-    int f() { return tiny(4) + tiny(10); }
-  )");
-  ASSERT_TRUE(program.ok());
-  Program p = std::move(program).value();
-  const auto f_index = p.function_index("f");
-  const auto before = run_fn(p, f_index);
-  const auto inlined = inline_functions(p);
-  EXPECT_EQ(inlined, 2u);
-  ASSERT_TRUE(microc::verify(p).ok());
-  const auto after = run_fn(p, f_index);
-  EXPECT_EQ(before.return_value, after.return_value);
-  EXPECT_EQ(after.return_value, 44u);
-  // No calls remain in f.
-  for (const auto& block : p.functions[f_index].blocks) {
-    for (const auto& in : block.instrs) {
-      EXPECT_NE(in.op, Opcode::kCall);
-    }
-  }
-}
-
-TEST(Inline, SkipsBranchyOrBigCallees) {
-  auto program = microc::compile_microc(R"(
-    int branchy(x) { if (x > 2) { return 1; } else { return 0; } }
-    int f() { return branchy(5); }
-  )");
-  ASSERT_TRUE(program.ok());
-  Program p = std::move(program).value();
-  EXPECT_EQ(inline_functions(p), 0u);  // multi-block callee stays a call
-}
-
-TEST(Inline, SkipsExtCallCallees) {
-  auto program = microc::compile_microc(R"(
-    int fetch(k) { return kv_get(k); }
-    int f() { return fetch(1); }
-  )");
-  ASSERT_TRUE(program.ok());
-  Program p = std::move(program).value();
-  EXPECT_EQ(inline_functions(p), 0u);
-}
-
-TEST(Inline, InliningReducesDynamicCycles) {
-  auto make = [] {
-    auto program = microc::compile_microc(R"(
-      int tiny(x) { return x + 1; }
-      int f() {
-        var acc = 0;
-        var i = 0;
-        while (i < 50) { acc = acc + tiny(i); i = i + 1; }
-        return acc;
-      }
-    )");
-    return std::move(program).value();
-  };
-  Program plain = make();
-  Program inlined = make();
-  inline_functions(inlined);
-  const auto f = plain.function_index("f");
-  const auto before = run_fn(plain, f);
-  const auto after = run_fn(inlined, inlined.function_index("f"));
-  EXPECT_EQ(before.return_value, after.return_value);
-  EXPECT_LT(after.cycles, before.cycles);  // call linkage cycles saved
-}
-
-TEST(Inline, PruneRemovesFullyInlinedHelpers) {
-  auto program = microc::compile_microc(R"(
-    int tiny(x) { return x + 1; }
-    int f() { return tiny(1); }
-  )");
-  ASSERT_TRUE(program.ok());
-  Program p = std::move(program).value();
-  p.lambda_entries = {{1, static_cast<std::uint32_t>(p.function_index("f"))}};
-  p.dispatch_function = static_cast<std::uint32_t>(p.function_index("f"));
-  inline_functions(p);
-  EXPECT_EQ(prune_unreachable_functions(p), 1u);
-  EXPECT_EQ(p.function_index("tiny"), Program::kNoFunction);
-  ASSERT_TRUE(microc::verify(p).ok());
-  EXPECT_EQ(run_fn(p, p.dispatch_function).return_value, 2u);
-}
-
-TEST(Inline, PruneKeepsTransitivelyReachable) {
-  auto program = microc::compile_microc(R"(
-    int a() { return b(); }
-    int b() { return c(); }
-    int c() { if (1 == 1) { return 7; } else { return 8; } }
-    int dead() { return 0; }
-  )");
-  ASSERT_TRUE(program.ok());
-  Program p = std::move(program).value();
-  p.lambda_entries = {{1, static_cast<std::uint32_t>(p.function_index("a"))}};
-  p.dispatch_function = static_cast<std::uint32_t>(p.function_index("a"));
-  EXPECT_EQ(prune_unreachable_functions(p), 1u);
-  EXPECT_NE(p.function_index("c"), Program::kNoFunction);
-  EXPECT_EQ(p.function_index("dead"), Program::kNoFunction);
-  EXPECT_EQ(run_fn(p, p.dispatch_function).return_value, 7u);
 }
 
 // -------------------------------------------------------------- isolation
@@ -241,15 +84,16 @@ TEST(Isolation, PipelineRejectsViolatingLambda) {
 
 TEST(Isolation, StandardWorkloadsPassTheCheck) {
   auto bundle = workloads::make_standard_workloads();
-  compiler::Options options;  // isolation check on by default
+  compiler::Options options;  // the isolation check always runs
   auto compiled = compile(bundle.spec, std::move(bundle.lambdas), options);
   EXPECT_TRUE(compiled.ok());
 }
 
 // ------------------------------------------- randomized differential test
 
-// Generates a random straight-line arithmetic function; checks that all
-// optimization combinations preserve its observable behaviour exactly.
+// Generates a random straight-line arithmetic function; checks that DCE
+// and memory stratification, alone and in sequence, preserve its return
+// value and response exactly (cycles may differ under stratification).
 Program random_program(Rng& rng, int length) {
   ProgramBuilder pb("rand");
   auto fb = pb.function("f", 0);
@@ -287,14 +131,10 @@ TEST_P(RandomDifferentialTest, OptimizationsPreserveSemantics) {
   const auto expected = run_fn(original, 0);
   ASSERT_EQ(expected.state, RunState::kDone);
 
-  for (int mask = 1; mask < 8; ++mask) {
+  for (int mask = 1; mask < 4; ++mask) {
     Program p = original;
-    if (mask & 1) fold_constants(p);
-    if (mask & 2) eliminate_dead_code(p);
-    if (mask & 4) {
-      fold_constants(p);
-      eliminate_dead_code(p);
-    }
+    if (mask & 1) eliminate_dead_code(p);
+    if (mask & 2) stratify_memory(p);
     ASSERT_TRUE(microc::verify(p).ok()) << "mask=" << mask;
     const auto out = run_fn(p, 0);
     ASSERT_EQ(out.state, RunState::kDone);

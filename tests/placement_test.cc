@@ -1,6 +1,5 @@
 // Tests for the placement layer: per-lambda footprints, bundle
-// splitting, and the NicFirst / Packed / Spread policies over mixed
-// NIC/host pools.
+// splitting, and NIC-first placement over mixed NIC/host pools.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -91,8 +90,8 @@ TEST(NicFirst, HomogeneousPoolReplicatesEverywhere) {
   const auto bundle = workloads::make_standard_workloads();
   const auto footprints = compute_footprints(bundle);
   ASSERT_TRUE(footprints.ok());
-  const auto plan = NicFirstPolicy().place(snapshot_pool(rig.pool),
-                                           footprints.value());
+  const auto plan =
+      place_nic_first(snapshot_pool(rig.pool), footprints.value());
   ASSERT_TRUE(plan.ok()) << plan.error().message;
   for (const auto& [fn, assignments] : plan.value().functions) {
     ASSERT_EQ(assignments.size(), 4u) << fn;
@@ -101,8 +100,8 @@ TEST(NicFirst, HomogeneousPoolReplicatesEverywhere) {
     }
   }
   // Determinism: the same inputs yield the identical plan.
-  const auto again = NicFirstPolicy().place(snapshot_pool(rig.pool),
-                                            footprints.value());
+  const auto again =
+      place_nic_first(snapshot_pool(rig.pool), footprints.value());
   ASSERT_TRUE(again.ok());
   EXPECT_EQ(plan.value().functions, again.value().functions);
 }
@@ -115,8 +114,8 @@ TEST(NicFirst, OversizeLambdaSpillsToHostsOnly) {
   const auto footprints = compute_footprints(
       workloads::make_standard_workloads(oversize_web_scale()));
   ASSERT_TRUE(footprints.ok());
-  const auto plan = NicFirstPolicy().place(snapshot_pool(rig.pool),
-                                           footprints.value());
+  const auto plan =
+      place_nic_first(snapshot_pool(rig.pool), footprints.value());
   ASSERT_TRUE(plan.ok()) << plan.error().message;
   // The oversize web server lands on the two hosts, nothing else.
   EXPECT_FALSE(plan.value().assigns("web_server", 0));
@@ -139,45 +138,9 @@ TEST(NicFirst, OversizeLambdaWithoutHostsFails) {
   const auto footprints = compute_footprints(
       workloads::make_standard_workloads(oversize_web_scale()));
   ASSERT_TRUE(footprints.ok());
-  const auto plan = NicFirstPolicy().place(snapshot_pool(rig.pool),
-                                           footprints.value());
+  const auto plan =
+      place_nic_first(snapshot_pool(rig.pool), footprints.value());
   EXPECT_FALSE(plan.ok());
-}
-
-TEST(Packed, CoLocatesOntoFewestNics) {
-  PoolRig rig({backends::BackendKind::kLambdaNic,
-               backends::BackendKind::kLambdaNic,
-               backends::BackendKind::kLambdaNic});
-  const auto footprints =
-      compute_footprints(workloads::make_standard_workloads());
-  ASSERT_TRUE(footprints.ok());
-  const auto plan = PackedPolicy().place(snapshot_pool(rig.pool),
-                                         footprints.value());
-  ASSERT_TRUE(plan.ok()) << plan.error().message;
-  // All four lambdas fit one store, so first-fit packs them onto NIC 0.
-  for (const auto& [fn, assignments] : plan.value().functions) {
-    ASSERT_EQ(assignments.size(), 1u) << fn;
-    EXPECT_EQ(assignments[0].backend_index, 0u) << fn;
-  }
-}
-
-TEST(Spread, OnePerWorkerRoundRobin) {
-  PoolRig rig({backends::BackendKind::kLambdaNic,
-               backends::BackendKind::kLambdaNic,
-               backends::BackendKind::kLambdaNic,
-               backends::BackendKind::kLambdaNic});
-  const auto footprints =
-      compute_footprints(workloads::make_standard_workloads());
-  ASSERT_TRUE(footprints.ok());
-  const auto plan = SpreadPolicy().place(snapshot_pool(rig.pool),
-                                         footprints.value());
-  ASSERT_TRUE(plan.ok()) << plan.error().message;
-  std::vector<int> per_backend(4, 0);
-  for (const auto& [fn, assignments] : plan.value().functions) {
-    ASSERT_EQ(assignments.size(), 1u) << fn;
-    ++per_backend[assignments[0].backend_index];
-  }
-  for (int count : per_backend) EXPECT_EQ(count, 1);
 }
 
 TEST(SplitBundle, FullActionSetIsIdentity) {

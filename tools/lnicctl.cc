@@ -752,6 +752,8 @@ int cmd_loadgen(int argc, char** argv) {
         static_cast<std::int64_t>(flag_u64(flags, "--duration-ms", 500)));
     const std::size_t n_functions = flag_u64(flags, "--functions", 8);
     const double zipf = flag_double(flags, "--zipf", 0.9);
+    // A silent stream or an empty alias set would offer nothing.
+    if (!loadgen::offers_load(rate) || n_functions == 0) return usage();
     std::vector<std::string> functions;
     for (std::size_t rank = 0; rank < n_functions; ++rank) {
       functions.push_back(loadgen::function_name(rank));
@@ -815,6 +817,7 @@ int cmd_kv(int argc, char** argv) {
   const std::uint64_t txns = flag_u64(flags, "--txns", 1000);
   const double rate = flag_double(flags, "--rate", 150000.0);
   const std::uint64_t seed = flag_u64(flags, "--seed", 1);
+  if (!loadgen::offers_load(rate)) return usage();
 
   kvstore::TxnStoreConfig config;
   config.nic_cache_nodes =

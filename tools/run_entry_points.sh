@@ -1,0 +1,92 @@
+#!/usr/bin/env bash
+# Runs every entry point of a built tree once: each bench (with --smoke
+# where the bench has it), every example, and the lnicctl commands
+# README lists. Stops at the first command that exits non-zero, and also
+# requires `lnicctl loadgen poisson` to reject a rate that offers no
+# load. Outputs land in a temporary directory that is removed on exit.
+#
+#   tools/run_entry_points.sh <build-dir>
+set -euo pipefail
+
+if [ $# -ne 1 ]; then
+  echo "usage: $0 <build-dir>" >&2
+  exit 1
+fi
+build=$(cd "$1" && pwd)
+work=$(mktemp -d)
+trap 'rm -rf "$work"' EXIT
+cd "$work"
+
+ran=0
+run() {
+  echo "==> $*"
+  if ! "$@" > out.log 2>&1; then
+    cat out.log
+    echo "FAILED: $*" >&2
+    exit 1
+  fi
+  ran=$((ran + 1))
+}
+
+# Runs a command that must answer with usage (exit 1). The timeout keeps
+# a regression that offers load forever from hanging the run.
+expect_usage() {
+  echo "==> $* (expect exit 1)"
+  local status=0
+  timeout 60 "$@" > out.log 2>&1 || status=$?
+  if [ "$status" -ne 1 ]; then
+    cat out.log
+    echo "FAILED: $* exited $status, expected 1" >&2
+    exit 1
+  fi
+  ran=$((ran + 1))
+}
+
+for bench in fig6_isolation_latency fig7_isolation_throughput \
+    fig8_contention_latency fig9_optimizer table2_contention_throughput \
+    table3_resources table4_startup ablation_dispatch ablation_hotswap \
+    ablation_memory ablation_nic_gateway ablation_pipeline \
+    supp_hybrid_placement supp_overload supp_trace_overhead; do
+  run "$build/bench/$bench"
+done
+for bench in perf_engine perf_datapath supp_kv_txn supp_load_scaling \
+    supp_multitenant supp_traffic_mix; do
+  run "$build/bench/$bench" --smoke
+done
+run "$build/bench/micro_benchmarks" --benchmark_min_time=0.001
+
+for example in quickstart multi_tenant_web image_pipeline cluster_failover \
+    autoscale_demo nic_kv_store custom_lambda hybrid_cluster \
+    overload_recovery trace_tour traffic_mix; do
+  run "$build/examples/$example"
+done
+
+lnicctl="$build/tools/lnicctl"
+cat > hello.mc <<'MC'
+global u8 msg[16] hot;
+int hello() {
+  for (var i = 0; i < 5; i += 1) { store1(msg, i, 72 + i); }
+  resp_mem(msg, 0, 5);
+  return 0;
+}
+MC
+run "$lnicctl" compile hello.mc -o hello.lnfw
+run "$lnicctl" disasm hello.lnfw
+run "$lnicctl" run hello.lnfw --wid 1
+run "$lnicctl" trace image --retransmit
+run "$lnicctl" trace web --out t.json
+run "$lnicctl" metrics
+run "$lnicctl" metrics --filter nic_
+run "$lnicctl" flightrec
+run "$lnicctl" timeline --tenant acme --out tl.json
+run "$lnicctl" kv --mix A --proto wait_die --metrics
+run "$lnicctl" kv --mix tpcc --warehouses 1 --txns 500
+run "$lnicctl" loadgen poisson --rate 2000 --duration-ms 500 \
+  --functions 8 --zipf 0.9 --deadline-us 2000
+run "$lnicctl" loadgen synth --out burst.trace --pattern burst \
+  --duration-ms 1000 --rate 1000 --peak 4000 --functions 8 --seed 7
+run "$lnicctl" loadgen trace burst.trace --deadline-us 2000
+expect_usage "$lnicctl" loadgen poisson --rate 0
+expect_usage "$lnicctl" loadgen poisson --functions 0
+
+echo "all $ran entry points passed"
