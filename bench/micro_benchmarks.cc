@@ -24,6 +24,16 @@ static void BM_EventQueueScheduleDispatch(benchmark::State& state) {
 }
 BENCHMARK(BM_EventQueueScheduleDispatch);
 
+// Wall time per interpreted IR instruction (instructions per second,
+// inverted), printed in seconds with an SI prefix: "1.2ns".
+static benchmark::Counter time_per_instr(std::uint64_t instructions) {
+  return benchmark::Counter(
+      static_cast<double>(instructions),
+      benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+
+// The web lambda's hot path is mix-round chains, which decode fuses into
+// superinstructions.
 static void BM_InterpreterWebLambda(benchmark::State& state) {
   auto bundle = workloads::make_standard_workloads();
   auto compiled = compiler::compile(bundle.spec, std::move(bundle.lambdas));
@@ -42,8 +52,37 @@ static void BM_InterpreterWebLambda(benchmark::State& state) {
   state.counters["instrs/req"] =
       static_cast<double>(instructions) /
       static_cast<double>(state.iterations());
+  state.counters["time/instr"] = time_per_instr(instructions);
 }
 BENCHMARK(BM_InterpreterWebLambda);
+
+// A frontend-compiled loop of loads, compares and branches that fusion
+// never matches: the interpreter's unfused speed.
+static void BM_InterpreterStreamAggregator(benchmark::State& state) {
+  auto bundle = workloads::make_stream_aggregator();
+  auto compiled = compiler::compile(bundle.spec, std::move(bundle.lambdas));
+  const auto& program = compiled.value().program;
+  microc::ObjectStore store(program);
+  microc::Machine machine(program, microc::CostModel::npu(), &store);
+  microc::Invocation inv;
+  inv.headers.fields[microc::kHdrWorkloadId] = workloads::kStreamId;
+  inv.match_data = {1};
+  std::uint64_t instructions = 0;
+  std::uint64_t sample = 0;
+  for (auto _ : state) {
+    // Sixteen sensors, each with a full eight-sample window once warm.
+    inv.headers.fields[microc::kHdrKey] = sample % 16;
+    inv.headers.fields[microc::kHdrValue] = ++sample;
+    auto out = machine.run(inv);
+    instructions += out.instructions;
+    benchmark::DoNotOptimize(out.return_value);
+  }
+  state.counters["instrs/req"] =
+      static_cast<double>(instructions) /
+      static_cast<double>(state.iterations());
+  state.counters["time/instr"] = time_per_instr(instructions);
+}
+BENCHMARK(BM_InterpreterStreamAggregator);
 
 static void BM_CompilerFullPipeline(benchmark::State& state) {
   for (auto _ : state) {

@@ -34,9 +34,15 @@ void grayscale_disjoint(std::uint8_t* __restrict out,
                         std::uint64_t pixels) {
   for (std::uint64_t i = 0; i < pixels; ++i) out[i] = luma(rgba + i * 4);
 }
+
+/// True when [off, off + len) does not fit in `size` bytes. Never computes
+/// off + len, which wraps for offsets a request can supply.
+bool out_of_range(std::uint64_t off, std::uint64_t len, std::uint64_t size) {
+  return off > size || len > size - off;
+}
 }  // namespace
 
-// Decoded opcodes: the IR's, in the same order, then two pseudo-ops.
+// Decoded opcodes: the IR's, in the same order, then pseudo-ops.
 enum class Op : std::uint8_t {
   kConst, kMov, kAdd, kSub, kMul, kDivU, kRemU, kAnd, kOr, kXor, kShl, kShr,
   kAddImm, kMulImm, kFxMul, kCmpEq, kCmpNe, kCmpLtU, kCmpLeU, kCmpEqImm,
@@ -45,6 +51,10 @@ enum class Op : std::uint8_t {
   kExtCall, kBr, kBrIf, kCall, kRet,
   kFellOff,  // a block ends without a terminator (imm = function): trap
   kFuelOut,  // fuel runs out here; only in a Machine's fuel tail
+  // The kMulImm heading a mix round (fuse_mix_rounds) of 3 or 4 steps;
+  // alt = rounds in its chain.
+  kMixChain3,
+  kMixChain4,
 };
 static_assert(static_cast<int>(Op::kLoad) == static_cast<int>(Opcode::kLoad));
 static_assert(static_cast<int>(Op::kRet) == static_cast<int>(Opcode::kRet));
@@ -64,7 +74,7 @@ struct Step {
   std::uint32_t rest_instrs = 0;  // IR instructions, this one included
   std::int64_t imm = 0;  // kBr/kBrIf: taken step; kCall/kFellOff: function
   std::uint64_t rest_cycles = 0;  // static scalar cycles, this one included
-  std::uint32_t alt = 0;          // kBrIf: not-taken step
+  std::uint32_t alt = 0;  // kBrIf: not-taken step; kMixChain*: rounds
 };
 
 /// A Program decoded for one cost model: every function's blocks laid out
@@ -184,6 +194,76 @@ std::uint64_t fingerprint(const Program& program) {
   return h;
 }
 
+// The length of the mix round at steps[i], or 0 when none starts there. A
+// round is `mul_imm d0 <- x, M; shr d1 <- x, k; xor d2 <- {d0, d1}`, then
+// `add_imm d3 <- d2, c` when the next step is one. Each operand must read
+// what sequential execution would: d0 != x and k != d0 (shr reads x and k
+// after d0 is written), d1 != d0 (xor reads both after d1 is written).
+std::uint32_t mix_round_length(const std::vector<Step>& steps, std::size_t i) {
+  // Every function's steps end in a kFellOff, so i + 3 is in range once
+  // steps[i + 2] is a kXor.
+  const Step& mul = steps[i];
+  if (mul.op != Op::kMulImm) return 0;
+  const Step& shr = steps[i + 1];
+  if (shr.op != Op::kShr || shr.a != mul.a || mul.dst == mul.a ||
+      shr.b == mul.dst || shr.dst == mul.dst) {
+    return 0;
+  }
+  const Step& x = steps[i + 2];
+  if (x.op != Op::kXor || !((x.a == mul.dst && x.b == shr.dst) ||
+                            (x.a == shr.dst && x.b == mul.dst))) {
+    return 0;
+  }
+  const Step& add = steps[i + 3];
+  return add.op == Op::kAddImm && add.a == x.dst ? 4 : 3;
+}
+
+// Superinstructions. Marks the head of every mix round kMixChain3 or
+// kMixChain4 and sets its `alt` to the rounds in its chain: the round
+// continues into the next one when that one starts right after it, has
+// its length, takes its last dst as x and shifts by the same k register,
+// and the round does not write k. A chain's steps sit inside one segment,
+// and nothing else changes, so charging, traps and resume points do not
+// move. Back to front, so each head's count includes the rest of its chain.
+void fuse_mix_rounds(std::vector<Step>& steps) {
+  for (std::size_t i = steps.size(); i-- > 0;) {
+    const std::uint32_t len = mix_round_length(steps, i);
+    if (len == 0) continue;
+    const Op op = len == 3 ? Op::kMixChain3 : Op::kMixChain4;
+    const std::uint16_t k = steps[i + 1].b;
+    bool writes_k = false;
+    for (std::size_t j = i; j < i + len; ++j) writes_k |= steps[j].dst == k;
+    const Step& next = steps[i + len];
+    Step& head = steps[i];
+    head.alt = next.op == op && next.a == steps[i + len - 1].dst &&
+                       steps[i + len + 1].b == k && !writes_k
+                   ? next.alt + 1
+                   : 1;
+    head.op = op;
+  }
+}
+
+// Runs the chain of mix rounds headed at `ip` and returns its last step.
+// The accumulator and the shift amount stay in machine registers; every
+// round still writes its d0..d3 in program order.
+template <std::uint32_t kLen>
+const Step* run_mix_chain(const Step* ip, std::uint64_t* r) {
+  const std::uint64_t k = r[ip[1].b] & 63;
+  std::uint64_t x = r[ip->a];
+  const Step* const end = ip + kLen * ip->alt;
+  for (; ip != end; ip += kLen) {
+    const std::uint64_t m = x * static_cast<std::uint64_t>(ip[0].imm);
+    const std::uint64_t h = x >> k;
+    x = m ^ h;
+    if constexpr (kLen == 4) x += static_cast<std::uint64_t>(ip[3].imm);
+    r[ip[0].dst] = m;
+    r[ip[1].dst] = h;
+    r[ip[2].dst] = m ^ h;
+    if constexpr (kLen == 4) r[ip[3].dst] = x;
+  }
+  return end - 1;
+}
+
 std::shared_ptr<const DecodedProgram> decode(const Program& program,
                                              const CostModel& cost) {
   auto code = std::make_shared<DecodedProgram>();
@@ -264,6 +344,7 @@ std::shared_ptr<const DecodedProgram> decode(const Program& program,
       s.rest_instrs += steps[i + 1].rest_instrs;
     }
   }
+  fuse_mix_rounds(steps);
   return code;
 }
 
@@ -436,8 +517,9 @@ Outcome Machine::finish(std::uint64_t return_value) {
 // > fuel traps), so find the first instruction whose check fails. If none
 // does, charge the segment as usual and run it in place. Otherwise run the
 // instructions before it from fuel_tail_, which ends in kFuelOut, so they
-// take effect and the trap reports exact counts. Returns where to run
-// from, or nullptr when the very first check fails.
+// take effect and the trap reports exact counts. A mix chain may run past
+// the cut, so the tail runs its rounds one step at a time. Returns where
+// to run from, or nullptr when the very first check fails.
 const Step* Machine::enter_exhausting(const Step* ip) {
   const Step* cut = ip;
   while (cycles_ + (ip->rest_cycles - cut->rest_cycles) <= fuel_) {
@@ -451,6 +533,7 @@ const Step* Machine::enter_exhausting(const Step* ip) {
   if (cut == ip) return nullptr;
   fuel_tail_.assign(ip, cut);
   for (Step& s : fuel_tail_) {
+    if (s.op == Op::kMixChain3 || s.op == Op::kMixChain4) s.op = Op::kMulImm;
     s.rest_cycles -= cut->rest_cycles;
     s.rest_instrs -= cut->rest_instrs;
   }
@@ -512,6 +595,8 @@ Outcome Machine::execute(const Step* ip) {
         case Op::kMulImm:
           r[in.dst] = r[in.a] * static_cast<std::uint64_t>(in.imm);
           continue;
+        case Op::kMixChain3: ip = run_mix_chain<3>(ip, r); continue;
+        case Op::kMixChain4: ip = run_mix_chain<4>(ip, r); continue;
         case Op::kFxMul: {
           // Q16.16 multiply (fixed-point substitute for float, §3.1b).
           const std::int64_t a = static_cast<std::int32_t>(r[in.a]);
@@ -553,7 +638,7 @@ Outcome Machine::execute(const Step* ip) {
         case Op::kLoad: {
           const ObjectView& o = objects[in.obj];
           const std::uint64_t off = r[in.a] + static_cast<std::uint64_t>(in.imm);
-          if (!o.present || off + in.width > o.size) {
+          if (!o.present || out_of_range(off, in.width, o.size)) {
             return trap_at(in, "out-of-bounds load from object '" +
                                    code.objects[in.obj].name + "' at offset " +
                                    std::to_string(off));
@@ -566,7 +651,7 @@ Outcome Machine::execute(const Step* ip) {
         case Op::kStore: {
           const ObjectView& o = objects[in.obj];
           const std::uint64_t off = r[in.a] + static_cast<std::uint64_t>(in.imm);
-          if (!o.present || off + in.width > o.size) {
+          if (!o.present || out_of_range(off, in.width, o.size)) {
             return trap_at(in, "out-of-bounds store to object '" +
                                    code.objects[in.obj].name + "' at offset " +
                                    std::to_string(off));
@@ -595,7 +680,7 @@ Outcome Machine::execute(const Step* ip) {
           const ObjectView& o = objects[in.obj];
           const std::uint64_t off = r[in.a];
           const std::uint64_t len = r[in.b];
-          if (!o.present || off + len > o.size) {
+          if (!o.present || out_of_range(off, len, o.size)) {
             return trap_at(in, "response copy out of bounds");
           }
           if (response_.size() + len > kMaxResponse) {
@@ -614,8 +699,9 @@ Outcome Machine::execute(const Step* ip) {
           const std::uint64_t doff = r[in.dst];
           const std::uint64_t soff = r[in.a];
           const std::uint64_t len = r[in.b];
-          if (!dst.present || !src.present || doff + len > dst.size ||
-              soff + len > src.size) {
+          if (!dst.present || !src.present ||
+              out_of_range(doff, len, dst.size) ||
+              out_of_range(soff, len, src.size)) {
             return trap_at(in, "memcpy out of bounds");
           }
           std::memmove(dst.data + doff, src.data + soff, len);
@@ -633,8 +719,9 @@ Outcome Machine::execute(const Step* ip) {
           const std::uint64_t doff = r[in.dst];
           const std::uint64_t soff = r[in.a];
           const std::uint64_t pixels = r[in.b];
-          if (!dst.present || !src.present || soff + pixels * 4 > src.size ||
-              doff + pixels > dst.size) {
+          if (!dst.present || !src.present || soff > src.size ||
+              pixels > (src.size - soff) / 4 ||
+              out_of_range(doff, pixels, dst.size)) {
             return trap_at(in, "grayscale out of bounds");
           }
           std::uint8_t* out = dst.data + doff;
@@ -661,7 +748,7 @@ Outcome Machine::execute(const Step* ip) {
           const ObjectView& o = objects[in.obj];
           const std::uint64_t off = r[in.a];
           const std::uint64_t len = r[in.b];
-          if (!o.present || off + len > o.size) {
+          if (!o.present || out_of_range(off, len, o.size)) {
             return trap_at(in, "hash out of bounds");
           }
           r[in.dst] = fnv1a(o.data + off, len);
@@ -675,7 +762,8 @@ Outcome Machine::execute(const Step* ip) {
           const std::uint64_t doff = r[in.dst];
           const std::uint64_t boff = r[in.a];
           const std::uint64_t len = r[in.b];
-          if (!dst.present || boff + len > body_len || doff + len > dst.size) {
+          if (!dst.present || out_of_range(boff, len, body_len) ||
+              out_of_range(doff, len, dst.size)) {
             return trap_at(in, "body copy out of bounds");
           }
           std::memcpy(dst.data + doff, body + boff, len);

@@ -81,6 +81,10 @@ Status verify(const Program& program) {
                                     std::string(to_string(in.op)));
           }
         }
+        // kSelect keeps its third register index in imm.
+        if (in.op == Opcode::kSelect && (in.imm < 0 || in.imm >= fn.num_regs)) {
+          return err(fn.name, "register index out of range at select");
+        }
         if (is_memory_op(in.op)) {
           if (in.obj >= num_objects) {
             return err(fn.name, "object index out of range");

@@ -215,6 +215,27 @@ const std::map<std::string, std::string> kGolden = {
     {"body_copy/npu", "trap ret=0 cycles=156 instrs=5 resp=0:cbf29ce484222325 trap=body copy out of bounds"},
     {"body_copy/host_native", "trap ret=0 cycles=7 instrs=5 resp=0:cbf29ce484222325 trap=body copy out of bounds"},
     {"body_copy/host_python", "trap ret=0 cycles=1855 instrs=5 resp=0:cbf29ce484222325 trap=body copy out of bounds"},
+    {"wrap_load/npu", "trap ret=0 cycles=4 instrs=5 resp=0:cbf29ce484222325 trap=out-of-bounds load from object 'b' at offset 18446744073709551612"},
+    {"wrap_load/host_native", "trap ret=0 cycles=4 instrs=5 resp=0:cbf29ce484222325 trap=out-of-bounds load from object 'b' at offset 18446744073709551612"},
+    {"wrap_load/host_python", "trap ret=0 cycles=1600 instrs=5 resp=0:cbf29ce484222325 trap=out-of-bounds load from object 'b' at offset 18446744073709551612"},
+    {"wrap_store/npu", "trap ret=0 cycles=4 instrs=5 resp=0:cbf29ce484222325 trap=out-of-bounds store to object 'b' at offset 18446744073709551612"},
+    {"wrap_store/host_native", "trap ret=0 cycles=4 instrs=5 resp=0:cbf29ce484222325 trap=out-of-bounds store to object 'b' at offset 18446744073709551612"},
+    {"wrap_store/host_python", "trap ret=0 cycles=1600 instrs=5 resp=0:cbf29ce484222325 trap=out-of-bounds store to object 'b' at offset 18446744073709551612"},
+    {"wrap_resp_mem/npu", "trap ret=0 cycles=4 instrs=5 resp=0:cbf29ce484222325 trap=response copy out of bounds"},
+    {"wrap_resp_mem/host_native", "trap ret=0 cycles=4 instrs=5 resp=0:cbf29ce484222325 trap=response copy out of bounds"},
+    {"wrap_resp_mem/host_python", "trap ret=0 cycles=1600 instrs=5 resp=0:cbf29ce484222325 trap=response copy out of bounds"},
+    {"wrap_memcpy/npu", "trap ret=0 cycles=4 instrs=5 resp=0:cbf29ce484222325 trap=memcpy out of bounds"},
+    {"wrap_memcpy/host_native", "trap ret=0 cycles=4 instrs=5 resp=0:cbf29ce484222325 trap=memcpy out of bounds"},
+    {"wrap_memcpy/host_python", "trap ret=0 cycles=1600 instrs=5 resp=0:cbf29ce484222325 trap=memcpy out of bounds"},
+    {"wrap_gray/npu", "trap ret=0 cycles=6 instrs=7 resp=0:cbf29ce484222325 trap=grayscale out of bounds"},
+    {"wrap_gray/host_native", "trap ret=0 cycles=6 instrs=7 resp=0:cbf29ce484222325 trap=grayscale out of bounds"},
+    {"wrap_gray/host_python", "trap ret=0 cycles=2400 instrs=7 resp=0:cbf29ce484222325 trap=grayscale out of bounds"},
+    {"wrap_hash/npu", "trap ret=0 cycles=4 instrs=5 resp=0:cbf29ce484222325 trap=hash out of bounds"},
+    {"wrap_hash/host_native", "trap ret=0 cycles=4 instrs=5 resp=0:cbf29ce484222325 trap=hash out of bounds"},
+    {"wrap_hash/host_python", "trap ret=0 cycles=1600 instrs=5 resp=0:cbf29ce484222325 trap=hash out of bounds"},
+    {"wrap_body_copy/npu", "trap ret=0 cycles=4 instrs=5 resp=0:cbf29ce484222325 trap=body copy out of bounds"},
+    {"wrap_body_copy/host_native", "trap ret=0 cycles=4 instrs=5 resp=0:cbf29ce484222325 trap=body copy out of bounds"},
+    {"wrap_body_copy/host_python", "trap ret=0 cycles=1600 instrs=5 resp=0:cbf29ce484222325 trap=body copy out of bounds"},
     {"call_depth/npu", "trap ret=0 cycles=107 instrs=48 resp=0:cbf29ce484222325 trap=call depth limit (recursion unsupported on NPUs)"},
     {"call_depth/host_native", "trap ret=0 cycles=107 instrs=48 resp=0:cbf29ce484222325 trap=call depth limit (recursion unsupported on NPUs)"},
     {"call_depth/host_python", "trap ret=0 cycles=42800 instrs=48 resp=0:cbf29ce484222325 trap=call depth limit (recursion unsupported on NPUs)"},
@@ -539,6 +560,41 @@ TEST(InterpGolden, Traps) {
     Invocation inv;
     inv.body = {1, 2, 3, 4, 5, 6, 7, 8};
     for (int k = 0; k < 5; ++k) record(names[k], p, fns[k], inv);
+  }
+  {  // Offsets whose sum with the length wraps past 2^64, one per check.
+    ProgramBuilder pb("t");
+    const auto a = pb.object("a", 16, MemScope::kGlobal);
+    const auto b = pb.object("b", 8, MemScope::kLocal);
+    const char* names[] = {"wrap_load", "wrap_store", "wrap_resp_mem",
+                           "wrap_memcpy", "wrap_gray", "wrap_hash",
+                           "wrap_body_copy"};
+    std::vector<std::uint32_t> fns;
+    for (int k = 0; k < 7; ++k) {
+      auto fb = pb.function(names[k], 0);
+      auto zero = fb.const_u64(0);
+      auto four = fb.const_u64(4);
+      auto eight = fb.const_u64(8);
+      auto wrap = fb.const_u64(~std::uint64_t{3});  // 2^64 - 4
+      if (k == 0) fb.load(b, wrap);
+      if (k == 1) fb.store(b, wrap, eight);
+      if (k == 2) fb.resp_mem(a, wrap, eight);
+      if (k == 3) fb.memcpy_(a, wrap, b, zero, eight);
+      if (k == 4) {
+        // 2^62 + 1 pixels: four bytes each wraps to 4, and the destination
+        // offset plus the pixel count wraps to 0.
+        auto pixels = fb.const_u64((std::uint64_t{1} << 62) + 1);
+        auto doff = fb.const_u64(~std::uint64_t{0} - (std::uint64_t{1} << 62));
+        fb.grayscale(b, doff, a, zero, pixels);
+      }
+      if (k == 5) fb.hash(a, four, wrap);
+      if (k == 6) fb.body_copy(a, eight, four, wrap);
+      fb.ret(four);
+      fns.push_back(fb.finish());
+    }
+    const Program p = pb.take();
+    Invocation inv;
+    inv.body = {1, 2, 3, 4, 5, 6, 7, 8};
+    for (int k = 0; k < 7; ++k) record(names[k], p, fns[k], inv);
   }
   {  // Call depth limit, and a trap inside a callee.
     ProgramBuilder pb("t");

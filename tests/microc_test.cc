@@ -1,13 +1,19 @@
 // Tests for the Micro-C IR, builder, verifier, and interpreter:
 // arithmetic semantics, memory isolation traps, external-call suspension,
-// cycle accounting, and code-size lowering.
+// cycle accounting, code-size lowering, and the decoder's fused mix-round
+// chains against a reference evaluator.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <initializer_list>
+#include <string>
 #include <vector>
 
+#include "common/rng.h"
 #include "microc/builder.h"
 #include "microc/interp.h"
 #include "microc/ir.h"
+#include "microc/serialize.h"
 #include "microc/verify.h"
 
 namespace lnic::microc {
@@ -644,6 +650,34 @@ TEST(Verify, RejectsRegisterOutOfRange) {
   EXPECT_FALSE(verify(p).ok());
 }
 
+TEST(Verify, RejectsSelectRegisterOutOfRange) {
+  // kSelect keeps its third register index in imm, which execute() reads
+  // unchecked; verify() must range-check it, also after a firmware round
+  // trip.
+  for (const std::int64_t imm : {std::int64_t{2}, std::int64_t{40000},
+                                 std::int64_t{-1}}) {
+    Program p;
+    Function f;
+    f.name = "sel";
+    f.num_regs = 2;
+    BasicBlock b;
+    b.instrs.push_back({.op = Opcode::kConst, .dst = 0, .imm = 1});
+    b.instrs.push_back(
+        {.op = Opcode::kSelect, .dst = 1, .a = 0, .b = 0, .imm = imm});
+    b.instrs.push_back({.op = Opcode::kRet, .a = 1});
+    f.blocks.push_back(b);
+    p.functions.push_back(f);
+    const Status st = verify(p);
+    ASSERT_FALSE(st.ok()) << imm;
+    EXPECT_NE(st.error().message.find("register index out of range at select"),
+              std::string::npos)
+        << st.error().message;
+    auto loaded = deserialize(serialize(p));
+    ASSERT_TRUE(loaded.ok());
+    EXPECT_FALSE(verify(loaded.value()).ok()) << imm;
+  }
+}
+
 TEST(Verify, RejectsWrongCallArity) {
   ProgramBuilder pb("t");
   auto helper = pb.function("h", 2);
@@ -660,6 +694,194 @@ TEST(Verify, RejectsWrongCallArity) {
   f.blocks.push_back(b);
   p.functions.push_back(f);
   EXPECT_FALSE(verify(p).ok());
+}
+
+// Differential test for the decoder's mix-round fusion: random
+// straight-line programs of const, mul_imm, shr, xor and add_imm over five
+// registers, run by the Machine and by a reference evaluator. Golden rows
+// see only responses and counts; these programs respond with every
+// register, so a fused step that reads or writes the wrong one shows.
+constexpr std::uint16_t kMixRegs = 5;
+
+// What the generator emitted, so the test can check every case occurred.
+struct MixTally {
+  int chain_links = 0;  // a whole round continuing the previous one's chain
+  int partial = 0;      // a round cut after its mul_imm or shr
+  int d0_is_x = 0;
+  int d1_is_d0 = 0;
+  int k_is_d0 = 0;
+  int k_written = 0;    // the shift register overwritten between rounds
+  int inner_read = 0;   // a round reads a register left by a round's inside
+};
+
+std::vector<Instr> random_mix_code(Rng& rng, MixTally& tally) {
+  auto reg = [&rng] {
+    return static_cast<std::uint16_t>(rng.next_below(kMixRegs));
+  };
+  auto reg_except = [&reg](std::initializer_list<std::uint16_t> avoid) {
+    while (true) {
+      const std::uint16_t r = reg();
+      if (std::find(avoid.begin(), avoid.end(), r) == avoid.end()) return r;
+    }
+  };
+  auto imm = [&rng](std::uint64_t bound) {
+    return static_cast<std::int64_t>(bound == 0 ? rng.next_u64()
+                                                : rng.next_below(bound));
+  };
+  std::vector<Instr> code;
+  for (std::uint16_t r = 0; r < kMixRegs; ++r) {
+    code.push_back({.op = Opcode::kConst, .dst = r, .imm = imm(0)});
+  }
+  std::uint16_t k = reg();  // the shift register clean rounds use
+  code.push_back({.op = Opcode::kConst, .dst = k, .imm = imm(64)});
+  std::uint16_t acc = reg_except({k});
+  std::vector<bool> inner(kMixRegs, false);  // last written inside a round
+  std::uint64_t chain_len = 0;  // length of a clean round just emitted
+  const int rounds = 4 + static_cast<int>(rng.next_below(28));
+  for (int n = 0; n < rounds; ++n) {
+    if (rng.next_below(10) == 0) {  // a const between rounds, maybe into k
+      const std::uint16_t d = reg();
+      code.push_back({.op = Opcode::kConst, .dst = d, .imm = imm(64)});
+      tally.k_written += d == k;
+      if (rng.next_bool(0.5)) k = d;
+      inner[d] = false;
+      chain_len = 0;
+      continue;
+    }
+    // Mostly a clean round continuing the chain; otherwise any register
+    // for each operand, which makes every hazard likely.
+    const bool clean = rng.next_below(4) != 0;
+    const std::uint16_t x = clean ? acc : reg();
+    const std::uint16_t x1 = clean || rng.next_bool(0.7) ? x : reg();
+    const std::uint16_t kk = clean ? k : reg();
+    const std::uint16_t d0 = clean ? reg_except({x, kk}) : reg();
+    const std::uint16_t d1 = clean ? reg_except({d0, kk}) : reg();
+    const std::uint16_t d2 = clean ? reg_except({kk}) : reg();
+    const std::uint16_t d3 = clean ? reg_except({kk}) : reg();
+    const std::uint16_t w = clean || rng.next_bool(0.8) ? d0 : reg();
+    const std::uint16_t y = clean || rng.next_bool(0.8) ? d1 : reg();
+    const std::uint16_t z = clean || rng.next_bool(0.8) ? d2 : reg();
+    const std::uint64_t len = rng.next_below(8) == 0 ? 1 + rng.next_below(2)
+                                                     : 3 + rng.next_below(2);
+    tally.inner_read += inner[x] || inner[x1] || inner[kk];
+    code.push_back({.op = Opcode::kMulImm, .dst = d0, .a = x,
+                    .imm = imm(0) | 1});
+    if (len >= 2) code.push_back({.op = Opcode::kShr, .dst = d1, .a = x1,
+                                  .b = kk});
+    if (len >= 3) {
+      const bool swap = rng.next_bool(0.5);
+      code.push_back({.op = Opcode::kXor, .dst = d2, .a = swap ? y : w,
+                      .b = swap ? w : y});
+    }
+    if (len == 4) code.push_back({.op = Opcode::kAddImm, .dst = d3, .a = z,
+                                  .imm = imm(1000)});
+    const std::uint16_t dsts[] = {d0, d1, d2, d3};
+    for (std::uint64_t i = 0; i < len; ++i) {
+      inner[dsts[i]] = i + 1 < len;
+      tally.k_written += !clean && dsts[i] == k;
+    }
+    tally.partial += len < 3;
+    tally.d0_is_x += len >= 2 && d0 == x && x1 == x;
+    tally.d1_is_d0 += len >= 3 && d1 == d0;
+    tally.k_is_d0 += len >= 2 && kk == d0;
+    tally.chain_links += clean && len == chain_len;
+    chain_len = clean && len >= 3 ? len : 0;
+    acc = dsts[len - 1];
+  }
+  return code;
+}
+
+// The reference: one instruction at a time, as the IR defines them.
+std::vector<std::uint64_t> reference_run(const std::vector<Instr>& code) {
+  std::vector<std::uint64_t> r(kMixRegs, 0);
+  for (const Instr& in : code) {
+    const auto imm = static_cast<std::uint64_t>(in.imm);
+    switch (in.op) {
+      case Opcode::kConst: r[in.dst] = imm; break;
+      case Opcode::kMulImm: r[in.dst] = r[in.a] * imm; break;
+      case Opcode::kShr: r[in.dst] = r[in.a] >> (r[in.b] & 63); break;
+      case Opcode::kXor: r[in.dst] = r[in.a] ^ r[in.b]; break;
+      case Opcode::kAddImm: r[in.dst] = r[in.a] + imm; break;
+      default: ADD_FAILURE() << "unexpected " << to_string(in.op); break;
+    }
+  }
+  return r;
+}
+
+// `code`, then a response of every register and a return.
+Program mix_program(const std::vector<Instr>& code) {
+  Function f;
+  f.name = "mix";
+  f.num_regs = kMixRegs;
+  BasicBlock block{code};
+  for (std::uint16_t r = 0; r < kMixRegs; ++r) {
+    block.instrs.push_back({.op = Opcode::kRespWord, .a = r});
+  }
+  block.instrs.push_back({.op = Opcode::kRet, .a = 0});
+  f.blocks.push_back(std::move(block));
+  Program p;
+  p.functions.push_back(std::move(f));
+  return p;
+}
+
+constexpr std::uint64_t kMixSeeds = 300;
+
+TEST(InterpFusion, RandomMixChainsMatchReference) {
+  const CostModel npu = CostModel::npu();
+  MixTally tally;
+  for (std::uint64_t seed = 1; seed <= kMixSeeds; ++seed) {
+    Rng rng(seed);
+    const std::vector<Instr> code = random_mix_code(rng, tally);
+    const std::vector<std::uint64_t> expected = reference_run(code);
+    const Program p = mix_program(code);
+    ASSERT_TRUE(verify(p).ok()) << seed;
+    Machine machine(p, npu, nullptr);
+    const Invocation inv;
+    const Outcome out = machine.run_function(0, inv);
+    ASSERT_EQ(out.state, RunState::kDone) << seed;
+    ASSERT_EQ(out.response.size(), 8u * kMixRegs) << seed;
+    for (std::uint16_t r = 0; r < kMixRegs; ++r) {
+      std::uint64_t word = 0;
+      for (int i = 0; i < 8; ++i) {
+        word |= std::uint64_t{out.response[8 * r + i]} << (8 * i);
+      }
+      EXPECT_EQ(word, expected[r]) << "seed " << seed << " r" << r;
+    }
+    EXPECT_EQ(out.instructions, code.size() + kMixRegs + 1) << seed;
+    EXPECT_EQ(out.cycles, code.size() * npu.alu_cycles +
+                              kMixRegs * npu.body_cycles + npu.branch_cycles)
+        << seed;
+  }
+  // The corpus covers chains and every case the fusion rule must refuse.
+  EXPECT_GT(tally.chain_links, 0);
+  EXPECT_GT(tally.partial, 0);
+  EXPECT_GT(tally.d0_is_x, 0);
+  EXPECT_GT(tally.d1_is_d0, 0);
+  EXPECT_GT(tally.k_is_d0, 0);
+  EXPECT_GT(tally.k_written, 0);
+  EXPECT_GT(tally.inner_read, 0);
+}
+
+TEST(InterpFusion, FuelCutsInsideChainsCountExactly) {
+  // With unit ALU cost, fuel f stops the run before instruction f + 1:
+  // the f + 1 instructions before it ran and cost f + 1 cycles.
+  ASSERT_EQ(CostModel::npu().alu_cycles, 1u);
+  MixTally tally;
+  for (std::uint64_t seed = 1; seed <= kMixSeeds; ++seed) {
+    Rng rng(seed);
+    const std::vector<Instr> code = random_mix_code(rng, tally);
+    const Program p = mix_program(code);
+    Machine machine(p, CostModel::npu(), nullptr);
+    const Invocation inv;
+    for (std::uint64_t fuel = 0; fuel < code.size(); ++fuel) {
+      machine.set_fuel(fuel);
+      const Outcome out = machine.run_function(0, inv);
+      ASSERT_EQ(out.state, RunState::kTrap) << seed << " fuel " << fuel;
+      EXPECT_EQ(out.trap_message, "fuel exhausted (compute limit)");
+      EXPECT_EQ(out.instructions, fuel + 1) << seed << " fuel " << fuel;
+      EXPECT_EQ(out.cycles, fuel + 1) << seed << " fuel " << fuel;
+    }
+  }
 }
 
 // Property: dynamic cycle count is monotone under appended busywork.
