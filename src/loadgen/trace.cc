@@ -50,7 +50,7 @@ Result<std::vector<TraceEvent>> parse_trace(const std::string& text) {
     std::istringstream fields(line);
     TraceEvent event;
     long long at = 0;
-    unsigned long long bytes = 0;
+    long long bytes = 0;  // signed, so "-5" is caught rather than wrapped
     std::string extra;
     if (!(fields >> at >> event.function >> bytes) || (fields >> extra)) {
       return make_error("trace line " + std::to_string(line_no) +
@@ -59,6 +59,10 @@ Result<std::vector<TraceEvent>> parse_trace(const std::string& text) {
     if (at < 0) {
       return make_error("trace line " + std::to_string(line_no) +
                         ": negative timestamp");
+    }
+    if (bytes < 0) {
+      return make_error("trace line " + std::to_string(line_no) +
+                        ": negative byte count");
     }
     event.at = static_cast<SimTime>(at);
     event.payload_bytes = static_cast<Bytes>(bytes);

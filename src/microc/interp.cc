@@ -20,6 +20,19 @@ std::uint64_t fnv1a(const std::uint8_t* data, std::size_t len) {
   return h;
 }
 
+// Longer kHash ranges skip the memo, so it holds at most 16 x 64 KiB.
+constexpr std::uint64_t kHashMemoMaxBytes = 64 << 10;
+
+// The memo slot of a kHash range. Every field goes through a multiply, so
+// the pages of one object spread over the slots instead of sharing one.
+std::size_t hash_memo_slot(std::size_t object, std::uint64_t off,
+                           std::uint64_t len) {
+  std::uint64_t h = (object + 1) * 0x9E3779B97F4A7C15ull;
+  h = (h ^ off) * 0xBF58476D1CE4E5B9ull;
+  h = (h ^ len) * 0x94D049BB133111EBull;
+  return static_cast<std::size_t>(h >> 60);
+}
+
 /// RGBA8888 -> 8-bit luma with integer weights (no FPU, §3.1b):
 /// y = (77 R + 150 G + 29 B) >> 8.
 std::uint8_t luma(const std::uint8_t* rgba) {
@@ -412,6 +425,22 @@ Bytes ObjectStore::total_bytes() const {
   return total;
 }
 
+std::uint64_t ObjectStore::hash(std::size_t object, std::uint64_t off,
+                                const std::uint8_t* bytes, std::uint64_t len) {
+  if (len > kHashMemoMaxBytes) return fnv1a(bytes, len);
+  HashMemo& m = memo_[hash_memo_slot(object, off, len)];
+  if (m.object == object && m.off == off && m.bytes.size() == len &&
+      (len == 0 || std::memcmp(m.bytes.data(), bytes, len) == 0)) {
+    ++hash_hits_;
+    return m.hash;
+  }
+  m.object = object;
+  m.off = off;
+  m.bytes.assign(bytes, bytes + len);
+  m.hash = fnv1a(bytes, len);
+  return m.hash;
+}
+
 Machine::Machine(const Program& program, const CostModel& cost,
                  ObjectStore* globals)
     : code_(decoded(program, cost)), cost_(cost), globals_(globals) {
@@ -431,6 +460,9 @@ Outcome Machine::run_function(std::size_t function_index,
   invocation_ = &invocation;
   suspended_ = false;
   response_.clear();
+  // Likely as long as the last one: allocate it once, up front. Reserving
+  // here rather than in finish() keeps idle pooled Machines empty.
+  response_.reserve(last_response_size_);
   // Charge the generated parser (header identification + extraction).
   cycles_ = code.parse_cycles;
   bulk_cycles_ = 0;
@@ -504,6 +536,7 @@ Outcome Machine::finish(std::uint64_t return_value) {
   Outcome out;
   out.state = RunState::kDone;
   out.return_value = return_value;
+  last_response_size_ = response_.size();
   out.response = std::move(response_);
   out.cycles = scaled_cycles();
   out.instructions = instructions_;
@@ -671,9 +704,11 @@ Outcome Machine::execute(const Step* ip) {
             return trap_at(in, "response too large");
           }
           const std::uint64_t v = r[in.a];
+          std::uint8_t word[8];
           for (int i = 0; i < 8; ++i) {
-            response_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+            word[i] = static_cast<std::uint8_t>(v >> (8 * i));
           }
+          response_.insert(response_.end(), word, word + 8);
           continue;
         }
         case Op::kRespMem: {
@@ -704,7 +739,9 @@ Outcome Machine::execute(const Step* ip) {
               out_of_range(soff, len, src.size)) {
             return trap_at(in, "memcpy out of bounds");
           }
-          std::memmove(dst.data + doff, src.data + soff, len);
+          // An empty object's data pointer is null, which memmove must not
+          // get even for zero bytes.
+          if (len != 0) std::memmove(dst.data + doff, src.data + soff, len);
           const std::uint64_t words = (len + 7) / 8;
           bulk_cycles_ += words *
                               (code.objects[in.obj2].read +
@@ -751,7 +788,9 @@ Outcome Machine::execute(const Step* ip) {
           if (!o.present || out_of_range(off, len, o.size)) {
             return trap_at(in, "hash out of bounds");
           }
-          r[in.dst] = fnv1a(o.data + off, len);
+          r[in.dst] = globals_ != nullptr
+                          ? globals_->hash(in.obj, off, o.data + off, len)
+                          : fnv1a(o.data + off, len);
           const std::uint64_t words = (len + 7) / 8;
           bulk_cycles_ +=
               words * (code.objects[in.obj].read + 2 * cost_.alu_cycles);
@@ -766,7 +805,9 @@ Outcome Machine::execute(const Step* ip) {
               out_of_range(doff, len, dst.size)) {
             return trap_at(in, "body copy out of bounds");
           }
-          std::memcpy(dst.data + doff, body + boff, len);
+          if (len != 0) {  // an empty body's data pointer is null
+            std::memcpy(dst.data + doff, body + boff, len);
+          }
           const std::uint64_t words = (len + 7) / 8;
           bulk_cycles_ += words *
                               (cost_.body_cycles / 4 +

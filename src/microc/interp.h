@@ -102,6 +102,7 @@ struct Outcome {
 /// Persistent global-object storage for one deployed program instance
 /// ("global objects persist state across runs", §4.1). Local-scope
 /// objects get fresh zeroed backing per invocation inside the Machine.
+/// The store also memoizes kHash for every Machine bound to it.
 class ObjectStore {
  public:
   ObjectStore() = default;
@@ -115,8 +116,27 @@ class ObjectStore {
   }
   Bytes total_bytes() const;
 
+  /// FNV-1a of the `len` bytes at `bytes`, which are object `object`'s
+  /// bytes from offset `off` (kHash). A range hashed before is answered
+  /// from a small memo while its bytes still compare equal to the copy
+  /// taken then, so the result is exact whatever wrote to the object in
+  /// between, and no write path has to report to the memo.
+  std::uint64_t hash(std::size_t object, std::uint64_t off,
+                     const std::uint8_t* bytes, std::uint64_t len);
+  /// hash() calls answered from the memo.
+  std::uint64_t hash_hits() const { return hash_hits_; }
+
  private:
+  struct HashMemo {
+    std::size_t object = SIZE_MAX;  // none yet
+    std::uint64_t off = 0;
+    std::vector<std::uint8_t> bytes;  // the range's bytes when hashed
+    std::uint64_t hash = 0;
+  };
+
   std::vector<std::vector<std::uint8_t>> data_;
+  std::array<HashMemo, 16> memo_;  // direct-mapped
+  std::uint64_t hash_hits_ = 0;
 };
 
 struct Step;  // one decoded instruction (interp.cc)
@@ -188,6 +208,7 @@ class Machine {
   std::vector<Frame> stack_;
   std::vector<Step> fuel_tail_;  // steps run before fuel runs out
   std::vector<std::uint8_t> response_;
+  std::size_t last_response_size_ = 0;  // of the last finished invocation
   std::uint32_t pc_ = 0;           // the pending kExtCall while suspended
   std::uint64_t cycles_ = 0;       // scalar instruction cycles
   std::uint64_t bulk_cycles_ = 0;  // intrinsic inner-loop cycles

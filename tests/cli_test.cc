@@ -4,10 +4,17 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <functional>
+#include <iterator>
 #include <string>
+#include <vector>
+
+#include "microc/ir.h"
+#include "microc/serialize.h"
 
 namespace {
 
@@ -86,6 +93,81 @@ TEST_F(CliTest, RunExecutesTheLambda) {
   // 40 + 2 = 42 = 0x2a little-endian in the response.
   EXPECT_NE(r.output.find("2a 00 00 00 00 00 00 00"), std::string::npos);
   EXPECT_NE(r.output.find("cycles:"), std::string::npos);
+}
+
+// Each image passes deserialize(), which checks the format, but fails
+// verify(): run must refuse it rather than execute it.
+TEST_F(CliTest, RunRejectsFirmwareThatFailsVerification) {
+  using lnic::microc::Instr;
+  using lnic::microc::Opcode;
+  using lnic::microc::Program;
+  write_file(dir_ + "hello.mc", R"(
+    global u8 msg[16] hot;
+    int hello() {
+      for (var i = 0; i < 5; i += 1) { store1(msg, i, 72 + i); }
+      resp_mem(msg, 0, 5);
+      return 0;
+    }
+  )");
+  ASSERT_EQ(run_command("compile " + dir_ + "hello.mc -o " + dir_ +
+                        "hello.lnfw")
+                .exit_code,
+            0);
+  std::ifstream in(dir_ + "hello.lnfw", std::ios::binary);
+  const std::vector<std::uint8_t> bytes(std::istreambuf_iterator<char>(in),
+                                        {});
+  auto hello = lnic::microc::deserialize(bytes);
+  ASSERT_TRUE(hello.ok());
+
+  // Every instruction with opcode `op`, in program order.
+  const auto instrs = [](Program& p, Opcode op) {
+    std::vector<Instr*> found;
+    for (auto& fn : p.functions) {
+      for (auto& block : fn.blocks) {
+        for (Instr& instr : block.instrs) {
+          if (instr.op == op) found.push_back(&instr);
+        }
+      }
+    }
+    return found;
+  };
+  struct Broken {
+    std::string name;
+    std::string message;
+    std::function<bool(Program&)> edit;  // false when nothing was edited
+  };
+  const std::vector<Broken> broken = {
+      {"const_dst", "register index out of range at const",
+       [&](Program& p) {
+         const std::vector<Instr*> consts = instrs(p, Opcode::kConst);
+         if (!consts.empty()) consts.front()->dst = 60000;
+         return !consts.empty();
+       }},
+      {"dispatch", "dispatch function index out of range",
+       [](Program& p) {
+         p.dispatch_function = 1000;
+         return true;
+       }},
+      {"call_target", "call target out of range",
+       [&](Program& p) {
+         const std::vector<Instr*> calls = instrs(p, Opcode::kCall);
+         for (Instr* call : calls) call->imm = 5000;
+         return !calls.empty();
+       }},
+  };
+  for (const Broken& b : broken) {
+    Program p = hello.value();
+    ASSERT_TRUE(b.edit(p)) << b.name;
+    const std::string path = dir_ + b.name + ".lnfw";
+    const std::vector<std::uint8_t> image = lnic::microc::serialize(p);
+    std::ofstream(path, std::ios::binary)
+        .write(reinterpret_cast<const char*>(image.data()),
+               static_cast<std::streamsize>(image.size()));
+    const auto r = run_command("run " + path + " --wid 1");
+    EXPECT_EQ(r.exit_code, 2) << b.name << ": " << r.output;
+    EXPECT_NE(r.output.find("error: "), std::string::npos) << r.output;
+    EXPECT_NE(r.output.find(b.message), std::string::npos) << r.output;
+  }
 }
 
 TEST_F(CliTest, DisasmListsTheProgram) {

@@ -228,6 +228,7 @@ TEST(Trace, ParserRejectsMalformedInput) {
   EXPECT_FALSE(parse_trace("1000 fn000\n").ok());          // missing field
   EXPECT_FALSE(parse_trace("1000 fn000 64 extra\n").ok()); // trailing junk
   EXPECT_FALSE(parse_trace("-5 fn000 64\n").ok());         // negative ts
+  EXPECT_FALSE(parse_trace("100 fn000 -5\n").ok());        // negative bytes
   EXPECT_FALSE(parse_trace("200 a 1\n100 b 1\n").ok());    // goes backwards
   EXPECT_FALSE(parse_trace("abc fn000 64\n").ok());        // non-numeric
   const auto ok = parse_trace("# comment\n\n10 fn000 64\n10 fn001 8\n");

@@ -5,8 +5,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
+#include <functional>
 #include <initializer_list>
+#include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
@@ -473,6 +477,22 @@ TEST(Interp, BodyCopyOutOfBoundsTraps) {
   EXPECT_EQ(out.state, RunState::kTrap);
 }
 
+// An empty object or body has a null data pointer, which memmove and
+// memcpy must not get even for zero bytes (the sanitize build checks).
+TEST(Interp, ZeroByteCopiesOfEmptyRangesAreNoOps) {
+  ProgramBuilder pb("t");
+  const auto empty = pb.object("empty", 0, MemScope::kGlobal);
+  auto fb = pb.function("f", 0);
+  auto zero = fb.const_u64(0);
+  fb.memcpy_(empty, zero, empty, zero, zero);
+  fb.body_copy(empty, zero, zero, zero);
+  fb.ret_imm(7);
+  const auto idx = fb.finish();
+  const Outcome out = run_simple(pb.take(), idx);
+  ASSERT_EQ(out.state, RunState::kDone) << out.trap_message;
+  EXPECT_EQ(out.return_value, 7u);
+}
+
 TEST(Interp, HashStableAcrossRuns) {
   ProgramBuilder pb("t");
   const auto obj = pb.object("buf", 64, MemScope::kGlobal);
@@ -881,6 +901,388 @@ TEST(InterpFusion, FuelCutsInsideChainsCountExactly) {
       EXPECT_EQ(out.instructions, fuel + 1) << seed << " fuel " << fuel;
       EXPECT_EQ(out.cycles, fuel + 1) << seed << " fuel " << fuel;
     }
+  }
+}
+
+// ------------------------------------------------------------ kHash memo
+// The ObjectStore answers a kHash from its memo only while the range's
+// bytes still equal the copy taken when it was hashed. These tests write
+// through every path the interpreter has (store, memcpy, grayscale, body
+// copy), from one Machine or several on one store, and check every hash
+// against FNV-1a over a shadow copy of the objects.
+
+std::uint64_t fnv1a_of(const std::vector<std::uint8_t>& bytes,
+                       std::uint64_t off, std::uint64_t len) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  for (std::uint64_t i = off; i < off + len; ++i) {
+    h ^= bytes[i];
+    h *= 0x100000001b3ull;
+  }
+  return h;
+}
+
+std::uint8_t luma_of(const std::uint8_t* rgba) {
+  return static_cast<std::uint8_t>(
+      (77u * rgba[0] + 150u * rgba[1] + 29u * rgba[2]) >> 8);
+}
+
+// Two global objects, and per object (or [dst][src] pair) one function for
+// kHash and one per write path. Operands come from the headers in the
+// order the intrinsic takes them: key, value, then op.
+struct MemoProgram {
+  Program program;
+  std::uint32_t hash[2]{};         // hash(x, off, len)
+  std::uint32_t parked_hash[2]{};  // the same, an ext call, then again
+  std::uint32_t store[2]{};        // store1(x, off, byte)
+  std::uint32_t memcpy[2][2]{};    // memcpy(dst, doff, src, soff, len)
+  std::uint32_t gray[2][2]{};      // grayscale(dst, doff, src, soff, pixels)
+  std::uint32_t body_copy[2]{};    // body_copy(x, doff, boff, len)
+};
+
+MemoProgram memo_program(Bytes size) {
+  MemoProgram mp;
+  ProgramBuilder pb("memo");
+  const std::uint16_t obj[2] = {pb.object("a", size, MemScope::kGlobal),
+                                pb.object("b", size, MemScope::kGlobal)};
+  for (int x = 0; x < 2; ++x) {
+    const std::string n = std::to_string(x);
+    {
+      auto fb = pb.function("hash" + n, 0);
+      fb.ret(fb.hash(obj[x], fb.load_hdr(kHdrKey), fb.load_hdr(kHdrValue)));
+      mp.hash[x] = fb.finish();
+    }
+    {
+      auto fb = pb.function("parked_hash" + n, 0);
+      const Reg off = fb.load_hdr(kHdrKey);
+      const Reg len = fb.load_hdr(kHdrValue);
+      const Reg before = fb.hash(obj[x], off, len);
+      fb.ext_call(0, before, before);
+      fb.resp_word(before);
+      fb.resp_word(fb.hash(obj[x], off, len));
+      fb.ret_imm(0);
+      mp.parked_hash[x] = fb.finish();
+    }
+    {
+      auto fb = pb.function("store" + n, 0);
+      fb.store(obj[x], fb.load_hdr(kHdrKey), fb.load_hdr(kHdrValue), 0, 1);
+      fb.ret_imm(0);
+      mp.store[x] = fb.finish();
+    }
+    {
+      auto fb = pb.function("body_copy" + n, 0);
+      fb.body_copy(obj[x], fb.load_hdr(kHdrKey), fb.load_hdr(kHdrValue),
+                   fb.load_hdr(kHdrOp));
+      fb.ret_imm(0);
+      mp.body_copy[x] = fb.finish();
+    }
+    for (int y = 0; y < 2; ++y) {
+      const std::string ny = n + std::to_string(y);
+      {
+        auto fb = pb.function("memcpy" + ny, 0);
+        fb.memcpy_(obj[x], fb.load_hdr(kHdrKey), obj[y],
+                   fb.load_hdr(kHdrValue), fb.load_hdr(kHdrOp));
+        fb.ret_imm(0);
+        mp.memcpy[x][y] = fb.finish();
+      }
+      {
+        auto fb = pb.function("gray" + ny, 0);
+        fb.grayscale(obj[x], fb.load_hdr(kHdrKey), obj[y],
+                     fb.load_hdr(kHdrValue), fb.load_hdr(kHdrOp));
+        fb.ret_imm(0);
+        mp.gray[x][y] = fb.finish();
+      }
+    }
+  }
+  mp.program = pb.take();
+  return mp;
+}
+
+// Runs a MemoProgram on one ObjectStore through several Machines, mirrors
+// every write in a shadow copy of both objects, and checks every hash
+// against fnv1a_of the shadow.
+class MemoRig {
+ public:
+  MemoRig(Bytes size, std::size_t machines, std::uint64_t seed)
+      : mp_(memo_program(size)), store_(mp_.program), invocations_(machines),
+        parked_(machines) {
+    Rng rng(seed);
+    for (int x = 0; x < 2; ++x) {
+      for (std::uint8_t& byte : store_.data(x)) {
+        byte = static_cast<std::uint8_t>(rng.next_u64());
+      }
+      shadow_[x] = store_.data(x);
+    }
+    for (std::size_t m = 0; m < machines; ++m) {
+      machines_.push_back(
+          std::make_unique<Machine>(mp_.program, CostModel::npu(), &store_));
+    }
+  }
+
+  const std::vector<std::uint8_t>& shadow(int x) const { return shadow_[x]; }
+  const ObjectStore& store() const { return store_; }
+  bool parked(std::size_t m) const { return machines_[m]->suspended(); }
+
+  std::uint64_t hash(int x, std::uint64_t off, std::uint64_t len,
+                     std::size_t m = 0) {
+    const Outcome out = run(m, mp_.hash[x], off, len);
+    EXPECT_EQ(out.state, RunState::kDone) << out.trap_message;
+    EXPECT_EQ(out.return_value, fnv1a_of(shadow_[x], off, len))
+        << "object " << x << " [" << off << ", +" << len << ")";
+    return out.return_value;
+  }
+  // Hashes the range on machine m, which then waits on an ext call until
+  // resume() has it hash the range again.
+  void park(std::size_t m, int x, std::uint64_t off, std::uint64_t len) {
+    const Outcome out = run(m, mp_.parked_hash[x], off, len);
+    ASSERT_EQ(out.state, RunState::kYield) << out.trap_message;
+    EXPECT_EQ(out.ext.key, fnv1a_of(shadow_[x], off, len));
+    parked_[m] = {x, off, len, out.ext.key};
+  }
+  void resume(std::size_t m) {
+    const Parked& p = parked_[m];
+    const Outcome out = machines_[m]->resume(0);
+    ASSERT_EQ(out.state, RunState::kDone) << out.trap_message;
+    ASSERT_EQ(out.response.size(), 16u);
+    std::uint64_t words[2];
+    std::memcpy(words, out.response.data(), sizeof(words));
+    EXPECT_EQ(words[0], p.before);
+    EXPECT_EQ(words[1], fnv1a_of(shadow_[p.x], p.off, p.len))
+        << "object " << p.x << " [" << p.off << ", +" << p.len << ")";
+  }
+
+  void store_byte(int x, std::uint64_t at, std::uint8_t byte,
+                  std::size_t m = 0) {
+    expect_done(run(m, mp_.store[x], at, byte));
+    shadow_[x][at] = byte;
+  }
+  void memcpy(int dst, std::uint64_t doff, int src, std::uint64_t soff,
+              std::uint64_t len, std::size_t m = 0) {
+    expect_done(run(m, mp_.memcpy[dst][src], doff, soff, len));
+    std::memmove(shadow_[dst].data() + doff, shadow_[src].data() + soff, len);
+  }
+  void grayscale(int dst, std::uint64_t doff, int src, std::uint64_t soff,
+                 std::uint64_t pixels, std::size_t m = 0) {
+    expect_done(run(m, mp_.gray[dst][src], doff, soff, pixels));
+    for (std::uint64_t i = 0; i < pixels; ++i) {  // forward, like the NIC
+      shadow_[dst][doff + i] = luma_of(shadow_[src].data() + soff + i * 4);
+    }
+  }
+  void body_copy(int x, std::uint64_t doff,
+                 const std::vector<std::uint8_t>& body, std::size_t m = 0) {
+    expect_done(run(m, mp_.body_copy[x], doff, 0, body.size(), body));
+    std::copy(body.begin(), body.end(), shadow_[x].begin() + doff);
+  }
+
+ private:
+  struct Parked {
+    int x = 0;
+    std::uint64_t off = 0;
+    std::uint64_t len = 0;
+    std::uint64_t before = 0;
+  };
+
+  Outcome run(std::size_t m, std::uint32_t fn, std::uint64_t key,
+              std::uint64_t value, std::uint64_t op = 0,
+              std::vector<std::uint8_t> body = {}) {
+    // Each Machine keeps its invocation across a park, so it owns one.
+    Invocation& inv = invocations_[m];
+    inv.headers.fields[kHdrKey] = key;
+    inv.headers.fields[kHdrValue] = value;
+    inv.headers.fields[kHdrOp] = op;
+    inv.body = std::move(body);
+    return machines_[m]->run_function(fn, inv);
+  }
+  static void expect_done(const Outcome& out) {
+    EXPECT_EQ(out.state, RunState::kDone) << out.trap_message;
+  }
+
+  MemoProgram mp_;
+  ObjectStore store_;
+  std::vector<std::unique_ptr<Machine>> machines_;
+  std::vector<Invocation> invocations_;
+  std::vector<Parked> parked_;
+  std::vector<std::uint8_t> shadow_[2];
+};
+
+// A write inside a hashed range changes its next hash (the memo misses);
+// a write just outside it leaves the hash as it was (the memo hits).
+TEST(HashMemo, EveryWritePathChangesTheRangesHash) {
+  constexpr std::uint64_t kOff = 64;
+  constexpr std::uint64_t kLen = 128;
+  // Each writes a byte of object 0 at `at` that differs from the old one.
+  using Write = std::function<void(MemoRig&, std::uint64_t)>;
+  const std::vector<std::pair<std::string, Write>> writes = {
+      {"store",
+       [](MemoRig& rig, std::uint64_t at) {
+         rig.store_byte(0, at, rig.shadow(0)[at] ^ 0x5A);
+       }},
+      {"memcpy",
+       [](MemoRig& rig, std::uint64_t at) {
+         std::uint64_t src = 0;
+         while (rig.shadow(1)[src] == rig.shadow(0)[at]) ++src;
+         rig.memcpy(0, at, 1, src, 1);
+       }},
+      {"grayscale",
+       [](MemoRig& rig, std::uint64_t at) {
+         std::uint64_t px = 0;
+         while (luma_of(rig.shadow(1).data() + px * 4) == rig.shadow(0)[at]) {
+           ++px;
+         }
+         rig.grayscale(0, at, 1, px * 4, 1);
+       }},
+      {"body_copy",
+       [](MemoRig& rig, std::uint64_t at) {
+         rig.body_copy(0, at, {static_cast<std::uint8_t>(~rig.shadow(0)[at])});
+       }},
+  };
+  for (const auto& [name, write] : writes) {
+    SCOPED_TRACE(name);
+    MemoRig rig(512, 1, 7);
+    const std::uint64_t before = rig.hash(0, kOff, kLen);
+    EXPECT_EQ(rig.hash(0, kOff, kLen), before);
+    EXPECT_EQ(rig.store().hash_hits(), 1u);
+
+    write(rig, kOff + kLen / 2);
+    const std::uint64_t after = rig.hash(0, kOff, kLen);
+    EXPECT_NE(after, before);
+    EXPECT_EQ(rig.store().hash_hits(), 1u);
+
+    write(rig, kOff - 1);
+    write(rig, kOff + kLen);
+    EXPECT_EQ(rig.hash(0, kOff, kLen), after);
+    EXPECT_EQ(rig.store().hash_hits(), 2u);
+  }
+}
+
+// One Machine hashes a range and parks on an ext call; another writes into
+// the range (and, the second time, refills the memo) before it resumes.
+TEST(HashMemo, ParkedMachineSeesAnotherMachinesWrite) {
+  for (const bool rehash : {false, true}) {
+    SCOPED_TRACE(rehash ? "writer rehashes" : "writer only writes");
+    MemoRig rig(256, 2, 11);
+    rig.park(0, 0, 32, 64);
+    ASSERT_TRUE(rig.parked(0));
+    rig.store_byte(0, 40, rig.shadow(0)[40] ^ 1, /*m=*/1);
+    if (rehash) rig.hash(0, 32, 64, /*m=*/1);
+    rig.resume(0);
+    EXPECT_FALSE(rig.parked(0));
+  }
+}
+
+// More ranges than the memo has slots, so they evict each other: the four
+// 1 KiB pages the web lambda hashes, the whole object, zero-length ranges
+// (one at off == size) and random ones, over both objects, with a write
+// between rounds.
+TEST(HashMemo, MoreRangesThanSlotsStayExact) {
+  constexpr std::uint64_t kSize = 4096;
+  MemoRig rig(kSize, 1, 3);
+  std::vector<std::pair<std::uint64_t, std::uint64_t>> ranges;
+  for (std::uint64_t page = 0; page < 4; ++page) {
+    ranges.emplace_back(page * 1024, 1024);
+  }
+  ranges.emplace_back(0, kSize);
+  ranges.emplace_back(0, 0);
+  ranges.emplace_back(kSize, 0);
+  Rng rng(5);
+  while (ranges.size() < 40) {
+    const std::uint64_t off = rng.next_below(kSize + 1);
+    ranges.emplace_back(off, rng.next_below(kSize - off + 1));
+  }
+  for (std::uint64_t round = 0; round < 3; ++round) {
+    for (const auto& [off, len] : ranges) {
+      rig.hash(0, off, len);
+      rig.hash(1, off, len);
+    }
+    const std::uint64_t at = round * 1024 + 512;
+    rig.store_byte(0, at, rig.shadow(0)[at] ^ 0x80);
+    // Newest first, so the ranges still in the memo are checked first.
+    for (auto it = ranges.rbegin(); it != ranges.rend(); ++it) {
+      rig.hash(0, it->first, it->second);
+    }
+  }
+  EXPECT_EQ(rig.hash(0, kSize, 0), 0xcbf29ce484222325ull);
+
+  // The four pages of one object occupy four slots: once each is warm,
+  // hashing all four again hits four times.
+  for (int x = 0; x < 2; ++x) {
+    for (int pass = 0; pass < 2; ++pass) {
+      const std::uint64_t hits = rig.store().hash_hits();
+      for (std::uint64_t page = 0; page < 4; ++page) {
+        rig.hash(x, page * 1024, 1024);
+      }
+      if (pass == 1) {
+        EXPECT_EQ(rig.store().hash_hits(), hits + 4) << x;
+      }
+    }
+  }
+}
+
+// Three Machines on one store interleave hashes, parks and all four write
+// paths over two small objects, so writes land in hashed ranges often.
+TEST(HashMemo, RandomInterleavingMatchesShadow) {
+  constexpr std::uint64_t kSize = 96;
+  constexpr std::size_t kMachines = 3;
+  for (std::uint64_t seed = 1; seed <= 30; ++seed) {
+    SCOPED_TRACE(seed);
+    MemoRig rig(kSize, kMachines, seed);
+    Rng rng(seed * 7919);
+    const auto below = [&rng](std::uint64_t bound) {
+      return rng.next_below(bound);
+    };
+    // Few distinct ranges, so repeats (memo hits) are common.
+    const auto range = [&below](std::uint64_t& off, std::uint64_t& len) {
+      const std::uint64_t lens[] = {0, 8, 32, 64};
+      off = 8 * below(5);
+      len = std::min(kSize - off, lens[below(4)]);
+    };
+    for (int step = 0; step < 300; ++step) {
+      const std::size_t m = below(kMachines);
+      if (rig.parked(m)) {
+        rig.resume(m);
+        continue;
+      }
+      const int x = static_cast<int>(below(2));
+      const int y = static_cast<int>(below(2));
+      std::uint64_t off = 0;
+      std::uint64_t len = 0;
+      switch (below(6)) {
+        case 0:
+          range(off, len);
+          rig.hash(x, off, len, m);
+          break;
+        case 1:
+          range(off, len);
+          rig.park(m, x, off, len);
+          break;
+        case 2:
+          rig.store_byte(x, below(kSize), static_cast<std::uint8_t>(below(256)),
+                         m);
+          break;
+        case 3:
+          len = below(17);
+          rig.memcpy(x, below(kSize - len + 1), y, below(kSize - len + 1), len,
+                     m);
+          break;
+        case 4: {
+          const std::uint64_t pixels = below(9);
+          rig.grayscale(x, below(kSize - pixels + 1), y,
+                        below(kSize - pixels * 4 + 1), pixels, m);
+          break;
+        }
+        case 5: {
+          std::vector<std::uint8_t> body(below(9));
+          for (std::uint8_t& b : body) b = static_cast<std::uint8_t>(below(256));
+          rig.body_copy(x, below(kSize - body.size() + 1), body, m);
+          break;
+        }
+      }
+    }
+    for (std::size_t m = 0; m < kMachines; ++m) {
+      if (rig.parked(m)) rig.resume(m);
+    }
+    EXPECT_EQ(rig.store().data(0), rig.shadow(0));
+    EXPECT_EQ(rig.store().data(1), rig.shadow(1));
+    EXPECT_GT(rig.store().hash_hits(), 0u);
   }
 }
 

@@ -89,6 +89,21 @@ TEST(Workloads, WebServerReturnsSelectedPage) {
   }
 }
 
+// The web lambda hashes one of four 1 KiB pages of a global object that
+// never changes: after one request per page, every kHash is a memo hit.
+TEST(Workloads, WebServerPageHashesHitTheMemo) {
+  auto fw = compile_standard();
+  ObjectStore store(fw.program);
+  Machine machine(fw.program, microc::CostModel::npu(), &store);
+  for (int round = 0; round < 3; ++round) {
+    for (std::uint64_t op = 0; op < kWebPageCount; ++op) {
+      const auto inv = make_invocation(kWebServerId, encode_web_request(op));
+      ASSERT_EQ(machine.run(inv).state, RunState::kDone);
+    }
+  }
+  EXPECT_EQ(store.hash_hits(), 2u * kWebPageCount);
+}
+
 TEST(Workloads, WebServerCounterPersists) {
   auto fw = compile_standard();
   ObjectStore store(fw.program);

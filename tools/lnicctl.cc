@@ -89,6 +89,7 @@
 #include "microc/frontend.h"
 #include "microc/interp.h"
 #include "microc/serialize.h"
+#include "microc/verify.h"
 #include "net/trace.h"
 #include "p4/text.h"
 #include "workloads/lambdas.h"
@@ -266,6 +267,12 @@ int cmd_run(int argc, char** argv) {
   auto program = microc::deserialize(bytes.value());
   if (!program.ok()) {
     std::fprintf(stderr, "error: %s\n", program.error().message.c_str());
+    return 2;
+  }
+  // deserialize() checks the format, not the code: an out-of-range
+  // register, call target or dispatch function would run off the arrays.
+  if (Status st = microc::verify(program.value()); !st.ok()) {
+    std::fprintf(stderr, "error: %s\n", st.error().message.c_str());
     return 2;
   }
 
