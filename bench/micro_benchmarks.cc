@@ -1,10 +1,13 @@
 // google-benchmark micro-benchmarks of the reproduction's own machinery:
 // event-queue throughput, interpreter speed, compiler pipeline cost,
-// Raft commit latency (wall-clock of the *simulator*, not simulated
-// time). These guard against performance regressions in the harness.
+// load-generator overhead, Raft commit latency (wall-clock of the
+// *simulator*, not simulated time). These guard against performance
+// regressions in the harness.
 #include <benchmark/benchmark.h>
 
 #include "compiler/pipeline.h"
+#include "framework/metrics.h"
+#include "loadgen/generator.h"
 #include "microc/interp.h"
 #include "net/network.h"
 #include "raft/raft.h"
@@ -135,6 +138,36 @@ static void BM_CompilerFullPipeline(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_CompilerFullPipeline);
+
+// The load generator's own cost per request, with no cluster behind it:
+// Zipf arrivals over 32 profiles (faas_mix's shape), a sink that
+// completes at once, and the offered-load gauges attached to a registry
+// that is scraped once per run.
+static void BM_LoadGeneratorPerRequest(benchmark::State& state) {
+  std::uint64_t requests = 0;
+  for (auto _ : state) {
+    sim::Simulator sim;
+    framework::MetricsRegistry registry;
+    loadgen::LoadGenConfig config;
+    config.arrivals = loadgen::ArrivalSpec::poisson(20000.0);
+    config.zipf_s = 0.9;
+    config.max_requests = 10000;
+    loadgen::LoadGenerator generator(
+        sim, config, loadgen::uniform_functions(32),
+        [](const loadgen::Request&, loadgen::CompletionFn done) {
+          done(true);
+        });
+    generator.set_metrics(&registry);
+    generator.start();
+    sim.run();
+    benchmark::DoNotOptimize(registry.render());
+    requests += generator.completed();
+  }
+  state.counters["time/req"] = benchmark::Counter(
+      static_cast<double>(requests),
+      benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_LoadGeneratorPerRequest);
 
 static void BM_NetworkPacketDelivery(benchmark::State& state) {
   for (auto _ : state) {

@@ -12,7 +12,11 @@ std::string series_key(const std::string& name, const Labels& labels) {
   std::string key = name + "{";
   for (std::size_t i = 0; i < sorted.size(); ++i) {
     if (i > 0) key += ",";
-    key += sorted[i].first + "=" + sorted[i].second;
+    key += sorted[i].first + "=";
+    for (const char c : sorted[i].second) {
+      if (c == '\\' || c == ',' || c == '=') key += '\\';
+      key += c;
+    }
   }
   key += "}";
   return key;
@@ -32,11 +36,12 @@ Counter& MetricsRegistry::counter(const std::string& name,
 }
 
 double& MetricsRegistry::gauge(const std::string& name) {
+  collect();
   return gauges_[name];
 }
 
 double& MetricsRegistry::gauge(const std::string& name, const Labels& labels) {
-  return gauges_[series_key(name, labels)];
+  return gauge(series_key(name, labels));
 }
 
 Sampler& MetricsRegistry::sampler(const std::string& name) {
@@ -73,8 +78,26 @@ Histogram& MetricsRegistry::histogram(const std::string& name,
 }
 
 bool MetricsRegistry::has(const std::string& name) const {
+  collect();
   return counters_.count(name) > 0 || gauges_.count(name) > 0 ||
          samplers_.count(name) > 0 || histograms_.count(name) > 0;
+}
+
+void MetricsRegistry::add_collector(const void* owner,
+                                    std::function<void()> hook) {
+  collectors_.emplace_back(owner, std::move(hook));
+}
+
+void MetricsRegistry::remove_collector(const void* owner) {
+  std::erase_if(collectors_,
+                [owner](const auto& entry) { return entry.first == owner; });
+}
+
+void MetricsRegistry::collect() const {
+  if (collecting_) return;
+  collecting_ = true;
+  for (const auto& [owner, hook] : collectors_) hook();
+  collecting_ = false;
 }
 
 namespace {
@@ -102,23 +125,32 @@ std::string escape_label_value(const std::string& value) {
   return out;
 }
 
-/// Valid exposition label block from stored `k=v,...` text, optionally
-/// with extra label pairs appended (used for histogram `le`).
+/// Valid exposition label block from stored `k=v,...` text (values
+/// escaped as series_key() does), optionally with extra label pairs
+/// appended (used for histogram `le`).
 std::string label_block(const std::string& labels,
                         const std::string& extra_key = "",
                         const std::string& extra_value = "") {
   if (labels.empty() && extra_key.empty()) return "";
   std::string out = "{";
   bool first = true;
-  std::istringstream stream(labels);
-  std::string pair;
-  while (std::getline(stream, pair, ',')) {
-    const auto eq = pair.find('=');
-    if (eq == std::string::npos) continue;
+  for (std::size_t at = 0; at < labels.size();) {
+    const auto eq = labels.find_first_of(",=", at);
+    if (eq == std::string::npos || labels[eq] == ',') {  // no value: skip
+      at = eq == std::string::npos ? labels.size() : eq + 1;
+      continue;
+    }
+    std::string value;
+    std::size_t end = eq + 1;
+    for (; end < labels.size() && labels[end] != ','; ++end) {
+      if (labels[end] == '\\' && end + 1 < labels.size()) ++end;
+      value += labels[end];
+    }
     if (!first) out += ",";
     first = false;
-    out += pair.substr(0, eq) + "=\"" +
-           escape_label_value(pair.substr(eq + 1)) + "\"";
+    out += labels.substr(at, eq - at) + "=\"" + escape_label_value(value) +
+           "\"";
+    at = end + 1;
   }
   if (!extra_key.empty()) {
     if (!first) out += ",";
@@ -137,6 +169,7 @@ std::string format_value(double value) {
 }  // namespace
 
 std::string MetricsRegistry::render() const {
+  collect();
   // One block of exposition lines per series, sorted by the series key
   // so output interleaves every metric kind in one global name order.
   std::vector<std::pair<std::string, std::string>> blocks;

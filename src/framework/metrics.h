@@ -8,9 +8,16 @@
 // keys sorted, which is also what the label-less overloads accept
 // directly: `counter("x_total", {{"fn", "f"}})` and the legacy
 // `counter("x_total{fn=f}")` address the same series.
+//
+// Gauges that are cheaper to derive than to keep current (a rate over
+// the whole run, say) are evaluated at scrape time: their owner adds a
+// collect hook that writes them, and the registry runs every hook before
+// render() and before each gauge()/has() lookup, so direct readers see
+// the same values a scrape would.
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <string>
 #include <utility>
@@ -24,7 +31,8 @@ namespace lnic::framework {
 using Labels = std::vector<std::pair<std::string, std::string>>;
 
 /// Canonical series key: `name` alone when `labels` is empty, otherwise
-/// `name{k=v,...}` with label keys sorted.
+/// `name{k=v,...}` with label keys sorted. `\`, `,` and `=` in values
+/// are escaped with `\`, so distinct label sets never share a key.
 std::string series_key(const std::string& name, const Labels& labels);
 
 class MetricsRegistry {
@@ -45,6 +53,13 @@ class MetricsRegistry {
 
   bool has(const std::string& name) const;
 
+  /// Adds `owner`'s collect hook, which writes its scrape-time gauges.
+  /// The owner must remove it before the owner or the registry dies.
+  void add_collector(const void* owner, std::function<void()> hook);
+  void remove_collector(const void* owner);
+  /// Runs every collect hook once. A hook's own lookups do not re-enter.
+  void collect() const;
+
   /// Text exposition, globally name-sorted (series of every kind
   /// interleave in one deterministic lexicographic order). Counters and
   /// gauges render one `name{labels} value` line; samplers expand to
@@ -57,6 +72,8 @@ class MetricsRegistry {
   std::map<std::string, double> gauges_;
   std::map<std::string, Sampler> samplers_;
   std::map<std::string, Histogram> histograms_;
+  std::vector<std::pair<const void*, std::function<void()>>> collectors_;
+  mutable bool collecting_ = false;
 };
 
 }  // namespace lnic::framework

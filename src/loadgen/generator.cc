@@ -1,5 +1,7 @@
 #include "loadgen/generator.h"
 
+#include <string_view>
+#include <unordered_map>
 #include <utility>
 
 namespace lnic::loadgen {
@@ -36,6 +38,7 @@ LoadGenerator::LoadGenerator(sim::Simulator& sim, LoadGenConfig config,
   }
   zipf_ = std::make_unique<ZipfSelector>(profiles_.size(), config_.zipf_s,
                                          config_.seed ^ kZipfStream);
+  handles_.resize(profiles_.size());
 }
 
 LoadGenerator::LoadGenerator(sim::Simulator& sim, LoadGenConfig config,
@@ -45,17 +48,36 @@ LoadGenerator::LoadGenerator(sim::Simulator& sim, LoadGenConfig config,
       replay_(std::move(replay)),
       sink_(std::move(sink)),
       payload_rng_(config.seed ^ kPayloadStream),
-      slo_(config.slo) {}
+      slo_(config.slo) {
+  std::unordered_map<std::string_view, std::uint32_t> slot_of;
+  replay_slots_.reserve(replay_.size());
+  for (const TraceEvent& event : replay_) {
+    const auto next = static_cast<std::uint32_t>(slot_of.size());
+    replay_slots_.push_back(slot_of.try_emplace(event.function, next)
+                                .first->second);
+  }
+  handles_.resize(slot_of.size());
+}
+
+LoadGenerator::~LoadGenerator() { set_metrics(nullptr); }
 
 void LoadGenerator::set_metrics(framework::MetricsRegistry* registry) {
+  if (metrics_ != nullptr) {
+    metrics_->collect();  // the last values stay behind as plain gauges
+    metrics_->remove_collector(this);
+  }
   metrics_ = registry;
-  // Handles into the previous registry are dropped; the next write binds.
+  last_event_.reset();
   inflight_gauge_ = nullptr;
   offered_gauge_ = nullptr;
-  for (auto& [fn, offered] : offered_by_fn_) offered.rps_gauge = nullptr;
+  for (auto& [name, fn] : functions_) fn.rps_gauge = nullptr;
+  if (metrics_ != nullptr) metrics_->add_collector(this, [this] { collect(); });
 }
 
 void LoadGenerator::start() {
+  // A restart keeps the old window's rates until an event past the new
+  // start replaces them.
+  if (metrics_ != nullptr) metrics_->collect();
   offering_ = true;
   started_at_ = sim_.now();
   replay_next_ = 0;
@@ -78,6 +100,7 @@ void LoadGenerator::arm_next() {
   }
 
   SimTime next = 0;
+  std::size_t slot = 0;
   Request request;
   if (arrivals_) {
     const SimDuration gap = arrivals_->next_gap();
@@ -86,7 +109,8 @@ void LoadGenerator::arm_next() {
       return;
     }
     next = sim_.now() + gap;
-    const FunctionProfile& profile = profiles_[zipf_->sample()];
+    slot = zipf_->sample();
+    const FunctionProfile& profile = profiles_[slot];
     request.function = profile.name;
     request.payload_bytes = profile.payload.sample(payload_rng_);
   } else {
@@ -94,6 +118,7 @@ void LoadGenerator::arm_next() {
       offering_ = false;
       return;
     }
+    slot = replay_slots_[replay_next_];
     const TraceEvent& event = replay_[replay_next_++];
     next = started_at_ + event.at;
     if (next < sim_.now()) next = sim_.now();
@@ -105,22 +130,26 @@ void LoadGenerator::arm_next() {
     return;
   }
   request.intended = next;
-  pending_ = sim_.schedule_at(next, [this, request]() mutable {
+  pending_ = sim_.schedule_at(next, [this, request, slot]() mutable {
     pending_ = sim::kInvalidEvent;
-    on_arrival(std::move(request));
+    on_arrival(std::move(request), slot);
   });
 }
 
-void LoadGenerator::on_arrival(Request request) {
+void LoadGenerator::on_arrival(Request request, std::size_t slot) {
   request.id = offered_++;
-  ++offered_by_fn_[request.function].count;
-  slo_.on_offered(request.function);
-  update_gauges();
+  Function*& fn = handles_[slot];
+  if (fn == nullptr) {
+    fn = &functions_[request.function];
+    fn->slo = &slo_.stats(request.function);
+  }
+  slo_.on_offered(*fn->slo);
+  last_event_ = sim_.now();
 
   if (config_.max_outstanding > 0 && inflight_ >= config_.max_outstanding) {
-    deferred_.push_back(std::move(request));
+    deferred_.emplace_back(std::move(request), fn->slo);
   } else {
-    dispatch(std::move(request));
+    dispatch(std::move(request), *fn->slo);
   }
   // Dispatch before arming so event creation order matches the
   // hand-rolled PeriodicTimer drivers this replaces (callback first,
@@ -128,47 +157,48 @@ void LoadGenerator::on_arrival(Request request) {
   arm_next();
 }
 
-void LoadGenerator::dispatch(Request request) {
+// Both callers have just set last_event_ to now, the dispatch instant.
+void LoadGenerator::dispatch(Request request, SloTracker::FnStats& fn) {
   ++inflight_;
-  update_gauges();
-  const std::string function = request.function;
   const SimTime intended = request.intended;
   const SimTime dispatched = sim_.now();
-  sink_(request, [this, function, intended, dispatched](bool ok) {
+  sink_(request, [this, &fn, intended, dispatched](bool ok) {
     --inflight_;
     if (ok) {
       ++completed_;
     } else {
       ++failed_;
     }
-    slo_.on_complete(function, intended, dispatched, sim_.now(), ok);
-    update_gauges();
+    slo_.on_complete(fn, intended, dispatched, sim_.now(), ok);
+    last_event_ = sim_.now();
     if (!deferred_.empty() && inflight_ < config_.max_outstanding) {
-      Request next = std::move(deferred_.front());
+      auto [next, next_fn] = std::move(deferred_.front());
       deferred_.pop_front();
-      dispatch(std::move(next));
+      dispatch(std::move(next), *next_fn);
     }
   });
 }
 
-void LoadGenerator::update_gauges() {
-  if (metrics_ == nullptr) return;
-  // Handles are bound on first write, so each series appears when it did
-  // with string lookups; registry map nodes never move.
+void LoadGenerator::collect() {
+  // Every change to these values comes with an event that sets
+  // last_event_, so evaluating them now gives what writing them at each
+  // event gave: both series from the first event after attaching, each
+  // rate once an event lies past start().
+  if (!last_event_) return;
   if (inflight_gauge_ == nullptr) {
     inflight_gauge_ = &metrics_->gauge("loadgen_inflight");
     offered_gauge_ = &metrics_->gauge("loadgen_offered_requests");
   }
   *inflight_gauge_ = static_cast<double>(inflight_);
   *offered_gauge_ = static_cast<double>(offered_);
-  const SimDuration elapsed = sim_.now() - started_at_;
+  const SimDuration elapsed = *last_event_ - started_at_;
   if (elapsed <= 0) return;
   const double window_sec = to_sec(elapsed);
-  for (auto& [fn, offered] : offered_by_fn_) {
-    if (offered.rps_gauge == nullptr) {
-      offered.rps_gauge = &metrics_->gauge("loadgen_offered_rps", {{"fn", fn}});
+  for (auto& [name, fn] : functions_) {
+    if (fn.rps_gauge == nullptr) {
+      fn.rps_gauge = &metrics_->gauge("loadgen_offered_rps", {{"fn", name}});
     }
-    *offered.rps_gauge = static_cast<double>(offered.count) / window_sec;
+    *fn.rps_gauge = static_cast<double>(fn.slo->offered) / window_sec;
   }
 }
 

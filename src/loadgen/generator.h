@@ -21,7 +21,9 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
@@ -89,10 +91,21 @@ class LoadGenerator {
   LoadGenerator(sim::Simulator& sim, LoadGenConfig config,
                 std::vector<TraceEvent> replay, Sink sink);
 
+  /// Leaves the gauges' last values behind as plain gauges.
+  ~LoadGenerator();
+  // Scheduled events and the registry's collect hook hold `this`.
+  LoadGenerator(const LoadGenerator&) = delete;
+  LoadGenerator& operator=(const LoadGenerator&) = delete;
+
   /// Exports offered-load gauges (loadgen_offered_rps{fn=},
-  /// loadgen_inflight, loadgen_offered_requests) into `registry` while
-  /// running — pass the gateway's registry to graph supply vs demand
-  /// together. nullptr detaches.
+  /// loadgen_inflight, loadgen_offered_requests) into `registry` — pass
+  /// the gateway's registry to graph supply vs demand together. They are
+  /// evaluated when the registry is scraped or read, not per request:
+  /// loadgen_offered_rps{fn} is fn's offered count over the time from
+  /// start() to the generator's last event. Series appear with the first
+  /// event after attaching. Re-pointing (nullptr detaches) and
+  /// destruction leave the last values behind as plain gauges; the
+  /// registry must outlive the attachment.
   void set_metrics(framework::MetricsRegistry* registry);
 
   void start();
@@ -116,10 +129,19 @@ class LoadGenerator {
   SloReport report() const;
 
  private:
+  /// Per-function handles, one per distinct function name, created on its
+  /// first offer. Map nodes never move, so the pointers to them stay valid.
+  struct Function {
+    SloTracker::FnStats* slo = nullptr;  // offered count and SLO stats
+    double* rps_gauge = nullptr;  // loadgen_offered_rps{fn} in metrics_
+  };
+
   void arm_next();
-  void on_arrival(Request request);
-  void dispatch(Request request);
-  void update_gauges();
+  /// `slot` indexes handles_: the profile, or the trace name in replay.
+  void on_arrival(Request request, std::size_t slot);
+  void dispatch(Request request, SloTracker::FnStats& fn);
+  /// The collect hook: writes the gauges' current values into metrics_.
+  void collect();
 
   sim::Simulator& sim_;
   LoadGenConfig config_;
@@ -139,14 +161,15 @@ class LoadGenerator {
   std::uint64_t completed_ = 0;
   std::uint64_t failed_ = 0;
   std::uint32_t inflight_ = 0;
-  std::deque<Request> deferred_;
+  std::deque<std::pair<Request, SloTracker::FnStats*>> deferred_;
   sim::EventId pending_ = sim::kInvalidEvent;
-  // Offered count per function and its loadgen_offered_rps gauge.
-  struct Offered {
-    std::uint64_t count = 0;
-    double* rps_gauge = nullptr;
-  };
-  std::map<std::string, Offered> offered_by_fn_;
+  std::map<std::string, Function> functions_;  // name order: gauge order
+  /// Bound on each slot's first offer; slots sharing a name share a node.
+  std::vector<Function*> handles_;
+  std::vector<std::uint32_t> replay_slots_;  // handles_ index per event
+  /// Time of the last arrival, dispatch or completion since metrics_ was
+  /// attached; unset until one happens.
+  std::optional<SimTime> last_event_;
   double* inflight_gauge_ = nullptr;  // loadgen_inflight
   double* offered_gauge_ = nullptr;   // loadgen_offered_requests
 };

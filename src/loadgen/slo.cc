@@ -46,15 +46,14 @@ framework::SloSignalFn slo_signal_source(const SloTracker& tracker) {
   };
 }
 
-void SloTracker::on_offered(const std::string& function) {
+void SloTracker::on_offered(FnStats& fn) {
   ++offered_;
-  ++functions_[function].offered;
+  ++fn.offered;
 }
 
-void SloTracker::on_complete(const std::string& function, SimTime intended,
+void SloTracker::on_complete(FnStats& fn, SimTime intended,
                              SimTime dispatched, SimTime completed,
                              bool ok) {
-  FnStats& fn = functions_[function];
   if (!ok) {
     ++fn.failed;
     return;

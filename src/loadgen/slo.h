@@ -56,14 +56,34 @@ struct SloReport {
 
 class SloTracker {
  public:
+  /// One function's accounting. stats() hands out references that stay
+  /// valid for the tracker's lifetime, so a generator can bind each
+  /// function once instead of looking it up by name on every request.
+  struct FnStats {
+    std::uint64_t offered = 0;
+    std::uint64_t completed = 0;
+    std::uint64_t failed = 0;
+    std::uint64_t late = 0;
+    Sampler latency;  // intended-based, ns
+  };
+
   explicit SloTracker(SloConfig config = {}) : config_(config) {}
 
-  void on_offered(const std::string& function);
+  /// `function`'s stats, created (with nothing offered) on first use;
+  /// from then on the function has a report() row and export_to series.
+  FnStats& stats(const std::string& function) { return functions_[function]; }
+
+  void on_offered(const std::string& function) { on_offered(stats(function)); }
+  void on_offered(FnStats& fn);
   /// `intended` is the arrival process's schedule; `dispatched` is when
   /// the request actually entered the system (== intended unless the
   /// driver had to defer it); `completed` is now; `ok` is success.
   void on_complete(const std::string& function, SimTime intended,
-                   SimTime dispatched, SimTime completed, bool ok);
+                   SimTime dispatched, SimTime completed, bool ok) {
+    on_complete(stats(function), intended, dispatched, completed, ok);
+  }
+  void on_complete(FnStats& fn, SimTime intended, SimTime dispatched,
+                   SimTime completed, bool ok);
 
   SloReport report(SimDuration window) const;
 
@@ -86,14 +106,6 @@ class SloTracker {
                  SimDuration window) const;
 
  private:
-  struct FnStats {
-    std::uint64_t offered = 0;
-    std::uint64_t completed = 0;
-    std::uint64_t failed = 0;
-    std::uint64_t late = 0;
-    Sampler latency;  // intended-based, ns
-  };
-
   SloConfig config_;
   std::uint64_t offered_ = 0;
   std::map<std::string, FnStats> functions_;

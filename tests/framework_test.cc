@@ -36,6 +36,55 @@ TEST(Metrics, CountersGaugesSamplersRender) {
   EXPECT_FALSE(registry.has("nope"));
 }
 
+TEST(Metrics, LabelValuesWithSeparatorsKeepTheirOwnSeries) {
+  MetricsRegistry registry;
+  // Values without `\`, `,` or `=` keep the plain key and its baked form.
+  EXPECT_EQ(series_key("x_total", {{"fn", "f"}}), "x_total{fn=f}");
+  registry.counter("x_total", {{"fn", "f"}}).increment();
+  EXPECT_EQ(registry.counter("x_total{fn=f}").value(), 1u);
+
+  // One label whose value holds `,` and `=` is not two labels.
+  registry.gauge("g", {{"a", "x,b=y"}}) = 1.0;
+  registry.gauge("g", {{"a", "x"}, {"b", "y"}}) = 2.0;
+  // A trailing backslash cannot escape the separator after it.
+  registry.gauge("g", {{"a", "x\\"}, {"b", "y"}}) = 3.0;
+  registry.gauge("g", {{"a", "x\\,b=y"}}) = 4.0;
+  EXPECT_EQ(registry.gauge("g", {{"a", "x,b=y"}}), 1.0);
+  EXPECT_EQ(registry.gauge("g", {{"a", "x"}, {"b", "y"}}), 2.0);
+  EXPECT_EQ(registry.gauge("g", {{"a", "x\\"}, {"b", "y"}}), 3.0);
+  registry.gauge("loadgen_offered_rps", {{"fn", "a,b=c"}}) = 5.0;
+
+  const std::string text = registry.render();
+  EXPECT_NE(text.find("g{a=\"x,b=y\"} 1\n"), std::string::npos) << text;
+  EXPECT_NE(text.find("g{a=\"x\",b=\"y\"} 2\n"), std::string::npos);
+  EXPECT_NE(text.find("g{a=\"x\\\\\",b=\"y\"} 3\n"), std::string::npos);
+  EXPECT_NE(text.find("g{a=\"x\\\\,b=y\"} 4\n"), std::string::npos);
+  EXPECT_NE(text.find("loadgen_offered_rps{fn=\"a,b=c\"} 5\n"),
+            std::string::npos);
+  EXPECT_EQ(text.find("{fn=\"a\",b=\"c\"}"), std::string::npos);
+}
+
+TEST(Metrics, CollectHooksRunBeforeEveryRead) {
+  MetricsRegistry registry;
+  int runs = 0;
+  double source = 7.0;
+  const int owner = 0;
+  registry.add_collector(&owner, [&] {
+    ++runs;
+    registry.gauge("pulled") = source;  // a hook's own lookup: no re-entry
+  });
+  EXPECT_TRUE(registry.has("pulled"));
+  source = 8.0;
+  EXPECT_EQ(registry.gauge("pulled"), 8.0);
+  source = 9.0;
+  EXPECT_NE(registry.render().find("pulled 9\n"), std::string::npos);
+  EXPECT_EQ(runs, 3);
+  registry.remove_collector(&owner);
+  source = 10.0;
+  EXPECT_EQ(registry.gauge("pulled"), 9.0);  // now a plain gauge
+  EXPECT_EQ(runs, 3);
+}
+
 TEST(Storage, PutGetTransferTime) {
   BlobStorage storage(1e9);
   storage.put("fw", 1_MiB);

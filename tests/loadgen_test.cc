@@ -8,8 +8,13 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <map>
+#include <memory>
+#include <sstream>
+#include <string>
 #include <vector>
 
+#include "framework/metrics.h"
 #include "loadgen/arrival.h"
 #include "loadgen/generator.h"
 #include "loadgen/popularity.h"
@@ -382,6 +387,274 @@ TEST(Generator, ExportsOfferedGaugesAlongsideRegistry) {
   generator.slo().export_to(registry, milliseconds(100));
   EXPECT_EQ(registry.gauge("loadgen_offered_total", {{"fn", "fn000"}}),
             registry.gauge("loadgen_offered_total", {{"fn", "fn000"}}));
+}
+
+// ------------------------------------------------- scrape-time gauges
+
+/// Keeps, apart from the generator, what its offered-load gauges are
+/// defined from: per-function offered counts, requests in flight and the
+/// last arrival, dispatch or completion. Wraps an unbounded open-loop
+/// sink, so arrival and dispatch share an instant.
+struct GaugeModel {
+  sim::Simulator& sim;
+  Sink inner;
+  SimTime start = 0;
+  SimTime last_event = 0;
+  std::uint64_t offered = 0;
+  std::uint64_t inflight = 0;
+  std::map<std::string, std::uint64_t> counts{};
+
+  Sink sink() {
+    return [this](const Request& request, CompletionFn done) {
+      last_event = sim.now();
+      ++offered;
+      ++inflight;
+      ++counts[request.function];
+      inner(request, [this, done = std::move(done)](bool ok) {
+        last_event = sim.now();
+        --inflight;
+        done(ok);
+      });
+    };
+  }
+
+  double rps(const std::string& function) const {
+    return static_cast<double>(counts.at(function)) /
+           to_sec(last_event - start);
+  }
+
+  /// The loadgen_* lines render() should print, series -> value text.
+  void expected(std::map<std::string, std::string>& series) const {
+    auto text = [](double value) {
+      std::ostringstream out;
+      out << value;
+      return out.str();
+    };
+    if (offered == 0) return;
+    series["loadgen_inflight"] = text(static_cast<double>(inflight));
+    series["loadgen_offered_requests"] = text(static_cast<double>(offered));
+    if (last_event <= start) return;
+    for (const auto& [function, count] : counts) {
+      series["loadgen_offered_rps{fn=\"" + function + "\"}"] =
+          text(rps(function));
+    }
+  }
+
+  /// The rendered lines and direct reads both match the definition.
+  void expect_gauges(framework::MetricsRegistry& registry) const {
+    std::map<std::string, std::string> series;
+    expected(series);
+    EXPECT_EQ(loadgen_series(registry), series);
+    if (offered == 0) return;  // a read would create the series
+    EXPECT_EQ(registry.gauge("loadgen_inflight"),
+              static_cast<double>(inflight));
+    EXPECT_EQ(registry.gauge("loadgen_offered_requests"),
+              static_cast<double>(offered));
+    if (last_event <= start) return;
+    for (const auto& [function, count] : counts) {
+      EXPECT_EQ(registry.gauge("loadgen_offered_rps", {{"fn", function}}),
+                rps(function))
+          << function;
+    }
+  }
+
+  /// The loadgen_* lines `registry` renders, series -> value text.
+  static std::map<std::string, std::string> loadgen_series(
+      const framework::MetricsRegistry& registry) {
+    std::map<std::string, std::string> series;
+    std::istringstream lines(registry.render());
+    for (std::string line; std::getline(lines, line);) {
+      if (line.rfind("loadgen_", 0) != 0) continue;
+      const auto space = line.rfind(' ');
+      series[line.substr(0, space)] = line.substr(space + 1);
+    }
+    return series;
+  }
+};
+
+TEST(Generator, GaugesAreEvaluatedWhenReadMidRunAndAfterDrain) {
+  SynthSpec spec;
+  spec.pattern = SynthPattern::kBurst;
+  spec.duration = milliseconds(100);
+  spec.base_rps = 2000.0;
+  spec.peak_rps = 8000.0;
+  spec.functions = 6;
+  const auto trace = synthesize(spec);
+  for (const bool replay : {false, true}) {
+    SCOPED_TRACE(replay ? "replay" : "synthetic");
+    sim::Simulator sim;
+    EchoService echo{sim, microseconds(400)};  // overloaded: a queue forms
+    GaugeModel model{sim, echo.sink()};
+    framework::MetricsRegistry registry;
+    LoadGenConfig config;
+    config.arrivals = ArrivalSpec::poisson(3000.0);
+    config.zipf_s = 0.9;
+    config.duration = milliseconds(100);
+    auto generator =
+        replay ? std::make_unique<LoadGenerator>(sim, config, trace,
+                                                 model.sink())
+               : std::make_unique<LoadGenerator>(
+                     sim, config, uniform_functions(6), model.sink());
+    generator->set_metrics(&registry);
+    EXPECT_FALSE(registry.has("loadgen_inflight"));  // no event yet
+    generator->start();
+    for (const SimTime at : {milliseconds(1), milliseconds(37),
+                             milliseconds(70)}) {
+      sim.run_until(at);
+      model.expect_gauges(registry);
+    }
+    EXPECT_GT(model.inflight, 1u);  // the last read saw a queue
+    sim.run();
+    ASSERT_TRUE(generator->drained());
+    EXPECT_GT(model.counts.size(), 3u);
+    model.expect_gauges(registry);
+  }
+}
+
+TEST(Generator, LastGaugeValuesStayBehindAfterRepointAndDestruction) {
+  sim::Simulator sim;
+  EchoService echo{sim, microseconds(100)};
+  GaugeModel model{sim, echo.sink()};
+  framework::MetricsRegistry first;
+  framework::MetricsRegistry second;
+  LoadGenConfig config;
+  config.arrivals = ArrivalSpec::poisson(4000.0);
+  config.zipf_s = 0.5;
+  config.duration = milliseconds(60);
+  std::map<std::string, std::string> at_repoint;
+  {
+    LoadGenerator generator(sim, config, uniform_functions(4), model.sink());
+    generator.set_metrics(&first);
+    generator.start();
+    sim.run_until(milliseconds(20));
+    model.expected(at_repoint);
+    generator.set_metrics(&second);  // nothing read `first` since start()
+    EXPECT_FALSE(second.has("loadgen_inflight"));  // until the next event
+    sim.run_until(milliseconds(40));
+    EXPECT_EQ(GaugeModel::loadgen_series(first), at_repoint);
+    model.expect_gauges(second);
+    sim.run();
+    ASSERT_TRUE(generator.drained());
+  }
+  model.expect_gauges(second);  // destroyed with no read since the drain
+  EXPECT_EQ(GaugeModel::loadgen_series(first), at_repoint);
+
+  // Detaching leaves the same plain gauges as destruction does.
+  sim::Simulator again;
+  EchoService echo2{again, microseconds(100)};
+  GaugeModel model2{again, echo2.sink()};
+  framework::MetricsRegistry third;
+  LoadGenerator generator(again, config, uniform_functions(4),
+                          model2.sink());
+  generator.set_metrics(&third);
+  generator.start();
+  again.run();
+  generator.set_metrics(nullptr);
+  model2.expect_gauges(third);
+}
+
+TEST(Generator, TwoGeneratorsInTurnShareOneRegistry) {
+  // As examples/traffic_mix runs its phases: one generator per phase on
+  // the gateway registry, each destroyed before the next attaches.
+  sim::Simulator sim;
+  EchoService echo{sim, microseconds(80)};
+  framework::MetricsRegistry registry;
+  std::map<std::string, std::string> expected;
+  for (const std::size_t functions : {5, 3}) {
+    GaugeModel model{sim, echo.sink()};
+    LoadGenConfig config;
+    config.arrivals = ArrivalSpec::poisson(3000.0);
+    config.zipf_s = 0.9;
+    config.duration = milliseconds(50);
+    config.seed = functions;
+    LoadGenerator generator(sim, config, uniform_functions(functions),
+                            model.sink());
+    generator.set_metrics(&registry);
+    model.start = sim.now();
+    generator.start();
+    sim.run_until(sim.now() + milliseconds(20));
+    std::map<std::string, std::string> mid = expected;
+    model.expected(mid);
+    EXPECT_EQ(GaugeModel::loadgen_series(registry), mid);
+    sim.run();
+    model.expected(expected);  // later phases overwrite shared series
+  }
+  // fn003/fn004 keep the first phase's rates; the rest are the second's.
+  EXPECT_EQ(expected.size(), 2u + 5u);
+  EXPECT_EQ(GaugeModel::loadgen_series(registry), expected);
+}
+
+TEST(Generator, RestartKeepsTheOldWindowUntilAnEventPastTheNewStart) {
+  sim::Simulator sim;
+  EchoService echo{sim, microseconds(50)};
+  GaugeModel model{sim, echo.sink()};
+  framework::MetricsRegistry registry;
+  std::vector<TraceEvent> trace = {{0, "a", 64}, {milliseconds(1), "b", 64}};
+  LoadGenerator generator(sim, LoadGenConfig{}, trace, model.sink());
+  generator.set_metrics(&registry);
+  generator.start();
+  sim.run();
+  std::map<std::string, std::string> first_run;
+  model.expected(first_run);  // nothing reads the registry before restart
+
+  // The replayed trace's first arrival lands on the new start instant:
+  // the rates stay as they were while only that event has happened.
+  generator.start();
+  sim.run_until(sim.now());
+  auto after_restart = GaugeModel::loadgen_series(registry);
+  EXPECT_EQ(after_restart["loadgen_offered_requests"], "3");
+  after_restart["loadgen_offered_requests"] =
+      first_run.at("loadgen_offered_requests");
+  after_restart["loadgen_inflight"] = first_run.at("loadgen_inflight");
+  EXPECT_EQ(after_restart, first_run);
+
+  model.start = sim.now();
+  sim.run();
+  model.expect_gauges(registry);
+}
+
+TEST(Generator, SloRowsKeepNameOrderAmongTiedFunctions) {
+  // First offered out of name order, with ties on offered counts: rows
+  // sort by offered, ties by name, as they did when every request looked
+  // its function up by name.
+  const std::vector<std::string> order = {"zeta", "mid", "hot",   "alpha",
+                                          "zeta", "hot", "alpha", "mid",
+                                          "hot"};
+  std::vector<TraceEvent> trace;
+  for (std::size_t i = 0; i < order.size(); ++i) {
+    trace.push_back(TraceEvent{microseconds(10) * static_cast<SimTime>(i),
+                               order[i], 64});
+  }
+  sim::Simulator sim;
+  EchoService echo{sim, microseconds(5)};
+  LoadGenerator generator(sim, LoadGenConfig{}, trace, echo.sink());
+  generator.start();
+  sim.run();
+
+  const SloReport report = generator.slo().report(milliseconds(1));
+  std::vector<std::pair<std::string, std::uint64_t>> rows;
+  for (const SloReport::FnRow& row : report.per_function) {
+    rows.emplace_back(row.function, row.offered);
+  }
+  const std::vector<std::pair<std::string, std::uint64_t>> want = {
+      {"hot", 3}, {"alpha", 2}, {"mid", 2}, {"zeta", 2}};
+  EXPECT_EQ(rows, want);
+
+  framework::MetricsRegistry registry;
+  generator.slo().export_to(registry, milliseconds(1));
+  EXPECT_EQ(registry.render(),
+            "loadgen_goodput_rps{fn=\"alpha\"} 2000\n"
+            "loadgen_goodput_rps{fn=\"hot\"} 3000\n"
+            "loadgen_goodput_rps{fn=\"mid\"} 2000\n"
+            "loadgen_goodput_rps{fn=\"zeta\"} 2000\n"
+            "loadgen_offered_total{fn=\"alpha\"} 2\n"
+            "loadgen_offered_total{fn=\"hot\"} 3\n"
+            "loadgen_offered_total{fn=\"mid\"} 2\n"
+            "loadgen_offered_total{fn=\"zeta\"} 2\n"
+            "loadgen_violations_total{fn=\"alpha\"} 0\n"
+            "loadgen_violations_total{fn=\"hot\"} 0\n"
+            "loadgen_violations_total{fn=\"mid\"} 0\n"
+            "loadgen_violations_total{fn=\"zeta\"} 0\n");
 }
 
 TEST(Generator, FixedRateMatchesPeriodicTimerArrivals) {
