@@ -93,7 +93,7 @@ struct SharedCardRig {
       drr[tid] = weights[i];
       gateway->register_replicas(
           names[i] + "/web", wid,
-          {framework::Replica{backend->node(), 1,
+          {framework::Replica{backend->node(),
                               static_cast<std::uint8_t>(backend->kind())}},
           tid);
     }
@@ -296,7 +296,7 @@ void run_scale_to_zero(const Params& params, BenchSummary& summary) {
         gateway.register_replicas(
             fn, 1,
             {framework::Replica{
-                node, 1, static_cast<std::uint8_t>(rig.backend->kind())}},
+                node, static_cast<std::uint8_t>(rig.backend->kind())}},
             tid);
         if (route_up_at == 0) route_up_at = sim.now();
         live_replicas = replicas;

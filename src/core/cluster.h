@@ -72,7 +72,7 @@ class Cluster {
   std::size_t worker_count() const { return workers_.size(); }
 
   /// Deploys the bundle across the worker pool, NIC-first with host
-  /// spillover, and registers weighted routes. The cluster is
+  /// spillover, and registers replica routes. The cluster is
   /// serving after wait_until_ready(). A non-empty `tenant` namespaces
   /// the deployment: routes register as "<tenant>/<function>" and the
   /// tenant id rides every request header, so the NIC's DRR scheduler

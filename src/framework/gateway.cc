@@ -10,27 +10,7 @@
 
 namespace lnic::framework {
 
-std::uint64_t Route::total_weight() const {
-  std::uint64_t total = 0;
-  for (const auto& replica : replicas) total += replica.weight;
-  return total;
-}
-
 namespace {
-/// Maps a round-robin cursor onto the weighted replica set: replica i
-/// owns `weight_i` consecutive slots of the cycle. With every weight at 1
-/// this is exactly `workers[cursor % workers.size()]`.
-NodeId weighted_pick(const Route& route, std::size_t cursor) {
-  const std::uint64_t total = route.total_weight();
-  if (total == 0) return route.workers[cursor % route.workers.size()];
-  std::uint64_t slot = cursor % total;
-  for (const auto& replica : route.replicas) {
-    if (slot < replica.weight) return replica.node;
-    slot -= replica.weight;
-  }
-  return route.replicas.back().node;
-}
-
 /// Strict non-negative integer parse: the whole token must be digits
 /// (std::stoul would accept "2x" as 2 and wrap "-1" to a huge value).
 std::optional<std::uint64_t> parse_u64(const std::string& token) {
@@ -87,8 +67,9 @@ void Gateway::register_function(const std::string& name, WorkloadId workload,
                                 std::vector<NodeId> workers) {
   std::vector<Replica> replicas;
   replicas.reserve(workers.size());
-  for (NodeId node : workers) replicas.push_back(Replica{node, 1,
-                                                         kUnknownBackendKind});
+  for (NodeId node : workers) {
+    replicas.push_back(Replica{node, kUnknownBackendKind});
+  }
   set_route(name, Route{workload, kDefaultTenant, std::move(workers),
                         std::move(replicas)});
 }
@@ -395,23 +376,22 @@ std::size_t Gateway::quarantined_count() const {
   return n;
 }
 
-NodeId Gateway::pick_worker(FunctionState& fn) {
-  const Route& route = *fn.route;
+const Replica& Gateway::pick_replica(FunctionState& fn) {
+  const std::vector<Replica>& replicas = fn.route->replicas;
   const std::size_t cursor = fn.cursor++;
-  std::uint64_t healthy_weight = 0;
-  for (const auto& replica : route.replicas) {
-    if (!is_quarantined(replica.node)) healthy_weight += replica.weight;
+  std::size_t healthy = 0;
+  for (const auto& replica : replicas) {
+    if (!is_quarantined(replica.node)) ++healthy;
   }
   // Everything quarantined: fall back to the full set so traffic keeps
   // probing the replicas rather than failing unroutable.
-  if (healthy_weight == 0) return weighted_pick(route, cursor);
-  std::uint64_t slot = cursor % healthy_weight;
-  for (const auto& replica : route.replicas) {
+  if (healthy == 0) return replicas[cursor % replicas.size()];
+  std::size_t slot = cursor % healthy;
+  for (const auto& replica : replicas) {
     if (is_quarantined(replica.node)) continue;
-    if (slot < replica.weight) return replica.node;
-    slot -= replica.weight;
+    if (slot-- == 0) return replica;
   }
-  return route.replicas.back().node;
+  return replicas.back();
 }
 
 void Gateway::dispatch(FunctionState& fn, net::BufferView payload,
@@ -455,16 +435,11 @@ void Gateway::send_to_worker(FunctionState& fn, net::BufferView payload,
     return;
   }
   const Route& route = *fn.route;
-  const NodeId worker = pick_worker(fn);
+  const Replica& replica = pick_replica(fn);
+  const NodeId worker = replica.node;
+  const std::uint8_t kind = replica.backend_kind;
   if (rpc_rto_ == nullptr) rpc_rto_ = &metrics_.sampler("rpc_rto_ns");
   rpc_rto_->add(static_cast<double>(rpc_.current_rto(worker)));
-  std::uint8_t kind = kUnknownBackendKind;
-  for (const auto& replica : route.replicas) {
-    if (replica.node == worker) {
-      kind = replica.backend_kind;
-      break;
-    }
-  }
 
   // Retained for failover to a replica: a view, not a byte copy.
   net::BufferView retry_copy = payload;
@@ -522,8 +497,8 @@ std::string Gateway::encode_replicas(WorkloadId workload,
   for (std::size_t i = 0; i < replicas.size(); ++i) {
     if (i > 0) out << ",";
     out << replicas[i].node;
-    // Defaults stay implicit so plain routes keep the legacy encoding.
-    if (replicas[i].weight != 1) out << "*" << replicas[i].weight;
+    // An unknown kind stays implicit so plain routes keep the legacy
+    // encoding.
     if (replicas[i].backend_kind != kUnknownBackendKind) {
       out << "@" << static_cast<unsigned>(replicas[i].backend_kind);
     }
@@ -557,22 +532,13 @@ Result<Route> Gateway::decode_route(const std::string& encoded) {
   while (std::getline(stream, token, ',')) {
     if (token.empty()) return malformed();
     Replica replica;
-    // "<node>[*<weight>][@<kind>]" — the optional parts in that order.
+    // "<node>[@<kind>]".
     const auto at = token.find('@');
     if (at != std::string::npos) {
       const auto kind = parse_u64(token.substr(at + 1));
       if (!kind || *kind > 0xFF) return malformed();
       replica.backend_kind = static_cast<std::uint8_t>(*kind);
       token = token.substr(0, at);
-    }
-    const auto star = token.find('*');
-    if (star != std::string::npos) {
-      const auto weight = parse_u64(token.substr(star + 1));
-      if (!weight || *weight == 0 || *weight > 0xFFFFFFFFull) {
-        return malformed();
-      }
-      replica.weight = static_cast<std::uint32_t>(*weight);
-      token = token.substr(0, star);
     }
     const auto node = parse_u64(token);
     if (!node || *node > 0xFFFFFFFFull) return malformed();

@@ -1,7 +1,7 @@
 // Gateway (Fig. 2/5): proxies user requests to the right workload on the
 // right worker. Built on the weakly-consistent RPC client (D3), it
 // assigns lambda-header workload IDs, load-balances across worker
-// replicas (weighted round robin), tracks per-function latency and
+// replicas (round robin), tracks per-function latency and
 // throughput in the metrics registry, and can keep its routing table
 // synchronized with the etcd store the workload manager writes (§6.1.1).
 //
@@ -11,7 +11,7 @@
 //    without bound; excess requests fail fast with a distinct overload
 //    error (counted in `gateway_shed_total`).
 //  - Transport failures quarantine the worker for a cooldown instead of
-//    removing it: quarantined replicas are skipped by the weighted pick,
+//    removing it: quarantined replicas are skipped by the round robin,
 //    probed by the HealthChecker, and reinstated automatically on
 //    recovery (or when the cooldown lapses).
 #pragma once
@@ -63,12 +63,10 @@ struct GatewayConfig {
 /// without pulling the backend layer into the gateway's dependency set.
 constexpr std::uint8_t kUnknownBackendKind = 0xFF;
 
-/// One worker of a weighted replica set. The placement layer records the
-/// backend kind each replica runs on; `weight` biases the round-robin
-/// (weight 1 everywhere reproduces plain round robin bit-for-bit).
+/// One worker of a replica set. The placement layer records the backend
+/// kind each replica runs on.
 struct Replica {
   NodeId node = kInvalidNode;
-  std::uint32_t weight = 1;
   std::uint8_t backend_kind = kUnknownBackendKind;
 
   friend bool operator==(const Replica&, const Replica&) = default;
@@ -83,10 +81,8 @@ struct Route {
   /// Flat node list, one entry per replica (kept in sync with `replicas`
   /// for callers that only care about where requests go).
   std::vector<NodeId> workers;
-  /// The weighted set the dispatcher actually consults.
+  /// The set the dispatcher actually consults, in round-robin order.
   std::vector<Replica> replicas;
-
-  std::uint64_t total_weight() const;
 };
 
 /// Token-bucket rate limit, the gateway's DDoS guard (§7: "any malicious
@@ -104,13 +100,13 @@ class Gateway {
 
   NodeId node() const { return rpc_.node(); }
 
-  /// Registers (or replaces) a function route. All replicas get weight 1
-  /// and an unknown backend kind.
+  /// Registers (or replaces) a function route. All replicas get an
+  /// unknown backend kind.
   void register_function(const std::string& name, WorkloadId workload,
                          std::vector<NodeId> workers);
 
-  /// Registers (or replaces) a function route as a weighted replica set
-  /// (the placement layer's entry point). Named distinctly because a
+  /// Registers (or replaces) a function route as a replica set (the
+  /// placement layer's entry point). Named distinctly because a
   /// braced node list would be ambiguous against the overload above.
   /// `tenant` places the route in a tenant namespace: requests carry the
   /// id in their lambda header and per-function metrics gain a
@@ -164,8 +160,8 @@ class Gateway {
   void sync_with(kvstore::EtcdStore& etcd);
 
   /// Serialization helpers for the etcd route encoding. A replica token
-  /// is "<node>", optionally extended with "*<weight>" and/or "@<kind>"
-  /// — plain weight-1 routes encode as bare node lists ("7|1,2,3").
+  /// is "<node>", optionally extended with "@<kind>" — routes without
+  /// kinds encode as bare node lists ("7|1,2,3").
   /// Tenant routes extend the workload field with "~<tenant>"
   /// ("7~2|1,2,3").
   static std::string encode_replicas(WorkloadId workload,
@@ -253,7 +249,9 @@ class Gateway {
   void send_to_worker(FunctionState& fn, net::BufferView payload,
                       InvokeCallback callback, std::uint32_t attempts_left,
                       SimTime started, trace::SpanContext ctx);
-  NodeId pick_worker(FunctionState& fn);
+  /// Round robin over the replicas that are not quarantined, in route
+  /// order.
+  const Replica& pick_replica(FunctionState& fn);
   /// Limiter entry: dispatch now or queue/shed.
   void submit(FunctionState& fn, net::BufferView payload,
               InvokeCallback callback, trace::SpanContext ctx);

@@ -77,7 +77,7 @@ Result<DeploymentRecord> WorkloadManager::deploy(
     }
   }
 
-  // Register every function as a weighted replica set carrying backend
+  // Register every function as a replica set carrying backend
   // kinds, both directly with the gateway and mirrored into etcd.
   for (const auto& fp : footprints.value()) {
     const auto it = plan.value().functions.find(fp.name);
@@ -89,10 +89,9 @@ Result<DeploymentRecord> WorkloadManager::deploy(
     for (const auto& assignment : it->second) {
       const backends::Backend& backend = *pool[assignment.backend_index];
       placement.replicas.push_back(
-          PlacedReplica{backend.node(), backend.kind(), assignment.weight});
-      replicas.push_back(Replica{
-          backend.node(), assignment.weight,
-          static_cast<std::uint8_t>(backend.kind())});
+          PlacedReplica{backend.node(), backend.kind()});
+      replicas.push_back(Replica{backend.node(),
+                                 static_cast<std::uint8_t>(backend.kind())});
     }
     if (gateway != nullptr) {
       gateway->register_replicas(route_name(fp.name), fp.workload, replicas,

@@ -24,7 +24,6 @@ namespace lnic::framework {
 struct PlacedReplica {
   NodeId node = kInvalidNode;
   backends::BackendKind kind = backends::BackendKind::kLambdaNic;
-  std::uint32_t weight = 1;
 };
 
 /// Where one function's replicas landed.
@@ -60,7 +59,7 @@ class WorkloadManager {
   /// Capacity-aware deployment across a heterogeneous pool (§5, Fig. 2):
   /// measures per-lambda footprints, places them with place_nic_first,
   /// splits the bundle per backend, deploys each sub-bundle, uploads the
-  /// artifacts, and registers every function as a weighted replica set
+  /// artifacts, and registers every function as a replica set
   /// (with backend kinds) in `gateway` (if given) and etcd (if
   /// configured). The record carries the full placement.
   ///

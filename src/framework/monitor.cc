@@ -126,25 +126,6 @@ void Monitor::scrape() {
     metrics_.gauge("kv_cache_invalidations", {{"node", name}}) =
         static_cast<double>(c.invalidations);
   }
-  // CacheServer (memcached-style) counters, same metric names so
-  // dashboards treat both store kinds uniformly.
-  for (const auto& [name, server] : cache_servers_) {
-    const auto& s = server->stats();
-    metrics_.gauge("kv_ops_total", {{"node", name}, {"op", "get"}}) =
-        static_cast<double>(s.gets);
-    metrics_.gauge("kv_ops_total", {{"node", name}, {"op", "set"}}) =
-        static_cast<double>(s.sets);
-    metrics_.gauge("kv_cache_hits", {{"node", name}}) =
-        static_cast<double>(s.hits);
-    metrics_.gauge("kv_cache_misses", {{"node", name}}) =
-        static_cast<double>(s.misses);
-    metrics_.gauge("kv_cache_evictions", {{"node", name}}) =
-        static_cast<double>(s.evictions);
-    metrics_.gauge("kv_cache_hit_ratio", {{"node", name}}) =
-        s.gets == 0 ? 0.0
-                    : static_cast<double>(s.hits) /
-                          static_cast<double>(s.gets);
-  }
 
   metrics_.gauge("monitor_scrapes") = static_cast<double>(scrapes_);
 }

@@ -1,16 +1,16 @@
 // Monitoring engine (§6.1.1: OpenFaaS includes "a Prometheus-based
 // monitoring engine to analyze system state"). Periodically scrapes the
-// registered backends and the gateway into a MetricsRegistry, keeping a
-// time series of gauges (completed requests, busy threads, NIC memory).
+// registered backends, packet tracer and transactional stores into a
+// MetricsRegistry, keeping a time series of gauges (completed requests,
+// busy threads, NIC memory, kv_* counters). The gateway keeps its own
+// registry.
 #pragma once
 
 #include <string>
 #include <vector>
 
 #include "backends/backend.h"
-#include "framework/gateway.h"
 #include "framework/metrics.h"
-#include "kvstore/cache_server.h"
 #include "kvstore/txn.h"
 #include "net/trace.h"
 #include "sim/simulator.h"
@@ -26,9 +26,8 @@ class Monitor {
   void watch_backend(const std::string& name, backends::Backend* backend) {
     backends_.emplace_back(name, backend);
   }
-  void watch_gateway(Gateway* gateway) { gateway_ = gateway; }
   /// Exports the packet-trace ring's eviction count as
-  /// packet_trace_evicted_total (previously only visible in dump()).
+  /// packet_trace_evicted_total.
   void watch_packet_tracer(const net::PacketTracer* tracer) {
     packet_tracer_ = tracer;
   }
@@ -37,12 +36,6 @@ class Monitor {
   /// kv_cache_hit_ratio, ...).
   void watch_kv(const std::string& name, const kvstore::TxnStore* store) {
     kv_stores_.emplace_back(name, store);
-  }
-  /// Exports a memcached-style CacheServer's counters under the same
-  /// kv_* metric names (distinguished by the node label).
-  void watch_cache(const std::string& name,
-                   const kvstore::CacheServer* server) {
-    cache_servers_.emplace_back(name, server);
   }
 
   void start() { timer_.start(); }
@@ -58,11 +51,8 @@ class Monitor {
   sim::Simulator& sim_;
   sim::PeriodicTimer timer_;
   std::vector<std::pair<std::string, backends::Backend*>> backends_;
-  Gateway* gateway_ = nullptr;
   const net::PacketTracer* packet_tracer_ = nullptr;
   std::vector<std::pair<std::string, const kvstore::TxnStore*>> kv_stores_;
-  std::vector<std::pair<std::string, const kvstore::CacheServer*>>
-      cache_servers_;
   MetricsRegistry metrics_;
   std::uint64_t scrapes_ = 0;
 };

@@ -81,13 +81,13 @@ Result<PlacementPlan> place_nic_first(
       store_used += fn.code_words;
       mem_used += fn.memory_bytes;
       for (std::size_t idx : nics) {
-        plan.functions[fn.name].push_back(PlacementAssignment{idx, 1});
+        plan.functions[fn.name].push_back(PlacementAssignment{idx});
       }
       continue;
     }
     if (hosts.empty()) return nowhere_to_place(fn);
     for (std::size_t idx : hosts) {
-      plan.functions[fn.name].push_back(PlacementAssignment{idx, 1});
+      plan.functions[fn.name].push_back(PlacementAssignment{idx});
     }
   }
   return plan;

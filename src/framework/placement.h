@@ -43,13 +43,12 @@ struct FunctionFootprint {
 /// One replica of a function in the plan.
 struct PlacementAssignment {
   std::size_t backend_index = 0;  // into the deployment pool
-  std::uint32_t weight = 1;       // gateway round-robin bias
 
   friend bool operator==(const PlacementAssignment&,
                          const PlacementAssignment&) = default;
 };
 
-/// Output of placement: every function mapped to a weighted replica set.
+/// Output of placement: every function mapped to a replica set.
 struct PlacementPlan {
   std::map<std::string, std::vector<PlacementAssignment>> functions;
 

@@ -267,20 +267,9 @@ void HostServer::run_gil(std::unique_ptr<Job> job) {
               owned->ctx.trace, owned->ctx.parent, "host.kv_wait", sim_.now());
         }
         waiting_kv_.emplace(token, std::move(owned));
-        Packet kv;
-        kv.src = node_;
-        kv.dst = kv_server_;
-        kv.kind = PacketKind::kKvRequest;
-        kv.lambda.request_id = token;
-        kv.lambda.workload_id = static_cast<WorkloadId>(ext.kind);
-        std::vector<std::uint8_t> kv_body(16);
-        for (int i = 0; i < 8; ++i) {
-          kv_body[i] = static_cast<std::uint8_t>(ext.key >> (8 * i));
-          kv_body[8 + i] =
-              static_cast<std::uint8_t>(ext.value >> (8 * i));
-        }
-        kv.payload = std::move(kv_body);
-        network_.send(std::move(kv));
+        network_.send(net::make_kv_request(node_, kv_server_, token,
+                                           static_cast<WorkloadId>(ext.kind),
+                                           ext.key, ext.value));
         return;
       }
       // Egress: kernel tx work for every response fragment.
@@ -306,11 +295,7 @@ void HostServer::handle_kv_response(const Packet& packet) {
     tracer_->end_span(job->kv_span, sim_.now());
     job->kv_span = trace::kInvalidSpan;
   }
-  std::uint64_t reply = 0;
-  for (std::size_t i = 0; i < 8 && i < packet.payload.size(); ++i) {
-    reply |= static_cast<std::uint64_t>(packet.payload[i]) << (8 * i);
-  }
-  job->pending_reply = reply;
+  job->pending_reply = net::decode_kv_reply(packet.payload);
   job->resumed = true;
   // The reply's kernel rx, then back to the interpreter (fresh GIL
   // acquisition, possibly another context switch).

@@ -12,24 +12,11 @@ BPlusTree::BPlusTree(BTreeConfig config) : config_(config) {
 }
 
 PageId BPlusTree::allocate(bool leaf) {
-  PageId id;
-  if (!free_.empty()) {
-    id = free_.back();
-    free_.pop_back();
-    pool_[id] = Node{};
-  } else {
-    id = static_cast<PageId>(pool_.size());
-    pool_.emplace_back();
-  }
+  const auto id = static_cast<PageId>(pool_.size());
+  pool_.emplace_back();
   pool_[id].leaf = leaf;
   dirty_.push_back(id);
   return id;
-}
-
-void BPlusTree::release(PageId id) {
-  pool_[id] = Node{};
-  free_.push_back(id);
-  freed_.push_back(id);
 }
 
 PageId BPlusTree::descend(Key key, std::vector<PageId>* path,
@@ -62,7 +49,6 @@ void BPlusTree::path_for(Key key, std::vector<PageId>* out) const {
 
 bool BPlusTree::put(Key key, Value value) {
   dirty_.clear();
-  freed_.clear();
   std::vector<PageId> path;
   std::vector<std::uint32_t> slots;
   const PageId leaf = descend(key, &path, &slots);
@@ -124,129 +110,6 @@ void BPlusTree::split_up(std::vector<PageId>& path,
     p.keys.insert(p.keys.begin() + slot, separator);
     p.children.insert(p.children.begin() + slot + 1, right);
     dirty_.push_back(parent);
-  }
-}
-
-bool BPlusTree::erase(Key key) {
-  dirty_.clear();
-  freed_.clear();
-  std::vector<PageId> path;
-  std::vector<std::uint32_t> slots;
-  const PageId leaf = descend(key, &path, &slots);
-  Node& n = node(leaf);
-  const auto it = std::lower_bound(n.keys.begin(), n.keys.end(), key);
-  if (it == n.keys.end() || *it != key) return false;
-  const auto at = it - n.keys.begin();
-  n.keys.erase(it);
-  n.values.erase(n.values.begin() + at);
-  --size_;
-  dirty_.push_back(leaf);
-  if (leaf != root_ && n.keys.size() < min_keys()) {
-    rebalance_up(path, slots);
-  }
-  return true;
-}
-
-void BPlusTree::rebalance_up(std::vector<PageId>& path,
-                             std::vector<std::uint32_t>& slots) {
-  for (std::size_t level = path.size(); level-- > 1;) {
-    const PageId cur = path[level];
-    if (node(cur).keys.size() >= min_keys()) return;
-    const PageId parent = path[level - 1];
-    const std::uint32_t slot = slots[level - 1];
-    Node& p = node(parent);
-    const PageId left =
-        slot > 0 ? p.children[slot - 1] : kInvalidPage;
-    const PageId right = slot + 1 < p.children.size()
-                             ? p.children[slot + 1]
-                             : kInvalidPage;
-
-    if (left != kInvalidPage && node(left).keys.size() > min_keys()) {
-      // Borrow the left sibling's last entry through the parent.
-      Node& l = node(left);
-      Node& c = node(cur);
-      if (c.leaf) {
-        c.keys.insert(c.keys.begin(), l.keys.back());
-        c.values.insert(c.values.begin(), l.values.back());
-        l.keys.pop_back();
-        l.values.pop_back();
-        p.keys[slot - 1] = c.keys.front();
-      } else {
-        c.keys.insert(c.keys.begin(), p.keys[slot - 1]);
-        p.keys[slot - 1] = l.keys.back();
-        l.keys.pop_back();
-        c.children.insert(c.children.begin(), l.children.back());
-        l.children.pop_back();
-      }
-      dirty_.push_back(left);
-      dirty_.push_back(cur);
-      dirty_.push_back(parent);
-      return;
-    }
-    if (right != kInvalidPage && node(right).keys.size() > min_keys()) {
-      // Borrow the right sibling's first entry through the parent.
-      Node& r = node(right);
-      Node& c = node(cur);
-      if (c.leaf) {
-        c.keys.push_back(r.keys.front());
-        c.values.push_back(r.values.front());
-        r.keys.erase(r.keys.begin());
-        r.values.erase(r.values.begin());
-        p.keys[slot] = r.keys.front();
-      } else {
-        c.keys.push_back(p.keys[slot]);
-        p.keys[slot] = r.keys.front();
-        r.keys.erase(r.keys.begin());
-        c.children.push_back(r.children.front());
-        r.children.erase(r.children.begin());
-      }
-      dirty_.push_back(right);
-      dirty_.push_back(cur);
-      dirty_.push_back(parent);
-      return;
-    }
-
-    // Merge with a sibling (both at exactly min occupancy). The left
-    // node of the pair absorbs the right one.
-    PageId into, from;
-    std::uint32_t sep_slot;
-    if (left != kInvalidPage) {
-      into = left;
-      from = cur;
-      sep_slot = slot - 1;
-    } else {
-      into = cur;
-      from = right;
-      sep_slot = slot;
-    }
-    Node& a = node(into);
-    Node& b = node(from);
-    if (a.leaf) {
-      a.keys.insert(a.keys.end(), b.keys.begin(), b.keys.end());
-      a.values.insert(a.values.end(), b.values.begin(), b.values.end());
-      a.next = b.next;
-    } else {
-      a.keys.push_back(p.keys[sep_slot]);
-      a.keys.insert(a.keys.end(), b.keys.begin(), b.keys.end());
-      a.children.insert(a.children.end(), b.children.begin(),
-                        b.children.end());
-    }
-    p.keys.erase(p.keys.begin() + sep_slot);
-    p.children.erase(p.children.begin() + sep_slot + 1);
-    release(from);
-    dirty_.push_back(into);
-    dirty_.push_back(parent);
-
-    if (parent == root_ && p.keys.empty()) {
-      // The root emptied out: its single child becomes the new root.
-      root_ = p.children.front();
-      release(parent);
-      --height_;
-      return;
-    }
-    // Keep walking up: the parent may now be underfull. Fix the path so
-    // the next iteration's slot math still refers to live children.
-    path[level] = into;
   }
 }
 

@@ -6,12 +6,13 @@
 // The tree itself is the authoritative structure: pages live in a dense
 // pool (`PageId` = slot index) standing in for host DRAM, and every
 // operation reports which pages it visited (`path_for`/`scan_path`) and,
-// for mutations, which pages it dirtied or freed (`last_dirty`/
-// `last_freed`). The transactional store layers timing on top: a visited
-// page that hits the NodeCache costs NIC-local service time, a miss
-// costs a one-sided RDMA read of `node_bytes()` from the host, and a
-// commit writes dirty pages back and *invalidates* the NIC's cached
-// copies (write-invalidate coherence — the next reader re-fetches).
+// for a put, which pages it dirtied (`last_dirty`). Keys are never
+// removed: no workload deletes one, so pages only split into existence.
+// The transactional store layers timing on top: a visited page that hits
+// the NodeCache costs NIC-local service time, a miss costs a one-sided
+// RDMA read of `node_bytes()` from the host, and a commit writes dirty
+// pages back and *invalidates* the NIC's cached copies (write-invalidate
+// coherence — the next reader re-fetches).
 //
 // Structure invariants (checked by check_invariants, exercised by
 // tests/btree_test.cc): all leaves at the same depth, nodes except the
@@ -55,10 +56,6 @@ class BPlusTree {
   /// plus ancestors that absorbed separators).
   bool put(Key key, Value value);
 
-  /// Removes the key; returns false if absent. Records dirty and freed
-  /// pages (merges release pages back to the pool's free list).
-  bool erase(Key key);
-
   /// Up to `count` key/value pairs in key order starting at the first
   /// key >= start. Returns the number produced; `out` may be null when
   /// only the count matters.
@@ -72,13 +69,12 @@ class BPlusTree {
   void scan_path(Key start, std::size_t count,
                  std::vector<PageId>* out) const;
 
-  /// Pages modified / freed by the last put/erase (cleared per call).
+  /// Pages modified by the last put (cleared per call).
   const std::vector<PageId>& last_dirty() const { return dirty_; }
-  const std::vector<PageId>& last_freed() const { return freed_; }
 
   std::size_t size() const { return size_; }
   std::uint32_t height() const { return height_; }
-  std::size_t node_count() const { return pool_.size() - free_.size(); }
+  std::size_t node_count() const { return pool_.size(); }
   std::uint32_t order() const { return config_.order; }
 
   /// On-the-wire size of one serialized node: 16-byte header plus
@@ -103,7 +99,6 @@ class BPlusTree {
   };
 
   PageId allocate(bool leaf);
-  void release(PageId id);
   Node& node(PageId id) { return pool_[id]; }
   const Node& node(PageId id) const { return pool_[id]; }
 
@@ -114,19 +109,15 @@ class BPlusTree {
                  std::vector<std::uint32_t>* slots) const;
 
   void split_up(std::vector<PageId>& path, std::vector<std::uint32_t>& slots);
-  void rebalance_up(std::vector<PageId>& path,
-                    std::vector<std::uint32_t>& slots);
 
   std::uint32_t min_keys() const { return config_.order / 2; }
 
   BTreeConfig config_;
   std::vector<Node> pool_;
-  std::vector<PageId> free_;
   PageId root_;
   std::uint32_t height_ = 1;  // levels including the leaf level
   std::size_t size_ = 0;
   std::vector<PageId> dirty_;
-  std::vector<PageId> freed_;
 };
 
 // ------------------------------------------------------------ NodeCache
@@ -158,7 +149,7 @@ class NodeCache {
   void insert(PageId id);
 
   /// Drops a page (coherence: called when a committed writeback dirties
-  /// or frees it). Returns true when a copy was resident.
+  /// it). Returns true when a copy was resident.
   bool invalidate(PageId id);
 
   bool resident(PageId id) const { return map_.count(id) != 0; }

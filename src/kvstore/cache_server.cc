@@ -54,20 +54,13 @@ void CacheServer::touch(std::uint64_t key) {
 
 void CacheServer::handle_packet(const Packet& packet) {
   if (packet.kind != PacketKind::kKvRequest) return;
-  std::uint64_t key = 0, value = 0;
-  for (std::size_t i = 0; i < 8 && i < packet.payload.size(); ++i) {
-    key |= static_cast<std::uint64_t>(packet.payload[i]) << (8 * i);
-  }
-  for (std::size_t i = 0; i < 8 && 8 + i < packet.payload.size(); ++i) {
-    value |= static_cast<std::uint64_t>(packet.payload[8 + i]) << (8 * i);
-  }
-
-  const bool is_set = packet.lambda.workload_id == 1;
+  const net::KvRequest request = net::decode_kv_request(packet.payload);
+  const bool is_set = packet.lambda.workload_id == net::kKvSet;
   std::uint64_t reply = 0;
   if (is_set) {
-    put(key, value);
-    reply = value;
-  } else if (!get(key, reply)) {
+    put(request.key, request.value);
+    reply = request.value;
+  } else if (!get(request.key, reply)) {
     reply = 0;
   }
 
@@ -78,11 +71,7 @@ void CacheServer::handle_packet(const Packet& packet) {
   response.dst = packet.src;
   response.kind = PacketKind::kKvResponse;
   response.lambda = packet.lambda;
-  std::vector<std::uint8_t> reply_body(8);
-  for (int i = 0; i < 8; ++i) {
-    reply_body[i] = static_cast<std::uint8_t>(reply >> (8 * i));
-  }
-  response.payload = std::move(reply_body);
+  response.payload = net::encode_kv_reply(reply);
   sim_.schedule(service, [this, response = std::move(response)]() mutable {
     network_.send(std::move(response));
   });

@@ -63,6 +63,19 @@ void append_u16(std::vector<std::uint8_t>* out, std::uint16_t v) {
   out->push_back(static_cast<std::uint8_t>(v >> 8));
 }
 
+/// True for the kind bytes that name an OpKind.
+bool is_op_kind(std::uint8_t kind) {
+  switch (static_cast<OpKind>(kind)) {
+    case OpKind::kRead:
+    case OpKind::kWrite:
+    case OpKind::kInsert:
+    case OpKind::kScan:
+    case OpKind::kRmw:
+      return true;
+  }
+  return false;
+}
+
 }  // namespace
 
 // ------------------------------------------------------------- LockTable
@@ -224,20 +237,21 @@ void TxnStore::handle_packet(const Packet& packet) {
   switch (packet.lambda.workload_id) {
     case kOpGet: {
       ++stats_.gets;
-      state.req.ops.push_back({OpKind::kRead, read_u64_at(body, 0), 0, 0});
+      state.req.ops.push_back(
+          {OpKind::kRead, net::decode_kv_request(body).key, 0, 0});
       break;
     }
     case kOpSet: {
       ++stats_.sets;
-      state.req.ops.push_back(
-          {OpKind::kWrite, read_u64_at(body, 0), read_u64_at(body, 8), 0});
+      const net::KvRequest kv = net::decode_kv_request(body);
+      state.req.ops.push_back({OpKind::kWrite, kv.key, kv.value, 0});
       break;
     }
     case kOpTxn: {
-      ++stats_.txns;
       const std::uint16_t n = read_u16_at(body, 0);
       std::size_t at = 2;
       for (std::uint16_t i = 0; i < n && at + 19 <= body.size(); ++i) {
+        if (!is_op_kind(body[at])) return;
         TxnOp op;
         op.kind = static_cast<OpKind>(body[at]);
         op.key = read_u64_at(body, at + 1);
@@ -246,6 +260,7 @@ void TxnStore::handle_packet(const Packet& packet) {
         state.req.ops.push_back(op);
         at += 19;
       }
+      ++stats_.txns;
       break;
     }
     default:
@@ -278,7 +293,6 @@ void TxnStore::start_attempt(TxnId id) {
   st.pages.clear();
   st.page_idx = 0;
   st.write_buffer.clear();
-  st.removes.clear();
   st.reads = 0;
   st.read_xor = 0;
   step_op(id);
@@ -378,10 +392,6 @@ void TxnStore::finish_op(TxnId id) {
     case OpKind::kInsert:
       st.write_buffer[op.key] = op.value;
       break;
-    case OpKind::kRemove:
-      st.write_buffer.erase(op.key);
-      st.removes.push_back(op.key);
-      break;
     case OpKind::kRmw: {
       Value v = 0;
       const auto buf = st.write_buffer.find(op.key);
@@ -404,32 +414,23 @@ void TxnStore::commit(TxnId id) {
   const auto it = txns_.find(id);
   if (it == txns_.end()) return;
   TxnState& st = it->second;
-  // Apply buffered effects to the authoritative tree; collect the pages
-  // the mutations dirtied or freed.
+  // Apply buffered writes to the authoritative tree; collect the pages
+  // they dirtied.
   std::set<PageId> dirty;
-  std::set<PageId> freed;
   for (const auto& [k, v] : st.write_buffer) {
     tree_.put(k, v);
     dirty.insert(tree_.last_dirty().begin(), tree_.last_dirty().end());
-    freed.insert(tree_.last_freed().begin(), tree_.last_freed().end());
   }
-  for (const Key k : st.removes) {
-    tree_.erase(k);
-    dirty.insert(tree_.last_dirty().begin(), tree_.last_dirty().end());
-    freed.insert(tree_.last_freed().begin(), tree_.last_freed().end());
-  }
-  if (dirty.empty() && freed.empty()) {
+  if (dirty.empty()) {
     finish_commit(id);  // read-only: nothing to write back
     return;
   }
   // Write-invalidate coherence: the NIC drops its copies of every page
   // the commit touched; the next reader re-fetches from host memory.
   for (const PageId p : dirty) cache_.invalidate(p);
-  for (const PageId p : freed) cache_.invalidate(p);
   const std::uint64_t addr =
       static_cast<std::uint64_t>(*dirty.begin()) * tree_.node_bytes();
-  const Bytes len =
-      std::max<std::size_t>(dirty.size(), 1) * tree_.node_bytes();
+  const Bytes len = dirty.size() * tree_.node_bytes();
   qp_.write(host_.node(), addr, len, [this, id]() { finish_commit(id); });
 }
 
@@ -507,9 +508,9 @@ void TxnStore::reply(const TxnState& state, const TxnResult& result) {
                           std::min<std::uint32_t>(result.reads, 0xFFFF)));
     append_u64(&body, result.read_xor);
   } else if (state.reply_op == kOpSet) {
-    append_u64(&body, state.req.ops.empty() ? 0 : state.req.ops[0].value);
+    body = net::encode_kv_reply(state.req.ops[0].value);
   } else {
-    append_u64(&body, result.read_xor);
+    body = net::encode_kv_reply(result.read_xor);
   }
   Packet p;
   p.src = node_;

@@ -39,6 +39,7 @@
 #include "common/types.h"
 #include "kvstore/btree.h"
 #include "net/network.h"
+#include "net/packet.h"
 #include "proto/rdma.h"
 #include "sim/simulator.h"
 
@@ -107,11 +108,11 @@ class LockTable {
 
 // -------------------------------------------------------------- TxnStore
 
+/// The values are the TXN wire encoding; 3 is unassigned.
 enum class OpKind : std::uint8_t {
   kRead = 0,    // shared lock, point read
   kWrite = 1,   // exclusive lock, buffered blind write
   kInsert = 2,  // exclusive lock, buffered insert
-  kRemove = 3,  // exclusive lock, buffered delete
   kScan = 4,    // shared lock on start key, range read
   kRmw = 5,     // exclusive lock, read + buffered increment
 };
@@ -164,15 +165,16 @@ struct TxnStoreStats {
 };
 
 /// Wire format (PacketKind::kKvRequest to node(), kKvResponse back):
-///  - workload_id 0, GET:  body [key u64][unused u64] -> reply [value u64]
-///  - workload_id 1, SET:  body [key u64][value u64]  -> reply [value u64]
+///  - workload_id 0 GET and 1 SET: net/packet.h's KV GET/SET format
 ///  - workload_id 2, TXN:  body [n u16] then n x
 ///        [kind u8][key u64][value u64][scan_len u16]
 ///    reply [status u8][retries u8][reads u16][read_xor u64]
+/// A request with any other workload_id, or a TXN op whose kind byte is
+/// not an OpKind, is dropped without a reply.
 class TxnStore {
  public:
-  static constexpr WorkloadId kOpGet = 0;
-  static constexpr WorkloadId kOpSet = 1;
+  static constexpr WorkloadId kOpGet = net::kKvGet;
+  static constexpr WorkloadId kOpSet = net::kKvSet;
   static constexpr WorkloadId kOpTxn = 2;
 
   TxnStore(sim::Simulator& sim, net::Network& network,
@@ -212,7 +214,6 @@ class TxnStore {
     std::size_t page_idx = 0;
     // Per-attempt buffered effects (applied to the tree at commit).
     std::map<Key, Value> write_buffer;
-    std::vector<Key> removes;
     std::uint32_t reads = 0;
     std::uint64_t read_xor = 0;
     // Reply routing for networked submissions.

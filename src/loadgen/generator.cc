@@ -143,40 +143,27 @@ void LoadGenerator::on_arrival(Request request, std::size_t slot) {
     fn = &functions_[request.function];
     fn->slo = &slo_.stats(request.function);
   }
-  slo_.on_offered(*fn->slo);
+  SloTracker::FnStats& stats = *fn->slo;
+  slo_.on_offered(stats);
   last_event_ = sim_.now();
 
-  if (config_.max_outstanding > 0 && inflight_ >= config_.max_outstanding) {
-    deferred_.emplace_back(std::move(request), fn->slo);
-  } else {
-    dispatch(std::move(request), *fn->slo);
-  }
   // Dispatch before arming so event creation order matches the
   // hand-rolled PeriodicTimer drivers this replaces (callback first,
   // then re-arm) — ports stay bit-identical.
-  arm_next();
-}
-
-// Both callers have just set last_event_ to now, the dispatch instant.
-void LoadGenerator::dispatch(Request request, SloTracker::FnStats& fn) {
   ++inflight_;
   const SimTime intended = request.intended;
   const SimTime dispatched = sim_.now();
-  sink_(request, [this, &fn, intended, dispatched](bool ok) {
+  sink_(request, [this, &stats, intended, dispatched](bool ok) {
     --inflight_;
     if (ok) {
       ++completed_;
     } else {
       ++failed_;
     }
-    slo_.on_complete(fn, intended, dispatched, sim_.now(), ok);
+    slo_.on_complete(stats, intended, dispatched, sim_.now(), ok);
     last_event_ = sim_.now();
-    if (!deferred_.empty() && inflight_ < config_.max_outstanding) {
-      auto [next, next_fn] = std::move(deferred_.front());
-      deferred_.pop_front();
-      dispatch(std::move(next), *next_fn);
-    }
   });
+  arm_next();
 }
 
 void LoadGenerator::collect() {

@@ -9,21 +9,19 @@
 // the caller-supplied Sink; the sink maps it onto whatever system is
 // under test (a framework::Gateway, an echo pool, a raw RpcClient) and
 // signals completion. SLO accounting is coordinated-omission safe: the
-// latency clock starts at the *intended* arrival time even when
-// `max_outstanding` forces the driver to defer dispatch.
+// latency clock starts at the *intended* arrival time, so queueing
+// anywhere downstream of the generator is charged to the request.
 //
 // Determinism: all draws come from streams derived from config.seed, so
 // the same (config, profiles) replays the identical request sequence.
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
 #include <optional>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "common/rng.h"
@@ -72,10 +70,6 @@ struct LoadGenConfig {
   SimDuration duration = 0;
   /// Stop offering after this many requests (0 = unlimited).
   std::uint64_t max_requests = 0;
-  /// Cap on concurrently dispatched requests; arrivals beyond it are
-  /// queued inside the generator with their intended timestamps intact
-  /// (0 = unbounded, pure open loop).
-  std::uint32_t max_outstanding = 0;
   std::uint64_t seed = 1;
   SloConfig slo;
 };
@@ -139,7 +133,6 @@ class LoadGenerator {
   void arm_next();
   /// `slot` indexes handles_: the profile, or the trace name in replay.
   void on_arrival(Request request, std::size_t slot);
-  void dispatch(Request request, SloTracker::FnStats& fn);
   /// The collect hook: writes the gauges' current values into metrics_.
   void collect();
 
@@ -161,7 +154,6 @@ class LoadGenerator {
   std::uint64_t completed_ = 0;
   std::uint64_t failed_ = 0;
   std::uint32_t inflight_ = 0;
-  std::deque<std::pair<Request, SloTracker::FnStats*>> deferred_;
   sim::EventId pending_ = sim::kInvalidEvent;
   std::map<std::string, Function> functions_;  // name order: gauge order
   /// Bound on each slot's first offer; slots sharing a name share a node.

@@ -17,6 +17,51 @@ const char* to_string(PacketKind kind) {
   return "?";
 }
 
+namespace {
+
+void put_u64(std::uint8_t* out, std::uint64_t v) {
+  for (int i = 0; i < 8; ++i) out[i] = static_cast<std::uint8_t>(v >> (8 * i));
+}
+
+std::uint64_t get_u64(const BufferView& body, std::size_t at) {
+  std::uint64_t v = 0;
+  for (std::size_t i = 0; i < 8 && at + i < body.size(); ++i) {
+    v |= static_cast<std::uint64_t>(body[at + i]) << (8 * i);
+  }
+  return v;
+}
+
+}  // namespace
+
+Packet make_kv_request(NodeId src, NodeId dst, RequestId request_id,
+                       WorkloadId op, std::uint64_t key, std::uint64_t value) {
+  Packet p;
+  p.src = src;
+  p.dst = dst;
+  p.kind = PacketKind::kKvRequest;
+  p.lambda.request_id = request_id;
+  p.lambda.workload_id = op;
+  std::vector<std::uint8_t> body(16);
+  put_u64(body.data(), key);
+  put_u64(body.data() + 8, value);
+  p.payload = std::move(body);
+  return p;
+}
+
+KvRequest decode_kv_request(const BufferView& body) {
+  return KvRequest{get_u64(body, 0), get_u64(body, 8)};
+}
+
+std::vector<std::uint8_t> encode_kv_reply(std::uint64_t value) {
+  std::vector<std::uint8_t> body(8);
+  put_u64(body.data(), value);
+  return body;
+}
+
+std::uint64_t decode_kv_reply(const BufferView& body) {
+  return get_u64(body, 0);
+}
+
 BufferView make_payload(const std::string& text) {
   // The string→bytes conversion is the only copy; the returned view
   // adopts the vector, so downstream packet/RPC plumbing shares it.

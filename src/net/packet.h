@@ -77,6 +77,26 @@ struct Packet {
   }
 };
 
+/// KV GET/SET wire format, spoken by the NIC and host KV clients, the
+/// CacheServer and the TxnStore. A kKvRequest carries GET or SET in its
+/// lambda header's workload_id; its body is the key, then the value
+/// (unused by GET), each a little-endian u64. The kKvResponse body is
+/// one little-endian u64. The decoders read missing bytes as zero.
+constexpr WorkloadId kKvGet = 0;
+constexpr WorkloadId kKvSet = 1;
+
+struct KvRequest {
+  std::uint64_t key = 0;
+  std::uint64_t value = 0;
+};
+
+/// A kKvRequest from `src` to `dst`; `op` is kKvGet or kKvSet.
+Packet make_kv_request(NodeId src, NodeId dst, RequestId request_id,
+                       WorkloadId op, std::uint64_t key, std::uint64_t value);
+KvRequest decode_kv_request(const BufferView& body);
+std::vector<std::uint8_t> encode_kv_reply(std::uint64_t value);
+std::uint64_t decode_kv_reply(const BufferView& body);
+
 /// Builds a payload from a string (request bodies in examples/tests).
 /// Returns a view adopting freshly built storage — callers hand it to
 /// Packet/RPC APIs without a further copy.

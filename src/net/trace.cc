@@ -1,7 +1,5 @@
 #include "net/trace.h"
 
-#include <sstream>
-
 namespace lnic::net {
 
 void PacketTracer::set_capacity(std::size_t max_records) {
@@ -33,40 +31,6 @@ void PacketTracer::record(const Packet& packet, SimTime now, bool dropped) {
   r.wire_bytes = packet.wire_size();
   r.dropped = dropped;
   records_.push_back(r);
-}
-
-std::map<PacketKind, PacketTracer::KindSummary> PacketTracer::summarize()
-    const {
-  std::map<PacketKind, KindSummary> out;
-  for (const auto& r : records_) {
-    KindSummary& s = out[r.kind];
-    ++s.packets;
-    s.bytes += r.wire_bytes;
-    if (r.dropped) ++s.dropped;
-  }
-  return out;
-}
-
-std::string PacketTracer::dump(std::size_t max_lines) const {
-  std::ostringstream out;
-  if (evicted_ > 0) {
-    out << "[" << evicted_ << " earlier record(s) evicted by ring buffer"
-        << " (capacity " << capacity_ << ")]\n";
-  }
-  const std::size_t start =
-      records_.size() > max_lines ? records_.size() - max_lines : 0;
-  for (std::size_t i = start; i < records_.size(); ++i) {
-    const Record& r = records_[i];
-    out << to_us(r.time) << "us " << r.src << "->" << r.dst << " "
-        << to_string(r.kind) << " wid=" << r.workload << " req=" << r.request;
-    if (r.frag_count > 1) {
-      out << " frag " << r.frag_index + 1 << "/" << r.frag_count;
-    }
-    out << " " << r.wire_bytes << "B";
-    if (r.dropped) out << " DROPPED";
-    out << "\n";
-  }
-  return out.str();
 }
 
 }  // namespace lnic::net

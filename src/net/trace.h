@@ -1,17 +1,15 @@
 // Packet tracing: a tcpdump for the simulated fabric. Attach a tracer to
-// a Network to record every send (including drops) with timestamps;
-// dump as a text table or query per-kind summaries. Used by tests,
-// debugging sessions, and the examples' narration.
+// a Network to record every send (including drops) with timestamps.
+// perfbench replays the records into its network ledger, and `lnicctl
+// metrics` exports the eviction count through the Monitor.
 //
 // Memory is bounded by a ring buffer: once `capacity` records are held,
 // each new record evicts the oldest one (O(1), no reallocation storms
-// over long simulations) and the eviction count is reported by dump().
+// over long simulations) and evicted() counts them.
 #pragma once
 
 #include <cstdint>
 #include <deque>
-#include <map>
-#include <string>
 
 #include "common/types.h"
 #include "net/packet.h"
@@ -50,18 +48,6 @@ class PacketTracer {
   /// the ring immediately if it already holds more than `max_records`.
   void set_capacity(std::size_t max_records);
   std::size_t capacity() const { return capacity_; }
-
-  /// Per-kind packet and byte totals (over the retained records).
-  struct KindSummary {
-    std::uint64_t packets = 0;
-    Bytes bytes = 0;
-    std::uint64_t dropped = 0;
-  };
-  std::map<PacketKind, KindSummary> summarize() const;
-
-  /// tcpdump-style text listing of up to `max_lines` records; reports
-  /// how many earlier records were evicted by the ring.
-  std::string dump(std::size_t max_lines = 50) const;
 
  private:
   std::deque<Record> records_;

@@ -529,20 +529,9 @@ void SmartNic::continue_flight(std::unique_ptr<Flight> flight,
         raw->kv_span = tracer_->start_span(raw->ctx.trace, raw->exec_span,
                                            "nic.kv_wait", sim_.now());
       }
-      Packet kv;
-      kv.src = node_;
-      kv.dst = kv_server_;
-      kv.kind = PacketKind::kKvRequest;
-      kv.lambda.request_id = token;
-      kv.lambda.workload_id =
-          static_cast<WorkloadId>(ext.kind);  // 0 = GET, 1 = SET
-      std::vector<std::uint8_t> kv_body(16);
-      for (int i = 0; i < 8; ++i) {
-        kv_body[i] = static_cast<std::uint8_t>(ext.key >> (8 * i));
-        kv_body[8 + i] = static_cast<std::uint8_t>(ext.value >> (8 * i));
-      }
-      kv.payload = std::move(kv_body);
-      network_.send(std::move(kv));
+      network_.send(net::make_kv_request(node_, kv_server_, token,
+                                         static_cast<WorkloadId>(ext.kind),
+                                         ext.key, ext.value));
     });
     return;
   }
@@ -568,11 +557,8 @@ void SmartNic::handle_kv_response(const Packet& packet) {
     tracer_->end_span(flight->kv_span, sim_.now());
     flight->kv_span = trace::kInvalidSpan;
   }
-  std::uint64_t reply = 0;
-  for (std::size_t i = 0; i < 8 && i < packet.payload.size(); ++i) {
-    reply |= static_cast<std::uint64_t>(packet.payload[i]) << (8 * i);
-  }
-  Outcome outcome = flight->machine->resume(reply);
+  Outcome outcome =
+      flight->machine->resume(net::decode_kv_reply(packet.payload));
   continue_flight(std::move(flight), std::move(outcome));
 }
 

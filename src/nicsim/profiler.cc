@@ -1,7 +1,6 @@
 #include "nicsim/profiler.h"
 
 #include <algorithm>
-#include <sstream>
 
 namespace lnic::nicsim {
 
@@ -65,29 +64,6 @@ SimDuration NpuProfiler::lambda_busy_ns(WorkloadId workload) const {
 std::uint64_t NpuProfiler::lambda_dispatches(WorkloadId workload) const {
   const auto it = lambda_dispatches_.find(workload);
   return it == lambda_dispatches_.end() ? 0 : it->second;
-}
-
-std::string NpuProfiler::text_report(SimTime now) const {
-  std::ostringstream out;
-  out << "npu grid: " << cores() << " cores x " << threads_per_core_
-      << " threads, utilization "
-      << static_cast<int>(grid_utilization(now) * 100.0 + 0.5) << "%\n";
-  for (std::uint32_t c = 0; c < cores(); ++c) {
-    const SimDuration busy = core_busy_ns(c, now);
-    const double frac =
-        now > 0 ? static_cast<double>(busy) /
-                      (static_cast<double>(now) *
-                       static_cast<double>(threads_per_core_))
-                : 0.0;
-    out << "  core " << c << ": busy " << busy << " ns ("
-        << static_cast<int>(frac * 100.0 + 0.5) << "%)\n";
-  }
-  out << "  dispatch queue peak depth: " << peak_depth_ << "\n";
-  for (const auto& [workload, busy] : lambda_busy_) {
-    out << "  lambda " << workload << ": busy " << busy << " ns across "
-        << lambda_dispatches(workload) << " dispatches\n";
-  }
-  return out.str();
 }
 
 }  // namespace lnic::nicsim

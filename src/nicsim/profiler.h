@@ -16,7 +16,6 @@
 #include <cstdint>
 #include <deque>
 #include <map>
-#include <string>
 #include <vector>
 
 #include "common/types.h"
@@ -83,9 +82,6 @@ class NpuProfiler {
     return depth_samples_;
   }
   std::uint64_t peak_queue_depth() const { return peak_depth_; }
-
-  /// Per-core occupancy table (one line per core with busy %).
-  std::string text_report(SimTime now) const;
 
  private:
   std::uint32_t threads_per_core_;

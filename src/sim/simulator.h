@@ -233,9 +233,11 @@ class PeriodicTimer {
   PeriodicTimer(const PeriodicTimer&) = delete;
   PeriodicTimer& operator=(const PeriodicTimer&) = delete;
 
+  /// Arms a tick one period from now unless one is already pending, so
+  /// a timer never has two ticks pending.
   void start() {
     stopped_ = false;
-    arm();
+    if (pending_ == kInvalidEvent) arm();
   }
   void stop() {
     stopped_ = true;
@@ -250,7 +252,9 @@ class PeriodicTimer {
       pending_ = kInvalidEvent;
       if (stopped_) return;
       fn_();
-      if (!stopped_) arm();
+      // The callback may have stopped the timer, or restarted it, which
+      // armed the next tick already.
+      if (!stopped_ && pending_ == kInvalidEvent) arm();
     });
   }
 

@@ -1,6 +1,6 @@
 // Structural tests for the B+-tree backing the transactional store:
-// split/merge/underflow invariants, ordered iteration under random
-// interleaved insert/erase (cross-checked against std::map), and the
+// split invariants, ordered iteration under random interleaved
+// inserts, updates and lookups (cross-checked against std::map), and the
 // NIC-resident node cache (LRU, invalidation, capacity-0 baseline).
 #include <gtest/gtest.h>
 
@@ -23,7 +23,6 @@ TEST(BTreeTest, EmptyTree) {
   EXPECT_EQ(tree.size(), 0u);
   EXPECT_EQ(tree.height(), 1u);
   EXPECT_FALSE(tree.contains(7));
-  EXPECT_FALSE(tree.erase(7));
   expect_invariants(tree);
 }
 
@@ -57,27 +56,19 @@ TEST(BTreeTest, SequentialInsertSplitsAndStaysBalanced) {
   }
 }
 
-TEST(BTreeTest, EraseUnderflowMergesBackToSingleLeaf) {
-  BPlusTree tree(BTreeConfig{4});
-  for (Key k = 0; k < 300; ++k) tree.put(k, k);
-  for (Key k = 0; k < 300; ++k) {
-    ASSERT_TRUE(tree.erase(k)) << "key " << k;
-    if (k % 37 == 0) expect_invariants(tree);
-  }
-  EXPECT_EQ(tree.size(), 0u);
-  EXPECT_EQ(tree.height(), 1u);  // root collapsed all the way down
-  EXPECT_EQ(tree.node_count(), 1u);
-  expect_invariants(tree);
-}
-
 TEST(BTreeTest, RandomInterleavedAgainstStdMap) {
   BPlusTree tree(BTreeConfig{8});
   std::map<Key, Value> model;
   Rng rng(42);
   for (int step = 0; step < 20000; ++step) {
     const Key k = rng.next_below(512);  // small space forces collisions
-    if (rng.next_bool(0.4) && !model.empty()) {
-      EXPECT_EQ(tree.erase(k), model.erase(k) > 0);
+    if (rng.next_bool(0.4)) {
+      Value v = 0;
+      const auto it = model.find(k);
+      ASSERT_EQ(tree.get(k, &v), it != model.end()) << "key " << k;
+      if (it != model.end()) {
+        EXPECT_EQ(v, it->second);
+      }
     } else {
       const Value v = rng.next_u64();
       EXPECT_EQ(tree.put(k, v), model.emplace(k, v).second);
@@ -135,14 +126,9 @@ TEST(BTreeTest, DirtyAndFreedPagesAreReported) {
     ++next;
   }
   EXPECT_GE(tree.last_dirty().size(), 2u);
-  // Drain everything again: merges must report freed pages.
-  bool saw_freed = false;
-  for (Key k = 1; k < next; ++k) {
-    tree.erase(k);
-    if (!tree.last_freed().empty()) saw_freed = true;
-  }
-  EXPECT_TRUE(saw_freed);
-  EXPECT_EQ(tree.size(), 0u);
+  // An update in place dirties only its leaf.
+  tree.put(1, 2);
+  EXPECT_EQ(tree.last_dirty().size(), 1u);
   expect_invariants(tree);
 }
 

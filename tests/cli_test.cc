@@ -222,4 +222,27 @@ TEST_F(CliTest, UsageOnNoArguments) {
   EXPECT_NE(r.output.find("usage"), std::string::npos);
 }
 
+TEST_F(CliTest, NonNumericFlagIsAUsageError) {
+  // The whole token must be a number, in every command.
+  for (const char* args :
+       {"loadgen poisson --rate abc", "flightrec --requests x",
+        "loadgen synth --functions 8x", "kv --zipf nan"}) {
+    const auto r = run_command(args);
+    EXPECT_EQ(r.exit_code, 1) << args << "\n" << r.output;
+    EXPECT_NE(r.output.find("usage"), std::string::npos) << args;
+  }
+}
+
+TEST_F(CliTest, NegativeFlagIsAUsageError) {
+  // "-1" must not wrap to 2^64-1: --functions would then append alias
+  // names until memory runs out.
+  for (const char* args :
+       {"loadgen poisson --functions -1", "loadgen poisson --duration-ms -5",
+        "trace web --requests -2", "kv --txns -3"}) {
+    const auto r = run_command(args);
+    EXPECT_EQ(r.exit_code, 1) << args << "\n" << r.output;
+    EXPECT_NE(r.output.find("usage"), std::string::npos) << args;
+  }
+}
+
 }  // namespace

@@ -113,31 +113,31 @@ TEST(Gateway, RouteEncodingRoundTrips) {
 
 TEST(Gateway, ReplicaEncodingRoundTrips) {
   const std::vector<Replica> replicas = {
-      Replica{1, 1, kUnknownBackendKind},  // plain: encodes as just "1"
-      Replica{2, 3, kUnknownBackendKind},  // weighted
-      Replica{3, 1, 0},                    // kind-tagged (kLambdaNic)
-      Replica{4, 2, 2},                    // both
+      Replica{1, kUnknownBackendKind},  // plain: encodes as just "1"
+      Replica{3, 0},                    // kind-tagged (kLambdaNic)
+      Replica{4, 2},                    // kind-tagged (kContainer)
   };
   const auto encoded = Gateway::encode_replicas(7, replicas);
-  EXPECT_EQ(encoded, "7|1,2*3,3@0,4*2@2");
+  EXPECT_EQ(encoded, "7|1,3@0,4@2");
   const auto decoded = Gateway::decode_route(encoded);
   ASSERT_TRUE(decoded.ok());
   EXPECT_EQ(decoded.value().workload, 7u);
   EXPECT_EQ(decoded.value().replicas, replicas);
-  EXPECT_EQ(decoded.value().workers, (std::vector<NodeId>{1, 2, 3, 4}));
-  EXPECT_EQ(decoded.value().total_weight(), 7u);
+  EXPECT_EQ(decoded.value().workers, (std::vector<NodeId>{1, 3, 4}));
 }
 
 TEST(Gateway, DecodeRouteRejectsMalformedReplicas) {
   EXPECT_FALSE(Gateway::decode_route("").ok());
   EXPECT_FALSE(Gateway::decode_route("7|").ok());
   EXPECT_FALSE(Gateway::decode_route("7|1,,2").ok());    // empty token
-  EXPECT_FALSE(Gateway::decode_route("7|1*").ok());      // missing weight
-  EXPECT_FALSE(Gateway::decode_route("7|1*0").ok());     // zero weight
-  EXPECT_FALSE(Gateway::decode_route("7|1*x").ok());     // non-numeric
+  EXPECT_FALSE(Gateway::decode_route("7|1*").ok());      // '*' is no token
+  EXPECT_FALSE(Gateway::decode_route("7|1*0").ok());
+  EXPECT_FALSE(Gateway::decode_route("7|1*x").ok());
+  EXPECT_FALSE(Gateway::decode_route("7|1*2").ok());
+  EXPECT_FALSE(Gateway::decode_route("7|1*2@0").ok());
   EXPECT_FALSE(Gateway::decode_route("7|1@").ok());      // missing kind
   EXPECT_FALSE(Gateway::decode_route("7|1@999").ok());   // kind > 0xFF
-  EXPECT_FALSE(Gateway::decode_route("7|1@x*2").ok());   // suffixes swapped
+  EXPECT_FALSE(Gateway::decode_route("7|1@x*2").ok());   // kind not numeric
 }
 
 TEST(Gateway, DecodeRouteRejectsTrailingGarbageAndSigns) {
@@ -158,42 +158,7 @@ TEST(Gateway, DecodeRouteRejectsTrailingGarbageAndSigns) {
   EXPECT_FALSE(Gateway::decode_route("99999999999|1").ok());
   // Sanity: the strict parser still accepts well-formed routes.
   EXPECT_TRUE(Gateway::decode_route("7|2,3").ok());
-  EXPECT_TRUE(Gateway::decode_route("7|2*2@1,3").ok());
-}
-
-TEST(Gateway, WeightedReplicasSplitTrafficProportionally) {
-  sim::Simulator sim;
-  net::Network network(sim);
-  int hits[2] = {0, 0};
-  NodeId w[2];
-  for (int i = 0; i < 2; ++i) w[i] = network.attach(nullptr);
-  for (int i = 0; i < 2; ++i) {
-    network.set_handler(w[i], [&, i](const net::Packet& p) {
-      if (p.kind != net::PacketKind::kRequest) return;
-      ++hits[i];
-      net::Packet reply;
-      reply.src = w[i];
-      reply.dst = p.src;
-      reply.kind = net::PacketKind::kResponse;
-      reply.lambda = p.lambda;
-      network.send(reply);
-    });
-  }
-  Gateway gateway(sim, network);
-  gateway.register_replicas("f", 1,
-                            {Replica{w[0], 3, kUnknownBackendKind},
-                             Replica{w[1], 1, kUnknownBackendKind}});
-  int done = 0;
-  for (int i = 0; i < 40; ++i) {
-    gateway.invoke("f", {}, [&](Result<proto::RpcResponse> r) {
-      EXPECT_TRUE(r.ok());
-      ++done;
-    });
-  }
-  sim.run();
-  EXPECT_EQ(done, 40);
-  EXPECT_EQ(hits[0], 30);  // weight 3 of 4
-  EXPECT_EQ(hits[1], 10);  // weight 1 of 4
+  EXPECT_TRUE(Gateway::decode_route("7|2@1,3").ok());
 }
 
 struct GatewayRig {
@@ -682,17 +647,17 @@ TEST(Autoscaler, ScalesUpUnderLoadAndBackDown) {
 // ------------------------------------------------------------ tenancy
 
 TEST(Gateway, TenantReplicaEncodingRoundTrips) {
-  const std::vector<Replica> replicas = {Replica{1, 2, 0},
-                                         Replica{2, 1, kUnknownBackendKind}};
+  const std::vector<Replica> replicas = {Replica{1, 0},
+                                         Replica{2, kUnknownBackendKind}};
   const auto encoded = Gateway::encode_replicas(7, replicas, 3);
-  EXPECT_EQ(encoded, "7~3|1*2@0,2");
+  EXPECT_EQ(encoded, "7~3|1@0,2");
   const auto decoded = Gateway::decode_route(encoded);
   ASSERT_TRUE(decoded.ok());
   EXPECT_EQ(decoded.value().workload, 7u);
   EXPECT_EQ(decoded.value().tenant, 3u);
   EXPECT_EQ(decoded.value().replicas, replicas);
   // The default tenant keeps the legacy encoding byte-for-byte.
-  EXPECT_EQ(Gateway::encode_replicas(7, replicas), "7|1*2@0,2");
+  EXPECT_EQ(Gateway::encode_replicas(7, replicas), "7|1@0,2");
   const auto legacy = Gateway::decode_route("7|1,2");
   ASSERT_TRUE(legacy.ok());
   EXPECT_EQ(legacy.value().tenant, kDefaultTenant);
@@ -723,7 +688,7 @@ TEST(Gateway, TenantRouteStampsHeaderAndLabelsMetrics) {
   EXPECT_EQ(acme, 1u);
   EXPECT_EQ(gateway.register_tenant("acme"), acme);  // idempotent
   gateway.register_replicas("acme/echo", 5,
-                            {Replica{worker, 1, kUnknownBackendKind}}, acme);
+                            {Replica{worker, kUnknownBackendKind}}, acme);
 
   std::optional<Result<proto::RpcResponse>> got;
   gateway.invoke("acme/echo", {},
@@ -1200,8 +1165,8 @@ TEST(Gateway, HotPathSeriesAppearOnFirstSuccessfulInvoke) {
 
   // Replicas on two backend kinds: one rpc_latency_ns series per kind.
   gateway.register_replicas("h", 1,
-                            {Replica{workers.node[0], 1, /*nic=*/0},
-                             Replica{workers.node[1], 1, /*container=*/2}});
+                            {Replica{workers.node[0], /*nic=*/0},
+                             Replica{workers.node[1], /*container=*/2}});
   for (int i = 0; i < 2; ++i) {
     gateway.invoke("h", {}, [&](Result<proto::RpcResponse> r) {
       if (r.ok()) ++ok;
@@ -1228,7 +1193,7 @@ TEST(Gateway, TenantChangeRebindsRequestAndRpcSeries) {
     sim.run();
     return ok;
   };
-  const Replica replica{workers.node[0], 1, kUnknownBackendKind};
+  const Replica replica{workers.node[0], kUnknownBackendKind};
 
   // First request in the default tenant, second after the route moved
   // into a tenant namespace.

@@ -121,7 +121,7 @@ TEST(Integration, OversizeLambdaSpillsToHostRestStayOnNic) {
 TEST(Integration, HomogeneousPlacementMatchesLegacyRoutes) {
   // A homogeneous cluster routed through the placement layer must look
   // exactly like the pre-placement cluster: every function on every
-  // worker, weight 1, plain round robin.
+  // worker, in worker order.
   core::ClusterConfig config;
   config.workers = 3;
   core::Cluster cluster(config);
@@ -130,10 +130,9 @@ TEST(Integration, HomogeneousPlacementMatchesLegacyRoutes) {
   const auto* route = cluster.gateway().route("web_server");
   ASSERT_NE(route, nullptr);
   ASSERT_EQ(route->replicas.size(), 3u);
-  EXPECT_EQ(route->total_weight(), 3u);
   for (std::size_t i = 0; i < 3; ++i) {
     EXPECT_EQ(route->workers[i], cluster.worker(i).node());
-    EXPECT_EQ(route->replicas[i].weight, 1u);
+    EXPECT_EQ(route->replicas[i].node, cluster.worker(i).node());
   }
 }
 

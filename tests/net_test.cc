@@ -159,29 +159,6 @@ TEST_F(NetworkTest, TracerRecordsSendsAndDrops) {
     if (r.dropped) ++dropped;
   }
   EXPECT_EQ(dropped, network.packets_dropped());
-  const auto summary = tracer.summarize();
-  ASSERT_TRUE(summary.count(PacketKind::kRequest));
-  EXPECT_EQ(summary.at(PacketKind::kRequest).packets, 100u);
-  EXPECT_EQ(summary.at(PacketKind::kRequest).dropped, dropped);
-}
-
-TEST_F(NetworkTest, TracerDumpIsReadable) {
-  Network network(sim);
-  PacketTracer tracer;
-  network.set_tracer(&tracer);
-  const NodeId a = network.attach(nullptr);
-  const NodeId b = network.attach([](const Packet&) {});
-  Packet p = make_packet(a, b, 10);
-  p.kind = PacketKind::kRdmaWrite;
-  p.lambda.workload_id = 4;
-  p.lambda.frag_index = 1;
-  p.lambda.frag_count = 3;
-  network.send(p);
-  sim.run();
-  const std::string text = tracer.dump();
-  EXPECT_NE(text.find("rdma-write"), std::string::npos);
-  EXPECT_NE(text.find("frag 2/3"), std::string::npos);
-  EXPECT_NE(text.find("wid=4"), std::string::npos);
 }
 
 TEST_F(NetworkTest, TracerCapacityBounded) {
@@ -207,8 +184,6 @@ TEST_F(NetworkTest, TracerEvictionCountedAndReportedInDump) {
   sim.run();
   EXPECT_EQ(tracer.size(), 10u);
   EXPECT_EQ(tracer.evicted(), 15u);
-  EXPECT_NE(tracer.dump().find("15 earlier record(s) evicted"),
-            std::string::npos);
 
   // Shrinking an already-full ring evicts immediately.
   tracer.set_capacity(4);

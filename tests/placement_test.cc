@@ -96,7 +96,7 @@ TEST(NicFirst, HomogeneousPoolReplicatesEverywhere) {
   for (const auto& [fn, assignments] : plan.value().functions) {
     ASSERT_EQ(assignments.size(), 4u) << fn;
     for (std::size_t i = 0; i < 4; ++i) {
-      EXPECT_EQ(assignments[i], (PlacementAssignment{i, 1})) << fn;
+      EXPECT_EQ(assignments[i], (PlacementAssignment{i})) << fn;
     }
   }
   // Determinism: the same inputs yield the identical plan.

@@ -384,6 +384,38 @@ TEST(PeriodicTimer, DestructorCancelsPendingCallback) {
   EXPECT_EQ(fires, 2);
 }
 
+TEST(PeriodicTimer, StartWhileRunningKeepsOneChain) {
+  Simulator sim;
+  int fires = 0;
+  {
+    PeriodicTimer timer(sim, 10, [&] { ++fires; });
+    timer.start();
+    timer.start();
+    sim.run_until(35);
+    EXPECT_EQ(fires, 3);  // ticks at 10, 20 and 30
+  }
+  EXPECT_EQ(sim.pending(), 0u);
+}
+
+TEST(PeriodicTimer, RestartInsideCallbackKeepsOneChain) {
+  Simulator sim;
+  int fires = 0;
+  {
+    PeriodicTimer* self = nullptr;
+    PeriodicTimer timer(sim, 10, [&] {
+      if (++fires == 1) {
+        self->stop();
+        self->start();
+      }
+    });
+    self = &timer;
+    timer.start();
+    sim.run_until(45);
+    EXPECT_EQ(fires, 4);  // ticks at 10, 20, 30 and 40
+  }
+  EXPECT_EQ(sim.pending(), 0u);
+}
+
 // --- InlineFn: the engine's small-buffer callable ---
 
 TEST(InlineFn, InvokesInlineCapture) {

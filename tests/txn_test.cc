@@ -415,6 +415,48 @@ TEST(TxnStoreTest, NetworkedGetSetAndTxnWirePath) {
   EXPECT_EQ(v, 4101u);
 }
 
+TEST(TxnStoreTest, TxnWithUnknownOpKindIsDroppedWithoutLocking) {
+  // Kind 3 is unassigned and 9 lies past the last OpKind. The decoder
+  // drops the whole request, as it drops an unknown workload_id: no
+  // reply, no count, no lock.
+  StoreRig rig;
+  rig.store.load(40, 4000);
+  std::vector<Packet> replies;
+  const NodeId client = rig.network.attach([&](const Packet& p) {
+    if (p.kind == PacketKind::kKvResponse) replies.push_back(p);
+  });
+  for (const std::uint8_t kind : {3, 9}) {
+    TxnRequest txn;
+    txn.ops.push_back({OpKind::kRead, 40, 0, 0});
+    txn.ops.push_back({OpKind::kWrite, 40, 1, 0});
+    std::vector<std::uint8_t> body = TxnStore::encode_txn(txn);
+    body[2 + 19] = kind;  // the second op's kind byte
+    Packet p;
+    p.src = client;
+    p.dst = rig.store.node();
+    p.kind = PacketKind::kKvRequest;
+    p.lambda.workload_id = TxnStore::kOpTxn;
+    p.lambda.request_id = kind;
+    p.payload = std::move(body);
+    rig.network.send(std::move(p));
+  }
+  rig.sim.run();
+  EXPECT_TRUE(replies.empty());
+  EXPECT_EQ(rig.store.stats().txns, 0u);
+  EXPECT_EQ(rig.store.inflight(), 0u);
+
+  // A NO_WAIT writer of the same key commits at its first attempt, so
+  // no lock on it was left behind.
+  TxnRequest write;
+  write.ops.push_back({OpKind::kWrite, 40, 41, 0});
+  TxnResult result;
+  rig.store.execute(std::move(write), [&](const TxnResult& r) { result = r; });
+  rig.sim.run();
+  EXPECT_EQ(result.status, TxnStatus::kCommitted);
+  EXPECT_EQ(result.retries, 0u);
+  EXPECT_EQ(rig.store.stats().aborts, 0u);
+}
+
 // ------------------------------------------------------------ Workloads
 
 TEST(WorkloadTest, YcsbMixShapes) {
@@ -434,7 +476,6 @@ TEST(WorkloadTest, YcsbMixShapes) {
           case OpKind::kScan: ++scans; break;
           case OpKind::kInsert: ++inserts; break;
           case OpKind::kRmw: ++rmws; break;
-          case OpKind::kRemove: break;
         }
       }
     }

@@ -64,10 +64,12 @@
 //
 // Exit codes: 0 success, 1 usage error, 2 compile/run failure.
 #include <algorithm>
+#include <charconv>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <functional>
+#include <limits>
 #include <map>
 #include <memory>
 #include <sstream>
@@ -149,6 +151,56 @@ bool write_binary(const std::string& path,
   out.write(reinterpret_cast<const char*>(bytes.data()),
             static_cast<std::streamsize>(bytes.size()));
   return static_cast<bool>(out);
+}
+
+/// A numeric flag that is malformed or out of range; main() answers it
+/// with the usage message and exit code 1.
+struct BadFlag {};
+
+/// Strict numeric flag: the whole token must be a number in [lo, hi], as
+/// in Gateway::decode_route (std::stoull would take "2x" as 2 and wrap
+/// "-1" to 2^64-1). An absent flag yields `fallback`.
+template <typename T>
+T numeric_flag(const std::map<std::string, std::string>& flags,
+               const char* key, T fallback, T lo, T hi) {
+  const auto it = flags.find(key);
+  if (it == flags.end()) return fallback;
+  const std::string& token = it->second;
+  const char* last = token.data() + token.size();
+  T value{};
+  const auto [ptr, ec] = std::from_chars(token.data(), last, value);
+  if (token.empty() || ec != std::errc() || ptr != last ||
+      !(value >= lo && value <= hi)) {
+    throw BadFlag{};
+  }
+  return value;
+}
+
+/// A finite, non-negative real.
+double flag_double(const std::map<std::string, std::string>& flags,
+                   const char* key, double fallback) {
+  return numeric_flag(flags, key, fallback, 0.0,
+                      std::numeric_limits<double>::max());
+}
+
+std::uint64_t flag_u64(
+    const std::map<std::string, std::string>& flags, const char* key,
+    std::uint64_t fallback,
+    std::uint64_t max = std::numeric_limits<std::uint64_t>::max()) {
+  return numeric_flag<std::uint64_t>(flags, key, fallback, 0, max);
+}
+
+/// Caps that keep a flag from wrapping its conversion or exhausting
+/// memory: one simulated day, at most 65,536 function aliases, and at
+/// most a million requests from the single-cluster commands.
+constexpr std::uint64_t kMaxMillis = 86'400'000;
+constexpr std::uint64_t kMaxMicros = 1000 * kMaxMillis;
+constexpr std::uint64_t kMaxFunctions = 65'536;
+constexpr int kMaxRequests = 1'000'000;
+
+int flag_requests(const std::map<std::string, std::string>& flags,
+                  int fallback) {
+  return numeric_flag(flags, "--requests", fallback, 0, kMaxRequests);
 }
 
 // Simple flag map: --name value pairs after the positional arguments.
@@ -284,9 +336,7 @@ int cmd_run(int argc, char** argv) {
   else if (cost_name != "npu") return usage();
 
   microc::Invocation inv;
-  auto num = [&](const char* key) -> std::uint64_t {
-    return flags.count(key) ? std::stoull(flags[key]) : 0;
-  };
+  auto num = [&](const char* key) { return flag_u64(flags, key, 0); };
   inv.headers.fields[microc::kHdrWorkloadId] = num("--wid");
   inv.headers.fields[microc::kHdrOp] = num("--op");
   inv.headers.fields[microc::kHdrKey] = num("--key");
@@ -364,8 +414,7 @@ int cmd_trace(int argc, char** argv) {
   if (argc < 3) return usage();
   const std::string scenario_name = argv[2];
   auto flags = parse_flags(argc, argv, 3);
-  const int requests =
-      flags.count("--requests") ? std::stoi(flags["--requests"]) : 1;
+  const int requests = flag_requests(flags, 1);
   const std::string out_path =
       flags.count("--out") ? flags["--out"] : "trace.json";
 
@@ -432,8 +481,7 @@ int cmd_trace(int argc, char** argv) {
 
 int cmd_metrics(int argc, char** argv) {
   auto flags = parse_flags(argc, argv, 2);
-  const int requests =
-      flags.count("--requests") ? std::stoi(flags["--requests"]) : 20;
+  const int requests = flag_requests(flags, 20);
 
   core::ClusterConfig config;
   config.workers = 2;
@@ -451,7 +499,6 @@ int cmd_metrics(int argc, char** argv) {
     }
     monitor.watch_backend("worker" + std::to_string(i), backend);
   }
-  monitor.watch_gateway(&cluster.gateway());
   monitor.watch_packet_tracer(&packet_tracer);
 
   auto deployed = cluster.deploy(workloads::make_standard_workloads());
@@ -501,8 +548,7 @@ int cmd_metrics(int argc, char** argv) {
 
 int cmd_flightrec(int argc, char** argv) {
   auto flags = parse_flags(argc, argv, 2);
-  const int requests =
-      flags.count("--requests") ? std::stoi(flags["--requests"]) : 24;
+  const int requests = flag_requests(flags, 24);
 
   // Clean slate so the dump shows only this run's anomalies.
   flightrec::FlightRecorder::global().clear();
@@ -554,8 +600,7 @@ int cmd_flightrec(int argc, char** argv) {
 
 int cmd_timeline(int argc, char** argv) {
   auto flags = parse_flags(argc, argv, 2);
-  const int requests =
-      flags.count("--requests") ? std::stoi(flags["--requests"]) : 12;
+  const int requests = flag_requests(flags, 12);
   const std::string out_path =
       flags.count("--out") ? flags["--out"] : "timeline.json";
 
@@ -618,18 +663,6 @@ int cmd_timeline(int argc, char** argv) {
 
 // ---------------------------------------------------------------- loadgen
 
-double flag_double(const std::map<std::string, std::string>& flags,
-                   const char* key, double fallback) {
-  const auto it = flags.find(key);
-  return it == flags.end() ? fallback : std::stod(it->second);
-}
-
-std::uint64_t flag_u64(const std::map<std::string, std::string>& flags,
-                       const char* key, std::uint64_t fallback) {
-  const auto it = flags.find(key);
-  return it == flags.end() ? fallback : std::stoull(it->second);
-}
-
 int cmd_loadgen_synth(const std::map<std::string, std::string>& flags) {
   loadgen::SynthSpec spec;
   const std::string pattern =
@@ -643,11 +676,11 @@ int cmd_loadgen_synth(const std::map<std::string, std::string>& flags) {
   } else {
     return usage();
   }
-  spec.duration = milliseconds(
-      static_cast<std::int64_t>(flag_u64(flags, "--duration-ms", 1000)));
+  spec.duration = milliseconds(static_cast<std::int64_t>(
+      flag_u64(flags, "--duration-ms", 1000, kMaxMillis)));
   spec.base_rps = flag_double(flags, "--rate", 1000.0);
   spec.peak_rps = flag_double(flags, "--peak", 4.0 * spec.base_rps);
-  spec.functions = flag_u64(flags, "--functions", 8);
+  spec.functions = flag_u64(flags, "--functions", 8, kMaxFunctions);
   spec.zipf_s = flag_double(flags, "--zipf", 0.9);
   spec.seed = flag_u64(flags, "--seed", 1);
 
@@ -699,7 +732,7 @@ int run_loadgen(const std::map<std::string, std::string>& flags,
 
   loadgen::LoadGenConfig lg;
   lg.slo.deadline = microseconds(static_cast<std::int64_t>(
-      flag_u64(flags, "--deadline-us", 2000)));
+      flag_u64(flags, "--deadline-us", 2000, kMaxMicros)));
   auto generator = make_generator(
       cluster.sim(), lg,
       loadgen::gateway_sink(cluster.gateway(),
@@ -755,9 +788,10 @@ int cmd_loadgen(int argc, char** argv) {
 
   if (mode == "poisson") {
     const double rate = flag_double(flags, "--rate", 2000.0);
-    const SimDuration duration = milliseconds(
-        static_cast<std::int64_t>(flag_u64(flags, "--duration-ms", 500)));
-    const std::size_t n_functions = flag_u64(flags, "--functions", 8);
+    const SimDuration duration = milliseconds(static_cast<std::int64_t>(
+        flag_u64(flags, "--duration-ms", 500, kMaxMillis)));
+    const std::size_t n_functions =
+        flag_u64(flags, "--functions", 8, kMaxFunctions);
     const double zipf = flag_double(flags, "--zipf", 0.9);
     // A silent stream or an empty alias set would offer nothing.
     if (!loadgen::offers_load(rate) || n_functions == 0) return usage();
@@ -845,8 +879,8 @@ int cmd_kv(int argc, char** argv) {
   std::function<kvstore::TxnRequest()> next;
   if (mix_name == "tpcc") {
     kvstore::TpccLiteConfig wconfig;
-    wconfig.warehouses =
-        static_cast<std::uint32_t>(flag_u64(flags, "--warehouses", 1));
+    wconfig.warehouses = static_cast<std::uint32_t>(flag_u64(
+        flags, "--warehouses", 1, std::numeric_limits<std::uint32_t>::max()));
     wconfig.seed = seed;
     auto workload = std::make_shared<kvstore::TpccLiteWorkload>(wconfig);
     workload->populate(&store);
@@ -955,14 +989,18 @@ int cmd_kv(int argc, char** argv) {
 int main(int argc, char** argv) {
   if (argc < 2) return usage();
   const std::string command = argv[1];
-  if (command == "compile") return cmd_compile(argc, argv);
-  if (command == "disasm") return cmd_disasm(argc, argv);
-  if (command == "run") return cmd_run(argc, argv);
-  if (command == "trace") return cmd_trace(argc, argv);
-  if (command == "metrics") return cmd_metrics(argc, argv);
-  if (command == "flightrec") return cmd_flightrec(argc, argv);
-  if (command == "timeline") return cmd_timeline(argc, argv);
-  if (command == "loadgen") return cmd_loadgen(argc, argv);
-  if (command == "kv") return cmd_kv(argc, argv);
+  try {
+    if (command == "compile") return cmd_compile(argc, argv);
+    if (command == "disasm") return cmd_disasm(argc, argv);
+    if (command == "run") return cmd_run(argc, argv);
+    if (command == "trace") return cmd_trace(argc, argv);
+    if (command == "metrics") return cmd_metrics(argc, argv);
+    if (command == "flightrec") return cmd_flightrec(argc, argv);
+    if (command == "timeline") return cmd_timeline(argc, argv);
+    if (command == "loadgen") return cmd_loadgen(argc, argv);
+    if (command == "kv") return cmd_kv(argc, argv);
+  } catch (const BadFlag&) {
+    // Falls through to the usage message.
+  }
   return usage();
 }

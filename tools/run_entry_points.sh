@@ -3,7 +3,8 @@
 # where the bench has it), every example, and the lnicctl commands
 # README lists. Stops at the first command that exits non-zero, and also
 # requires `lnicctl loadgen poisson` to reject a rate that offers no
-# load. Outputs land in a temporary directory that is removed on exit.
+# load and numeric flags that are malformed or negative. Outputs land in
+# a temporary directory that is removed on exit.
 #
 #   tools/run_entry_points.sh <build-dir>
 set -euo pipefail
@@ -88,5 +89,7 @@ run "$lnicctl" loadgen synth --out burst.trace --pattern burst \
 run "$lnicctl" loadgen trace burst.trace --deadline-us 2000
 expect_usage "$lnicctl" loadgen poisson --rate 0
 expect_usage "$lnicctl" loadgen poisson --functions 0
+expect_usage "$lnicctl" loadgen poisson --rate abc
+expect_usage "$lnicctl" loadgen poisson --functions -1
 
 echo "all $ran entry points passed"
