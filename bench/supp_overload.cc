@@ -82,8 +82,7 @@ struct LossResult {
 LossResult run_loss(bool adaptive, double loss, std::uint32_t senders,
                     std::uint64_t total) {
   sim::Simulator sim;
-  net::Network network(sim, net::LinkConfig{},
-                       net::FaultConfig{.drop_probability = loss},
+  net::Network network(sim, net::FaultConfig{.drop_probability = loss},
                        /*seed=*/5);
   EchoPool pool(sim, network, 4, microseconds(20));
 

@@ -67,7 +67,6 @@ int main(int argc, char** argv) {
   hc.probe_interval = milliseconds(100);
   hc.probe_timeout = milliseconds(30);
   hc.max_failures = 2;
-  hc.probe_workload = workloads::kWebServerId;
   framework::HealthChecker checker(sim, network, gateway, hc);
   checker.watch(w0->node(), workloads::encode_web_request(0));
   checker.watch(w1->node(), workloads::encode_web_request(0));

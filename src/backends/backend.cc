@@ -38,7 +38,7 @@ Status LambdaNicBackend::deploy(workloads::WorkloadBundle bundle) {
 Capacity LambdaNicBackend::capacity() const {
   Capacity cap;
   cap.instr_store_words = nic_.config().instr_store_words;
-  cap.memory_bytes = nic_.config().emem_bytes;
+  cap.memory_bytes = microc::kEmemCapacity;
   cap.threads = nic_.config().lambda_threads();
   cap.on_nic = true;
   return cap;

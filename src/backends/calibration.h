@@ -1,15 +1,17 @@
 // Calibration constants for the three serverless backends (§6.1.1).
 //
-// These are the ONLY tuned constants in the reproduction: they pin the
-// single-lambda, isolated operating points of Figure 6 near the paper's
-// values. Everything else — tails, contention behaviour, throughput
-// scaling, optimizer effects — emerges from the models. Sources for the
-// magnitudes are noted inline.
+// These are the per-backend tuned constants of the reproduction: they
+// pin the single-lambda, isolated operating points of Figure 6 near the
+// paper's values. Everything else — tails, contention behaviour,
+// throughput scaling, optimizer effects — emerges from the models.
+// Sources for the magnitudes are noted inline. Facts of the one testbed
+// that no backend varies (link speed, jitter, RDMA and cache service
+// times, Raft timers, region budgets) are named constants where they are
+// used, each with its own source.
 #pragma once
 
 #include "common/types.h"
 #include "hostsim/host.h"
-#include "microc/interp.h"
 #include "nicsim/nic.h"
 
 namespace lnic::backends {
@@ -25,8 +27,6 @@ inline nicsim::NicConfig lambda_nic_config() {
   config.threads_per_core = 8;
   config.reserved_cores = 2;
   config.instr_store_words = 16384;
-  config.emem_bytes = 2048_MiB;
-  config.firmware_load_time = seconds(15);  // no hot swap on current NICs (§7)
   return config;
 }
 
@@ -40,12 +40,9 @@ inline hostsim::HostConfig bare_metal_config(std::uint32_t threads = 56) {
   hostsim::HostConfig config;
   config.cores = 56;
   config.worker_threads = threads;
-  config.gil_limit = 1;  // CPython: one interpreter execution at a time
-  config.context_switch = microseconds(300);
   config.rx_per_packet = microseconds(15);
   config.tx_per_packet = microseconds(10);
   config.per_request = microseconds(110);
-  config.cost = microc::CostModel::host_python();
   return config;
 }
 
@@ -66,13 +63,10 @@ inline hostsim::HostConfig container_config(std::uint32_t threads = 56) {
   hostsim::HostConfig config;
   config.cores = 56;
   config.worker_threads = threads;
-  config.gil_limit = 1;
   config.serialize_runtime = true;  // one classic watchdog per container
-  config.context_switch = microseconds(300);
   config.rx_per_packet = microseconds(55);
   config.tx_per_packet = microseconds(55);
   config.per_request = microseconds(10300);
-  config.cost = microc::CostModel::host_python();
   config.hiccup_max = microseconds(1500);  // cgroup throttling spikes
   return config;
 }
@@ -97,7 +91,7 @@ constexpr Bytes kBareMetalArtifact = 17_MiB;
 constexpr Bytes kContainerArtifact = 153_MiB;
 
 /// Boot-phase durations (dominated by toolchain/runtime, not transfer).
-constexpr SimDuration kNicFlashTime = seconds(15);       // firmware load (§7)
+constexpr SimDuration kNicFlashTime = nicsim::kFirmwareLoadTime;  // §7
 constexpr SimDuration kNicWarmupTime = milliseconds(4707);  // driver re-probe
 constexpr SimDuration kBareMetalSetupTime = milliseconds(4857);
 constexpr SimDuration kContainerUnpackPerMiB = milliseconds(142);  // pull+untar

@@ -9,17 +9,26 @@
 
 namespace lnic {
 
+/// SplitMix64's increment (2^64 / golden ratio).
+constexpr std::uint64_t kSplitMixGamma = 0x9E3779B97F4A7C15ull;
+
+/// SplitMix64's output finalizer, a bijective 64-bit mix. Rng expands its
+/// seed with it, and the retry paths hash (id, attempt) through it for
+/// deterministic jitter that draws nothing from an Rng.
+constexpr std::uint64_t splitmix64(std::uint64_t z) {
+  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
+  z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
+  return z ^ (z >> 31);
+}
+
 class Rng {
  public:
   explicit Rng(std::uint64_t seed) {
     // SplitMix64 expansion of the seed into four non-zero words.
     std::uint64_t x = seed;
     for (auto& word : state_) {
-      x += 0x9E3779B97F4A7C15ull;
-      std::uint64_t z = x;
-      z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
-      z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
-      word = z ^ (z >> 31);
+      x += kSplitMixGamma;
+      word = splitmix64(x);
     }
   }
 

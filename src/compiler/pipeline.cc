@@ -4,6 +4,7 @@
 #include "compiler/dce.h"
 #include "compiler/isolation.h"
 #include "compiler/match_reduce.h"
+#include "compiler/stratify.h"
 #include "microc/verify.h"
 #include "p4/lower.h"
 
@@ -38,7 +39,7 @@ Result<CompileOutput> compile(const p4::MatchSpec& spec,
   }
 
   if (options.run_stratification) {
-    stratify_memory(out.program, options.memory);
+    stratify_memory(out.program);
     out.stages.push_back({"memory-stratification",
                           microc::code_size(out.program)});
   }

@@ -15,7 +15,6 @@
 #include <vector>
 
 #include "common/result.h"
-#include "compiler/stratify.h"
 #include "microc/ir.h"
 #include "p4/p4.h"
 
@@ -25,7 +24,6 @@ struct Options {
   bool run_coalescing = true;
   bool run_match_reduction = true;
   bool run_stratification = true;
-  TargetMemorySpec memory;
   /// Per-core instruction store limit (16 K instructions, §6.1.2).
   std::uint64_t instruction_store_words = 16384;
 

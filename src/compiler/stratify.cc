@@ -11,8 +11,7 @@ using microc::MemObject;
 using microc::MemRegion;
 using microc::PlacementHint;
 
-std::size_t stratify_memory(microc::Program& program,
-                            const TargetMemorySpec& spec) {
+std::size_t stratify_memory(microc::Program& program) {
   estimate_object_accesses(program);
 
   // Order objects by placement priority: hot pragmas first, then by
@@ -33,9 +32,9 @@ std::size_t stratify_memory(microc::Program& program,
     return density(a) > density(b);
   });
 
-  Bytes local_left = spec.local_capacity;
-  Bytes ctm_left = spec.ctm_capacity;
-  Bytes imem_left = spec.imem_capacity;
+  Bytes local_left = microc::kLocalCapacity;
+  Bytes ctm_left = microc::kCtmCapacity;
+  Bytes imem_left = microc::kImemCapacity;
   std::size_t moved = 0;
 
   for (std::size_t i : order) {

@@ -10,22 +10,14 @@
 // sequences) and the interpreter's per-access cycle charges.
 #pragma once
 
-#include "common/types.h"
 #include "microc/ir.h"
 
 namespace lnic::compiler {
 
-/// Capacity budget of one NPU core's reachable memories, per program.
-struct TargetMemorySpec {
-  Bytes local_capacity = 4_KiB;    // per-core local memory
-  Bytes ctm_capacity = 256_KiB;    // island CTM share
-  Bytes imem_capacity = 4_MiB;     // on-chip IMEM share
-  Bytes emem_capacity = 2048_MiB;  // external DRAM (2 GiB card, §6.1.2)
-};
-
-/// Assigns MemObject::region for every object. Returns the number of
-/// objects moved out of EMEM (the naïve layout places everything there).
-std::size_t stratify_memory(microc::Program& program,
-                            const TargetMemorySpec& spec = {});
+/// Assigns MemObject::region for every object, under the card's region
+/// budgets (microc::kLocalCapacity, kCtmCapacity, kImemCapacity).
+/// Returns the number of objects moved out of EMEM (the naïve layout
+/// places everything there).
+std::size_t stratify_memory(microc::Program& program);
 
 }  // namespace lnic::compiler

@@ -12,7 +12,7 @@ std::vector<backends::BackendKind> ClusterConfig::effective_worker_kinds()
 
 Cluster::Cluster(ClusterConfig config)
     : config_(config),
-      network_(sim_, config.link, config.faults, config.seed),
+      network_(sim_, config.faults, config.seed),
       storage_(backends::kMgmtBandwidthBps) {
   gateway_ = std::make_unique<framework::Gateway>(sim_, network_,
                                                   config.gateway);
@@ -24,8 +24,7 @@ Cluster::Cluster(ClusterConfig config)
   manager_ = std::make_unique<framework::WorkloadManager>(sim_, storage_,
                                                           etcd_.get());
   for (const backends::BackendKind kind : config.effective_worker_kinds()) {
-    workers_.push_back(backends::make_backend(kind, sim_, network_,
-                                              config.worker_threads));
+    workers_.push_back(backends::make_backend(kind, sim_, network_));
     workers_.back()->set_kv_server(cache_->node());
   }
   if (etcd_) gateway_->sync_with(*etcd_);

@@ -40,10 +40,8 @@ struct ClusterConfig {
   // overrides `workers`/`backend`; when empty the cluster is homogeneous
   // (`workers` copies of `backend`), as before.
   std::vector<backends::BackendKind> worker_kinds;
-  std::uint32_t worker_threads = 56;
   bool with_etcd = true;
   std::uint32_t etcd_nodes = 3;
-  net::LinkConfig link;
   net::FaultConfig faults;
   framework::GatewayConfig gateway;
   std::uint64_t seed = 7;

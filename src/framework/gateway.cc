@@ -11,6 +11,13 @@
 namespace lnic::framework {
 
 namespace {
+/// Routing/NAT lookup cost per proxied request.
+constexpr SimDuration kProxyOverhead = microseconds(20);
+/// How long a failed-over worker stays out of the rotation before it
+/// becomes eligible again (a HealthChecker probe can reinstate it
+/// earlier — or keep extending the quarantine while probes fail).
+constexpr SimDuration kQuarantineCooldown = seconds(2);
+
 /// Strict non-negative integer parse: the whole token must be digits
 /// (std::stoul would accept "2x" as 2 and wrap "-1" to a huge value).
 std::optional<std::uint64_t> parse_u64(const std::string& token) {
@@ -334,7 +341,7 @@ void Gateway::remove_worker(NodeId worker) {
 
 void Gateway::quarantine_worker(NodeId worker) {
   const bool fresh = !is_quarantined(worker);
-  quarantined_until_[worker] = sim_.now() + config_.quarantine_cooldown;
+  quarantined_until_[worker] = sim_.now() + kQuarantineCooldown;
   if (fresh) {
     metrics_.counter("gateway_quarantine_total").increment();
     flightrec::FlightRecorder::global().record(
@@ -345,7 +352,7 @@ void Gateway::quarantine_worker(NodeId worker) {
       static_cast<double>(quarantined_until_.size());
   // Cooldown lapse reinstates automatically even without a HealthChecker
   // (failed requests then re-quarantine if the worker is still dead).
-  sim_.schedule(config_.quarantine_cooldown, [this, worker] {
+  sim_.schedule(kQuarantineCooldown, [this, worker] {
     const auto it = quarantined_until_.find(worker);
     if (it != quarantined_until_.end() && it->second <= sim_.now()) {
       quarantined_until_.erase(it);
@@ -405,7 +412,7 @@ void Gateway::dispatch(FunctionState& fn, net::BufferView payload,
   }
   // Proxy/NAT lookup happens before the request leaves the gateway; the
   // route is re-resolved *after* the lookup so an etcd update landing
-  // during proxy_overhead is honored instead of sending to a stale copy.
+  // during the proxy overhead is honored instead of sending to a stale copy.
   auto proxied = [this, fn = &fn, started, attempts_left, ctx, proxy_span,
                   payload = std::move(payload),
                   callback = std::move(callback)]() mutable {
@@ -418,7 +425,7 @@ void Gateway::dispatch(FunctionState& fn, net::BufferView payload,
   // One event per request: keep it inside sim::EventFn's 128-byte
   // inline buffer rather than a heap cell.
   static_assert(sizeof(proxied) <= 128);
-  sim_.schedule(config_.proxy_overhead, std::move(proxied));
+  sim_.schedule(kProxyOverhead, std::move(proxied));
 }
 
 void Gateway::send_to_worker(FunctionState& fn, net::BufferView payload,

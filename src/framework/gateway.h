@@ -38,15 +38,9 @@
 namespace lnic::framework {
 
 struct GatewayConfig {
-  /// Routing/NAT lookup cost per proxied request.
-  SimDuration proxy_overhead = microseconds(20);
   /// On transport failure (retransmissions exhausted — worker dead),
   /// fail the request over to the next replica up to this many times.
   std::uint32_t failover_attempts = 1;
-  /// How long a failed-over worker stays out of the rotation before it
-  /// becomes eligible again (a HealthChecker probe can reinstate it
-  /// earlier — or keep extending the quarantine while probes fail).
-  SimDuration quarantine_cooldown = seconds(2);
   /// Per-function concurrency cap; 0 disables the limiter (legacy
   /// behavior: every admitted request dispatches immediately).
   std::uint32_t max_inflight_per_function = 0;
@@ -144,7 +138,7 @@ class Gateway {
   /// handling uses quarantine_worker instead).
   void remove_worker(NodeId worker);
 
-  /// Sidelines a worker for `quarantine_cooldown`: it stays in every
+  /// Sidelines a worker for a two-second cooldown: it stays in every
   /// route but the dispatcher skips it while quarantined. Re-quarantining
   /// extends the cooldown.
   void quarantine_worker(NodeId worker);

@@ -2,6 +2,13 @@
 
 namespace lnic::framework {
 
+namespace {
+/// Workload ID of the probe request (must be routable on the worker;
+/// kInvalidWorkload probes are counted to the host path but still
+/// elicit no response, so use a real lambda's ID: 1 is the web server).
+constexpr WorkloadId kProbeWorkload = 1;
+}  // namespace
+
 HealthChecker::HealthChecker(sim::Simulator& sim, net::Network& network,
                              Gateway& gateway, HealthConfig config)
     : sim_(sim),
@@ -22,7 +29,7 @@ void HealthChecker::probe_all() {
   for (auto& [worker, state] : state_) {
     const NodeId target = worker;
     WorkerState* ws = &state;
-    rpc_.call(target, config_.probe_workload, ws->payload,
+    rpc_.call(target, kProbeWorkload, ws->payload,
               [this, target, ws](Result<proto::RpcResponse> result) {
                 if (result.ok()) {
                   ws->consecutive_failures = 0;

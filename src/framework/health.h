@@ -23,10 +23,6 @@ struct HealthConfig {
   SimDuration probe_interval = milliseconds(500);
   SimDuration probe_timeout = milliseconds(100);
   std::uint32_t max_failures = 3;
-  /// Workload ID of the probe request (must be routable on the worker;
-  /// kInvalidWorkload probes are counted to the host path but still
-  /// elicit no response, so use a real lambda's ID).
-  WorkloadId probe_workload = 1;
 };
 
 class HealthChecker {

@@ -13,6 +13,22 @@ using microc::RunState;
 using net::Packet;
 using net::PacketKind;
 
+namespace {
+/// Parallelism of interpreted lambda execution. 1 = CPython GIL.
+constexpr std::uint32_t kGilLimit = 1;
+/// Cost of the GIL slot switching to a different lambda (register/TLB
+/// state, cache refill, interpreter state swap).
+constexpr SimDuration kContextSwitch = microseconds(300);
+/// Execution cost model (host_python for both baselines).
+const microc::CostModel kCost = microc::CostModel::host_python();
+/// Multiplicative service jitter (uniform in [1, 1+kJitterFraction]) and
+/// the chance of a scheduler/GC hiccup on each execution.
+constexpr double kJitterFraction = 0.20;
+constexpr double kHiccupProbability = 0.02;
+constexpr std::size_t kMaxQueueDepth = 8192;
+constexpr std::uint64_t kSeed = 0xB057;
+}  // namespace
+
 struct HostServer::Job {
   net::LambdaHeader lambda;
   NodeId reply_to = kInvalidNode;
@@ -38,24 +54,21 @@ HostServer::~HostServer() = default;
 
 HostServer::HostServer(sim::Simulator& sim, net::Network& network,
                        HostConfig config)
-    : sim_(sim), network_(network), config_(config), rng_(config.seed) {
+    : sim_(sim), network_(network), config_(config), rng_(kSeed) {
   node_ = network_.attach([this](const Packet& p) { handle_packet(p); });
   kernel_.capacity = config_.cores;
   runtime_.capacity = config_.serialize_runtime ? 1 : config_.cores;
-  gil_.capacity = std::min(config_.gil_limit, config_.cores);
+  gil_.capacity = std::min(kGilLimit, config_.cores);
 }
 
 void HostServer::deploy(microc::Program program) {
   // Jobs parked on a KV call keep the instance they started on.
-  image_ = std::make_shared<microc::Deployment>(std::move(program),
-                                                config_.cost);
+  image_ = std::make_shared<microc::Deployment>(std::move(program), kCost);
 }
 
 SimDuration HostServer::jittered(SimDuration base) {
-  if (config_.jitter_fraction <= 0.0) return base;
   return static_cast<SimDuration>(
-      static_cast<double>(base) *
-      (1.0 + rng_.next_double() * config_.jitter_fraction));
+      static_cast<double>(base) * (1.0 + rng_.next_double() * kJitterFraction));
 }
 
 void HostServer::handle_packet(const Packet& packet) {
@@ -97,7 +110,7 @@ void HostServer::handle_request(const Packet& packet, net::BufferView body) {
 }
 
 void HostServer::admit(std::unique_ptr<Job> job) {
-  if (admission_.size() >= config_.max_queue_depth) {
+  if (admission_.size() >= kMaxQueueDepth) {
     ++stats_.requests_dropped;
     return;
   }
@@ -216,7 +229,7 @@ void HostServer::run_gil(std::unique_ptr<Job> job) {
     ++busy_units_;
     SimDuration service = 0;
     if (gil_last_workload_ != job->lambda.workload_id) {
-      service += config_.context_switch;
+      service += kContextSwitch;
       ++stats_.context_switches;
       gil_last_workload_ = job->lambda.workload_id;
     }
@@ -230,9 +243,8 @@ void HostServer::run_gil(std::unique_ptr<Job> job) {
     }
     const std::uint64_t delta = outcome.cycles - job->cycles_reported;
     job->cycles_reported = outcome.cycles;
-    SimDuration exec = jittered(config_.cost.cycles_to_duration(delta));
-    if (config_.hiccup_probability > 0.0 &&
-        rng_.next_bool(config_.hiccup_probability)) {
+    SimDuration exec = jittered(kCost.cycles_to_duration(delta));
+    if (rng_.next_bool(kHiccupProbability)) {
       exec += static_cast<SimDuration>(rng_.next_below(
           static_cast<std::uint64_t>(std::max<SimDuration>(
               config_.hiccup_max, 1))));

@@ -10,7 +10,7 @@
 //                                         containers, veth/OVS/conntrack;
 //   runtime stage (capacity = cores, or 1 per-request dispatch — watchdog
 //                  when serialize_runtime)  fork/IPC, gateway NAT;
-//   GIL stage     (capacity = gil_limit)  the lambda's interpreted
+//   GIL stage     (capacity = 1)          the lambda's interpreted
 //                                         execution — CPython's global
 //                                         interpreter lock serializes it
 //                                         no matter how many cores exist.
@@ -50,28 +50,16 @@ struct HostConfig {
   /// Service concurrency: how many lambda invocations the runtime admits
   /// at once (the "1 thread" / "56 threads" axis of Fig. 7).
   std::uint32_t worker_threads = 56;
-  /// Parallelism of interpreted lambda execution. 1 = CPython GIL.
-  std::uint32_t gil_limit = 1;
   /// Serialize the per-request runtime dispatch (OpenFaaS classic
   /// watchdog forks one request at a time inside the container).
   bool serialize_runtime = false;
-  /// Cost of the GIL slot switching to a different lambda (register/TLB
-  /// state, cache refill, interpreter state swap).
-  SimDuration context_switch = microseconds(300);
   /// Kernel network stack + virtualization cost per packet.
   SimDuration rx_per_packet = microseconds(15);
   SimDuration tx_per_packet = microseconds(10);
   /// Runtime dispatch per request (watchdog fork/IPC, NAT/conntrack).
   SimDuration per_request = microseconds(110);
-  /// Execution cost model (host_python for both baselines).
-  microc::CostModel cost = microc::CostModel::host_python();
-  /// Multiplicative service jitter (uniform in [1, 1+jitter_fraction])
-  /// and rare scheduler/GC hiccups appended to execution.
-  double jitter_fraction = 0.20;
-  double hiccup_probability = 0.02;
+  /// Bound of the rare scheduler/GC hiccups appended to execution.
   SimDuration hiccup_max = microseconds(500);
-  std::size_t max_queue_depth = 8192;
-  std::uint64_t seed = 0xB057;
 };
 
 struct HostStats {

@@ -5,6 +5,11 @@ namespace lnic::kvstore {
 using net::Packet;
 using net::PacketKind;
 
+namespace {
+constexpr SimDuration kGetService = microseconds(4);  // memcached-scale op cost
+constexpr SimDuration kSetService = microseconds(6);
+}  // namespace
+
 CacheServer::CacheServer(sim::Simulator& sim, net::Network& network,
                          CacheConfig config)
     : sim_(sim), network_(network), config_(config) {
@@ -64,8 +69,7 @@ void CacheServer::handle_packet(const Packet& packet) {
     reply = 0;
   }
 
-  const SimDuration service =
-      is_set ? config_.set_service : config_.get_service;
+  const SimDuration service = is_set ? kSetService : kGetService;
   Packet response;
   response.src = node_;
   response.dst = packet.src;

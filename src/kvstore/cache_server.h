@@ -20,8 +20,6 @@ namespace lnic::kvstore {
 
 struct CacheConfig {
   std::size_t capacity = 1 << 20;          // max resident entries
-  SimDuration get_service = microseconds(4);   // memcached-scale op cost
-  SimDuration set_service = microseconds(6);
 };
 
 struct CacheStats {

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/flightrec.h"
+#include "common/rng.h"
 #include "net/packet.h"
 
 namespace lnic::kvstore {
@@ -22,17 +23,14 @@ const char* to_string(LockProtocol proto) {
 
 namespace {
 
+/// Cost of touching one NIC-cached page (match/action + SRAM read).
+constexpr SimDuration kNicNodeService = nanoseconds(250);
+/// Retry backoff: doubles per aborted attempt from the base up to the cap.
+constexpr SimDuration kBackoffBase = microseconds(5);
+constexpr SimDuration kBackoffCap = microseconds(80);
+
 bool compatible(LockMode a, LockMode b) {
   return a == LockMode::kShared && b == LockMode::kShared;
-}
-
-/// Deterministic jitter for txn retry backoff — same SplitMix64-style
-/// hash as proto/rpc.cc so replays stay bit-reproducible.
-std::uint64_t jitter_hash(TxnId id, std::uint32_t attempt) {
-  std::uint64_t z = id * 0x9E3779B97F4A7C15ull + attempt;
-  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
-  z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
-  return z ^ (z >> 31);
 }
 
 std::uint64_t read_u64_at(const net::BufferView& body, std::size_t at) {
@@ -201,9 +199,8 @@ TxnStore::TxnStore(sim::Simulator& sim, net::Network& network,
     : sim_(sim),
       network_(network),
       config_(config),
-      tree_(config.btree),
       cache_(config.nic_cache_nodes),
-      host_(sim, network, config.host),
+      host_(sim, network),
       qp_(sim, network) {
   node_ = network_.attach([this](const Packet& p) { handle_packet(p); });
 }
@@ -349,7 +346,7 @@ void TxnStore::step_page(TxnId id) {
   }
   const PageId page = st.pages[st.page_idx++];
   if (cache_.access(page)) {
-    sim_.schedule(config_.nic_node_service, [this, id]() { step_page(id); });
+    sim_.schedule(kNicNodeService, [this, id]() { step_page(id); });
   } else {
     ++stats_.page_fetches;
     qp_.read(host_.node(),
@@ -484,17 +481,16 @@ void TxnStore::resume_granted(const std::vector<TxnId>& granted) {
 }
 
 SimDuration TxnStore::backoff_delay(const TxnState& state) const {
-  SimDuration base = config_.backoff_base;
-  for (std::uint32_t i = 1;
-       i < state.attempt && base < config_.backoff_cap; ++i) {
-    base = std::min<SimDuration>(config_.backoff_cap, base * 2);
+  SimDuration base = kBackoffBase;
+  for (std::uint32_t i = 1; i < state.attempt && base < kBackoffCap; ++i) {
+    base = std::min<SimDuration>(kBackoffCap, base * 2);
   }
-  if (base > 4) {
-    // Up to 25% deterministic jitter, as in proto/rpc.cc retransmits.
-    base += static_cast<SimDuration>(
-        jitter_hash(state.id, state.attempt) %
-        static_cast<std::uint64_t>(base / 4));
-  }
+  // Up to 25% deterministic jitter, hashed as proto/rpc.cc's retransmits
+  // are, so replays stay bit-reproducible.
+  static_assert(kBackoffBase / 4 > 0);
+  base += static_cast<SimDuration>(
+      splitmix64(state.id * kSplitMixGamma + state.attempt) %
+      static_cast<std::uint64_t>(base / 4));
   return base;
 }
 

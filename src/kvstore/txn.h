@@ -138,19 +138,13 @@ struct TxnResult {
 };
 
 struct TxnStoreConfig {
-  BTreeConfig btree;
   /// NIC-resident page-cache capacity in nodes; 0 = host-backend
   /// baseline (every page access goes to host memory).
   std::size_t nic_cache_nodes = 256;
   LockProtocol protocol = LockProtocol::kNoWait;
-  /// Cost of touching one NIC-cached page (match/action + SRAM read).
-  SimDuration nic_node_service = nanoseconds(250);
   /// Abort/retry budget: a txn aborts up to max_retries times and is
   /// reported kAborted (retry-exhausted) on the next conflict.
   std::uint32_t max_retries = 8;
-  SimDuration backoff_base = microseconds(5);
-  SimDuration backoff_cap = microseconds(80);
-  proto::HostMemoryConfig host;
 };
 
 struct TxnStoreStats {

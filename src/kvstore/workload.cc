@@ -4,6 +4,13 @@
 
 namespace lnic::kvstore {
 
+namespace {
+constexpr std::size_t kOpsPerTxn = 4;        // YCSB ops per transaction
+constexpr std::uint16_t kMaxScanLen = 16;    // YCSB-E scan length bound
+constexpr std::uint32_t kDistrictsPerWh = 10;
+constexpr double kItemZipfS = 0.8;  // TPC-C-lite item popularity skew
+}  // namespace
+
 const char* to_string(YcsbMix mix) {
   switch (mix) {
     case YcsbMix::kA: return "A";
@@ -74,7 +81,7 @@ TxnOp YcsbWorkload::next_op() {
         op.kind = OpKind::kScan;
         op.key = key_for(rank);
         op.scan_len = static_cast<std::uint16_t>(
-            1 + rng_.next_below(config_.max_scan_len));
+            1 + rng_.next_below(kMaxScanLen));
       } else {
         op.kind = OpKind::kInsert;
         op.key = insert_cursor_++;
@@ -93,8 +100,8 @@ TxnOp YcsbWorkload::next_op() {
 
 TxnRequest YcsbWorkload::next() {
   TxnRequest req;
-  req.ops.reserve(config_.ops_per_txn);
-  for (std::size_t i = 0; i < config_.ops_per_txn; ++i) {
+  req.ops.reserve(kOpsPerTxn);
+  for (std::size_t i = 0; i < kOpsPerTxn; ++i) {
     req.ops.push_back(next_op());
   }
   return req;
@@ -104,17 +111,17 @@ TxnRequest YcsbWorkload::next() {
 
 TpccLiteWorkload::TpccLiteWorkload(TpccLiteConfig config)
     : config_(config),
-      zipf_(config.items, config.zipf_s, config.seed ^ 0x7C0C7C0C7C0C7C0Cull),
+      zipf_(kItems, kItemZipfS, config.seed ^ 0x7C0C7C0C7C0C7C0Cull),
       rng_(config.seed ^ 0x0DDC0DE50DDC0DE5ull) {}
 
 void TpccLiteWorkload::populate(TxnStore* store) {
   for (std::uint32_t w = 0; w < config_.warehouses; ++w) {
-    for (std::uint32_t d = 0; d < config_.districts_per_wh; ++d) {
+    for (std::uint32_t d = 0; d < kDistrictsPerWh; ++d) {
       store->load(district_key(w, d), 1);  // next_o_id starts at 1
     }
   }
   Rng loader(config_.seed ^ 0x57C0CED57C0CED57ull);
-  for (std::size_t i = 0; i < config_.items; ++i) {
+  for (std::size_t i = 0; i < kItems; ++i) {
     store->load(item_key(i), loader.next_u64());
     for (std::uint32_t w = 0; w < config_.warehouses; ++w) {
       store->load(stock_key(w, i), 100);  // initial stock quantity
@@ -127,7 +134,7 @@ TxnRequest TpccLiteWorkload::next_order() {
   const std::uint32_t w =
       static_cast<std::uint32_t>(rng_.next_below(config_.warehouses));
   const std::uint32_t d =
-      static_cast<std::uint32_t>(rng_.next_below(config_.districts_per_wh));
+      static_cast<std::uint32_t>(rng_.next_below(kDistrictsPerWh));
   // The hot spot: allocate the order id from the district row.
   req.ops.push_back({OpKind::kRmw, district_key(w, d), 1, 0});
   const std::size_t n_items = 5 + rng_.next_below(11);  // 5..15 lines

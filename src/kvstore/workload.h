@@ -25,9 +25,7 @@ struct YcsbConfig {
   /// Pre-loaded record count; must be a power of two (the key scrambler
   /// multiplies ranks by an odd constant mod records).
   std::size_t records = 1 << 14;
-  std::size_t ops_per_txn = 4;
   double zipf_s = 0.99;
-  std::uint16_t max_scan_len = 16;
   std::uint64_t seed = 1;
 };
 
@@ -66,9 +64,6 @@ struct TpccLiteConfig {
   /// Contention knob: district next-order rows are per-(warehouse,
   /// district), so fewer warehouses concentrate RMW traffic.
   std::uint32_t warehouses = 1;
-  std::uint32_t districts_per_wh = 10;
-  std::size_t items = 1 << 12;
-  double zipf_s = 0.8;  // item popularity skew
   std::uint64_t seed = 1;
 };
 
@@ -78,6 +73,10 @@ struct TpccLiteConfig {
 /// warehouse, and one order-row insert.
 class TpccLiteWorkload {
  public:
+  /// Item-table rows; populate() loads each with one stock row per
+  /// warehouse.
+  static constexpr std::size_t kItems = 1 << 12;
+
   explicit TpccLiteWorkload(TpccLiteConfig config);
 
   void populate(TxnStore* store);

@@ -152,15 +152,14 @@ void LoadGenerator::on_arrival(Request request, std::size_t slot) {
   // then re-arm) — ports stay bit-identical.
   ++inflight_;
   const SimTime intended = request.intended;
-  const SimTime dispatched = sim_.now();
-  sink_(request, [this, &stats, intended, dispatched](bool ok) {
+  sink_(request, [this, &stats, intended](bool ok) {
     --inflight_;
     if (ok) {
       ++completed_;
     } else {
       ++failed_;
     }
-    slo_.on_complete(stats, intended, dispatched, sim_.now(), ok);
+    slo_.on_complete(stats, intended, sim_.now(), ok);
     last_event_ = sim_.now();
   });
   arm_next();

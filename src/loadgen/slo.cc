@@ -52,8 +52,7 @@ void SloTracker::on_offered(FnStats& fn) {
 }
 
 void SloTracker::on_complete(FnStats& fn, SimTime intended,
-                             SimTime dispatched, SimTime completed,
-                             bool ok) {
+                             SimTime completed, bool ok) {
   if (!ok) {
     ++fn.failed;
     return;
@@ -61,7 +60,6 @@ void SloTracker::on_complete(FnStats& fn, SimTime intended,
   const double intended_latency = static_cast<double>(completed - intended);
   fn.latency.add(intended_latency);
   latency_.add(intended_latency);
-  service_latency_.add(static_cast<double>(completed - dispatched));
   ++fn.completed;
   if (completed - intended > config_.deadline) ++fn.late;
 }

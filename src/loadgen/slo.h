@@ -5,8 +5,9 @@
 // Latency is completion − intended, so a stalled server inflates the
 // recorded tail instead of silently delaying the requests that would
 // have observed the stall — the classic coordinated-omission bug in
-// closed-loop harnesses. The dispatch-based view is kept alongside for
-// comparison (it is what a naive driver would report).
+// closed-loop harnesses. The generator is a pure open loop that hands
+// each request to the system at its intended time, so one clock, and one
+// sample per completion, is all the tracker keeps.
 #pragma once
 
 #include <cstdint>
@@ -75,15 +76,13 @@ class SloTracker {
 
   void on_offered(const std::string& function) { on_offered(stats(function)); }
   void on_offered(FnStats& fn);
-  /// `intended` is the arrival process's schedule; `dispatched` is when
-  /// the request actually entered the system (== intended unless the
-  /// driver had to defer it); `completed` is now; `ok` is success.
+  /// `intended` is the arrival process's schedule; `completed` is now;
+  /// `ok` is success.
   void on_complete(const std::string& function, SimTime intended,
-                   SimTime dispatched, SimTime completed, bool ok) {
-    on_complete(stats(function), intended, dispatched, completed, ok);
+                   SimTime completed, bool ok) {
+    on_complete(stats(function), intended, completed, ok);
   }
-  void on_complete(FnStats& fn, SimTime intended, SimTime dispatched,
-                   SimTime completed, bool ok);
+  void on_complete(FnStats& fn, SimTime intended, SimTime completed, bool ok);
 
   SloReport report(SimDuration window) const;
 
@@ -96,8 +95,6 @@ class SloTracker {
   const Sampler* function_latency(const std::string& function) const;
   /// Intended-arrival-based latencies (ns) — coordinated-omission safe.
   const Sampler& latency() const { return latency_; }
-  /// Dispatch-based latencies (ns) — what a naive driver would record.
-  const Sampler& service_latency() const { return service_latency_; }
 
   /// Writes per-function gauges (loadgen_offered_total{fn=},
   /// loadgen_violations_total{fn=}, loadgen_goodput_rps{fn=}) into a
@@ -110,7 +107,6 @@ class SloTracker {
   std::uint64_t offered_ = 0;
   std::map<std::string, FnStats> functions_;
   Sampler latency_;
-  Sampler service_latency_;
 };
 
 /// Adapts a tracker into the autoscaler's per-function SLO signal: each

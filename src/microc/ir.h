@@ -36,6 +36,14 @@ enum class MemRegion : std::uint8_t {
 
 const char* to_string(MemRegion region);
 
+/// Capacity budget of each region for one program on the target card
+/// (Agilio CX, §6.1.2). Stratification packs objects under the first
+/// three; the verifier rejects a program whose objects outgrow EMEM.
+constexpr Bytes kLocalCapacity = 4_KiB;    // per-core local memory
+constexpr Bytes kCtmCapacity = 256_KiB;    // island CTM share
+constexpr Bytes kImemCapacity = 4_MiB;     // on-chip IMEM share
+constexpr Bytes kEmemCapacity = 2048_MiB;  // external DRAM, 2 GiB on the card
+
 /// Declared access pattern of a memory object (used by stratification).
 enum class AccessPattern : std::uint8_t { kReadMostly, kWriteMostly, kReadWrite };
 

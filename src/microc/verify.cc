@@ -45,6 +45,20 @@ Status verify(const Program& program) {
     }
   }
 
+  // Every object gets real backing (globals in the ObjectStore, locals in
+  // each Machine), so together they must fit the card's EMEM. Comparing
+  // each size with what is left cannot wrap, as a running sum could.
+  Bytes emem_left = kEmemCapacity;
+  for (const MemObject& obj : program.objects) {
+    if (obj.size > emem_left) {
+      return make_error("verify: object '" + obj.name + "' of " +
+                        std::to_string(obj.size) + " bytes exceeds EMEM (" +
+                        std::to_string(emem_left) + " of " +
+                        std::to_string(kEmemCapacity) + " bytes left)");
+    }
+    emem_left -= obj.size;
+  }
+
   // Recursion (direct or mutual) is unsupported on NPUs (§3.1b).
   {
     std::vector<std::uint8_t> state(program.functions.size(), 0);

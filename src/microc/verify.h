@@ -16,7 +16,8 @@ namespace lnic::microc {
 ///  - branch targets, call targets, object and register indices in range,
 ///  - call argument windows fit the callee's declared arguments,
 ///  - load/store widths are 1, 2, 4 or 8,
-///  - the dispatch function and lambda entries reference real functions.
+///  - the dispatch function and lambda entries reference real functions,
+///  - the memory objects together fit in the card's EMEM (kEmemCapacity).
 Status verify(const Program& program);
 
 }  // namespace lnic::microc

@@ -6,9 +6,21 @@
 
 namespace lnic::net {
 
-Network::Network(sim::Simulator& sim, LinkConfig link, FaultConfig faults,
-                 std::uint64_t seed)
-    : sim_(sim), link_(link), faults_(faults), rng_(seed) {}
+namespace {
+
+constexpr double kBandwidthBps = 10e9;        // 10 Gbps testbed links
+constexpr SimDuration kPropagation = 500;     // 0.5 us per hop
+constexpr SimDuration kSwitchLatency = 800;   // store-and-forward + lookup
+
+SimDuration serialization(Bytes size) {
+  return static_cast<SimDuration>(static_cast<double>(size) * 8.0 /
+                                  kBandwidthBps * 1e9);
+}
+
+}  // namespace
+
+Network::Network(sim::Simulator& sim, FaultConfig faults, std::uint64_t seed)
+    : sim_(sim), faults_(faults), rng_(seed) {}
 
 NodeId Network::attach(PacketHandler handler) {
   Port port;
@@ -20,11 +32,6 @@ NodeId Network::attach(PacketHandler handler) {
 void Network::set_handler(NodeId node, PacketHandler handler) {
   assert(node < ports_.size());
   ports_[node].handler = std::move(handler);
-}
-
-SimDuration Network::serialization(Bytes size) const {
-  return static_cast<SimDuration>(static_cast<double>(size) * 8.0 /
-                                  link_.bandwidth_bps * 1e9);
 }
 
 void Network::send(Packet packet) {
@@ -50,13 +57,12 @@ void Network::send(Packet packet) {
   src.uplink_free_at = uplink_done;
 
   // Switch forwarding, then the receiver's downlink port queue.
-  const SimTime at_switch =
-      uplink_done + link_.propagation + link_.switch_latency;
+  const SimTime at_switch = uplink_done + kPropagation + kSwitchLatency;
   const SimTime downlink_start = std::max(at_switch, dst.downlink_free_at);
   const SimTime downlink_done = downlink_start + ser;
   dst.downlink_free_at = downlink_done;
 
-  SimTime arrival = downlink_done + link_.propagation;
+  SimTime arrival = downlink_done + kPropagation;
 
   if (faults_.reorder_probability > 0.0 &&
       rng_.next_bool(faults_.reorder_probability)) {

@@ -27,12 +27,6 @@ namespace lnic::net {
 
 using PacketHandler = std::function<void(const Packet&)>;
 
-struct LinkConfig {
-  double bandwidth_bps = 10e9;           // 10 Gbps testbed links
-  SimDuration propagation = 500;         // 0.5 us per hop
-  SimDuration switch_latency = 800;      // store-and-forward + lookup
-};
-
 struct FaultConfig {
   double drop_probability = 0.0;
   double reorder_probability = 0.0;
@@ -41,7 +35,7 @@ struct FaultConfig {
 
 class Network {
  public:
-  Network(sim::Simulator& sim, LinkConfig link = {}, FaultConfig faults = {},
+  Network(sim::Simulator& sim, FaultConfig faults = {},
           std::uint64_t seed = 1);
   Network(const Network&) = delete;
   Network& operator=(const Network&) = delete;
@@ -67,10 +61,7 @@ class Network {
   std::uint64_t bytes_sent() const { return bytes_; }
 
  private:
-  SimDuration serialization(Bytes size) const;
-
   sim::Simulator& sim_;
-  LinkConfig link_;
   FaultConfig faults_;
   Rng rng_;  // fault draws
   PacketTracer* tracer_ = nullptr;

@@ -14,6 +14,16 @@ using microc::RunState;
 using net::Packet;
 using net::PacketKind;
 
+namespace {
+/// Service-time variability: shared-memory (CTM/EMEM) arbitration
+/// jitter plus rare DMA-contention spikes. Far smaller than host-side
+/// noise — the source of λ-NIC's tight tails.
+constexpr double kJitterFraction = 0.05;
+constexpr double kHiccupProbability = 0.01;
+constexpr SimDuration kHiccupMax = microseconds(25);
+constexpr std::uint64_t kSeed = 0x5EED;  // every card draws the same stream
+}  // namespace
+
 /// One request in flight on an NPU thread (or waiting in the dispatch
 /// queue). Owns the invocation (the Machine keeps a pointer into it) and
 /// the suspended Machine across external-call round trips.
@@ -42,7 +52,7 @@ SmartNic::~SmartNic() = default;
 
 SmartNic::SmartNic(sim::Simulator& sim, net::Network& network,
                    NicConfig config)
-    : sim_(sim), network_(network), config_(config), rng_(config.seed) {
+    : sim_(sim), network_(network), config_(config), rng_(kSeed) {
   node_ = network_.attach([this](const Packet& p) { handle_packet(p); });
 }
 
@@ -237,7 +247,7 @@ Status SmartNic::deploy(compiler::CompileOutput firmware) {
   }
   if (!config_.allow_hot_swap) {
     // §7: current NICs cannot hot swap; the card is down while loading.
-    down_until_ = sim_.now() + config_.firmware_load_time;
+    down_until_ = sim_.now() + kFirmwareLoadTime;
   }
   return Status::ok_status();
 }
@@ -506,15 +516,12 @@ void SmartNic::continue_flight(std::unique_ptr<Flight> flight,
   flight->cycles_reported = outcome.cycles;
   SimDuration service = microc::CostModel::npu().cycles_to_duration(delta);
   // Shared-memory arbitration jitter + rare DMA-contention spikes.
-  if (config_.jitter_fraction > 0.0) {
-    service = static_cast<SimDuration>(
-        static_cast<double>(service) *
-        (1.0 + rng_.next_double() * config_.jitter_fraction));
-  }
-  if (config_.hiccup_probability > 0.0 &&
-      rng_.next_bool(config_.hiccup_probability)) {
-    service += static_cast<SimDuration>(rng_.next_below(
-        static_cast<std::uint64_t>(std::max<SimDuration>(config_.hiccup_max, 1))));
+  service = static_cast<SimDuration>(
+      static_cast<double>(service) *
+      (1.0 + rng_.next_double() * kJitterFraction));
+  if (rng_.next_bool(kHiccupProbability)) {
+    service += static_cast<SimDuration>(
+        rng_.next_below(static_cast<std::uint64_t>(kHiccupMax)));
   }
 
   if (outcome.state == RunState::kYield) {

@@ -47,18 +47,18 @@ enum class DispatchPolicy : std::uint8_t {
   kWfq,            // weighted fair queuing across workloads (D1)
 };
 
+/// Firmware load window during which the NIC is down (§7).
+constexpr SimDuration kFirmwareLoadTime = seconds(15);
+
 struct NicConfig {
   std::uint32_t islands = 7;
   std::uint32_t cores_per_island = 8;   // 56 cores total (§6.1.2)
   std::uint32_t threads_per_core = 8;   // 448 hardware threads
   std::uint64_t instr_store_words = 16384;  // 16 K instructions per core
-  Bytes emem_bytes = 2048_MiB;          // 2 GiB on-board RAM
   /// Basic-NIC-operation reserve: cores kept for TCP/IP offload and
   /// checksums (§3.1c). These threads never run lambdas.
   std::uint32_t reserved_cores = 2;
   DispatchPolicy dispatch = DispatchPolicy::kUniformRandom;
-  /// Firmware load window during which the NIC is down (§7).
-  SimDuration firmware_load_time = seconds(15);
   bool allow_hot_swap = false;  // §7 future-work ablation
   /// §5 footnote 4: "the other approach is to pipeline these stages and
   /// run them on separate cores". When enabled, `parse_match_cores` are
@@ -67,13 +67,6 @@ struct NicConfig {
   bool pipeline_stages = false;
   std::uint32_t parse_match_cores = 2;
   std::size_t max_queue_depth = 8192;
-  /// Service-time variability: shared-memory (CTM/EMEM) arbitration
-  /// jitter plus rare DMA-contention spikes. Far smaller than host-side
-  /// noise — the source of λ-NIC's tight tails.
-  double jitter_fraction = 0.05;
-  double hiccup_probability = 0.01;
-  SimDuration hiccup_max = microseconds(25);
-  std::uint64_t seed = 0x5EED;
 
   std::uint32_t total_cores() const { return islands * cores_per_island; }
   std::uint32_t lambda_threads() const {
@@ -139,7 +132,7 @@ class SmartNic {
   /// instruction store or any assigned tenant's quota; a rejected deploy
   /// (including a rejected hot swap) leaves the previously running
   /// firmware untouched and serving. Unless hot swap is enabled the NIC
-  /// is down for config.firmware_load_time. Global lambda state resets;
+  /// is down for kFirmwareLoadTime. Global lambda state resets;
   /// with hot swap, a request parked on a KV call finishes on the
   /// firmware image and global state it started with.
   Status deploy(compiler::CompileOutput firmware);

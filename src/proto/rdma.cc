@@ -9,6 +9,11 @@ using net::PacketKind;
 
 namespace {
 
+/// Service delay for a one-sided read: DRAM access + DMA engine setup.
+constexpr SimDuration kReadService = nanoseconds(900);
+/// Service delay for absorbing a one-sided write.
+constexpr SimDuration kWriteService = nanoseconds(600);
+
 std::uint32_t read_u32(const net::BufferView& body, std::size_t at) {
   std::uint32_t v = 0;
   for (std::size_t i = 0; i < 4 && at + i < body.size(); ++i) {
@@ -21,9 +26,8 @@ std::uint32_t read_u32(const net::BufferView& body, std::size_t at) {
 
 // ------------------------------------------------------- HostMemoryNode
 
-HostMemoryNode::HostMemoryNode(sim::Simulator& sim, net::Network& network,
-                               HostMemoryConfig config)
-    : sim_(sim), network_(network), config_(config) {
+HostMemoryNode::HostMemoryNode(sim::Simulator& sim, net::Network& network)
+    : sim_(sim), network_(network) {
   node_ = network_.attach([this](const Packet& p) { handle_packet(p); });
 }
 
@@ -53,12 +57,12 @@ void HostMemoryNode::serve(const Packet& request, net::BufferView body) {
     const Bytes len = read_u32(body, 8);
     ++stats_.reads;
     stats_.bytes_read += len;
-    service = config_.read_service;
+    service = kReadService;
     reply_body = synthetic(std::max<Bytes>(len, 1));
   } else {
     ++stats_.writes;
     stats_.bytes_written += body.size();
-    service = config_.write_service;
+    service = kWriteService;
     reply_body = synthetic(8);
   }
   const NodeId dst = request.src;

@@ -39,13 +39,6 @@ namespace lnic::proto {
 constexpr WorkloadId kRdmaOpRead = 0;
 constexpr WorkloadId kRdmaOpWrite = 1;
 
-struct HostMemoryConfig {
-  /// Service delay for a one-sided read: DRAM access + DMA engine setup.
-  SimDuration read_service = nanoseconds(900);
-  /// Service delay for absorbing a one-sided write.
-  SimDuration write_service = nanoseconds(600);
-};
-
 struct HostMemoryStats {
   std::uint64_t reads = 0;
   std::uint64_t writes = 0;
@@ -56,8 +49,7 @@ struct HostMemoryStats {
 /// Passive host-DRAM target; attaches one node to the fabric.
 class HostMemoryNode {
  public:
-  HostMemoryNode(sim::Simulator& sim, net::Network& network,
-                 HostMemoryConfig config = {});
+  HostMemoryNode(sim::Simulator& sim, net::Network& network);
 
   NodeId node() const { return node_; }
   const HostMemoryStats& stats() const { return stats_; }
@@ -72,7 +64,6 @@ class HostMemoryNode {
 
   sim::Simulator& sim_;
   net::Network& network_;
-  HostMemoryConfig config_;
   NodeId node_;
   Buffer::Ptr zeros_;
   HostMemoryStats stats_;

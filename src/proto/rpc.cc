@@ -4,25 +4,12 @@
 #include <cassert>
 
 #include "common/flightrec.h"
+#include "common/rng.h"
 
 namespace lnic::proto {
 
 using net::Packet;
 using net::PacketKind;
-
-namespace {
-
-/// Deterministic jitter for backed-off retransmissions: a SplitMix64-style
-/// hash of (request id, retry count) keeps replays bit-reproducible while
-/// decorrelating the retry clocks of concurrent requests.
-std::uint64_t jitter_hash(RequestId id, std::uint32_t retries) {
-  std::uint64_t z = id * 0x9E3779B97F4A7C15ull + retries;
-  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
-  z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
-  return z ^ (z >> 31);
-}
-
-}  // namespace
 
 void RttEstimator::sample(SimDuration rtt) {
   const double r = static_cast<double>(rtt);
@@ -120,9 +107,12 @@ SimDuration RpcClient::retransmit_delay(const Pending& p, RequestId id) const {
   }
   if (p.retries > 0 && base > 4) {
     // Up to 25% deterministic jitter so synchronized retries fan out
-    // instead of re-colliding (the retransmission-storm guard).
-    base += static_cast<SimDuration>(jitter_hash(id, p.retries) %
-                                     static_cast<std::uint64_t>(base / 4));
+    // instead of re-colliding (the retransmission-storm guard): a
+    // SplitMix64 hash of (request id, retry count) keeps replays
+    // bit-reproducible while decorrelating concurrent retry clocks.
+    base += static_cast<SimDuration>(
+        splitmix64(id * kSplitMixGamma + p.retries) %
+        static_cast<std::uint64_t>(base / 4));
     base = std::min(base, config_.max_rto);
   }
   return base;

@@ -5,6 +5,14 @@
 
 namespace lnic::raft {
 
+namespace {
+// Election timeouts drawn uniformly from [min, max), as in the Raft
+// paper's 150-300 ms; leaders heartbeat well inside the minimum.
+constexpr SimDuration kElectionTimeoutMin = milliseconds(150);
+constexpr SimDuration kElectionTimeoutMax = milliseconds(300);
+constexpr SimDuration kHeartbeatInterval = milliseconds(50);
+}  // namespace
+
 const char* to_string(Role role) {
   switch (role) {
     case Role::kFollower: return "follower";
@@ -48,7 +56,6 @@ RaftNode::RaftNode(sim::Simulator& sim, Transport& transport, NodeIndex index,
       transport_(transport),
       index_(index),
       cluster_size_(cluster_size),
-      config_(config),
       rng_(config.seed + index * 7919) {}
 
 void RaftNode::start() {
@@ -77,11 +84,11 @@ void RaftNode::restart() {
 
 void RaftNode::reset_election_timer() {
   if (election_timer_ != sim::kInvalidEvent) sim_.cancel(election_timer_);
-  const auto span = static_cast<std::uint64_t>(
-      config_.election_timeout_max - config_.election_timeout_min);
+  constexpr auto kSpan =
+      static_cast<std::uint64_t>(kElectionTimeoutMax - kElectionTimeoutMin);
+  static_assert(kSpan > 0);
   const SimDuration timeout =
-      config_.election_timeout_min +
-      static_cast<SimDuration>(span == 0 ? 0 : rng_.next_below(span));
+      kElectionTimeoutMin + static_cast<SimDuration>(rng_.next_below(kSpan));
   election_timer_ = sim_.schedule(timeout, [this] {
     election_timer_ = sim::kInvalidEvent;
     if (running_ && role_ != Role::kLeader) become_candidate();
@@ -137,7 +144,7 @@ void RaftNode::send_heartbeats() {
   for (NodeIndex peer = 0; peer < cluster_size_; ++peer) {
     if (peer != index_) send_append(peer);
   }
-  heartbeat_timer_ = sim_.schedule(config_.heartbeat_interval, [this] {
+  heartbeat_timer_ = sim_.schedule(kHeartbeatInterval, [this] {
     heartbeat_timer_ = sim::kInvalidEvent;
     send_heartbeats();
   });

@@ -105,9 +105,6 @@ enum class Role : std::uint8_t { kFollower, kCandidate, kLeader };
 const char* to_string(Role role);
 
 struct RaftConfig {
-  SimDuration election_timeout_min = milliseconds(150);
-  SimDuration election_timeout_max = milliseconds(300);
-  SimDuration heartbeat_interval = milliseconds(50);
   std::uint64_t seed = 99;
 };
 
@@ -165,7 +162,6 @@ class RaftNode {
   Transport& transport_;
   NodeIndex index_;
   std::uint32_t cluster_size_;
-  RaftConfig config_;
   Rng rng_;
 
   // Persistent state.

@@ -170,6 +170,53 @@ TEST_F(CliTest, RunRejectsFirmwareThatFailsVerification) {
   }
 }
 
+// A program whose objects outgrow the card's EMEM: compile and run must
+// refuse it with a message rather than die allocating the object.
+TEST_F(CliTest, CompileRejectsObjectsLargerThanEmem) {
+  write_file(dir_ + "huge.mc", R"(
+    global u8 msg[4611686018427387904] hot;
+    int huge() {
+      store1(msg, 0, 72);
+      resp_mem(msg, 0, 1);
+      return 0;
+    }
+  )");
+  const auto r = run_command("compile " + dir_ + "huge.mc -o " + dir_ +
+                             "huge.lnfw");
+  EXPECT_EQ(r.exit_code, 2) << r.output;
+  EXPECT_NE(r.output.find("exceeds EMEM"), std::string::npos) << r.output;
+}
+
+TEST_F(CliTest, RunRejectsObjectsLargerThanEmem) {
+  using lnic::microc::MemObject;
+  using lnic::microc::MemScope;
+  ASSERT_EQ(run_command("compile " + dir_ + "adder.mc -o " + dir_ +
+                        "adder.lnfw")
+                .exit_code,
+            0);
+  std::ifstream in(dir_ + "adder.lnfw", std::ios::binary);
+  const std::vector<std::uint8_t> bytes(std::istreambuf_iterator<char>(in),
+                                        {});
+  auto adder = lnic::microc::deserialize(bytes);
+  ASSERT_TRUE(adder.ok());
+  for (const MemScope scope : {MemScope::kGlobal, MemScope::kLocal}) {
+    lnic::microc::Program p = adder.value();
+    MemObject huge;
+    huge.name = "huge";
+    huge.size = std::uint64_t{1} << 62;
+    huge.scope = scope;
+    p.objects.push_back(huge);
+    const std::string path = dir_ + "huge.lnfw";
+    const std::vector<std::uint8_t> image = lnic::microc::serialize(p);
+    std::ofstream(path, std::ios::binary)
+        .write(reinterpret_cast<const char*>(image.data()),
+               static_cast<std::streamsize>(image.size()));
+    const auto r = run_command("run " + path + " --wid 1 --key 1");
+    EXPECT_EQ(r.exit_code, 2) << r.output;
+    EXPECT_NE(r.output.find("exceeds EMEM"), std::string::npos) << r.output;
+  }
+}
+
 TEST_F(CliTest, DisasmListsTheProgram) {
   ASSERT_EQ(run_command("compile " + dir_ + "adder.mc --p4 " + dir_ +
                         "adder.p4 -o " + dir_ + "adder.lnfw")
@@ -239,6 +286,17 @@ TEST_F(CliTest, NegativeFlagIsAUsageError) {
   for (const char* args :
        {"loadgen poisson --functions -1", "loadgen poisson --duration-ms -5",
         "trace web --requests -2", "kv --txns -3"}) {
+    const auto r = run_command(args);
+    EXPECT_EQ(r.exit_code, 1) << args << "\n" << r.output;
+    EXPECT_NE(r.output.find("usage"), std::string::npos) << args;
+  }
+}
+
+TEST_F(CliTest, KvWarehousesOutsideOneTo1024AreAUsageError) {
+  // Zero warehouses would load no district or stock row to order from;
+  // above the cap, populate() would load 4,096 stock rows per warehouse.
+  for (const char* args : {"kv --mix tpcc --warehouses 0",
+                           "kv --mix tpcc --warehouses 1025"}) {
     const auto r = run_command(args);
     EXPECT_EQ(r.exit_code, 1) << args << "\n" << r.output;
     EXPECT_NE(r.output.find("usage"), std::string::npos) << args;

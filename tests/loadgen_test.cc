@@ -697,13 +697,13 @@ TEST(Slo, ReportCountsGoodputAndViolations) {
   SloTracker tracker(SloConfig{milliseconds(1)});
   // Two on-time successes, one late success, one failure.
   tracker.on_offered("a");
-  tracker.on_complete("a", 0, 0, microseconds(100), true);
+  tracker.on_complete("a", 0, microseconds(100), true);
   tracker.on_offered("a");
-  tracker.on_complete("a", 0, 0, microseconds(900), true);
+  tracker.on_complete("a", 0, microseconds(900), true);
   tracker.on_offered("a");
-  tracker.on_complete("a", 0, 0, milliseconds(5), true);  // late
+  tracker.on_complete("a", 0, milliseconds(5), true);  // late
   tracker.on_offered("b");
-  tracker.on_complete("b", 0, 0, microseconds(10), false);  // failed
+  tracker.on_complete("b", 0, microseconds(10), false);  // failed
 
   const SloReport report = tracker.report(seconds(1));
   EXPECT_EQ(report.offered, 4u);
@@ -748,24 +748,6 @@ TEST(Slo, CoordinatedOmissionStalledServerInflatesRecordedTail) {
   const SloReport report = generator.report();
   EXPECT_GT(report.violation_fraction, 0.3);  // the stall is not hidden
   EXPECT_LT(report.violation_fraction, 0.6);
-}
-
-TEST(Slo, NoStallMeansIntendedEqualsDispatchClock) {
-  sim::Simulator sim;
-  EchoService server{sim, microseconds(100)};
-  LoadGenConfig config;
-  config.arrivals = ArrivalSpec::poisson(500.0);
-  config.duration = milliseconds(400);
-  LoadGenerator generator(sim, config, uniform_functions(2), server.sink());
-  generator.start();
-  sim.run();
-  ASSERT_TRUE(generator.drained());
-  // Unbounded open loop dispatches at the intended instant: the two
-  // clocks agree sample for sample.
-  EXPECT_EQ(generator.slo().latency().count(),
-            generator.slo().service_latency().count());
-  EXPECT_DOUBLE_EQ(generator.slo().latency().p99(),
-                   generator.slo().service_latency().p99());
 }
 
 }  // namespace

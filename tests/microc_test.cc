@@ -716,6 +716,44 @@ TEST(Verify, RejectsWrongCallArity) {
   EXPECT_FALSE(verify(p).ok());
 }
 
+// Objects get real backing when a program runs (globals in the
+// ObjectStore, locals in each Machine), so verify() caps their total at
+// the card's EMEM, also after a firmware round trip.
+Program with_objects(const std::vector<Bytes>& sizes) {
+  ProgramBuilder pb("t");
+  auto fb = pb.function("f", 0);
+  fb.ret_imm(0);
+  fb.finish();
+  Program p = pb.take();
+  for (std::size_t i = 0; i < sizes.size(); ++i) {
+    MemObject obj;
+    obj.name = "obj" + std::to_string(i);
+    obj.size = sizes[i];
+    p.objects.push_back(obj);
+  }
+  return p;
+}
+
+void expect_exceeds_emem(const Program& p) {
+  const Status st = verify(p);
+  ASSERT_FALSE(st.ok());
+  EXPECT_NE(st.error().message.find("exceeds EMEM"), std::string::npos)
+      << st.error().message;
+  auto loaded = deserialize(serialize(p));
+  ASSERT_TRUE(loaded.ok());
+  EXPECT_FALSE(verify(loaded.value()).ok());
+}
+
+TEST(Verify, RejectsObjectLargerThanEmem) {
+  expect_exceeds_emem(with_objects({Bytes{1} << 62}));
+}
+
+TEST(Verify, RejectsObjectsThatTogetherExceedEmem) {
+  const Bytes one_and_a_half_gib = 1536_MiB;
+  EXPECT_TRUE(verify(with_objects({one_and_a_half_gib})).ok());
+  expect_exceeds_emem(with_objects({one_and_a_half_gib, one_and_a_half_gib}));
+}
+
 // Differential test for the decoder's mix-round fusion: random
 // straight-line programs of const, mul_imm, shr, xor and add_imm over five
 // registers, run by the Machine and by a reference evaluator. Golden rows

@@ -95,7 +95,7 @@ TEST_F(NetworkTest, BackToBackPacketsQueueOnUplink) {
 }
 
 TEST_F(NetworkTest, DropsAreCountedAndNotDelivered) {
-  Network network(sim, LinkConfig{}, FaultConfig{.drop_probability = 1.0});
+  Network network(sim, FaultConfig{.drop_probability = 1.0});
   int delivered = 0;
   const NodeId a = network.attach(nullptr);
   const NodeId b = network.attach([&](const Packet&) { ++delivered; });
@@ -107,8 +107,7 @@ TEST_F(NetworkTest, DropsAreCountedAndNotDelivered) {
 }
 
 TEST_F(NetworkTest, PartialLossDeliversTheRest) {
-  Network network(sim, LinkConfig{},
-                  FaultConfig{.drop_probability = 0.3}, /*seed=*/42);
+  Network network(sim, FaultConfig{.drop_probability = 0.3}, /*seed=*/42);
   int delivered = 0;
   const NodeId a = network.attach(nullptr);
   const NodeId b = network.attach([&](const Packet&) { ++delivered; });
@@ -122,7 +121,7 @@ TEST_F(NetworkTest, PartialLossDeliversTheRest) {
 
 TEST_F(NetworkTest, ReorderInjectionCanInvertArrivalOrder) {
   Network network(
-      sim, LinkConfig{},
+      sim,
       FaultConfig{.reorder_probability = 0.5,
                   .reorder_max_extra_delay = microseconds(100)},
       /*seed=*/7);
@@ -143,8 +142,7 @@ TEST_F(NetworkTest, ReorderInjectionCanInvertArrivalOrder) {
 }
 
 TEST_F(NetworkTest, TracerRecordsSendsAndDrops) {
-  Network network(sim, LinkConfig{}, FaultConfig{.drop_probability = 0.5},
-                  /*seed=*/5);
+  Network network(sim, FaultConfig{.drop_probability = 0.5}, /*seed=*/5);
   PacketTracer tracer;
   network.set_tracer(&tracer);
   const NodeId a = network.attach(nullptr);

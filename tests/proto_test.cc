@@ -55,8 +55,7 @@ TEST(RpcClient, CompletesAndMeasuresLatency) {
 
 TEST(RpcClient, RetransmitsUnderLossAndSucceeds) {
   sim::Simulator sim;
-  net::Network network(sim, net::LinkConfig{},
-                       net::FaultConfig{.drop_probability = 0.4},
+  net::Network network(sim, net::FaultConfig{.drop_probability = 0.4},
                        /*seed=*/11);
   EchoServer server(network);
   RpcConfig config;
@@ -79,8 +78,7 @@ TEST(RpcClient, RetransmitsUnderLossAndSucceeds) {
 
 TEST(RpcClient, FailsAfterMaxRetries) {
   sim::Simulator sim;
-  net::Network network(sim, net::LinkConfig{},
-                       net::FaultConfig{.drop_probability = 1.0});
+  net::Network network(sim, net::FaultConfig{.drop_probability = 1.0});
   EchoServer server(network);
   RpcConfig config;
   config.retransmit_timeout = milliseconds(1);
@@ -185,8 +183,7 @@ class RpcLossSweepTest : public ::testing::TestWithParam<double> {};
 
 TEST_P(RpcLossSweepTest, AllRequestsEventuallyComplete) {
   sim::Simulator sim;
-  net::Network network(sim, net::LinkConfig{},
-                       net::FaultConfig{.drop_probability = GetParam()},
+  net::Network network(sim, net::FaultConfig{.drop_probability = GetParam()},
                        /*seed=*/23);
   EchoServer server(network);
   RpcConfig config;
@@ -452,7 +449,7 @@ class AdaptiveLossSweepTest : public ::testing::TestWithParam<double> {};
 
 TEST_P(AdaptiveLossSweepTest, CompletesAndConvergesUnderLoss) {
   sim::Simulator sim;
-  net::Network network(sim, net::LinkConfig{},
+  net::Network network(sim,
                        net::FaultConfig{.drop_probability = GetParam(),
                                         .reorder_probability = 0.1,
                                         .reorder_max_extra_delay =

@@ -527,7 +527,7 @@ TEST(WorkloadTest, TpccNewOrderShape) {
   TpccLiteWorkload workload(config);
   StoreRig rig;
   workload.populate(&rig.store);
-  EXPECT_GT(rig.store.tree().size(), config.items);
+  EXPECT_GT(rig.store.tree().size(), TpccLiteWorkload::kItems);
   for (int i = 0; i < 50; ++i) {
     const TxnRequest req = workload.next_order();
     // 1 district RMW + (read+RMW) per line + 1 order insert.

@@ -56,11 +56,13 @@
 //       Synthesize a deterministic trace file in the lnic-trace format.
 //
 //   lnicctl kv [--mix A..F|tpcc] [--proto no_wait|wait_die] [--txns N]
-//              [--zipf S] [--cache N] [--rate R] [--seed X] [--metrics]
+//              [--zipf S] [--warehouses W] [--cache N] [--rate R]
+//              [--seed X] [--metrics]
 //       Drive one transactional-store cell (YCSB mix or TPC-C-lite
-//       new-order) through the NIC-resident TxnStore's networked path
-//       and print commit/abort/latency/cache rows; with --metrics, also
-//       the kv_* series as the monitoring engine exports them.
+//       new-order over W = 1..1024 warehouses) through the NIC-resident
+//       TxnStore's networked path and print commit/abort/latency/cache
+//       rows; with --metrics, also the kv_* series as the monitoring
+//       engine exports them.
 //
 // Exit codes: 0 success, 1 usage error, 2 compile/run failure.
 #include <algorithm>
@@ -126,7 +128,8 @@ int usage() {
                "[--functions N] [--zipf S] [--seed X]\n"
                "  lnicctl kv [--mix A..F|tpcc] [--proto no_wait|wait_die] "
                "[--txns N] [--zipf S]\n"
-               "             [--cache N] [--rate R] [--seed X] [--metrics]\n");
+               "             [--warehouses 1..1024] [--cache N] [--rate R] "
+               "[--seed X] [--metrics]\n");
   return 1;
 }
 
@@ -191,12 +194,14 @@ std::uint64_t flag_u64(
 }
 
 /// Caps that keep a flag from wrapping its conversion or exhausting
-/// memory: one simulated day, at most 65,536 function aliases, and at
-/// most a million requests from the single-cluster commands.
+/// memory: one simulated day, at most 65,536 function aliases, at most a
+/// million requests from the single-cluster commands, and at most 1,024
+/// TPC-C-lite warehouses (populate() loads 4,096 stock rows for each).
 constexpr std::uint64_t kMaxMillis = 86'400'000;
 constexpr std::uint64_t kMaxMicros = 1000 * kMaxMillis;
 constexpr std::uint64_t kMaxFunctions = 65'536;
 constexpr int kMaxRequests = 1'000'000;
+constexpr std::uint32_t kMaxWarehouses = 1'024;
 
 int flag_requests(const std::map<std::string, std::string>& flags,
                   int fallback) {
@@ -879,8 +884,9 @@ int cmd_kv(int argc, char** argv) {
   std::function<kvstore::TxnRequest()> next;
   if (mix_name == "tpcc") {
     kvstore::TpccLiteConfig wconfig;
-    wconfig.warehouses = static_cast<std::uint32_t>(flag_u64(
-        flags, "--warehouses", 1, std::numeric_limits<std::uint32_t>::max()));
+    // Zero warehouses would load no district or stock row to order from.
+    wconfig.warehouses = numeric_flag<std::uint32_t>(flags, "--warehouses", 1,
+                                                     1, kMaxWarehouses);
     wconfig.seed = seed;
     auto workload = std::make_shared<kvstore::TpccLiteWorkload>(wconfig);
     workload->populate(&store);

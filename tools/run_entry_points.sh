@@ -3,8 +3,10 @@
 # where the bench has it), every example, and the lnicctl commands
 # README lists. Stops at the first command that exits non-zero, and also
 # requires `lnicctl loadgen poisson` to reject a rate that offers no
-# load and numeric flags that are malformed or negative. Outputs land in
-# a temporary directory that is removed on exit.
+# load and numeric flags that are malformed or negative, `lnicctl kv` to
+# reject zero warehouses, and `lnicctl compile` to reject a program whose
+# objects outgrow the card's EMEM. Outputs land in a temporary directory
+# that is removed on exit.
 #
 #   tools/run_entry_points.sh <build-dir>
 set -euo pipefail
@@ -29,15 +31,18 @@ run() {
   ran=$((ran + 1))
 }
 
-# Runs a command that must answer with usage (exit 1). The timeout keeps
-# a regression that offers load forever from hanging the run.
-expect_usage() {
-  echo "==> $* (expect exit 1)"
+# Runs a command that must exit with the given status: 1 answers with
+# usage, 2 rejects the input. The timeout keeps a regression that offers
+# load forever from hanging the run.
+expect_exit() {
+  local want=$1
+  shift
+  echo "==> $* (expect exit $want)"
   local status=0
   timeout 60 "$@" > out.log 2>&1 || status=$?
-  if [ "$status" -ne 1 ]; then
+  if [ "$status" -ne "$want" ]; then
     cat out.log
-    echo "FAILED: $* exited $status, expected 1" >&2
+    echo "FAILED: $* exited $status, expected $want" >&2
     exit 1
   fi
   ran=$((ran + 1))
@@ -87,9 +92,19 @@ run "$lnicctl" loadgen poisson --rate 2000 --duration-ms 500 \
 run "$lnicctl" loadgen synth --out burst.trace --pattern burst \
   --duration-ms 1000 --rate 1000 --peak 4000 --functions 8 --seed 7
 run "$lnicctl" loadgen trace burst.trace --deadline-us 2000
-expect_usage "$lnicctl" loadgen poisson --rate 0
-expect_usage "$lnicctl" loadgen poisson --functions 0
-expect_usage "$lnicctl" loadgen poisson --rate abc
-expect_usage "$lnicctl" loadgen poisson --functions -1
+expect_exit 1 "$lnicctl" loadgen poisson --rate 0
+expect_exit 1 "$lnicctl" loadgen poisson --functions 0
+expect_exit 1 "$lnicctl" loadgen poisson --rate abc
+expect_exit 1 "$lnicctl" loadgen poisson --functions -1
+expect_exit 1 "$lnicctl" kv --mix tpcc --warehouses 0
+cat > huge.mc <<'MC'
+global u8 msg[4611686018427387904] hot;
+int huge() {
+  store1(msg, 0, 72);
+  resp_mem(msg, 0, 1);
+  return 0;
+}
+MC
+expect_exit 2 "$lnicctl" compile huge.mc -o huge.lnfw
 
 echo "all $ran entry points passed"
