@@ -65,6 +65,38 @@ static void BM_InterpreterWebLambda(benchmark::State& state) {
 }
 BENCHMARK(BM_InterpreterWebLambda);
 
+// One kv_client_get request: dispatch, the KV client lambda (a 2,165
+// register frame and its mix-round chains), one call of its query helper,
+// a yield on the GET and a resume with the reply.
+static void BM_InterpreterKvClient(benchmark::State& state) {
+  auto bundle = workloads::make_standard_workloads();
+  auto compiled = compiler::compile(bundle.spec, std::move(bundle.lambdas));
+  const auto& program = compiled.value().program;
+  microc::ObjectStore store(program);
+  microc::Machine machine(program, microc::CostModel::npu(), &store);
+  microc::Invocation inv;
+  inv.headers.fields[microc::kHdrWorkloadId] = workloads::kKvGetId;
+  inv.match_data = {1};
+  std::uint64_t instructions = 0;
+  std::uint64_t key = 0;
+  for (auto _ : state) {
+    inv.headers.fields[microc::kHdrKey] = ++key;
+    auto out = machine.run(inv);
+    if (out.state != microc::RunState::kYield) {
+      state.SkipWithError("kv_client_get did not yield on its GET");
+      break;
+    }
+    out = machine.resume(key * 3);
+    instructions += out.instructions;
+    benchmark::DoNotOptimize(out.response.data());
+  }
+  state.counters["instrs/req"] =
+      static_cast<double>(instructions) /
+      static_cast<double>(state.iterations());
+  state.counters["time/instr"] = time_per_instr(instructions);
+}
+BENCHMARK(BM_InterpreterKvClient);
+
 // A frontend-compiled loop of loads, compares and branches that fusion
 // never matches: the interpreter's unfused speed.
 static void BM_InterpreterStreamAggregator(benchmark::State& state) {
@@ -129,6 +161,22 @@ static void BM_InterpreterImageTransformer(benchmark::State& state) {
       static_cast<double>(state.iterations());
 }
 BENCHMARK(BM_InterpreterImageTransformer);
+
+// Decoding the compiled standard bundle, which each NIC does once per
+// deploy: step layout, mix-round fusion, and the register liveness behind
+// store masks and zero lists. Each iteration builds a Machine on the
+// program with its decode cache emptied, as on a fresh copy.
+static void BM_MicrocDecode(benchmark::State& state) {
+  auto bundle = workloads::make_standard_workloads();
+  auto compiled = compiler::compile(bundle.spec, std::move(bundle.lambdas));
+  microc::Program& program = compiled.value().program;
+  for (auto _ : state) {
+    program.decoded.clear();
+    microc::Machine machine(program, microc::CostModel::npu(), nullptr);
+    benchmark::DoNotOptimize(&machine);
+  }
+}
+BENCHMARK(BM_MicrocDecode);
 
 static void BM_CompilerFullPipeline(benchmark::State& state) {
   for (auto _ : state) {

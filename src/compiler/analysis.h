@@ -1,24 +1,13 @@
-// Shared IR analyses: register def/use queries, block reachability, and
-// per-object access counting. Used by DCE, coalescing and stratification.
+// Shared IR analyses: block reachability and per-object access counting,
+// used by DCE and stratification. Register liveness, which DCE also uses,
+// lives in microc/liveness.h beside the decoder that shares it.
 #pragma once
 
-#include <cstdint>
-#include <optional>
 #include <vector>
 
 #include "microc/ir.h"
 
 namespace lnic::compiler {
-
-/// Registers an instruction reads. Note kMemCpy/kGrayscale/kBodyCopy read
-/// their `dst` field (it names the destination-offset register).
-std::vector<std::uint16_t> regs_read(const microc::Instr& in);
-
-/// The register an instruction writes, if any.
-std::optional<std::uint16_t> reg_written(const microc::Instr& in);
-
-/// Successor blocks of a terminator instruction.
-std::vector<std::uint32_t> successors(const microc::Instr& terminator);
 
 /// Blocks reachable from the entry block.
 std::vector<bool> reachable_blocks(const microc::Function& fn);

@@ -1,9 +1,9 @@
 #include "compiler/dce.h"
 
 #include <algorithm>
-#include <set>
 
 #include "compiler/analysis.h"
+#include "microc/liveness.h"
 
 namespace lnic::compiler {
 
@@ -47,54 +47,27 @@ std::size_t remove_unreachable_blocks(Function& fn) {
 
 // One liveness-based sweep; returns instructions removed.
 std::size_t sweep_dead_instructions(Function& fn) {
-  const std::size_t nblocks = fn.blocks.size();
-  using LiveSet = std::set<std::uint16_t>;
-  std::vector<LiveSet> live_in(nblocks), live_out(nblocks);
-
-  // Fixed-point backward dataflow over blocks.
-  bool changed = true;
-  while (changed) {
-    changed = false;
-    for (std::size_t b = nblocks; b-- > 0;) {
-      LiveSet out;
-      const auto& term = fn.blocks[b].instrs.back();
-      for (auto succ : successors(term)) {
-        out.insert(live_in[succ].begin(), live_in[succ].end());
-      }
-      LiveSet in = out;
-      for (auto it = fn.blocks[b].instrs.rbegin();
-           it != fn.blocks[b].instrs.rend(); ++it) {
-        if (const auto w = reg_written(*it)) in.erase(*w);
-        for (auto r : regs_read(*it)) in.insert(r);
-      }
-      if (out != live_out[b] || in != live_in[b]) {
-        live_out[b] = std::move(out);
-        live_in[b] = std::move(in);
-        changed = true;
-      }
-    }
-  }
-
+  const microc::Liveness live_sets = microc::liveness(fn);
   std::size_t removed = 0;
-  for (std::size_t b = 0; b < nblocks; ++b) {
+  for (std::size_t b = 0; b < fn.blocks.size(); ++b) {
     auto& instrs = fn.blocks[b].instrs;
-    LiveSet live = live_out[b];
-    std::vector<Instr> kept;
-    kept.reserve(instrs.size());
-    for (auto it = instrs.rbegin(); it != instrs.rend(); ++it) {
-      const auto w = reg_written(*it);
-      const bool dead =
-          microc::is_pure(it->op) && w.has_value() && live.count(*w) == 0;
-      if (dead) {
-        ++removed;
+    microc::RegSet live = live_sets.live_out[b];
+    std::vector<bool> dead(instrs.size(), false);
+    for (std::size_t i = microc::block_end(fn.blocks[b]); i-- > 0;) {
+      const Instr& in = instrs[i];
+      if (microc::is_pure(in.op) && !live.test(in.dst)) {
+        dead[i] = true;
         continue;
       }
-      if (w) live.erase(*w);
-      for (auto r : regs_read(*it)) live.insert(r);
-      kept.push_back(*it);
+      if (microc::writes_dst(in.op)) live.reset(in.dst);
+      microc::for_each_read(in, [&live](std::uint32_t reg) { live.set(reg); });
     }
-    std::reverse(kept.begin(), kept.end());
-    instrs = std::move(kept);
+    std::size_t kept = 0;
+    for (std::size_t i = 0; i < instrs.size(); ++i) {
+      if (!dead[i]) instrs[kept++] = instrs[i];
+    }
+    removed += instrs.size() - kept;
+    instrs.resize(kept);
   }
   return removed;
 }

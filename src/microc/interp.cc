@@ -5,6 +5,8 @@
 #include <cstdint>
 #include <cstring>
 
+#include "microc/liveness.h"
+
 namespace lnic::microc {
 
 namespace {
@@ -88,17 +90,25 @@ struct Step {
   std::int64_t imm = 0;  // kBr/kBrIf: taken step; kCall/kFellOff: function
   std::uint64_t rest_cycles = 0;  // static scalar cycles, this one included
   std::uint32_t alt = 0;  // kBrIf: not-taken step; kMixChain*: rounds
+  // kMixChain*: which of its round's d0..d3 the fused step writes back
+  // (bit i for di), set by set_store_masks.
+  std::uint8_t store = 0;
 };
+static_assert(sizeof(Step) == 40, "the store mask uses Step's padding");
 
 /// A Program decoded for one cost model: every function's blocks laid out
-/// in one step array with branch targets resolved to step indices and
-/// static costs folded into segment totals, plus what execution needs of
-/// the functions and objects, so Machines never read the Program again.
+/// in one step array with branch targets resolved to step indices, static
+/// costs folded into segment totals and mix rounds fused, plus what
+/// execution needs of the functions and objects (with each function's
+/// zero list), so Machines never read the Program again.
 struct DecodedProgram {
   struct Function {
     std::uint32_t entry = 0;
     std::uint16_t num_regs = 0;
     std::string name;
+    // Registers some path from the entry reads before writing: the only
+    // ones a new frame must zero.
+    std::vector<std::uint16_t> zero;
   };
   struct Object {
     std::string name;
@@ -231,15 +241,17 @@ std::uint32_t mix_round_length(const std::vector<Step>& steps, std::size_t i) {
   return add.op == Op::kAddImm && add.a == x.dst ? 4 : 3;
 }
 
-// Superinstructions. Marks the head of every mix round kMixChain3 or
-// kMixChain4 and sets its `alt` to the rounds in its chain: the round
-// continues into the next one when that one starts right after it, has
-// its length, takes its last dst as x and shifts by the same k register,
-// and the round does not write k. A chain's steps sit inside one segment,
-// and nothing else changes, so charging, traps and resume points do not
-// move. Back to front, so each head's count includes the rest of its chain.
-void fuse_mix_rounds(std::vector<Step>& steps) {
-  for (std::size_t i = steps.size(); i-- > 0;) {
+// Superinstructions. Marks the head of every mix round in steps
+// [first, end) kMixChain3 or kMixChain4 and sets its `alt` to the rounds
+// in its chain: the round continues into the next one when that one starts
+// right after it, has its length, takes its last dst as x and shifts by
+// the same k register, and the round does not write k. A chain's steps sit
+// inside one segment, and nothing else changes, so charging, traps and
+// resume points do not move. Back to front, so each head's count includes
+// the rest of its chain.
+void fuse_mix_rounds(std::vector<Step>& steps, std::size_t first,
+                     std::size_t end) {
+  for (std::size_t i = end; i-- > first;) {
     const std::uint32_t len = mix_round_length(steps, i);
     if (len == 0) continue;
     const Op op = len == 3 ? Op::kMixChain3 : Op::kMixChain4;
@@ -256,9 +268,56 @@ void fuse_mix_rounds(std::vector<Step>& steps) {
   }
 }
 
+// Sets the store mask of every fused round of `fn`, whose block bi starts
+// at steps[block_start[bi]]. A chain reads only its first x and k from the
+// register file, and the rest of its reads from machine registers, so
+// live-in(chain) = (live-out(chain) - its writes) + {x, k}, and a round
+// writes back its di only when di is live after the chain and no later
+// step of the chain writes it again.
+void set_store_masks(const Function& fn, const Liveness& live,
+                     const std::vector<std::uint32_t>& block_start,
+                     std::vector<Step>& steps) {
+  std::vector<std::pair<std::size_t, std::size_t>> chains;  // [start, stop)
+  for (std::size_t bi = 0; bi < fn.blocks.size(); ++bi) {
+    const std::vector<Instr>& instrs = fn.blocks[bi].instrs;
+    Step* const s = steps.data() + block_start[bi];  // one per instruction
+    const auto round = [s](std::size_t i) -> std::size_t {
+      return s[i].op == Op::kMixChain3 ? 3 : 4;
+    };
+    const std::size_t end = block_end(fn.blocks[bi]);
+    chains.clear();
+    for (std::size_t i = 0; i < end; ++i) {
+      if (s[i].op == Op::kMixChain3 || s[i].op == Op::kMixChain4) {
+        chains.emplace_back(i, i + round(i) * s[i].alt);
+        i = chains.back().second - 1;
+      }
+    }
+    RegSet after = live.live_out[bi];
+    for (std::size_t i = end; i > 0;) {
+      if (chains.empty() || chains.back().second != i) {
+        const Instr& in = instrs[--i];
+        if (writes_dst(in.op)) after.reset(in.dst);
+        for_each_read(in, [&after](std::uint32_t reg) { after.set(reg); });
+        continue;
+      }
+      const auto [start, stop] = chains.back();
+      chains.pop_back();
+      for (std::size_t j = stop; j-- > start;) {
+        if (!after.test(s[j].dst)) continue;
+        const std::size_t pos = (j - start) % round(start);
+        s[j - pos].store |= static_cast<std::uint8_t>(1u << pos);
+        after.reset(s[j].dst);
+      }
+      after.set(s[start].a);
+      after.set(s[start + 1].b);
+      i = start;
+    }
+  }
+}
+
 // Runs the chain of mix rounds headed at `ip` and returns its last step.
-// The accumulator and the shift amount stay in machine registers; every
-// round still writes its d0..d3 in program order.
+// The accumulator and the shift amount stay in machine registers, and a
+// round writes back only the d0..d3 its store mask names.
 template <std::uint32_t kLen>
 const Step* run_mix_chain(const Step* ip, std::uint64_t* r) {
   const std::uint64_t k = r[ip[1].b] & 63;
@@ -269,10 +328,14 @@ const Step* run_mix_chain(const Step* ip, std::uint64_t* r) {
     const std::uint64_t h = x >> k;
     x = m ^ h;
     if constexpr (kLen == 4) x += static_cast<std::uint64_t>(ip[3].imm);
-    r[ip[0].dst] = m;
-    r[ip[1].dst] = h;
-    r[ip[2].dst] = m ^ h;
-    if constexpr (kLen == 4) r[ip[3].dst] = x;
+    if (const std::uint8_t store = ip->store; store != 0) {
+      if (store & 1) r[ip[0].dst] = m;
+      if (store & 2) r[ip[1].dst] = h;
+      if (store & 4) r[ip[2].dst] = m ^ h;
+      if constexpr (kLen == 4) {
+        if (store & 8) r[ip[3].dst] = x;
+      }
+    }
   }
   return end - 1;
 }
@@ -304,7 +367,7 @@ std::shared_ptr<const DecodedProgram> decode(const Program& program,
   for (std::size_t f = 0; f < program.functions.size(); ++f) {
     const Function& fn = program.functions[f];
     const auto first = static_cast<std::uint32_t>(steps.size());
-    code->functions.push_back({first, fn.num_regs, fn.name});
+    code->functions.push_back({first, fn.num_regs, fn.name, {}});
     Step fell_off;
     fell_off.imm = static_cast<std::int64_t>(f);
     std::vector<std::uint32_t> block_start(fn.blocks.size());
@@ -347,6 +410,15 @@ std::shared_ptr<const DecodedProgram> decode(const Program& program,
         s.imm = target(s.imm);
       }
     }
+    fuse_mix_rounds(steps, first, bad);
+    const Liveness live = liveness(fn);
+    set_store_masks(fn, live, block_start, steps);
+    if (!fn.blocks.empty()) {
+      std::vector<std::uint16_t>& zero = code->functions.back().zero;
+      live.live_in[0].for_each([&](std::uint32_t reg) {
+        if (reg < fn.num_regs) zero.push_back(static_cast<std::uint16_t>(reg));
+      });
+    }
   }
   for (std::size_t i = steps.size(); i-- > 0;) {
     Step& s = steps[i];
@@ -357,7 +429,6 @@ std::shared_ptr<const DecodedProgram> decode(const Program& program,
       s.rest_instrs += steps[i + 1].rest_instrs;
     }
   }
-  fuse_mix_rounds(steps);
   return code;
 }
 
@@ -369,6 +440,20 @@ std::shared_ptr<const DecodedProgram> decoded(const Program& program,
   assert(code->fingerprint == fingerprint(program) &&
          "Program edited in place after decoding: call decoded.clear()");
   return code;
+}
+
+// A new frame zeroes only the registers `fn` may read before writing; the
+// rest keep what an earlier frame left, which no step reads. Asserts-on
+// builds first fill the whole frame with a poison word, so a register the
+// zero list misses reads as garbage in every test, not as the zero a
+// fresh arena happens to hold.
+constexpr std::uint64_t kRegisterPoison = 0xBAD0BAD0BAD0BAD0ull;
+
+void enter_frame(std::uint64_t* frame, const DecodedProgram::Function& fn) {
+#ifndef NDEBUG
+  std::fill_n(frame, fn.num_regs, kRegisterPoison);
+#endif
+  for (const std::uint16_t reg : fn.zero) frame[reg] = 0;
 }
 
 }  // namespace
@@ -489,7 +574,7 @@ Outcome Machine::run_function(std::size_t function_index,
 
   const DecodedProgram::Function& fn = code.functions[function_index];
   if (regs_.size() < fn.num_regs) regs_.resize(fn.num_regs);
-  std::fill_n(regs_.begin(), fn.num_regs, 0);
+  enter_frame(regs_.data(), fn);
   stack_.clear();
   stack_.push_back(Frame{0, fn.num_regs, 0, 0});
   return execute(code.steps.data() + fn.entry);
@@ -849,7 +934,7 @@ Outcome Machine::execute(const Step* ip) {
           if (regs_.size() < top) regs_.resize(top);
           r = regs_.data() + stack_.back().base;  // the arena may have moved
           std::uint64_t* next = regs_.data() + base;
-          std::fill_n(next, callee.num_regs, 0);
+          enter_frame(next, callee);
           const std::uint16_t args = std::min(in.b, callee.num_regs);
           for (std::uint16_t i = 0; i < args; ++i) next[i] = r[in.a + i];
           stack_.push_back(Frame{

@@ -109,10 +109,6 @@ bool is_pure(Opcode op) {
   }
 }
 
-bool is_terminator(Opcode op) {
-  return op == Opcode::kBr || op == Opcode::kBrIf || op == Opcode::kRet;
-}
-
 bool is_memory_op(Opcode op) {
   switch (op) {
     case Opcode::kLoad:

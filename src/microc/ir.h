@@ -128,7 +128,9 @@ const char* to_string(Opcode op);
 /// (candidate for dead-code elimination).
 bool is_pure(Opcode op);
 /// True when the instruction ends a basic block.
-bool is_terminator(Opcode op);
+inline bool is_terminator(Opcode op) {
+  return op == Opcode::kBr || op == Opcode::kBrIf || op == Opcode::kRet;
+}
 /// True for kLoad/kStore-style ops whose lowered size depends on region.
 bool is_memory_op(Opcode op);
 

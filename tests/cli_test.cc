@@ -303,4 +303,18 @@ TEST_F(CliTest, KvWarehousesOutsideOneTo1024AreAUsageError) {
   }
 }
 
+TEST_F(CliTest, LoadgenOfferingMoreThanAMillionRequestsIsAUsageError) {
+  // Rate times duration is what the generator offers; synth holds every
+  // arrival in its trace, at up to the peak rate (4x --rate by default).
+  for (const std::string& args :
+       {std::string("loadgen poisson --rate 1000001 --duration-ms 1000 "
+                    "--functions 1"),
+        "loadgen synth --rate 250001 --duration-ms 1000 --out " + dir_ +
+            "big.trace"}) {
+    const auto r = run_command(args);
+    EXPECT_EQ(r.exit_code, 1) << args << "\n" << r.output;
+    EXPECT_NE(r.output.find("usage"), std::string::npos) << args;
+  }
+}
+
 }  // namespace

@@ -1,7 +1,8 @@
-// Tests for the Micro-C IR, builder, verifier, and interpreter:
-// arithmetic semantics, memory isolation traps, external-call suspension,
-// cycle accounting, code-size lowering, and the decoder's fused mix-round
-// chains against a reference evaluator.
+// Tests for the Micro-C IR, builder, verifier, register liveness and
+// interpreter: arithmetic semantics, memory isolation traps, external-call
+// suspension, cycle accounting, code-size lowering, and the decoder's
+// fused mix-round chains, store masks and zero lists against a reference
+// evaluator.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -17,6 +18,7 @@
 #include "microc/builder.h"
 #include "microc/interp.h"
 #include "microc/ir.h"
+#include "microc/liveness.h"
 #include "microc/serialize.h"
 #include "microc/verify.h"
 
@@ -530,6 +532,93 @@ TEST(Interp, AbortClearsSuspension) {
   EXPECT_EQ(out.state, RunState::kYield);
 }
 
+// A new frame zeroes only the registers its function may read before
+// writing them, so the rest keep what an earlier frame left. Asserts-on
+// builds poison those instead. A register that is read first must still
+// read 0 at the entry of run_function and of a kCall callee, on a Machine
+// whose arena an earlier invocation filled.
+TEST(Interp, UnzeroedRegistersAreNeverRead) {
+  constexpr std::uint16_t kRegs = 8;
+  auto function = [](const char* name, std::uint16_t args,
+                     std::vector<Instr> code) {
+    Function f;
+    f.name = name;
+    f.num_regs = kRegs;
+    f.num_args = args;
+    f.blocks.push_back(BasicBlock{std::move(code)});
+    return f;
+  };
+  // Index 0 fills its frame and calls 1, which fills the next one.
+  auto fill = [](std::uint64_t base) {
+    std::vector<Instr> code;
+    for (std::uint16_t r = 0; r < kRegs; ++r) {
+      code.push_back({.op = Opcode::kConst,
+                      .dst = r,
+                      .imm = static_cast<std::int64_t>(base + r)});
+    }
+    return code;
+  };
+  std::vector<Instr> dirty = fill(0x1000);
+  dirty.push_back({.op = Opcode::kCall, .dst = 0, .a = 0, .b = 0, .imm = 1});
+  dirty.push_back({.op = Opcode::kRet, .a = 0});
+  std::vector<Instr> dirty_callee = fill(0x2000);
+  dirty_callee.push_back({.op = Opcode::kRet, .a = 7});
+  // Index 2 responds with r5 before writing it, then calls 3 with one
+  // argument, which responds with r3 before writing it and returns its
+  // argument.
+  const std::vector<Instr> reader = {
+      {.op = Opcode::kRespWord, .a = 5},
+      {.op = Opcode::kConst, .dst = 1, .imm = 9},
+      {.op = Opcode::kCall, .dst = 2, .a = 1, .b = 1, .imm = 3},
+      {.op = Opcode::kRet, .a = 2},
+  };
+  const std::vector<Instr> reader_callee = {
+      {.op = Opcode::kRespWord, .a = 3},
+      {.op = Opcode::kRet, .a = 0},
+  };
+  Program p;
+  p.functions.push_back(function("dirty", 0, dirty));
+  p.functions.push_back(function("dirty_callee", 0, dirty_callee));
+  p.functions.push_back(function("reader", 0, reader));
+  p.functions.push_back(function("reader_callee", 1, reader_callee));
+  ASSERT_TRUE(verify(p).ok());
+
+  Machine machine(p, CostModel::npu(), nullptr);
+  const Invocation inv;
+  const Outcome filled = machine.run_function(0, inv);
+  ASSERT_EQ(filled.state, RunState::kDone);
+  EXPECT_EQ(filled.return_value, 0x2007u);
+  const Outcome out = machine.run_function(2, inv);
+  ASSERT_EQ(out.state, RunState::kDone);
+  EXPECT_EQ(out.return_value, 9u);
+  EXPECT_EQ(out.response, std::vector<std::uint8_t>(16, 0));
+}
+
+// Tests build programs by hand without verifying them, so liveness spans
+// every register an instruction names, however far past num_regs; a
+// branch to a block that does not exist has no successor, and a block
+// ends at its first terminator, as the decoder runs them.
+TEST(Liveness, FollowsUnverifiedProgramsAsTheyRun) {
+  Function f;
+  f.name = "loose";
+  f.num_regs = 1;
+  f.blocks.push_back(BasicBlock{
+      {{.op = Opcode::kAdd, .dst = 0, .a = 9, .b = 300},
+       {.op = Opcode::kBrIf, .a = 0, .b = 7, .imm = 1}}});
+  f.blocks.push_back(BasicBlock{{{.op = Opcode::kRet, .a = 70},
+                                 {.op = Opcode::kRespWord, .a = 40}}});
+  const Liveness live = liveness(f);
+  auto members = [](const RegSet& set) {
+    std::vector<std::uint32_t> regs;
+    set.for_each([&regs](std::uint32_t reg) { regs.push_back(reg); });
+    return regs;
+  };
+  EXPECT_EQ(members(live.live_in[0]), (std::vector<std::uint32_t>{9, 70, 300}));
+  EXPECT_EQ(members(live.live_out[0]), (std::vector<std::uint32_t>{70}));
+  EXPECT_EQ(members(live.live_in[1]), (std::vector<std::uint32_t>{70}));
+  EXPECT_TRUE(members(live.live_out[1]).empty());
+}
+
 TEST(Verify, RejectsDirectRecursion) {
   ProgramBuilder pb("t");
   auto fb = pb.function("rec", 0);
@@ -754,14 +843,23 @@ TEST(Verify, RejectsObjectsThatTogetherExceedEmem) {
   expect_exceeds_emem(with_objects({one_and_a_half_gib, one_and_a_half_gib}));
 }
 
-// Differential test for the decoder's mix-round fusion: random
-// straight-line programs of const, mul_imm, shr, xor and add_imm over five
-// registers, run by the Machine and by a reference evaluator. Golden rows
-// see only responses and counts; these programs respond with every
-// register, so a fused step that reads or writes the wrong one shows.
+// Differential test for the decoder's mix-round fusion, and for the store
+// masks and zero lists it sets from register liveness: random straight-line
+// code of const, mul_imm, shr, xor and add_imm over five registers,
+// sometimes run several times in a counted loop, then a response of a
+// random subset of the registers. The Machine must match a reference
+// evaluator in every response byte and count. The code also reads inner
+// round registers after their chain, and a loop carries each pass's
+// registers into the next across blocks, so the corpus holds fused rounds
+// whose inner writes nothing reads (the decoder elides them) and rounds
+// where a later step reads one (the decoder must store it).
 constexpr std::uint16_t kMixRegs = 5;
+// One more register: the loop counter, or, with no loop, never written and
+// returned, so the frame's zero list must hold it.
+constexpr std::uint16_t kCounter = kMixRegs;
 
-// What the generator emitted, so the test can check every case occurred.
+// What the generator emitted and the reference saw, so the test can check
+// every case occurred.
 struct MixTally {
   int chain_links = 0;  // a whole round continuing the previous one's chain
   int partial = 0;      // a round cut after its mul_imm or shr
@@ -770,9 +868,31 @@ struct MixTally {
   int k_is_d0 = 0;
   int k_written = 0;    // the shift register overwritten between rounds
   int inner_read = 0;   // a round reads a register left by a round's inside
+  int inner_resp = 0;     // a resp_word of an inner register after its round
+  int inner_operand = 0;  // an add reading one
+  int loops = 0;          // cases run in a counted loop
+  int loop_carried = 0;   // ... whose last round writes the first round's x
+  int dead_rounds = 0;  // whole clean rounds run whose inner writes no later
+                        // instruction reads
+  int read_rounds = 0;  // ... and those where a later instruction reads one
 };
 
-std::vector<Instr> random_mix_code(Rng& rng, MixTally& tally) {
+// One generated case: straight-line `code`, whose first `prologue`
+// instructions (the initial consts) run once and the rest `passes` times
+// in a counted loop (0: once, with no loop), then a response of the
+// registers in `respond`.
+struct MixCase {
+  std::vector<Instr> code;
+  std::size_t prologue = 0;
+  std::uint32_t passes = 0;
+  std::vector<std::uint16_t> respond;
+  // Per instruction, the whole clean round it belongs to (numbered from
+  // 0), or -1. Such rounds always fuse.
+  std::vector<int> round;
+  int rounds = 0;
+};
+
+MixCase random_mix_case(Rng& rng, MixTally& tally) {
   auto reg = [&rng] {
     return static_cast<std::uint16_t>(rng.next_below(kMixRegs));
   };
@@ -786,23 +906,48 @@ std::vector<Instr> random_mix_code(Rng& rng, MixTally& tally) {
     return static_cast<std::int64_t>(bound == 0 ? rng.next_u64()
                                                 : rng.next_below(bound));
   };
-  std::vector<Instr> code;
+  MixCase mc;
+  auto emit = [&mc](const Instr& in, int round) {
+    mc.code.push_back(in);
+    mc.round.push_back(round);
+  };
   for (std::uint16_t r = 0; r < kMixRegs; ++r) {
-    code.push_back({.op = Opcode::kConst, .dst = r, .imm = imm(0)});
+    emit({.op = Opcode::kConst, .dst = r, .imm = imm(0)}, -1);
   }
   std::uint16_t k = reg();  // the shift register clean rounds use
-  code.push_back({.op = Opcode::kConst, .dst = k, .imm = imm(64)});
+  emit({.op = Opcode::kConst, .dst = k, .imm = imm(64)}, -1);
   std::uint16_t acc = reg_except({k});
+  mc.prologue = mc.code.size();
+  const std::uint16_t first_x = acc;
   std::vector<bool> inner(kMixRegs, false);  // last written inside a round
+  std::vector<std::uint16_t> last_inner;  // the whole round just emitted's
   std::uint64_t chain_len = 0;  // length of a clean round just emitted
   const int rounds = 4 + static_cast<int>(rng.next_below(28));
   for (int n = 0; n < rounds; ++n) {
     if (rng.next_below(10) == 0) {  // a const between rounds, maybe into k
       const std::uint16_t d = reg();
-      code.push_back({.op = Opcode::kConst, .dst = d, .imm = imm(64)});
+      emit({.op = Opcode::kConst, .dst = d, .imm = imm(64)}, -1);
       tally.k_written += d == k;
       if (rng.next_bool(0.5)) k = d;
       inner[d] = false;
+      last_inner.clear();
+      chain_len = 0;
+      continue;
+    }
+    if (!last_inner.empty() && rng.next_below(5) == 0) {
+      // Read an inner register of the round just emitted, ending its chain.
+      const std::uint16_t q = last_inner[rng.next_below(last_inner.size())];
+      if (rng.next_bool(0.5)) {
+        emit({.op = Opcode::kRespWord, .a = q}, -1);
+        ++tally.inner_resp;
+      } else {
+        const std::uint16_t d = reg();
+        emit({.op = Opcode::kAdd, .dst = d, .a = q, .b = reg()}, -1);
+        tally.k_written += d == k;
+        inner[d] = false;
+        ++tally.inner_operand;
+      }
+      last_inner.clear();
       chain_len = 0;
       continue;
     }
@@ -821,23 +966,28 @@ std::vector<Instr> random_mix_code(Rng& rng, MixTally& tally) {
     const std::uint16_t z = clean || rng.next_bool(0.8) ? d2 : reg();
     const std::uint64_t len = rng.next_below(8) == 0 ? 1 + rng.next_below(2)
                                                      : 3 + rng.next_below(2);
+    const int round = clean && len >= 3 ? mc.rounds++ : -1;
     tally.inner_read += inner[x] || inner[x1] || inner[kk];
-    code.push_back({.op = Opcode::kMulImm, .dst = d0, .a = x,
-                    .imm = imm(0) | 1});
-    if (len >= 2) code.push_back({.op = Opcode::kShr, .dst = d1, .a = x1,
-                                  .b = kk});
+    emit({.op = Opcode::kMulImm, .dst = d0, .a = x, .imm = imm(0) | 1}, round);
+    if (len >= 2) {
+      emit({.op = Opcode::kShr, .dst = d1, .a = x1, .b = kk}, round);
+    }
     if (len >= 3) {
       const bool swap = rng.next_bool(0.5);
-      code.push_back({.op = Opcode::kXor, .dst = d2, .a = swap ? y : w,
-                      .b = swap ? w : y});
+      emit({.op = Opcode::kXor, .dst = d2, .a = swap ? y : w,
+            .b = swap ? w : y},
+           round);
     }
-    if (len == 4) code.push_back({.op = Opcode::kAddImm, .dst = d3, .a = z,
-                                  .imm = imm(1000)});
+    if (len == 4) {
+      emit({.op = Opcode::kAddImm, .dst = d3, .a = z, .imm = imm(1000)},
+           round);
+    }
     const std::uint16_t dsts[] = {d0, d1, d2, d3};
     for (std::uint64_t i = 0; i < len; ++i) {
       inner[dsts[i]] = i + 1 < len;
       tally.k_written += !clean && dsts[i] == k;
     }
+    last_inner.assign(dsts, dsts + (len >= 3 ? len - 1 : 0));
     tally.partial += len < 3;
     tally.d0_is_x += len >= 2 && d0 == x && x1 == x;
     tally.d1_is_d0 += len >= 3 && d1 == d0;
@@ -846,40 +996,131 @@ std::vector<Instr> random_mix_code(Rng& rng, MixTally& tally) {
     chain_len = clean && len >= 3 ? len : 0;
     acc = dsts[len - 1];
   }
-  return code;
-}
-
-// The reference: one instruction at a time, as the IR defines them.
-std::vector<std::uint64_t> reference_run(const std::vector<Instr>& code) {
-  std::vector<std::uint64_t> r(kMixRegs, 0);
-  for (const Instr& in : code) {
-    const auto imm = static_cast<std::uint64_t>(in.imm);
-    switch (in.op) {
-      case Opcode::kConst: r[in.dst] = imm; break;
-      case Opcode::kMulImm: r[in.dst] = r[in.a] * imm; break;
-      case Opcode::kShr: r[in.dst] = r[in.a] >> (r[in.b] & 63); break;
-      case Opcode::kXor: r[in.dst] = r[in.a] ^ r[in.b]; break;
-      case Opcode::kAddImm: r[in.dst] = r[in.a] + imm; break;
-      default: ADD_FAILURE() << "unexpected " << to_string(in.op); break;
+  if (rng.next_below(3) == 0) {
+    mc.passes = 1 + static_cast<std::uint32_t>(rng.next_below(4));
+    ++tally.loops;
+    // Feed a last clean round's result back into the first round's x:
+    // still a clean round, since first_x is not the shift register.
+    if (mc.round.back() >= 0 && first_x != k) {
+      mc.code.back().dst = first_x;
+      ++tally.loop_carried;
     }
   }
-  return r;
+  for (std::uint16_t r = 0; r < kMixRegs; ++r) {
+    if (rng.next_bool(0.4)) mc.respond.push_back(r);
+  }
+  return mc;
 }
 
-// `code`, then a response of every register and a return.
-Program mix_program(const std::vector<Instr>& code) {
+// `mc` as a function: one block, or a prologue, the loop body and an
+// epilogue; then a response of mc.respond and a return of kCounter, which
+// reads 0 either way.
+Program mix_program(const MixCase& mc) {
+  std::vector<Instr> epilogue;
+  for (const std::uint16_t r : mc.respond) {
+    epilogue.push_back({.op = Opcode::kRespWord, .a = r});
+  }
+  epilogue.push_back({.op = Opcode::kRet, .a = kCounter});
   Function f;
   f.name = "mix";
-  f.num_regs = kMixRegs;
-  BasicBlock block{code};
-  for (std::uint16_t r = 0; r < kMixRegs; ++r) {
-    block.instrs.push_back({.op = Opcode::kRespWord, .a = r});
+  f.num_regs = kMixRegs + 1;
+  const auto body = mc.code.begin() + static_cast<std::ptrdiff_t>(mc.prologue);
+  if (mc.passes == 0) {
+    BasicBlock block{mc.code};
+    block.instrs.insert(block.instrs.end(), epilogue.begin(), epilogue.end());
+    f.blocks.push_back(std::move(block));
+  } else {
+    BasicBlock head{{mc.code.begin(), body}};
+    head.instrs.push_back(
+        {.op = Opcode::kConst, .dst = kCounter, .imm = mc.passes});
+    head.instrs.push_back({.op = Opcode::kBr, .imm = 1});
+    BasicBlock loop{{body, mc.code.end()}};
+    loop.instrs.push_back(
+        {.op = Opcode::kAddImm, .dst = kCounter, .a = kCounter, .imm = -1});
+    loop.instrs.push_back(
+        {.op = Opcode::kBrIf, .a = kCounter, .b = 2, .imm = 1});
+    f.blocks.push_back(std::move(head));
+    f.blocks.push_back(std::move(loop));
+    f.blocks.push_back(BasicBlock{std::move(epilogue)});
   }
-  block.instrs.push_back({.op = Opcode::kRet, .a = 0});
-  f.blocks.push_back(std::move(block));
   Program p;
   p.functions.push_back(std::move(f));
   return p;
+}
+
+// What running a case gives: its response and return value, and the
+// cycles of each instruction in the order they ran.
+struct MixRun {
+  std::vector<std::uint8_t> response;
+  std::uint64_t return_value = 0;
+  std::vector<std::uint64_t> cycles;
+};
+
+// The reference: one instruction at a time, as the IR defines them, in the
+// blocks mix_program lays out. It also tallies each whole clean round run
+// by whether a later instruction reads one of its inner writes.
+MixRun reference_run(const MixCase& mc, MixTally& tally) {
+  const CostModel npu = CostModel::npu();
+  const std::uint32_t passes = std::max<std::uint32_t>(mc.passes, 1);
+  MixRun out;
+  std::vector<std::uint64_t> r(kMixRegs + 1, 0);
+  // The round run (pass * rounds + round) whose inner write each register
+  // holds, or -1, and whether an instruction outside it read one.
+  std::vector<int> inner_of(kMixRegs + 1, -1);
+  std::vector<bool> read_later(static_cast<std::size_t>(mc.rounds) * passes);
+  const auto read = [&](std::uint16_t reg, int run) {
+    if (inner_of[reg] >= 0 && inner_of[reg] != run) read_later[inner_of[reg]] = true;
+    return r[reg];
+  };
+  const auto respond = [&](std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      out.response.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+    }
+    out.cycles.push_back(npu.body_cycles);
+  };
+  const auto step = [&](std::size_t i, std::uint32_t pass) {
+    const Instr& in = mc.code[i];
+    const int round = mc.round[i];
+    const int run = round < 0 ? -1 : static_cast<int>(pass) * mc.rounds + round;
+    const bool inner = round >= 0 && i + 1 < mc.code.size() &&
+                       mc.round[i + 1] == round;
+    const auto imm = static_cast<std::uint64_t>(in.imm);
+    std::uint64_t v = 0;
+    switch (in.op) {
+      case Opcode::kConst: v = imm; break;
+      case Opcode::kMulImm: v = read(in.a, run) * imm; break;
+      case Opcode::kShr: v = read(in.a, run) >> (read(in.b, run) & 63); break;
+      case Opcode::kXor: v = read(in.a, run) ^ read(in.b, run); break;
+      case Opcode::kAdd: v = read(in.a, run) + read(in.b, run); break;
+      case Opcode::kAddImm: v = read(in.a, run) + imm; break;
+      case Opcode::kRespWord: respond(read(in.a, run)); return;
+      default: ADD_FAILURE() << "unexpected " << to_string(in.op); return;
+    }
+    r[in.dst] = v;
+    inner_of[in.dst] = inner ? run : -1;
+    out.cycles.push_back(npu.alu_cycles);
+  };
+  for (std::size_t i = 0; i < mc.prologue; ++i) step(i, 0);
+  if (mc.passes > 0) {
+    r[kCounter] = mc.passes;
+    out.cycles.push_back(npu.alu_cycles);     // const
+    out.cycles.push_back(npu.branch_cycles);  // br
+  }
+  for (std::uint32_t pass = 0; pass < passes; ++pass) {
+    for (std::size_t i = mc.prologue; i < mc.code.size(); ++i) step(i, pass);
+    if (mc.passes > 0) {
+      --r[kCounter];
+      out.cycles.push_back(npu.alu_cycles);     // add_imm
+      out.cycles.push_back(npu.branch_cycles);  // br_if
+    }
+  }
+  for (const std::uint16_t reg : mc.respond) respond(read(reg, -1));
+  out.return_value = r[kCounter];
+  out.cycles.push_back(npu.branch_cycles);  // ret
+  for (const bool read_one : read_later) {
+    ++(read_one ? tally.read_rounds : tally.dead_rounds);
+  }
+  return out;
 }
 
 constexpr std::uint64_t kMixSeeds = 300;
@@ -889,28 +1130,23 @@ TEST(InterpFusion, RandomMixChainsMatchReference) {
   MixTally tally;
   for (std::uint64_t seed = 1; seed <= kMixSeeds; ++seed) {
     Rng rng(seed);
-    const std::vector<Instr> code = random_mix_code(rng, tally);
-    const std::vector<std::uint64_t> expected = reference_run(code);
-    const Program p = mix_program(code);
+    const MixCase mc = random_mix_case(rng, tally);
+    const MixRun expected = reference_run(mc, tally);
+    const Program p = mix_program(mc);
     ASSERT_TRUE(verify(p).ok()) << seed;
     Machine machine(p, npu, nullptr);
     const Invocation inv;
     const Outcome out = machine.run_function(0, inv);
     ASSERT_EQ(out.state, RunState::kDone) << seed;
-    ASSERT_EQ(out.response.size(), 8u * kMixRegs) << seed;
-    for (std::uint16_t r = 0; r < kMixRegs; ++r) {
-      std::uint64_t word = 0;
-      for (int i = 0; i < 8; ++i) {
-        word |= std::uint64_t{out.response[8 * r + i]} << (8 * i);
-      }
-      EXPECT_EQ(word, expected[r]) << "seed " << seed << " r" << r;
-    }
-    EXPECT_EQ(out.instructions, code.size() + kMixRegs + 1) << seed;
-    EXPECT_EQ(out.cycles, code.size() * npu.alu_cycles +
-                              kMixRegs * npu.body_cycles + npu.branch_cycles)
-        << seed;
+    EXPECT_EQ(out.response, expected.response) << seed;
+    EXPECT_EQ(out.return_value, expected.return_value) << seed;
+    EXPECT_EQ(out.instructions, expected.cycles.size()) << seed;
+    std::uint64_t cycles = 0;
+    for (const std::uint64_t c : expected.cycles) cycles += c;
+    EXPECT_EQ(out.cycles, cycles) << seed;
   }
-  // The corpus covers chains and every case the fusion rule must refuse.
+  // The corpus covers chains, every case the fusion rule must refuse, and
+  // inner writes both dead and read later.
   EXPECT_GT(tally.chain_links, 0);
   EXPECT_GT(tally.partial, 0);
   EXPECT_GT(tally.d0_is_x, 0);
@@ -918,26 +1154,41 @@ TEST(InterpFusion, RandomMixChainsMatchReference) {
   EXPECT_GT(tally.k_is_d0, 0);
   EXPECT_GT(tally.k_written, 0);
   EXPECT_GT(tally.inner_read, 0);
+  EXPECT_GT(tally.inner_resp, 0);
+  EXPECT_GT(tally.inner_operand, 0);
+  EXPECT_GT(tally.loops, 0);
+  EXPECT_GT(tally.loop_carried, 0);
+  EXPECT_GT(tally.dead_rounds, 0);
+  EXPECT_GT(tally.read_rounds, 0);
 }
 
 TEST(InterpFusion, FuelCutsInsideChainsCountExactly) {
-  // With unit ALU cost, fuel f stops the run before instruction f + 1:
-  // the f + 1 instructions before it ran and cost f + 1 cycles.
-  ASSERT_EQ(CostModel::npu().alu_cycles, 1u);
+  // Fuel f lets an instruction run when the cycles of those before it are
+  // at most f, so a run that stops reports the instructions before the
+  // first that may not run, and their cycles.
   MixTally tally;
   for (std::uint64_t seed = 1; seed <= kMixSeeds; ++seed) {
     Rng rng(seed);
-    const std::vector<Instr> code = random_mix_code(rng, tally);
-    const Program p = mix_program(code);
+    const MixCase mc = random_mix_case(rng, tally);
+    const MixRun expected = reference_run(mc, tally);
+    const Program p = mix_program(mc);
     Machine machine(p, CostModel::npu(), nullptr);
     const Invocation inv;
-    for (std::uint64_t fuel = 0; fuel < code.size(); ++fuel) {
+    // before[i]: the cycles of the instructions run before instruction i.
+    std::vector<std::uint64_t> before{0};
+    for (const std::uint64_t c : expected.cycles) {
+      before.push_back(before.back() + c);
+    }
+    const auto last = before.end() - 2;  // before the final ret
+    for (std::uint64_t fuel = 0; fuel < *last; ++fuel) {
       machine.set_fuel(fuel);
       const Outcome out = machine.run_function(0, inv);
+      const auto ran = static_cast<std::uint64_t>(
+          std::upper_bound(before.begin(), last + 1, fuel) - before.begin());
       ASSERT_EQ(out.state, RunState::kTrap) << seed << " fuel " << fuel;
       EXPECT_EQ(out.trap_message, "fuel exhausted (compute limit)");
-      EXPECT_EQ(out.instructions, fuel + 1) << seed << " fuel " << fuel;
-      EXPECT_EQ(out.cycles, fuel + 1) << seed << " fuel " << fuel;
+      EXPECT_EQ(out.instructions, ran) << seed << " fuel " << fuel;
+      EXPECT_EQ(out.cycles, before[ran]) << seed << " fuel " << fuel;
     }
   }
 }

@@ -43,7 +43,7 @@
 //                   [--zipf S] [--deadline-us U] [--backend ...]
 //       Drive open-loop Poisson load, Zipf-distributed over N function
 //       aliases, through a live cluster; print the SLO report and the
-//       offered-load gauges.
+//       offered-load gauges. R x D may offer at most 1,000,000 requests.
 //
 //   lnicctl loadgen trace <file> [--deadline-us U] [--expect N]
 //                   [--backend ...]
@@ -54,6 +54,8 @@
 //                   [--duration-ms D] [--rate R] [--peak P] [--functions N]
 //                   [--zipf S] [--seed X]
 //       Synthesize a deterministic trace file in the lnic-trace format.
+//       The larger of R and P, over D, may offer at most 1,000,000
+//       requests.
 //
 //   lnicctl kv [--mix A..F|tpcc] [--proto no_wait|wait_die] [--txns N]
 //              [--zipf S] [--warehouses W] [--cache N] [--rate R]
@@ -126,6 +128,8 @@ int usage() {
                "[--pattern constant|diurnal|burst]\n"
                "                  [--duration-ms D] [--rate R] [--peak P] "
                "[--functions N] [--zipf S] [--seed X]\n"
+               "                  (poisson and synth offer at most 1000000 "
+               "requests)\n"
                "  lnicctl kv [--mix A..F|tpcc] [--proto no_wait|wait_die] "
                "[--txns N] [--zipf S]\n"
                "             [--warehouses 1..1024] [--cache N] [--rate R] "
@@ -195,13 +199,20 @@ std::uint64_t flag_u64(
 
 /// Caps that keep a flag from wrapping its conversion or exhausting
 /// memory: one simulated day, at most 65,536 function aliases, at most a
-/// million requests from the single-cluster commands, and at most 1,024
-/// TPC-C-lite warehouses (populate() loads 4,096 stock rows for each).
+/// million requests from the single-cluster commands, also as `loadgen`
+/// offers them (rate times duration, at the peak rate for `synth`, whose
+/// trace holds every arrival), and at most 1,024 TPC-C-lite warehouses
+/// (populate() loads 4,096 stock rows for each).
 constexpr std::uint64_t kMaxMillis = 86'400'000;
 constexpr std::uint64_t kMaxMicros = 1000 * kMaxMillis;
 constexpr std::uint64_t kMaxFunctions = 65'536;
 constexpr int kMaxRequests = 1'000'000;
 constexpr std::uint32_t kMaxWarehouses = 1'024;
+
+/// True when `rps` over `duration_ms` offers more than kMaxRequests.
+bool offers_too_many(double rps, std::uint64_t duration_ms) {
+  return rps * static_cast<double>(duration_ms) / 1000.0 > kMaxRequests;
+}
 
 int flag_requests(const std::map<std::string, std::string>& flags,
                   int fallback) {
@@ -681,13 +692,17 @@ int cmd_loadgen_synth(const std::map<std::string, std::string>& flags) {
   } else {
     return usage();
   }
-  spec.duration = milliseconds(static_cast<std::int64_t>(
-      flag_u64(flags, "--duration-ms", 1000, kMaxMillis)));
+  const std::uint64_t duration_ms =
+      flag_u64(flags, "--duration-ms", 1000, kMaxMillis);
+  spec.duration = milliseconds(static_cast<std::int64_t>(duration_ms));
   spec.base_rps = flag_double(flags, "--rate", 1000.0);
   spec.peak_rps = flag_double(flags, "--peak", 4.0 * spec.base_rps);
   spec.functions = flag_u64(flags, "--functions", 8, kMaxFunctions);
   spec.zipf_s = flag_double(flags, "--zipf", 0.9);
   spec.seed = flag_u64(flags, "--seed", 1);
+  if (offers_too_many(std::max(spec.base_rps, spec.peak_rps), duration_ms)) {
+    return usage();
+  }
 
   const auto events = loadgen::synthesize(spec);
   const std::string out_path =
@@ -793,13 +808,18 @@ int cmd_loadgen(int argc, char** argv) {
 
   if (mode == "poisson") {
     const double rate = flag_double(flags, "--rate", 2000.0);
-    const SimDuration duration = milliseconds(static_cast<std::int64_t>(
-        flag_u64(flags, "--duration-ms", 500, kMaxMillis)));
+    const std::uint64_t duration_ms =
+        flag_u64(flags, "--duration-ms", 500, kMaxMillis);
+    const SimDuration duration =
+        milliseconds(static_cast<std::int64_t>(duration_ms));
     const std::size_t n_functions =
         flag_u64(flags, "--functions", 8, kMaxFunctions);
     const double zipf = flag_double(flags, "--zipf", 0.9);
     // A silent stream or an empty alias set would offer nothing.
-    if (!loadgen::offers_load(rate) || n_functions == 0) return usage();
+    if (!loadgen::offers_load(rate) || n_functions == 0 ||
+        offers_too_many(rate, duration_ms)) {
+      return usage();
+    }
     std::vector<std::string> functions;
     for (std::size_t rank = 0; rank < n_functions; ++rank) {
       functions.push_back(loadgen::function_name(rank));

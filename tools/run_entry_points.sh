@@ -3,10 +3,12 @@
 # where the bench has it), every example, and the lnicctl commands
 # README lists. Stops at the first command that exits non-zero, and also
 # requires `lnicctl loadgen poisson` to reject a rate that offers no
-# load and numeric flags that are malformed or negative, `lnicctl kv` to
-# reject zero warehouses, and `lnicctl compile` to reject a program whose
-# objects outgrow the card's EMEM. Outputs land in a temporary directory
-# that is removed on exit.
+# load and numeric flags that are malformed or negative, `loadgen
+# poisson` and `loadgen synth` to reject a rate that offers more than a
+# million requests over the run, `lnicctl kv` to reject zero warehouses,
+# and `lnicctl compile` to reject a program whose objects outgrow the
+# card's EMEM. Outputs land in a temporary directory that is removed on
+# exit.
 #
 #   tools/run_entry_points.sh <build-dir>
 set -euo pipefail
@@ -96,6 +98,10 @@ expect_exit 1 "$lnicctl" loadgen poisson --rate 0
 expect_exit 1 "$lnicctl" loadgen poisson --functions 0
 expect_exit 1 "$lnicctl" loadgen poisson --rate abc
 expect_exit 1 "$lnicctl" loadgen poisson --functions -1
+expect_exit 1 "$lnicctl" loadgen poisson --rate 1e15 --duration-ms 1 \
+  --functions 1
+expect_exit 1 "$lnicctl" loadgen synth --rate 1e12 --duration-ms 1000 \
+  --out "$work/big.trace"
 expect_exit 1 "$lnicctl" kv --mix tpcc --warehouses 0
 cat > huge.mc <<'MC'
 global u8 msg[4611686018427387904] hot;
