@@ -11,25 +11,85 @@
 # exit.
 #
 #   tools/run_entry_points.sh <build-dir>
+#   tools/run_entry_points.sh <build-dir> --save-golden
+#   tools/run_entry_points.sh <build-dir> --check-golden
+#
+# --save-golden also writes each entry point's stdout and the
+# BENCH_*.json it wrote to tests/golden/, replacing what is there;
+# --check-golden diffs them against tests/golden/ and fails on any
+# difference. Output that differs between two runs of one build (the
+# wall-clock benches perf_engine, perf_datapath and micro_benchmarks,
+# and supp_trace_overhead's timings) is left out of both.
 set -euo pipefail
 
-if [ $# -ne 1 ]; then
-  echo "usage: $0 <build-dir>" >&2
+golden_mode=
+if [ $# -eq 2 ] && { [ "$2" = --save-golden ] || [ "$2" = --check-golden ]; }; then
+  golden_mode=${2#--}
+  golden_mode=${golden_mode%-golden}
+elif [ $# -ne 1 ]; then
+  echo "usage: $0 <build-dir> [--save-golden | --check-golden]" >&2
   exit 1
 fi
+golden=$(cd "$(dirname "$0")/.." && pwd)/tests/golden
 build=$(cd "$1" && pwd)
 work=$(mktemp -d)
 trap 'rm -rf "$work"' EXIT
 cd "$work"
+mkdir capture
+
+# The capture name of a command: its words without the build and work
+# directory prefixes, with anything but [A-Za-z0-9._-] turned into '_'.
+capture_name() {
+  local words="$*"
+  words=${words//"$build/"/}
+  words=${words//"$work/"/}
+  printf '%s' "$words" | tr -c 'A-Za-z0-9._-' '_'
+}
+
+# Drops the wall-clock parts of a capture (read on stdin).
+scrub() {
+  case "$1" in
+    bench_perf_engine* | bench_perf_datapath* | bench_micro_benchmarks* | \
+        BENCH_perf_engine.json | BENCH_perf_datapath.json)
+      return ;;
+    bench_supp_trace_overhead)
+      # The wall and export columns, the overhead they give, and the
+      # flight recorder's cost per record.
+      sed -E -e 's/^(  .* +[0-9]+ +[0-9.]+ +[0-9.]+ +[0-9]+) +[0-9.]+ +[0-9.]+$/\1/' \
+          -e '/wall-clock recording overhead/d' \
+          -e 's/[0-9.]+ ns\/record/_ ns\/record/' ;;
+    BENCH_supp_trace_overhead.json)
+      sed '/flightrec_ns_per_record/d' ;;
+    *)
+      cat ;;
+  esac
+}
+
+# Keeps a finished command's stdout and BENCH_*.json for the golden diff.
+capture() {
+  [ -n "$golden_mode" ] || return 0
+  local name
+  name=$(capture_name "$@")
+  scrub "$name" < out.log > "capture/$name.txt"
+  [ -s "capture/$name.txt" ] || rm -f "capture/$name.txt"
+  local json
+  for json in BENCH_*.json; do
+    [ -e "$json" ] || continue
+    scrub "$json" < "$json" > "capture/$json"
+    [ -s "capture/$json" ] || rm -f "capture/$json"
+    rm -f "$json"
+  done
+}
 
 ran=0
 run() {
   echo "==> $*"
-  if ! "$@" > out.log 2>&1; then
-    cat out.log
+  if ! "$@" > out.log 2> err.log; then
+    cat out.log err.log
     echo "FAILED: $*" >&2
     exit 1
   fi
+  capture "$@"
   ran=$((ran + 1))
 }
 
@@ -41,12 +101,13 @@ expect_exit() {
   shift
   echo "==> $* (expect exit $want)"
   local status=0
-  timeout 60 "$@" > out.log 2>&1 || status=$?
+  timeout 60 "$@" > out.log 2> err.log || status=$?
   if [ "$status" -ne "$want" ]; then
-    cat out.log
+    cat out.log err.log
     echo "FAILED: $* exited $status, expected $want" >&2
     exit 1
   fi
+  capture "$@"
   ran=$((ran + 1))
 }
 
@@ -114,3 +175,17 @@ MC
 expect_exit 2 "$lnicctl" compile huge.mc -o huge.lnfw
 
 echo "all $ran entry points passed"
+case "$golden_mode" in
+  save)
+    rm -rf "$golden"
+    cp -r capture "$golden"
+    echo "saved $(ls capture | wc -l) golden outputs to $golden"
+    ;;
+  check)
+    if ! diff -ru "$golden" capture; then
+      echo "FAILED: simulated outputs differ from $golden" >&2
+      exit 1
+    fi
+    echo "all $(ls capture | wc -l) golden outputs match"
+    ;;
+esac
