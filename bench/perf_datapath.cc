@@ -96,11 +96,8 @@ class EchoNode {
 
     const net::BufferView body = coalesce(re.frags);
     inflight_.erase(p.lambda.request_id);
-    for (net::Packet& frag :
-         net::fragment(node_, p.src, net::PacketKind::kResponse, p.lambda,
-                       body)) {
-      network_.send(std::move(frag));
-    }
+    net::fragment(node_, p.src, net::PacketKind::kResponse, p.lambda, body,
+                  [this](net::Packet f) { network_.send(std::move(f)); });
   }
 
   net::Network& network_;

@@ -157,7 +157,8 @@ OverloadResult run_overload(bool limited, double rate, SimDuration window) {
       [&](const loadgen::Request& req, loadgen::CompletionFn done) {
         const SimTime t0 = req.intended;
         gateway.invoke("f", {1},
-                       [&, t0, done](Result<proto::RpcResponse> r) {
+                       [&, t0, done = std::move(done)](
+                           Result<proto::RpcResponse> r) {
                          if (r.ok()) {
                            ++result.ok;
                          } else {
@@ -272,7 +273,8 @@ int main() {
         sim, lg, profiles,
         [&](const loadgen::Request&, loadgen::CompletionFn done) {
           gateway.invoke("f", {1},
-                         [&, done](Result<proto::RpcResponse> r) {
+                         [&, done = std::move(done)](
+                             Result<proto::RpcResponse> r) {
                            if (r.ok()) {
                              ++ok;
                            } else {

@@ -24,6 +24,16 @@
 // copy_stats(), and every byte handed off by reference that the old
 // datapath would have copied is counted as shared — the
 // bench/perf_datapath bench reports both.
+//
+// Storage is recycled per thread: when a Buffer's last view drops, its
+// byte vector goes to a bounded free list that recycled_bytes() hands
+// out again, and its shared_ptr control block to another. So a request
+// path that builds its payloads with recycled_bytes() (responses, KV
+// bodies) allocates nothing once warm. The lists hold at most
+// kMaxSpareVectors vectors of at most kMaxSpareVectorBytes each and
+// kMaxSpareBytes in all, and kMaxSpareBlocks control blocks; what does
+// not fit is freed. Contents never carry over: recycled_bytes() returns
+// an empty vector.
 #pragma once
 
 #include <cstdint>
@@ -50,6 +60,16 @@ struct CopyStats {
 CopyStats copy_stats();
 void reset_copy_stats();
 
+/// Bounds of the per-thread storage free lists (see above).
+constexpr std::size_t kMaxSpareVectors = 256;
+constexpr std::size_t kMaxSpareVectorBytes = 64 * 1024;
+constexpr std::size_t kMaxSpareBytes = 1024 * 1024;
+constexpr std::size_t kMaxSpareBlocks = 1024;
+
+/// An empty byte vector with at least `reserve` bytes of capacity, built
+/// on storage a dropped Buffer gave back when there is some.
+std::vector<std::uint8_t> recycled_bytes(std::size_t reserve);
+
 /// Immutable refcounted byte array. Create via adopt() (takes ownership
 /// of a vector, no byte copy) or copy_of() (counted copy).
 class Buffer {
@@ -69,6 +89,10 @@ class Buffer {
   // Constructible only through adopt()/copy_of() (the tag is private).
   Buffer(AdoptTag, std::vector<std::uint8_t> bytes)
       : bytes_(std::move(bytes)) {}
+  /// Hands the bytes' storage to this thread's free list.
+  ~Buffer();
+  Buffer(const Buffer&) = delete;
+  Buffer& operator=(const Buffer&) = delete;
 
  private:
   std::vector<std::uint8_t> bytes_;

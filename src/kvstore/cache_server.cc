@@ -24,7 +24,7 @@ void CacheServer::put(std::uint64_t key, std::uint64_t value) {
   auto it = map_.find(key);
   if (it != map_.end()) {
     it->second.value = value;
-    touch(key);
+    touch(it->second.lru_pos);
     return;
   }
   if (map_.size() >= config_.capacity) {
@@ -46,15 +46,8 @@ bool CacheServer::get(std::uint64_t key, std::uint64_t& value_out) {
   }
   ++stats_.hits;
   value_out = it->second.value;
-  touch(key);
+  touch(it->second.lru_pos);
   return true;
-}
-
-void CacheServer::touch(std::uint64_t key) {
-  auto it = map_.find(key);
-  lru_.erase(it->second.lru_pos);
-  lru_.push_front(key);
-  it->second.lru_pos = lru_.begin();
 }
 
 void CacheServer::handle_packet(const Packet& packet) {

@@ -47,8 +47,12 @@ class CacheServer {
   bool get(std::uint64_t key, std::uint64_t& value_out);
 
  private:
+  using LruPos = std::list<std::uint64_t>::iterator;
+
   void handle_packet(const net::Packet& packet);
-  void touch(std::uint64_t key);
+  /// Moves a key's LRU node to the front (a splice: no node is freed or
+  /// allocated).
+  void touch(LruPos pos) { lru_.splice(lru_.begin(), lru_, pos); }
 
   sim::Simulator& sim_;
   net::Network& network_;
@@ -59,7 +63,7 @@ class CacheServer {
   std::list<std::uint64_t> lru_;
   struct Entry {
     std::uint64_t value;
-    std::list<std::uint64_t>::iterator lru_pos;
+    LruPos lru_pos;
   };
   std::unordered_map<std::uint64_t, Entry> map_;
   CacheStats stats_;

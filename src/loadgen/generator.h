@@ -32,6 +32,7 @@
 #include "loadgen/popularity.h"
 #include "loadgen/slo.h"
 #include "loadgen/trace.h"
+#include "sim/inline_fn.h"
 #include "sim/simulator.h"
 
 namespace lnic::loadgen {
@@ -47,8 +48,11 @@ struct Request {
 };
 
 /// Completion signal: true = success, false = failure (shed, transport
-/// error, ...). Must be called exactly once per sunk request.
-using CompletionFn = std::function<void(bool ok)>;
+/// error, ...). Must be called exactly once per sunk request. Move-only;
+/// the generator's own closure, (this, stats, intended time), fits in
+/// place.
+constexpr std::size_t kCompletionCapacity = 24;
+using CompletionFn = sim::InlineFn<void(bool ok), kCompletionCapacity>;
 using Sink = std::function<void(const Request&, CompletionFn done)>;
 
 struct FunctionProfile {

@@ -544,10 +544,16 @@ Outcome Machine::run_function(std::size_t function_index,
   assert(function_index < code.functions.size());
   invocation_ = &invocation;
   suspended_ = false;
-  response_.clear();
-  // Likely as long as the last one: allocate it once, up front. Reserving
-  // here rather than in finish() keeps idle pooled Machines empty.
-  response_.reserve(last_response_size_);
+  // Likely as long as the last one: reserve it once, up front, on
+  // storage a dropped payload gave back when finish() handed the last
+  // response over. Doing it here rather than in finish() keeps idle
+  // pooled Machines empty.
+  if (response_.capacity() == 0) {
+    response_ = recycled_bytes(last_response_size_);
+  } else {
+    response_.clear();
+    response_.reserve(last_response_size_);
+  }
   // Charge the generated parser (header identification + extraction).
   cycles_ = code.parse_cycles;
   bulk_cycles_ = 0;

@@ -1,6 +1,5 @@
 #include "net/packet.h"
 
-#include <algorithm>
 
 namespace lnic::net {
 
@@ -41,7 +40,8 @@ Packet make_kv_request(NodeId src, NodeId dst, RequestId request_id,
   p.kind = PacketKind::kKvRequest;
   p.lambda.request_id = request_id;
   p.lambda.workload_id = op;
-  std::vector<std::uint8_t> body(16);
+  std::vector<std::uint8_t> body = recycled_bytes(16);
+  body.resize(16);
   put_u64(body.data(), key);
   put_u64(body.data() + 8, value);
   p.payload = std::move(body);
@@ -53,7 +53,8 @@ KvRequest decode_kv_request(const BufferView& body) {
 }
 
 std::vector<std::uint8_t> encode_kv_reply(std::uint64_t value) {
-  std::vector<std::uint8_t> body(8);
+  std::vector<std::uint8_t> body = recycled_bytes(8);
+  body.resize(8);
   put_u64(body.data(), value);
   return body;
 }
@@ -70,30 +71,6 @@ BufferView make_payload(const std::string& text) {
 
 std::string payload_to_string(const BufferView& payload) {
   return std::string(payload.begin(), payload.end());
-}
-
-std::vector<Packet> fragment(NodeId src, NodeId dst, PacketKind kind,
-                             const LambdaHeader& header,
-                             const BufferView& payload) {
-  std::vector<Packet> out;
-  const std::size_t total = payload.size();
-  const std::size_t count =
-      total == 0 ? 1 : (total + kMaxPayload - 1) / kMaxPayload;
-  out.reserve(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    Packet p;
-    p.src = src;
-    p.dst = dst;
-    p.kind = kind;
-    p.lambda = header;
-    p.lambda.frag_index = static_cast<std::uint32_t>(i);
-    p.lambda.frag_count = static_cast<std::uint32_t>(count);
-    const std::size_t begin = i * kMaxPayload;
-    const std::size_t end = std::min(total, begin + kMaxPayload);
-    p.payload = payload.slice(begin, end - begin);
-    out.push_back(std::move(p));
-  }
-  return out;
 }
 
 namespace {

@@ -12,6 +12,7 @@
 // coalesce(), the reassembled body — shares the producer's storage.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <map>
 #include <optional>
@@ -104,11 +105,31 @@ BufferView make_payload(const std::string& text);
 std::string payload_to_string(const BufferView& payload);
 
 /// Splits `payload` into <=kMaxPayload fragments, all sharing `header`'s
-/// workload/request IDs with frag_index/frag_count filled in. Fragments
-/// are views into `payload`'s buffer — no bytes are copied.
-std::vector<Packet> fragment(NodeId src, NodeId dst, PacketKind kind,
-                             const LambdaHeader& header,
-                             const BufferView& payload);
+/// workload/request IDs with frag_index/frag_count filled in, and hands
+/// each to `emit` (called with a Packet rvalue) in fragment order —
+/// usually straight to Network::send. Fragments are views into
+/// `payload`'s buffer: no bytes are copied, and nothing is allocated.
+template <typename Emit>
+void fragment(NodeId src, NodeId dst, PacketKind kind,
+              const LambdaHeader& header, const BufferView& payload,
+              Emit&& emit) {
+  const std::size_t total = payload.size();
+  const std::size_t count =
+      total == 0 ? 1 : (total + kMaxPayload - 1) / kMaxPayload;
+  for (std::size_t i = 0; i < count; ++i) {
+    Packet p;
+    p.src = src;
+    p.dst = dst;
+    p.kind = kind;
+    p.lambda = header;
+    p.lambda.frag_index = static_cast<std::uint32_t>(i);
+    p.lambda.frag_count = static_cast<std::uint32_t>(count);
+    const std::size_t begin = i * kMaxPayload;
+    const std::size_t end = std::min(total, begin + kMaxPayload);
+    p.payload = payload.slice(begin, end - begin);
+    emit(std::move(p));
+  }
+}
 
 /// The receiver side of fragment(): a reorder buffer keyed by (source
 /// node, request id). Every receiver of multi-packet messages — the NIC's

@@ -22,11 +22,14 @@ inline std::uint64_t payload_word(const BufferView& body,
   return v;
 }
 
-/// Fills an invocation from the request header + (reassembled) body.
-/// `body` is a zero-copy view shared with the packet buffer.
-inline microc::Invocation build_invocation(const net::LambdaHeader& header,
-                                           NodeId src, BufferView body) {
-  microc::Invocation inv;
+/// Fills `inv` in place from the request header + (reassembled) body,
+/// overwriting every field; match_data keeps its storage, so a recycled
+/// invocation allocates nothing. `body` is a zero-copy view shared with
+/// the packet buffer.
+inline void fill_invocation(microc::Invocation& inv,
+                            const net::LambdaHeader& header, NodeId src,
+                            BufferView body) {
+  inv.headers = {};
   inv.headers.fields[microc::kHdrWorkloadId] = header.workload_id;
   inv.headers.fields[microc::kHdrRequestId] = header.request_id;
   inv.headers.fields[microc::kHdrSrcNode] = src;
@@ -38,7 +41,15 @@ inline microc::Invocation build_invocation(const net::LambdaHeader& header,
   inv.headers.fields[microc::kHdrImageWidth] = word0 & 0xFFFF;
   inv.headers.fields[microc::kHdrImageHeight] = (word0 >> 16) & 0xFFFF;
   inv.body = std::move(body);
-  inv.match_data = {1};  // route metadata (P4 metadata after reduction)
+  // Route metadata (P4 metadata after reduction).
+  inv.match_data.assign(1, 1);
+}
+
+/// A fresh invocation filled by fill_invocation().
+inline microc::Invocation build_invocation(const net::LambdaHeader& header,
+                                           NodeId src, BufferView body) {
+  microc::Invocation inv;
+  fill_invocation(inv, header, src, std::move(body));
   return inv;
 }
 

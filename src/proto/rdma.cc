@@ -67,10 +67,8 @@ void HostMemoryNode::serve(const Packet& request, net::BufferView body) {
   }
   const NodeId dst = request.src;
   sim_.schedule(service, [this, dst, header, reply_body]() {
-    for (Packet& p : net::fragment(node_, dst, PacketKind::kRdmaEvent, header,
-                                   reply_body)) {
-      network_.send(std::move(p));
-    }
+    net::fragment(node_, dst, PacketKind::kRdmaEvent, header, reply_body,
+                  [this](Packet p) { network_.send(std::move(p)); });
   });
 }
 
@@ -124,10 +122,9 @@ void RdmaQp::write(NodeId host, std::uint64_t addr, Bytes len,
   net::LambdaHeader header;
   header.workload_id = kRdmaOpWrite;
   header.request_id = id;
-  for (Packet& packet : net::fragment(node_, host, PacketKind::kRdmaWrite,
-                                      header, synthetic(std::max<Bytes>(len, 1)))) {
-    network_.send(std::move(packet));
-  }
+  net::fragment(node_, host, PacketKind::kRdmaWrite, header,
+                synthetic(std::max<Bytes>(len, 1)),
+                [this](Packet p) { network_.send(std::move(p)); });
 }
 
 void RdmaQp::handle_packet(const Packet& packet) {

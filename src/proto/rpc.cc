@@ -40,23 +40,21 @@ RpcClient::RpcClient(sim::Simulator& sim, net::Network& network,
 void RpcClient::call(NodeId dst, WorkloadId workload, net::BufferView payload,
                      RpcCallback callback, trace::SpanContext ctx,
                      TenantId tenant) {
-  const RequestId id = next_id_++;
-  Pending pending;
-  pending.dst = dst;
-  pending.workload = workload;
-  pending.tenant = tenant;
-  pending.payload = std::move(payload);
-  pending.callback = std::move(callback);
-  pending.sent_at = sim_.now();
+  const auto [id, pending] = pending_.add();
+  pending->dst = dst;
+  pending->workload = workload;
+  pending->tenant = tenant;
+  pending->payload = std::move(payload);
+  pending->callback = std::move(callback);
+  pending->sent_at = sim_.now();
   if (tracer_ != nullptr && ctx.valid()) {
-    pending.ctx = ctx;
-    pending.call_span =
+    pending->ctx = ctx;
+    pending->call_span =
         tracer_->start_span(ctx.trace, ctx.parent, "rpc.call", sim_.now());
-    tracer_->annotate(pending.call_span, "dst", std::to_string(dst));
+    tracer_->annotate(pending->call_span, "dst", std::to_string(dst));
   }
-  pending_.emplace(id, std::move(pending));
-  transmit(id);
-  arm_timer(id);
+  transmit(id, *pending);
+  arm_timer(id, *pending);
 }
 
 SimDuration RpcClient::current_rto(NodeId dst) const {
@@ -75,8 +73,7 @@ const RttEstimator* RpcClient::estimator(NodeId dst) const {
   return &it->second;
 }
 
-void RpcClient::transmit(RequestId id) {
-  Pending& p = pending_.at(id);
+void RpcClient::transmit(RequestId id, Pending& p) {
   net::LambdaHeader hdr;
   hdr.workload_id = p.workload;
   hdr.request_id = id;
@@ -93,8 +90,8 @@ void RpcClient::transmit(RequestId id) {
   const PacketKind kind = p.payload.size() > net::kMaxPayload
                               ? PacketKind::kRdmaWrite
                               : PacketKind::kRequest;
-  auto frags = net::fragment(node_, p.dst, kind, hdr, p.payload);
-  for (auto& f : frags) network_.send(std::move(f));
+  net::fragment(node_, p.dst, kind, hdr, p.payload,
+                [this](Packet f) { network_.send(std::move(f)); });
 }
 
 SimDuration RpcClient::retransmit_delay(const Pending& p, RequestId id) const {
@@ -118,16 +115,15 @@ SimDuration RpcClient::retransmit_delay(const Pending& p, RequestId id) const {
   return base;
 }
 
-void RpcClient::arm_timer(RequestId id) {
-  Pending& p = pending_.at(id);
+void RpcClient::arm_timer(RequestId id, Pending& p) {
   p.timer = sim_.schedule(retransmit_delay(p, id),
                           [this, id] { on_timeout(id); });
 }
 
 void RpcClient::on_timeout(RequestId id) {
-  auto it = pending_.find(id);
-  if (it == pending_.end()) return;
-  Pending& p = it->second;
+  Pending* found = pending_.find(id);
+  if (found == nullptr) return;  // a stale timer: the request finished
+  Pending& p = *found;
   p.timer = sim::kInvalidEvent;
   // Whether it retransmits or gives up, the request drops any partial
   // response: a retransmission is answered whole.
@@ -147,8 +143,7 @@ void RpcClient::on_timeout(RequestId id) {
       tracer_->annotate(p.call_span, "error", "timed out after retries");
       tracer_->end_span(p.call_span, sim_.now());
     }
-    RpcCallback cb = std::move(p.callback);
-    pending_.erase(it);
+    RpcCallback cb = pending_.take(id).callback;
     if (cb) cb(make_error("rpc: request timed out after retries"));
     return;
   }
@@ -156,17 +151,18 @@ void RpcClient::on_timeout(RequestId id) {
   ++retransmissions_;
   // Weakly-consistent delivery: resend the whole message; receivers
   // treat duplicate (src, request id) pairs idempotently.
-  transmit(id);
-  arm_timer(id);
+  transmit(id, p);
+  arm_timer(id, p);
 }
 
 void RpcClient::on_packet(const Packet& packet) {
   if (packet.kind != PacketKind::kResponse) return;
-  auto it = pending_.find(packet.lambda.request_id);
-  if (it == pending_.end()) return;  // late duplicate after completion
+  const RequestId id = packet.lambda.request_id;
+  Pending* found = pending_.find(id);
+  if (found == nullptr) return;  // late duplicate after completion
   auto message = responses_.add(packet);
   if (!message) return;
-  Pending& p = it->second;
+  Pending& p = *found;
 
   // Karn's rule: a response to a retransmitted request is ambiguous (it
   // may answer any of the transmissions), so it contributes no sample.
@@ -188,8 +184,9 @@ void RpcClient::on_packet(const Packet& packet) {
     tracer_->end_span(p.call_span, sim_.now());
   }
   if (p.timer != sim::kInvalidEvent) sim_.cancel(p.timer);
-  RpcCallback cb = std::move(p.callback);
-  pending_.erase(it);
+  // The slot is free before the callback runs, so a callback that calls
+  // again may reuse it.
+  RpcCallback cb = pending_.take(id).callback;
   if (cb) cb(std::move(response));
 }
 

@@ -19,14 +19,15 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <map>
 
+#include "common/id_ring.h"
 #include "common/result.h"
 #include "common/stats.h"
 #include "common/trace.h"
 #include "common/types.h"
 #include "net/network.h"
+#include "sim/inline_fn.h"
 #include "sim/simulator.h"
 
 namespace lnic::proto {
@@ -71,7 +72,11 @@ struct RpcResponse {
   std::uint32_t retries = 0;
 };
 
-using RpcCallback = std::function<void(Result<RpcResponse>)>;
+/// Room for the gateway's completion closure, (this, record), in place;
+/// larger closures (tests, benches) take one heap cell per call.
+constexpr std::size_t kRpcCallbackCapacity = 16;
+using RpcCallback =
+    sim::InlineFn<void(Result<RpcResponse>), kRpcCallbackCapacity>;
 
 class RpcClient {
  public:
@@ -98,6 +103,9 @@ class RpcClient {
   std::uint64_t retransmissions() const { return retransmissions_; }
   std::uint64_t failures() const { return failures_; }
   std::uint64_t inflight() const { return pending_.size(); }
+  /// Slots in the pending-request ring (grows to the widest window of
+  /// live request ids).
+  std::size_t pending_slots() const { return pending_.capacity(); }
 
   /// The timer a fresh (retries == 0) request to `dst` would arm right
   /// now: the adaptive RTO once a sample exists, else the configured
@@ -109,14 +117,14 @@ class RpcClient {
 
  private:
   struct Pending {
-    NodeId dst;
-    WorkloadId workload;
+    NodeId dst = kInvalidNode;
+    WorkloadId workload = kInvalidWorkload;
     TenantId tenant = kDefaultTenant;
     // The request body is retained as a view; retransmissions re-slice
     // the same buffer instead of re-copying the payload.
     net::BufferView payload;
     RpcCallback callback;
-    SimTime sent_at;
+    SimTime sent_at = 0;
     std::uint32_t retries = 0;
     sim::EventId timer = sim::kInvalidEvent;
     trace::SpanContext ctx;
@@ -124,8 +132,8 @@ class RpcClient {
     trace::SpanId attempt_span = trace::kInvalidSpan;
   };
 
-  void transmit(RequestId id);
-  void arm_timer(RequestId id);
+  void transmit(RequestId id, Pending& p);
+  void arm_timer(RequestId id, Pending& p);
   void on_timeout(RequestId id);
   void on_packet(const net::Packet& packet);
   SimDuration retransmit_delay(const Pending& p, RequestId id) const;
@@ -135,8 +143,8 @@ class RpcClient {
   RpcConfig config_;
   trace::TraceRecorder* tracer_ = nullptr;
   NodeId node_;
-  RequestId next_id_ = 1;
-  std::map<RequestId, Pending> pending_;
+  // Requests in flight, by request id (consecutive from 1).
+  IdRing<Pending> pending_;
   net::Reassembler responses_;
   std::map<NodeId, RttEstimator> estimators_;
   std::uint64_t retransmissions_ = 0;

@@ -41,7 +41,7 @@ namespace lnic::sim {
 
 /// Inline capacity covers the engine's hottest closures (packet delivery
 /// captures a Packet — header plus a refcounted payload view).
-using EventFn = InlineFn<128>;
+using EventFn = InlineFn<void(), 128>;
 
 /// Opaque handle identifying a scheduled event; usable for cancellation.
 /// Packs {slot index : 32, slot generation : 32}; generations start at 1

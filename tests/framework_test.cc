@@ -3,6 +3,8 @@
 // rendering, storage, and the autoscaler control loop.
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <map>
 #include <optional>
 
 #include "backends/backend.h"
@@ -443,6 +445,99 @@ TEST(Gateway, FailsOverToReplicaWhenWorkerDies) {
   // own (no manager intervention).
   sim.run();
   EXPECT_FALSE(gateway.is_quarantined(dead));
+}
+
+/// A worker that answers each request with its own payload; `alive`
+/// false makes it drop everything.
+struct PayloadEcho {
+  net::Network& network;
+  NodeId node;
+  bool alive = true;
+
+  explicit PayloadEcho(net::Network& net) : network(net) {
+    node = network.attach(nullptr);
+    network.set_handler(node, [this](const net::Packet& p) {
+      if (!alive || p.kind != net::PacketKind::kRequest) return;
+      net::Packet reply;
+      reply.src = node;
+      reply.dst = p.src;
+      reply.kind = net::PacketKind::kResponse;
+      reply.lambda = p.lambda;
+      reply.payload = p.payload;
+      network.send(reply);
+    });
+  }
+};
+
+std::vector<std::uint8_t> pattern(int seed, std::size_t size) {
+  std::vector<std::uint8_t> bytes(size);
+  for (std::size_t i = 0; i < size; ++i) {
+    bytes[i] = static_cast<std::uint8_t>(seed * 31 + i * 7);
+  }
+  return bytes;
+}
+
+TEST(Gateway, CallbackThatInvokesAgainGetsAFreshRecord) {
+  // Each reply's callback invokes the next request before returning. The
+  // finished request's record is already parked, so the next one may
+  // take it over; each callback must still see only its own reply.
+  sim::Simulator sim;
+  net::Network network(sim);
+  PayloadEcho echo(network);
+  Gateway gateway(sim, network);
+  gateway.register_function("f", 1, {echo.node});
+  constexpr int kDepth = 6;
+  std::vector<int> order;
+  std::function<void(int)> invoke_from = [&](int i) {
+    gateway.invoke("f", pattern(i, 100), [&, i](Result<proto::RpcResponse> r) {
+      ASSERT_TRUE(r.ok());
+      EXPECT_EQ(r.value().payload, pattern(i, 100)) << "request " << i;
+      order.push_back(i);
+      if (i + 1 < kDepth) invoke_from(i + 1);
+      // Still this request's reply after the nested invoke.
+      EXPECT_EQ(r.value().payload, pattern(i, 100)) << "request " << i;
+    });
+  };
+  invoke_from(0);
+  sim.run();
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4, 5}));
+  EXPECT_EQ(gateway.rpc().inflight(), 0u);
+}
+
+TEST(Gateway, FailoverThroughARecycledRecordKeepsThePayload) {
+  // Request 0 goes to a dead worker while others complete on the live
+  // one, so its record is parked and reused around its failover. The
+  // failover must resend request 0's own bytes and call back once.
+  sim::Simulator sim;
+  net::Network network(sim);
+  PayloadEcho dead(network);
+  dead.alive = false;
+  PayloadEcho live(network);
+  GatewayConfig config;
+  config.failover_attempts = 1;
+  config.rpc.retransmit_timeout = milliseconds(1);
+  config.rpc.max_retries = 1;
+  Gateway gateway(sim, network, config);
+  gateway.register_function("f", 1, {dead.node, live.node});
+  std::map<int, std::vector<std::vector<std::uint8_t>>> replies;
+  auto invoke = [&](int i) {
+    gateway.invoke("f", pattern(i, 1000), [&, i](Result<proto::RpcResponse> r) {
+      ASSERT_TRUE(r.ok()) << "request " << i;
+      replies[i].push_back(r.value().payload.to_vector());
+    });
+  };
+  invoke(0);  // round robin: the dead worker
+  for (int i = 1; i < 8; ++i) {
+    sim.schedule(microseconds(100) * i, [&invoke, i] { invoke(i); });
+  }
+  sim.run();
+  ASSERT_EQ(replies.size(), 8u);
+  for (const auto& [i, got] : replies) {
+    ASSERT_EQ(got.size(), 1u) << "request " << i;
+    EXPECT_EQ(got[0], pattern(i, 1000)) << "request " << i;
+  }
+  EXPECT_GE(gateway.metrics().counter("gateway_failovers_total{fn=f}").value(),
+            1u);
 }
 
 TEST(Gateway, FailoverExhaustionReportsError) {

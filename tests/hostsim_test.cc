@@ -50,9 +50,8 @@ struct Rig {
     net::LambdaHeader hdr;
     hdr.workload_id = wid;
     hdr.request_id = id;
-    auto frags =
-        net::fragment(client, host->node(), PacketKind::kRequest, hdr, body);
-    for (auto& f : frags) network.send(std::move(f));
+    net::fragment(client, host->node(), PacketKind::kRequest, hdr, body,
+                  [this](Packet f) { network.send(std::move(f)); });
   }
 };
 

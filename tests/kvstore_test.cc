@@ -70,6 +70,29 @@ TEST(CacheServer, LruEvictsOldest) {
   EXPECT_EQ(cache.stats().evictions, 1u);
 }
 
+TEST(CacheServer, PutOfAnExistingKeyTouchesIt) {
+  sim::Simulator sim;
+  net::Network network(sim);
+  CacheConfig config;
+  config.capacity = 3;
+  CacheServer cache(sim, network, config);
+  cache.put(1, 10);
+  cache.put(2, 20);
+  cache.put(3, 30);
+  cache.put(1, 11);  // touch 1 through put: now 2 is LRU
+  cache.put(4, 40);  // evicts 2
+  std::uint64_t v = 0;
+  EXPECT_FALSE(cache.get(2, v));
+  EXPECT_TRUE(cache.get(1, v));
+  EXPECT_EQ(v, 11u);
+  cache.put(5, 50);  // 3 is LRU now (1 and 4 were read or written later)
+  EXPECT_FALSE(cache.get(3, v));
+  EXPECT_TRUE(cache.get(4, v));
+  EXPECT_TRUE(cache.get(5, v));
+  EXPECT_EQ(cache.size(), 3u);
+  EXPECT_EQ(cache.stats().evictions, 2u);
+}
+
 TEST(CacheServer, DirectAccessorsCountStatsLikeNetworkedPath) {
   sim::Simulator sim;
   net::Network network(sim);

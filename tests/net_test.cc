@@ -30,10 +30,19 @@ TEST(Packet, PayloadStringRoundTrip) {
   EXPECT_EQ(payload_to_string(make_payload(text)), text);
 }
 
+/// fragment()'s packets, collected in order.
+std::vector<Packet> fragments_of(PacketKind kind, const LambdaHeader& hdr,
+                                 const BufferView& payload) {
+  std::vector<Packet> frags;
+  fragment(0, 1, kind, hdr, payload,
+           [&frags](Packet p) { frags.push_back(std::move(p)); });
+  return frags;
+}
+
 TEST(Fragment, SinglePacketWhenSmall) {
   LambdaHeader hdr{.workload_id = 3, .request_id = 9};
-  auto frags = fragment(0, 1, PacketKind::kRequest, hdr,
-                        std::vector<std::uint8_t>(100, 1));
+  auto frags = fragments_of(PacketKind::kRequest, hdr,
+                            std::vector<std::uint8_t>(100, 1));
   ASSERT_EQ(frags.size(), 1u);
   EXPECT_EQ(frags[0].lambda.frag_count, 1u);
   EXPECT_EQ(frags[0].lambda.workload_id, 3u);
@@ -45,7 +54,7 @@ TEST(Fragment, SplitsAndPreservesBytes) {
     payload[i] = static_cast<std::uint8_t>(i * 31);
   }
   LambdaHeader hdr{.workload_id = 1, .request_id = 2};
-  auto frags = fragment(0, 1, PacketKind::kRdmaWrite, hdr, payload);
+  auto frags = fragments_of(PacketKind::kRdmaWrite, hdr, payload);
   ASSERT_EQ(frags.size(), 4u);
   std::vector<std::uint8_t> reassembled;
   for (const auto& f : frags) {
@@ -56,7 +65,7 @@ TEST(Fragment, SplitsAndPreservesBytes) {
 }
 
 TEST(Fragment, EmptyPayloadStillProducesOnePacket) {
-  auto frags = fragment(0, 1, PacketKind::kRequest, {}, {});
+  auto frags = fragments_of(PacketKind::kRequest, {}, {});
   ASSERT_EQ(frags.size(), 1u);
   EXPECT_TRUE(frags[0].payload.empty());
 }

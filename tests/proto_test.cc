@@ -1,8 +1,9 @@
 // Tests for the weakly-consistent RPC client: completion, latency
 // accounting, retransmission under loss, failure after max retries, and
-// multi-fragment response reassembly.
+// multi-fragment response reassembly, and the ring of pending requests.
 #include <gtest/gtest.h>
 
+#include <map>
 #include <optional>
 
 #include "net/network.h"
@@ -28,9 +29,8 @@ struct EchoServer {
       }
       ++served;
       std::vector<std::uint8_t> reply(p.payload.rbegin(), p.payload.rend());
-      auto frags = net::fragment(node, p.src, PacketKind::kResponse, p.lambda,
-                                 reply);
-      for (auto& f : frags) network.send(std::move(f));
+      net::fragment(node, p.src, PacketKind::kResponse, p.lambda, reply,
+                    [&](Packet f) { network.send(std::move(f)); });
     });
   }
 };
@@ -50,6 +50,78 @@ TEST(RpcClient, CompletesAndMeasuresLatency) {
   EXPECT_EQ(got->payload, (std::vector<std::uint8_t>{3, 2, 1}));
   EXPECT_GT(got->latency, 0);
   EXPECT_EQ(got->retries, 0u);
+  EXPECT_EQ(client.inflight(), 0u);
+}
+
+TEST(RpcClient, ThousandsOfConcurrentCallsAnsweredOnceEachAcrossRingGrowth) {
+  sim::Simulator sim;
+  net::Network network(sim);
+  EchoServer server(network);
+  RpcClient client(sim, network);
+  constexpr int kCalls = 5000;
+  std::map<int, int> answers;  // call index -> callbacks
+  for (int i = 0; i < kCalls; ++i) {
+    const std::vector<std::uint8_t> body = {static_cast<std::uint8_t>(i),
+                                            static_cast<std::uint8_t>(i >> 8)};
+    client.call(server.node, 1, body, [&answers, i](Result<RpcResponse> r) {
+      ASSERT_TRUE(r.ok());
+      // The echo reverses the body: each callback gets its own answer.
+      EXPECT_EQ(r.value().payload,
+                (std::vector<std::uint8_t>{static_cast<std::uint8_t>(i >> 8),
+                                           static_cast<std::uint8_t>(i)}));
+      ++answers[i];
+    });
+  }
+  EXPECT_EQ(client.inflight(), static_cast<std::uint64_t>(kCalls));
+  EXPECT_GE(client.pending_slots(), static_cast<std::size_t>(kCalls));
+  sim.run();
+  ASSERT_EQ(answers.size(), static_cast<std::size_t>(kCalls));
+  for (const auto& [i, count] : answers) EXPECT_EQ(count, 1) << "call " << i;
+  EXPECT_EQ(client.inflight(), 0u);
+  EXPECT_EQ(server.served, static_cast<std::uint64_t>(kCalls));
+}
+
+TEST(RpcClient, LateResponseForAReusedSlotIsIgnored) {
+  // Request 1 times out; its late response arrives while request 17,
+  // which reuses its slot in the 16-slot ring, is in flight. The
+  // response must neither complete request 17 nor fire request 1's
+  // callback again.
+  sim::Simulator sim;
+  net::Network network(sim);
+  const NodeId server = network.attach([](const Packet&) {});
+  std::optional<Packet> first;
+  network.set_handler(server, [&](const Packet& p) {
+    if (p.lambda.request_id == 1) first = p;  // answered late, below
+  });
+  RpcConfig config;
+  config.retransmit_timeout = microseconds(500);
+  config.max_retries = 0;
+  RpcClient client(sim, network, config);
+  std::map<int, std::vector<bool>> results;  // call -> ok per callback
+  auto call = [&](int i) {
+    client.call(server, 1, {static_cast<std::uint8_t>(i)},
+                [&results, i](Result<RpcResponse> r) {
+                  results[i].push_back(r.ok());
+                });
+  };
+  call(1);
+  sim.run_until(microseconds(600));  // request 1 has timed out
+  ASSERT_EQ(results[1], std::vector<bool>{false});
+  for (int i = 2; i <= 17; ++i) call(i);
+  ASSERT_EQ(client.pending_slots(), 16u);
+  ASSERT_TRUE(first.has_value());
+  Packet late;
+  late.src = server;
+  late.dst = first->src;
+  late.kind = PacketKind::kResponse;
+  late.lambda = first->lambda;
+  late.payload = {42};
+  network.send(late);
+  sim.run();
+  EXPECT_EQ(results.size(), 17u);
+  for (const auto& [i, oks] : results) {
+    EXPECT_EQ(oks, std::vector<bool>{false}) << "call " << i;
+  }
   EXPECT_EQ(client.inflight(), 0u);
 }
 
@@ -138,9 +210,8 @@ TEST(RpcClient, ReassemblesMultiFragmentResponse) {
   }
   network.set_handler(server, [&, server](const Packet& p) {
     if (p.kind != PacketKind::kRequest) return;
-    auto frags = net::fragment(server, p.src, PacketKind::kResponse, p.lambda,
-                               big_reply);
-    for (auto& f : frags) net_ptr->send(std::move(f));
+    net::fragment(server, p.src, PacketKind::kResponse, p.lambda, big_reply,
+                  [&](Packet f) { net_ptr->send(std::move(f)); });
   });
   RpcClient client(sim, network);
   std::optional<RpcResponse> got;

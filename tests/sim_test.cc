@@ -420,7 +420,7 @@ TEST(PeriodicTimer, RestartInsideCallbackKeepsOneChain) {
 
 TEST(InlineFn, InvokesInlineCapture) {
   int hits = 0;
-  InlineFn<128> fn([&hits] { ++hits; });
+  InlineFn<void(), 128> fn([&hits] { ++hits; });
   EXPECT_TRUE(static_cast<bool>(fn));
   fn();
   fn();
@@ -429,8 +429,8 @@ TEST(InlineFn, InvokesInlineCapture) {
 
 TEST(InlineFn, MoveTransfersOwnership) {
   int hits = 0;
-  InlineFn<128> a([&hits] { ++hits; });
-  InlineFn<128> b(std::move(a));
+  InlineFn<void(), 128> a([&hits] { ++hits; });
+  InlineFn<void(), 128> b(std::move(a));
   EXPECT_FALSE(static_cast<bool>(a));
   b();
   EXPECT_EQ(hits, 1);
@@ -438,9 +438,9 @@ TEST(InlineFn, MoveTransfersOwnership) {
 
 TEST(InlineFn, HoldsMoveOnlyCapture) {
   auto owned = std::make_unique<int>(41);
-  InlineFn<128> fn([p = std::move(owned)] { ++*p; });
+  InlineFn<void(), 128> fn([p = std::move(owned)] { ++*p; });
   fn();
-  InlineFn<128> moved(std::move(fn));
+  InlineFn<void(), 128> moved(std::move(fn));
   moved();
 }
 
@@ -451,20 +451,36 @@ TEST(InlineFn, HeapFallbackForOversizedCapture) {
   Big big;
   big.words[0] = 7;
   std::uint64_t seen = 0;
-  InlineFn<128> fn([big, &seen] { seen = big.words[0]; });
-  InlineFn<128> moved(std::move(fn));
+  InlineFn<void(), 128> fn([big, &seen] { seen = big.words[0]; });
+  InlineFn<void(), 128> moved(std::move(fn));
   moved();
   EXPECT_EQ(seen, 7u);
 }
 
 TEST(InlineFn, AssignReplacesHeldCallable) {
   int first = 0, second = 0;
-  InlineFn<128> fn([&first] { ++first; });
+  InlineFn<void(), 128> fn([&first] { ++first; });
   fn();
   fn.assign([&second] { ++second; });
   fn();
   EXPECT_EQ(first, 1);
   EXPECT_EQ(second, 1);
+}
+
+TEST(InlineFn, PassesArgumentsAndReturnsTheResult) {
+  int base = 40;
+  InlineFn<int(int, std::unique_ptr<int>), 16> fn(
+      [&base](int add, std::unique_ptr<int> more) { return base + add + *more; });
+  EXPECT_EQ(fn(1, std::make_unique<int>(1)), 42);
+  // A capture past the capacity still works, from a heap cell.
+  const std::uint64_t pad[4] = {1, 2, 3, 4};
+  auto padded = [pad](int add, std::unique_ptr<int> more) {
+    return static_cast<int>(pad[3]) + add + *more;
+  };
+  using Fn = InlineFn<int(int, std::unique_ptr<int>), 16>;
+  static_assert(!Fn::kStoresInline<decltype(padded)>);
+  Fn big(std::move(padded));
+  EXPECT_EQ(big(1, std::make_unique<int>(2)), 7);
 }
 
 TEST(InlineFn, DestroysCaptureExactlyOnce) {
@@ -480,8 +496,8 @@ TEST(InlineFn, DestroysCaptureExactlyOnce) {
   };
   int destroyed = 0;
   {
-    InlineFn<128> fn{Probe(&destroyed)};
-    InlineFn<128> moved(std::move(fn));
+    InlineFn<void(), 128> fn{Probe(&destroyed)};
+    InlineFn<void(), 128> moved(std::move(fn));
     moved();
   }
   EXPECT_EQ(destroyed, 1);
