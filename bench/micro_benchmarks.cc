@@ -8,6 +8,7 @@
 #include "compiler/pipeline.h"
 #include "framework/metrics.h"
 #include "loadgen/generator.h"
+#include "microc/builder.h"
 #include "microc/interp.h"
 #include "net/network.h"
 #include "raft/raft.h"
@@ -161,6 +162,39 @@ static void BM_InterpreterImageTransformer(benchmark::State& state) {
       static_cast<double>(state.iterations());
 }
 BENCHMARK(BM_InterpreterImageTransformer);
+
+// One kGrayscale between two global objects, run through a Machine: 512
+// pixels, the image lambda's tile (a 128x128 image in Scale::image_tiles
+// = 32 tiles), and 16,384, the whole image. Unlike
+// BM_InterpreterImageTransformer, no 4 KiB kHash is timed with it.
+static void BM_Grayscale(benchmark::State& state) {
+  constexpr std::uint32_t kSide = 128;
+  const auto pixels = static_cast<std::uint64_t>(state.range(0));
+  microc::ProgramBuilder pb("grayscale");
+  const auto rgba = pb.object("rgba", kSide * kSide * 4,
+                              microc::MemScope::kGlobal);
+  const auto gray = pb.object("gray", kSide * kSide, microc::MemScope::kGlobal);
+  auto fb = pb.function("grayscale", 0);
+  auto zero = fb.const_u64(0);
+  fb.grayscale(gray, zero, rgba, zero, fb.load_hdr(microc::kHdrKey));
+  fb.ret_imm(0);
+  const auto fn = fb.finish();
+  const microc::Program program = pb.take();
+  microc::ObjectStore store(program);
+  store.data(rgba) = workloads::make_test_image(kSide, kSide, 1).rgba;
+  microc::Machine machine(program, microc::CostModel::npu(), &store);
+  microc::Invocation inv;
+  inv.headers.fields[microc::kHdrKey] = pixels;
+  for (auto _ : state) {
+    auto out = machine.run_function(fn, inv);
+    benchmark::DoNotOptimize(out.return_value);
+    benchmark::DoNotOptimize(store.data(gray).data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(pixels));
+}
+BENCHMARK(BM_Grayscale)->Arg(512)->Arg(16384);
 
 // Decoding the compiled standard bundle, which each NIC does once per
 // deploy: step layout, mix-round fusion, and the register liveness behind

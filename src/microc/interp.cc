@@ -7,11 +7,12 @@
 
 #include "microc/liveness.h"
 
-namespace lnic::microc {
+#if defined(__GNUC__) && (defined(__x86_64__) || defined(__i386__))
+#include <immintrin.h>
+#define LNIC_GRAYSCALE_AVX2 1
+#endif
 
-namespace {
-constexpr std::size_t kMaxCallDepth = 16;     // NPUs do not support recursion
-constexpr std::size_t kMaxResponse = 32ull << 20;
+namespace lnic::microc {
 
 std::uint64_t fnv1a(const std::uint8_t* data, std::size_t len) {
   std::uint64_t h = 0xcbf29ce484222325ull;
@@ -21,6 +22,10 @@ std::uint64_t fnv1a(const std::uint8_t* data, std::size_t len) {
   }
   return h;
 }
+
+namespace {
+constexpr std::size_t kMaxCallDepth = 16;     // NPUs do not support recursion
+constexpr std::size_t kMaxResponse = 32ull << 20;
 
 // Longer kHash ranges skip the memo, so it holds at most 16 x 64 KiB.
 constexpr std::uint64_t kHashMemoMaxBytes = 64 << 10;
@@ -42,12 +47,71 @@ std::uint8_t luma(const std::uint8_t* rgba) {
       (77u * rgba[0] + 150u * rgba[1] + 29u * rgba[2]) >> 8);
 }
 
-/// Grayscale over ranges that do not overlap: `__restrict` tells the
-/// compiler the stores cannot feed later loads, so it may vectorize.
-void grayscale_disjoint(std::uint8_t* __restrict out,
-                        const std::uint8_t* __restrict rgba,
-                        std::uint64_t pixels) {
-  for (std::uint64_t i = 0; i < pixels; ++i) out[i] = luma(rgba + i * 4);
+#ifdef LNIC_GRAYSCALE_AVX2
+/// luma() of the 8 pixels at `rgba`, one per 32-bit lane. A pixel's two
+/// 16-bit halves are (R, G) and (B, A): the mask keeps (R, B), the shift
+/// keeps (G, A), and one multiply-add per pair sums 77 R + 29 B and
+/// 150 G + 0 A into the pixel's lane.
+__attribute__((target("avx2"))) inline __m256i luma8_avx2(
+    const std::uint8_t* rgba) {
+  const __m256i px =
+      _mm256_loadu_si256(reinterpret_cast<const __m256i*>(rgba));
+  const __m256i rb = _mm256_and_si256(px, _mm256_set1_epi32(0x00FF00FF));
+  const __m256i ga = _mm256_srli_epi16(px, 8);
+  const __m256i sum =
+      _mm256_add_epi32(_mm256_madd_epi16(rb, _mm256_set1_epi32(29 << 16 | 77)),
+                       _mm256_madd_epi16(ga, _mm256_set1_epi32(150)));
+  return _mm256_srli_epi32(sum, 8);
+}
+
+/// Converts the leading whole blocks of 32 pixels of ranges that do not
+/// overlap and returns how many pixels that was. Exact: the weights sum to
+/// 256, so a lane holds at most 256 * 255 = 65,280 before the shift and
+/// 255 after it, and neither pack saturates.
+__attribute__((target("avx2"))) std::uint64_t grayscale_avx2(
+    std::uint8_t* out, const std::uint8_t* rgba, std::uint64_t pixels) {
+  // The packs work within each 128-bit half, so the lumas come out in
+  // 4-pixel groups 0-3, 8-11, 16-19, 24-27, 4-7, 12-15, 20-23, 28-31;
+  // the permute puts the groups back in order.
+  const __m256i order = _mm256_setr_epi32(0, 4, 1, 5, 2, 6, 3, 7);
+  std::uint64_t i = 0;
+  for (; i + 32 <= pixels; i += 32) {
+    const std::uint8_t* p = rgba + i * 4;
+    const __m256i lo = _mm256_packs_epi32(luma8_avx2(p), luma8_avx2(p + 32));
+    const __m256i hi =
+        _mm256_packs_epi32(luma8_avx2(p + 64), luma8_avx2(p + 96));
+    _mm256_storeu_si256(
+        reinterpret_cast<__m256i*>(out + i),
+        _mm256_permutevar8x32_epi32(_mm256_packus_epi16(lo, hi), order));
+  }
+  return i;
+}
+
+// Read once, at start-up. Static initializers may run before the CPU
+// model is read, hence __builtin_cpu_init.
+const bool kCpuHasAvx2 = [] {
+  __builtin_cpu_init();
+  return __builtin_cpu_supports("avx2") != 0;
+}();
+#endif
+
+/// kGrayscale's conversion. Where the CPU has AVX2, ranges that do not
+/// overlap (always the case for two distinct objects) go through
+/// grayscale_avx2. The forward loop converts the rest: the last < 32
+/// pixels, overlapping ranges of one object (later pixels read the bytes
+/// earlier ones wrote), and everything on other CPUs.
+void grayscale(std::uint8_t* out, const std::uint8_t* rgba,
+               std::uint64_t pixels) {
+  std::uint64_t i = 0;
+#ifdef LNIC_GRAYSCALE_AVX2
+  const auto out_at = reinterpret_cast<std::uintptr_t>(out);
+  const auto rgba_at = reinterpret_cast<std::uintptr_t>(rgba);
+  if (kCpuHasAvx2 &&
+      (out_at + pixels <= rgba_at || rgba_at + pixels * 4 <= out_at)) {
+    i = grayscale_avx2(out, rgba, pixels);
+  }
+#endif
+  for (; i < pixels; ++i) out[i] = luma(rgba + i * 4);
 }
 
 /// True when [off, off + len) does not fit in `size` bytes. Never computes
@@ -852,19 +916,7 @@ Outcome Machine::execute(const Step* ip) {
               out_of_range(doff, pixels, dst.size)) {
             return trap_at(in, "grayscale out of bounds");
           }
-          std::uint8_t* out = dst.data + doff;
-          const std::uint8_t* rgba = src.data + soff;
-          const auto out_at = reinterpret_cast<std::uintptr_t>(out);
-          const auto rgba_at = reinterpret_cast<std::uintptr_t>(rgba);
-          if (out_at + pixels <= rgba_at || rgba_at + pixels * 4 <= out_at) {
-            grayscale_disjoint(out, rgba, pixels);
-          } else {
-            // Overlapping ranges of one object: forward order, so later
-            // pixels read the bytes earlier ones wrote.
-            for (std::uint64_t i = 0; i < pixels; ++i) {
-              out[i] = luma(rgba + i * 4);
-            }
-          }
+          grayscale(dst.data + doff, src.data + soff, pixels);
           bulk_cycles_ += pixels *
                               (code.objects[in.obj2].read +
                                code.objects[in.obj].write) /

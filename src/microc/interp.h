@@ -99,6 +99,10 @@ struct Outcome {
   std::string trap_message;               // valid when kTrap
 };
 
+/// 64-bit FNV-1a of `len` bytes: the value of kHash. P4 lowering
+/// precomputes match constants with it, so they equal the runtime hashes.
+std::uint64_t fnv1a(const std::uint8_t* data, std::size_t len);
+
 /// Persistent global-object storage for one deployed program instance
 /// ("global objects persist state across runs", §4.1). Local-scope
 /// objects get fresh zeroed backing per invocation inside the Machine.

@@ -7,6 +7,7 @@
 #include <string>
 
 #include "microc/builder.h"
+#include "microc/interp.h"
 
 namespace lnic::p4 {
 
@@ -26,23 +27,14 @@ bool is_generated_name(const std::string& name) {
   return name.rfind(kGenPrefix, 0) == 0;
 }
 
-// Must match the interpreter's kHash implementation exactly: the lowered
-// dispatch compares runtime hashes against hashes precomputed here.
-std::uint64_t fnv1a(const std::uint8_t* data, std::size_t len) {
-  std::uint64_t h = 0xcbf29ce484222325ull;
-  for (std::size_t i = 0; i < len; ++i) {
-    h ^= data[i];
-    h *= 0x100000001b3ull;
-  }
-  return h;
-}
-
+// The kHash value of the keys' bytes, precomputed: the lowered dispatch
+// compares it with the hash it computes at run time.
 std::uint64_t hash_keys(const std::vector<std::uint64_t>& keys) {
   std::vector<std::uint8_t> bytes(keys.size() * 8);
   for (std::size_t i = 0; i < keys.size(); ++i) {
     std::memcpy(bytes.data() + i * 8, &keys[i], 8);
   }
-  return fnv1a(bytes.data(), bytes.size());
+  return microc::fnv1a(bytes.data(), bytes.size());
 }
 
 void append_u64(std::vector<std::uint8_t>& out, std::uint64_t v) {

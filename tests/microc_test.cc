@@ -38,6 +38,23 @@ Outcome run_simple(const Program& program, std::size_t fn,
   return machine.run_function(fn, inv);
 }
 
+// The grayscale intrinsic's reference: RGBA8888 -> 8-bit luma,
+// (77 R + 150 G + 29 B) >> 8.
+std::uint8_t luma_of(const std::uint8_t* rgba) {
+  return static_cast<std::uint8_t>(
+      (77u * rgba[0] + 150u * rgba[1] + 29u * rgba[2]) >> 8);
+}
+
+// The index of the first byte where `got` and `want` differ, or the
+// shorter one's size: a failure names one byte instead of two buffers.
+std::size_t first_difference(const std::vector<std::uint8_t>& got,
+                             const std::vector<std::uint8_t>& want) {
+  const std::size_t n = std::min(got.size(), want.size());
+  return static_cast<std::size_t>(
+      std::mismatch(got.begin(), got.begin() + n, want.begin()).first -
+      got.begin());
+}
+
 TEST(Builder, EmitsVerifiableFunction) {
   ProgramBuilder pb("t");
   auto fb = pb.function("add2", 2);
@@ -310,41 +327,73 @@ TEST(Interp, GrayscaleConvertsPixels) {
 TEST(Interp, GrayscaleWithinOneObjectMatchesForwardLoop) {
   // Converting an object onto a range of itself: overlapping ranges must
   // keep the forward byte order (later pixels read what earlier ones
-  // wrote), disjoint ones the same bytes.
-  constexpr std::uint64_t kSize = 64;
-  constexpr std::uint64_t kPixels = 12;
+  // wrote), disjoint ones the same bytes. The disjoint cases cover pixel
+  // counts on both sides of whole 32-pixel blocks and byte offsets 0-3 of
+  // either range, with the destination before or after the source, over
+  // pixels that are all 0x00, all 0xFF or one channel only.
   struct Case {
-    std::uint64_t doff, soff;
+    std::uint64_t doff, soff, pixels;
   };
-  for (const Case c : {Case{4, 0}, Case{1, 2}, Case{0, 8}, Case{9, 16},
-                       Case{48, 0}}) {
+  std::vector<Case> cases = {{4, 0, 12}, {1, 2, 12}, {0, 8, 12}, {9, 16, 12},
+                             {48, 0, 12}};
+  for (const std::uint64_t n : {0, 1, 31, 32, 33, 63, 64, 65, 512, 16384}) {
+    const std::uint64_t far = (4 * n / 64 + 1) * 64;  // past 4 n + 3
+    for (std::uint64_t d = 0; d < 4; ++d) {
+      for (std::uint64_t s = 0; s < 4; ++s) {
+        cases.push_back({d, far + s, n});
+        cases.push_back({far + d, s, n});
+      }
+    }
+  }
+  // Each fill gives byte i of the object, given the source offset.
+  using Fill = std::function<std::uint8_t(std::uint64_t, std::uint64_t)>;
+  std::vector<std::pair<std::string, Fill>> fills = {
+      {"ramp",
+       [](std::uint64_t i, std::uint64_t) {
+         return static_cast<std::uint8_t>(i * 37 + 11);
+       }},
+      {"0x00", [](std::uint64_t, std::uint64_t) -> std::uint8_t { return 0; }},
+      {"0xFF",
+       [](std::uint64_t, std::uint64_t) -> std::uint8_t { return 0xFF; }},
+  };
+  for (const std::uint64_t channel : {0, 1, 2, 3}) {  // R, G, B, A
+    fills.emplace_back(
+        "channel " + std::to_string(channel),
+        [channel](std::uint64_t i, std::uint64_t soff) -> std::uint8_t {
+          return (i - soff) % 4 == channel ? 0xFF : 0x00;
+        });
+  }
+  for (const Case c : cases) {
+    const std::uint64_t size =
+        std::max(c.doff + c.pixels, c.soff + 4 * c.pixels) + 8;
     ProgramBuilder pb("t");
-    const auto buf = pb.object("buf", kSize, MemScope::kGlobal);
+    const auto buf = pb.object("buf", size, MemScope::kGlobal);
     auto fb = pb.function("g", 0);
     auto zero = fb.const_u64(0);
-    auto size = fb.const_u64(kSize);
-    fb.body_copy(buf, zero, zero, size);
+    auto size_reg = fb.const_u64(size);
+    fb.body_copy(buf, zero, zero, size_reg);
     fb.grayscale(buf, fb.const_u64(c.doff), buf, fb.const_u64(c.soff),
-                 fb.const_u64(kPixels));
-    fb.resp_mem(buf, zero, size);
+                 fb.const_u64(c.pixels));
+    fb.resp_mem(buf, zero, size_reg);
     fb.ret_imm(0);
     const auto idx = fb.finish();
+    const Program program = pb.take();
 
-    std::vector<std::uint8_t> expected(kSize);
-    for (std::uint64_t i = 0; i < kSize; ++i) {
-      expected[i] = static_cast<std::uint8_t>(i * 37 + 11);
+    for (const auto& [name, fill] : fills) {
+      std::vector<std::uint8_t> expected(size);
+      for (std::uint64_t i = 0; i < size; ++i) expected[i] = fill(i, c.soff);
+      Invocation inv;
+      inv.body = BufferView(expected);
+      for (std::uint64_t i = 0; i < c.pixels; ++i) {
+        expected[c.doff + i] = luma_of(&expected[c.soff + i * 4]);
+      }
+      const Outcome out = run_simple(program, idx, inv);
+      ASSERT_EQ(out.state, RunState::kDone) << out.trap_message;
+      ASSERT_EQ(out.response.size(), size);
+      EXPECT_EQ(first_difference(out.response, expected), size)
+          << "doff=" << c.doff << " soff=" << c.soff
+          << " pixels=" << c.pixels << " fill " << name;
     }
-    Invocation inv;
-    inv.body = BufferView(expected);
-    for (std::uint64_t i = 0; i < kPixels; ++i) {
-      const std::uint8_t* p = &expected[c.soff + i * 4];
-      expected[c.doff + i] = static_cast<std::uint8_t>(
-          (77u * p[0] + 150u * p[1] + 29u * p[2]) >> 8);
-    }
-    const Outcome out = run_simple(pb.take(), idx, inv);
-    ASSERT_EQ(out.state, RunState::kDone) << out.trap_message;
-    EXPECT_EQ(out.response, expected) << "doff=" << c.doff
-                                      << " soff=" << c.soff;
   }
 }
 
@@ -1210,11 +1259,6 @@ std::uint64_t fnv1a_of(const std::vector<std::uint8_t>& bytes,
   return h;
 }
 
-std::uint8_t luma_of(const std::uint8_t* rgba) {
-  return static_cast<std::uint8_t>(
-      (77u * rgba[0] + 150u * rgba[1] + 29u * rgba[2]) >> 8);
-}
-
 // Two global objects, and per object (or [dst][src] pair) one function for
 // kHash and one per write path. Operands come from the headers in the
 // order the intrinsic takes them: key, value, then op.
@@ -1507,9 +1551,16 @@ TEST(HashMemo, MoreRangesThanSlotsStayExact) {
 }
 
 // Three Machines on one store interleave hashes, parks and all four write
-// paths over two small objects, so writes land in hashed ranges often.
+// paths over the first 96 bytes of two objects, so writes land in hashed
+// ranges often. Bulk grayscale steps also write there: whole 32-pixel
+// blocks and their edges, from byte offsets 0-3, out of a source range
+// further on in the same object or the other one, over pixels that are
+// all 0x00, all 0xFF, one channel only or as they are.
 TEST(HashMemo, RandomInterleavingMatchesShadow) {
-  constexpr std::uint64_t kSize = 96;
+  constexpr std::uint64_t kWindow = 96;
+  constexpr std::uint64_t kMaxPixels = 16384;
+  constexpr std::uint64_t kBulkSource = kMaxPixels + 64;  // past every dst
+  constexpr std::uint64_t kSize = kBulkSource + 4 * kMaxPixels + 4;
   constexpr std::size_t kMachines = 3;
   for (std::uint64_t seed = 1; seed <= 30; ++seed) {
     SCOPED_TRACE(seed);
@@ -1522,7 +1573,7 @@ TEST(HashMemo, RandomInterleavingMatchesShadow) {
     const auto range = [&below](std::uint64_t& off, std::uint64_t& len) {
       const std::uint64_t lens[] = {0, 8, 32, 64};
       off = 8 * below(5);
-      len = std::min(kSize - off, lens[below(4)]);
+      len = std::min(kWindow - off, lens[below(4)]);
     };
     for (int step = 0; step < 300; ++step) {
       const std::size_t m = below(kMachines);
@@ -1534,7 +1585,7 @@ TEST(HashMemo, RandomInterleavingMatchesShadow) {
       const int y = static_cast<int>(below(2));
       std::uint64_t off = 0;
       std::uint64_t len = 0;
-      switch (below(6)) {
+      switch (below(7)) {
         case 0:
           range(off, len);
           rig.hash(x, off, len, m);
@@ -1544,24 +1595,46 @@ TEST(HashMemo, RandomInterleavingMatchesShadow) {
           rig.park(m, x, off, len);
           break;
         case 2:
-          rig.store_byte(x, below(kSize), static_cast<std::uint8_t>(below(256)),
-                         m);
+          rig.store_byte(x, below(kWindow),
+                         static_cast<std::uint8_t>(below(256)), m);
           break;
         case 3:
           len = below(17);
-          rig.memcpy(x, below(kSize - len + 1), y, below(kSize - len + 1), len,
-                     m);
+          rig.memcpy(x, below(kWindow - len + 1), y,
+                     below(kWindow - len + 1), len, m);
           break;
         case 4: {
           const std::uint64_t pixels = below(9);
-          rig.grayscale(x, below(kSize - pixels + 1), y,
-                        below(kSize - pixels * 4 + 1), pixels, m);
+          rig.grayscale(x, below(kWindow - pixels + 1), y,
+                        below(kWindow - pixels * 4 + 1), pixels, m);
           break;
         }
         case 5: {
           std::vector<std::uint8_t> body(below(9));
           for (std::uint8_t& b : body) b = static_cast<std::uint8_t>(below(256));
-          rig.body_copy(x, below(kSize - body.size() + 1), body, m);
+          rig.body_copy(x, below(kWindow - body.size() + 1), body, m);
+          break;
+        }
+        case 6: {
+          const std::uint64_t counts[] = {0,  1,  31, 32,  33,
+                                          63, 64, 65, 512, kMaxPixels};
+          const std::uint64_t pixels = counts[below(10)];
+          const std::uint64_t soff = kBulkSource + below(4);
+          // 0: all 0x00, 1: all 0xFF, 2-5: only R, G, B or A, 6: as is.
+          const std::uint64_t fill = below(7);
+          if (fill < 6) {
+            std::vector<std::uint8_t> rgba(pixels * 4, fill == 1 ? 0xFF : 0);
+            if (fill >= 2) {
+              for (std::uint64_t i = fill - 2; i < rgba.size(); i += 4) {
+                rgba[i] = 0xFF;
+              }
+            }
+            rig.body_copy(y, soff, rgba, m);
+          }
+          rig.grayscale(x, below(4), y, soff, pixels, m);
+          EXPECT_EQ(first_difference(rig.store().data(x), rig.shadow(x)),
+                    kSize)
+              << pixels << " pixels, fill " << fill;
           break;
         }
       }
