@@ -28,7 +28,8 @@ Outcome run(bool hot_swap) {
   auto deploy = [&]() {
     auto bundle = workloads::make_standard_workloads();
     auto compiled = compiler::compile(bundle.spec, std::move(bundle.lambdas));
-    (void)nic.deploy(std::move(compiled).value());
+    (void)nic.deploy(std::make_shared<const compiler::CompileOutput>(
+        std::move(compiled).value()));
   };
   deploy();
   sim.run_until(seconds(16));

@@ -32,7 +32,8 @@ RunResult run(bool nic_gateway, std::uint32_t senders, std::uint64_t total) {
   auto bundle = workloads::make_standard_workloads();
   auto compiled = compiler::compile(bundle.spec, std::move(bundle.lambdas));
   if (!compiled.ok()) return {};
-  (void)nic.deploy(std::move(compiled).value());
+  (void)nic.deploy(std::make_shared<const compiler::CompileOutput>(
+      std::move(compiled).value()));
   sim.run_until(seconds(16));
 
   proto::RpcConfig rpc;

@@ -39,7 +39,8 @@ RunResult run(bool pipelined, bool optimized) {
   auto compiled = compiler::compile(bundle.spec, std::move(bundle.lambdas),
                                     options);
   if (!compiled.ok()) return {};
-  (void)nic.deploy(std::move(compiled).value());
+  (void)nic.deploy(std::make_shared<const compiler::CompileOutput>(
+      std::move(compiled).value()));
   sim.run_until(seconds(16));
 
   proto::RpcConfig rpc;

@@ -5,7 +5,11 @@
 // regressions in the harness.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <memory>
+
 #include "compiler/pipeline.h"
+#include "core/cluster.h"
 #include "framework/metrics.h"
 #include "loadgen/generator.h"
 #include "microc/builder.h"
@@ -181,7 +185,8 @@ static void BM_Grayscale(benchmark::State& state) {
   const auto fn = fb.finish();
   const microc::Program program = pb.take();
   microc::ObjectStore store(program);
-  store.data(rgba) = workloads::make_test_image(kSide, kSide, 1).rgba;
+  const auto image = workloads::make_test_image(kSide, kSide, 1).rgba;
+  std::copy(image.begin(), image.end(), store.data(rgba).begin());
   microc::Machine machine(program, microc::CostModel::npu(), &store);
   microc::Invocation inv;
   inv.headers.fields[microc::kHdrKey] = pixels;
@@ -196,10 +201,11 @@ static void BM_Grayscale(benchmark::State& state) {
 }
 BENCHMARK(BM_Grayscale)->Arg(512)->Arg(16384);
 
-// Decoding the compiled standard bundle, which each NIC does once per
-// deploy: step layout, mix-round fusion, and the register liveness behind
-// store masks and zero lists. Each iteration builds a Machine on the
-// program with its decode cache emptied, as on a fresh copy.
+// Decoding the compiled standard bundle, which a deploy does once per
+// cost model for all the NICs that run it: step layout, mix-round fusion,
+// and the register liveness behind store masks and zero lists. Each
+// iteration builds a Machine on the program with its decode cache
+// emptied, as on a freshly compiled image.
 static void BM_MicrocDecode(benchmark::State& state) {
   auto bundle = workloads::make_standard_workloads();
   auto compiled = compiler::compile(bundle.spec, std::move(bundle.lambdas));
@@ -220,6 +226,33 @@ static void BM_CompilerFullPipeline(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_CompilerFullPipeline);
+
+// The set-up perfbench's setup_s times, short of the workload's own
+// install step: a Cluster built, a bundle made and deployed (footprint
+// compiles, placement, one compile per distinct slice, each NIC's
+// install) and the cluster run until ready (etcd election, firmware
+// load). /4 is the standard bundle on 4 NICs (faas_mix), /1 the KV store
+// on 1 NIC (nic_kv_rw). Tearing the cluster down is not timed.
+static void BM_ClusterDeploy(benchmark::State& state) {
+  core::ClusterConfig config;
+  config.workers = static_cast<std::uint32_t>(state.range(0));
+  config.seed = 1;
+  for (auto _ : state) {
+    auto cluster = std::make_unique<core::Cluster>(config);
+    auto record = cluster->deploy(config.workers == 1
+                                      ? workloads::make_nic_kv_store(12)
+                                      : workloads::make_standard_workloads());
+    if (!record.ok()) {
+      state.SkipWithError(record.error().message.c_str());
+      break;
+    }
+    cluster->wait_until_ready();
+    state.PauseTiming();
+    cluster.reset();
+    state.ResumeTiming();
+  }
+}
+BENCHMARK(BM_ClusterDeploy)->Arg(4)->Arg(1)->Unit(benchmark::kMillisecond);
 
 // The load generator's own cost per request, with no cluster behind it:
 // Zipf arrivals over 32 profiles (faas_mix's shape), a sink that

@@ -85,7 +85,9 @@ int main() {
   sim::Simulator sim;
   net::Network network(sim);
   nicsim::SmartNic nic(sim, network, backends::lambda_nic_config());
-  if (!nic.deploy(std::move(firmware).value()).ok()) return 1;
+  auto image = std::make_shared<const compiler::CompileOutput>(
+      std::move(firmware).value());
+  if (!nic.deploy(std::move(image)).ok()) return 1;
   sim.run_until(seconds(16));
 
   proto::RpcClient client(sim, network);

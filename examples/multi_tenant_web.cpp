@@ -40,7 +40,8 @@ void run(nicsim::DispatchPolicy policy) {
   auto bundle = workloads::make_web_farm(3);
   auto compiled = compiler::compile(bundle.spec, std::move(bundle.lambdas));
   if (!compiled.ok()) return;
-  (void)nic.deploy(std::move(compiled).value());
+  (void)nic.deploy(std::make_shared<const compiler::CompileOutput>(
+      std::move(compiled).value()));
   sim.run_until(seconds(16));
 
   proto::RpcConfig rpc;

@@ -20,19 +20,24 @@ SimDuration download_time(Bytes artifact) {
 }
 }  // namespace
 
+Status Backend::deploy(workloads::WorkloadBundle bundle) {
+  auto compiled = compiler::compile(bundle.spec, std::move(bundle.lambdas),
+                                    firmware_options());
+  if (!compiled.ok()) return compiled.error();
+  return deploy(std::make_shared<const compiler::CompileOutput>(
+      std::move(compiled).value()));
+}
+
 // ------------------------------------------------------------------ λ-NIC
 
 LambdaNicBackend::LambdaNicBackend(sim::Simulator& sim, net::Network& network,
                                    nicsim::NicConfig config)
     : nic_(sim, network, config) {}
 
-Status LambdaNicBackend::deploy(workloads::WorkloadBundle bundle) {
+compiler::Options LambdaNicBackend::firmware_options() const {
   compiler::Options options;
   options.instruction_store_words = nic_.config().instr_store_words;
-  auto compiled = compiler::compile(bundle.spec, std::move(bundle.lambdas),
-                                    options);
-  if (!compiled.ok()) return compiled.error();
-  return nic_.deploy(std::move(compiled).value());
+  return options;
 }
 
 Capacity LambdaNicBackend::capacity() const {
@@ -70,17 +75,20 @@ HostBackend::HostBackend(sim::Simulator& sim, net::Network& network,
                          BackendKind kind, hostsim::HostConfig config)
     : kind_(kind), host_(sim, network, config) {}
 
-Status HostBackend::deploy(workloads::WorkloadBundle bundle) {
+compiler::Options HostBackend::firmware_options() const {
   // Hosts skip the NIC-specific passes: the runtime dispatches directly,
   // so the lambdas are installed with a plain (unoptimized) match stage.
   // There is no instruction store either — programs live in DRAM, so
   // lambdas too big for the NIC (the spillover case) still deploy here.
   compiler::Options options = compiler::Options::none();
   options.instruction_store_words = Capacity::kUnlimitedWords;
-  auto compiled = compiler::compile(bundle.spec, std::move(bundle.lambdas),
-                                    options);
-  if (!compiled.ok()) return compiled.error();
-  host_.deploy(std::move(compiled).value().program);
+  return options;
+}
+
+Status HostBackend::deploy(
+    std::shared_ptr<const compiler::CompileOutput> firmware) {
+  host_.deploy(
+      std::shared_ptr<const microc::Program>(firmware, &firmware->program));
   return Status::ok_status();
 }
 

@@ -12,6 +12,7 @@
 #include "backends/calibration.h"
 #include "common/result.h"
 #include "common/types.h"
+#include "compiler/pipeline.h"
 #include "hostsim/host.h"
 #include "net/network.h"
 #include "nicsim/nic.h"
@@ -61,8 +62,17 @@ class Backend {
   virtual BackendKind kind() const = 0;
   /// The fabric address requests are sent to.
   virtual NodeId node() const = 0;
-  /// Compiles (as appropriate for the backend) and installs the bundle.
-  virtual Status deploy(workloads::WorkloadBundle bundle) = 0;
+  /// The compiler options this backend's firmware is built with.
+  /// Backends whose options compare equal run the same firmware for the
+  /// same slice, so the workload manager compiles it once for them all.
+  virtual compiler::Options firmware_options() const = 0;
+  /// Installs firmware compiled with firmware_options(). Every backend
+  /// of a pool that runs one slice is handed the same image.
+  virtual Status deploy(
+      std::shared_ptr<const compiler::CompileOutput> firmware) = 0;
+  /// Compiles `bundle` with firmware_options() and installs it: the
+  /// one-backend shorthand for benches and examples.
+  Status deploy(workloads::WorkloadBundle bundle);
   /// Resources available for lambda placement on this worker.
   virtual Capacity capacity() const = 0;
   virtual void set_kv_server(NodeId node) = 0;
@@ -101,7 +111,12 @@ class LambdaNicBackend : public Backend {
 
   BackendKind kind() const override { return BackendKind::kLambdaNic; }
   NodeId node() const override { return nic_.node(); }
-  Status deploy(workloads::WorkloadBundle bundle) override;
+  compiler::Options firmware_options() const override;
+  using Backend::deploy;
+  Status deploy(
+      std::shared_ptr<const compiler::CompileOutput> firmware) override {
+    return nic_.deploy(std::move(firmware));
+  }
   Capacity capacity() const override;
   void set_kv_server(NodeId node) override { nic_.set_kv_server(node); }
   ResourceUsage usage(SimDuration window) const override;
@@ -138,7 +153,10 @@ class HostBackend : public Backend {
 
   BackendKind kind() const override { return kind_; }
   NodeId node() const override { return host_.node(); }
-  Status deploy(workloads::WorkloadBundle bundle) override;
+  compiler::Options firmware_options() const override;
+  using Backend::deploy;
+  Status deploy(
+      std::shared_ptr<const compiler::CompileOutput> firmware) override;
   Capacity capacity() const override;
   void set_kv_server(NodeId node) override { host_.set_kv_server(node); }
   ResourceUsage usage(SimDuration window) const override;

@@ -34,6 +34,8 @@ struct Options {
     options.run_stratification = false;
     return options;
   }
+
+  friend bool operator==(const Options&, const Options&) = default;
 };
 
 struct StageReport {

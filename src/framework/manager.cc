@@ -1,7 +1,9 @@
 #include "framework/manager.h"
 
 #include <algorithm>
+#include <memory>
 
+#include "compiler/pipeline.h"
 #include "workloads/split.h"
 
 namespace lnic::framework {
@@ -41,14 +43,21 @@ Result<DeploymentRecord> WorkloadManager::deploy(
     return tenant.empty() ? fn : tenant + "/" + fn;
   };
 
-  // Deploy each backend's slice of the bundle. A full slice reuses the
-  // original bundle object, so homogeneous pools compile bit-identical
-  // firmware to a plain per-backend deploy.
+  // Deploy each backend's slice of the bundle. A slice is compiled once
+  // per distinct set of compiler options, the first time a backend needs
+  // it, and every backend running it gets that one image, so a pool of
+  // NICs compiles and decodes its firmware once. Nothing outlives this
+  // call but the images the backends hold.
+  struct Firmware {
+    const std::vector<std::string>* functions;
+    compiler::Options options;
+    std::shared_ptr<const compiler::CompileOutput> output;
+  };
+  std::vector<Firmware> firmware;
   const auto per_backend = plan.value().functions_per_backend(pool.size());
   for (std::size_t i = 0; i < pool.size(); ++i) {
     if (per_backend[i].empty()) continue;
     backends::Backend& backend = *pool[i];
-    auto sub = workloads::split_bundle(bundle, per_backend[i]);
 
     if (tenant_id != kDefaultTenant) {
       // Tenancy binds before the firmware lands so quota admission in
@@ -72,7 +81,23 @@ Result<DeploymentRecord> WorkloadManager::deploy(
                      bundle.lambdas.name,
                  profile.artifact_bytes);
 
-    if (Status st = backend.deploy(std::move(sub)); !st.ok()) {
+    const compiler::Options options = backend.firmware_options();
+    auto image = std::find_if(
+        firmware.begin(), firmware.end(), [&](const Firmware& f) {
+          return *f.functions == per_backend[i] && f.options == options;
+        });
+    if (image == firmware.end()) {
+      auto sub = workloads::split_bundle(bundle, per_backend[i]);
+      auto compiled =
+          compiler::compile(sub.spec, std::move(sub.lambdas), options);
+      if (!compiled.ok()) return compiled.error();
+      image = firmware.insert(
+          firmware.end(),
+          Firmware{&per_backend[i], options,
+                   std::make_shared<const compiler::CompileOutput>(
+                       std::move(compiled).value())});
+    }
+    if (Status st = backend.deploy(image->output); !st.ok()) {
       return st.error();
     }
   }

@@ -58,8 +58,9 @@ class WorkloadManager {
 
   /// Capacity-aware deployment across a heterogeneous pool (§5, Fig. 2):
   /// measures per-lambda footprints, places them with place_nic_first,
-  /// splits the bundle per backend, deploys each sub-bundle, uploads the
-  /// artifacts, and registers every function as a replica set
+  /// splits the bundle per backend, compiles each distinct slice once
+  /// and installs that one image on every backend that runs it, uploads
+  /// the artifacts, and registers every function as a replica set
   /// (with backend kinds) in `gateway` (if given) and etcd (if
   /// configured). The record carries the full placement.
   ///

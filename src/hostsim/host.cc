@@ -69,7 +69,7 @@ HostServer::HostServer(sim::Simulator& sim, net::Network& network,
   gil_.capacity = std::min(kGilLimit, config_.cores);
 }
 
-void HostServer::deploy(microc::Program program) {
+void HostServer::deploy(std::shared_ptr<const microc::Program> program) {
   // Jobs parked on a KV call keep the instance they started on.
   image_ = std::make_shared<microc::Deployment>(std::move(program), kCost);
 }

@@ -83,8 +83,10 @@ class HostServer {
 
   /// Installs the program whose lambda_entries this worker serves. The
   /// host runs the same logic as the NIC but under the host cost model;
-  /// dispatch happens in the runtime, not a P4 match stage.
-  void deploy(microc::Program program);
+  /// dispatch happens in the runtime, not a P4 match stage. Hosts handed
+  /// one program share it and its decoded form; each keeps its own
+  /// global objects.
+  void deploy(std::shared_ptr<const microc::Program> program);
 
   void set_kv_server(NodeId node) { kv_.set_server(node); }
 

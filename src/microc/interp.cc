@@ -4,6 +4,10 @@
 #include <cassert>
 #include <cstdint>
 #include <cstring>
+#include <new>
+
+#include <sys/mman.h>
+#include <unistd.h>
 
 #include "microc/liveness.h"
 
@@ -556,22 +560,41 @@ CostModel CostModel::host_python() {
   return m;
 }
 
-void ObjectStore::reset(const Program& program) {
-  data_.assign(program.objects.size(), {});
+ObjectStore::ObjectStore(const Program& program)
+    : objects_(program.objects.size()) {
+  // Each object starts on a 16-byte boundary, the alignment a heap buffer
+  // of its own would have.
+  constexpr std::size_t kAlign = 16;
+  const auto align = [](std::size_t n, std::size_t to) {
+    return (n + to - 1) / to * to;
+  };
+  std::size_t end = 0;
+  for (const MemObject& obj : program.objects) {
+    if (obj.scope == MemScope::kGlobal) end = align(end, kAlign) + obj.size;
+  }
+  if (end > 0) {
+    mapped_bytes_ = align(end, static_cast<std::size_t>(sysconf(_SC_PAGESIZE)));
+    void* mapping = mmap(nullptr, mapped_bytes_, PROT_READ | PROT_WRITE,
+                         MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+    if (mapping == MAP_FAILED) throw std::bad_alloc();
+    mapping_ = static_cast<std::uint8_t*>(mapping);
+  }
+  std::size_t at = 0;
   for (std::size_t i = 0; i < program.objects.size(); ++i) {
     const MemObject& obj = program.objects[i];
-    if (obj.scope == MemScope::kGlobal) {
-      data_[i].assign(obj.size, 0);
-      const auto n = std::min<std::size_t>(obj.initial_data.size(), obj.size);
-      if (n > 0) std::memcpy(data_[i].data(), obj.initial_data.data(), n);
-    }
+    if (obj.scope != MemScope::kGlobal) continue;
+    at = align(at, kAlign);
+    std::uint8_t* const bytes = mapping_ + at;  // null only when end == 0
+    objects_[i] = std::span<std::uint8_t>(bytes, obj.size);
+    const auto n = std::min<std::size_t>(obj.initial_data.size(), obj.size);
+    if (n > 0) std::memcpy(bytes, obj.initial_data.data(), n);
+    at += obj.size;
+    total_bytes_ += obj.size;
   }
 }
 
-Bytes ObjectStore::total_bytes() const {
-  Bytes total = 0;
-  for (const auto& d : data_) total += d.size();
-  return total;
+ObjectStore::~ObjectStore() {
+  if (mapping_ != nullptr) munmap(mapping_, mapped_bytes_);
 }
 
 std::uint64_t ObjectStore::hash(std::size_t object, std::uint64_t off,
@@ -629,17 +652,16 @@ Outcome Machine::run_function(std::size_t function_index,
   objects_.assign(n + 1, ObjectView{});
   for (std::size_t i = 0; i < n; ++i) {
     const DecodedProgram::Object& obj = code.objects[i];
-    std::vector<std::uint8_t>* bytes = &locals_[i];
     if (obj.scope == MemScope::kLocal) {
-      bytes->assign(obj.size, 0);
+      std::vector<std::uint8_t>& bytes = locals_[i];
+      bytes.assign(obj.size, 0);
       const auto len = std::min<std::size_t>(obj.initial_data.size(), obj.size);
-      if (len > 0) std::memcpy(bytes->data(), obj.initial_data.data(), len);
+      if (len > 0) std::memcpy(bytes.data(), obj.initial_data.data(), len);
+      objects_[i] = ObjectView{bytes.data(), bytes.size(), true};
     } else if (globals_ != nullptr) {
-      bytes = &globals_->data(i);
-    } else {
-      continue;
+      const std::span<std::uint8_t> bytes = globals_->data(i);
+      objects_[i] = ObjectView{bytes.data(), bytes.size(), true};
     }
-    objects_[i] = ObjectView{bytes->data(), bytes->size(), true};
   }
 
   const DecodedProgram::Function& fn = code.functions[function_index];
@@ -674,6 +696,12 @@ Outcome Machine::trap_at(const Step& in, std::string message) {
   cycles_ -= in.rest_cycles;
   instructions_ -= in.rest_instrs - 1;
   return trap(std::move(message));
+}
+
+Outcome Machine::trap_out_of_bounds(const Step& in, const char* what,
+                                    std::uint16_t object) {
+  return trap_at(in, std::string(what) + " out of bounds in object '" +
+                         code_->objects[object].name + "'");
 }
 
 Outcome Machine::trap(std::string message) {
@@ -871,7 +899,7 @@ Outcome Machine::execute(const Step* ip) {
           const std::uint64_t off = r[in.a];
           const std::uint64_t len = r[in.b];
           if (!o.present || out_of_range(off, len, o.size)) {
-            return trap_at(in, "response copy out of bounds");
+            return trap_out_of_bounds(in, "response copy", in.obj);
           }
           if (response_.size() + len > kMaxResponse) {
             return trap_at(in, "response too large");
@@ -889,10 +917,11 @@ Outcome Machine::execute(const Step* ip) {
           const std::uint64_t doff = r[in.dst];
           const std::uint64_t soff = r[in.a];
           const std::uint64_t len = r[in.b];
-          if (!dst.present || !src.present ||
-              out_of_range(doff, len, dst.size) ||
-              out_of_range(soff, len, src.size)) {
-            return trap_at(in, "memcpy out of bounds");
+          if (!dst.present || out_of_range(doff, len, dst.size)) {
+            return trap_out_of_bounds(in, "memcpy", in.obj);
+          }
+          if (!src.present || out_of_range(soff, len, src.size)) {
+            return trap_out_of_bounds(in, "memcpy", in.obj2);
           }
           // An empty object's data pointer is null, which memmove must not
           // get even for zero bytes.
@@ -911,10 +940,12 @@ Outcome Machine::execute(const Step* ip) {
           const std::uint64_t doff = r[in.dst];
           const std::uint64_t soff = r[in.a];
           const std::uint64_t pixels = r[in.b];
-          if (!dst.present || !src.present || soff > src.size ||
-              pixels > (src.size - soff) / 4 ||
-              out_of_range(doff, pixels, dst.size)) {
-            return trap_at(in, "grayscale out of bounds");
+          if (!dst.present || out_of_range(doff, pixels, dst.size)) {
+            return trap_out_of_bounds(in, "grayscale", in.obj);
+          }
+          if (!src.present || soff > src.size ||
+              pixels > (src.size - soff) / 4) {
+            return trap_out_of_bounds(in, "grayscale", in.obj2);
           }
           grayscale(dst.data + doff, src.data + soff, pixels);
           bulk_cycles_ += pixels *
@@ -929,7 +960,7 @@ Outcome Machine::execute(const Step* ip) {
           const std::uint64_t off = r[in.a];
           const std::uint64_t len = r[in.b];
           if (!o.present || out_of_range(off, len, o.size)) {
-            return trap_at(in, "hash out of bounds");
+            return trap_out_of_bounds(in, "hash", in.obj);
           }
           r[in.dst] = globals_ != nullptr
                           ? globals_->hash(in.obj, off, o.data + off, len)
@@ -944,9 +975,11 @@ Outcome Machine::execute(const Step* ip) {
           const std::uint64_t doff = r[in.dst];
           const std::uint64_t boff = r[in.a];
           const std::uint64_t len = r[in.b];
-          if (!dst.present || out_of_range(boff, len, body_len) ||
-              out_of_range(doff, len, dst.size)) {
-            return trap_at(in, "body copy out of bounds");
+          if (!dst.present || out_of_range(doff, len, dst.size)) {
+            return trap_out_of_bounds(in, "body copy", in.obj);
+          }
+          if (out_of_range(boff, len, body_len)) {
+            return trap_at(in, "body copy past the end of the request body");
           }
           if (len != 0) {  // an empty body's data pointer is null
             std::memcpy(dst.data + doff, body + boff, len);
@@ -1023,14 +1056,15 @@ Outcome Machine::execute(const Step* ip) {
   }
 }
 
-Deployment::Deployment(Program program, const CostModel& cost)
-    : program_(std::move(program)), cost_(cost), globals_(program_) {
-  idle_.push_back(std::make_unique<Machine>(program_, cost_, &globals_));
+Deployment::Deployment(std::shared_ptr<const Program> program,
+                       const CostModel& cost)
+    : program_(std::move(program)), cost_(cost), globals_(*program_) {
+  idle_.push_back(std::make_unique<Machine>(*program_, cost_, &globals_));
 }
 
 std::unique_ptr<Machine> Deployment::acquire() {
   if (idle_.empty()) {
-    return std::make_unique<Machine>(program_, cost_, &globals_);
+    return std::make_unique<Machine>(*program_, cost_, &globals_);
   }
   std::unique_ptr<Machine> machine = std::move(idle_.back());
   idle_.pop_back();

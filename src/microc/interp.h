@@ -17,6 +17,7 @@
 #include <array>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -104,21 +105,32 @@ struct Outcome {
 std::uint64_t fnv1a(const std::uint8_t* data, std::size_t len);
 
 /// Persistent global-object storage for one deployed program instance
-/// ("global objects persist state across runs", §4.1). Local-scope
-/// objects get fresh zeroed backing per invocation inside the Machine.
-/// The store also memoizes kHash for every Machine bound to it.
+/// ("global objects persist state across runs", §4.1). Every global
+/// object lives in one anonymous private mapping, laid out in object
+/// order and rounded up to whole pages; only `initial_data` is copied
+/// in. Pages no lambda writes stay unbacked zero pages, so a program that
+/// declares megabytes of EMEM buffers costs only the pages it touches.
+/// The interpreter's range checks are the only guard on these bytes:
+/// there are no allocator redzones between objects. Local-scope objects
+/// get fresh zeroed backing per invocation inside the Machine. The store
+/// also memoizes kHash for every Machine bound to it.
 class ObjectStore {
  public:
-  ObjectStore() = default;
-  explicit ObjectStore(const Program& program) { reset(program); }
-  void reset(const Program& program);
-  std::vector<std::uint8_t>& data(std::size_t object_index) {
-    return data_[object_index];
+  explicit ObjectStore(const Program& program);
+  ~ObjectStore();
+  ObjectStore(const ObjectStore&) = delete;
+  ObjectStore& operator=(const ObjectStore&) = delete;
+
+  /// A global object's bytes; empty for a local-scope object.
+  std::span<std::uint8_t> data(std::size_t object_index) {
+    return objects_[object_index];
   }
-  const std::vector<std::uint8_t>& data(std::size_t object_index) const {
-    return data_[object_index];
+  std::span<const std::uint8_t> data(std::size_t object_index) const {
+    return objects_[object_index];
   }
-  Bytes total_bytes() const;
+  /// Declared bytes of every global object (what the NIC models), not
+  /// the page-rounded mapping.
+  Bytes total_bytes() const { return total_bytes_; }
 
   /// FNV-1a of the `len` bytes at `bytes`, which are object `object`'s
   /// bytes from offset `off` (kHash). A range hashed before is answered
@@ -138,7 +150,10 @@ class ObjectStore {
     std::uint64_t hash = 0;
   };
 
-  std::vector<std::vector<std::uint8_t>> data_;
+  std::uint8_t* mapping_ = nullptr;  // null when no global has bytes
+  std::size_t mapped_bytes_ = 0;
+  std::vector<std::span<std::uint8_t>> objects_;  // one per program object
+  Bytes total_bytes_ = 0;
   std::array<HashMemo, 16> memo_;  // direct-mapped
   std::uint64_t hash_hits_ = 0;
 };
@@ -192,6 +207,9 @@ class Machine {
   Outcome execute(const Step* ip);
   const Step* enter_exhausting(const Step* ip);
   Outcome trap_at(const Step& in, std::string message);
+  /// trap_at() for a range outside `object`, naming it.
+  Outcome trap_out_of_bounds(const Step& in, const char* what,
+                             std::uint16_t object);
   Outcome trap(std::string message);
   Outcome finish(std::uint64_t return_value);
   std::uint64_t scaled_cycles() const {
@@ -225,15 +243,18 @@ class Machine {
 /// the Machines bound to both that are idle. A backend takes a Machine per
 /// request and gives it back when the request finishes, so register files
 /// and local-object buffers are allocated per concurrent request, not per
-/// request, and the program is decoded once, at deploy. Requests hold the
-/// Deployment they started on by shared_ptr: one parked on kExtCall when
-/// new firmware is deployed finishes on the code and globals it started
-/// with, and its global writes are dropped with that instance.
+/// request. The program is shared: every Deployment of one Program (each
+/// NIC of a pool running the same firmware) uses one decoded form per
+/// cost model (Program::decoded), while each keeps its own globals.
+/// Requests hold the Deployment they started on by shared_ptr: one parked
+/// on kExtCall when new firmware is deployed finishes on the code and
+/// globals it started with, and its global writes are dropped with that
+/// instance.
 class Deployment {
  public:
-  Deployment(Program program, const CostModel& cost);
+  Deployment(std::shared_ptr<const Program> program, const CostModel& cost);
 
-  const Program& program() const { return program_; }
+  const Program& program() const { return *program_; }
   const ObjectStore& globals() const { return globals_; }
 
   /// An idle Machine, or a new one when every Machine is busy.
@@ -242,7 +263,7 @@ class Deployment {
   void release(std::unique_ptr<Machine> machine);
 
  private:
-  Program program_;
+  std::shared_ptr<const Program> program_;
   CostModel cost_;
   ObjectStore globals_;
   std::vector<std::unique_ptr<Machine>> idle_;

@@ -190,13 +190,14 @@ std::map<TenantId, TenantUsage> SmartNic::compute_tenant_usage(
   return usage;
 }
 
-Status SmartNic::deploy(compiler::CompileOutput firmware) {
-  if (firmware.final_words() > config_.instr_store_words) {
+Status SmartNic::deploy(
+    std::shared_ptr<const compiler::CompileOutput> firmware) {
+  if (firmware->final_words() > config_.instr_store_words) {
     return make_error("deploy: firmware exceeds instruction store");
   }
   // Quota admission runs before any state changes: a rejected deploy —
   // first-time or hot swap — must leave the running firmware serving.
-  auto usage = compute_tenant_usage(firmware.program);
+  auto usage = compute_tenant_usage(firmware->program);
   for (const auto& [tenant, u] : usage) {
     const auto q = tenant_quotas_.find(tenant);
     if (q == tenant_quotas_.end()) continue;
@@ -229,10 +230,11 @@ Status SmartNic::deploy(compiler::CompileOutput firmware) {
     }
   }
   tenant_usage_ = std::move(usage);
-  instr_words_used_ = firmware.final_words();
+  instr_words_used_ = firmware->final_words();
   // Flights parked on a KV call keep the image they started on.
-  image_ = std::make_shared<microc::Deployment>(std::move(firmware.program),
-                                                microc::CostModel::npu());
+  image_ = std::make_shared<microc::Deployment>(
+      std::shared_ptr<const microc::Program>(firmware, &firmware->program),
+      microc::CostModel::npu());
   const microc::Program& program = image_->program();
   // Static parse+match cycle estimate for the pipelined mode (§5
   // footnote 4): the parser's field extractions plus the dispatch
@@ -256,7 +258,7 @@ Status SmartNic::deploy(compiler::CompileOutput firmware) {
   }
   // Firmware artifact: lowered words (NFP instruction words are 8 B) plus
   // data-section bytes for initialized objects.
-  firmware_bytes_ = firmware.stages.back().code_words * 8;
+  firmware_bytes_ = firmware->stages.back().code_words * 8;
   for (const auto& obj : program.objects) {
     firmware_bytes_ += obj.initial_data.size();
   }

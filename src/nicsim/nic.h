@@ -133,14 +133,17 @@ class SmartNic {
   /// This NIC's address on the fabric.
   NodeId node() const { return node_; }
 
-  /// Loads compiled firmware. Fails if the binary exceeds the per-core
-  /// instruction store or any assigned tenant's quota; a rejected deploy
-  /// (including a rejected hot swap) leaves the previously running
-  /// firmware untouched and serving. Unless hot swap is enabled the NIC
-  /// is down for kFirmwareLoadTime. Global lambda state resets;
-  /// with hot swap, a request parked on a KV call finishes on the
-  /// firmware image and global state it started with.
-  Status deploy(compiler::CompileOutput firmware);
+  /// Loads compiled firmware. Every NIC of a pool that runs the same
+  /// slice is handed the same image: the program is shared, and so is
+  /// its decoded form, but each NIC's global objects are its own and
+  /// start from the program's initial data. Fails if the binary exceeds
+  /// this NIC's per-core instruction store or any tenant quota assigned
+  /// here; a rejected deploy (including a rejected hot swap) leaves the
+  /// previously running firmware untouched and serving. Unless hot swap
+  /// is enabled the NIC is down for kFirmwareLoadTime. With hot swap, a
+  /// request parked on a KV call finishes on the firmware image and
+  /// global state it started with.
+  Status deploy(std::shared_ptr<const compiler::CompileOutput> firmware);
 
   bool deployed() const { return image_ != nullptr; }
   bool down() const;

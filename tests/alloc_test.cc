@@ -1,8 +1,9 @@
-// Allocation budget of the steady-state request path: loadgen → gateway
+// Allocation budgets of the steady-state request path: loadgen → gateway
 // → RPC → fabric → NIC → lambda → reply, on a nic_kv_rw-shaped and a
-// faas_mix-shaped cluster. This binary replaces the global operator new
-// and delete to count every heap allocation, which is why it is a test
-// binary of its own.
+// faas_mix-shaped cluster, and of deploying a cluster. This binary
+// replaces the global operator new and delete to count every heap
+// allocation and the bytes asked for, which is why it is a test binary
+// of its own.
 //
 // Each shape runs through a LoadGenerator whose sink answers the way the
 // cluster benchmark's does (perfbench/main.cc): it looks up a call built
@@ -30,12 +31,14 @@
 
 namespace {
 std::atomic<std::uint64_t> g_allocations{0};
+std::atomic<std::uint64_t> g_bytes{0};
 
 /// Every form of operator new comes here and every form of delete goes
 /// to std::free, so allocation and release always pair up (sanitizers
 /// check that they do).
 void* counted_alloc(std::size_t size, std::size_t align) noexcept {
   g_allocations.fetch_add(1, std::memory_order_relaxed);
+  g_bytes.fetch_add(size, std::memory_order_relaxed);
   if (size == 0) size = 1;
   return align <= alignof(std::max_align_t)
              ? std::malloc(size)
@@ -315,6 +318,46 @@ TEST(AllocationBudget, FaasMixShape) {
     shape.cache.emplace_back(0x20000 + i, 1);
   }
   expect_within_budget("faas_mix shape", count_allocations(std::move(shape)));
+}
+
+TEST(AllocationBudget, FourNicDeploy) {
+  // Everything Cluster::deploy asks of operator new: the etcd election it
+  // runs first, the per-action footprint compiles, one compile of each
+  // distinct slice, one decode of it, and each NIC's install. The NICs'
+  // global objects live in mmap'd zero pages, which are not counted. A
+  // compile per NIC again, or globals back on the heap, would break the
+  // 4-NIC budget; the 1-NIC KV store shows what one NIC costs.
+  struct Input {
+    const char* name;
+    std::uint32_t workers;
+    workloads::WorkloadBundle bundle;
+    std::uint64_t byte_budget;
+  };
+  Input inputs[] = {
+      {"standard bundle on 4 NICs", 4, workloads::make_standard_workloads(),
+       3ull << 20},
+      {"KV store on 1 NIC", 1, workloads::make_nic_kv_store(12), 128ull << 10},
+  };
+  for (Input& input : inputs) {
+    SCOPED_TRACE(input.name);
+    core::ClusterConfig config;
+    config.workers = input.workers;
+    config.seed = 1;
+    core::Cluster cluster(config);
+    const std::uint64_t allocations =
+        g_allocations.load(std::memory_order_relaxed);
+    const std::uint64_t bytes = g_bytes.load(std::memory_order_relaxed);
+    const bool deployed = cluster.deploy(std::move(input.bundle)).ok();
+    const std::uint64_t counted =
+        g_allocations.load(std::memory_order_relaxed) - allocations;
+    const std::uint64_t counted_bytes =
+        g_bytes.load(std::memory_order_relaxed) - bytes;
+    std::printf("%s: deploy made %llu allocations of %.2f MiB\n", input.name,
+                static_cast<unsigned long long>(counted),
+                static_cast<double>(counted_bytes) / (1 << 20));
+    EXPECT_TRUE(deployed);
+    EXPECT_LE(counted_bytes, input.byte_budget);
+  }
 }
 
 }  // namespace

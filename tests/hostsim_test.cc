@@ -43,7 +43,8 @@ struct Rig {
     bundle = workloads::make_standard_workloads();
     auto compiled = compiler::compile(bundle.spec, std::move(bundle.lambdas));
     EXPECT_TRUE(compiled.ok());
-    host->deploy(std::move(compiled).value().program);
+    host->deploy(std::make_shared<const microc::Program>(
+        std::move(compiled).value().program));
   }
 
   void send(WorkloadId wid, net::BufferView body, RequestId id) {

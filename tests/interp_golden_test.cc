@@ -200,42 +200,42 @@ const std::map<std::string, std::string> kGolden = {
     {"match_range/npu", "trap ret=0 cycles=1 instrs=2 resp=0:cbf29ce484222325 trap=match_data out of range"},
     {"match_range/host_native", "trap ret=0 cycles=1 instrs=2 resp=0:cbf29ce484222325 trap=match_data out of range"},
     {"match_range/host_python", "trap ret=0 cycles=400 instrs=2 resp=0:cbf29ce484222325 trap=match_data out of range"},
-    {"memcpy/npu", "trap ret=0 cycles=156 instrs=5 resp=0:cbf29ce484222325 trap=memcpy out of bounds"},
-    {"memcpy/host_native", "trap ret=0 cycles=7 instrs=5 resp=0:cbf29ce484222325 trap=memcpy out of bounds"},
-    {"memcpy/host_python", "trap ret=0 cycles=1855 instrs=5 resp=0:cbf29ce484222325 trap=memcpy out of bounds"},
-    {"resp_mem/npu", "trap ret=0 cycles=156 instrs=5 resp=0:cbf29ce484222325 trap=response copy out of bounds"},
-    {"resp_mem/host_native", "trap ret=0 cycles=7 instrs=5 resp=0:cbf29ce484222325 trap=response copy out of bounds"},
-    {"resp_mem/host_python", "trap ret=0 cycles=1855 instrs=5 resp=0:cbf29ce484222325 trap=response copy out of bounds"},
-    {"hash/npu", "trap ret=0 cycles=156 instrs=5 resp=0:cbf29ce484222325 trap=hash out of bounds"},
-    {"hash/host_native", "trap ret=0 cycles=7 instrs=5 resp=0:cbf29ce484222325 trap=hash out of bounds"},
-    {"hash/host_python", "trap ret=0 cycles=1855 instrs=5 resp=0:cbf29ce484222325 trap=hash out of bounds"},
-    {"gray/npu", "trap ret=0 cycles=156 instrs=5 resp=0:cbf29ce484222325 trap=grayscale out of bounds"},
-    {"gray/host_native", "trap ret=0 cycles=7 instrs=5 resp=0:cbf29ce484222325 trap=grayscale out of bounds"},
-    {"gray/host_python", "trap ret=0 cycles=1855 instrs=5 resp=0:cbf29ce484222325 trap=grayscale out of bounds"},
-    {"body_copy/npu", "trap ret=0 cycles=156 instrs=5 resp=0:cbf29ce484222325 trap=body copy out of bounds"},
-    {"body_copy/host_native", "trap ret=0 cycles=7 instrs=5 resp=0:cbf29ce484222325 trap=body copy out of bounds"},
-    {"body_copy/host_python", "trap ret=0 cycles=1855 instrs=5 resp=0:cbf29ce484222325 trap=body copy out of bounds"},
+    {"memcpy/npu", "trap ret=0 cycles=156 instrs=5 resp=0:cbf29ce484222325 trap=memcpy out of bounds in object 'b'"},
+    {"memcpy/host_native", "trap ret=0 cycles=7 instrs=5 resp=0:cbf29ce484222325 trap=memcpy out of bounds in object 'b'"},
+    {"memcpy/host_python", "trap ret=0 cycles=1855 instrs=5 resp=0:cbf29ce484222325 trap=memcpy out of bounds in object 'b'"},
+    {"resp_mem/npu", "trap ret=0 cycles=156 instrs=5 resp=0:cbf29ce484222325 trap=response copy out of bounds in object 'a'"},
+    {"resp_mem/host_native", "trap ret=0 cycles=7 instrs=5 resp=0:cbf29ce484222325 trap=response copy out of bounds in object 'a'"},
+    {"resp_mem/host_python", "trap ret=0 cycles=1855 instrs=5 resp=0:cbf29ce484222325 trap=response copy out of bounds in object 'a'"},
+    {"hash/npu", "trap ret=0 cycles=156 instrs=5 resp=0:cbf29ce484222325 trap=hash out of bounds in object 'a'"},
+    {"hash/host_native", "trap ret=0 cycles=7 instrs=5 resp=0:cbf29ce484222325 trap=hash out of bounds in object 'a'"},
+    {"hash/host_python", "trap ret=0 cycles=1855 instrs=5 resp=0:cbf29ce484222325 trap=hash out of bounds in object 'a'"},
+    {"gray/npu", "trap ret=0 cycles=156 instrs=5 resp=0:cbf29ce484222325 trap=grayscale out of bounds in object 'a'"},
+    {"gray/host_native", "trap ret=0 cycles=7 instrs=5 resp=0:cbf29ce484222325 trap=grayscale out of bounds in object 'a'"},
+    {"gray/host_python", "trap ret=0 cycles=1855 instrs=5 resp=0:cbf29ce484222325 trap=grayscale out of bounds in object 'a'"},
+    {"body_copy/npu", "trap ret=0 cycles=156 instrs=5 resp=0:cbf29ce484222325 trap=body copy out of bounds in object 'a'"},
+    {"body_copy/host_native", "trap ret=0 cycles=7 instrs=5 resp=0:cbf29ce484222325 trap=body copy out of bounds in object 'a'"},
+    {"body_copy/host_python", "trap ret=0 cycles=1855 instrs=5 resp=0:cbf29ce484222325 trap=body copy out of bounds in object 'a'"},
     {"wrap_load/npu", "trap ret=0 cycles=4 instrs=5 resp=0:cbf29ce484222325 trap=out-of-bounds load from object 'b' at offset 18446744073709551612"},
     {"wrap_load/host_native", "trap ret=0 cycles=4 instrs=5 resp=0:cbf29ce484222325 trap=out-of-bounds load from object 'b' at offset 18446744073709551612"},
     {"wrap_load/host_python", "trap ret=0 cycles=1600 instrs=5 resp=0:cbf29ce484222325 trap=out-of-bounds load from object 'b' at offset 18446744073709551612"},
     {"wrap_store/npu", "trap ret=0 cycles=4 instrs=5 resp=0:cbf29ce484222325 trap=out-of-bounds store to object 'b' at offset 18446744073709551612"},
     {"wrap_store/host_native", "trap ret=0 cycles=4 instrs=5 resp=0:cbf29ce484222325 trap=out-of-bounds store to object 'b' at offset 18446744073709551612"},
     {"wrap_store/host_python", "trap ret=0 cycles=1600 instrs=5 resp=0:cbf29ce484222325 trap=out-of-bounds store to object 'b' at offset 18446744073709551612"},
-    {"wrap_resp_mem/npu", "trap ret=0 cycles=4 instrs=5 resp=0:cbf29ce484222325 trap=response copy out of bounds"},
-    {"wrap_resp_mem/host_native", "trap ret=0 cycles=4 instrs=5 resp=0:cbf29ce484222325 trap=response copy out of bounds"},
-    {"wrap_resp_mem/host_python", "trap ret=0 cycles=1600 instrs=5 resp=0:cbf29ce484222325 trap=response copy out of bounds"},
-    {"wrap_memcpy/npu", "trap ret=0 cycles=4 instrs=5 resp=0:cbf29ce484222325 trap=memcpy out of bounds"},
-    {"wrap_memcpy/host_native", "trap ret=0 cycles=4 instrs=5 resp=0:cbf29ce484222325 trap=memcpy out of bounds"},
-    {"wrap_memcpy/host_python", "trap ret=0 cycles=1600 instrs=5 resp=0:cbf29ce484222325 trap=memcpy out of bounds"},
-    {"wrap_gray/npu", "trap ret=0 cycles=6 instrs=7 resp=0:cbf29ce484222325 trap=grayscale out of bounds"},
-    {"wrap_gray/host_native", "trap ret=0 cycles=6 instrs=7 resp=0:cbf29ce484222325 trap=grayscale out of bounds"},
-    {"wrap_gray/host_python", "trap ret=0 cycles=2400 instrs=7 resp=0:cbf29ce484222325 trap=grayscale out of bounds"},
-    {"wrap_hash/npu", "trap ret=0 cycles=4 instrs=5 resp=0:cbf29ce484222325 trap=hash out of bounds"},
-    {"wrap_hash/host_native", "trap ret=0 cycles=4 instrs=5 resp=0:cbf29ce484222325 trap=hash out of bounds"},
-    {"wrap_hash/host_python", "trap ret=0 cycles=1600 instrs=5 resp=0:cbf29ce484222325 trap=hash out of bounds"},
-    {"wrap_body_copy/npu", "trap ret=0 cycles=4 instrs=5 resp=0:cbf29ce484222325 trap=body copy out of bounds"},
-    {"wrap_body_copy/host_native", "trap ret=0 cycles=4 instrs=5 resp=0:cbf29ce484222325 trap=body copy out of bounds"},
-    {"wrap_body_copy/host_python", "trap ret=0 cycles=1600 instrs=5 resp=0:cbf29ce484222325 trap=body copy out of bounds"},
+    {"wrap_resp_mem/npu", "trap ret=0 cycles=4 instrs=5 resp=0:cbf29ce484222325 trap=response copy out of bounds in object 'a'"},
+    {"wrap_resp_mem/host_native", "trap ret=0 cycles=4 instrs=5 resp=0:cbf29ce484222325 trap=response copy out of bounds in object 'a'"},
+    {"wrap_resp_mem/host_python", "trap ret=0 cycles=1600 instrs=5 resp=0:cbf29ce484222325 trap=response copy out of bounds in object 'a'"},
+    {"wrap_memcpy/npu", "trap ret=0 cycles=4 instrs=5 resp=0:cbf29ce484222325 trap=memcpy out of bounds in object 'a'"},
+    {"wrap_memcpy/host_native", "trap ret=0 cycles=4 instrs=5 resp=0:cbf29ce484222325 trap=memcpy out of bounds in object 'a'"},
+    {"wrap_memcpy/host_python", "trap ret=0 cycles=1600 instrs=5 resp=0:cbf29ce484222325 trap=memcpy out of bounds in object 'a'"},
+    {"wrap_gray/npu", "trap ret=0 cycles=6 instrs=7 resp=0:cbf29ce484222325 trap=grayscale out of bounds in object 'b'"},
+    {"wrap_gray/host_native", "trap ret=0 cycles=6 instrs=7 resp=0:cbf29ce484222325 trap=grayscale out of bounds in object 'b'"},
+    {"wrap_gray/host_python", "trap ret=0 cycles=2400 instrs=7 resp=0:cbf29ce484222325 trap=grayscale out of bounds in object 'b'"},
+    {"wrap_hash/npu", "trap ret=0 cycles=4 instrs=5 resp=0:cbf29ce484222325 trap=hash out of bounds in object 'a'"},
+    {"wrap_hash/host_native", "trap ret=0 cycles=4 instrs=5 resp=0:cbf29ce484222325 trap=hash out of bounds in object 'a'"},
+    {"wrap_hash/host_python", "trap ret=0 cycles=1600 instrs=5 resp=0:cbf29ce484222325 trap=hash out of bounds in object 'a'"},
+    {"wrap_body_copy/npu", "trap ret=0 cycles=4 instrs=5 resp=0:cbf29ce484222325 trap=body copy out of bounds in object 'a'"},
+    {"wrap_body_copy/host_native", "trap ret=0 cycles=4 instrs=5 resp=0:cbf29ce484222325 trap=body copy out of bounds in object 'a'"},
+    {"wrap_body_copy/host_python", "trap ret=0 cycles=1600 instrs=5 resp=0:cbf29ce484222325 trap=body copy out of bounds in object 'a'"},
     {"call_depth/npu", "trap ret=0 cycles=107 instrs=48 resp=0:cbf29ce484222325 trap=call depth limit (recursion unsupported on NPUs)"},
     {"call_depth/host_native", "trap ret=0 cycles=107 instrs=48 resp=0:cbf29ce484222325 trap=call depth limit (recursion unsupported on NPUs)"},
     {"call_depth/host_python", "trap ret=0 cycles=42800 instrs=48 resp=0:cbf29ce484222325 trap=call depth limit (recursion unsupported on NPUs)"},

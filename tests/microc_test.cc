@@ -10,6 +10,7 @@
 #include <functional>
 #include <initializer_list>
 #include <memory>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -47,12 +48,17 @@ std::uint8_t luma_of(const std::uint8_t* rgba) {
 
 // The index of the first byte where `got` and `want` differ, or the
 // shorter one's size: a failure names one byte instead of two buffers.
-std::size_t first_difference(const std::vector<std::uint8_t>& got,
-                             const std::vector<std::uint8_t>& want) {
+std::size_t first_difference(std::span<const std::uint8_t> got,
+                             std::span<const std::uint8_t> want) {
   const std::size_t n = std::min(got.size(), want.size());
   return static_cast<std::size_t>(
       std::mismatch(got.begin(), got.begin() + n, want.begin()).first -
       got.begin());
+}
+
+// A copy of an object's bytes, for expectations that compare buffers.
+std::vector<std::uint8_t> bytes_of(std::span<const std::uint8_t> bytes) {
+  return {bytes.begin(), bytes.end()};
 }
 
 TEST(Builder, EmitsVerifiableFunction) {
@@ -148,6 +154,61 @@ TEST(Interp, OutOfBoundsLoadTrapsWithObjectName) {
   const Outcome out = run_simple(pb.take(), idx);
   EXPECT_EQ(out.state, RunState::kTrap);
   EXPECT_NE(out.trap_message.find("small"), std::string::npos);
+
+  // Global objects share one mapping with no gap between them: past the
+  // last byte of "table" lies "next". The range checks are all that
+  // keeps a load or a store in its object, at every width.
+  constexpr std::uint64_t kSize = 48;
+  ProgramBuilder gb("t");
+  const auto table = gb.object("table", kSize, MemScope::kGlobal);
+  gb.object("next", kSize, MemScope::kGlobal);
+  std::vector<std::pair<std::uint8_t, std::uint32_t>> cases;
+  for (const std::uint8_t width : {1, 2, 4, 8}) {
+    auto fl = gb.function("load" + std::to_string(width), 0);
+    fl.ret(fl.load(table, fl.load_hdr(kHdrKey), 0, width));
+    cases.emplace_back(width, fl.finish());
+    auto fs = gb.function("store" + std::to_string(width), 0);
+    fs.store(table, fs.load_hdr(kHdrKey), fs.const_u64(~0ull), 0, width);
+    fs.ret_imm(0);
+    cases.emplace_back(width, fs.finish());
+  }
+  const Program p = gb.take();
+  for (const auto& [width, fn] : cases) {
+    SCOPED_TRACE(p.functions[fn].name);
+    Invocation inv;
+    inv.headers.fields[kHdrKey] = kSize - width;  // ends at the last byte
+    const Outcome in_range = run_simple(p, fn, inv);
+    EXPECT_EQ(in_range.state, RunState::kDone) << in_range.trap_message;
+    inv.headers.fields[kHdrKey] = kSize - width + 1;  // one byte past it
+    const Outcome past = run_simple(p, fn, inv);
+    EXPECT_EQ(past.state, RunState::kTrap);
+    EXPECT_NE(past.trap_message.find("'table'"), std::string::npos)
+        << past.trap_message;
+  }
+}
+
+TEST(ObjectStore, FreshStoreReadsZeroPastInitialData) {
+  // A store's mapping is new zero pages whatever an earlier store wrote
+  // before it went, and initial_data covers only its own bytes.
+  ProgramBuilder pb("t");
+  const auto seeded = pb.object("seeded", 3 * 4096 + 5, MemScope::kGlobal);
+  const auto blank = pb.object("blank", 64, MemScope::kGlobal);
+  pb.program().objects[seeded].initial_data = {1, 2, 3, 4, 5, 6, 7};
+  const Program p = pb.take();
+  for (int round = 0; round < 3; ++round) {
+    ObjectStore store(p);
+    const auto bytes = store.data(seeded);
+    ASSERT_EQ(bytes.size(), 3u * 4096 + 5);
+    EXPECT_EQ(bytes_of(bytes.first(7)),
+              (std::vector<std::uint8_t>{1, 2, 3, 4, 5, 6, 7}));
+    EXPECT_TRUE(std::all_of(bytes.begin() + 7, bytes.end(),
+                            [](std::uint8_t b) { return b == 0; }));
+    EXPECT_TRUE(std::all_of(store.data(blank).begin(), store.data(blank).end(),
+                            [](std::uint8_t b) { return b == 0; }));
+    EXPECT_EQ(store.total_bytes(), 3u * 4096 + 5 + 64);
+    std::fill(bytes.begin(), bytes.end(), 0xFF);  // dirty it for the next
+    std::fill(store.data(blank).begin(), store.data(blank).end(), 0xFF);
+  }
 }
 
 TEST(Interp, GlobalObjectsPersistAcrossInvocations) {
@@ -526,6 +587,76 @@ TEST(Interp, BodyCopyOutOfBoundsTraps) {
   inv.body = {1, 2, 3};
   const Outcome out = run_simple(pb.take(), idx, inv);
   EXPECT_EQ(out.state, RunState::kTrap);
+
+  // Every bulk operation on a global object, each range on "table"
+  // placed to end at its last byte (runs) and then shifted or grown one
+  // byte past it (traps, naming the object). "next" follows "table" in
+  // the store's mapping, so a check that let one byte through would
+  // touch it.
+  constexpr std::uint64_t kSize = 48;
+  constexpr std::uint64_t kUnits = 5;  // bytes, or pixels for grayscale
+  ProgramBuilder gb("t");
+  const auto table = gb.object("table", kSize, MemScope::kGlobal);
+  const auto next = gb.object("next", 4 * kSize, MemScope::kGlobal);
+  struct Case {
+    std::string name;
+    std::uint32_t fn;
+    std::uint64_t unit;  // bytes of "table" per unit of length
+  };
+  std::vector<Case> cases;
+  const auto add = [&](std::string name, std::uint64_t unit, auto emit) {
+    auto fb = gb.function(name, 0);
+    emit(fb, fb.load_hdr(kHdrKey), fb.load_hdr(kHdrValue), fb.const_u64(0));
+    fb.ret_imm(0);
+    cases.push_back(Case{std::move(name), fb.finish(), unit});
+  };
+  add("resp_mem", 1, [&](FunctionBuilder& fb, Reg off, Reg len, Reg) {
+    fb.resp_mem(table, off, len);
+  });
+  add("memcpy_dst", 1, [&](FunctionBuilder& fb, Reg off, Reg len, Reg zero) {
+    fb.memcpy_(table, off, next, zero, len);
+  });
+  add("memcpy_src", 1, [&](FunctionBuilder& fb, Reg off, Reg len, Reg zero) {
+    fb.memcpy_(next, zero, table, off, len);
+  });
+  add("gray_dst", 1, [&](FunctionBuilder& fb, Reg off, Reg len, Reg zero) {
+    fb.grayscale(table, off, next, zero, len);
+  });
+  add("gray_src", 4, [&](FunctionBuilder& fb, Reg off, Reg len, Reg zero) {
+    fb.grayscale(next, zero, table, off, len);
+  });
+  add("body_copy", 1, [&](FunctionBuilder& fb, Reg off, Reg len, Reg zero) {
+    fb.body_copy(table, off, zero, len);
+  });
+  add("hash", 1, [&](FunctionBuilder& fb, Reg off, Reg len, Reg) {
+    (void)fb.hash(table, off, len);
+  });
+  const Program p = gb.take();
+  Invocation big;
+  big.body = std::vector<std::uint8_t>(4 * kSize, 7);
+  const auto run = [&](const Case& c, std::uint64_t off, std::uint64_t len) {
+    big.headers.fields[kHdrKey] = off;
+    big.headers.fields[kHdrValue] = len;
+    return run_simple(p, c.fn, big);
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    const std::uint64_t end = kSize - kUnits * c.unit;  // ends at the last byte
+    Outcome ran = run(c, end, kUnits);
+    EXPECT_EQ(ran.state, RunState::kDone) << ran.trap_message;
+    ran = run(c, 0, kSize / c.unit);  // the whole object
+    EXPECT_EQ(ran.state, RunState::kDone) << ran.trap_message;
+    for (const auto& [off, len] :
+         {std::pair{end + 1, kUnits}, std::pair{end, kUnits + 1},
+          std::pair{std::uint64_t{1}, kSize / c.unit}}) {
+      SCOPED_TRACE("offset " + std::to_string(off) + ", length " +
+                   std::to_string(len));
+      const Outcome past = run(c, off, len);
+      EXPECT_EQ(past.state, RunState::kTrap);
+      EXPECT_NE(past.trap_message.find("'table'"), std::string::npos)
+          << past.trap_message;
+    }
+  }
 }
 
 // An empty object or body has a null data pointer, which memmove and
@@ -1343,7 +1474,7 @@ class MemoRig {
       for (std::uint8_t& byte : store_.data(x)) {
         byte = static_cast<std::uint8_t>(rng.next_u64());
       }
-      shadow_[x] = store_.data(x);
+      shadow_[x] = bytes_of(store_.data(x));
     }
     for (std::size_t m = 0; m < machines; ++m) {
       machines_.push_back(
@@ -1642,8 +1773,8 @@ TEST(HashMemo, RandomInterleavingMatchesShadow) {
     for (std::size_t m = 0; m < kMachines; ++m) {
       if (rig.parked(m)) rig.resume(m);
     }
-    EXPECT_EQ(rig.store().data(0), rig.shadow(0));
-    EXPECT_EQ(rig.store().data(1), rig.shadow(1));
+    EXPECT_EQ(bytes_of(rig.store().data(0)), rig.shadow(0));
+    EXPECT_EQ(bytes_of(rig.store().data(1)), rig.shadow(1));
     EXPECT_GT(rig.store().hash_hits(), 0u);
   }
 }

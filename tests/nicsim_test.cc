@@ -22,6 +22,15 @@ using workloads::encode_image_request;
 using workloads::encode_kv_request;
 using workloads::encode_web_request;
 
+/// `bundle` compiled for the NIC: one image any number of NICs can run.
+std::shared_ptr<const compiler::CompileOutput> firmware_of(
+    workloads::WorkloadBundle bundle) {
+  auto compiled = compiler::compile(bundle.spec, std::move(bundle.lambdas));
+  EXPECT_TRUE(compiled.ok());
+  return std::make_shared<const compiler::CompileOutput>(
+      std::move(compiled).value());
+}
+
 struct Rig {
   sim::Simulator sim;
   net::Network network{sim};
@@ -30,8 +39,11 @@ struct Rig {
   NodeId client = kInvalidNode;
   std::vector<Packet> responses;
   workloads::WorkloadBundle bundle;
+  /// With `with_twin`, a second NIC deployed from the very image `nic`
+  /// runs, on the same fabric and cache.
+  std::unique_ptr<SmartNic> twin;
 
-  explicit Rig(NicConfig config = {}) {
+  explicit Rig(NicConfig config = {}, bool with_twin = false) {
     nic = std::make_unique<SmartNic>(sim, network, config);
     cache = std::make_unique<kvstore::CacheServer>(sim, network);
     nic->set_kv_server(cache->node());
@@ -39,19 +51,39 @@ struct Rig {
       if (p.kind == PacketKind::kResponse) responses.push_back(p);
     });
     bundle = workloads::make_standard_workloads();
-    auto compiled = compiler::compile(bundle.spec, std::move(bundle.lambdas));
-    EXPECT_TRUE(compiled.ok());
-    EXPECT_TRUE(nic->deploy(std::move(compiled).value()).ok());
+    const auto image = firmware_of(bundle);
+    EXPECT_TRUE(nic->deploy(image).ok());
+    if (with_twin) {
+      twin = std::make_unique<SmartNic>(sim, network, config);
+      twin->set_kv_server(cache->node());
+      EXPECT_TRUE(twin->deploy(image).ok());
+    }
     sim.run_until(seconds(20));  // firmware load window passes
   }
 
   void send(WorkloadId wid, net::BufferView body, RequestId request_id,
             PacketKind kind = PacketKind::kRequest) {
+    send_to(*nic, wid, std::move(body), request_id, kind);
+  }
+  void send_to(const SmartNic& target, WorkloadId wid, net::BufferView body,
+               RequestId request_id, PacketKind kind = PacketKind::kRequest) {
     net::LambdaHeader hdr;
     hdr.workload_id = wid;
     hdr.request_id = request_id;
-    net::fragment(client, nic->node(), kind, hdr, body,
+    net::fragment(client, target.node(), kind, hdr, body,
                   [this](Packet f) { network.send(std::move(f)); });
+  }
+  /// The first word of the one response to `request_id` (0 if none).
+  std::uint64_t reply_word(RequestId request_id) const {
+    std::uint64_t word = 0;
+    int seen = 0;
+    for (const Packet& p : responses) {
+      if (p.lambda.request_id != request_id) continue;
+      word = proto::payload_word(p.payload, 0);
+      ++seen;
+    }
+    EXPECT_EQ(seen, 1) << "responses to request " << request_id;
+    return word;
   }
 };
 
@@ -277,9 +309,8 @@ TEST(SmartNic, DropsRequestsDuringFirmwareLoad) {
   net::Network network(sim);
   SmartNic nic(sim, network, config);
   const NodeId client = network.attach(nullptr);
-  auto bundle = workloads::make_standard_workloads();
-  auto compiled = compiler::compile(bundle.spec, std::move(bundle.lambdas));
-  ASSERT_TRUE(nic.deploy(std::move(compiled).value()).ok());
+  ASSERT_TRUE(
+      nic.deploy(firmware_of(workloads::make_standard_workloads())).ok());
   EXPECT_TRUE(nic.down());
   Packet p;
   p.src = client;
@@ -300,48 +331,87 @@ TEST(SmartNic, HotSwapAvoidsDowntime) {
   sim::Simulator sim;
   net::Network network(sim);
   SmartNic nic(sim, network, config);
-  auto bundle = workloads::make_standard_workloads();
-  auto compiled = compiler::compile(bundle.spec, std::move(bundle.lambdas));
-  ASSERT_TRUE(nic.deploy(std::move(compiled).value()).ok());
+  ASSERT_TRUE(
+      nic.deploy(firmware_of(workloads::make_standard_workloads())).ok());
   EXPECT_FALSE(nic.down());
 }
 
 TEST(SmartNic, HotSwapLetsParkedKvCallFinishOnItsFirmware) {
   // A KV GET is parked on its external call when different firmware is
   // hot-swapped in. The flight must finish on the code and globals it
-  // started with, not continue at the same step of the new image.
+  // started with, not continue at the same step of the new image. When a
+  // twin was deployed from the same image, the swap moves only this NIC.
+  for (const bool with_twin : {false, true}) {
+    SCOPED_TRACE(with_twin ? "beside a twin" : "alone");
+    NicConfig config;
+    config.allow_hot_swap = true;
+    Rig rig(config, with_twin);
+    rig.cache->put(5, 5555);
+    rig.send(workloads::kKvGetId, encode_kv_request(5), 1);
+    while (rig.cache->stats().gets == 0 && rig.sim.step()) {
+    }
+    ASSERT_EQ(rig.cache->stats().gets, 1u);  // reply in flight, lambda parked
+    ASSERT_TRUE(
+        rig.nic->deploy(firmware_of(workloads::make_nic_kv_store(8))).ok());
+    rig.sim.run();
+    ASSERT_EQ(rig.responses.size(), 1u);
+    EXPECT_EQ(rig.reply_word(1), 5555u);
+    EXPECT_EQ(rig.nic->stats().requests_completed, 1u);
+    EXPECT_EQ(rig.nic->stats().traps, 0u);
+
+    // New requests run the new firmware.
+    rig.send(workloads::kNicKvStoreId,
+             workloads::encode_kv_store_request(1, 9, 99), 2);
+    rig.sim.run();
+    ASSERT_EQ(rig.responses.size(), 2u);
+    EXPECT_EQ(rig.reply_word(2), 99u);
+    if (!with_twin) continue;
+
+    // The twin still serves the image both NICs were given: its KV
+    // client reads the cache, and the KV store is not on it.
+    rig.send_to(*rig.twin, workloads::kKvGetId, encode_kv_request(5), 3);
+    rig.send_to(*rig.twin, workloads::kNicKvStoreId,
+                workloads::encode_kv_store_request(0, 9), 4);
+    rig.sim.run();
+    ASSERT_EQ(rig.responses.size(), 3u);
+    EXPECT_EQ(rig.reply_word(3), 5555u);
+    EXPECT_EQ(rig.twin->stats().requests_completed, 1u);
+    EXPECT_EQ(rig.twin->stats().requests_to_host, 1u);
+  }
+}
+
+TEST(SmartNic, NicsSharingOneImageKeepTheirOwnGlobals) {
+  // Two NICs deployed from one compiled KV store share its code, not its
+  // table: a SET one of them serves is not read back by a GET on the
+  // other, in either direction.
   NicConfig config;
   config.allow_hot_swap = true;
-  Rig rig(config);
-  rig.cache->put(5, 5555);
-  rig.send(workloads::kKvGetId, encode_kv_request(5), 1);
-  while (rig.cache->stats().gets == 0 && rig.sim.step()) {
-  }
-  ASSERT_EQ(rig.cache->stats().gets, 1u);  // reply in flight, lambda parked
-  auto store = workloads::make_nic_kv_store(8);
-  auto swapped = compiler::compile(store.spec, std::move(store.lambdas));
-  ASSERT_TRUE(swapped.ok());
-  ASSERT_TRUE(rig.nic->deploy(std::move(swapped).value()).ok());
-  rig.sim.run();
-
-  auto first_word = [](const net::BufferView& payload) {
-    std::uint64_t value = 0;
-    for (std::size_t i = 0; i < 8 && i < payload.size(); ++i) {
-      value |= static_cast<std::uint64_t>(payload[i]) << (8 * i);
-    }
-    return value;
+  Rig rig(config, /*with_twin=*/true);
+  const auto image = firmware_of(workloads::make_nic_kv_store(8));
+  ASSERT_TRUE(rig.nic->deploy(image).ok());
+  ASSERT_TRUE(rig.twin->deploy(image).ok());
+  const auto set = [](std::uint64_t value) {
+    return workloads::encode_kv_store_request(1, 9, value);
   };
-  ASSERT_EQ(rig.responses.size(), 1u);
-  EXPECT_EQ(first_word(rig.responses[0].payload), 5555u);
-  EXPECT_EQ(rig.nic->stats().requests_completed, 1u);
-  EXPECT_EQ(rig.nic->stats().traps, 0u);
+  const auto get = [] { return workloads::encode_kv_store_request(0, 9); };
 
-  // New requests run the new firmware.
-  rig.send(workloads::kNicKvStoreId,
-           workloads::encode_kv_store_request(1, 9, 99), 2);
+  rig.send(workloads::kNicKvStoreId, set(99), 1);
   rig.sim.run();
-  ASSERT_EQ(rig.responses.size(), 2u);
-  EXPECT_EQ(first_word(rig.responses[1].payload), 99u);
+  rig.send_to(*rig.twin, workloads::kNicKvStoreId, get(), 2);
+  rig.send(workloads::kNicKvStoreId, get(), 3);
+  rig.sim.run();
+  EXPECT_EQ(rig.reply_word(1), 99u);
+  EXPECT_EQ(rig.reply_word(2), 0u);  // a miss: the twin's table is empty
+  EXPECT_EQ(rig.reply_word(3), 99u);
+
+  rig.send_to(*rig.twin, workloads::kNicKvStoreId, set(77), 4);
+  rig.sim.run();
+  rig.send(workloads::kNicKvStoreId, get(), 5);
+  rig.send_to(*rig.twin, workloads::kNicKvStoreId, get(), 6);
+  rig.sim.run();
+  EXPECT_EQ(rig.reply_word(5), 99u);
+  EXPECT_EQ(rig.reply_word(6), 77u);
+  EXPECT_EQ(rig.nic->memory_in_use(), rig.twin->memory_in_use());
 }
 
 TEST(SmartNic, RejectsOversizedFirmware) {
@@ -350,10 +420,8 @@ TEST(SmartNic, RejectsOversizedFirmware) {
   sim::Simulator sim;
   net::Network network(sim);
   SmartNic nic(sim, network, config);
-  auto bundle = workloads::make_standard_workloads();
-  auto compiled = compiler::compile(bundle.spec, std::move(bundle.lambdas));
-  ASSERT_TRUE(compiled.ok());
-  EXPECT_FALSE(nic.deploy(std::move(compiled).value()).ok());
+  EXPECT_FALSE(
+      nic.deploy(firmware_of(workloads::make_standard_workloads())).ok());
   EXPECT_FALSE(nic.deployed());
 }
 
@@ -511,10 +579,7 @@ struct FarmRig {
     client = network.attach([this](const Packet& p) {
       if (p.kind == PacketKind::kResponse) responses.push_back(p);
     });
-    auto bundle = workloads::make_web_farm(farm);
-    auto compiled = compiler::compile(bundle.spec, std::move(bundle.lambdas));
-    EXPECT_TRUE(compiled.ok());
-    EXPECT_TRUE(nic->deploy(std::move(compiled).value()).ok());
+    EXPECT_TRUE(nic->deploy(firmware_of(workloads::make_web_farm(farm))).ok());
     sim.run_until(seconds(20));
   }
 
@@ -616,32 +681,54 @@ TEST(SmartNic, UndeployTenantDropsQueuedAndCleansScheduler) {
 }
 
 TEST(SmartNic, TenantQuotaRejectsDeployAndPreservesOldFirmware) {
-  Rig rig;  // standard workloads already serving, no tenants yet
-  // Assign the web lambda to tenant 9 with an impossible quota, then
-  // hot-swap: admission must reject before any state changes.
-  rig.nic->set_tenant(workloads::kWebServerId, 9);
-  rig.nic->set_tenant_quota(9, TenantQuota{.instr_store_words = 1});
-  auto bundle = workloads::make_standard_workloads();
-  auto compiled = compiler::compile(bundle.spec, std::move(bundle.lambdas));
-  ASSERT_TRUE(compiled.ok());
-  auto swap = rig.nic->deploy(std::move(compiled).value());
-  ASSERT_FALSE(swap.ok());
-  EXPECT_NE(swap.error().message.find("tenant 9"), std::string::npos);
-  // The old firmware is still serving — no downtime from the rejection.
-  rig.send(workloads::kWebServerId, encode_web_request(1), 1);
-  rig.sim.run();
-  ASSERT_EQ(rig.responses.size(), 1u);
+  // The new image has a shorter web server, so the first word of a web
+  // reply tells which image served it. With a twin deployed from the
+  // same image, the twin (no quota) takes the new image that the other
+  // NIC rejects, and the rejecting NIC keeps its own.
+  for (const bool with_twin : {false, true}) {
+    SCOPED_TRACE(with_twin ? "beside a twin" : "alone");
+    Rig rig({}, with_twin);  // standard workloads serving, no tenants yet
+    rig.send(workloads::kWebServerId, encode_web_request(1), 1);
+    rig.sim.run();
+    const std::uint64_t old_reply = rig.reply_word(1);
+    const std::uint64_t old_words = rig.nic->instr_words_used();
 
-  // A generous quota admits the same bundle and records usage.
-  rig.nic->set_tenant_quota(9, TenantQuota{.instr_store_words = 1 << 20,
-                                           .emem_bytes = 1 << 30});
-  bundle = workloads::make_standard_workloads();
-  compiled = compiler::compile(bundle.spec, std::move(bundle.lambdas));
-  ASSERT_TRUE(compiled.ok());
-  EXPECT_TRUE(rig.nic->deploy(std::move(compiled).value()).ok());
-  const TenantUsage* usage = rig.nic->tenant_usage(9);
-  ASSERT_NE(usage, nullptr);
-  EXPECT_GT(usage->instr_words, 0u);
+    // Assign the web lambda to tenant 9 with an impossible quota, then
+    // hot-swap: admission must reject before any state changes.
+    rig.nic->set_tenant(workloads::kWebServerId, 9);
+    rig.nic->set_tenant_quota(9, TenantQuota{.instr_store_words = 1});
+    const auto image = firmware_of(
+        workloads::make_standard_workloads(workloads::Scale{
+            .web_mix_rounds = 100}));
+    auto swap = rig.nic->deploy(image);
+    ASSERT_FALSE(swap.ok());
+    EXPECT_NE(swap.error().message.find("tenant 9"), std::string::npos);
+    EXPECT_EQ(rig.nic->instr_words_used(), old_words);
+    if (with_twin) {
+      ASSERT_TRUE(rig.twin->deploy(image).ok());
+    }
+    // The old firmware is still serving — no downtime from the rejection.
+    rig.send(workloads::kWebServerId, encode_web_request(1), 2);
+    rig.sim.run();
+    EXPECT_EQ(rig.reply_word(2), old_reply);
+    if (with_twin) {
+      rig.sim.run_until(rig.sim.now() + kFirmwareLoadTime);
+      rig.send_to(*rig.twin, workloads::kWebServerId, encode_web_request(1),
+                  3);
+      rig.sim.run();
+      EXPECT_NE(rig.reply_word(3), old_reply);
+      EXPECT_EQ(rig.twin->instr_words_used(), image->final_words());
+    }
+
+    // A generous quota admits the same image and records usage.
+    rig.nic->set_tenant_quota(9, TenantQuota{.instr_store_words = 1 << 20,
+                                             .emem_bytes = 1 << 30});
+    EXPECT_TRUE(rig.nic->deploy(image).ok());
+    EXPECT_EQ(rig.nic->instr_words_used(), image->final_words());
+    const TenantUsage* usage = rig.nic->tenant_usage(9);
+    ASSERT_NE(usage, nullptr);
+    EXPECT_GT(usage->instr_words, 0u);
+  }
 }
 
 }  // namespace

@@ -137,7 +137,9 @@ struct ReceiverRig {
         auto firmware =
             compiler::compile(bundle.spec, std::move(bundle.lambdas));
         EXPECT_TRUE(firmware.ok());
-        EXPECT_TRUE(nic->deploy(std::move(firmware).value()).ok());
+        auto image = std::make_shared<const compiler::CompileOutput>(
+            std::move(firmware).value());
+        EXPECT_TRUE(nic->deploy(std::move(image)).ok());
         sim.run_until(seconds(20));  // firmware load window passes
         receiver = nic->node();
         break;
@@ -148,7 +150,8 @@ struct ReceiverRig {
         auto compiled =
             compiler::compile(bundle.spec, std::move(bundle.lambdas));
         EXPECT_TRUE(compiled.ok());
-        host->deploy(std::move(compiled).value().program);
+        host->deploy(std::make_shared<const microc::Program>(
+            std::move(compiled).value().program));
         receiver = host->node();
         kind = PacketKind::kRequest;
         break;
