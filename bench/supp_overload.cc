@@ -1,13 +1,11 @@
-// Supplementary figure (ours): the adaptive D3 transport and the
-// gateway's overload controls under loss and overload.
+// Supplementary figure (ours): the D3 transport's fixed retransmission
+// timer and the gateway's overload controls under loss and overload.
 //
 // Three experiments, all on the same 4-worker echo rig:
 //  1. Loss sweep — closed-loop traffic under steady packet loss plus one
 //     1-second full outage. The fixed 50 ms retransmission timer stalls
-//     every dropped exchange for 50 ms and hammers the outage at a
-//     constant rate; the adaptive RTO (Jacobson/Karels srtt + 4*rttvar,
-//     exponential backoff) recovers at network RTT scale and backs off
-//     through the outage: lower p99, fewer retransmissions.
+//     every dropped exchange for 50 ms and resends through the outage at
+//     a constant rate, and every request still completes.
 //  2. Overload — open-loop arrivals at 2x worker capacity. Without the
 //     limiter the worker queues (and latency) grow with the run length;
 //     with a concurrency cap + bounded queue the excess is shed fast
@@ -74,24 +72,18 @@ struct LossResult {
 };
 
 /// Closed-loop senders under `loss` steady drop probability, plus one
-/// 1-second full outage (drop = 1.0) starting at t = 20 ms. Steady drops
-/// are where the adaptive RTO wins on recovery latency (RTT-scale
-/// retransmit instead of a 50 ms stall); the outage is where backoff
-/// wins on retransmission count (the fixed timer blindly fires every
-/// 50 ms for the whole second).
-LossResult run_loss(bool adaptive, double loss, std::uint32_t senders,
-                    std::uint64_t total) {
+/// 1-second full outage (drop = 1.0) starting at t = 20 ms. A steady drop
+/// stalls its exchange for one 50 ms timer; through the outage the timer
+/// fires every 50 ms for the whole second.
+LossResult run_loss(double loss, std::uint32_t senders, std::uint64_t total) {
   sim::Simulator sim;
   net::Network network(sim, net::FaultConfig{.drop_probability = loss},
                        /*seed=*/5);
   EchoPool pool(sim, network, 4, microseconds(20));
 
   framework::GatewayConfig config;
-  config.failover_attempts = 0;  // isolate the transport comparison
-  config.rpc.adaptive = adaptive;
-  config.rpc.max_retries = 60;  // both modes must survive the outage
-  config.rpc.min_rto = microseconds(500);  // comfortably above the RTT
-  config.rpc.max_rto = seconds(1);
+  config.failover_attempts = 0;  // isolate the transport
+  config.rpc.max_retries = 60;  // 3 s of retries outlast the 1 s outage
   framework::Gateway gateway(sim, network, config);
   gateway.register_function("f", 1, pool.nodes);
 
@@ -184,31 +176,23 @@ OverloadResult run_overload(bool limited, double rate, SimDuration window) {
 }  // namespace
 
 int main() {
-  print_header("Supplementary: adaptive transport + overload control");
+  print_header("Supplementary: fixed-timer transport + overload control");
   BenchSummary summary("supp_overload", /*seed=*/5);
 
-  // ---- 1. Loss sweep: fixed 50 ms timer vs adaptive RTO ----
+  // ---- 1. Loss sweep on the fixed 50 ms timer ----
   std::printf("\n-- steady loss + one 1 s outage, 16 senders, 8k req --\n");
   std::printf("  %-22s %12s %14s %10s\n", "transport", "p99 (ms)",
               "retransmits", "failures");
   for (const double loss : {0.001, 0.01}) {
-    const LossResult fixed = run_loss(false, loss, 16, 8000);
-    const LossResult adaptive = run_loss(true, loss, 16, 8000);
+    const LossResult fixed = run_loss(loss, 16, 8000);
     std::printf("  loss %.1f%%\n", loss * 100.0);
     std::printf("    %-20s %12.3f %14llu %10llu\n", "fixed 50 ms", fixed.p99_ms,
                 static_cast<unsigned long long>(fixed.retransmissions),
                 static_cast<unsigned long long>(fixed.failures));
-    std::printf("    %-20s %12.3f %14llu %10llu\n", "adaptive RTO",
-                adaptive.p99_ms,
-                static_cast<unsigned long long>(adaptive.retransmissions),
-                static_cast<unsigned long long>(adaptive.failures));
     const std::string cell = "loss/" + std::to_string(loss);
     summary.add(cell + "/fixed/p99", fixed.p99_ms, "ms");
     summary.add(cell + "/fixed/retx",
                 static_cast<double>(fixed.retransmissions), "count");
-    summary.add(cell + "/adaptive/p99", adaptive.p99_ms, "ms");
-    summary.add(cell + "/adaptive/retx",
-                static_cast<double>(adaptive.retransmissions), "count");
   }
 
   // ---- 2. Overload: 2x capacity, limiter off vs on ----
@@ -238,7 +222,6 @@ int main() {
     net::Network network(sim);
     EchoPool pool(sim, network, 2, microseconds(20));
     framework::GatewayConfig config;
-    config.rpc.adaptive = true;
     config.rpc.retransmit_timeout = milliseconds(5);
     config.rpc.max_retries = 3;
     framework::Gateway gateway(sim, network, config);
@@ -306,9 +289,9 @@ int main() {
                 "count");
   }
 
-  std::printf("\n  Adaptive RTO retransmits at RTT scale and backs off\n"
-              "  through outages; the limiter bounds admitted latency and\n"
-              "  sheds the excess fast; a recovered worker rejoins the\n"
-              "  rotation via quarantine -> probe -> reinstate.\n");
+  std::printf("\n  The fixed timer rides out loss and a 1 s outage with no\n"
+              "  failures; the limiter bounds admitted latency and sheds\n"
+              "  the excess fast; a recovered worker rejoins the rotation\n"
+              "  via quarantine -> probe -> reinstate.\n");
   return 0;
 }

@@ -2,8 +2,9 @@
 // second, the gateway's transport failures quarantine the workers, the
 // health checker keeps probing them, and the first successful probes put
 // them back in the rotation — no operator involved. Live traffic flows
-// the whole time: requests during the blackout fail fast (bounded by the
-// adaptive RTO's backoff) and everything afterwards is served normally.
+// the whole time: requests during the blackout fail (each RPC gives up
+// after the fixed 10 ms timer's three retries) and everything afterwards
+// is served normally.
 //
 //   $ ./build/examples/overload_recovery [--trace trace.json]
 //
@@ -48,7 +49,6 @@ int main(int argc, char** argv) {
   sim.run_until(seconds(20));  // boot
 
   framework::GatewayConfig config;
-  config.rpc.adaptive = true;
   config.rpc.retransmit_timeout = milliseconds(10);
   config.rpc.max_retries = 3;
   config.max_inflight_per_function = 16;

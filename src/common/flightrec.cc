@@ -11,7 +11,7 @@ const char* to_string(Kind kind) {
     case Kind::kQueueDrop: return "queue-drop";
     case Kind::kUndeployDrop: return "undeploy-drop";
     case Kind::kQuotaReject: return "quota-reject";
-    case Kind::kRtoBackoff: return "rto-backoff";
+    case Kind::kRpcTimeout: return "rpc-timeout";
     case Kind::kTxnRetryExhausted: return "txn-retry-exhausted";
     case Kind::kOther: return "other";
   }

@@ -1,5 +1,5 @@
 // Flight recorder: an always-on bounded ring of the last N anomaly
-// events (sheds, quarantines, DRR drops, quota rejections, RTO backoffs,
+// events (sheds, quarantines, DRR drops, quota rejections, RPC timeouts,
 // exhausted transaction retries). The point is post-hoc debuggability:
 // when a bench fails or a run behaves oddly, the recorder answers "what
 // went wrong *just before*?" without anyone having turned tracing on in
@@ -30,7 +30,7 @@ enum class Kind : std::uint8_t {
   kQueueDrop,          // NIC dispatch queue overflow (DRR queue drop)
   kUndeployDrop,       // queued requests dropped by tenant undeploy
   kQuotaReject,        // deploy rejected by per-tenant quota admission
-  kRtoBackoff,         // RPC attempt exhausted retransmits / backed off
+  kRpcTimeout,         // RPC timed out after its last retransmission
   kTxnRetryExhausted,  // transaction aborted past its retry budget
   kOther,
 };

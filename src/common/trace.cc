@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cinttypes>
 #include <cstdio>
+#include <map>
 #include <sstream>
 
 namespace lnic::trace {
@@ -53,7 +54,6 @@ SpanId TraceRecorder::start_span(TraceId trace, SpanId parent,
   span.start = now;
   span.end = now;
   span.open = true;
-  index_[span.id] = spans_.size();
   spans_.push_back(std::move(span));
   return spans_.back().id;
 }
@@ -74,18 +74,14 @@ void TraceRecorder::annotate(SpanId span, const std::string& key,
 
 void TraceRecorder::clear() {
   spans_.clear();
-  index_.clear();
+  first_span_ = next_span_;
   dropped_ = 0;
 }
 
-const Span* TraceRecorder::find(SpanId span) const {
-  const auto it = index_.find(span);
-  return it == index_.end() ? nullptr : &spans_[it->second];
-}
-
 Span* TraceRecorder::find(SpanId span) {
-  const auto it = index_.find(span);
-  return it == index_.end() ? nullptr : &spans_[it->second];
+  // Ids below first_span_ (kInvalidSpan included) wrap to large offsets.
+  const SpanId offset = span - first_span_;
+  return offset < spans_.size() ? &spans_[offset] : nullptr;
 }
 
 std::vector<Span> TraceRecorder::trace_spans(TraceId trace) const {

@@ -20,7 +20,6 @@
 
 #include <cstdint>
 #include <iosfwd>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -117,14 +116,15 @@ class TraceRecorder {
   std::string critical_path_summary(TraceId trace) const;
 
  private:
-  const Span* find(SpanId span) const;
   Span* find(SpanId span);
 
   std::size_t max_spans_;
   TraceId next_trace_ = 1;
   SpanId next_span_ = 1;
+  // Ids are handed out consecutively and spans_ only grows until
+  // clear(), so span `id` sits at spans_[id - first_span_].
+  SpanId first_span_ = 1;
   std::vector<Span> spans_;
-  std::map<SpanId, std::size_t> index_;  // span id -> spans_ position
   std::uint64_t dropped_ = 0;
 };
 

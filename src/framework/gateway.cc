@@ -469,8 +469,6 @@ void Gateway::send_to_worker(Call* call) {
   const Replica& replica = pick_replica(fn);
   call->worker = replica.node;
   call->kind = replica.backend_kind;
-  if (rpc_rto_ == nullptr) rpc_rto_ = &metrics_.sampler("rpc_rto_ns");
-  rpc_rto_->add(static_cast<double>(rpc_.current_rto(call->worker)));
   // The record keeps its payload view for failover.
   rpc_.call(call->worker, route.workload, call->payload,
             [this, call](Result<proto::RpcResponse> result) {

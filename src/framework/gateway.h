@@ -310,7 +310,6 @@ class Gateway {
   TenantId next_tenant_ = 1;
   std::uint64_t next_queued_id_ = 1;
   MetricsRegistry metrics_;
-  Sampler* rpc_rto_ = nullptr;  // rpc_rto_ns, bound on first use
   Pool<Call> calls_;
 };
 

@@ -1,9 +1,10 @@
 // Monitoring engine (§6.1.1: OpenFaaS includes "a Prometheus-based
-// monitoring engine to analyze system state"). Periodically scrapes the
-// registered backends, packet tracer and transactional stores into a
-// MetricsRegistry, keeping a time series of gauges (completed requests,
-// busy threads, NIC memory, kv_* counters). The gateway keeps its own
-// registry.
+// monitoring engine to analyze system state"). Scrapes the registered
+// backends, packet tracer and transactional stores into a
+// MetricsRegistry as gauges (completed requests, busy threads, NIC
+// memory, kv_* counters). The scrape is the registry's collect hook, so
+// render(), gauge() and has() return values as of the call. The gateway
+// keeps its own registry.
 #pragma once
 
 #include <string>
@@ -19,9 +20,12 @@ namespace lnic::framework {
 
 class Monitor {
  public:
-  Monitor(sim::Simulator& sim, SimDuration scrape_interval = seconds(1))
-      : sim_(sim),
-        timer_(sim, scrape_interval, [this] { scrape(); }) {}
+  explicit Monitor(sim::Simulator& sim) : sim_(sim) {
+    metrics_.add_collector(this, [this] { scrape(); });
+  }
+  // The collect hook holds `this`.
+  Monitor(const Monitor&) = delete;
+  Monitor& operator=(const Monitor&) = delete;
 
   void watch_backend(const std::string& name, backends::Backend* backend) {
     backends_.emplace_back(name, backend);
@@ -38,18 +42,12 @@ class Monitor {
     kv_stores_.emplace_back(name, store);
   }
 
-  void start() { timer_.start(); }
-  void stop() { timer_.stop(); }
-
-  /// Runs one scrape immediately (also called by the timer).
-  void scrape();
-
   MetricsRegistry& metrics() { return metrics_; }
-  std::uint64_t scrapes() const { return scrapes_; }
 
  private:
+  void scrape();
+
   sim::Simulator& sim_;
-  sim::PeriodicTimer timer_;
   std::vector<std::pair<std::string, backends::Backend*>> backends_;
   const net::PacketTracer* packet_tracer_ = nullptr;
   std::vector<std::pair<std::string, const kvstore::TxnStore*>> kv_stores_;

@@ -1,35 +1,11 @@
 #include "proto/rpc.h"
 
-#include <algorithm>
-#include <cassert>
-
 #include "common/flightrec.h"
-#include "common/rng.h"
 
 namespace lnic::proto {
 
 using net::Packet;
 using net::PacketKind;
-
-void RttEstimator::sample(SimDuration rtt) {
-  const double r = static_cast<double>(rtt);
-  if (!has_) {
-    // First sample (RFC 6298 §2.2): srtt = R, rttvar = R/2.
-    srtt_ = r;
-    rttvar_ = r / 2.0;
-    has_ = true;
-    return;
-  }
-  const double err = r - srtt_;
-  srtt_ += err / 8.0;
-  rttvar_ += (std::abs(err) - rttvar_) / 4.0;
-}
-
-SimDuration RttEstimator::rto(SimDuration min_rto, SimDuration max_rto) const {
-  const double raw = srtt_ + 4.0 * rttvar_;
-  const auto rto = static_cast<SimDuration>(raw);
-  return std::clamp(rto, min_rto, max_rto);
-}
 
 RpcClient::RpcClient(sim::Simulator& sim, net::Network& network,
                      RpcConfig config)
@@ -57,22 +33,6 @@ void RpcClient::call(NodeId dst, WorkloadId workload, net::BufferView payload,
   arm_timer(id, *pending);
 }
 
-SimDuration RpcClient::current_rto(NodeId dst) const {
-  if (config_.adaptive) {
-    const auto it = estimators_.find(dst);
-    if (it != estimators_.end() && it->second.has_sample()) {
-      return it->second.rto(config_.min_rto, config_.max_rto);
-    }
-  }
-  return config_.retransmit_timeout;
-}
-
-const RttEstimator* RpcClient::estimator(NodeId dst) const {
-  const auto it = estimators_.find(dst);
-  if (it == estimators_.end() || !it->second.has_sample()) return nullptr;
-  return &it->second;
-}
-
 void RpcClient::transmit(RequestId id, Pending& p) {
   net::LambdaHeader hdr;
   hdr.workload_id = p.workload;
@@ -94,29 +54,8 @@ void RpcClient::transmit(RequestId id, Pending& p) {
                 [this](Packet f) { network_.send(std::move(f)); });
 }
 
-SimDuration RpcClient::retransmit_delay(const Pending& p, RequestId id) const {
-  if (!config_.adaptive) return config_.retransmit_timeout;
-  SimDuration base = current_rto(p.dst);
-  // Exponential backoff on consecutive retries of the same request,
-  // saturating at max_rto.
-  for (std::uint32_t i = 0; i < p.retries && base < config_.max_rto; ++i) {
-    base = std::min<SimDuration>(config_.max_rto, base * 2);
-  }
-  if (p.retries > 0 && base > 4) {
-    // Up to 25% deterministic jitter so synchronized retries fan out
-    // instead of re-colliding (the retransmission-storm guard): a
-    // SplitMix64 hash of (request id, retry count) keeps replays
-    // bit-reproducible while decorrelating concurrent retry clocks.
-    base += static_cast<SimDuration>(
-        splitmix64(id * kSplitMixGamma + p.retries) %
-        static_cast<std::uint64_t>(base / 4));
-    base = std::min(base, config_.max_rto);
-  }
-  return base;
-}
-
 void RpcClient::arm_timer(RequestId id, Pending& p) {
-  p.timer = sim_.schedule(retransmit_delay(p, id),
+  p.timer = sim_.schedule(config_.retransmit_timeout,
                           [this, id] { on_timeout(id); });
 }
 
@@ -136,7 +75,7 @@ void RpcClient::on_timeout(RequestId id) {
   if (p.retries >= config_.max_retries) {
     ++failures_;
     flightrec::FlightRecorder::global().record(
-        sim_.now(), flightrec::Kind::kRtoBackoff, id, p.retries,
+        sim_.now(), flightrec::Kind::kRpcTimeout, id, p.retries,
         "request " + std::to_string(id) + " timed out after " +
             std::to_string(p.retries) + " retries");
     if (p.call_span != trace::kInvalidSpan) {
@@ -163,13 +102,6 @@ void RpcClient::on_packet(const Packet& packet) {
   auto message = responses_.add(packet);
   if (!message) return;
   Pending& p = *found;
-
-  // Karn's rule: a response to a retransmitted request is ambiguous (it
-  // may answer any of the transmissions), so it contributes no sample.
-  if (p.retries == 0) {
-    estimators_[p.dst].sample(sim_.now() - p.sent_at);
-  }
-
   RpcResponse response;
   // Zero-copy on the fast path: response fragments are contiguous
   // slices of the responder's buffer, so this is a spanning view.

@@ -7,19 +7,11 @@
 // is that sender: it assigns request IDs, fragments multi-packet
 // payloads (RDMA-style writes), reassembles multi-fragment responses,
 // arms a retransmission timer per request, and reports per-request
-// latency and retry counts.
-//
-// The retransmission timer runs in one of two modes:
-//  - fixed (default): every request re-arms after `retransmit_timeout`,
-//    bit-identical to the original sender.
-//  - adaptive: per-destination Jacobson/Karels RTT estimation drives the
-//    timer (RTO = srtt + 4·rttvar clamped to [min_rto, max_rto]), with
-//    exponential backoff and deterministic jitter on consecutive retries
-//    and Karn's rule (no RTT sample from retransmitted requests).
+// latency and retry counts. Every transmission, first or resent, re-arms
+// the same fixed `retransmit_timeout`.
 #pragma once
 
 #include <cstdint>
-#include <map>
 
 #include "common/id_ring.h"
 #include "common/result.h"
@@ -33,35 +25,9 @@
 namespace lnic::proto {
 
 struct RpcConfig {
-  /// Fixed-mode timer, and the initial RTO in adaptive mode before the
-  /// first RTT sample arrives (RFC 6298 style).
+  /// Time from each transmission to the next (or to giving up).
   SimDuration retransmit_timeout = milliseconds(50);
   std::uint32_t max_retries = 5;
-  /// Enables per-destination RTT estimation + backoff. Off by default so
-  /// existing fixed-timer deployments replay bit-for-bit.
-  bool adaptive = false;
-  /// Clamp bounds for the adaptive RTO.
-  SimDuration min_rto = microseconds(200);
-  SimDuration max_rto = seconds(2);
-};
-
-/// Jacobson/Karels smoothed RTT estimator (gains 1/8 and 1/4, as in
-/// TCP). One instance per destination; fed only by unambiguous samples
-/// (Karn's rule is enforced by the caller).
-class RttEstimator {
- public:
-  void sample(SimDuration rtt);
-  bool has_sample() const { return has_; }
-  SimDuration srtt() const { return static_cast<SimDuration>(srtt_); }
-  SimDuration rttvar() const { return static_cast<SimDuration>(rttvar_); }
-
-  /// RTO = srtt + 4·rttvar clamped to [min_rto, max_rto].
-  SimDuration rto(SimDuration min_rto, SimDuration max_rto) const;
-
- private:
-  double srtt_ = 0.0;
-  double rttvar_ = 0.0;
-  bool has_ = false;
 };
 
 struct RpcResponse {
@@ -86,7 +52,7 @@ class RpcClient {
 
   /// Issues one RPC. Multi-packet payloads are sent as RDMA writes; the
   /// callback fires on the complete (reassembled) response or after
-  /// max_retries timeouts. When a tracer is attached and `ctx` is valid,
+  /// max_retries + 1 timeouts. When a tracer is attached and `ctx` is valid,
   /// the call records an `rpc.call` span with one `rpc.attempt` child
   /// per transmission (timed-out attempts are annotated), and every
   /// outgoing packet carries the attempt's span context.
@@ -106,14 +72,6 @@ class RpcClient {
   /// Slots in the pending-request ring (grows to the widest window of
   /// live request ids).
   std::size_t pending_slots() const { return pending_.capacity(); }
-
-  /// The timer a fresh (retries == 0) request to `dst` would arm right
-  /// now: the adaptive RTO once a sample exists, else the configured
-  /// fixed/initial timeout.
-  SimDuration current_rto(NodeId dst) const;
-
-  /// The destination's estimator, or nullptr before the first sample.
-  const RttEstimator* estimator(NodeId dst) const;
 
  private:
   struct Pending {
@@ -136,7 +94,6 @@ class RpcClient {
   void arm_timer(RequestId id, Pending& p);
   void on_timeout(RequestId id);
   void on_packet(const net::Packet& packet);
-  SimDuration retransmit_delay(const Pending& p, RequestId id) const;
 
   sim::Simulator& sim_;
   net::Network& network_;
@@ -146,7 +103,6 @@ class RpcClient {
   // Requests in flight, by request id (consecutive from 1).
   IdRing<Pending> pending_;
   net::Reassembler responses_;
-  std::map<NodeId, RttEstimator> estimators_;
   std::uint64_t retransmissions_ = 0;
   std::uint64_t failures_ = 0;
 };

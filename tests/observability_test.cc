@@ -1,6 +1,6 @@
 // Tests for the observability stack: TraceRecorder span trees and
 // critical-path decomposition, Chrome trace_event export, bucketed
-// histograms, labeled metrics rendering, Monitor time series, NPU-grid
+// histograms, labeled metrics rendering, Monitor scrapes, NPU-grid
 // profiling, and the end-to-end traced-retransmit integration scenario.
 #include <gtest/gtest.h>
 
@@ -18,6 +18,7 @@
 #include "net/network.h"
 #include "net/trace.h"
 #include "nicsim/profiler.h"
+#include "proto/rpc.h"
 #include "workloads/lambdas.h"
 
 namespace lnic {
@@ -65,6 +66,25 @@ TEST(Trace, InvalidTraceAndUnknownSpanAreNoOps) {
   recorder.end_span(12345, 5);                     // unknown id
   recorder.annotate(trace::kInvalidSpan, "k", "v");
   EXPECT_TRUE(recorder.empty());
+
+  // An id from before clear() names nothing; a span opened after it
+  // takes its own end and annotation.
+  const auto t = recorder.new_trace();
+  const auto before = recorder.start_span(t, 0, "before", 1);
+  recorder.clear();
+  const auto after = recorder.start_span(t, 0, "after", 2);
+  ASSERT_NE(after, trace::kInvalidSpan);
+  recorder.end_span(before, 3);
+  recorder.annotate(before, "k", "before");
+  recorder.end_span(after, 4);
+  recorder.annotate(after, "k", "after");
+  ASSERT_EQ(recorder.size(), 1u);
+  const trace::Span& span = recorder.spans()[0];
+  EXPECT_EQ(span.id, after);
+  EXPECT_FALSE(span.open);
+  EXPECT_EQ(span.end, 4);
+  ASSERT_EQ(span.annotations.size(), 1u);
+  EXPECT_EQ(span.annotations[0].second, "after");
 }
 
 TEST(Trace, SpanCapDropsAndCounts) {
@@ -75,6 +95,25 @@ TEST(Trace, SpanCapDropsAndCounts) {
   EXPECT_EQ(recorder.start_span(t, 0, "c", 3), trace::kInvalidSpan);
   EXPECT_EQ(recorder.size(), 2u);
   EXPECT_EQ(recorder.dropped(), 1u);
+
+  // The dropped start took no id: once clear() makes room, ids carry on
+  // from "b", and each still finds its own span.
+  const trace::SpanId last = recorder.spans().back().id;
+  recorder.clear();
+  const auto d = recorder.start_span(t, 0, "d", 4);
+  const auto e = recorder.start_span(t, 0, "e", 5);
+  EXPECT_EQ(d, last + 1);
+  EXPECT_EQ(e, d + 1);
+  recorder.annotate(d, "k", "v");
+  recorder.end_span(e, 6);
+  ASSERT_EQ(recorder.size(), 2u);
+  EXPECT_EQ(recorder.spans()[0].name, "d");
+  EXPECT_EQ(recorder.spans()[0].annotations.size(), 1u);
+  EXPECT_TRUE(recorder.spans()[0].open);
+  EXPECT_EQ(recorder.spans()[1].name, "e");
+  EXPECT_TRUE(recorder.spans()[1].annotations.empty());
+  EXPECT_FALSE(recorder.spans()[1].open);
+  EXPECT_EQ(recorder.spans()[1].end, 6);
 }
 
 TEST(Trace, ChromeJsonHasCompleteEventsWithSpanIds) {
@@ -260,30 +299,37 @@ TEST(Sampler, PercentileEdgeCases) {
 }
 
 // ---------------------------------------------------------------------------
-// Monitor time series
+// Monitor scrapes
 
-TEST(Monitor, ScrapeTimeSeriesStopsWithTimer) {
+TEST(Monitor, RenderShowsBackendStateAsOfTheCall) {
   sim::Simulator sim;
   net::Network network(sim);
   auto backend = backends::make_backend(backends::BackendKind::kLambdaNic,
                                         sim, network);
   ASSERT_TRUE(backend->deploy(workloads::make_standard_workloads()).ok());
-  framework::Monitor monitor(sim, milliseconds(100));
+  sim.run_until(seconds(20));  // past the firmware load
+  framework::Monitor monitor(sim);
   monitor.watch_backend("w", backend.get());
-  monitor.start();
-  sim.run_until(seconds(1));
-  const auto scrapes_at_stop = monitor.scrapes();
-  EXPECT_GE(scrapes_at_stop, 9u);
-  monitor.stop();
-  sim.run_until(seconds(3));
-  EXPECT_EQ(monitor.scrapes(), scrapes_at_stop);  // no scrapes after stop
+  std::string rendered = monitor.metrics().render();
+  EXPECT_NE(rendered.find("backend_completed{node=\"w\"} 0"),
+            std::string::npos)
+      << rendered;
+  EXPECT_NE(rendered.find("monitor_scrapes 1"), std::string::npos);
 
-  // Manual scrape still works and the gauges re-resolve (last value wins).
-  monitor.scrape();
-  EXPECT_EQ(monitor.scrapes(), scrapes_at_stop + 1);
-  EXPECT_TRUE(monitor.metrics().has("backend_completed{node=w}"));
-  EXPECT_NE(monitor.metrics().render().find("monitor_scrapes"),
-            std::string::npos);
+  // The backend serves a request; the next render shows it with no
+  // scrape call in between.
+  proto::RpcClient client(sim, network);
+  bool served = false;
+  client.call(backend->node(), workloads::kWebServerId,
+              workloads::encode_web_request(0),
+              [&](Result<proto::RpcResponse> r) { served = r.ok(); });
+  sim.run();
+  ASSERT_TRUE(served);
+  rendered = monitor.metrics().render();
+  EXPECT_NE(rendered.find("backend_completed{node=\"w\"} 1"),
+            std::string::npos)
+      << rendered;
+  EXPECT_NE(rendered.find("monitor_scrapes 2"), std::string::npos);
 }
 
 // ---------------------------------------------------------------------------
@@ -515,7 +561,6 @@ TEST(Monitor, ExportsPacketTraceEvictions) {
 
   framework::Monitor monitor(sim);
   monitor.watch_packet_tracer(&tracer);
-  monitor.scrape();
   EXPECT_NE(monitor.metrics().render().find("packet_trace_evicted_total 3"),
             std::string::npos);
 }
@@ -535,7 +580,6 @@ TEST(Monitor, ExportsKvStoreAndCacheServerMetrics) {
 
   framework::Monitor monitor(sim);
   monitor.watch_kv("txn0", &store);
-  monitor.scrape();
   const std::string rendered = monitor.metrics().render();
   EXPECT_NE(rendered.find("kv_ops_total{node=\"txn0\",op=\"txn\"} 1"),
             std::string::npos)

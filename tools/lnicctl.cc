@@ -507,7 +507,7 @@ int cmd_metrics(int argc, char** argv) {
   net::PacketTracer packet_tracer;
   cluster.network().set_tracer(&packet_tracer);
 
-  framework::Monitor monitor(cluster.sim(), milliseconds(100));
+  framework::Monitor monitor(cluster.sim());
   for (std::size_t i = 0; i < cluster.worker_count(); ++i) {
     auto* backend = &cluster.worker(i);
     if (auto* nic = dynamic_cast<backends::LambdaNicBackend*>(backend)) {
@@ -523,7 +523,6 @@ int cmd_metrics(int argc, char** argv) {
     return 2;
   }
   cluster.wait_until_ready();
-  monitor.start();
 
   const char* mix[] = {"web_server", "kv_client_set", "kv_client_get"};
   for (int i = 0; i < requests; ++i) {
@@ -538,7 +537,6 @@ int cmd_metrics(int argc, char** argv) {
       return 2;
     }
   }
-  monitor.scrape();
 
   // --filter keeps only series whose *name* starts with the prefix
   // (labels and values ride along), e.g. --filter nic_tenant_.
@@ -999,7 +997,6 @@ int cmd_kv(int argc, char** argv) {
   if (flags.count("--metrics")) {
     framework::Monitor monitor(sim);
     monitor.watch_kv("store0", &store);
-    monitor.scrape();
     std::printf("\n# kv_* series (monitor registry)\n");
     std::istringstream rendered(monitor.metrics().render());
     std::string line;
