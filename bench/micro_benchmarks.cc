@@ -6,8 +6,11 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <memory>
+#include <vector>
 
+#include "common/rng.h"
 #include "compiler/pipeline.h"
 #include "core/cluster.h"
 #include "framework/metrics.h"
@@ -200,6 +203,22 @@ static void BM_Grayscale(benchmark::State& state) {
                           static_cast<std::int64_t>(pixels));
 }
 BENCHMARK(BM_Grayscale)->Arg(512)->Arg(16384);
+
+// microc::fnv1a, kHash's value, called directly on random bytes: below
+// the vector kernel's 512-byte block (64, 511), one block, the image
+// lambda's 4 KiB digest, and 16 batches of 8 blocks.
+static void BM_Fnv1a(benchmark::State& state) {
+  const auto len = static_cast<std::size_t>(state.range(0));
+  std::vector<std::uint8_t> bytes(len);
+  Rng rng(1);
+  for (std::uint8_t& b : bytes) b = static_cast<std::uint8_t>(rng.next_u64());
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(microc::fnv1a(bytes.data(), bytes.size()));
+  }
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<std::int64_t>(len));
+}
+BENCHMARK(BM_Fnv1a)->Arg(64)->Arg(511)->Arg(512)->Arg(4096)->Arg(65536);
 
 // Decoding the compiled standard bundle, which a deploy does once per
 // cost model for all the NICs that run it: step layout, mix-round fusion,

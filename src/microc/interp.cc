@@ -18,15 +18,6 @@
 
 namespace lnic::microc {
 
-std::uint64_t fnv1a(const std::uint8_t* data, std::size_t len) {
-  std::uint64_t h = 0xcbf29ce484222325ull;
-  for (std::size_t i = 0; i < len; ++i) {
-    h ^= data[i];
-    h *= 0x100000001b3ull;
-  }
-  return h;
-}
-
 namespace {
 constexpr std::size_t kMaxCallDepth = 16;     // NPUs do not support recursion
 constexpr std::size_t kMaxResponse = 32ull << 20;

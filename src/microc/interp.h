@@ -102,7 +102,14 @@ struct Outcome {
 
 /// 64-bit FNV-1a of `len` bytes: the value of kHash. P4 lowering
 /// precomputes match constants with it, so they equal the runtime hashes.
+/// Ranges of 512 bytes or more take an exact AVX-512 kernel where the CPU
+/// has one (microc/fnv1a.cc).
 std::uint64_t fnv1a(const std::uint8_t* data, std::size_t len);
+
+/// What fnv1a's vector kernel needs that this CPU or build lacks: its
+/// missing CPU features, space-separated, or a note that the build has no
+/// kernel. Empty when the kernel runs.
+std::string fnv1a_kernel_missing();
 
 /// Persistent global-object storage for one deployed program instance
 /// ("global objects persist state across runs", §4.1). Every global

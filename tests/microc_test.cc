@@ -1373,6 +1373,140 @@ TEST(InterpFusion, FuelCutsInsideChainsCountExactly) {
   }
 }
 
+// ------------------------------------------------------------ FNV-1a
+// microc::fnv1a takes an AVX-512 kernel for ranges of 512 bytes or more
+// where the CPU has one, and a byte loop otherwise. These tests compare it
+// with the test's own byte loop at every length and offset where the
+// kernel's blocks, batches and tail meet. The image lambda drops its kHash
+// value and kHash charges cycles by length, so no perfbench response or
+// digest would show a wrong hash.
+
+// FNV-1a of each prefix of `bytes`: [n] is the hash of bytes[0, n).
+std::vector<std::uint64_t> fnv1a_prefixes(std::span<const std::uint8_t> bytes) {
+  std::vector<std::uint64_t> out{0xcbf29ce484222325ull};
+  out.reserve(bytes.size() + 1);
+  for (const std::uint8_t b : bytes) {
+    out.push_back((out.back() ^ b) * 0x100000001b3ull);
+  }
+  return out;
+}
+
+// `size` bytes of each content: random, all 0x00, all 0xFF, and alternating
+// 0x55, 0xAA.
+std::vector<std::pair<std::string, std::vector<std::uint8_t>>> hash_contents(
+    std::size_t size) {
+  std::vector<std::uint8_t> random(size);
+  Rng rng(30);
+  for (std::uint8_t& b : random) b = static_cast<std::uint8_t>(rng.next_u64());
+  std::vector<std::uint8_t> alternating(size);
+  for (std::size_t i = 0; i < size; ++i) alternating[i] = i % 2 ? 0xAA : 0x55;
+  return {{"random", std::move(random)},
+          {"0x00", std::vector<std::uint8_t>(size, 0x00)},
+          {"0xFF", std::vector<std::uint8_t>(size, 0xFF)},
+          {"0x55/0xAA", std::move(alternating)}};
+}
+
+TEST(Fnv1a, MatchesByteLoopAtEveryLengthUpTo1100) {
+  constexpr std::size_t kMaxLen = 1100;
+  for (const auto& [name, bytes] : hash_contents(64 + kMaxLen)) {
+    for (std::size_t off = 0; off < 64; ++off) {
+      const std::span<const std::uint8_t> range(bytes.data() + off, kMaxLen);
+      const std::vector<std::uint64_t> want = fnv1a_prefixes(range);
+      for (std::size_t len = 0; len <= kMaxLen; ++len) {
+        ASSERT_EQ(fnv1a(range.data(), len), want[len])
+            << name << " offset " << off << " length " << len;
+      }
+    }
+  }
+}
+
+// Around every whole number of 512-byte blocks up to 128 of them, so
+// batches of 1 to 8 blocks, several batches, and tails of 0-2 and
+// 510-511 bytes all run.
+TEST(Fnv1a, MatchesByteLoopAroundEveryBlockMultiple) {
+  constexpr std::size_t kMaxLen = 128 * 512 + 2;
+  for (const auto& [name, bytes] : hash_contents(64 + kMaxLen)) {
+    for (const std::size_t off : {0, 1, 31, 63}) {
+      const std::span<const std::uint8_t> range(bytes.data() + off, kMaxLen);
+      const std::vector<std::uint64_t> want = fnv1a_prefixes(range);
+      for (std::size_t blocks = 1; blocks <= 128; ++blocks) {
+        for (std::size_t len = blocks * 512 - 2; len <= blocks * 512 + 2;
+             ++len) {
+          ASSERT_EQ(fnv1a(range.data(), len), want[len])
+              << name << " offset " << off << " length " << len;
+        }
+      }
+    }
+  }
+}
+
+// The tests above check fnv1a whichever path it takes. This one says which:
+// where ranges of 512 bytes or more fall back to the byte loop, it skips
+// and names what is missing.
+TEST(Fnv1a, VectorKernelRunsOnThisCpu) {
+  const std::string missing = fnv1a_kernel_missing();
+  if (!missing.empty()) {
+    GTEST_SKIP() << "fnv1a's AVX-512 kernel is not checked here; missing: "
+                 << missing;
+  }
+  const auto contents = hash_contents(4096);
+  const std::vector<std::uint8_t>& random = contents[0].second;
+  EXPECT_EQ(fnv1a(random.data(), random.size()),
+            fnv1a_prefixes(random).back());
+}
+
+// kHash of 512-8,192-byte ranges at odd offsets, as resp_words: through
+// the ObjectStore's memo (a global object, run twice so the second run
+// hits), and in place on a Machine without a store, which has no global
+// objects, so there the same bytes sit in a local object.
+TEST(Interp, HashOfLongRangesMatchesByteLoop) {
+  constexpr std::uint64_t kSize = 8192 + 512;
+  const std::uint64_t offsets[] = {1, 3, 31, 63, 511};
+  const std::uint64_t lengths[] = {512, 513, 1023, 1024, 4095,
+                                   4096, 4097, 8191, 8192};
+  const std::vector<std::uint8_t> body = hash_contents(kSize)[0].second;
+  std::vector<std::uint64_t> want;
+  for (const std::uint64_t off : offsets) {
+    for (const std::uint64_t len : lengths) {
+      want.push_back(fnv1a_prefixes({body.data() + off, len}).back());
+    }
+  }
+  for (const MemScope scope : {MemScope::kGlobal, MemScope::kLocal}) {
+    const bool global = scope == MemScope::kGlobal;
+    SCOPED_TRACE(global ? "memo path" : "in-place path");
+    ProgramBuilder pb("t");
+    const auto buf = pb.object("buf", kSize, scope);
+    auto fb = pb.function("f", 0);
+    const Reg zero = fb.const_u64(0);
+    fb.body_copy(buf, zero, zero, fb.const_u64(kSize));
+    for (const std::uint64_t off : offsets) {
+      for (const std::uint64_t len : lengths) {
+        fb.resp_word(fb.hash(buf, fb.const_u64(off), fb.const_u64(len)));
+      }
+    }
+    fb.ret_imm(0);
+    const auto idx = fb.finish();
+    const Program program = pb.take();
+    ObjectStore store(program);
+    Machine machine(program, CostModel::npu(), global ? &store : nullptr);
+    Invocation inv;
+    inv.body = BufferView(body);
+    for (int run = 0; run < (global ? 2 : 1); ++run) {
+      const Outcome out = machine.run_function(idx, inv);
+      ASSERT_EQ(out.state, RunState::kDone) << out.trap_message;
+      ASSERT_EQ(out.response.size(), want.size() * 8);
+      for (std::size_t i = 0; i < want.size(); ++i) {
+        std::uint64_t got = 0;
+        std::memcpy(&got, out.response.data() + i * 8, 8);
+        EXPECT_EQ(got, want[i]) << "run " << run << " range " << i;
+      }
+    }
+    if (global) {
+      EXPECT_GT(store.hash_hits(), 0u);
+    }
+  }
+}
+
 // ------------------------------------------------------------ kHash memo
 // The ObjectStore answers a kHash from its memo only while the range's
 // bytes still equal the copy taken when it was hashed. These tests write
@@ -1382,12 +1516,7 @@ TEST(InterpFusion, FuelCutsInsideChainsCountExactly) {
 
 std::uint64_t fnv1a_of(const std::vector<std::uint8_t>& bytes,
                        std::uint64_t off, std::uint64_t len) {
-  std::uint64_t h = 0xcbf29ce484222325ull;
-  for (std::uint64_t i = off; i < off + len; ++i) {
-    h ^= bytes[i];
-    h *= 0x100000001b3ull;
-  }
-  return h;
+  return fnv1a_prefixes(std::span(bytes).subspan(off, len)).back();
 }
 
 // Two global objects, and per object (or [dst][src] pair) one function for
