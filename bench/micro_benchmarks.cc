@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "common/rng.h"
@@ -18,6 +19,7 @@
 #include "microc/builder.h"
 #include "microc/interp.h"
 #include "net/network.h"
+#include "net/packet.h"
 #include "raft/raft.h"
 #include "sim/simulator.h"
 #include "workloads/image.h"
@@ -320,6 +322,36 @@ static void BM_NetworkPacketDelivery(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_NetworkPacketDelivery);
+
+// net::fragment plus Reassembler::add on one payload per iteration, the
+// per-fragment work of a multi-packet message at its sender and its
+// receiver: 1,400 B (one packet, which the reassembler never stores),
+// 16 KiB (a grayscale reply, 12 fragments) and 64 KiB + 8 B (an image
+// request, 47 fragments). `time/frag` is wall time per fragment.
+static void BM_FragmentReassemble(benchmark::State& state) {
+  const auto size = static_cast<std::size_t>(state.range(0));
+  const net::BufferView payload(std::vector<std::uint8_t>(size, 7));
+  net::Reassembler reassembler;
+  net::LambdaHeader header;
+  header.workload_id = 1;
+  std::uint64_t fragments = 0;
+  for (auto _ : state) {
+    ++header.request_id;
+    std::optional<net::Reassembler::Message> message;
+    net::fragment(1, 2, net::PacketKind::kRdmaWrite, header, payload,
+                  [&](net::Packet&& p) {
+                    ++fragments;
+                    if (auto done = reassembler.add(p)) {
+                      message = std::move(done);
+                    }
+                  });
+    benchmark::DoNotOptimize(message->body.data());
+  }
+  state.counters["time/frag"] = benchmark::Counter(
+      static_cast<double>(fragments),
+      benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_FragmentReassemble)->Arg(1400)->Arg(16384)->Arg(65544);
 
 static void BM_RaftElectAndCommit(benchmark::State& state) {
   for (auto _ : state) {

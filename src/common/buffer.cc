@@ -1,31 +1,21 @@
 #include "common/buffer.h"
 
-#include <atomic>
 #include <cstring>
 #include <new>
 
 namespace lnic {
 
 namespace {
-// Relaxed atomics: counters are monotone tallies with no ordering
-// relationship to any other state, and the hot path must stay one
-// uncontended add per operation.
-struct AtomicCopyStats {
-  std::atomic<std::uint64_t> bytes_copied{0};
-  std::atomic<std::uint64_t> copies{0};
-  std::atomic<std::uint64_t> bytes_shared{0};
-  std::atomic<std::uint64_t> shares{0};
-};
-AtomicCopyStats g_copy_stats;
+thread_local CopyStats t_copy_stats;
 
 void count_copy(std::size_t bytes) {
-  g_copy_stats.bytes_copied.fetch_add(bytes, std::memory_order_relaxed);
-  g_copy_stats.copies.fetch_add(1, std::memory_order_relaxed);
+  t_copy_stats.bytes_copied += bytes;
+  ++t_copy_stats.copies;
 }
 
 void count_share(std::size_t bytes) {
-  g_copy_stats.bytes_shared.fetch_add(bytes, std::memory_order_relaxed);
-  g_copy_stats.shares.fetch_add(1, std::memory_order_relaxed);
+  t_copy_stats.bytes_shared += bytes;
+  ++t_copy_stats.shares;
 }
 
 // The storage free lists. They are per thread, not per simulation: a
@@ -127,21 +117,9 @@ Buffer::~Buffer() {
   r->vectors.push_back(std::move(bytes_));
 }
 
-CopyStats copy_stats() {
-  CopyStats s;
-  s.bytes_copied = g_copy_stats.bytes_copied.load(std::memory_order_relaxed);
-  s.copies = g_copy_stats.copies.load(std::memory_order_relaxed);
-  s.bytes_shared = g_copy_stats.bytes_shared.load(std::memory_order_relaxed);
-  s.shares = g_copy_stats.shares.load(std::memory_order_relaxed);
-  return s;
-}
+CopyStats copy_stats() { return t_copy_stats; }
 
-void reset_copy_stats() {
-  g_copy_stats.bytes_copied.store(0, std::memory_order_relaxed);
-  g_copy_stats.copies.store(0, std::memory_order_relaxed);
-  g_copy_stats.bytes_shared.store(0, std::memory_order_relaxed);
-  g_copy_stats.shares.store(0, std::memory_order_relaxed);
-}
+void reset_copy_stats() { t_copy_stats = CopyStats{}; }
 
 Buffer::Ptr Buffer::adopt(std::vector<std::uint8_t> bytes) {
   return std::allocate_shared<const Buffer>(BlockAllocator<Buffer>{},

@@ -44,10 +44,11 @@
 
 namespace lnic {
 
-/// Global accounting of payload bytes moved through the buffer API.
-/// Process-wide, so accumulated with relaxed atomics: simulations on
-/// different threads would share it without racing. Reset between bench
-/// scenarios.
+/// Accounting of payload bytes moved through the buffer API. Kept per
+/// thread, like the storage free lists: slice() has no simulation at
+/// hand, and one simulation runs on one thread, so simulations on
+/// different threads keep apart tallies, each a plain add. Reset
+/// between bench scenarios.
 struct CopyStats {
   std::uint64_t bytes_copied = 0;  // bytes physically memcpy'd
   std::uint64_t copies = 0;        // copy operations
@@ -55,8 +56,7 @@ struct CopyStats {
   std::uint64_t shares = 0;        // zero-copy handoffs
 };
 
-/// A consistent-enough snapshot of the global accounting. (Buffer
-/// refcounts are shared_ptr control blocks and already atomic.)
+/// The calling thread's tallies, and their reset.
 CopyStats copy_stats();
 void reset_copy_stats();
 

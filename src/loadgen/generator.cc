@@ -130,7 +130,8 @@ void LoadGenerator::arm_next() {
     return;
   }
   request.intended = next;
-  pending_ = sim_.schedule_at(next, [this, request, slot]() mutable {
+  pending_ = sim_.schedule_at(next, [this, request = std::move(request),
+                                     slot]() mutable {
     pending_ = sim::kInvalidEvent;
     on_arrival(std::move(request), slot);
   });

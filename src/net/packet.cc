@@ -1,5 +1,6 @@
 #include "net/packet.h"
 
+#include "common/rng.h"
 
 namespace lnic::net {
 
@@ -95,42 +96,137 @@ std::optional<Reassembler::Message> Reassembler::add(const Packet& packet,
   const std::uint32_t count = packet.lambda.frag_count;
   const std::uint32_t index = packet.lambda.frag_index;
   if (index >= count) return std::nullopt;  // also rejects frag_count 0
-  const auto key = std::make_pair(packet.src, packet.lambda.request_id);
+  const NodeId src = packet.src;
+  const RequestId request_id = packet.lambda.request_id;
   // Only a partial message under the same key can make a fragment
   // inconsistent, so with none open there is nothing to look up.
-  auto it = partial_.empty() ? partial_.end() : partial_.find(key);
-  if (it == partial_.end()) {
+  std::size_t slot = open_ == 0 ? 0 : find(src, request_id);
+  Partial* open = nullptr;
+  if (open_ == 0 || index_[slot] == kNone) {
     *added = Added::kFirst;
     if (count == 1) {
       // A whole message in one packet: shared the way coalesce() shares
-      // a lone fragment, without touching the map.
+      // a lone fragment, without touching the table.
       return Message{header_of(packet),
                      packet.payload.slice(0, packet.payload.size())};
     }
-    it = partial_
-             .emplace(key, Partial{header_of(packet),
-                                   std::vector<BufferView>(count),
-                                   std::vector<bool>(count), count})
-             .first;
+    if ((open_ + 1) * 2 > index_.size()) grow();
+    slot = find(src, request_id);
+    if (spare_.empty()) {
+      spare_.push_back(static_cast<std::uint32_t>(records_.size()));
+      records_.emplace_back();
+    }
+    index_[slot] = spare_.back();
+    spare_.pop_back();
+    ++open_;
+    open = &records_[index_[slot]];
+    open->header = header_of(packet);
+    open->frags.assign(count, Fragment{});
+    open->missing = count;
   } else {
-    const Partial& open = it->second;
-    if (count != open.frags.size() || open.received[index]) {
+    open = &records_[index_[slot]];
+    if (count != open->frags.size() || open->frags[index].buffer != kNone) {
       return std::nullopt;
     }
     *added = Added::kLater;
   }
-  Partial& open = it->second;
-  open.received[index] = true;
-  open.frags[index] = packet.payload;
-  if (--open.missing > 0) return std::nullopt;
-  // Contiguous slices of the sender's buffer coalesce without a copy.
-  Message message{std::move(open.header), coalesce(open.frags)};
-  partial_.erase(it);
+  const Buffer::Ptr& buffer = packet.payload.buffer();
+  if (open->buffers.empty() || open->buffers.back() != buffer) {
+    open->buffers.push_back(buffer);
+  }
+  open->frags[index] =
+      Fragment{packet.payload.offset(), packet.payload.size(),
+               static_cast<std::uint32_t>(open->buffers.size() - 1)};
+  if (--open->missing > 0) return std::nullopt;
+  Message message{std::move(open->header), body_of(*open)};
+  close(slot);
   return message;
 }
 
 void Reassembler::discard(NodeId src, RequestId request_id) {
-  partial_.erase(std::make_pair(src, request_id));
+  if (open_ == 0) return;
+  const std::size_t slot = find(src, request_id);
+  if (index_[slot] != kNone) close(slot);
+}
+
+namespace {
+
+std::size_t home_slot(NodeId src, RequestId request_id, std::size_t mask) {
+  return static_cast<std::size_t>(
+             splitmix64(request_id ^ (src * kSplitMixGamma))) &
+         mask;
+}
+
+}  // namespace
+
+std::size_t Reassembler::find(NodeId src, RequestId request_id) const {
+  const std::size_t mask = index_.size() - 1;
+  std::size_t slot = home_slot(src, request_id, mask);
+  for (; index_[slot] != kNone; slot = (slot + 1) & mask) {
+    const Packet& header = records_[index_[slot]].header;
+    if (header.src == src && header.lambda.request_id == request_id) break;
+  }
+  return slot;
+}
+
+void Reassembler::grow() {
+  std::vector<std::uint32_t> old = std::move(index_);
+  index_.assign(old.empty() ? 16 : old.size() * 2, kNone);
+  for (const std::uint32_t record : old) {
+    if (record == kNone) continue;
+    const Packet& header = records_[record].header;
+    index_[find(header.src, header.lambda.request_id)] = record;
+  }
+}
+
+void Reassembler::close(std::size_t slot) {
+  Partial& record = records_[index_[slot]];
+  record.buffers.clear();
+  spare_.push_back(index_[slot]);
+  --open_;
+  // Backward-shift deletion: walk the probe run after the hole and move
+  // back each entry whose home slot is not between the hole and it, so
+  // every entry stays reachable from its home without tombstones.
+  const std::size_t mask = index_.size() - 1;
+  std::size_t hole = slot;
+  for (std::size_t i = (slot + 1) & mask; index_[i] != kNone;
+       i = (i + 1) & mask) {
+    const Packet& header = records_[index_[i]].header;
+    const std::size_t home =
+        home_slot(header.src, header.lambda.request_id, mask);
+    if (((i - home) & mask) >= ((i - hole) & mask)) {
+      index_[hole] = index_[i];
+      hole = i;
+    }
+  }
+  index_[hole] = kNone;
+}
+
+BufferView Reassembler::body_of(Partial& message) {
+  std::size_t total = 0;
+  bool contiguous =
+      message.buffers.size() == 1 && message.buffers[0] != nullptr;
+  std::size_t next_offset = message.frags[0].offset;
+  for (const Fragment& f : message.frags) {
+    total += f.len;
+    if (f.offset != next_offset) contiguous = false;
+    next_offset = f.offset + f.len;
+  }
+  if (contiguous) {
+    // In-order slices of the sender's buffer: one spanning view, counted
+    // as one share.
+    return BufferView(std::move(message.buffers[0]), message.frags[0].offset,
+                      total)
+        .slice(0, total);
+  }
+  // Fragments from several buffers (e.g. hand-built test packets), or
+  // out of order: coalesce() makes its one counted copy.
+  std::vector<BufferView> views;
+  views.reserve(message.frags.size());
+  for (const Fragment& f : message.frags) {
+    views.emplace_back(message.buffers[f.buffer], f.offset, f.len);
+  }
+  return coalesce(views);
 }
 
 }  // namespace lnic::net

@@ -14,7 +14,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <map>
 #include <optional>
 #include <string>
 #include <utility>
@@ -142,6 +141,11 @@ void fragment(NodeId src, NodeId dst, PacketKind kind,
 /// from the first fragment of its message. A one-fragment message is
 /// never stored: it completes at once. Partial messages stay until they
 /// complete or are discarded.
+///
+/// Partial messages sit in a flat table, found by (source, request id)
+/// through an open-addressed index, and their records are reused, so a
+/// warm receiver allocates nothing per message. A message holds each
+/// buffer its fragments slice once, not once per fragment.
 class Reassembler {
  public:
   /// A message whose fragments have all arrived.
@@ -165,16 +169,43 @@ class Reassembler {
   void discard(NodeId src, RequestId request_id);
 
   /// Messages with some, but not all, fragments received.
-  std::size_t partial() const { return partial_.size(); }
+  std::size_t partial() const { return open_; }
 
  private:
+  static constexpr std::uint32_t kNone = ~std::uint32_t{0};
+
+  /// Where a received fragment's bytes lie: `buffer` indexes its
+  /// message's `buffers`, and is kNone until the fragment arrives.
+  struct Fragment {
+    std::size_t offset = 0;
+    std::size_t len = 0;
+    std::uint32_t buffer = kNone;
+  };
+  /// One partial message. Records outlive their messages, so the
+  /// vectors keep their capacity for the next.
   struct Partial {
     Packet header;
-    std::vector<BufferView> frags;
-    std::vector<bool> received;  // bitmap over frag_index
+    std::vector<Fragment> frags;       // by frag_index
+    std::vector<Buffer::Ptr> buffers;  // a new entry per change of buffer
     std::uint32_t missing = 0;
   };
-  std::map<std::pair<NodeId, RequestId>, Partial> partial_;
+
+  /// The index slot holding the message from `src` with `request_id`,
+  /// or the empty slot where it would go. The index is never full.
+  std::size_t find(NodeId src, RequestId request_id) const;
+  /// Doubles the index.
+  void grow();
+  /// Frees the message in index slot `slot` and its record.
+  void close(std::size_t slot);
+  /// The body of a complete message, shared like coalesce().
+  BufferView body_of(Partial& message);
+
+  std::vector<Partial> records_;
+  std::vector<std::uint32_t> spare_;  // records_ not in use
+  // Linear probing over a power of two of slots, each kNone or an index
+  // into records_, at most half of them full.
+  std::vector<std::uint32_t> index_;
+  std::size_t open_ = 0;
 };
 
 }  // namespace lnic::net

@@ -8,18 +8,20 @@ namespace lnic::sim {
 
 EventId Simulator::allocate_event(SimTime at) {
   assert(at >= now_);
-  std::uint32_t slot;
+  std::uint32_t index;
   if (!free_slots_.empty()) {
-    slot = free_slots_.back();
+    index = free_slots_.back();
     free_slots_.pop_back();
   } else {
-    slot = static_cast<std::uint32_t>(slots_.size());
-    slots_.emplace_back();
+    if ((slot_count_ & kChunkMask) == 0) {
+      chunks_.push_back(std::make_unique<Slot[]>(kChunkMask + 1));
+    }
+    index = slot_count_++;
   }
-  Slot& s = slots_[slot];
+  Slot& s = slot(index);
   s.armed = true;
   ++live_;
-  const EventId id = pack(slot, s.generation);
+  const EventId id = pack(index, s.generation);
   push_entry(Entry{at, next_seq_++, id});
   return id;
 }
@@ -76,7 +78,9 @@ void Simulator::advance_to(std::uint64_t tick) {
          tick_of(overflow_.top().time) < tick_ + kWheelSize) {
     const Entry e = overflow_.top();
     overflow_.pop();
-    append_to_bucket(e, tick_of(e.time));
+    // A timer cancelled while it waited here would only be skipped at
+    // pop: drop it instead of filing it in a bucket.
+    if (is_pending(e.id)) append_to_bucket(e, tick_of(e.time));
   }
 }
 
@@ -140,22 +144,19 @@ Simulator::Candidate Simulator::peek() const {
   return c;
 }
 
-void Simulator::retire(std::uint32_t slot) {
-  Slot& s = slots_[slot];
+void Simulator::disarm(Slot& s) {
   s.armed = false;
   // Generation 0 is reserved so kInvalidEvent (= 0) never matches.
   if (++s.generation == 0) s.generation = 1;
-  free_slots_.push_back(slot);
   --live_;
 }
 
 bool Simulator::cancel(EventId id) {
-  const std::uint32_t slot = slot_of(id);
-  if (slot >= slots_.size()) return false;
-  Slot& s = slots_[slot];
-  if (!s.armed || s.generation != generation_of(id)) return false;
+  if (slot_of(id) >= slot_count_ || !is_pending(id)) return false;
+  Slot& s = slot(slot_of(id));
   s.fn.reset();  // free the closure eagerly; the queue entry lazily skips
-  retire(slot);
+  disarm(s);
+  free_slots_.push_back(slot_of(id));
   return true;
 }
 
@@ -189,20 +190,18 @@ bool Simulator::pop_and_dispatch(SimTime limit) {
       advance_to(c.tick);
       continue;
     }
-    const std::uint32_t slot = slot_of(e.id);
-    Slot& s = slots_[slot];
-    if (!s.armed || s.generation != generation_of(e.id)) {
-      continue;  // cancelled: stale generation
-    }
-    // Move the closure out and recycle the slot *before* invoking, so
-    // the handler can schedule (and reuse the slot) or try to cancel
-    // itself (which correctly reports false: the event already fired).
-    EventFn fn = std::move(s.fn);
-    s.fn.reset();
-    retire(slot);
+    if (!is_pending(e.id)) continue;  // cancelled: stale generation
+    // Disarm before invoking, so a handler that tries to cancel itself
+    // learns (correctly) that its event already fired. The closure runs
+    // where it lies, since chunks never move, and the slot is freed only
+    // after it is destroyed: events the handler schedules take others.
+    Slot& s = slot(slot_of(e.id));
+    disarm(s);
     now_ = e.time;
     ++dispatched_;
-    fn();
+    s.fn();
+    s.fn.reset();
+    free_slots_.push_back(slot_of(e.id));
     return true;
   }
 }

@@ -14,13 +14,16 @@
 //    Freed slots recycle through a LIFO free list, so steady-state
 //    scheduling allocates nothing.
 //  - Callbacks are InlineFn (small-buffer, move-only): common closures
-//    store in place instead of behind a std::function heap cell.
+//    store in place instead of behind a std::function heap cell. The
+//    arena grows in chunks that never move, so a closure is built in its
+//    slot and runs there: dispatch never relocates it.
 //  - The pending set is a calendar wheel, not a binary heap. Near-future
 //    events append to one of 1024 time buckets (8.192 us apart, ~8.4 ms
 //    horizon) in O(1); a bucket is sorted once when the clock reaches it
 //    and then drained by index. Events beyond the horizon wait in a
 //    small overflow heap and cascade into the wheel as time advances, so
-//    sparse long timers never slow the per-packet path. A comparison
+//    sparse long timers never slow the per-packet path; one cancelled
+//    while it waited is dropped instead of cascading. A comparison
 //    heap pays ~log(pending) branchy compares per event; the wheel pays
 //    an append plus its share of one contiguous std::sort.
 //  - Dispatch order is exactly the historical (time, seq) min-heap
@@ -31,6 +34,7 @@
 #include <array>
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <queue>
 #include <vector>
 
@@ -70,7 +74,7 @@ class Simulator {
   template <typename F>
   EventId schedule_at(SimTime at, F&& fn) {
     const EventId id = allocate_event(at);
-    slots_[slot_of(id)].fn.assign(std::forward<F>(fn));
+    slot(slot_of(id)).fn.assign(std::forward<F>(fn));
     return id;
   }
 
@@ -100,8 +104,10 @@ class Simulator {
 
   std::uint64_t events_dispatched() const { return dispatched_; }
 
-  /// Arena slots currently allocated (live + free-listed); sizing/debug.
-  std::size_t arena_slots() const { return slots_.size(); }
+  /// Arena slots made so far (live, running or free-listed): the most
+  /// ever in use at once, counting each handler running when the next
+  /// slot was taken. Sizing/debug.
+  std::size_t arena_slots() const { return slot_count_; }
 
  private:
   struct Entry {
@@ -163,6 +169,17 @@ class Simulator {
     bool armed = false;
     EventFn fn;
   };
+  static constexpr unsigned kChunkBits = 8;  // 256 slots per chunk
+  static constexpr std::uint32_t kChunkMask = (1u << kChunkBits) - 1;
+
+  Slot& slot(std::uint32_t index) {
+    return chunks_[index >> kChunkBits][index & kChunkMask];
+  }
+  /// True while `id`'s event is pending: neither run nor cancelled.
+  bool is_pending(EventId id) {
+    const Slot& s = slot(slot_of(id));
+    return s.armed && s.generation == generation_of(id);
+  }
 
   static EventId pack(std::uint32_t slot, std::uint32_t generation) {
     return (static_cast<EventId>(slot) << 32) | generation;
@@ -174,8 +191,9 @@ class Simulator {
     return static_cast<std::uint32_t>(id);
   }
 
-  /// Invalidates and recycles a slot whose event was consumed.
-  void retire(std::uint32_t slot);
+  /// Invalidates the ids of a slot whose event was consumed. The caller
+  /// puts the slot back on the free list once its closure is gone.
+  void disarm(Slot& s);
 
   /// Ends a deadline run: moves the clock (and the wheel) to `deadline`.
   void settle_at(SimTime deadline);
@@ -217,7 +235,9 @@ class Simulator {
   std::priority_queue<Entry, std::vector<Entry>, std::greater<Entry>>
       overflow_;
 
-  std::vector<Slot> slots_;
+  // The arena: slot i is chunks_[i >> kChunkBits][i & kChunkMask].
+  std::vector<std::unique_ptr<Slot[]>> chunks_;
+  std::uint32_t slot_count_ = 0;
   std::vector<std::uint32_t> free_slots_;  // LIFO recycling
 };
 

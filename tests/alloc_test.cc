@@ -10,7 +10,8 @@
 // before counting starts and invokes the gateway with a reply closure of
 // four references, a 56-byte call record and the loadgen completion.
 // After a warm-up, every allocation the process makes while 10,000
-// requests complete is counted, and the budget is 2 per request.
+// requests complete (1,000 of the image shape's) is counted, and the
+// budget is 2 per request.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -27,6 +28,7 @@
 #include "core/cluster.h"
 #include "loadgen/generator.h"
 #include "proto/invocation.h"
+#include "workloads/image.h"
 #include "workloads/lambdas.h"
 
 namespace {
@@ -103,8 +105,6 @@ void operator delete[](void* p, std::align_val_t,
 namespace lnic {
 namespace {
 
-constexpr std::uint64_t kWarmRequests = 3000;
-constexpr std::uint64_t kCountedRequests = 10000;
 constexpr double kBudgetPerRequest = 2.0;
 
 /// The cluster benchmark's call record (perfbench::Call).
@@ -130,10 +130,15 @@ struct Shape {
   std::vector<std::string> targets;  // the deployed function each names
   std::vector<std::vector<Call>> calls;  // per alias, built up front
   std::vector<std::pair<std::uint64_t, std::uint64_t>> cache;  // preload
+  /// When set, the whole reply each call's key expects.
+  std::vector<std::vector<std::uint8_t>> replies;
+  std::uint64_t warm_requests = 3000;
+  std::uint64_t counted_requests = 10000;
 
   /// Every reply leads with a word; a KV reply's is the value the call
   /// expects (the loaded value for a GET, the written one for a SET).
   bool check(const Call& call, const BufferView& response) const {
+    if (!replies.empty()) return response == replies[call.key];
     return response.size() >= 8 &&
            (call.value == 0 || proto::payload_word(response, 0) == call.value);
   }
@@ -141,6 +146,7 @@ struct Shape {
 
 struct Count {
   std::uint64_t allocations = 0;
+  std::uint64_t wanted = 0;  // requests the shape asked to count
   std::uint64_t requests = 0;
   std::uint64_t failed = 0;
   std::uint64_t wrong = 0;
@@ -198,15 +204,16 @@ Count count_allocations(Shape shape) {
         "the benchmark's reply closure must fit InvokeCallback in place");
     gateway.invoke(alias, std::move(payload), std::move(reply));
   };
-  shape.load.max_requests = kWarmRequests + kCountedRequests;
+  const std::uint64_t warm_requests = shape.warm_requests;
+  const std::uint64_t total_requests = warm_requests + shape.counted_requests;
+  shape.load.max_requests = total_requests;
   loadgen::LoadGenerator generator(cluster.sim(), shape.load, profiles,
                                    std::move(sink));
-  const auto warm = [&generator] {
-    return generator.completed() + generator.failed() >= kWarmRequests;
+  const auto warm = [&generator, warm_requests] {
+    return generator.completed() + generator.failed() >= warm_requests;
   };
-  const auto counted = [&generator] {
-    return generator.completed() + generator.failed() >=
-           kWarmRequests + kCountedRequests;
+  const auto counted = [&generator, total_requests] {
+    return generator.completed() + generator.failed() >= total_requests;
   };
   const std::function<bool()> warm_fn = warm;
   const std::function<bool()> counted_fn = counted;
@@ -220,6 +227,7 @@ Count count_allocations(Shape shape) {
   const std::uint64_t after = g_allocations.load(std::memory_order_relaxed);
   Count count;
   count.allocations = after - before;
+  count.wanted = shape.counted_requests;
   count.requests = generator.completed() + generator.failed() - done_before;
   count.failed = generator.failed() - failed_before;
   count.wrong = wrong;
@@ -233,7 +241,7 @@ void expect_within_budget(const char* name, const Count& count) {
               static_cast<double>(count.allocations) /
                   static_cast<double>(std::max<std::uint64_t>(count.requests,
                                                               1)));
-  EXPECT_GE(count.requests, kCountedRequests);
+  EXPECT_GE(count.requests, count.wanted);
   EXPECT_EQ(count.failed, 0u);
   EXPECT_EQ(count.wrong, 0u);
   EXPECT_LE(static_cast<double>(count.allocations),
@@ -318,6 +326,36 @@ TEST(AllocationBudget, FaasMixShape) {
     shape.cache.emplace_back(0x20000 + i, 1);
   }
   expect_within_budget("faas_mix shape", count_allocations(std::move(shape)));
+}
+
+TEST(AllocationBudget, ImageShape) {
+  // One NIC running the 128x128 image transformer, called through the
+  // gateway at 1k rps: each 64 KiB request travels as RDMA fragments
+  // plus an event, and each 16 KiB reply as response fragments, so the
+  // NIC and the RPC client both reassemble a message per request.
+  constexpr std::uint32_t kSide = 128;
+  Shape shape;
+  shape.config.workers = 1;
+  shape.config.seed = 1;
+  shape.bundle = workloads::make_standard_workloads({}, kSide, kSide);
+  shape.load.arrivals = loadgen::ArrivalSpec::poisson(1000.0);
+  shape.load.seed = 1;
+  shape.aliases = {"image_transformer"};
+  shape.targets = {"image_transformer"};
+  shape.warm_requests = 500;
+  shape.counted_requests = 1000;
+  std::vector<Call> calls;
+  for (std::uint32_t i = 0; i < 8; ++i) {
+    const workloads::Image image = workloads::make_test_image(kSide, kSide, i);
+    Call call;
+    call.key = i;
+    call.payload = BufferView(
+        workloads::encode_image_request(kSide, kSide, image.rgba));
+    calls.push_back(call);
+    shape.replies.push_back(workloads::to_grayscale(image));
+  }
+  shape.calls = {calls};
+  expect_within_budget("image shape", count_allocations(std::move(shape)));
 }
 
 TEST(AllocationBudget, FourNicDeploy) {

@@ -217,6 +217,32 @@ TEST(BufferView, VectorCopyConstructorIsCounted) {
   EXPECT_EQ(copy_stats().bytes_copied, 48u);
 }
 
+TEST(CopyStats, EachThreadKeepsItsOwnTallies) {
+  // Simulations on different threads keep their copy tallies apart: a
+  // second thread's slices and copies never show in this thread's.
+  reset_copy_stats();
+  BufferView whole(iota_bytes(64));
+  (void)whole.slice(0, 8);
+  const CopyStats mine = copy_stats();
+  CopyStats theirs;
+  std::thread([&theirs] {
+    BufferView other(iota_bytes(100));
+    (void)other.slice(10, 30);
+    (void)other.slice(40, 20);
+    (void)other.to_vector();
+    theirs = copy_stats();
+  }).join();
+  const CopyStats after = copy_stats();
+  EXPECT_EQ(after.bytes_shared, mine.bytes_shared);
+  EXPECT_EQ(after.shares, mine.shares);
+  EXPECT_EQ(after.bytes_copied, mine.bytes_copied);
+  EXPECT_EQ(after.copies, mine.copies);
+  EXPECT_EQ(theirs.bytes_shared, 50u);
+  EXPECT_EQ(theirs.shares, 2u);
+  EXPECT_EQ(theirs.bytes_copied, 100u);
+  EXPECT_EQ(theirs.copies, 1u);
+}
+
 TEST(BufferView, EqualityComparesContents) {
   BufferView a(iota_bytes(16));
   BufferView b(iota_bytes(16));  // different buffer, same bytes

@@ -4,11 +4,17 @@
 // target — each holding a message back until every fragment has arrived.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
 #include <memory>
+#include <optional>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "common/buffer.h"
+#include "common/rng.h"
 #include "compiler/pipeline.h"
 #include "hostsim/host.h"
 #include "net/network.h"
@@ -100,6 +106,185 @@ TEST(Reassembler, DiscardForgetsPartialMessage) {
   // The other fragment now opens a fresh message instead of completing.
   EXPECT_FALSE(reassembler.add(fragment_of(1, 1, 2, {2})));
   EXPECT_EQ(reassembler.partial(), 1u);
+}
+
+// ------------------------------------------------- randomized reference
+
+/// The reassembly rules as a plain reference: partial messages in a map
+/// keyed by (source, request id), each holding its fragments' views, and
+/// a complete body shared when its fragments are in-order slices of one
+/// buffer, else copied, as coalesce() does. Also gives the copy_stats()
+/// deltas the add should make.
+class ReferenceReassembler {
+ public:
+  struct Outcome {
+    Reassembler::Added added = Reassembler::Added::kDropped;
+    std::optional<Packet> header;  // set when the message completes
+    Bytes8 body;
+    std::uint64_t bytes_shared = 0;
+    std::uint64_t bytes_copied = 0;
+  };
+
+  Outcome add(const Packet& p) {
+    Outcome out;
+    const std::uint32_t count = p.lambda.frag_count;
+    const std::uint32_t index = p.lambda.frag_index;
+    if (index >= count) return out;
+    const auto key = std::make_pair(p.src, p.lambda.request_id);
+    auto it = open_.find(key);
+    if (it == open_.end()) {
+      out.added = Reassembler::Added::kFirst;
+      Partial fresh{p, std::vector<net::BufferView>(count),
+                    std::vector<bool>(count)};
+      fresh.header.payload = {};
+      if (count == 1) {
+        out.header = fresh.header;
+        out.body.assign(p.payload.begin(), p.payload.end());
+        out.bytes_shared = out.body.size();
+        return out;
+      }
+      it = open_.emplace(key, std::move(fresh)).first;
+    } else if (count != it->second.frags.size() ||
+               it->second.received[index]) {
+      return out;
+    } else {
+      out.added = Reassembler::Added::kLater;
+    }
+    Partial& m = it->second;
+    m.received[index] = true;
+    m.frags[index] = p.payload;
+    if (std::find(m.received.begin(), m.received.end(), false) !=
+        m.received.end()) {
+      return out;
+    }
+    out.header = m.header;
+    const net::Buffer::Ptr& base = m.frags[0].buffer();
+    bool shared = base != nullptr;
+    std::size_t next = m.frags[0].offset();
+    for (const net::BufferView& f : m.frags) {
+      out.body.insert(out.body.end(), f.begin(), f.end());
+      if (f.buffer() != base || f.offset() != next) shared = false;
+      next = f.offset() + f.size();
+    }
+    (shared ? out.bytes_shared : out.bytes_copied) = out.body.size();
+    open_.erase(it);
+    return out;
+  }
+
+  void discard(NodeId src, RequestId id) { open_.erase({src, id}); }
+  std::size_t partial() const { return open_.size(); }
+
+ private:
+  struct Partial {
+    Packet header;
+    std::vector<net::BufferView> frags;
+    std::vector<bool> received;
+  };
+  std::map<std::pair<NodeId, RequestId>, Partial> open_;
+};
+
+Bytes8 random_bytes(Rng& rng, std::size_t size) {
+  Bytes8 bytes(size);
+  for (std::uint8_t& b : bytes) b = static_cast<std::uint8_t>(rng.next_u64());
+  return bytes;
+}
+
+/// The fragments of one message from `src` under `id`, each maybe lost,
+/// duplicated, or followed by a copy with a disagreeing or out-of-range
+/// frag_count. Mostly slices of one buffer cut by net::fragment, else
+/// hand-built fragments of 0 to 40 bytes, each its own buffer.
+void append_message(Rng& rng, NodeId src, RequestId id,
+                    std::vector<Packet>& out) {
+  std::vector<Packet> frags;
+  if (rng.next_bool(0.6)) {
+    const std::size_t size = 1 + rng.next_below(6 * net::kMaxPayload);
+    net::LambdaHeader header;
+    header.workload_id = 7;
+    header.request_id = id;
+    net::fragment(src, 2, PacketKind::kRdmaWrite, header,
+                  net::BufferView(random_bytes(rng, size)),
+                  [&frags](Packet&& p) { frags.push_back(std::move(p)); });
+  } else {
+    const auto count = static_cast<std::uint32_t>(2 + rng.next_below(4));
+    for (std::uint32_t i = 0; i < count; ++i) {
+      frags.push_back(fragment_of(id, i, count,
+                                  random_bytes(rng, rng.next_below(41))));
+      frags.back().src = src;
+    }
+  }
+  for (Packet& p : frags) {
+    if (rng.next_bool(0.02)) continue;  // lost
+    if (rng.next_bool(0.15)) out.push_back(p);
+    if (rng.next_bool(0.05)) {
+      Packet bad = p;
+      bad.lambda.frag_count +=
+          1 + static_cast<std::uint32_t>(rng.next_below(2));
+      out.push_back(std::move(bad));
+    }
+    if (rng.next_bool(0.02)) {
+      Packet bad = p;
+      bad.lambda.frag_index = bad.lambda.frag_count;
+      out.push_back(std::move(bad));
+    }
+    out.push_back(std::move(p));
+  }
+}
+
+TEST(Reassembler, MatchesReferenceUnderShuffledDuplicatedTraffic) {
+  // Three sources reuse request ids 1 to 3 every round; their fragments
+  // arrive shuffled together, with duplicates, disagreeing counts, lost
+  // fragments (partials that linger into later rounds) and discards.
+  std::uint64_t shared_bodies = 0;
+  std::uint64_t copied_bodies = 0;
+  for (std::uint64_t seed = 1; seed <= 30; ++seed) {
+    SCOPED_TRACE(seed);
+    Rng rng(seed);
+    Reassembler reassembler;
+    ReferenceReassembler reference;
+    for (int round = 0; round < 20; ++round) {
+      std::vector<Packet> packets;
+      for (NodeId src = 1; src <= 3; ++src) {
+        for (RequestId id = 1; id <= 3; ++id) {
+          append_message(rng, src, id, packets);
+        }
+      }
+      for (std::size_t i = packets.size(); i > 1; --i) {
+        std::swap(packets[i - 1], packets[rng.next_below(i)]);
+      }
+      for (const Packet& p : packets) {
+        if (rng.next_bool(0.03)) {
+          const auto src = static_cast<NodeId>(1 + rng.next_below(3));
+          const RequestId id = 1 + rng.next_below(3);
+          reassembler.discard(src, id);
+          reference.discard(src, id);
+        }
+        const ReferenceReassembler::Outcome want = reference.add(p);
+        auto added = Reassembler::Added::kDropped;
+        const CopyStats before = copy_stats();
+        const auto message = reassembler.add(p, &added);
+        const CopyStats after = copy_stats();
+        EXPECT_EQ(added, want.added);
+        ASSERT_EQ(message.has_value(), want.header.has_value());
+        if (message) {
+          EXPECT_EQ(message->body, want.body);
+          EXPECT_TRUE(message->header.payload.empty());
+          EXPECT_EQ(message->header.src, want.header->src);
+          EXPECT_EQ(message->header.lambda.request_id,
+                    want.header->lambda.request_id);
+          EXPECT_EQ(message->header.lambda.frag_index,
+                    want.header->lambda.frag_index);
+          EXPECT_EQ(message->header.lambda.frag_count,
+                    want.header->lambda.frag_count);
+          ++(want.bytes_copied > 0 ? copied_bodies : shared_bodies);
+        }
+        EXPECT_EQ(after.bytes_shared - before.bytes_shared, want.bytes_shared);
+        EXPECT_EQ(after.bytes_copied - before.bytes_copied, want.bytes_copied);
+        ASSERT_EQ(reassembler.partial(), reference.partial());
+      }
+    }
+  }
+  EXPECT_GT(shared_bodies, 100u);
+  EXPECT_GT(copied_bodies, 100u);
 }
 
 // ------------------------------------------------------------ receivers

@@ -2,11 +2,16 @@
 // the ServerPool resource, and determinism properties.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <cstdint>
+#include <functional>
+#include <map>
 #include <memory>
 #include <utility>
 #include <vector>
 
+#include "common/rng.h"
 #include "common/types.h"
 #include "sim/resource.h"
 #include "sim/simulator.h"
@@ -365,6 +370,148 @@ TEST(Simulator, ChurnAcrossGenerationsStaysCorrect) {
   }
   EXPECT_EQ(fired, 500);
   EXPECT_LE(sim.arena_slots(), 2u);
+}
+
+TEST(Simulator, MatchesReferenceOrderUnderRandomOperations) {
+  // Random schedules at zero, in-bucket, in-wheel and past-horizon
+  // delays, cancels of pending, fired and far ids, nested schedules and
+  // self-cancels from handlers, step() and run_until(), against a
+  // reference that orders pending events by (time, seq).
+  using Key = std::pair<SimTime, std::uint64_t>;
+  for (std::uint64_t seed = 1; seed <= 60; ++seed) {
+    SCOPED_TRACE(seed);
+    Simulator sim;
+    Rng rng(seed);
+    std::map<Key, std::uint64_t> model;  // pending: (time, seq) -> seq
+    // By seq (from 1): every id handed out and its key, and the seqs
+    // past the wheel's ~8.4 ms horizon when scheduled.
+    std::vector<EventId> ids(1, kInvalidEvent);
+    std::vector<Key> keys(1);
+    std::vector<std::uint64_t> far;
+    std::uint64_t fired = 0;
+
+    const auto delay = [&rng]() -> SimDuration {
+      switch (rng.next_below(5)) {
+        case 0: return 0;
+        case 1: return static_cast<SimDuration>(rng.next_below(4) * 1000);
+        case 2: return static_cast<SimDuration>(rng.next_below(8192));
+        case 3: return static_cast<SimDuration>(rng.next_below(8'000'000));
+        default:
+          return static_cast<SimDuration>(8'500'000 +
+                                          rng.next_below(60'000'000));
+      }
+    };
+    const auto cancel_some = [&] {
+      std::uint64_t seq;
+      if (!far.empty() && rng.next_bool(0.3)) {
+        seq = far[rng.next_below(far.size())];
+      } else if (rng.next_bool(0.5)) {
+        seq = ids.size() - 1 - rng.next_below(std::min<std::size_t>(
+                                   ids.size() - 1, 16));
+      } else {
+        seq = 1 + rng.next_below(ids.size() - 1);
+      }
+      EXPECT_EQ(sim.cancel(ids[seq]), model.erase(keys[seq]) == 1);
+    };
+    std::function<void()> schedule_one;
+    const auto on_fire = [&](const Key& key) {
+      ASSERT_FALSE(model.empty());
+      EXPECT_EQ(model.begin()->first, key);
+      EXPECT_EQ(sim.now(), key.first);
+      model.erase(key);
+      ++fired;
+      if (rng.next_bool(0.2)) {
+        EXPECT_FALSE(sim.cancel(ids[key.second]));
+      }
+      if (rng.next_bool(0.5)) schedule_one();
+      if (rng.next_bool(0.125)) schedule_one();
+      if (rng.next_bool(0.2)) cancel_some();
+    };
+    schedule_one = [&] {
+      const SimDuration d = delay();
+      const Key key{sim.now() + d, ids.size()};
+      ids.push_back(sim.schedule(d, [&on_fire, key] { on_fire(key); }));
+      keys.push_back(key);
+      model.emplace(key, key.second);
+      if (d > 8'400'000) far.push_back(key.second);
+    };
+
+    for (int op = 0; op < 400; ++op) {
+      switch (rng.next_below(6)) {
+        case 0:
+        case 1:
+          schedule_one();
+          break;
+        case 2:
+          if (ids.size() > 1) cancel_some();
+          break;
+        case 3: {
+          const bool any = !model.empty();
+          EXPECT_EQ(sim.step(), any);
+          break;
+        }
+        default: {
+          const SimTime deadline = sim.now() + delay();
+          sim.run_until(deadline);
+          EXPECT_EQ(sim.now(), deadline);
+          EXPECT_TRUE(model.empty() || model.begin()->first.first > deadline);
+          break;
+        }
+      }
+      ASSERT_EQ(sim.pending(), model.size());
+    }
+    sim.run();
+    EXPECT_TRUE(model.empty());
+    EXPECT_EQ(sim.pending(), 0u);
+    EXPECT_EQ(sim.events_dispatched(), fired);
+  }
+}
+
+TEST(Simulator, HandlerCaptureSurvivesGrowingTheArena) {
+  // A handler runs in its arena slot. Scheduling more events than one
+  // chunk holds adds chunks, which must not move the running closure:
+  // under ASan, a moved arena makes the reads below use-after-free.
+  Simulator sim;
+  std::array<std::uint64_t, 12> words{};
+  for (std::size_t i = 0; i < words.size(); ++i) words[i] = 0x1111 * (i + 1);
+  int fired = 0;
+  bool checked = false;
+  const auto handler = [&sim, &fired, &checked, words] {
+    const void* before = words.data();
+    for (int i = 0; i < 1000; ++i) sim.schedule(i, [&fired] { ++fired; });
+    EXPECT_EQ(words.data(), before);
+    for (std::size_t i = 0; i < words.size(); ++i) {
+      EXPECT_EQ(words[i], 0x1111 * (i + 1));
+    }
+    checked = true;
+  };
+  static_assert(EventFn::kStoresInline<decltype(handler)>);
+  sim.schedule(1, handler);
+  sim.run();
+  EXPECT_TRUE(checked);
+  EXPECT_EQ(fired, 1000);
+  EXPECT_GT(sim.arena_slots(), 1000u);
+}
+
+TEST(Simulator, SelfReschedulingChainsReuseTheirSlots) {
+  // A handler keeps its slot until it returns, so the tick it schedules
+  // takes another; eight chains then cycle through nine slots. A slot
+  // that never went back to the free list would grow the arena.
+  Simulator sim;
+  constexpr int kChains = 8;
+  constexpr int kTicks = 10000;
+  struct Chain {
+    Simulator& sim;
+    int ticks = 0;
+    void tick() {
+      if (++ticks < kTicks) sim.schedule(1 + ticks % 3, [this] { tick(); });
+    }
+  };
+  std::vector<Chain> chains(kChains, Chain{sim});
+  for (Chain& chain : chains) sim.schedule(0, [&chain] { chain.tick(); });
+  sim.run();
+  for (const Chain& chain : chains) EXPECT_EQ(chain.ticks, kTicks);
+  EXPECT_LE(sim.arena_slots(), 9u);
 }
 
 TEST(PeriodicTimer, DestructorCancelsPendingCallback) {
