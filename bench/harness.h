@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "backends/backend.h"
-#include "common/flightrec.h"
 #include "common/stats.h"
 #include "common/types.h"
 #include "kvstore/cache_server.h"
@@ -93,12 +92,12 @@ inline void print_header(const std::string& title) {
 }
 
 /// Failure exit for benches with a self-check: prints the reason plus
-/// the flight recorder's last-anomalies ring (the always-on context for
-/// "what went wrong just before"), then returns the nonzero exit code
-/// for main() to propagate.
-inline int bench_fail(const std::string& why) {
+/// `anomalies`, the dump of the failing simulation's flight recorder
+/// (the always-on context for "what went wrong just before"), then
+/// returns the nonzero exit code for main() to propagate.
+inline int bench_fail(const std::string& why, const std::string& anomalies) {
   std::fprintf(stderr, "\nBENCH FAILURE: %s\n%s", why.c_str(),
-               flightrec::FlightRecorder::global().dump().c_str());
+               anomalies.c_str());
   return 1;
 }
 

@@ -68,6 +68,9 @@ struct CellResult {
   double hit_ratio = 0.0;
   std::uint64_t host_reads = 0;
   std::uint64_t lock_waits = 0;
+  // The cell's flight-recorder dump: its simulation is gone by the time
+  // a check reads the result.
+  std::string anomalies;
 };
 
 /// Drives `n_txns` open-loop Poisson transactions from `next()` through
@@ -134,6 +137,7 @@ CellResult run_cell(const Params& params,
   out.hit_ratio = rig.store.cache_stats().hit_ratio();
   out.host_reads = rig.store.host_stats().reads;
   out.lock_waits = stats.lock_waits;
+  out.anomalies = rig.sim.flight_recorder().dump();
   return out;
 }
 
@@ -205,11 +209,12 @@ int main(int argc, char** argv) {
         add_cell(summary, prefix, r);
         print_cell(prefix, r);
         if (r.committed == 0) {
-          return bench_fail(prefix + ": no transaction committed");
+          return bench_fail(prefix + ": no transaction committed",
+                            r.anomalies);
         }
         if (mix == kvstore::YcsbMix::kC && r.abort_attempts != 0) {
-          return bench_fail(prefix +
-                            ": read-only YCSB C aborted transactions");
+          return bench_fail(prefix + ": read-only YCSB C aborted transactions",
+                            r.anomalies);
         }
       }
     }
@@ -222,9 +227,10 @@ int main(int argc, char** argv) {
     const CellResult& skewed = ycsb_cells[base + "/z99"];
     if (skewed.abort_rate <= uniform.abort_rate) {
       return bench_fail(base + ": zipf 0.99 abort rate " +
-                        std::to_string(skewed.abort_rate) +
-                        " not above uniform " +
-                        std::to_string(uniform.abort_rate));
+                            std::to_string(skewed.abort_rate) +
+                            " not above uniform " +
+                            std::to_string(uniform.abort_rate),
+                        skewed.anomalies);
     }
   }
 
@@ -254,13 +260,15 @@ int main(int argc, char** argv) {
     print_cell(prefix, r);
     if (cache_nodes == 0 && r.hit_ratio != 0.0) {
       return bench_fail("cache/0 hit ratio nonzero — host baseline leaked "
-                        "into the NIC cache");
+                        "into the NIC cache",
+                        r.anomalies);
     }
     if (r.hit_ratio < last_hit) {
       return bench_fail(prefix + ": hit ratio " +
-                        std::to_string(r.hit_ratio) +
-                        " fell below smaller cache's " +
-                        std::to_string(last_hit));
+                            std::to_string(r.hit_ratio) +
+                            " fell below smaller cache's " +
+                            std::to_string(last_hit),
+                        r.anomalies);
     }
     last_hit = r.hit_ratio;
   }
@@ -290,7 +298,7 @@ int main(int argc, char** argv) {
                   "waits");
       print_cell(prefix, r);
       if (r.committed == 0) {
-        return bench_fail(prefix + ": no new-order committed");
+        return bench_fail(prefix + ": no new-order committed", r.anomalies);
       }
     }
   }

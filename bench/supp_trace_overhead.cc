@@ -33,6 +33,7 @@ struct RunResult {
   std::size_t spans = 0;
   double wall_ms = 0.0;    // simulation + span recording
   double export_ms = 0.0;  // one-shot Chrome JSON serialization
+  std::string anomalies;   // the run's flight-recorder dump
 };
 
 RunResult run(double sample_rate, std::uint64_t total,
@@ -60,12 +61,8 @@ RunResult run(double sample_rate, std::uint64_t total,
   gateway.register_function("web_server", workloads::kWebServerId,
                             {w0->node(), w1->node()});
 
-  trace::TraceRecorder recorder;
-  if (sample_rate > 0.0) {
-    gateway.set_tracer(&recorder, sample_rate);
-    w0->set_tracer(&recorder);
-    w1->set_tracer(&recorder);
-  }
+  trace::TraceRecorder recorder(/*max_spans=*/1 << 20, sample_rate);
+  if (sample_rate > 0.0) sim.set_tracer(&recorder);
 
   std::uint64_t issued = 0;
   std::function<void()> issue = [&]() {
@@ -85,6 +82,7 @@ RunResult run(double sample_rate, std::uint64_t total,
   result.p99_ns = latency.p99();
   result.completed = w0->completed() + w1->completed();
   result.spans = recorder.size();
+  result.anomalies = sim.flight_recorder().dump();
   result.wall_ms =
       std::chrono::duration<double, std::milli>(
           std::chrono::steady_clock::now() - wall_start)
@@ -111,8 +109,9 @@ bool identical(const RunResult& a, const RunResult& b) {
 }
 
 /// Wall cost of one flight-recorder append, measured on a private ring
-/// (the global one stays reserved for real anomalies). Also checks the
-/// ring honors its bound under sustained overflow.
+/// (each simulation's own recorder stays reserved for its real
+/// anomalies). Also checks the ring honors its bound under sustained
+/// overflow.
 struct FlightrecCost {
   double ns_per_record = 0.0;
   bool bounded = false;
@@ -130,9 +129,10 @@ FlightrecCost measure_flightrec(std::uint64_t records) {
                         .count();
   FlightrecCost cost;
   cost.ns_per_record = records > 0 ? ns / static_cast<double>(records) : 0.0;
-  cost.bounded = ring.snapshot().size() <= ring.capacity() &&
+  const auto& events = ring.events();
+  cost.bounded = events.size() <= events.capacity() &&
                  ring.recorded() == records &&
-                 ring.evicted() == records - ring.capacity();
+                 events.evicted() == records - events.capacity();
   return cost;
 }
 
@@ -198,10 +198,15 @@ int main() {
   summary.add("flightrec_bounded", fr.bounded ? 1.0 : 0.0, "bool");
 
   if (!sim_identical) {
-    return bench_fail("simulated stats differ across tracing rows");
+    const RunResult& differs = !identical(off, sampled) ? sampled
+                               : !identical(off, full)  ? full
+                                                        : profiled;
+    return bench_fail("simulated stats differ across tracing rows",
+                      differs.anomalies);
   }
   if (!fr.bounded) {
-    return bench_fail("flight recorder ring exceeded its bound");
+    // A private ring outside any simulation: no anomalies to show.
+    return bench_fail("flight recorder ring exceeded its bound", {});
   }
   return 0;
 }

@@ -57,11 +57,7 @@ int main(int argc, char** argv) {
   framework::Gateway gateway(sim, network, config);
   gateway.register_function("web_server", workloads::kWebServerId,
                             {w0->node(), w1->node()});
-  if (!trace_path.empty()) {
-    gateway.set_tracer(&recorder);
-    w0->set_tracer(&recorder);
-    w1->set_tracer(&recorder);
-  }
+  if (!trace_path.empty()) sim.set_tracer(&recorder);
 
   framework::HealthConfig hc;
   hc.probe_interval = milliseconds(100);

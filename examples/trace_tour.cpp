@@ -33,8 +33,7 @@ int main(int argc, char** argv) {
   core::Cluster cluster(config);
 
   trace::TraceRecorder recorder;
-  cluster.gateway().set_tracer(&recorder);
-  cluster.worker(0).set_tracer(&recorder);
+  cluster.sim().set_tracer(&recorder);
 
   if (!cluster.deploy(workloads::make_standard_workloads()).ok()) {
     std::fprintf(stderr, "deploy failed\n");

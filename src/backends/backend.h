@@ -81,10 +81,6 @@ class Backend {
   virtual ResourceUsage usage(SimDuration window) const = 0;
   virtual StartupProfile startup_profile() const = 0;
   virtual std::uint64_t completed() const = 0;
-  /// Attaches (nullptr detaches) a span recorder to the execution
-  /// substrate so requests carrying a trace id in their lambda header
-  /// record queueing/execution spans. No-op timing-wise.
-  virtual void set_tracer(trace::TraceRecorder* tracer) = 0;
 
   /// Tenancy hooks: assign a workload to a tenant namespace, bound a
   /// tenant's on-card resources, or evict a tenant. Host backends run
@@ -124,9 +120,6 @@ class LambdaNicBackend : public Backend {
   std::uint64_t completed() const override {
     return nic_.stats().requests_completed;
   }
-  void set_tracer(trace::TraceRecorder* tracer) override {
-    nic_.set_tracer(tracer);
-  }
   void set_tenant_of(WorkloadId workload, TenantId tenant) override {
     nic_.set_tenant(workload, tenant);
   }
@@ -163,9 +156,6 @@ class HostBackend : public Backend {
   StartupProfile startup_profile() const override;
   std::uint64_t completed() const override {
     return host_.stats().requests_completed;
-  }
-  void set_tracer(trace::TraceRecorder* tracer) override {
-    host_.set_tracer(tracer);
   }
 
   hostsim::HostServer& host() { return host_; }

@@ -8,18 +8,18 @@
 // Recording is pure wall-clock bookkeeping — no simulated events are
 // scheduled, no simulated clocks are read beyond the caller-supplied
 // timestamp — so an instrumented run replays byte-for-byte identical to
-// an uninstrumented one. The ring is process-wide, so it is
-// mutex-guarded (simulations on different threads would share it) and
-// bounded; steady-state cost is one lock and one slot overwrite per
-// anomaly, and anomalies are rare by definition.
+// an uninstrumented one. Each sim::Simulator owns one recorder
+// (flight_recorder()), and every component of that simulation records
+// into it, so simulations running side by side on several threads keep
+// their anomalies apart and no record takes a lock. Steady-state cost
+// is one slot overwrite per anomaly, and anomalies are rare by
+// definition.
 #pragma once
 
 #include <cstdint>
-#include <deque>
-#include <mutex>
 #include <string>
-#include <vector>
 
+#include "common/ring.h"
 #include "common/types.h"
 
 namespace lnic::flightrec {
@@ -50,40 +50,32 @@ struct Event {
 
 class FlightRecorder {
  public:
-  explicit FlightRecorder(std::size_t capacity = kDefaultCapacity);
+  /// A capacity of 0 is raised to 1: the recorder always keeps the
+  /// latest anomaly.
+  explicit FlightRecorder(std::size_t capacity = kDefaultCapacity)
+      : ring_(capacity == 0 ? 1 : capacity) {}
 
   void record(SimTime time, Kind kind, std::uint64_t a, std::uint64_t b,
-              std::string detail);
+              std::string detail) {
+    ring_.push(Event{time, kind, a, b, std::move(detail)});
+  }
   void record(SimTime time, Kind kind, std::string detail) {
     record(time, kind, 0, 0, std::move(detail));
   }
 
-  /// Copies the ring, oldest first.
-  std::vector<Event> snapshot() const;
+  /// The retained events, oldest first.
+  const BoundedRing<Event>& events() const { return ring_; }
   /// Total events ever recorded (including evicted ones).
-  std::uint64_t recorded() const;
-  /// Events evicted to respect the capacity bound.
-  std::uint64_t evicted() const;
-  std::size_t capacity() const;
-  /// Resizes the ring, evicting oldest entries if shrinking.
-  void set_capacity(std::size_t capacity);
-  void clear();
+  std::uint64_t recorded() const { return ring_.evicted() + ring_.size(); }
 
   /// Human-readable dump of the ring, oldest first; empty-ring dumps say
   /// so explicitly (an empty recorder after a failure is itself a clue).
   std::string dump() const;
 
-  /// The process-wide recorder every built-in instrumentation site
-  /// writes to. Benches and lnicctl dump this on demand or on failure.
-  static FlightRecorder& global();
-
   static constexpr std::size_t kDefaultCapacity = 256;
 
  private:
-  mutable std::mutex mu_;
-  std::deque<Event> ring_;
-  std::size_t capacity_;
-  std::uint64_t recorded_ = 0;
+  BoundedRing<Event> ring_;
 };
 
 }  // namespace lnic::flightrec

@@ -13,11 +13,12 @@
 // Recording is pure bookkeeping outside simulated time: attaching or
 // detaching a recorder never changes event order, RNG draws, or any
 // simulated timestamp, so benches replay bit-identically with tracing
-// on or off. Components hold a `TraceRecorder*` that defaults to
-// nullptr (tracing off); sampling is decided where the trace id is
-// allocated (the gateway).
+// on or off. A recorder attaches to a whole simulation at once
+// (sim::Simulator::set_tracer), every component reaches it through the
+// simulator it holds, and new_trace() samples which requests get a trace.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <iosfwd>
 #include <string>
@@ -73,12 +74,24 @@ std::string span_component(const Span& span);
 class TraceRecorder {
  public:
   /// Caps memory for long runs: once `max_spans` spans are held, new
-  /// start_span calls are dropped (and counted).
-  explicit TraceRecorder(std::size_t max_spans = 1 << 20)
-      : max_spans_(max_spans) {}
+  /// start_span calls are dropped (and counted). `sample_rate` in [0, 1]
+  /// is the fraction of new_trace() calls that get a trace.
+  explicit TraceRecorder(std::size_t max_spans = 1 << 20,
+                         double sample_rate = 1.0)
+      : max_spans_(max_spans),
+        sample_rate_(std::clamp(sample_rate, 0.0, 1.0)) {}
 
-  /// Allocates a fresh trace id (deterministic counter).
-  TraceId new_trace() { return next_trace_++; }
+  /// The next trace id (a counter) for a sampled request, kInvalidTrace
+  /// for one the rate skips. A Bresenham-style accumulator, not an RNG
+  /// draw, picks every 1/rate-th call.
+  TraceId new_trace() {
+    sample_accum_ += sample_rate_;
+    if (sample_accum_ >= 1.0) {
+      sample_accum_ -= 1.0;
+      return next_trace_++;
+    }
+    return kInvalidTrace;
+  }
 
   /// Opens a span; returns its id (kInvalidSpan if dropped by the cap).
   SpanId start_span(TraceId trace, SpanId parent, std::string name,
@@ -119,6 +132,8 @@ class TraceRecorder {
   Span* find(SpanId span);
 
   std::size_t max_spans_;
+  double sample_rate_;
+  double sample_accum_ = 0.0;
   TraceId next_trace_ = 1;
   SpanId next_span_ = 1;
   // Ids are handed out consecutively and spans_ only grows until

@@ -6,8 +6,6 @@
 #include <optional>
 #include <sstream>
 
-#include "common/flightrec.h"
-
 namespace lnic::framework {
 
 namespace {
@@ -175,25 +173,6 @@ const Route* Gateway::route(const std::string& name) const {
   return fn != nullptr && fn->route ? &*fn->route : nullptr;
 }
 
-void Gateway::set_tracer(trace::TraceRecorder* tracer, double sample_rate) {
-  tracer_ = tracer;
-  sample_rate_ = std::clamp(sample_rate, 0.0, 1.0);
-  sample_accum_ = 0.0;
-  rpc_.set_tracer(tracer);
-}
-
-bool Gateway::sample_trace() {
-  if (tracer_ == nullptr || sample_rate_ <= 0.0) return false;
-  // Bresenham-style accumulator: every 1/rate-th request is traced, with
-  // no RNG draw so traced and untraced runs replay identically.
-  sample_accum_ += sample_rate_;
-  if (sample_accum_ >= 1.0) {
-    sample_accum_ -= 1.0;
-    return true;
-  }
-  return false;
-}
-
 void Gateway::invoke(const std::string& name, net::BufferView payload,
                      InvokeCallback callback) {
   const auto it = functions_.find(name);
@@ -218,14 +197,17 @@ void Gateway::invoke(const std::string& name, net::BufferView payload,
   }
   fn.requests->increment();
 
+  // The simulation's recorder allocates the trace id, or none for a
+  // request its sampling rate skips.
   trace::SpanContext ctx;
-  if (sample_trace()) {
-    ctx.trace = tracer_->new_trace();
-    const trace::SpanId root = tracer_->start_span(
+  trace::TraceRecorder* tracer = sim_.tracer();
+  if (tracer != nullptr) ctx.trace = tracer->new_trace();
+  if (ctx.valid()) {
+    const trace::SpanId root = tracer->start_span(
         ctx.trace, trace::kInvalidSpan, "request", sim_.now());
-    tracer_->annotate(root, "fn", name);
+    tracer->annotate(root, "fn", name);
     if (fn.route->tenant != kDefaultTenant) {
-      tracer_->annotate(root, "tenant", tenant_label(fn.route->tenant));
+      tracer->annotate(root, "tenant", tenant_label(fn.route->tenant));
     }
     // The root span closes when the request finishes, whatever path
     // (success, shed, failover exhaustion) got it there (finish()).
@@ -244,19 +226,26 @@ void Gateway::finish(FunctionState& fn, bool limited,
                      const trace::SpanContext& ctx, InvokeCallback& callback,
                      Result<proto::RpcResponse> result) {
   if (limited) on_complete(fn);
-  if (ctx.valid() && tracer_ != nullptr) {
+  trace::TraceRecorder* tracer = sim_.tracer();
+  if (ctx.valid() && tracer != nullptr) {
     const trace::SpanId root = ctx.parent;
-    tracer_->annotate(root, "status", result.ok() ? "ok" : "error");
-    if (!result.ok()) tracer_->annotate(root, "error", result.error().message);
-    tracer_->end_span(root, sim_.now());
+    tracer->annotate(root, "status", result.ok() ? "ok" : "error");
+    if (!result.ok()) tracer->annotate(root, "error", result.error().message);
+    tracer->end_span(root, sim_.now());
   }
   if (callback) callback(std::move(result));
 }
 
 void Gateway::shed(FunctionState& fn, InvokeCallback& callback,
-                   const trace::SpanContext& ctx, const char* reason) {
+                   const trace::SpanContext& ctx, const char* reason,
+                   trace::SpanId queue_span) {
+  trace::TraceRecorder* tracer = sim_.tracer();
+  if (queue_span != trace::kInvalidSpan && tracer != nullptr) {
+    tracer->annotate(queue_span, "shed", reason);
+    tracer->end_span(queue_span, sim_.now());
+  }
   metrics_.counter("gateway_shed_total", {{"fn", fn.name}}).increment();
-  flightrec::FlightRecorder::global().record(
+  sim_.flight_recorder().record(
       sim_.now(), flightrec::Kind::kGatewayShed,
       "'" + fn.name + "' " + reason);
   finish(fn, /*limited=*/false, ctx, callback,
@@ -280,9 +269,9 @@ void Gateway::submit(FunctionState& fn, net::BufferView&& payload,
   queued.callback = std::move(callback);
   queued.enqueued_at = sim_.now();
   queued.ctx = ctx;
-  if (tracer_ != nullptr && ctx.valid()) {
-    queued.queue_span = tracer_->start_span(ctx.trace, ctx.parent,
-                                            "gateway.queue", sim_.now());
+  if (sim_.tracer() != nullptr && ctx.valid()) {
+    queued.queue_span = sim_.tracer()->start_span(
+        ctx.trace, ctx.parent, "gateway.queue", sim_.now());
   }
   const std::uint64_t qid = queued.id;
   fn.queue.push_back(std::move(queued));
@@ -313,12 +302,9 @@ void Gateway::expire_queued(FunctionState& fn, std::uint64_t queued_id) {
   if (pos == queue.end()) return;  // already dispatched or shed
   InvokeCallback callback = std::move(pos->callback);
   const trace::SpanContext ctx = pos->ctx;
-  if (pos->queue_span != trace::kInvalidSpan) {
-    tracer_->annotate(pos->queue_span, "shed", "deadline exceeded");
-    tracer_->end_span(pos->queue_span, sim_.now());
-  }
+  const trace::SpanId queue_span = pos->queue_span;
   queue.erase(pos);
-  shed(fn, callback, ctx, "deadline exceeded");
+  shed(fn, callback, ctx, "deadline exceeded", queue_span);
 }
 
 void Gateway::on_complete(FunctionState& fn) {
@@ -328,15 +314,11 @@ void Gateway::on_complete(FunctionState& fn) {
     Queued next = std::move(fn.queue.front());
     fn.queue.pop_front();
     if (sim_.now() - next.enqueued_at > config_.queue_deadline) {
-      if (next.queue_span != trace::kInvalidSpan) {
-        tracer_->annotate(next.queue_span, "shed", "deadline exceeded");
-        tracer_->end_span(next.queue_span, sim_.now());
-      }
-      shed(fn, next.callback, next.ctx, "deadline exceeded");
+      shed(fn, next.callback, next.ctx, "deadline exceeded", next.queue_span);
       continue;
     }
-    if (next.queue_span != trace::kInvalidSpan) {
-      tracer_->end_span(next.queue_span, sim_.now());
+    if (sim_.tracer() != nullptr) {
+      sim_.tracer()->end_span(next.queue_span, sim_.now());
     }
     start_limited(fn, std::move(next.payload), std::move(next.callback),
                   next.ctx);
@@ -364,7 +346,7 @@ void Gateway::quarantine_worker(NodeId worker) {
   quarantined_until_[worker] = sim_.now() + kQuarantineCooldown;
   if (fresh) {
     metrics_.counter("gateway_quarantine_total").increment();
-    flightrec::FlightRecorder::global().record(
+    sim_.flight_recorder().record(
         sim_.now(), flightrec::Kind::kGatewayQuarantine, worker, 0,
         "worker " + std::to_string(worker) + " quarantined");
   }
@@ -433,9 +415,9 @@ void Gateway::dispatch(FunctionState& fn, net::BufferView&& payload,
                  .limited = limited};
   call->payload = std::move(payload);
   call->callback = std::move(callback);
-  if (tracer_ != nullptr && ctx.valid()) {
-    call->proxy_span = tracer_->start_span(ctx.trace, ctx.parent,
-                                           "gateway.proxy", sim_.now());
+  if (sim_.tracer() != nullptr && ctx.valid()) {
+    call->proxy_span = sim_.tracer()->start_span(
+        ctx.trace, ctx.parent, "gateway.proxy", sim_.now());
   }
   // Proxy/NAT lookup happens before the request leaves the gateway; the
   // route is re-resolved *after* the lookup so an etcd update landing
@@ -451,8 +433,8 @@ void Gateway::park(Call* call) {
 
 void Gateway::send_to_worker(Call* call) {
   FunctionState& fn = *call->fn;
-  if (call->proxy_span != trace::kInvalidSpan) {
-    tracer_->end_span(call->proxy_span, sim_.now());
+  if (sim_.tracer() != nullptr) {
+    sim_.tracer()->end_span(call->proxy_span, sim_.now());
   }
   if (fn.route->workers.empty()) {
     // Every worker left the route while the request was in the proxy

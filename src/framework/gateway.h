@@ -176,15 +176,6 @@ class Gateway {
   }
   proto::RpcClient& rpc() { return rpc_; }
 
-  /// Attaches (nullptr detaches) a span recorder; trace ids are
-  /// allocated here and ride the lambda header end to end. `sample_rate`
-  /// in [0, 1] selects which fraction of requests get a trace
-  /// (deterministic counter-based sampling, no RNG). Recording is
-  /// bookkeeping outside simulated time: timing is identical with
-  /// tracing on or off.
-  void set_tracer(trace::TraceRecorder* tracer, double sample_rate = 1.0);
-  trace::TraceRecorder* tracer() { return tracer_; }
-
  private:
   struct Bucket {
     RateLimit limit;
@@ -264,8 +255,6 @@ class Gateway {
   Labels rpc_labels(const FunctionState& fn, std::uint8_t kind) const;
   void apply_route_key(const std::string& key, const std::string& value);
   bool admit(FunctionState& fn);  // token-bucket check
-  /// Deterministic sampling decision for one request (no RNG draw).
-  bool sample_trace();
   void dispatch(FunctionState& fn, net::BufferView&& payload,
                 InvokeCallback&& callback, std::uint32_t attempts_left,
                 trace::SpanContext ctx, bool limited);
@@ -290,8 +279,11 @@ class Gateway {
   void start_limited(FunctionState& fn, net::BufferView&& payload,
                      InvokeCallback&& callback, trace::SpanContext ctx);
   void on_complete(FunctionState& fn);
+  /// Fails a request as overloaded; ends its gateway.queue span, if it
+  /// waited in the queue, annotated with `reason`.
   void shed(FunctionState& fn, InvokeCallback& callback,
-            const trace::SpanContext& ctx, const char* reason);
+            const trace::SpanContext& ctx, const char* reason,
+            trace::SpanId queue_span = trace::kInvalidSpan);
   /// Asserts-on builds: each bound metric handle of `fn` still names the
   /// series its current labels address. Run wherever labels can change.
   void check_bound_handles(const FunctionState& fn);
@@ -300,9 +292,6 @@ class Gateway {
   sim::Simulator& sim_;
   GatewayConfig config_;
   proto::RpcClient rpc_;
-  trace::TraceRecorder* tracer_ = nullptr;
-  double sample_rate_ = 1.0;
-  double sample_accum_ = 0.0;
   std::map<std::string, FunctionState> functions_;
   std::map<NodeId, SimTime> quarantined_until_;
   std::map<std::string, TenantId> tenant_ids_;

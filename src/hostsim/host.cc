@@ -103,10 +103,7 @@ void HostServer::handle_request(const Packet& packet, net::BufferView body) {
   auto job = std::make_unique<Job>();
   job->lambda = packet.lambda;
   job->reply_to = packet.src;
-  if (tracer_ != nullptr && packet.lambda.trace_id != trace::kInvalidTrace) {
-    job->ctx.trace = packet.lambda.trace_id;
-    job->ctx.parent = packet.lambda.parent_span;
-  }
+  job->ctx = {packet.lambda.trace_id, packet.lambda.parent_span};
   const std::uint32_t frags =
       std::max<std::uint32_t>(packet.lambda.frag_count, 1);
   job->rx_cost = config_.rx_per_packet * frags;
@@ -123,12 +120,13 @@ void HostServer::admit(std::unique_ptr<Job> job) {
     return;
   }
   job->enqueued = sim_.now();
-  if (tracer_ != nullptr && job->ctx.valid()) {
-    job->queue_span = tracer_->start_span(job->ctx.trace, job->ctx.parent,
-                                          "host.queue", sim_.now());
+  trace::TraceRecorder* tracer = sim_.tracer();
+  if (tracer != nullptr && job->ctx.valid()) {
+    job->queue_span = tracer->start_span(job->ctx.trace, job->ctx.parent,
+                                         "host.queue", sim_.now());
     if (job->lambda.tenant_id != kDefaultTenant) {
-      tracer_->annotate(job->queue_span, "tenant",
-                        std::to_string(job->lambda.tenant_id));
+      tracer->annotate(job->queue_span, "tenant",
+                       std::to_string(job->lambda.tenant_id));
     }
   }
   admission_.push_back(std::move(job));
@@ -142,10 +140,10 @@ void HostServer::try_admit() {
     ++active_jobs_;
     stats_.peak_active_jobs = std::max(stats_.peak_active_jobs, active_jobs_);
     stats_.queue_wait_ns.add(static_cast<double>(sim_.now() - job->enqueued));
-    if (job->queue_span != trace::kInvalidSpan) {
-      tracer_->end_span(job->queue_span, sim_.now());
-      job->queue_span = trace::kInvalidSpan;
+    if (sim_.tracer() != nullptr) {
+      sim_.tracer()->end_span(job->queue_span, sim_.now());
     }
+    job->queue_span = trace::kInvalidSpan;
     const SimDuration rx = jittered(job->rx_cost);
     enter_stage(kernel_, std::move(job), rx, Next::kRuntime);
   }
@@ -159,11 +157,11 @@ const char* HostServer::stage_span_name(const Stage& stage) const {
 
 void HostServer::enter_stage(Stage& stage, std::unique_ptr<Job> job,
                              SimDuration service, Next next) {
-  if (tracer_ != nullptr && job->ctx.valid() &&
+  if (sim_.tracer() != nullptr && job->ctx.valid() &&
       job->stage_span == trace::kInvalidSpan) {
     // Covers both the stage's queue wait and its service time.
-    job->stage_span = tracer_->start_span(job->ctx.trace, job->ctx.parent,
-                                          stage_span_name(stage), sim_.now());
+    job->stage_span = sim_.tracer()->start_span(
+        job->ctx.trace, job->ctx.parent, stage_span_name(stage), sim_.now());
   }
   if (stage.busy < stage.capacity) {
     ++stage.busy;
@@ -185,10 +183,10 @@ void HostServer::enter_stage(Stage& stage, std::unique_ptr<Job> job,
 
 void HostServer::stage_done(Stage& stage, std::unique_ptr<Job> job,
                             Next next) {
-  if (job->stage_span != trace::kInvalidSpan) {
-    tracer_->end_span(job->stage_span, sim_.now());
-    job->stage_span = trace::kInvalidSpan;
+  if (sim_.tracer() != nullptr) {
+    sim_.tracer()->end_span(job->stage_span, sim_.now());
   }
+  job->stage_span = trace::kInvalidSpan;
   // Free the unit (or hand it straight to the next queued item).
   if (!stage.queue.empty()) {
     auto [queued, service] = std::move(stage.queue.front());
@@ -219,15 +217,16 @@ void HostServer::stage_done(Stage& stage, std::unique_ptr<Job> job,
 }
 
 void HostServer::run_gil(std::unique_ptr<Job> job) {
-  if (tracer_ != nullptr && job->ctx.valid() &&
+  trace::TraceRecorder* tracer = sim_.tracer();
+  if (tracer != nullptr && job->ctx.valid() &&
       job->exec_span == trace::kInvalidSpan) {
     // Covers GIL queue wait + context switch + interpreted execution;
     // a KV resume opens a fresh host.execute span.
-    job->exec_span = tracer_->start_span(job->ctx.trace, job->ctx.parent,
-                                         "host.execute", sim_.now());
+    job->exec_span = tracer->start_span(job->ctx.trace, job->ctx.parent,
+                                        "host.execute", sim_.now());
     if (job->lambda.tenant_id != kDefaultTenant) {
-      tracer_->annotate(job->exec_span, "tenant",
-                        std::to_string(job->lambda.tenant_id));
+      tracer->annotate(job->exec_span, "tenant",
+                       std::to_string(job->lambda.tenant_id));
     }
   }
   // The GIL stage computes its own service time at grant (context switch
@@ -261,10 +260,10 @@ void HostServer::run_gil(std::unique_ptr<Job> job) {
     stats_.busy_time += service;
     job->outcome = std::move(outcome);
     sim_.schedule(service, [this, owned = std::move(job)]() mutable {
-      if (owned->exec_span != trace::kInvalidSpan) {
-        tracer_->end_span(owned->exec_span, sim_.now());
-        owned->exec_span = trace::kInvalidSpan;
+      if (sim_.tracer() != nullptr) {
+        sim_.tracer()->end_span(owned->exec_span, sim_.now());
       }
+      owned->exec_span = trace::kInvalidSpan;
       // Release the GIL (or pass it to the next queued lambda).
       if (!gil_.queue.empty()) {
         auto [queued, unused] = std::move(gil_.queue.front());
@@ -280,8 +279,8 @@ void HostServer::run_gil(std::unique_ptr<Job> job) {
 
       if (owned->outcome.state == RunState::kYield) {
         // Blocked on the KV store: keep the service thread, release CPU.
-        if (tracer_ != nullptr && owned->ctx.valid()) {
-          owned->kv_span = tracer_->start_span(
+        if (sim_.tracer() != nullptr && owned->ctx.valid()) {
+          owned->kv_span = sim_.tracer()->start_span(
               owned->ctx.trace, owned->ctx.parent, "host.kv_wait", sim_.now());
         }
         const microc::ExtRequest ext = owned->outcome.ext;
@@ -304,11 +303,12 @@ void HostServer::run_gil(std::unique_ptr<Job> job) {
 
 void HostServer::on_kv_reply(std::unique_ptr<Job> job,
                              std::optional<std::uint64_t> reply) {
-  if (job->kv_span != trace::kInvalidSpan) {
-    if (!reply) tracer_->annotate(job->kv_span, "timeout", "true");
-    tracer_->end_span(job->kv_span, sim_.now());
-    job->kv_span = trace::kInvalidSpan;
+  trace::TraceRecorder* tracer = sim_.tracer();
+  if (job->kv_span != trace::kInvalidSpan && tracer != nullptr) {
+    if (!reply) tracer->annotate(job->kv_span, "timeout", "true");
+    tracer->end_span(job->kv_span, sim_.now());
   }
+  job->kv_span = trace::kInvalidSpan;
   if (!reply) {
     // The call failed after every resend: end the request as a trap,
     // which frees its service thread; the gateway's retry runs it again.

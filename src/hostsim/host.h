@@ -25,6 +25,11 @@
 // blames for host tail latency, and absent from the run-to-completion
 // NIC. A KV call that times out after its resends (proto::KvCalls) ends
 // the request as a trap, which frees its service thread.
+//
+// While the simulation has a span recorder attached, requests whose
+// lambda header carries a trace id get host.queue / host.kernel /
+// host.runtime / host.execute / host.kv_wait spans. Recording never
+// affects simulated timing.
 #pragma once
 
 #include <cstdint>
@@ -97,12 +102,6 @@ class HostServer {
   std::uint32_t busy_cores() const { return busy_units_; }
   const HostConfig& config() const { return config_; }
 
-  /// Attaches (nullptr detaches) the span recorder. Requests whose
-  /// lambda header carries a trace id get host.queue / host.kernel /
-  /// host.runtime / host.execute / host.kv_wait spans. Recording never
-  /// affects simulated timing.
-  void set_tracer(trace::TraceRecorder* tracer) { tracer_ = tracer; }
-
  private:
   struct Job;
   /// A queued single-stage resource (capacity units, FIFO).
@@ -152,8 +151,6 @@ class HostServer {
 
   // Jobs waiting for a KV reply, by ext-call token.
   proto::KvCalls<std::unique_ptr<Job>> kv_;
-
-  trace::TraceRecorder* tracer_ = nullptr;
 
   HostStats stats_;
 };

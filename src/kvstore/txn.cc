@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "common/flightrec.h"
 #include "common/rng.h"
 #include "net/packet.h"
 
@@ -443,7 +442,7 @@ void TxnStore::on_abort(TxnId id) {
   ++stats_.aborts;
   if (st.attempt > config_.max_retries) {
     ++stats_.retries_exhausted;
-    flightrec::FlightRecorder::global().record(
+    sim_.flight_recorder().record(
         sim_.now(), flightrec::Kind::kTxnRetryExhausted, st.id, st.attempt,
         "txn " + std::to_string(st.id) + " (" +
             to_string(config_.protocol) + ") aborted " +

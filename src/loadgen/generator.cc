@@ -78,6 +78,7 @@ void LoadGenerator::start() {
   // A restart keeps the old window's rates until an event past the new
   // start replaces them.
   if (metrics_ != nullptr) metrics_->collect();
+  stop();  // drops a pending arrival: next_ holds one request only
   offering_ = true;
   started_at_ = sim_.now();
   replay_next_ = 0;
@@ -101,7 +102,6 @@ void LoadGenerator::arm_next() {
 
   SimTime next = 0;
   std::size_t slot = 0;
-  Request request;
   if (arrivals_) {
     const SimDuration gap = arrivals_->next_gap();
     if (gap >= kSimTimeMax - sim_.now()) {  // no arrival before time ends
@@ -111,8 +111,8 @@ void LoadGenerator::arm_next() {
     next = sim_.now() + gap;
     slot = zipf_->sample();
     const FunctionProfile& profile = profiles_[slot];
-    request.function = profile.name;
-    request.payload_bytes = profile.payload.sample(payload_rng_);
+    next_.function = profile.name;
+    next_.payload_bytes = profile.payload.sample(payload_rng_);
   } else {
     if (replay_next_ >= replay_.size()) {
       offering_ = false;
@@ -122,27 +122,26 @@ void LoadGenerator::arm_next() {
     const TraceEvent& event = replay_[replay_next_++];
     next = started_at_ + event.at;
     if (next < sim_.now()) next = sim_.now();
-    request.function = event.function;
-    request.payload_bytes = event.payload_bytes;
+    next_.function = event.function;
+    next_.payload_bytes = event.payload_bytes;
   }
   if (config_.duration > 0 && next > started_at_ + config_.duration) {
     offering_ = false;
     return;
   }
-  request.intended = next;
-  pending_ = sim_.schedule_at(next, [this, request = std::move(request),
-                                     slot]() mutable {
+  next_.intended = next;
+  pending_ = sim_.schedule_at(next, [this, slot] {
     pending_ = sim::kInvalidEvent;
-    on_arrival(std::move(request), slot);
+    on_arrival(slot);
   });
 }
 
-void LoadGenerator::on_arrival(Request request, std::size_t slot) {
-  request.id = offered_++;
+void LoadGenerator::on_arrival(std::size_t slot) {
+  next_.id = offered_++;
   Function*& fn = handles_[slot];
   if (fn == nullptr) {
-    fn = &functions_[request.function];
-    fn->slo = &slo_.stats(request.function);
+    fn = &functions_[next_.function];
+    fn->slo = &slo_.stats(next_.function);
   }
   SloTracker::FnStats& stats = *fn->slo;
   slo_.on_offered(stats);
@@ -152,8 +151,8 @@ void LoadGenerator::on_arrival(Request request, std::size_t slot) {
   // hand-rolled PeriodicTimer drivers this replaces (callback first,
   // then re-arm) — ports stay bit-identical.
   ++inflight_;
-  const SimTime intended = request.intended;
-  sink_(request, [this, &stats, intended](bool ok) {
+  const SimTime intended = next_.intended;
+  sink_(next_, [this, &stats, intended](bool ok) {
     --inflight_;
     if (ok) {
       ++completed_;

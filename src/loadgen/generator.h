@@ -106,6 +106,8 @@ class LoadGenerator {
   /// registry must outlive the attachment.
   void set_metrics(framework::MetricsRegistry* registry);
 
+  /// Starts (or restarts) offering; a restart replaces the pending
+  /// arrival, so one arrival at most is ever pending.
   void start();
   /// Stops offering new arrivals; already-offered requests still
   /// dispatch and complete.
@@ -135,8 +137,9 @@ class LoadGenerator {
   };
 
   void arm_next();
-  /// `slot` indexes handles_: the profile, or the trace name in replay.
-  void on_arrival(Request request, std::size_t slot);
+  /// Offers next_. `slot` indexes handles_: the profile, or the trace
+  /// name in replay.
+  void on_arrival(std::size_t slot);
   /// The collect hook: writes the gauges' current values into metrics_.
   void collect();
 
@@ -159,6 +162,9 @@ class LoadGenerator {
   std::uint64_t failed_ = 0;
   std::uint32_t inflight_ = 0;
   sim::EventId pending_ = sim::kInvalidEvent;
+  /// The one pending arrival's request: rewriting it reuses the name's
+  /// storage instead of allocating a copy per offered request.
+  Request next_;
   std::map<std::string, Function> functions_;  // name order: gauge order
   /// Bound on each slot's first offer; slots sharing a name share a node.
   std::vector<Function*> handles_;

@@ -20,7 +20,6 @@ namespace lnic::microc {
 
 namespace {
 constexpr std::size_t kMaxCallDepth = 16;     // NPUs do not support recursion
-constexpr std::size_t kMaxResponse = 32ull << 20;
 
 // Longer kHash ranges skip the memo, so it holds at most 16 x 64 KiB.
 constexpr std::uint64_t kHashMemoMaxBytes = 64 << 10;

@@ -90,6 +90,9 @@ struct ExtRequest {
 
 enum class RunState { kDone, kYield, kTrap };
 
+/// Largest response a lambda may emit; a resp_* past it traps.
+constexpr std::size_t kMaxResponse = 32ull << 20;
+
 struct Outcome {
   RunState state = RunState::kTrap;
   std::uint64_t return_value = 0;         // valid when kDone

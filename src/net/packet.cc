@@ -95,7 +95,8 @@ std::optional<Reassembler::Message> Reassembler::add(const Packet& packet,
   *added = Added::kDropped;
   const std::uint32_t count = packet.lambda.frag_count;
   const std::uint32_t index = packet.lambda.frag_index;
-  if (index >= count) return std::nullopt;  // also rejects frag_count 0
+  // Also rejects frag_count 0.
+  if (index >= count || count > kMaxFragments) return std::nullopt;
   const NodeId src = packet.src;
   const RequestId request_id = packet.lambda.request_id;
   // Only a partial message under the same key can make a fragment

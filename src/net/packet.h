@@ -13,6 +13,7 @@
 #pragma once
 
 #include <algorithm>
+#include <cassert>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -34,6 +35,9 @@ constexpr Bytes kFrameOverhead = 14 + 20 + 8;
 constexpr Bytes kLambdaHeaderSize = 24;
 /// Largest payload per packet (jumbo frames disabled, as on the testbed).
 constexpr Bytes kMaxPayload = 1400;
+/// Most fragments in one message: the largest any sender makes is a
+/// lambda response at the interpreter's 32 MiB cap (microc::kMaxResponse).
+constexpr std::uint32_t kMaxFragments = 23968;
 
 enum class PacketKind : std::uint8_t {
   kRequest,      // single-packet lambda RPC request
@@ -115,6 +119,7 @@ void fragment(NodeId src, NodeId dst, PacketKind kind,
   const std::size_t total = payload.size();
   const std::size_t count =
       total == 0 ? 1 : (total + kMaxPayload - 1) / kMaxPayload;
+  assert(count <= kMaxFragments);
   for (std::size_t i = 0; i < count; ++i) {
     Packet p;
     p.src = src;
@@ -137,8 +142,9 @@ void fragment(NodeId src, NodeId dst, PacketKind kind,
 ///
 /// Receipt is tracked per fragment index, so a duplicate, even an empty
 /// one, never counts twice. A fragment is dropped when its frag_count is
-/// 0, its frag_index is not below frag_count, or its frag_count differs
-/// from the first fragment of its message. A one-fragment message is
+/// 0 or above kMaxFragments, its frag_index is not below frag_count, or
+/// its frag_count differs from the first fragment of its message, before
+/// anything is sized by its count. A one-fragment message is
 /// never stored: it completes at once. Partial messages stay until they
 /// complete or are discarded.
 ///

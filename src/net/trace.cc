@@ -2,23 +2,7 @@
 
 namespace lnic::net {
 
-void PacketTracer::set_capacity(std::size_t max_records) {
-  capacity_ = max_records;
-  while (records_.size() > capacity_) {
-    records_.pop_front();
-    ++evicted_;
-  }
-}
-
 void PacketTracer::record(const Packet& packet, SimTime now, bool dropped) {
-  if (capacity_ == 0) {
-    ++evicted_;
-    return;
-  }
-  while (records_.size() >= capacity_) {
-    records_.pop_front();
-    ++evicted_;
-  }
   Record r;
   r.time = now;
   r.src = packet.src;
@@ -30,7 +14,7 @@ void PacketTracer::record(const Packet& packet, SimTime now, bool dropped) {
   r.frag_count = packet.lambda.frag_count;
   r.wire_bytes = packet.wire_size();
   r.dropped = dropped;
-  records_.push_back(r);
+  records_.push(r);
 }
 
 }  // namespace lnic::net

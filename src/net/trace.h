@@ -3,14 +3,13 @@
 // perfbench replays the records into its network ledger, and `lnicctl
 // metrics` exports the eviction count through the Monitor.
 //
-// Memory is bounded by a ring buffer: once `capacity` records are held,
-// each new record evicts the oldest one (O(1), no reallocation storms
-// over long simulations) and evicted() counts them.
+// Memory is bounded by a BoundedRing: once `capacity` records are held,
+// each new record evicts the oldest one and evicted() counts them.
 #pragma once
 
 #include <cstdint>
-#include <deque>
 
+#include "common/ring.h"
 #include "common/types.h"
 #include "net/packet.h"
 
@@ -35,24 +34,18 @@ class PacketTracer {
   void record(const Packet& packet, SimTime now, bool dropped);
 
   /// Retained records, oldest first (at most capacity of them).
-  const std::deque<Record>& records() const { return records_; }
+  const BoundedRing<Record>& records() const { return records_; }
   std::size_t size() const { return records_.size(); }
   /// Records evicted from the ring so far (0 until the ring wraps).
-  std::uint64_t evicted() const { return evicted_; }
-  void clear() {
-    records_.clear();
-    evicted_ = 0;
-  }
+  std::uint64_t evicted() const { return records_.evicted(); }
+  void clear() { records_.clear(); }
 
   /// Caps memory for long runs; older records are evicted FIFO. Shrinks
   /// the ring immediately if it already holds more than `max_records`.
-  void set_capacity(std::size_t max_records);
-  std::size_t capacity() const { return capacity_; }
+  void set_capacity(std::size_t n) { records_.set_capacity(n); }
 
  private:
-  std::deque<Record> records_;
-  std::size_t capacity_ = 1 << 20;
-  std::uint64_t evicted_ = 0;
+  BoundedRing<Record> records_{std::size_t{1} << 20};
 };
 
 }  // namespace lnic::net

@@ -3,7 +3,6 @@
 #include <cassert>
 #include <utility>
 
-#include "common/flightrec.h"
 #include "common/logging.h"
 #include "proto/invocation.h"
 
@@ -13,6 +12,9 @@ using microc::Outcome;
 using microc::RunState;
 using net::Packet;
 using net::PacketKind;
+
+// Receivers drop a message of more than kMaxFragments fragments.
+static_assert(microc::kMaxResponse <= net::kMaxFragments * net::kMaxPayload);
 
 namespace {
 /// Service-time variability: shared-memory (CTM/EMEM) arbitration
@@ -111,7 +113,7 @@ void SmartNic::undeploy_tenant(TenantId tenant) {
   const auto queue = wfq_queues_.find(tenant);
   if (queue != wfq_queues_.end()) {
     if (!queue->second.empty()) {
-      flightrec::FlightRecorder::global().record(
+      sim_.flight_recorder().record(
           sim_.now(), flightrec::Kind::kUndeployDrop, tenant,
           queue->second.size(),
           "tenant " + std::to_string(tenant) + " undeployed with " +
@@ -204,7 +206,7 @@ Status SmartNic::deploy(
     const TenantQuota& quota = q->second;
     if (quota.instr_store_words > 0 &&
         u.instr_words > quota.instr_store_words) {
-      flightrec::FlightRecorder::global().record(
+      sim_.flight_recorder().record(
           sim_.now(), flightrec::Kind::kQuotaReject, tenant, u.instr_words,
           "tenant " + std::to_string(tenant) +
               " over instruction-store quota");
@@ -215,7 +217,7 @@ Status SmartNic::deploy(
                              quota.emem_bytes};
     for (int region = 1; region < 4; ++region) {
       if (limits[region] > 0 && u.region_bytes[region] > limits[region]) {
-        flightrec::FlightRecorder::global().record(
+        sim_.flight_recorder().record(
             sim_.now(), flightrec::Kind::kQuotaReject, tenant,
             u.region_bytes[region],
             "tenant " + std::to_string(tenant) + " over " +
@@ -311,10 +313,7 @@ void SmartNic::handle_request(const Packet& packet, net::BufferView body) {
   flight->lambda = packet.lambda;
   flight->reply_to = packet.src;
   flight->arrived = sim_.now();
-  if (tracer_ != nullptr && packet.lambda.trace_id != trace::kInvalidTrace) {
-    flight->ctx.trace = packet.lambda.trace_id;
-    flight->ctx.parent = packet.lambda.parent_span;
-  }
+  flight->ctx = {packet.lambda.trace_id, packet.lambda.parent_span};
   // Multi-packet bodies were already staged into EMEM fragment by
   // fragment (handle_rdma_fragment); the flight now owns those bytes and
   // releases them at completion.
@@ -352,15 +351,15 @@ void SmartNic::enter_parse_stage(Flight* flight) {
     return;
   }
   ++busy_parse_threads_;
-  if (tracer_ != nullptr && flight->ctx.valid()) {
-    flight->parse_span = tracer_->start_span(
+  if (sim_.tracer() != nullptr && flight->ctx.valid()) {
+    flight->parse_span = sim_.tracer()->start_span(
         flight->ctx.trace, flight->ctx.parent, "nic.parse", sim_.now());
   }
   const SimDuration service =
       microc::CostModel::npu().cycles_to_duration(parse_match_cycles_);
   sim_.schedule(service, [this, flight] {
-    if (flight->parse_span != trace::kInvalidSpan) {
-      tracer_->end_span(flight->parse_span, sim_.now());
+    if (sim_.tracer() != nullptr) {
+      sim_.tracer()->end_span(flight->parse_span, sim_.now());
     }
     enqueue(flight);
     release_parse_thread();
@@ -388,19 +387,20 @@ void SmartNic::handle_rdma_fragment(const Packet& packet) {
   inflight_bytes_ += packet.payload.size();
   stats_.peak_inflight_bytes =
       std::max(stats_.peak_inflight_bytes, inflight_bytes_);
-  if (tracer_ != nullptr && packet.lambda.trace_id != trace::kInvalidTrace) {
+  trace::TraceRecorder* tracer = sim_.tracer();
+  if (tracer != nullptr && packet.lambda.trace_id != trace::kInvalidTrace) {
     const auto key = std::make_pair(packet.src, packet.lambda.request_id);
     if (added == net::Reassembler::Added::kFirst) {
-      const trace::SpanId span = tracer_->start_span(
+      const trace::SpanId span = tracer->start_span(
           packet.lambda.trace_id, packet.lambda.parent_span,
           "nic.reassemble", sim_.now());
-      tracer_->annotate(span, "fragments",
-                        std::to_string(packet.lambda.frag_count));
+      tracer->annotate(span, "fragments",
+                       std::to_string(packet.lambda.frag_count));
       reassemble_spans_[key] = span;
     }
     if (message) {
       auto open = reassemble_spans_.extract(key);
-      if (!open.empty()) tracer_->end_span(open.mapped(), sim_.now());
+      if (!open.empty()) tracer->end_span(open.mapped(), sim_.now());
     }
   }
   if (!message) return;
@@ -413,7 +413,7 @@ void SmartNic::enqueue(Flight* flight) {
   if (queued_ >= config_.max_queue_depth) {
     ++stats_.requests_dropped_queue;
     inflight_bytes_ -= flight->staged_bytes;
-    flightrec::FlightRecorder::global().record(
+    sim_.flight_recorder().record(
         sim_.now(), flightrec::Kind::kQueueDrop,
         sched_class_of(flight->lambda), queued_,
         "dispatch queue full, workload " +
@@ -421,14 +421,15 @@ void SmartNic::enqueue(Flight* flight) {
     park(flight);
     return;
   }
-  if (tracer_ != nullptr && flight->ctx.valid()) {
-    flight->queue_span = tracer_->start_span(
+  trace::TraceRecorder* tracer = sim_.tracer();
+  if (tracer != nullptr && flight->ctx.valid()) {
+    flight->queue_span = tracer->start_span(
         flight->ctx.trace, flight->ctx.parent, "nic.queue", sim_.now());
     const TenantId tenant = flight->lambda.tenant_id != kDefaultTenant
                                 ? flight->lambda.tenant_id
                                 : tenant_of(flight->lambda.workload_id);
     if (tenant != kDefaultTenant) {
-      tracer_->annotate(flight->queue_span, "tenant", std::to_string(tenant));
+      tracer->annotate(flight->queue_span, "tenant", std::to_string(tenant));
     }
   }
   if (config_.dispatch == DispatchPolicy::kWfq) {
@@ -490,10 +491,10 @@ void SmartNic::try_dispatch() {
     flight->dispatched = sim_.now();
     stats_.queue_wait_ns.add(
         static_cast<double>(flight->dispatched - flight->arrived));
-    if (flight->queue_span != trace::kInvalidSpan) {
-      tracer_->end_span(flight->queue_span, sim_.now());
-      flight->queue_span = trace::kInvalidSpan;
+    if (sim_.tracer() != nullptr) {
+      sim_.tracer()->end_span(flight->queue_span, sim_.now());
     }
+    flight->queue_span = trace::kInvalidSpan;
     if (profiler_) {
       // Attribution only: pick the lowest free thread slot. The real
       // scheduler is anonymous (a busy counter), so this adds naming
@@ -516,16 +517,17 @@ void SmartNic::try_dispatch() {
 }
 
 void SmartNic::start_execution(Flight* flight) {
-  if (tracer_ != nullptr && flight->ctx.valid()) {
-    flight->exec_span = tracer_->start_span(
+  trace::TraceRecorder* tracer = sim_.tracer();
+  if (tracer != nullptr && flight->ctx.valid()) {
+    flight->exec_span = tracer->start_span(
         flight->ctx.trace, flight->ctx.parent, "nic.execute", sim_.now());
-    tracer_->annotate(flight->exec_span, "workload",
-                      std::to_string(flight->lambda.workload_id));
+    tracer->annotate(flight->exec_span, "workload",
+                     std::to_string(flight->lambda.workload_id));
     const TenantId tenant = flight->lambda.tenant_id != kDefaultTenant
                                 ? flight->lambda.tenant_id
                                 : tenant_of(flight->lambda.workload_id);
     if (tenant != kDefaultTenant) {
-      tracer_->annotate(flight->exec_span, "tenant", std::to_string(tenant));
+      tracer->annotate(flight->exec_span, "tenant", std::to_string(tenant));
     }
   }
   flight->image = image_;
@@ -556,8 +558,8 @@ void SmartNic::continue_flight(Flight* flight, Outcome outcome) {
     // flight; send the request after the compute burst that produced it.
     const RequestId token = kv_.park(flight, outcome.ext);
     sim_.schedule(service, [this, token, flight] {
-      if (tracer_ != nullptr && flight->ctx.valid()) {
-        flight->kv_span = tracer_->start_span(
+      if (sim_.tracer() != nullptr && flight->ctx.valid()) {
+        flight->kv_span = sim_.tracer()->start_span(
             flight->ctx.trace, flight->exec_span, "nic.kv_wait", sim_.now());
       }
       kv_.send(token);
@@ -573,11 +575,12 @@ void SmartNic::continue_flight(Flight* flight, Outcome outcome) {
 
 void SmartNic::on_kv_reply(Flight* flight,
                            std::optional<std::uint64_t> reply) {
-  if (flight->kv_span != trace::kInvalidSpan) {
-    if (!reply) tracer_->annotate(flight->kv_span, "timeout", "true");
-    tracer_->end_span(flight->kv_span, sim_.now());
-    flight->kv_span = trace::kInvalidSpan;
+  trace::TraceRecorder* tracer = sim_.tracer();
+  if (flight->kv_span != trace::kInvalidSpan && tracer != nullptr) {
+    if (!reply) tracer->annotate(flight->kv_span, "timeout", "true");
+    tracer->end_span(flight->kv_span, sim_.now());
   }
+  flight->kv_span = trace::kInvalidSpan;
   if (!reply) {
     // The call failed after every resend: end the request as a trap,
     // which frees the thread; the gateway's retry runs it again.
@@ -595,10 +598,11 @@ void SmartNic::finish_flight(Flight* flight) {
   flight->image->release(std::move(flight->machine));
   inflight_bytes_ -= flight->staged_bytes;
   stats_.service_cycles.add(static_cast<double>(outcome.cycles));
-  if (flight->exec_span != trace::kInvalidSpan) {
-    tracer_->annotate(flight->exec_span, "cycles",
-                      std::to_string(outcome.cycles));
-    tracer_->end_span(flight->exec_span, sim_.now());
+  trace::TraceRecorder* tracer = sim_.tracer();
+  if (flight->exec_span != trace::kInvalidSpan && tracer != nullptr) {
+    tracer->annotate(flight->exec_span, "cycles",
+                     std::to_string(outcome.cycles));
+    tracer->end_span(flight->exec_span, sim_.now());
   }
   if (profiler_ && flight->thread_slot >= 0) {
     profiler_->on_release(static_cast<std::uint32_t>(flight->thread_slot),

@@ -21,6 +21,11 @@
 // Firmware (re)deployment models the §7 limitation: no hot swapping —
 // the NIC drops requests during the load window. `allow_hot_swap`
 // enables the paper's anticipated hitless-update behaviour for ablation.
+//
+// While the simulation has a span recorder attached, packets whose
+// lambda header carries a trace id get nic.reassemble / nic.parse /
+// nic.queue / nic.execute / nic.kv_wait spans. Recording is pure
+// bookkeeping: timing, dispatch order and RNG draws are unchanged.
 #pragma once
 
 #include <cstdint>
@@ -200,12 +205,6 @@ class SmartNic {
   /// for EMEM — staged RDMA bodies in flight.
   Bytes region_bytes_used(microc::MemRegion region) const;
 
-  /// Attaches (nullptr detaches) the span recorder. Packets whose lambda
-  /// header carries a trace id get nic.reassemble / nic.parse /
-  /// nic.queue / nic.execute / nic.kv_wait spans. Recording is pure
-  /// bookkeeping: timing, dispatch order and RNG draws are unchanged.
-  void set_tracer(trace::TraceRecorder* tracer) { tracer_ = tracer; }
-
   /// Turns on the NPU-grid profiler (per-thread busy timelines, queue
   /// depth samples, per-lambda attribution). Off by default; enabling it
   /// assigns deterministic lowest-free thread slots for attribution but
@@ -283,7 +282,6 @@ class SmartNic {
   // Suspended flights waiting for a KV reply, by ext-call token.
   proto::KvCalls<Flight*> kv_;
 
-  trace::TraceRecorder* tracer_ = nullptr;
   std::unique_ptr<NpuProfiler> profiler_;
   // Thread-slot occupancy for profiler attribution (lowest free slot;
   // only maintained while the profiler is enabled).

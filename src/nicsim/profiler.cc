@@ -21,15 +21,12 @@ void NpuProfiler::on_release(std::uint32_t thread, SimTime now) {
   busy_workload_[thread] = kInvalidWorkload;
   thread_busy_[thread] += now - start;
   lambda_busy_[workload] += now - start;
-  auto& ring = timelines_[thread];
-  ring.push_back(Interval{start, now, workload});
-  while (ring.size() > max_samples_) ring.pop_front();
+  timelines_[thread].push(Interval{start, now, workload});
 }
 
 void NpuProfiler::on_queue_depth(SimTime now, std::uint64_t depth) {
   peak_depth_ = std::max(peak_depth_, depth);
-  depth_samples_.push_back(DepthSample{now, depth});
-  while (depth_samples_.size() > max_samples_) depth_samples_.pop_front();
+  depth_samples_.push(DepthSample{now, depth});
 }
 
 SimDuration NpuProfiler::thread_busy_ns(std::uint32_t thread,

@@ -8,16 +8,16 @@
 // dispatch order, RNG draws, or any timestamp — and it is off by
 // default (SmartNic::enable_profiler()).
 //
-// Memory is bounded: busy timelines and queue-depth samples are rings
-// of the most recent `max_samples` entries; cumulative busy/request
-// totals are exact for the whole run.
+// Memory is bounded: busy timelines and queue-depth samples are
+// BoundedRings of the most recent `max_samples` entries; cumulative
+// busy/request totals are exact for the whole run.
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <vector>
 
+#include "common/ring.h"
 #include "common/types.h"
 
 namespace lnic::nicsim {
@@ -38,11 +38,11 @@ class NpuProfiler {
   NpuProfiler(std::uint32_t threads, std::uint32_t threads_per_core,
               std::size_t max_samples = 4096)
       : threads_per_core_(threads_per_core),
-        max_samples_(max_samples),
         busy_since_(threads, -1),
         busy_workload_(threads, kInvalidWorkload),
         thread_busy_(threads, 0),
-        timelines_(threads) {}
+        timelines_(threads, BoundedRing<Interval>(max_samples)),
+        depth_samples_(max_samples) {}
 
   std::uint32_t threads() const {
     return static_cast<std::uint32_t>(thread_busy_.size());
@@ -75,24 +75,23 @@ class NpuProfiler {
   }
 
   /// Recent busy intervals of one thread, oldest first (bounded ring).
-  const std::deque<Interval>& timeline(std::uint32_t thread) const {
+  const BoundedRing<Interval>& timeline(std::uint32_t thread) const {
     return timelines_[thread];
   }
-  const std::deque<DepthSample>& queue_depth_samples() const {
+  const BoundedRing<DepthSample>& queue_depth_samples() const {
     return depth_samples_;
   }
   std::uint64_t peak_queue_depth() const { return peak_depth_; }
 
  private:
   std::uint32_t threads_per_core_;
-  std::size_t max_samples_;
   std::vector<SimTime> busy_since_;       // -1 = idle
   std::vector<WorkloadId> busy_workload_;
   std::vector<SimDuration> thread_busy_;
-  std::vector<std::deque<Interval>> timelines_;
+  std::vector<BoundedRing<Interval>> timelines_;
   std::map<WorkloadId, SimDuration> lambda_busy_;
   std::map<WorkloadId, std::uint64_t> lambda_dispatches_;
-  std::deque<DepthSample> depth_samples_;
+  BoundedRing<DepthSample> depth_samples_;
   std::uint64_t peak_depth_ = 0;
 };
 

@@ -1,7 +1,5 @@
 #include "proto/rpc.h"
 
-#include "common/flightrec.h"
-
 namespace lnic::proto {
 
 using net::Packet;
@@ -23,11 +21,12 @@ void RpcClient::call(NodeId dst, WorkloadId workload, net::BufferView payload,
   pending->payload = std::move(payload);
   pending->callback = std::move(callback);
   pending->sent_at = sim_.now();
-  if (tracer_ != nullptr && ctx.valid()) {
+  trace::TraceRecorder* tracer = sim_.tracer();
+  if (tracer != nullptr && ctx.valid()) {
     pending->ctx = ctx;
     pending->call_span =
-        tracer_->start_span(ctx.trace, ctx.parent, "rpc.call", sim_.now());
-    tracer_->annotate(pending->call_span, "dst", std::to_string(dst));
+        tracer->start_span(ctx.trace, ctx.parent, "rpc.call", sim_.now());
+    tracer->annotate(pending->call_span, "dst", std::to_string(dst));
   }
   transmit(id, *pending);
   arm_timer(id, *pending);
@@ -38,10 +37,11 @@ void RpcClient::transmit(RequestId id, Pending& p) {
   hdr.workload_id = p.workload;
   hdr.request_id = id;
   hdr.tenant_id = p.tenant;
-  if (p.call_span != trace::kInvalidSpan) {
-    p.attempt_span = tracer_->start_span(p.ctx.trace, p.call_span,
-                                         "rpc.attempt", sim_.now());
-    tracer_->annotate(p.attempt_span, "retry", std::to_string(p.retries));
+  trace::TraceRecorder* tracer = sim_.tracer();
+  if (p.call_span != trace::kInvalidSpan && tracer != nullptr) {
+    p.attempt_span = tracer->start_span(p.ctx.trace, p.call_span,
+                                        "rpc.attempt", sim_.now());
+    tracer->annotate(p.attempt_span, "retry", std::to_string(p.retries));
     hdr.trace_id = p.ctx.trace;
     hdr.parent_span = p.attempt_span;
   }
@@ -67,20 +67,21 @@ void RpcClient::on_timeout(RequestId id) {
   // Whether it retransmits or gives up, the request drops any partial
   // response: a retransmission is answered whole.
   responses_.discard(p.dst, id);
-  if (p.attempt_span != trace::kInvalidSpan) {
-    tracer_->annotate(p.attempt_span, "timeout", "true");
-    tracer_->end_span(p.attempt_span, sim_.now());
-    p.attempt_span = trace::kInvalidSpan;
+  trace::TraceRecorder* tracer = sim_.tracer();
+  if (p.attempt_span != trace::kInvalidSpan && tracer != nullptr) {
+    tracer->annotate(p.attempt_span, "timeout", "true");
+    tracer->end_span(p.attempt_span, sim_.now());
   }
+  p.attempt_span = trace::kInvalidSpan;
   if (p.retries >= config_.max_retries) {
     ++failures_;
-    flightrec::FlightRecorder::global().record(
+    sim_.flight_recorder().record(
         sim_.now(), flightrec::Kind::kRpcTimeout, id, p.retries,
         "request " + std::to_string(id) + " timed out after " +
             std::to_string(p.retries) + " retries");
-    if (p.call_span != trace::kInvalidSpan) {
-      tracer_->annotate(p.call_span, "error", "timed out after retries");
-      tracer_->end_span(p.call_span, sim_.now());
+    if (p.call_span != trace::kInvalidSpan && tracer != nullptr) {
+      tracer->annotate(p.call_span, "error", "timed out after retries");
+      tracer->end_span(p.call_span, sim_.now());
     }
     RpcCallback cb = pending_.take(id).callback;
     if (cb) cb(make_error("rpc: request timed out after retries"));
@@ -108,12 +109,11 @@ void RpcClient::on_packet(const Packet& packet) {
   response.payload = std::move(message->body);
   response.latency = sim_.now() - p.sent_at;
   response.retries = p.retries;
-  if (p.attempt_span != trace::kInvalidSpan) {
-    tracer_->end_span(p.attempt_span, sim_.now());
-  }
-  if (p.call_span != trace::kInvalidSpan) {
-    tracer_->annotate(p.call_span, "retries", std::to_string(p.retries));
-    tracer_->end_span(p.call_span, sim_.now());
+  trace::TraceRecorder* tracer = sim_.tracer();
+  if (p.call_span != trace::kInvalidSpan && tracer != nullptr) {
+    tracer->end_span(p.attempt_span, sim_.now());
+    tracer->annotate(p.call_span, "retries", std::to_string(p.retries));
+    tracer->end_span(p.call_span, sim_.now());
   }
   if (p.timer != sim::kInvalidEvent) sim_.cancel(p.timer);
   // The slot is free before the callback runs, so a callback that calls

@@ -52,8 +52,8 @@ class RpcClient {
 
   /// Issues one RPC. Multi-packet payloads are sent as RDMA writes; the
   /// callback fires on the complete (reassembled) response or after
-  /// max_retries + 1 timeouts. When a tracer is attached and `ctx` is valid,
-  /// the call records an `rpc.call` span with one `rpc.attempt` child
+  /// max_retries + 1 timeouts. When the simulation has a span recorder
+  /// attached and `ctx` is valid, the call records an `rpc.call` span with one `rpc.attempt` child
   /// per transmission (timed-out attempts are annotated), and every
   /// outgoing packet carries the attempt's span context.
   /// `tenant` stamps the lambda header's tenant namespace; the default
@@ -61,10 +61,6 @@ class RpcClient {
   void call(NodeId dst, WorkloadId workload, net::BufferView payload,
             RpcCallback callback, trace::SpanContext ctx = {},
             TenantId tenant = kDefaultTenant);
-
-  /// Attaches (nullptr detaches) the span recorder. Off by default;
-  /// recording never affects simulated timing.
-  void set_tracer(trace::TraceRecorder* tracer) { tracer_ = tracer; }
 
   std::uint64_t retransmissions() const { return retransmissions_; }
   std::uint64_t failures() const { return failures_; }
@@ -98,7 +94,6 @@ class RpcClient {
   sim::Simulator& sim_;
   net::Network& network_;
   RpcConfig config_;
-  trace::TraceRecorder* tracer_ = nullptr;
   NodeId node_;
   // Requests in flight, by request id (consecutive from 1).
   IdRing<Pending> pending_;

@@ -29,6 +29,11 @@
 //  - Dispatch order is exactly the historical (time, seq) min-heap
 //    order — the wheel only changes *where* events wait, never the
 //    order they fire — so every bench replays byte-for-byte.
+//
+// A simulation's observability state lives here too: its flight
+// recorder and the one span recorder attached to it. Every component
+// reaches both through the Simulator it runs on, so two simulations
+// side by side (one per thread) never share a record.
 #pragma once
 
 #include <array>
@@ -38,8 +43,13 @@
 #include <queue>
 #include <vector>
 
+#include "common/flightrec.h"
 #include "common/types.h"
 #include "sim/inline_fn.h"
+
+namespace lnic::trace {
+class TraceRecorder;
+}
 
 namespace lnic::sim {
 
@@ -108,6 +118,16 @@ class Simulator {
   /// ever in use at once, counting each handler running when the next
   /// slot was taken. Sizing/debug.
   std::size_t arena_slots() const { return slot_count_; }
+
+  /// This simulation's anomaly ring (always on).
+  flightrec::FlightRecorder& flight_recorder() { return flight_recorder_; }
+
+  /// Attaches (nullptr, the default, detaches) the span recorder every
+  /// component of this simulation writes to; it must outlive the
+  /// attachment. Spans open at a detach stay open. Span ids are per
+  /// recorder, so swap one recorder for another only between requests.
+  void set_tracer(trace::TraceRecorder* tracer) { tracer_ = tracer; }
+  trace::TraceRecorder* tracer() const { return tracer_; }
 
  private:
   struct Entry {
@@ -239,6 +259,9 @@ class Simulator {
   std::vector<std::unique_ptr<Slot[]>> chunks_;
   std::uint32_t slot_count_ = 0;
   std::vector<std::uint32_t> free_slots_;  // LIFO recycling
+
+  flightrec::FlightRecorder flight_recorder_;
+  trace::TraceRecorder* tracer_ = nullptr;
 };
 
 /// Repeating timer helper: reschedules itself every `period` until

@@ -11,7 +11,9 @@
 // four references, a 56-byte call record and the loadgen completion.
 // After a warm-up, every allocation the process makes while 10,000
 // requests complete (1,000 of the image shape's) is counted, and the
-// budget is 2 per request.
+// budget is 2 per request. The image shape's is 0.25: its function name
+// is too long for the short-string buffer, so a name copied per offered
+// request alone would cost 1.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -106,6 +108,7 @@ namespace lnic {
 namespace {
 
 constexpr double kBudgetPerRequest = 2.0;
+constexpr double kImageBudgetPerRequest = 0.25;
 
 /// The cluster benchmark's call record (perfbench::Call).
 struct Call {
@@ -234,7 +237,8 @@ Count count_allocations(Shape shape) {
   return count;
 }
 
-void expect_within_budget(const char* name, const Count& count) {
+void expect_within_budget(const char* name, const Count& count,
+                          double budget = kBudgetPerRequest) {
   std::printf("%s: %llu allocations over %llu requests (%.3f per request)\n",
               name, static_cast<unsigned long long>(count.allocations),
               static_cast<unsigned long long>(count.requests),
@@ -245,7 +249,7 @@ void expect_within_budget(const char* name, const Count& count) {
   EXPECT_EQ(count.failed, 0u);
   EXPECT_EQ(count.wrong, 0u);
   EXPECT_LE(static_cast<double>(count.allocations),
-            kBudgetPerRequest * static_cast<double>(count.requests));
+            budget * static_cast<double>(count.requests));
 }
 
 TEST(AllocationBudget, NicKvStoreShape) {
@@ -355,7 +359,8 @@ TEST(AllocationBudget, ImageShape) {
     shape.replies.push_back(workloads::to_grayscale(image));
   }
   shape.calls = {calls};
-  expect_within_budget("image shape", count_allocations(std::move(shape)));
+  expect_within_budget("image shape", count_allocations(std::move(shape)),
+                       kImageBudgetPerRequest);
 }
 
 TEST(AllocationBudget, FourNicDeploy) {

@@ -14,6 +14,7 @@
 #include "common/id_ring.h"
 #include "common/pool.h"
 #include "common/result.h"
+#include "common/ring.h"
 #include "common/rng.h"
 #include "common/stats.h"
 #include "common/types.h"
@@ -381,6 +382,47 @@ TEST(IdRing, GrowsToTheLiveWindowAndForgetsFinishedIds) {
   }
   EXPECT_EQ(ring.size(), 0u);
   EXPECT_EQ(ring.capacity(), 64u);
+}
+
+std::vector<int> contents(const BoundedRing<int>& ring) {
+  return std::vector<int>(ring.begin(), ring.end());
+}
+
+TEST(BoundedRing, KeepsTheLatestOldestFirstAndCountsEvictions) {
+  BoundedRing<int> ring(4);
+  EXPECT_EQ(ring.capacity(), 4u);
+  EXPECT_TRUE(ring.empty());
+  for (int i = 0; i < 3; ++i) ring.push(i);
+  EXPECT_EQ(contents(ring), (std::vector<int>{0, 1, 2}));
+  EXPECT_EQ(ring.evicted(), 0u);
+  // Past the bound each push evicts the oldest, wrapping the storage.
+  for (int i = 3; i < 10; ++i) ring.push(i);
+  EXPECT_EQ(ring.size(), 4u);
+  EXPECT_EQ(contents(ring), (std::vector<int>{6, 7, 8, 9}));
+  EXPECT_EQ(ring.front(), 6);
+  EXPECT_EQ(ring.back(), 9);
+  EXPECT_EQ(ring[1], 7);
+  EXPECT_EQ(ring.evicted(), 6u);
+
+  // Shrinking a wrapped ring evicts its oldest entries at once.
+  ring.set_capacity(2);
+  EXPECT_EQ(contents(ring), (std::vector<int>{8, 9}));
+  EXPECT_EQ(ring.evicted(), 8u);
+  ring.push(10);
+  EXPECT_EQ(contents(ring), (std::vector<int>{9, 10}));
+  // Growing keeps everything and fills before evicting again.
+  ring.set_capacity(3);
+  ring.push(11);
+  EXPECT_EQ(contents(ring), (std::vector<int>{9, 10, 11}));
+  EXPECT_EQ(ring.evicted(), 9u);
+
+  // Capacity 0 keeps nothing and counts every push.
+  ring.set_capacity(0);
+  ring.push(12);
+  EXPECT_TRUE(ring.empty());
+  EXPECT_EQ(ring.evicted(), 13u);
+  ring.clear();
+  EXPECT_EQ(ring.evicted(), 0u);
 }
 
 TEST(Pool, RecyclesObjectsWithTheirStorage) {

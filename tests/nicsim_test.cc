@@ -211,7 +211,7 @@ TEST(SmartNic, RecycledFlightStartsClean) {
     SCOPED_TRACE(trapped ? "after a trap" : "after a KV wait");
     Rig rig;
     trace::TraceRecorder recorder;
-    rig.nic->set_tracer(&recorder);
+    rig.sim.set_tracer(&recorder);
     rig.cache->put(5, 5555);
     if (trapped) rig.nic->set_kv_server(rig.network.attach([](const Packet&) {}));
     net::LambdaHeader hdr;

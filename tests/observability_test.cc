@@ -6,6 +6,7 @@
 
 #include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/flightrec.h"
@@ -387,8 +388,7 @@ TEST(Observability, TracedRetransmitYieldsConnectedSpanTree) {
   core::Cluster cluster(config);
 
   TraceRecorder recorder;
-  cluster.gateway().set_tracer(&recorder);
-  cluster.worker(0).set_tracer(&recorder);
+  cluster.sim().set_tracer(&recorder);
 
   ASSERT_TRUE(cluster.deploy(workloads::make_standard_workloads()).ok());
   cluster.wait_until_ready();
@@ -441,41 +441,130 @@ TEST(Observability, TracedRetransmitYieldsConnectedSpanTree) {
   EXPECT_GE(path.total, response.value().latency);
 }
 
+TEST(Observability, OneAttachTracesGatewayRpcAndEveryWorker) {
+  // One recorder attached to the simulation reaches the gateway, its RPC
+  // client and both NICs: no component needs its own attach.
+  core::ClusterConfig config;
+  config.workers = 2;
+  core::Cluster cluster(config);
+  TraceRecorder recorder;
+  cluster.sim().set_tracer(&recorder);
+  ASSERT_TRUE(cluster.deploy(workloads::make_standard_workloads()).ok());
+  cluster.wait_until_ready();
+  for (int i = 0; i < 4; ++i) {
+    auto response = cluster.invoke_and_wait(
+        "web_server", workloads::encode_web_request(i & 3));
+    ASSERT_TRUE(response.ok()) << response.error().message;
+  }
+
+  std::set<std::string> layers;
+  std::set<std::string> nic_workers;  // rpc.call "dst" above each nic span
+  const auto& spans = recorder.spans();
+  const auto by_id = [&spans](trace::SpanId id) -> const trace::Span* {
+    for (const auto& span : spans) {
+      if (span.id == id) return &span;
+    }
+    return nullptr;
+  };
+  for (const auto& span : spans) {
+    EXPECT_FALSE(span.open) << span.name;
+    layers.insert(span.name.substr(0, span.name.find('.')));
+    if (span.name != "nic.execute") continue;
+    const trace::Span* attempt = by_id(span.parent);
+    ASSERT_NE(attempt, nullptr);
+    ASSERT_EQ(attempt->name, "rpc.attempt");
+    const trace::Span* call = by_id(attempt->parent);
+    ASSERT_NE(call, nullptr);
+    for (const auto& [key, value] : call->annotations) {
+      if (key == "dst") nic_workers.insert(value);
+    }
+  }
+  EXPECT_TRUE(layers.count("gateway"));
+  EXPECT_TRUE(layers.count("rpc"));
+  EXPECT_TRUE(layers.count("nic"));
+  EXPECT_EQ(nic_workers,
+            (std::set<std::string>{std::to_string(cluster.worker(0).node()),
+                                   std::to_string(cluster.worker(1).node())}));
+  EXPECT_EQ(recorder.trace_ids().size(), 4u);
+}
+
+TEST(Observability, DetachWithSpansOpenLeavesThemOpen) {
+  // A request whose spans were opened before the recorder was detached
+  // finishes without touching it: nothing is ended through a null
+  // recorder, and the spans it had stay open.
+  core::ClusterConfig config;
+  config.workers = 1;
+  core::Cluster cluster(config);
+  ASSERT_TRUE(cluster.deploy(workloads::make_standard_workloads()).ok());
+  cluster.wait_until_ready();
+  TraceRecorder recorder;
+  cluster.sim().set_tracer(&recorder);
+  bool done = false;
+  cluster.invoke("web_server", workloads::encode_web_request(1),
+                 [&done](Result<proto::RpcResponse> r) {
+                   EXPECT_TRUE(r.ok());
+                   done = true;
+                 });
+  cluster.sim().run_until(cluster.sim().now() + microseconds(30));
+  ASSERT_FALSE(done);
+  const std::size_t opened = recorder.size();
+  ASSERT_GT(opened, 0u);
+  cluster.sim().set_tracer(nullptr);
+  cluster.sim().run_until(cluster.sim().now() + seconds(1));
+  EXPECT_TRUE(done);
+  EXPECT_EQ(recorder.size(), opened);
+  EXPECT_TRUE(recorder.spans().front().open);  // the request's root
+}
+
+TEST(Trace, SampledNewTraceHandsOutConsecutiveIds) {
+  // Rate 1/4 over 12 calls: calls 4, 8 and 12 get ids 1, 2 and 3, and
+  // every other call gets none.
+  TraceRecorder recorder(/*max_spans=*/16, /*sample_rate=*/0.25);
+  std::vector<trace::TraceId> ids;
+  for (int call = 1; call <= 12; ++call) {
+    const trace::TraceId id = recorder.new_trace();
+    if (call % 4 == 0) {
+      ids.push_back(id);
+    } else {
+      EXPECT_EQ(id, trace::kInvalidTrace) << "call " << call;
+    }
+  }
+  EXPECT_EQ(ids, (std::vector<trace::TraceId>{1, 2, 3}));
+}
+
 // ---------------------------------------------------------------------------
 // Flight recorder
 
 TEST(FlightRecorder, RingBoundsEvictionAndCounters) {
+  // The ring itself is BoundedRing's (common_test); this checks what the
+  // recorder adds on top: its counters, its events and its dump.
   flightrec::FlightRecorder ring(4);
-  EXPECT_EQ(ring.capacity(), 4u);
+  EXPECT_EQ(ring.events().capacity(), 4u);
+  EXPECT_NE(ring.dump().find("empty"), std::string::npos);
   for (std::uint64_t i = 0; i < 10; ++i) {
     ring.record(static_cast<SimTime>(i), flightrec::Kind::kOther, i, 2 * i,
                 "event " + std::to_string(i));
   }
   EXPECT_EQ(ring.recorded(), 10u);
-  EXPECT_EQ(ring.evicted(), 6u);
-  const auto events = ring.snapshot();
+  EXPECT_EQ(ring.events().evicted(), 6u);
+  const auto& events = ring.events();
   ASSERT_EQ(events.size(), 4u);
   // Oldest retained first, newest last.
   EXPECT_EQ(events.front().a, 6u);
   EXPECT_EQ(events.back().a, 9u);
   EXPECT_EQ(events.back().b, 18u);
   EXPECT_EQ(events.back().detail, "event 9");
+  const std::string dump = ring.dump();
+  EXPECT_NE(dump.find("10 event(s) recorded, last 4 retained"),
+            std::string::npos);
+  EXPECT_EQ(dump.find("event 5"), std::string::npos);
+  EXPECT_NE(dump.find("event 6"), std::string::npos);
 
-  // Shrinking drops from the old end immediately.
-  ring.set_capacity(2);
-  ASSERT_EQ(ring.snapshot().size(), 2u);
-  EXPECT_EQ(ring.snapshot().front().a, 8u);
-
-  ring.clear();
-  EXPECT_EQ(ring.recorded(), 0u);
-  EXPECT_EQ(ring.evicted(), 0u);
-  EXPECT_NE(ring.dump().find("empty"), std::string::npos);
+  // A zero capacity still keeps the latest anomaly.
+  EXPECT_EQ(flightrec::FlightRecorder(0).events().capacity(), 1u);
 }
 
 TEST(FlightRecorder, GatewayShedSiteRecordsAnomalies) {
-  auto& ring = flightrec::FlightRecorder::global();
-  ring.clear();
-
   core::ClusterConfig config;
   config.workers = 1;
   // Tight limiter: 1 in flight, 1 queued — a burst of 8 must shed.
@@ -496,13 +585,64 @@ TEST(FlightRecorder, GatewayShedSiteRecordsAnomalies) {
   }
   ASSERT_EQ(done, 8);
 
+  // The cluster's own simulation holds the sheds.
+  const flightrec::FlightRecorder& ring = cluster.sim().flight_recorder();
   bool saw_shed = false;
-  for (const auto& event : ring.snapshot()) {
+  for (const auto& event : ring.events()) {
     if (event.kind == flightrec::Kind::kGatewayShed) saw_shed = true;
   }
   EXPECT_TRUE(saw_shed);
   EXPECT_NE(ring.dump().find("gateway-shed"), std::string::npos);
-  ring.clear();
+}
+
+TEST(FlightRecorder, SimulationsOnTwoThreadsKeepTheirOwnSheds) {
+  // Two clusters flood their own tight limiters side by side, one per
+  // thread, with different bursts. Each simulation's recorder holds
+  // exactly its own sheds: as many as its gateway counted, none of the
+  // other's.
+  struct Run {
+    std::uint64_t shed_total = 0;
+    std::uint64_t shed_events = 0;
+    std::uint64_t recorded = 0;
+  };
+  const auto flood = [](int burst, Run* out) {
+    core::ClusterConfig config;
+    config.workers = 1;
+    config.gateway.max_inflight_per_function = 1;
+    config.gateway.max_queue_depth = 1;
+    core::Cluster cluster(config);
+    if (!cluster.deploy(workloads::make_standard_workloads()).ok()) return;
+    cluster.wait_until_ready();
+    int done = 0;
+    for (int i = 0; i < burst; ++i) {
+      cluster.invoke("web_server", workloads::encode_web_request(i & 3),
+                     [&done](Result<proto::RpcResponse>) { ++done; });
+    }
+    const SimTime deadline = cluster.sim().now() + seconds(10);
+    while (done < burst && cluster.sim().now() < deadline) {
+      cluster.sim().run_until(cluster.sim().now() + milliseconds(10));
+    }
+    out->shed_total = cluster.gateway()
+                          .metrics()
+                          .counter("gateway_shed_total", {{"fn", "web_server"}})
+                          .value();
+    const flightrec::FlightRecorder& ring = cluster.sim().flight_recorder();
+    for (const auto& event : ring.events()) {
+      if (event.kind == flightrec::Kind::kGatewayShed) ++out->shed_events;
+    }
+    out->recorded = ring.recorded();
+  };
+  Run small, large;
+  std::thread a(flood, 8, &small);
+  std::thread b(flood, 24, &large);
+  a.join();
+  b.join();
+  EXPECT_GT(small.shed_total, 0u);
+  EXPECT_GT(large.shed_total, small.shed_total);
+  EXPECT_EQ(small.shed_events, small.shed_total);
+  EXPECT_EQ(large.shed_events, large.shed_total);
+  EXPECT_EQ(small.recorded, small.shed_total);
+  EXPECT_EQ(large.recorded, large.shed_total);
 }
 
 // ---------------------------------------------------------------------------
@@ -514,10 +654,9 @@ TEST(Timeline, MergedExportHasRequestAndNicTracks) {
   core::Cluster cluster(config);
 
   TraceRecorder recorder;
-  cluster.gateway().set_tracer(&recorder);
+  cluster.sim().set_tracer(&recorder);
   framework::TimelineInputs inputs;
   for (std::size_t i = 0; i < cluster.worker_count(); ++i) {
-    cluster.worker(i).set_tracer(&recorder);
     auto* nic =
         dynamic_cast<backends::LambdaNicBackend*>(&cluster.worker(i));
     ASSERT_NE(nic, nullptr);

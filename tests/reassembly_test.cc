@@ -108,6 +108,27 @@ TEST(Reassembler, DiscardForgetsPartialMessage) {
   EXPECT_EQ(reassembler.partial(), 1u);
 }
 
+TEST(Reassembler, DropsFragmentCountsAboveTheBound) {
+  // A first fragment claiming 0xFFFFFFFF fragments used to make a
+  // receiver size about 96 GiB of fragment records. A count above the
+  // most fragments any sender makes is dropped with nothing stored.
+  EXPECT_EQ(net::kMaxFragments, 23968u);
+  Reassembler reassembler;
+  auto added = Reassembler::Added::kFirst;
+  for (const std::uint32_t count : {0xFFFFFFFFu, net::kMaxFragments + 1}) {
+    EXPECT_FALSE(reassembler.add(fragment_of(1, 0, count, {1}), &added));
+    EXPECT_EQ(added, Reassembler::Added::kDropped) << count;
+    EXPECT_EQ(reassembler.partial(), 0u) << count;
+  }
+  // A count at the bound is a message a sender can make: it opens.
+  EXPECT_FALSE(reassembler.add(fragment_of(1, 0, net::kMaxFragments, {1}),
+                               &added));
+  EXPECT_EQ(added, Reassembler::Added::kFirst);
+  EXPECT_EQ(reassembler.partial(), 1u);
+  reassembler.discard(/*src=*/1, /*request_id=*/1);
+  EXPECT_EQ(reassembler.partial(), 0u);
+}
+
 // ------------------------------------------------- randomized reference
 
 /// The reassembly rules as a plain reference: partial messages in a map
@@ -129,7 +150,7 @@ class ReferenceReassembler {
     Outcome out;
     const std::uint32_t count = p.lambda.frag_count;
     const std::uint32_t index = p.lambda.frag_index;
-    if (index >= count) return out;
+    if (index >= count || count > net::kMaxFragments) return out;
     const auto key = std::make_pair(p.src, p.lambda.request_id);
     auto it = open_.find(key);
     if (it == open_.end()) {

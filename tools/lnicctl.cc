@@ -440,10 +440,7 @@ int cmd_trace(int argc, char** argv) {
   core::Cluster cluster(config);
 
   trace::TraceRecorder recorder;
-  cluster.gateway().set_tracer(&recorder);
-  for (std::size_t i = 0; i < cluster.worker_count(); ++i) {
-    cluster.worker(i).set_tracer(&recorder);
-  }
+  cluster.sim().set_tracer(&recorder);
 
   auto deployed = cluster.deploy(workloads::make_standard_workloads());
   if (!deployed.ok()) {
@@ -564,9 +561,6 @@ int cmd_flightrec(int argc, char** argv) {
   auto flags = parse_flags(argc, argv, 2);
   const int requests = flag_requests(flags, 24);
 
-  // Clean slate so the dump shows only this run's anomalies.
-  flightrec::FlightRecorder::global().clear();
-
   core::ClusterConfig config;
   config.workers = 2;
   // A deliberately tight limiter so the flood below sheds: 2 requests in
@@ -608,7 +602,7 @@ int cmd_flightrec(int argc, char** argv) {
 
   std::printf("%d request(s) resolved: %d ok, %d failed (by design)\n\n",
               done, done - failed, failed);
-  std::fputs(flightrec::FlightRecorder::global().dump().c_str(), stdout);
+  std::fputs(cluster.sim().flight_recorder().dump().c_str(), stdout);
   return 0;
 }
 
@@ -624,10 +618,9 @@ int cmd_timeline(int argc, char** argv) {
   core::Cluster cluster(config);
 
   trace::TraceRecorder recorder;
-  cluster.gateway().set_tracer(&recorder);
+  cluster.sim().set_tracer(&recorder);
   std::vector<std::pair<std::string, const nicsim::SmartNic*>> nics;
   for (std::size_t i = 0; i < cluster.worker_count(); ++i) {
-    cluster.worker(i).set_tracer(&recorder);
     auto* nic = dynamic_cast<backends::LambdaNicBackend*>(&cluster.worker(i));
     if (nic != nullptr) {
       nic->nic().enable_profiler();
